@@ -6,8 +6,6 @@
 //	bettybench -list
 //	bettybench -exp fig12 [-scale 0.5] [-epochs 10] [-csv] [-v]
 //	bettybench -exp all
-//	bettybench -step BENCH_step.json [-scale 0.2]
-//	bettybench -serve BENCH_serve.json [-scale 0.2]
 //	bettybench -multidev BENCH_multidev.json [-scale 0.2]
 package main
 
@@ -28,68 +26,9 @@ func main() {
 		epochs  = flag.Int("epochs", 0, "override training epoch counts")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		verbose = flag.Bool("v", false, "log progress to stderr")
-		step    = flag.String("step", "", "write the training-step perf sweep (workers x pool x fused) to this JSON file")
-		srv     = flag.String("serve", "", "write the online-serving load report to this JSON file")
 		mdev    = flag.String("multidev", "", "write the split-parallel scaling sweep (devices x shard partitioner) to this JSON file")
-		gate    = flag.String("gate", "", "re-run the step sweep and fail if any cell regressed >threshold vs this committed BENCH_step.json")
-		gateOut = flag.String("gate-out", "BENCH_gate.json", "write the gate comparison artifact to this file")
-		gateTol = flag.Float64("gate-threshold", bench.DefaultGateThreshold, "tolerated relative ns/step slowdown")
-		sgate   = flag.String("serve-gate", "", "re-run the serve sweep and fail if reuse-mode p50/p99 regressed >threshold vs this committed BENCH_serve.json")
-		sgateO  = flag.String("serve-gate-out", "BENCH_serve_gate.json", "write the serve gate comparison artifact to this file")
 	)
 	flag.Parse()
-
-	if *sgate != "" {
-		rep, err := bench.WriteServeGate(*sgate, *sgateO, *scale, *gateTol)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: serve gate: %v\n", err)
-			os.Exit(1)
-		}
-		for _, c := range rep.Cells {
-			mark := " "
-			if c.Regressed {
-				mark = "!"
-			}
-			fmt.Printf("%s %-30s baseline %12d ns  current %12d ns  ratio %.3f\n",
-				mark, c.Name, c.BaselineNs, c.CurrentNs, c.Ratio)
-		}
-		if rep.Advisory {
-			fmt.Printf("advisory only: host_cpus %d != baseline host_cpus %d — ratios not binding\n",
-				rep.HostCPUs, rep.BaselineHostCPUs)
-		}
-		if rep.Failed {
-			fmt.Fprintf(os.Stderr, "bettybench: serve gate: reuse-mode latency regression beyond %.0f%% — see %s (override: apply the perf-regression-ok label)\n",
-				rep.Threshold*100, *sgateO)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *gate != "" {
-		rep, err := bench.WriteGate(*gate, *gateOut, *scale, *gateTol)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: gate: %v\n", err)
-			os.Exit(1)
-		}
-		for _, c := range rep.Cells {
-			mark := " "
-			if c.Regressed {
-				mark = "!"
-			}
-			fmt.Printf("%s %-30s baseline %12d ns  current %12d ns  ratio %.3f\n",
-				mark, c.Name, c.BaselineNs, c.CurrentNs, c.Ratio)
-		}
-		if rep.Advisory {
-			fmt.Printf("advisory only: host_cpus %d != baseline host_cpus %d — ratios not binding\n",
-				rep.HostCPUs, rep.BaselineHostCPUs)
-		}
-		if rep.Failed {
-			fmt.Fprintf(os.Stderr, "bettybench: gate: regression beyond %.0f%% — see %s (override: apply the perf-regression-ok label)\n",
-				rep.Threshold*100, *gateOut)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *mdev != "" {
 		rep, err := bench.WriteMultiDevBench(*mdev, *scale)
@@ -106,50 +45,6 @@ func main() {
 			fmt.Printf("  %s=%d", name, rep.RegBoundary[name])
 		}
 		fmt.Println()
-		return
-	}
-
-	if *srv != "" {
-		rep, err := bench.WriteServeBench(*srv, *scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: serve bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%d requests x %d nodes: %.0f req/s   p50 %.2fms  p90 %.2fms  p99 %.2fms\n",
-			rep.Requests, rep.NodesPerRequest, rep.Load.ThroughputRPS,
-			float64(rep.Load.P50NS)/1e6, float64(rep.Load.P90NS)/1e6, float64(rep.Load.P99NS)/1e6)
-		fmt.Printf("batches: %d (%.1f req/batch)   cache hit rate: %.2f   max planned peak: %.1f MiB (budget %.0f MiB)\n",
-			rep.Batches, rep.AvgRequestsPerBatch, rep.CacheHitRate,
-			float64(rep.MaxEstPeakBytes)/(1<<20), float64(rep.CapacityBytes)/(1<<20))
-		for _, q := range rep.Quant {
-			fmt.Printf("quant=%-5s %.0f req/s  p99 %.2fms  weight bytes %d  max |Δscore| %.3g\n",
-				q.Mode, q.Load.ThroughputRPS, float64(q.Load.P99NS)/1e6, q.WeightBytes, q.MaxAbsDiff)
-		}
-		for _, e := range rep.Emb {
-			fmt.Printf("embcache=%-5s %.0f req/s  p50 %.2fms  p99 %.2fms  hit rate %.2f  layer-1 rows/req %.1f  max |Δscore| %.3g\n",
-				e.Mode, e.Load.ThroughputRPS, float64(e.Load.P50NS)/1e6, float64(e.Load.P99NS)/1e6,
-				e.HitRate, e.ComputedRowsPerRequest, e.MaxAbsDiff)
-		}
-		return
-	}
-
-	if *step != "" {
-		rep, err := bench.WriteStepBench(*step, *scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: step bench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range rep.Results {
-			fmt.Printf("%-22s %12d ns/step %12d B/step %8d allocs/step\n",
-				r.Name, r.NsPerStep, r.BytesPerStep, r.AllocsPerStep)
-		}
-		fmt.Printf("speedup(8w, pooled): %.2fx   fused speedup: %.2fx   alloc reduction (pool): %.1fx   byte reduction (pool): %.0fx   (host CPUs: %d)\n",
-			rep.SpeedupPooled8W, rep.FusedSpeedup, rep.AllocReduction, rep.ByteReduction, rep.HostCPUs)
-		if d := rep.Delta; d != nil {
-			fmt.Printf("vs committed: %d -> %d ns/step (%.2fx), %d -> %d allocs/step\n",
-				d.PrevNsPerStep, d.NewNsPerStep, d.Speedup, d.PrevAllocsPerStep, d.NewAllocsPerStep)
-		}
-		fmt.Printf("embedded %d obs records from one instrumented step\n", len(rep.ObsRecords))
 		return
 	}
 

@@ -18,6 +18,7 @@
 //   - internal/memory: the memory estimator and the planner
 //   - internal/bench: regenerators for every table and figure of the paper
 //   - cmd/bettybench: CLI over internal/bench
+//   - benchmark/: the repo benchmark (wall-clock and memory, BENCHMARK.json)
 //   - examples/: runnable walkthroughs
 //
 // See README.md for the architecture overview, DESIGN.md for the system

@@ -26,7 +26,7 @@ func layerStack(model any) ([]BlockLayer, error) {
 // ReLU when the layer is not the model's last. It is the single per-layer
 // forward step shared by whole-batch inference (BatchInference) and
 // layer-wise offline inference (LayerwiseInference). Layers that implement
-// the fused tier take it when BETTY_FUSED is on.
+// the fused tier take it unless nn.SetFused(false) turned it off.
 func applyLayer(tp *tensor.Tape, layer BlockLayer, b *graph.Block, h *tensor.Var, last bool) *tensor.Var {
 	return nn.ApplyBlockLayer(tp, layer, b, h, last)
 }

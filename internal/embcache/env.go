@@ -57,8 +57,8 @@ func (m Mode) String() string {
 // Environment knobs (see the README knob table).
 const (
 	// EnvMode selects off/exact/reuse. No BETTY_SERVE_ prefix: like
-	// BETTY_QUANT and BETTY_FUSED this is a repo-wide numeric contract,
-	// honored identically by training and serving.
+	// BETTY_QUANT this is a repo-wide numeric contract, honored
+	// identically by training and serving.
 	EnvMode = "BETTY_EMBCACHE"
 	// EnvBudgetMiB bounds the cache's resident bytes (ledger-charged).
 	EnvBudgetMiB = "BETTY_EMBCACHE_BUDGET_MIB"

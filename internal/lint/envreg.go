@@ -23,8 +23,8 @@ import (
 // Concretely:
 //
 //   - os.Getenv("BETTY_X") must appear as a direct argument of a call to a
-//     function whose name starts with "Parse" (ParseWorkers, ParsePoolMode,
-//     ParseFusedMode, ParseQuantMode, ...). Passing os.Getenv itself as a
+//     function whose name starts with "Parse" (ParseWorkers, ParseQuantMode,
+//     ParseBudgetMiB, ParseMaxLag, ...). Passing os.Getenv itself as a
 //     getenv func into a validating applier (serve.Config.ApplyEnv) is the
 //     other approved pattern and involves no direct call to flag.
 //   - os.Getenv with a non-literal argument defeats the registry audit and
@@ -46,8 +46,6 @@ var Envreg = &Analyzer{
 // hardened parser — envreg fails on any subset.
 var knobRegistry = map[string]string{
 	"BETTY_WORKERS":                 "worker-pool size (parallel.ParseWorkers)",
-	"BETTY_POOL":                    "tape buffer pool toggle (tensor.ParsePoolMode)",
-	"BETTY_FUSED":                   "fused kernel tier toggle (nn.ParseFusedMode)",
 	"BETTY_QUANT":                   "serving quantization mode (tensor.ParseQuantMode)",
 	"BETTY_SERVE_MAX_BATCH":         "serving batcher coalescing target (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_MAX_WAIT_MS":       "serving batcher hold time (serve.Config.ApplyEnv)",

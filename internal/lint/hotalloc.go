@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// Hotalloc guards the residual-allocation class BENCH_step.json measures:
-// after the tape pool (PR 2) and the fused tier (PR 7), what is left on
-// the per-step allocation profile is memory conjured inside the hottest
-// closures — parallel.For / ForShards / MapReduce bodies, which run once
+// Hotalloc guards the residual-allocation class of the training step that
+// benchmark/'s train_compute workload times: after the tape pool (PR 2)
+// and the fused tier (PR 7), what is left on the per-step allocation
+// profile is memory conjured inside the hottest closures —
+// parallel.For / ForShards / MapReduce bodies, which run once
 // per shard per kernel call, and tape-op backward closures, which run once
 // per op per Backward. A make, a slice/map literal, or an append inside
 // one of those multiplies by the step count and shows straight up in

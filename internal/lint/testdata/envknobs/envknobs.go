@@ -15,7 +15,7 @@ func routed() int {
 }
 
 func raw() string {
-	return os.Getenv("BETTY_POOL") // want envreg
+	return os.Getenv("BETTY_WORKERS") // want envreg
 }
 
 func nonLiteral(name string) string {
@@ -28,7 +28,7 @@ func unregistered() int {
 
 func suppressedRaw() string {
 	//bettyvet:ok envreg golden fixture: raw read stands in for a migration shim // want-sup+1 envreg
-	return os.Getenv("BETTY_FUSED")
+	return os.Getenv("BETTY_QUANT")
 }
 
 type config struct{}

@@ -2,49 +2,21 @@ package nn
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync/atomic"
 
 	"betty/internal/graph"
 	"betty/internal/tensor"
 )
 
-// BETTY_FUSED gates the fused kernel tier (DESIGN.md §13): when on (the
-// default), layer forwards go through tensor.FusedCSRAgg and
-// tensor.LinearBiasReLU instead of the primitive-op chains. Fusion is
-// bitwise-exact — the per-op and end-to-end equivalence tests pin fused and
-// unfused paths to identical bytes — so the knob exists for A/B
-// benchmarking and as an escape hatch, not because results differ.
+// The fused kernel tier (DESIGN.md §13) is on by default: layer forwards go
+// through tensor.FusedCSRAgg and tensor.LinearBiasReLU instead of the
+// primitive-op chains. Fusion is bitwise-exact — the per-op and end-to-end
+// equivalence tests pin fused and unfused paths to identical bytes, using
+// SetFused(false) as the reference arm.
 
 var fusedOn atomic.Bool
 
-func init() { fusedOn.Store(defaultFused()) }
-
-// ParseFusedMode validates a BETTY_FUSED override, accepting exactly the
-// strconv.ParseBool spellings. The empty string means "unset" and returns
-// the default (fusion on). Garbage is an error: a typo must fail loudly,
-// not silently flip a benchmark arm.
-func ParseFusedMode(v string) (bool, error) {
-	if v == "" {
-		return true, nil
-	}
-	on, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("BETTY_FUSED=%q: not a boolean (want 1/0, true/false, t/f)", v)
-	}
-	return on, nil
-}
-
-// defaultFused reads the BETTY_FUSED environment toggle (default on). An
-// invalid value panics at startup.
-func defaultFused() bool {
-	on, err := ParseFusedMode(os.Getenv("BETTY_FUSED"))
-	if err != nil {
-		panic("nn: " + err.Error())
-	}
-	return on
-}
+func init() { fusedOn.Store(true) }
 
 // FusedEnabled reports whether the fused kernel tier is active.
 func FusedEnabled() bool { return fusedOn.Load() }

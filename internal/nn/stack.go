@@ -55,8 +55,8 @@ func LayerStack(model any) ([]BlockLayer, error) {
 
 // ApplyBlockLayer runs one GNN layer over one block, applying the
 // inter-layer ReLU when the layer is not the model's last. Layers that
-// implement the fused tier take it when BETTY_FUSED is on, exactly as the
-// models' own Forward loops do.
+// implement the fused tier take it unless SetFused(false) turned it off,
+// exactly as the models' own Forward loops do.
 func ApplyBlockLayer(tp *tensor.Tape, layer BlockLayer, b *graph.Block, h *tensor.Var, last bool) *tensor.Var {
 	if fl, ok := layer.(FusedBlockLayer); ok && FusedEnabled() {
 		return fl.ForwardFused(tp, b, h, !last)

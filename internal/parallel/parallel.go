@@ -35,10 +35,11 @@ func init() {
 //
 // Earlier revisions spawned fresh goroutines (and a WaitGroup) on every
 // parallel call, which showed up as ~200 extra allocations per training
-// step at BETTY_WORKERS=8 (BENCH_step.json, PR 2). The pool below keeps
-// long-lived workers fed through a buffered channel and recycles the
-// per-call job descriptor through a sync.Pool, so a steady-state parallel
-// call allocates nothing beyond the caller's own closure.
+// step at BETTY_WORKERS=8 (PR 2; the step benchmark/'s train_compute
+// workload times). The pool below keeps long-lived workers fed through a
+// buffered channel and recycles the per-call job descriptor through a
+// sync.Pool, so a steady-state parallel call allocates nothing beyond the
+// caller's own closure.
 //
 // Work distribution is unchanged: a job exposes its shards through an
 // atomic cursor and any subset of workers (plus the submitting goroutine,

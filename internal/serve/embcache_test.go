@@ -179,16 +179,16 @@ func TestEmbcacheSkewedHitRate(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	reg := obs.New(nil)
-	cfg := testConfig(nil, reg) // real clock: RunLoad measures wall time
+	cfg := testConfig(nil, reg) // real clock: runLoad measures wall time
 	cfg.EmbMode = embcache.ModeReuse
 	cfg.QueueDepth = 256
 	s := newTestServer(t, d, model, cfg)
 	s.Start()
 	defer s.Close()
 
-	lc := LoadConfig{Requests: 150, NodesPerRequest: 8, Seed: 7, Skew: 3}
+	lc := loadConfig{Requests: 150, NodesPerRequest: 8, Seed: 7, Skew: 3}
 	for pass := 0; pass < 2; pass++ {
-		rep, err := RunLoad(s, lc)
+		rep, err := runLoad(s, lc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestEmbcacheLedgerE2E(t *testing.T) {
 	s := newTestServer(t, d, su.Model, cfg)
 	s.Start()
 
-	rep, err := RunLoad(s, LoadConfig{Requests: 400, NodesPerRequest: 8, Seed: 11, Skew: 3})
+	rep, err := runLoad(s, loadConfig{Requests: 400, NodesPerRequest: 8, Seed: 11, Skew: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 	"betty/internal/rng"
 )
 
-// LoadConfig parameterizes the open-loop load generator: requests are
+// loadConfig parameterizes the open-loop load generator: requests are
 // issued at seeded exponential inter-arrival gaps regardless of how fast
 // the server answers (open-loop, so queueing delay is observed rather
 // than hidden by back-to-back closed-loop issuance).
-type LoadConfig struct {
+type loadConfig struct {
 	// Requests is the total number of requests to issue.
 	Requests int
 	// NodesPerRequest is the seed-node count of each request.
@@ -35,8 +35,8 @@ type LoadConfig struct {
 	Skew float64
 }
 
-// LoadReport summarizes one load run.
-type LoadReport struct {
+// loadReport summarizes one load run.
+type loadReport struct {
 	Requests int   `json:"requests"`
 	Errors   int   `json:"errors"`
 	DurNS    int64 `json:"dur_ns"`
@@ -49,11 +49,11 @@ type LoadReport struct {
 	MaxNS int64 `json:"max_ns"`
 }
 
-// RunLoad drives s with the configured open-loop arrival trace and blocks
+// runLoad drives s with the configured open-loop arrival trace and blocks
 // until every response (or error) has arrived. The server must be
 // Started. Node choices and arrival gaps are pure functions of cfg.Seed;
 // wall-clock timing of course is not.
-func RunLoad(s *Server, cfg LoadConfig) (*LoadReport, error) {
+func runLoad(s *Server, cfg loadConfig) (*loadReport, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("serve: load run needs a positive request count")
 	}
@@ -105,7 +105,7 @@ func RunLoad(s *Server, cfg LoadConfig) (*LoadReport, error) {
 	wg.Wait()
 	dur := time.Since(start)
 
-	rep := &LoadReport{Requests: cfg.Requests, DurNS: dur.Nanoseconds()}
+	rep := &loadReport{Requests: cfg.Requests, DurNS: dur.Nanoseconds()}
 	var ok []int64
 	for i, err := range errs {
 		if err != nil {

@@ -580,7 +580,7 @@ func TestRunLoad(t *testing.T) {
 	s := newTestServer(t, d, model, cfg)
 	s.Start()
 	defer s.Close()
-	rep, err := RunLoad(s, LoadConfig{Requests: 20, NodesPerRequest: 3, Seed: 7})
+	rep, err := runLoad(s, loadConfig{Requests: 20, NodesPerRequest: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestRunLoad(t *testing.T) {
 	if rep.ThroughputRPS <= 0 || rep.P50NS <= 0 || rep.P99NS < rep.P50NS || rep.MaxNS < rep.P99NS {
 		t.Fatalf("implausible report: %+v", rep)
 	}
-	if _, err := RunLoad(s, LoadConfig{}); err == nil {
+	if _, err := runLoad(s, loadConfig{}); err == nil {
 		t.Fatal("zero-request load accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // tape ops that each replace a chain of primitive ops with bitwise-identical
 // values. Fusion here is an execution detail, never an approximation — every
 // kernel accumulates each output element in exactly the serial order of the
-// unfused composition it replaces, so BETTY_FUSED on/off and any
+// unfused composition it replaces, so nn.SetFused on/off and any
 // BETTY_WORKERS count all produce identical bytes.
 
 // CSR describes one graph block's edges in the layout FusedCSRAgg consumes:

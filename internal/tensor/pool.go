@@ -1,10 +1,7 @@
 package tensor
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -23,8 +20,8 @@ import (
 // cannot change any numerical result: training with the pool on and off is
 // bitwise-identical by construction.
 //
-// Pooling defaults to on; BETTY_POOL=0 (or SetPooling(false)) disables it,
-// turning acquire/release into plain make/no-op for A/B benchmarking.
+// Pooling is on; SetPooling(false) disables it, turning acquire/release
+// into plain make/no-op — the reference arm of the pooled≡unpooled tests.
 
 const (
 	// poolMinBits..poolMaxBits bound the size classes: slices shorter than
@@ -48,33 +45,7 @@ var (
 	poolReleases atomic.Int64
 )
 
-func init() { poolEnabled.Store(defaultPooling()) }
-
-// ParsePoolMode validates a BETTY_POOL override, accepting exactly the
-// strconv.ParseBool spellings (1/0, t/f, true/false, ...). The empty
-// string means "unset" and returns the default (pooling on). Garbage is an
-// error: a typo must fail loudly, not silently run an A/B benchmark with
-// the wrong arm.
-func ParsePoolMode(v string) (bool, error) {
-	if v == "" {
-		return true, nil
-	}
-	on, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("BETTY_POOL=%q: not a boolean (want 1/0, true/false, t/f)", v)
-	}
-	return on, nil
-}
-
-// defaultPooling reads the BETTY_POOL environment toggle (default on). An
-// invalid BETTY_POOL value panics at startup.
-func defaultPooling() bool {
-	on, err := ParsePoolMode(os.Getenv("BETTY_POOL"))
-	if err != nil {
-		panic("tensor: " + err.Error())
-	}
-	return on
-}
+func init() { poolEnabled.Store(true) }
 
 // PoolingEnabled reports whether the tape buffer pool is active.
 func PoolingEnabled() bool { return poolEnabled.Load() }

@@ -39,7 +39,7 @@ func TestPoolReusesBacking(t *testing.T) {
 	}
 }
 
-// TestPoolDisabled proves the BETTY_POOL=0 path allocates fresh slices and
+// TestPoolDisabled proves the SetPooling(false) path allocates fresh slices and
 // retains nothing.
 func TestPoolDisabled(t *testing.T) {
 	defer SetPooling(SetPooling(false))

@@ -200,7 +200,7 @@ func runEpochs(t *testing.T, batches [][]*graph.Block, nEpochs int) [][]float32 
 
 // TestFusedTrainingBitwiseEquivalent is the end-to-end contract of the
 // fused kernel tier (DESIGN.md §13): a 3-epoch micro-batched training run
-// with BETTY_FUSED on produces bit-for-bit the same final weights as the
+// with nn.SetFused(true) produces bit-for-bit the same final weights as the
 // unfused primitive-op chains, at any worker count. Fusion is a pure
 // execution-plan change, never a numerics change.
 func TestFusedTrainingBitwiseEquivalent(t *testing.T) {
