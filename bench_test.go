@@ -212,7 +212,7 @@ func BenchmarkMemoryEstimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := memory.SpecFromSAGE(model, nn.NewAdam(model, 0.01))
+	spec := memory.SpecOf(model, nn.NewAdam(model, 0.01))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := memory.Estimate(blocks, spec); err != nil {

@@ -60,7 +60,7 @@ type serveConfig struct {
 
 	// storePath serves out-of-core from a packed store (bettytrain -pack)
 	// instead of loading the dataset into RAM; storeBudgetMiB bounds the
-	// shard cache (BETTY_STORE_BUDGET_MIB overrides when set).
+	// shard cache.
 	storePath      string
 	storeBudgetMiB int64
 
@@ -123,13 +123,7 @@ func run(cfg serveConfig) error {
 			return err
 		}
 		defer st.Close()
-		budget := cfg.storeBudgetMiB
-		if mib, err := store.ParseBudgetMiB(os.Getenv("BETTY_STORE_BUDGET_MIB")); err != nil {
-			return err
-		} else if mib > 0 {
-			budget = mib
-		}
-		cache, err := store.NewCache(st, budget*device.MiB, reg)
+		cache, err := store.NewCache(st, cfg.storeBudgetMiB*device.MiB, reg)
 		if err != nil {
 			return err
 		}
@@ -137,7 +131,7 @@ func run(cfg serveConfig) error {
 			return err
 		}
 		fmt.Fprintf(cfg.out, "store %s: %d feature shards, cache budget %d MiB\n",
-			cfg.storePath, st.NumShards(), budget)
+			cfg.storePath, st.NumShards(), cfg.storeBudgetMiB)
 	} else if ds, err = dataset.LoadScaled(cfg.dataset, cfg.scale); err != nil {
 		return err
 	}

@@ -455,6 +455,19 @@ func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 		t.Fatalf("run returned %v, want an error naming %s", err, serve.EnvMaxBatch)
 	}
 
+	// f16 was a quant mode once; a deployment still setting it must not
+	// start as if it had asked for exact f32.
+	cfg = baseConfig()
+	cfg.getenv = func(k string) string {
+		if k == serve.EnvQuant {
+			return "f16"
+		}
+		return ""
+	}
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "unknown mode (want off or int8)") {
+		t.Fatalf("BETTY_QUANT=f16: run returned %v, want the unknown-mode error", err)
+	}
+
 	cfg = baseConfig()
 	cfg.fanouts = "0,5"
 	if err := run(cfg); err == nil {

@@ -63,8 +63,7 @@ type runConfig struct {
 	// storePath trains out-of-core from a packed store instead of loading
 	// the dataset into RAM; features stream through a budget-pinned cache.
 	storePath string
-	// storeBudgetMiB bounds the shard cache (BETTY_STORE_BUDGET_MIB
-	// overrides when set).
+	// storeBudgetMiB bounds the shard cache.
 	storeBudgetMiB int64
 	// macro persists sampled macrobatch frontiers at this path and reuses
 	// them across epochs instead of resampling.
@@ -153,13 +152,7 @@ func run(cfg runConfig) (err error) {
 			return err
 		}
 		defer st.Close()
-		budget := cfg.storeBudgetMiB
-		if mib, err := store.ParseBudgetMiB(os.Getenv("BETTY_STORE_BUDGET_MIB")); err != nil {
-			return err
-		} else if mib > 0 {
-			budget = mib
-		}
-		cache, err := store.NewCache(st, budget*device.MiB, obsReg)
+		cache, err := store.NewCache(st, cfg.storeBudgetMiB*device.MiB, obsReg)
 		if err != nil {
 			return err
 		}
@@ -167,7 +160,7 @@ func run(cfg runConfig) (err error) {
 			return err
 		}
 		fmt.Fprintf(cfg.out, "store %s: %d feature shards, %.1f MiB on disk, cache budget %d MiB\n",
-			cfg.storePath, st.NumShards(), float64(st.FeatureBytes())/(1<<20), budget)
+			cfg.storePath, st.NumShards(), float64(st.FeatureBytes())/(1<<20), cfg.storeBudgetMiB)
 	} else if ds, err = dataset.LoadScaled(cfg.dataset, cfg.scale); err != nil {
 		return err
 	}

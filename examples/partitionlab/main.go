@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := memory.SpecFromSAGE(model, nn.NewAdam(model, 0.01))
+	spec := memory.SpecOf(model, nn.NewAdam(model, 0.01))
 
 	const k = 8
 	fmt.Printf("%-8s %12s %14s %12s %12s\n", "method", "redundancy", "max peak MiB", "balance", "REG cut")

@@ -33,7 +33,7 @@ func sageSpec(ds *dataset.Dataset, layers, hidden int, agg nn.Aggregator) (memor
 	if err != nil {
 		return memory.Spec{}, err
 	}
-	return memory.SpecFromSAGE(m, nn.NewAdam(m, 0.01)), nil
+	return memory.SpecOf(m, nn.NewAdam(m, 0.01)), nil
 }
 
 // fullBatch samples the full training batch of ds under the fanouts.

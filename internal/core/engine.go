@@ -513,7 +513,7 @@ func BuildSAGE(ds *dataset.Dataset, opts Options) (*Setup, error) {
 		return nil, err
 	}
 	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecFromSAGE(model, opt)
+	spec := memory.SpecOf(model, opt)
 	return finishSetup(ds, model, opt, spec, opts)
 }
 
@@ -532,7 +532,7 @@ func BuildGCN(ds *dataset.Dataset, opts Options) (*Setup, error) {
 		return nil, err
 	}
 	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecFromGCN(model, opt)
+	spec := memory.SpecOf(model, opt)
 	return finishSetup(ds, model, opt, spec, opts)
 }
 
@@ -551,7 +551,7 @@ func BuildGAT(ds *dataset.Dataset, opts Options) (*Setup, error) {
 		return nil, err
 	}
 	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecFromGAT(model, opt)
+	spec := memory.SpecOf(model, opt)
 	return finishSetup(ds, model, opt, spec, opts)
 }
 

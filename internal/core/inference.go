@@ -10,37 +10,15 @@ import (
 	"betty/internal/tensor"
 )
 
-// BlockLayer is one GNN layer that can be applied to a single bipartite
-// block — the unit of layer-wise inference. The canonical definition
-// lives in package nn (nn.LayerStack / nn.ApplyBlockLayer) so the
-// embedding cache's partial-skip forward can share it; the alias keeps
-// core's historical API.
-type BlockLayer = nn.BlockLayer
-
-// layerStack extracts the per-layer modules of a supported model.
-func layerStack(model any) ([]BlockLayer, error) {
-	return nn.LayerStack(model)
-}
-
-// applyLayer runs one GNN layer over one block, applying the inter-layer
-// ReLU when the layer is not the model's last. It is the single per-layer
-// forward step shared by whole-batch inference (BatchInference) and
-// layer-wise offline inference (LayerwiseInference). Layers that implement
-// the fused tier take it unless nn.SetFused(false) turned it off.
-func applyLayer(tp *tensor.Tape, layer BlockLayer, b *graph.Block, h *tensor.Var, last bool) *tensor.Var {
-	return nn.ApplyBlockLayer(tp, layer, b, h, last)
-}
-
 // BatchInference runs one forward pass of model over an input-first block
 // list and returns the logits for the last block's destinations as a fresh
 // tensor (one row per destination, in DstNID order). No gradients are
 // recorded and all intermediates are recycled before returning.
 //
-// This is the one batch-forward implementation shared across the
-// repository: training (train.Runner.RunMicroBatch) and evaluation call
-// the same per-layer modules through Model.Forward, offline inference
-// (LayerwiseInference) applies them one layer at a time, and the online
-// serving path (internal/serve) calls BatchInference directly — the op
+// Every path applies the same per-layer step, nn.ApplyBlockLayer: training
+// (train.Runner.RunMicroBatch) and evaluation through the model's Forward
+// (nn.Stack), offline inference (LayerwiseInference) one layer at a time,
+// and the online serving path (internal/serve) through here — the op
 // sequence is identical in all cases, so predictions are bitwise equal
 // across the three paths.
 func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*tensor.Tensor, error) {
@@ -53,12 +31,8 @@ func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*te
 // populating; a reuse cache splices cached layer-1 rows into the layer-2
 // input and computes only the missed destinations.
 func BatchInferenceCached(model any, blocks []*graph.Block, feats *tensor.Tensor, ec *embcache.Cache) (*tensor.Tensor, error) {
-	layers, err := layerStack(model)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) != len(layers) {
-		return nil, fmt.Errorf("core: %d blocks for %d model layers", len(blocks), len(layers))
+	if len(blocks) == 0 {
+		return nil, fmt.Errorf("core: empty batch")
 	}
 	if feats.Rows() != blocks[0].NumSrc {
 		return nil, fmt.Errorf("core: feature rows %d != %d input nodes", feats.Rows(), blocks[0].NumSrc)
@@ -82,7 +56,7 @@ func BatchInferenceCached(model any, blocks []*graph.Block, feats *tensor.Tensor
 // feats holds the input features for all g.NumNodes() nodes. The returned
 // tensor has one output row per node. No gradients are recorded.
 func LayerwiseInference(model any, g *graph.Graph, feats *tensor.Tensor, chunk int) (*tensor.Tensor, error) {
-	layers, err := layerStack(model)
+	layers, err := nn.LayerStack(model)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +89,7 @@ func LayerwiseInference(model any, g *graph.Graph, feats *tensor.Tensor, chunk i
 				copy(h.Row(i), cur.Row(int(nid)))
 			}
 			tp := tensor.NewTape()
-			res := applyLayer(tp, layer, b, tensor.Leaf(h), li == len(layers)-1)
+			res := nn.ApplyBlockLayer(tp, layer, b, tensor.Leaf(h), li == len(layers)-1)
 			if out == nil {
 				out = tensor.New(n, res.Value.Cols())
 			}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"betty/internal/nn"
 	"betty/internal/sample"
 	"betty/internal/tensor"
 )
@@ -67,44 +69,74 @@ func TestLayerwiseInferenceGCNAndGAT(t *testing.T) {
 	}
 }
 
-// BatchInference must be bitwise identical to the model's own Forward —
-// it is the shared forward implementation the serving path relies on.
+// The three ways a batch is forwarded — the model's own Forward (training,
+// evaluation), BatchInference (serving), and a hand-written chain of
+// nn.ApplyBlockLayer over nn.LayerStack (what LayerwiseInference and the
+// embedding cache's partial-skip path do) — must produce the same bits,
+// for every architecture and aggregator, with the fused tier on and off.
 func TestBatchInferenceMatchesModelForward(t *testing.T) {
 	d := testData(t)
-	for name, build := range map[string]func() (*Setup, error){
-		"sage": func() (*Setup, error) { return BuildSAGE(d, Options{Seed: 40, Hidden: 16, Fanouts: []int{4, 6}}) },
-		"gcn":  func() (*Setup, error) { return BuildGCN(d, Options{Seed: 41, Hidden: 8, Fanouts: []int{4, 6}}) },
-		"gat": func() (*Setup, error) {
+	sage := func(agg nn.Aggregator) func() (*Setup, error) {
+		return func() (*Setup, error) {
+			return BuildSAGE(d, Options{Seed: 40, Hidden: 16, Fanouts: []int{4, 6}, Aggregator: agg})
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (*Setup, error)
+	}{
+		{"sage-mean", sage(nn.Mean)},
+		{"sage-sum", sage(nn.Sum)},
+		{"sage-pool", sage(nn.Pool)},
+		{"sage-lstm", sage(nn.LSTM)},
+		{"gcn", func() (*Setup, error) { return BuildGCN(d, Options{Seed: 41, Hidden: 8, Fanouts: []int{4, 6}}) }},
+		{"gat", func() (*Setup, error) {
 			return BuildGAT(d, Options{Seed: 42, Hidden: 8, Heads: 2, Fanouts: []int{4, 6}})
-		},
+		}},
 	} {
-		s, err := build()
-		if err != nil {
-			t.Fatal(err)
+		for _, fused := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/fused=%v", c.name, fused), func(t *testing.T) {
+				defer nn.SetFused(nn.SetFused(fused))
+				s, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks, err := s.Engine.Sampler.Sample(d.Graph, []int32{3, 8, 120, 700})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, err := d.GatherFeatures(blocks[0].SrcNID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp := tensor.NewTape()
+				defer tp.Release()
+				want := s.Model.Forward(tp, blocks, tensor.Leaf(x)).Value
+
+				got, err := BatchInference(s.Model, blocks, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layers, err := nn.LayerStack(s.Model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h1 := nn.ApplyBlockLayer(tp, layers[0], blocks[0], tensor.Leaf(x), false)
+				chain := nn.ApplyBlockLayer(tp, layers[1], blocks[1], h1, true).Value
+
+				for i, out := range []*tensor.Tensor{got, chain} {
+					path := []string{"BatchInference", "ApplyBlockLayer chain"}[i]
+					if out.Rows() != want.Rows() || out.Cols() != want.Cols() {
+						t.Fatalf("%s: shape %dx%d, want %dx%d", path, out.Rows(), out.Cols(), want.Rows(), want.Cols())
+					}
+					for i := range out.Data {
+						if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("%s: logit %d differs: %v vs %v", path, i, out.Data[i], want.Data[i])
+						}
+					}
+				}
+			})
 		}
-		blocks, err := s.Engine.Sampler.Sample(d.Graph, []int32{3, 8, 120, 700})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := d.GatherFeatures(blocks[0].SrcNID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tp := tensor.NewTape()
-		want := s.Model.Forward(tp, blocks, tensor.Leaf(x))
-		got, err := BatchInference(s.Model, blocks, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows() != want.Value.Rows() || got.Cols() != want.Value.Cols() {
-			t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows(), got.Cols(), want.Value.Rows(), want.Value.Cols())
-		}
-		for i := range got.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Value.Data[i]) {
-				t.Fatalf("%s: logit %d differs: %v vs %v", name, i, got.Data[i], want.Value.Data[i])
-			}
-		}
-		tp.Release()
 	}
 }
 

@@ -72,6 +72,12 @@ func (m CostModel) ComputeTime(flops float64) float64 {
 // source of the gap between estimated and "measured" memory (Table 7).
 const AllocGranularity int64 = 512
 
+// RoundAlloc returns what an n-byte allocation actually charges the ledger:
+// n rounded up to AllocGranularity.
+func RoundAlloc(n int64) int64 {
+	return (n + AllocGranularity - 1) / AllocGranularity * AllocGranularity
+}
+
 // Buffer is a live allocation on the device.
 type Buffer struct {
 	id    int64
@@ -135,7 +141,7 @@ func (d *Device) Alloc(n int64, label string) (*Buffer, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rounded := (n + AllocGranularity - 1) / AllocGranularity * AllocGranularity
+	rounded := RoundAlloc(n)
 	if d.used+rounded > d.capacity {
 		return nil, fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrOOM, label, rounded, d.used, d.capacity)

@@ -1,7 +1,6 @@
 package embcache
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
@@ -32,16 +31,15 @@ type Config struct {
 // row was computed under; staleness is version lag, checked lazily at
 // lookup so invalidation is O(1).
 type entry struct {
-	nid     int32
 	version uint64
 	row     []float32
-	buf     *device.Buffer
-	elem    *list.Element
 }
 
 // Cache is a concurrency-safe versioned historical-embedding cache.
 // Rows are copied in and out under the lock — no caller ever holds a
-// reference into cache-owned memory, so eviction needs no pinning.
+// reference into cache-owned memory, so eviction needs no pinning. Order,
+// charging and eviction are device.LRU's; this type adds the lock, the
+// versions and lag check, the self-budget on a shared ledger, and verify.
 type Cache struct {
 	mode   Mode
 	maxLag uint64
@@ -51,9 +49,7 @@ type Cache struct {
 
 	mu             sync.Mutex
 	version        uint64
-	entries        map[int32]*entry
-	lru            *list.List // front = most recent; values are *entry
-	residentBytes  int64
+	lru            *device.LRU[int32, *entry]
 	rowDim         int
 	maxObservedLag uint64
 	hits, misses   int64
@@ -77,14 +73,14 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("embcache: shared-ledger cache needs a positive self-budget, got %d", cfg.BudgetBytes)
 	}
 	c := &Cache{
-		mode:    cfg.Mode,
-		maxLag:  uint64(cfg.MaxLag),
-		budget:  cfg.BudgetBytes,
-		ledger:  ledger,
-		reg:     cfg.Obs,
-		entries: make(map[int32]*entry),
-		lru:     list.New(),
+		mode:   cfg.Mode,
+		maxLag: uint64(cfg.MaxLag),
+		budget: cfg.BudgetBytes,
+		ledger: ledger,
+		reg:    cfg.Obs,
+		lru:    device.NewLRU[int32, *entry](ledger, "embcache.row"),
 	}
+	c.lru.OnEvict = func(int32, *entry) { c.reg.Add("embcache.evictions", 1) }
 	c.reg.Set("embcache.budget_bytes", cfg.BudgetBytes)
 	c.reg.Set("embcache.version", 0)
 	return c, nil
@@ -151,7 +147,7 @@ func (c *Cache) ResidentBytes() int64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.residentBytes
+	return c.lru.Bytes()
 }
 
 // BumpVersion advances the weight version by one — called after every
@@ -191,13 +187,7 @@ func (c *Cache) Flush() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		c.ledger.Free(e.buf)
-		c.residentBytes -= e.buf.Bytes()
-	}
-	c.lru.Init()
-	c.entries = make(map[int32]*entry)
+	c.lru.Flush()
 	c.publishResidency()
 }
 
@@ -221,18 +211,17 @@ func (c *Cache) FetchInto(nids []int32, dst func(i int) []float32) ([]bool, int)
 	defer c.mu.Unlock()
 	hits, staleDrops := 0, 0
 	for i, nid := range nids {
-		e, ok := c.entries[nid]
+		e, ok := c.lru.Get(nid)
 		if !ok {
 			continue
 		}
 		lag := c.version - e.version
 		if lag > c.maxLag {
-			c.removeLocked(e)
+			c.lru.Remove(nid)
 			staleDrops++
 			continue
 		}
 		copy(dst(i), e.row)
-		c.lru.MoveToFront(e.elem)
 		if lag > c.maxObservedLag {
 			c.maxObservedLag = lag
 		}
@@ -286,7 +275,7 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 	budgetSkips := 0
 	for i, nid := range nids {
 		fresh := t.Row(i)
-		if e, ok := c.entries[nid]; ok {
+		if e, ok := c.lru.Get(nid); ok {
 			if verify && e.version == c.version {
 				if j := mismatch(e.row, fresh); j >= 0 {
 					c.reg.Add("embcache.verify_failures", 1)
@@ -296,19 +285,14 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 			}
 			copy(e.row, fresh)
 			e.version = c.version
-			c.lru.MoveToFront(e.elem)
 			continue
 		}
-		buf, err := c.allocLocked(rowBytes)
-		if err != nil {
+		buf, ok := c.reserveLocked(rowBytes)
+		if !ok {
 			budgetSkips++
 			continue
 		}
-		e := &entry{nid: nid, version: c.version, row: make([]float32, dim), buf: buf}
-		copy(e.row, fresh)
-		e.elem = c.lru.PushFront(e)
-		c.entries[nid] = e
-		c.residentBytes += buf.Bytes()
+		c.lru.Insert(nid, &entry{version: c.version, row: append([]float32(nil), fresh...)}, buf)
 	}
 	if budgetSkips > 0 {
 		c.reg.Add("embcache.budget_skips", int64(budgetSkips))
@@ -317,41 +301,20 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 	return nil
 }
 
-// allocLocked charges rowBytes to the ledger, evicting this cache's own
+// reserveLocked charges rowBytes to the ledger, evicting this cache's own
 // LRU tail until both the self-budget and the (possibly shared) ledger
-// accept the charge. Fails only when the row cannot fit at all.
-func (c *Cache) allocLocked(rowBytes int64) (*device.Buffer, error) {
-	for {
-		overBudget := c.residentBytes+rowBytes > c.budget
-		var buf *device.Buffer
-		var err error
-		if !overBudget {
-			buf, err = c.ledger.Alloc(rowBytes, "embcache.row")
-			if err == nil {
-				return buf, nil
-			}
+// accept the charge. It reports false only when the row cannot fit at all.
+func (c *Cache) reserveLocked(rowBytes int64) (*device.Buffer, bool) {
+	for c.lru.Bytes()+rowBytes > c.budget {
+		if !c.lru.EvictOldest() {
+			return nil, false
 		}
-		tail := c.lru.Back()
-		if tail == nil {
-			if overBudget {
-				return nil, fmt.Errorf("embcache: row of %d bytes exceeds budget %d", rowBytes, c.budget)
-			}
-			return nil, err
-		}
-		c.removeLocked(tail.Value.(*entry))
-		c.reg.Add("embcache.evictions", 1)
 	}
-}
-
-func (c *Cache) removeLocked(e *entry) {
-	c.lru.Remove(e.elem)
-	delete(c.entries, e.nid)
-	c.ledger.Free(e.buf)
-	c.residentBytes -= e.buf.Bytes()
+	return c.lru.Reserve(rowBytes)
 }
 
 func (c *Cache) publishResidency() {
-	c.reg.Set("embcache.resident_bytes", c.residentBytes)
+	c.reg.Set("embcache.resident_bytes", c.lru.Bytes())
 	c.reg.Set("embcache.resident_rows", int64(c.lru.Len()))
 	c.reg.Set("embcache.resident_peak_bytes", c.ledger.Peak())
 }

@@ -125,13 +125,6 @@ func (g *Graph) InNeighbors(v int32) (srcs, eids []int32) {
 	return g.inSrc[lo:hi], g.inEID[lo:hi]
 }
 
-// OutNeighbors returns the destinations of v's out-edges and their edge IDs.
-// The returned slices alias internal storage and must not be modified.
-func (g *Graph) OutNeighbors(v int32) (dsts, eids []int32) {
-	lo, hi := g.outPtr[v], g.outPtr[v+1]
-	return g.outDst[lo:hi], g.outEID[lo:hi]
-}
-
 // Edges re-materializes the original (src, dst) edge lists in edge-ID order.
 func (g *Graph) Edges() (src, dst []int32) {
 	src = make([]int32, g.numEdges)

@@ -175,9 +175,9 @@ func scanBody(p *Package, fd *ast.FuncDecl, node *FuncNode) {
 	})
 }
 
-// The shared sink tables. runDetrand and runShardpure are thin wrappers
-// over the same classification, applied per package; dettaint applies it
-// to everything the call graph reaches.
+// The shared sink tables: dettaint applies this one classification to
+// every identifier use inside kernel packages and to everything the call
+// graph reaches beyond them.
 var (
 	// wallClockFuncs are the time-package reads whose results change run
 	// to run. Importing time for durations and formatting stays legal.

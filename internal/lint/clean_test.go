@@ -2,7 +2,7 @@ package lint
 
 import "testing"
 
-// TestRepositoryClean runs the full analyzer suite — all nine analyzers,
+// TestRepositoryClean runs the full analyzer suite — all seven analyzers,
 // local and module-scoped, plus the suppression audit — over the whole
 // module and requires zero active diagnostics and zero stale suppressions:
 // every real finding must be fixed, every intentional one annotated, and

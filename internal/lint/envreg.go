@@ -54,7 +54,6 @@ var knobRegistry = map[string]string{
 	"BETTY_SERVE_TIMEOUT_MS":        "serving default deadline (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_MAX_REQUEST_NODES": "serving per-request seed cap (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_CAPACITY_MIB":      "serving device budget (serve.Config.ApplyEnv)",
-	"BETTY_STORE_BUDGET_MIB":        "out-of-core shard-cache budget (store.ParseBudgetMiB)",
 	"BETTY_STORE_SHARD_ROWS":        "pack-time feature-shard height (store.ParseShardRows)",
 	"BETTY_EMBCACHE":                "historical-embedding cache mode off/exact/reuse (embcache.ParseMode)",
 	"BETTY_EMBCACHE_BUDGET_MIB":     "historical-embedding cache budget (embcache.ParseBudgetMiB)",

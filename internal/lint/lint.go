@@ -2,12 +2,6 @@
 // suite that machine-checks the invariants the training stack's correctness
 // rests on (DESIGN.md §9):
 //
-//   - detrand: kernel packages draw randomness only from the seeded
-//     internal/rng and never read the wall clock, so every kernel output is
-//     a pure function of its inputs and seeds.
-//   - shardpure: shard boundaries depend only on the problem, never on the
-//     worker count — runtime.NumCPU, runtime.GOMAXPROCS, and
-//     parallel.Workers are off-limits outside internal/parallel.
 //   - mapiter: no kernel feeds ordered output from an unsorted map
 //     iteration.
 //   - pooldisc: every tape created is released (or has its ownership
@@ -15,6 +9,16 @@
 //     struct fields or return values.
 //   - floateq: floating-point values are never compared with ==/!= outside
 //     approved epsilon/bit-equality helpers.
+//   - dettaint: kernel packages draw randomness only from the seeded
+//     internal/rng and never read the wall clock or the worker count
+//     (runtime.NumCPU, runtime.GOMAXPROCS, parallel.Workers outside
+//     internal/parallel), and nothing a kernel entry point transitively
+//     reaches does either — every kernel output is a pure function of its
+//     inputs and seeds.
+//   - hotalloc, envreg, obsdisc: the training hot path allocates nothing
+//     per step outside the pool, every BETTY_* knob is registered,
+//     hardened and documented, and obs names are literal and spans ended
+//     (DESIGN.md §14).
 //
 // The suite is zero-dependency: packages are enumerated with `go list
 // -json`, parsed with go/parser, and type-checked with go/types against the
@@ -61,12 +65,10 @@ type Analyzer struct {
 	RunModule func(m *Module) []Diagnostic
 }
 
-// Analyzers returns the full bettyvet suite in report order: the five
-// local analyzers from PR 3, then the four module-scoped analyzers built
-// on the whole-module call graph.
+// Analyzers returns the full bettyvet suite in report order: the four
+// per-package analyzers, then the three module-scoped ones.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Shardpure, Mapiter, Pooldisc, Floateq,
-		Dettaint, Hotalloc, Envreg, Obsdisc}
+	return []*Analyzer{Mapiter, Pooldisc, Floateq, Hotalloc, Dettaint, Envreg, Obsdisc}
 }
 
 // Module is the whole-module analysis view: every loaded package plus the
@@ -201,35 +203,6 @@ type Result struct {
 	Diags      []Diagnostic
 	Suppressed []Diagnostic
 	Stale      []Diagnostic
-}
-
-// Run executes the local analyzers on p and applies suppressions. Module
-// analyzers (and the suppression audit) need the whole module — use
-// Module.Run; this per-package entry point exists for focused tests and
-// for comparing the local analyzers' reach against the interprocedural
-// ones.
-func Run(p *Package) Result {
-	var all []Diagnostic
-	for _, a := range Analyzers() {
-		if a.Run == nil {
-			continue
-		}
-		all = append(all, a.Run(p)...)
-	}
-	set := make(suppressionSet)
-	_, malformed := parseAnnotations(p, set)
-	res := Result{Diags: malformed}
-	for _, d := range all {
-		if ann := set.covering(d); ann != nil {
-			ann.used = true
-			res.Suppressed = append(res.Suppressed, d)
-		} else {
-			res.Diags = append(res.Diags, d)
-		}
-	}
-	sortDiags(res.Diags)
-	sortDiags(res.Suppressed)
-	return res
 }
 
 func sortDiags(ds []Diagnostic) {

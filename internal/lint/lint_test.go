@@ -150,14 +150,14 @@ func TestGolden(t *testing.T) {
 
 // TestDettaintInterprocedural is the seeded regression the interprocedural
 // rebuild exists for: a wall-clock read planted two calls below a kernel
-// entry point, in another package. The per-package detrand pass is blind
-// to it — the kernel package itself is spotless — while dettaint reports
-// the sink with the full discovery path in the message.
+// entry point, in another package. Dettaint's kernel-local pass is blind
+// to it — the kernel package itself is spotless — while the reach pass
+// reports the sink with the full discovery path in the message.
 func TestDettaintInterprocedural(t *testing.T) {
 	m, byDir := goldenModule(t)
 
-	if diags := Detrand.Run(byDir["taintentry"]); len(diags) != 0 {
-		t.Fatalf("detrand should find nothing in the entry package (the sink is interprocedural), got %v", diags)
+	if diags := kernelSinks(byDir["taintentry"]); len(diags) != 0 {
+		t.Fatalf("the kernel-local pass should find nothing in the entry package (the sink is interprocedural), got %v", diags)
 	}
 
 	const wantPath = "call path: sample/deep.PlanBatches → betty/app/taintutil.Stamp → " +

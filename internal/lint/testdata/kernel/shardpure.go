@@ -7,15 +7,15 @@ import (
 )
 
 func badGrain(n int) int {
-	return n / runtime.NumCPU() // want shardpure
+	return n / runtime.NumCPU() // want dettaint
 }
 
 func badProcs() int {
-	return runtime.GOMAXPROCS(0) // want shardpure
+	return runtime.GOMAXPROCS(0) // want dettaint
 }
 
 func badShards() int {
-	return parallel.Workers() * 2 // want shardpure
+	return parallel.Workers() * 2 // want dettaint
 }
 
 func okConfigure(n int) int {
@@ -23,6 +23,6 @@ func okConfigure(n int) int {
 }
 
 func okAnnotatedWorkers() int {
-	//bettyvet:ok shardpure diagnostic log line only, the value never reaches shard math // want-sup+1 shardpure
+	//bettyvet:ok dettaint diagnostic log line only, the value never reaches shard math // want-sup+1 dettaint
 	return parallel.Workers()
 }

@@ -22,10 +22,11 @@ func keys(m map[string]int) []string {
 
 func procs() int { return runtime.NumCPU() }
 
-// The annotation below silences nothing — detrand does not run outside
-// kernel packages — so the suppression audit must flag it as stale.
+// The annotation below silences nothing — nothing here is a kernel package
+// or reachable from one, so dettaint reports no sink — and the suppression
+// audit must flag it as stale.
 //
-//bettyvet:ok detrand deliberately stale annotation for the audit golden // want-stale
+//bettyvet:ok dettaint deliberately stale annotation for the audit golden // want-stale
 func annotatedForNothing(since time.Time) time.Duration {
 	return time.Since(since)
 }

@@ -1,6 +1,6 @@
 // Package parallel is a minimal stand-in for betty/internal/parallel with
 // just enough API surface (Workers, SetWorkers, For/ForShards/MapReduce)
-// for the shardpure and hotalloc golden tests to type-check against.
+// for the dettaint and hotalloc golden tests to type-check against.
 package parallel
 
 var workers = 1

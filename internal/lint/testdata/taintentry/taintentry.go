@@ -1,9 +1,10 @@
 // Package deep is the kernel side of the dettaint golden fixture: analyzed
 // under betty/internal/sample/deep, its exported functions are taint entry
-// points. The package itself is spotless under detrand/shardpure/mapiter —
-// the nondeterminism lives two calls away in betty/app/taintutil, which is
-// exactly the gap the interprocedural analyzer closes (see
-// TestDettaintInterprocedural, which asserts detrand stays blind here).
+// points. The package itself is spotless under mapiter and dettaint's
+// kernel-local pass — the nondeterminism lives two calls away in
+// betty/app/taintutil, which is exactly the gap the interprocedural pass
+// closes (see TestDettaintInterprocedural, which asserts the local pass
+// stays blind here).
 package deep
 
 import "betty/app/taintutil"

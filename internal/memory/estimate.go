@@ -44,70 +44,39 @@ type Spec struct {
 	IsGCN bool
 }
 
-// SpecFromSAGE derives a Spec from a constructed GraphSAGE model.
-func SpecFromSAGE(m *nn.GraphSAGE, opt nn.Optimizer) Spec {
-	agg := m.AggParamCount()
-	return Spec{
-		Model:            m.Config(),
-		ParamsGNN:        nn.ParamCount(m) - agg,
-		ParamsAgg:        agg,
-		OptStatePerParam: opt.StateSize(),
-	}
+// Model is what the estimator reads off a constructed model; GraphSAGE,
+// GCN and GAT all satisfy it.
+type Model interface {
+	nn.Module
+	Config() nn.Config
+	// AggParamCount counts the aggregator-only parameter values (NP_Agg).
+	AggParamCount() int
 }
 
-// SpecFromGCN derives a Spec from a constructed GCN model.
-func SpecFromGCN(m *nn.GCN, opt nn.Optimizer) Spec {
-	return Spec{
-		Model:            m.Config(),
-		ParamsGNN:        nn.ParamCount(m),
-		OptStatePerParam: opt.StateSize(),
-		IsGCN:            true,
+// SpecOf derives a Spec from a constructed model and its optimizer. A nil
+// optimizer means forward-only: the estimate carries no optimizer-state
+// term.
+func SpecOf(m Model, opt nn.Optimizer) Spec {
+	agg := m.AggParamCount()
+	s := Spec{Model: m.Config(), ParamsGNN: nn.ParamCount(m) - agg, ParamsAgg: agg}
+	if opt != nil {
+		s.OptStatePerParam = opt.StateSize()
 	}
+	_, s.IsGAT = m.(*nn.GAT)
+	_, s.IsGCN = m.(*nn.GCN)
+	return s
 }
 
 // SpecForInference derives a forward-only Spec from a constructed model of
-// any supported architecture: no optimizer is attached, so the estimate
-// carries no optimizer-state term. Combine with Planner.Peak =
+// any supported architecture. Combine with Planner.Peak =
 // Breakdown.ForwardPeak so the serving planner budgets only what a forward
 // pass materializes.
 func SpecForInference(model any) (Spec, error) {
-	switch m := model.(type) {
-	case *nn.GraphSAGE:
-		agg := m.AggParamCount()
-		return Spec{
-			Model:     m.Config(),
-			ParamsGNN: nn.ParamCount(m) - agg,
-			ParamsAgg: agg,
-		}, nil
-	case *nn.GCN:
-		return Spec{
-			Model:     m.Config(),
-			ParamsGNN: nn.ParamCount(m),
-			IsGCN:     true,
-		}, nil
-	case *nn.GAT:
-		agg := m.AggParamCount()
-		return Spec{
-			Model:     m.Config(),
-			ParamsGNN: nn.ParamCount(m) - agg,
-			ParamsAgg: agg,
-			IsGAT:     true,
-		}, nil
-	default:
+	m, ok := model.(Model)
+	if !ok {
 		return Spec{}, fmt.Errorf("memory: no inference spec for model %T", model)
 	}
-}
-
-// SpecFromGAT derives a Spec from a constructed GAT model.
-func SpecFromGAT(m *nn.GAT, opt nn.Optimizer) Spec {
-	agg := m.AggParamCount()
-	return Spec{
-		Model:            m.Config(),
-		ParamsGNN:        nn.ParamCount(m) - agg,
-		ParamsAgg:        agg,
-		OptStatePerParam: opt.StateSize(),
-		IsGAT:            true,
-	}
+	return SpecOf(m, nil), nil
 }
 
 // Breakdown itemizes the estimated device bytes of one (micro-)batch,

@@ -44,7 +44,7 @@ func sageSpec(t *testing.T, cfg nn.Config) Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SpecFromSAGE(m, nn.NewAdam(m, 0.01))
+	return SpecOf(m, nn.NewAdam(m, 0.01))
 }
 
 func seedsRange(n int) []int32 {
@@ -411,7 +411,7 @@ func TestSpecFromModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := SpecFromSAGE(sage, nn.NewAdam(sage, 0.01))
+	s := SpecOf(sage, nn.NewAdam(sage, 0.01))
 	if s.ParamsAgg == 0 || s.ParamsGNN == 0 || s.OptStatePerParam != 2 {
 		t.Fatalf("bad SAGE spec: %+v", s)
 	}
@@ -422,8 +422,19 @@ func TestSpecFromModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := SpecFromGAT(gat, nn.NewSGD(gat, 0.01, 0))
-	if !gs.IsGAT || gs.OptStatePerParam != 0 {
+	gs := SpecOf(gat, nn.NewSGD(gat, 0.01, 0))
+	if !gs.IsGAT || gs.IsGCN || gs.OptStatePerParam != 0 {
 		t.Fatalf("bad GAT spec: %+v", gs)
+	}
+	gcn, err := nn.NewGCN(testGraph(t, 10, 50, 200), nn.Config{InDim: 8, Hidden: 8, OutDim: 4, Layers: 2}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := SpecOf(gcn, nn.NewSGD(gcn, 0.01, 0.9))
+	if !cs.IsGCN || cs.IsGAT || cs.ParamsAgg != 0 || cs.ParamsGNN != nn.ParamCount(gcn) || cs.OptStatePerParam != 1 {
+		t.Fatalf("bad GCN spec: %+v", cs)
+	}
+	if s.IsGAT || s.IsGCN {
+		t.Fatalf("SAGE spec marked as another architecture: %+v", s)
 	}
 }

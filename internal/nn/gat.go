@@ -58,9 +58,6 @@ func (c *GATConv) Params() []*tensor.Var {
 	return ps
 }
 
-// NumHeads returns the attention head count.
-func (c *GATConv) NumHeads() int { return len(c.heads) }
-
 // OutWidth returns the layer's output feature width.
 func (c *GATConv) OutWidth() int {
 	if c.concat {
@@ -103,8 +100,7 @@ func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tenso
 // GAT is the multi-layer graph attention model: hidden layers concatenate
 // their heads and apply ELU-like ReLU; the output layer averages heads.
 type GAT struct {
-	Layers []*GATConv
-	cfg    Config
+	Stack[*GATConv]
 }
 
 // NewGAT builds a GAT model; cfg.Heads defaults to 4 when unset.
@@ -117,7 +113,7 @@ func NewGAT(cfg Config, r *rng.RNG) (*GAT, error) {
 		heads = 4
 	}
 	cfg.Heads = heads
-	m := &GAT{cfg: cfg}
+	m := &GAT{Stack[*GATConv]{cfg: cfg}}
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
 		last := l == cfg.Layers-1
@@ -131,18 +127,6 @@ func NewGAT(cfg Config, r *rng.RNG) (*GAT, error) {
 	return m, nil
 }
 
-// Config returns the model's architecture description.
-func (m *GAT) Config() Config { return m.cfg }
-
-// Params implements Module.
-func (m *GAT) Params() []*tensor.Var {
-	var ps []*tensor.Var
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
 // AggParamCount counts attention parameters (the per-head score vectors),
 // the analogue of NP_Agg for GAT.
 func (m *GAT) AggParamCount() int {
@@ -153,21 +137,6 @@ func (m *GAT) AggParamCount() int {
 		}
 	}
 	return total
-}
-
-// Forward runs the model over an input-first block list.
-func (m *GAT) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
-	if len(blocks) != len(m.Layers) {
-		panic(fmt.Sprintf("nn: model has %d layers but batch has %d blocks", len(m.Layers), len(blocks)))
-	}
-	h := x
-	for l, conv := range m.Layers {
-		h = conv.Forward(tp, blocks[l], h)
-		if l < len(m.Layers)-1 {
-			h = tp.ReLU(h)
-		}
-	}
-	return h
 }
 
 // Flops estimates forward+backward floating point operations for one pass.

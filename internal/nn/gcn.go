@@ -59,8 +59,7 @@ func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tenso
 
 // GCN is the multi-layer graph convolutional network.
 type GCN struct {
-	Layers []*GCNConv
-	cfg    Config
+	Stack[*GCNConv]
 }
 
 // NewGCN builds a GCN over graph g from cfg (the Aggregator field is
@@ -69,7 +68,7 @@ func NewGCN(g *graph.Graph, cfg Config, r *rng.RNG) (*GCN, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &GCN{cfg: cfg}
+	m := &GCN{Stack[*GCNConv]{cfg: cfg}}
 	for l := 0; l < cfg.Layers; l++ {
 		in, out := cfg.LayerDims(l)
 		m.Layers = append(m.Layers, NewGCNConv(g, in, out, r))
@@ -77,40 +76,8 @@ func NewGCN(g *graph.Graph, cfg Config, r *rng.RNG) (*GCN, error) {
 	return m, nil
 }
 
-// Config returns the model's architecture description.
-func (m *GCN) Config() Config { return m.cfg }
-
-// Params implements Module.
-func (m *GCN) Params() []*tensor.Var {
-	var ps []*tensor.Var
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
 // AggParamCount is zero: the normalized sum has no learned parameters.
 func (m *GCN) AggParamCount() int { return 0 }
-
-// Forward runs the model over an input-first block list.
-func (m *GCN) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
-	if len(blocks) != len(m.Layers) {
-		panic(fmt.Sprintf("nn: model has %d layers but batch has %d blocks", len(m.Layers), len(blocks)))
-	}
-	h := x
-	fused := FusedEnabled()
-	for l, conv := range m.Layers {
-		if fused {
-			h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
-		} else {
-			h = conv.Forward(tp, blocks[l], h)
-			if l < len(m.Layers)-1 {
-				h = tp.ReLU(h)
-			}
-		}
-	}
-	return h
-}
 
 // Flops estimates forward+backward floating point operations for one pass.
 func (m *GCN) Flops(blocks []*graph.Block) float64 {

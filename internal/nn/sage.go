@@ -140,8 +140,7 @@ func (c *SAGEConv) lstmAggregate(tp *tensor.Tape, b *graph.Block, h *tensor.Var)
 // GraphSAGE is the multi-layer GraphSAGE model: one SAGEConv per block,
 // with ReLU between layers and raw logits at the output.
 type GraphSAGE struct {
-	Layers []*SAGEConv
-	cfg    Config
+	Stack[*SAGEConv]
 }
 
 // Config describes a GNN model's architecture.
@@ -186,24 +185,12 @@ func NewGraphSAGE(cfg Config, r *rng.RNG) (*GraphSAGE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &GraphSAGE{cfg: cfg}
+	m := &GraphSAGE{Stack[*SAGEConv]{cfg: cfg}}
 	for l := 0; l < cfg.Layers; l++ {
 		in, out := cfg.LayerDims(l)
 		m.Layers = append(m.Layers, NewSAGEConv(in, out, cfg.Aggregator, r))
 	}
 	return m, nil
-}
-
-// Config returns the model's architecture description.
-func (m *GraphSAGE) Config() Config { return m.cfg }
-
-// Params implements Module.
-func (m *GraphSAGE) Params() []*tensor.Var {
-	var ps []*tensor.Var
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
 }
 
 // AggParamCount counts aggregator-only parameters (NP_Agg, Table 3).
@@ -215,28 +202,6 @@ func (m *GraphSAGE) AggParamCount() int {
 		}
 	}
 	return total
-}
-
-// Forward runs the model over an input-first block list; x holds the input
-// features of blocks[0].NumSrc source nodes. It returns logits for the last
-// block's destinations.
-func (m *GraphSAGE) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
-	if len(blocks) != len(m.Layers) {
-		panic(fmt.Sprintf("nn: model has %d layers but batch has %d blocks", len(m.Layers), len(blocks)))
-	}
-	h := x
-	fused := FusedEnabled()
-	for l, conv := range m.Layers {
-		if fused {
-			h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
-		} else {
-			h = conv.Forward(tp, blocks[l], h)
-			if l < len(m.Layers)-1 {
-				h = tp.ReLU(h)
-			}
-		}
-	}
-	return h
 }
 
 // Flops estimates the forward+backward floating point operations of one

@@ -5,7 +5,7 @@
 // Design constraints, in order:
 //
 //   - Kernel-package purity. Kernel packages (internal/sample, internal/reg,
-//     ...) may never read the wall clock (bettyvet's detrand analyzer
+//     ...) may never read the wall clock (bettyvet's dettaint analyzer
 //     enforces this), yet their phases must be timed. Time therefore enters
 //     only through the Clock injected into the Registry: CLIs inject the
 //     real clock, tests inject a deterministic FakeClock, and the

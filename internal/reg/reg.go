@@ -204,7 +204,7 @@ type BettyBatch struct {
 	Reference bool
 	// Obs, when non-nil, receives one PhaseRegBuild span per REG
 	// construction. Timing comes from the registry's injected Clock —
-	// this kernel package never reads a clock itself (bettyvet detrand).
+	// this kernel package never reads a clock itself (bettyvet dettaint).
 	Obs *obs.Registry
 }
 

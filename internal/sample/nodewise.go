@@ -28,7 +28,7 @@ type NodeWise struct {
 
 	// Obs, when non-nil, receives one PhaseSample span per Sample call.
 	// As with Sampler, time enters only through the registry's injected
-	// Clock (this is a kernel package; detrand forbids a clock here).
+	// Clock (this is a kernel package; dettaint forbids a clock here).
 	Obs *obs.Registry
 }
 

@@ -31,7 +31,7 @@ type Sampler struct {
 
 	// Obs, when non-nil, receives one PhaseSample span per Sample call.
 	// The sampler never reads a clock itself (this package is a kernel
-	// package, so bettyvet's detrand forbids it); timing comes entirely
+	// package, so bettyvet's dettaint forbids it); timing comes entirely
 	// from the registry's injected Clock, keeping Sample's outputs a pure
 	// function of (graph, seeds, config).
 	Obs *obs.Registry

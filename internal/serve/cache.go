@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"container/list"
-
-	"betty/internal/device"
-	"betty/internal/tensor"
-)
+import "betty/internal/device"
 
 // featureCache is an LRU cache of gathered input-feature rows keyed by
 // global node ID, stored in the server's quantized format (quantRow; f32
@@ -17,39 +12,24 @@ import (
 //
 // Resident row bytes are charged to the server's cache ledger — the same
 // device.Device the embedding cache charges — so all resident cache state
-// is accountable against one budget. A row the ledger cannot fit even
-// after evicting this cache's own tail is simply not cached (the miss
-// path already produced the staged bytes), never a failed request.
+// is accountable against one budget. Order, charging and eviction are
+// device.LRU's; this type adds the row-count cap and nil-safety. A row the
+// ledger cannot fit even after evicting this cache's own tail is simply
+// not cached (the miss path already produced the staged bytes), never a
+// failed request.
 type featureCache struct {
 	capNodes int
-	mode     tensor.QuantMode
-	ledger   *device.Device
-	entries  map[int32]*list.Element
-	order    *list.List // front = most recently used
-	bytes    int64      // ledger-charged resident row bytes, for the cache-size gauge
+	lru      *device.LRU[int32, quantRow]
 }
 
-// cacheEntry is one resident row.
-type cacheEntry struct {
-	nid int32
-	row quantRow
-	buf *device.Buffer
-}
-
-// newFeatureCache returns a cache holding up to capNodes rows encoded under
-// mode, charging resident bytes to ledger; capNodes <= 0 returns nil, and
-// every method is safe on a nil cache (always a miss).
-func newFeatureCache(capNodes int, mode tensor.QuantMode, ledger *device.Device) *featureCache {
+// newFeatureCache returns a cache holding up to capNodes rows, charging
+// resident bytes to ledger; capNodes <= 0 returns nil, and every method is
+// safe on a nil cache (always a miss).
+func newFeatureCache(capNodes int, ledger *device.Device) *featureCache {
 	if capNodes <= 0 {
 		return nil
 	}
-	return &featureCache{
-		capNodes: capNodes,
-		mode:     mode,
-		ledger:   ledger,
-		entries:  make(map[int32]*list.Element, capNodes),
-		order:    list.New(),
-	}
+	return &featureCache{capNodes: capNodes, lru: device.NewLRU[int32, quantRow](ledger, "serve.feature_row")}
 }
 
 // get returns the cached row for nid (marking it most recently used); the
@@ -58,12 +38,7 @@ func (c *featureCache) get(nid int32) (quantRow, bool) {
 	if c == nil {
 		return quantRow{}, false
 	}
-	el, ok := c.entries[nid]
-	if !ok {
-		return quantRow{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).row, true
+	return c.lru.Get(nid)
 }
 
 // put inserts an already-encoded row for nid, evicting the least recently
@@ -73,62 +48,21 @@ func (c *featureCache) put(nid int32, row quantRow) {
 	if c == nil {
 		return
 	}
-	if el, ok := c.entries[nid]; ok {
-		c.order.MoveToFront(el)
+	if _, ok := c.lru.Get(nid); ok {
 		return
 	}
-	if c.order.Len() >= c.capNodes {
-		c.evictBack()
+	if c.lru.Len() >= c.capNodes {
+		c.lru.EvictOldest()
 	}
-	var buf *device.Buffer
-	if c.ledger != nil {
-		for {
-			var err error
-			if buf, err = c.ledger.Alloc(row.bytes(), "serve.feature_row"); err == nil {
-				break
-			}
-			if c.order.Len() == 0 {
-				return // row cannot fit at all; serve it uncached
-			}
-			c.evictBack()
-		}
+	if buf, ok := c.lru.Reserve(row.bytes()); ok {
+		c.lru.Insert(nid, row, buf)
 	}
-	c.entries[nid] = c.order.PushFront(&cacheEntry{nid: nid, row: row, buf: buf})
-	c.bytes += c.charged(row, buf)
-}
-
-// evictBack drops the least recently used entry and returns its ledger
-// charge.
-func (c *featureCache) evictBack() {
-	back := c.order.Back()
-	if back == nil {
-		return
-	}
-	c.order.Remove(back)
-	e := back.Value.(*cacheEntry)
-	c.bytes -= c.charged(e.row, e.buf)
-	if e.buf != nil {
-		c.ledger.Free(e.buf)
-	}
-	delete(c.entries, e.nid)
-}
-
-// charged is the accountable size of one row: the ledger's rounded
-// allocation when charging, the raw row bytes otherwise.
-func (c *featureCache) charged(row quantRow, buf *device.Buffer) int64 {
-	if buf != nil {
-		return buf.Bytes()
-	}
-	return row.bytes()
 }
 
 // flush drops every entry and releases its ledger charge.
 func (c *featureCache) flush() {
-	if c == nil {
-		return
-	}
-	for c.order.Len() > 0 {
-		c.evictBack()
+	if c != nil {
+		c.lru.Flush()
 	}
 }
 
@@ -137,7 +71,7 @@ func (c *featureCache) len() int {
 	if c == nil {
 		return 0
 	}
-	return c.order.Len()
+	return c.lru.Len()
 }
 
 // residentBytes returns the ledger-charged resident row bytes.
@@ -145,5 +79,5 @@ func (c *featureCache) residentBytes() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.bytes
+	return c.lru.Bytes()
 }

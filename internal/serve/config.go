@@ -57,11 +57,11 @@ type Config struct {
 
 	// Quant selects the at-rest storage format of the serving path's
 	// weights and cached feature rows (DESIGN.md §13): QuantOff (exact
-	// f32, the default), QuantF16, or QuantInt8. The forward kernels stay
-	// exact f32 either way — quantized storage is dequantized into pooled
-	// scratch before each batch — so QuantOff serves bitwise what an
-	// unquantized deployment serves, and the compressed modes trade the
-	// documented round-trip error for a smaller resident model.
+	// f32, the default) or QuantInt8. The forward kernels stay exact f32
+	// either way — quantized storage is dequantized into pooled scratch
+	// before each batch — so QuantOff serves bitwise what an unquantized
+	// deployment serves, and int8 trades the documented round-trip error
+	// for a smaller resident model.
 	Quant tensor.QuantMode
 
 	// CapacityBytes is the device memory budget the planner enforces per
@@ -134,7 +134,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("serve: SafetyMargin must be non-negative (got %v)", c.SafetyMargin)
 	}
 	switch c.Quant {
-	case tensor.QuantOff, tensor.QuantF16, tensor.QuantInt8:
+	case tensor.QuantOff, tensor.QuantInt8:
 	default:
 		return fmt.Errorf("serve: unknown quant mode %d", int(c.Quant))
 	}
@@ -163,7 +163,7 @@ const (
 	EnvTimeoutMS       = "BETTY_SERVE_TIMEOUT_MS"
 	EnvMaxRequestNodes = "BETTY_SERVE_MAX_REQUEST_NODES"
 	EnvCapacityMiB     = "BETTY_SERVE_CAPACITY_MIB"
-	// EnvQuant selects the quantized serving storage (off/f16/int8); it is
+	// EnvQuant selects the quantized serving storage (off/int8); it is
 	// deliberately not BETTY_SERVE_-prefixed because it names a repo-wide
 	// numerics contract (DESIGN.md §13), not a batching policy.
 	EnvQuant = "BETTY_QUANT"

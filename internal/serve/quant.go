@@ -116,7 +116,6 @@ func (st *quantStore) uninstall() {
 // representation is populated, matching the cache's mode.
 type quantRow struct {
 	f32   []float32
-	f16   []uint16
 	q     []int8
 	scale float32
 }
@@ -127,10 +126,6 @@ func encodeRow(mode tensor.QuantMode, row []float32) quantRow {
 	switch mode {
 	case tensor.QuantOff:
 		return quantRow{f32: append([]float32(nil), row...)}
-	case tensor.QuantF16:
-		r := quantRow{f16: make([]uint16, len(row))}
-		tensor.F16EncodeSlice(r.f16, row)
-		return r
 	case tensor.QuantInt8:
 		r := quantRow{q: make([]int8, len(row))}
 		r.scale = tensor.Int8EncodeRow(r.q, row)
@@ -142,24 +137,17 @@ func encodeRow(mode tensor.QuantMode, row []float32) quantRow {
 
 // decodeInto reconstructs the row into dst.
 func (r quantRow) decodeInto(dst []float32) {
-	switch {
-	case r.f32 != nil:
+	if r.f32 != nil {
 		copy(dst, r.f32)
-	case r.f16 != nil:
-		tensor.F16DecodeSlice(dst, r.f16)
-	default:
+	} else {
 		tensor.Int8DecodeRow(dst, r.q, r.scale)
 	}
 }
 
 // bytes returns the row's resident size.
 func (r quantRow) bytes() int64 {
-	switch {
-	case r.f32 != nil:
+	if r.f32 != nil {
 		return int64(len(r.f32)) * 4
-	case r.f16 != nil:
-		return int64(len(r.f16)) * 2
-	default:
-		return int64(len(r.q)) + 4
 	}
+	return int64(len(r.q)) + 4
 }

@@ -111,7 +111,6 @@ func TestQuantServingMatchesRoundTrippedReference(t *testing.T) {
 		mode  tensor.QuantMode
 		bound float64 // end-to-end |quant - exact| ceiling for this model
 	}{
-		{tensor.QuantF16, 0.05},
 		{tensor.QuantInt8, 1.0},
 	}
 	for _, tc := range cases {
@@ -163,29 +162,28 @@ func TestQuantServingMatchesRoundTrippedReference(t *testing.T) {
 func TestQuantCacheInvisible(t *testing.T) {
 	d := testData(t)
 	nodes := []int32{3, 8, 120, 700}
-	for _, mode := range []tensor.QuantMode{tensor.QuantF16, tensor.QuantInt8} {
-		cfg := testConfig(obs.NewFakeClock(0, 1), nil)
-		cfg.Quant = mode
-		s := newTestServer(t, d, testModel(t, d), cfg)
-		s.Start()
-		cold, err := s.Predict(nodes, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := s.Predict(nodes, 0) // all hits now
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if !bitwiseEqual(cold, warm) {
-			t.Fatalf("%v: warm-cache response differs from cold", mode)
-		}
-		noCache := cfg
-		noCache.CacheNodes = 0
-		bare := quantScores(t, noCache, nodes, testModel(t, d))
-		if !bitwiseEqual(cold, bare) {
-			t.Fatalf("%v: cache-disabled response differs from cached", mode)
-		}
+	const mode = tensor.QuantInt8
+	cfg := testConfig(obs.NewFakeClock(0, 1), nil)
+	cfg.Quant = mode
+	s := newTestServer(t, d, testModel(t, d), cfg)
+	s.Start()
+	cold, err := s.Predict(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.Predict(nodes, 0) // all hits now
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if !bitwiseEqual(cold, warm) {
+		t.Fatalf("%v: warm-cache response differs from cold", mode)
+	}
+	noCache := cfg
+	noCache.CacheNodes = 0
+	bare := quantScores(t, noCache, nodes, testModel(t, d))
+	if !bitwiseEqual(cold, bare) {
+		t.Fatalf("%v: cache-disabled response differs from cached", mode)
 	}
 }
 
@@ -209,8 +207,11 @@ func TestQuantEnv(t *testing.T) {
 	if cfg.Quant != tensor.QuantOff {
 		t.Fatalf("Quant = %v, want off", cfg.Quant)
 	}
-	err := cfg.ApplyEnv(env(map[string]string{EnvQuant: "fp16"}))
-	if err == nil || !strings.Contains(err.Error(), "BETTY_QUANT") {
-		t.Fatalf("malformed BETTY_QUANT accepted: %v", err)
+	for _, bad := range []string{"fp16", "f16"} { // f16 was a mode once; it must not parse quietly
+		err := cfg.ApplyEnv(env(map[string]string{EnvQuant: bad}))
+		if err == nil || !strings.Contains(err.Error(), "BETTY_QUANT") ||
+			!strings.Contains(err.Error(), "unknown mode (want off or int8)") {
+			t.Fatalf("BETTY_QUANT=%s accepted or misreported: %v", bad, err)
+		}
 	}
 }

@@ -141,7 +141,7 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if cfg.EmbMode != embcache.ModeOff {
 		embBudget = cfg.EmbBudgetMiB * device.MiB
 	}
-	rowWorst := roundAlloc(int64(ds.FeatureDim())*4 + 4)
+	rowWorst := device.RoundAlloc(int64(ds.FeatureDim())*4 + 4)
 	ledger := device.New(int64(cfg.CacheNodes)*rowWorst+embBudget, device.CostModel{})
 	var emb *embcache.Cache
 	if cfg.EmbMode != embcache.ModeOff {
@@ -165,7 +165,7 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		part:        reg.BettyBatch{Seed: cfg.Seed ^ 0xb7, Obs: cfg.Obs},
 		clock:       cfg.Clock,
 		obs:         cfg.Obs,
-		cache:       newFeatureCache(cfg.CacheNodes, cfg.Quant, ledger),
+		cache:       newFeatureCache(cfg.CacheNodes, ledger),
 		quant:       qs,
 		cacheLedger: ledger,
 		emb:         emb,
@@ -181,13 +181,6 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	}
 	s.obs.Set("serve.cache_ledger_capacity_bytes", ledger.Capacity())
 	return s, nil
-}
-
-// roundAlloc rounds n up to the device allocation granularity, matching
-// what one ledger charge for n bytes actually costs.
-func roundAlloc(n int64) int64 {
-	g := device.AllocGranularity
-	return (n + g - 1) / g * g
 }
 
 // Start launches the batch worker. Requests may be enqueued before Start;

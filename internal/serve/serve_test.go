@@ -10,6 +10,7 @@ import (
 
 	"betty/internal/core"
 	"betty/internal/dataset"
+	"betty/internal/device"
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/parallel"
@@ -358,11 +359,14 @@ func TestFeatureCache(t *testing.T) {
 	}
 }
 
-// The LRU itself: eviction order, recency refresh, nil safety.
+// What featureCache adds to device.LRU (whose order and ledger invariants
+// internal/device/lru_test.go owns): the row-count cap, recency refresh on
+// re-put, ledger-rounded residency, nil safety.
 func TestFeatureCacheLRU(t *testing.T) {
 	row := func(v float32) quantRow { return encodeRow(tensor.QuantOff, []float32{v}) }
 	hit := func(nid int32, c *featureCache) bool { _, ok := c.get(nid); return ok }
-	c := newFeatureCache(2, tensor.QuantOff, nil)
+	ledger := device.New(device.MiB, device.CostModel{})
+	c := newFeatureCache(2, ledger)
 	c.put(1, row(1))
 	c.put(2, row(2))
 	if !hit(1, c) { // 1 becomes most recent
@@ -378,15 +382,24 @@ func TestFeatureCacheLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Fatalf("len %d, want 2", c.len())
 	}
-	if c.residentBytes() != 8 { // two one-float rows
-		t.Fatalf("residentBytes %d, want 8", c.residentBytes())
+	// two one-float rows, each charged one allocation granule
+	if want := 2 * device.AllocGranularity; c.residentBytes() != want || ledger.Used() != want {
+		t.Fatalf("residentBytes %d, ledger %d, want %d", c.residentBytes(), ledger.Used(), want)
+	}
+	c.put(1, row(9)) // re-put refreshes recency, keeps the resident row
+	c.put(4, row(4)) // so this evicts 3, not 1
+	if hit(3, c) || !hit(1, c) || !hit(4, c) {
+		t.Fatal("re-put did not refresh recency")
+	}
+	if c.flush(); c.len() != 0 || ledger.Used() != 0 {
+		t.Fatalf("after flush: len %d, ledger %d", c.len(), ledger.Used())
 	}
 	var nilCache *featureCache
 	if hit(1, nilCache) || nilCache.len() != 0 || nilCache.residentBytes() != 0 {
 		t.Fatal("nil cache misbehaved")
 	}
 	nilCache.put(1, row(1)) // must not panic
-	if newFeatureCache(0, tensor.QuantOff, nil) != nil {
+	if newFeatureCache(0, ledger) != nil {
 		t.Fatal("zero-capacity cache not disabled")
 	}
 }
@@ -450,10 +463,12 @@ func TestServingSpans(t *testing.T) {
 	model := testModel(t, d)
 	s := newTestServer(t, d, model, testConfig(clock, reg))
 	s.Start()
-	defer s.Close()
 	if _, err := s.Predict([]int32{1, 2, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
+	// The batch span covers the respond phase, so it ends after Predict has
+	// its answer; Close waits for the worker, and with it for that End.
+	s.Close()
 	phases := map[string]bool{}
 	for _, sp := range reg.Spans() {
 		phases[sp.Phase] = true

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -20,7 +19,10 @@ import (
 // every resident shard byte is Alloc'd, every eviction Frees, so the
 // ledger's Used can never exceed the budget by construction and its Peak
 // is the high-water proof the out-of-core tests assert. The ledger rounds
-// to device.AllocGranularity, which only makes the bound stricter.
+// to device.AllocGranularity, which only makes the bound stricter. Order,
+// charging and eviction are device.LRU's (Pin/Unpin are its Hold/Release);
+// this type adds the lock, the wait when everything resident is pinned,
+// and loading with the lock dropped.
 //
 // Deadlock-freedom: each gather worker pins at most one shard at a time
 // (see Features.GatherInto), so some worker can always finish its copy and
@@ -33,19 +35,9 @@ type Cache struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// lru is the eviction order over resident, unpinned shards: front is
-	// most recently unpinned. Pinned shards are not in the list.
-	lru *list.List
-	// resident maps shard ID to its cache entry.
-	resident map[int]*cacheEntry
-}
-
-type cacheEntry struct {
-	shard *Shard
-	buf   *device.Buffer
-	pins  int
-	// elem is the shard's LRU position while unpinned, nil while pinned.
-	elem *list.Element
+	// lru holds every resident shard; a pinned shard is held — resident
+	// and charged, but out of the eviction order.
+	lru *device.LRU[int, *Shard]
 }
 
 // NewCache builds a cache over st with the given byte budget. The registry
@@ -59,13 +51,9 @@ func NewCache(st *Store, budget int64, reg *obs.Registry) (*Cache, error) {
 		return nil, fmt.Errorf("store: cache budget %d cannot hold one %d-byte shard — "+
 			"raise the budget or repack with smaller BETTY_STORE_SHARD_ROWS", budget, min)
 	}
-	c := &Cache{
-		store:    st,
-		ledger:   device.New(budget, device.CostModel{}),
-		reg:      reg,
-		lru:      list.New(),
-		resident: make(map[int]*cacheEntry),
-	}
+	c := &Cache{store: st, ledger: device.New(budget, device.CostModel{}), reg: reg}
+	c.lru = device.NewLRU[int, *Shard](c.ledger, "store.shard")
+	c.lru.OnEvict = func(int, *Shard) { reg.Add("store.evictions", 1) }
 	c.cond = sync.NewCond(&c.mu)
 	reg.Set("store.budget_bytes", budget)
 	return c, nil
@@ -88,36 +76,25 @@ func (c *Cache) PeakBytes() int64 { return c.ledger.Peak() }
 // enforces the pairing outside this package).
 func (c *Cache) Pin(id int) (*Shard, error) {
 	c.mu.Lock()
+	var buf *device.Buffer
 	for {
-		if e, ok := c.resident[id]; ok {
-			if e.elem != nil {
-				c.lru.Remove(e.elem)
-				e.elem = nil
-			}
-			e.pins++
+		if sh, ok := c.lru.Hold(id); ok {
 			c.publishLocked()
 			c.reg.Add("store.shard_hits", 1)
 			c.mu.Unlock()
-			return e.shard, nil
+			return sh, nil
 		}
-		need := c.shardBytes(id)
-		if c.evictUntilLocked(need) {
+		// Reserve the budget before the disk read, release the lock during
+		// it: the reservation keeps concurrent Pins from overcommitting
+		// while the I/O runs unlocked.
+		var ok bool
+		if buf, ok = c.lru.Reserve(c.shardBytes(id)); ok {
 			break
 		}
 		// Everything resident is pinned and the budget cannot take this
 		// shard: wait for an Unpin to free eviction candidates.
 		c.reg.Add("store.pin_waits", 1)
 		c.cond.Wait()
-	}
-	// Reserve the budget before the disk read, release the lock during it:
-	// the reservation keeps concurrent Pins from overcommitting while the
-	// I/O runs unlocked.
-	buf, err := c.ledger.Alloc(c.shardBytes(id), fmt.Sprintf("shard-%d", id))
-	if err != nil {
-		// evictUntilLocked made room under the lock, so the ledger cannot
-		// refuse; a failure here is a genuine bookkeeping bug.
-		c.mu.Unlock()
-		return nil, fmt.Errorf("store: cache ledger refused a reservation it had room for: %w", err)
 	}
 	c.mu.Unlock()
 
@@ -131,20 +108,16 @@ func (c *Cache) Pin(id int) (*Shard, error) {
 		c.reg.Add("store.load_errors", 1)
 		return nil, err
 	}
-	if e, ok := c.resident[id]; ok {
+	if resident, ok := c.lru.Hold(id); ok {
 		// A concurrent Pin loaded the same shard while we read: keep the
 		// established entry, drop our duplicate load.
 		c.ledger.Free(buf)
 		c.cond.Broadcast()
-		if e.elem != nil {
-			c.lru.Remove(e.elem)
-			e.elem = nil
-		}
-		e.pins++
 		c.publishLocked()
-		return e.shard, nil
+		return resident, nil
 	}
-	c.resident[id] = &cacheEntry{shard: sh, buf: buf, pins: 1}
+	c.lru.Insert(id, sh, buf)
+	c.lru.Hold(id)
 	c.reg.Add("store.shard_misses", 1)
 	c.reg.Add("store.loaded_bytes", sh.Bytes())
 	c.publishLocked()
@@ -153,18 +126,13 @@ func (c *Cache) Pin(id int) (*Shard, error) {
 	return sh, nil
 }
 
-// Unpin releases one pin on sh. When the last pin drops, the shard stays
-// resident and becomes evictable at the front of the LRU order.
+// Unpin releases one pin on sh; an Unpin without a matching Pin panics.
+// When the last pin drops, the shard stays resident and becomes evictable
+// as the most recently used.
 func (c *Cache) Unpin(sh *Shard) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.resident[sh.ID]
-	if !ok || e.pins <= 0 {
-		panic(fmt.Sprintf("store: Unpin of shard %d which is not pinned", sh.ID))
-	}
-	e.pins--
-	if e.pins == 0 {
-		e.elem = c.lru.PushFront(e.shard.ID)
+	if c.lru.Release(sh.ID) {
 		// Budget may now be reclaimable: wake waiting Pins.
 		c.cond.Broadcast()
 	}
@@ -177,26 +145,6 @@ func (c *Cache) shardBytes(id int) int64 {
 	return int64(end-start) * int64(c.store.hdr.Dim) * 4
 }
 
-// evictUntilLocked evicts LRU shards until need more bytes fit under the
-// budget (ledger-rounded). It reports false when the remaining resident
-// set is entirely pinned and still too large — the caller must wait.
-func (c *Cache) evictUntilLocked(need int64) bool {
-	rounded := (need + device.AllocGranularity - 1) / device.AllocGranularity * device.AllocGranularity
-	for c.ledger.Used()+rounded > c.ledger.Capacity() {
-		back := c.lru.Back()
-		if back == nil {
-			return false
-		}
-		id := back.Value.(int)
-		e := c.resident[id]
-		c.lru.Remove(back)
-		delete(c.resident, id)
-		c.ledger.Free(e.buf)
-		c.reg.Add("store.evictions", 1)
-	}
-	return true
-}
-
 // publishLocked exports the residency gauges. Called with the mutex held,
 // so the gauge sequence is consistent with the ledger.
 func (c *Cache) publishLocked() {
@@ -205,12 +153,6 @@ func (c *Cache) publishLocked() {
 	}
 	c.reg.Set("store.resident_bytes", c.ledger.Used())
 	c.reg.Set("store.resident_peak_bytes", c.ledger.Peak())
-	pinned := 0
-	for _, e := range c.resident {
-		if e.pins > 0 {
-			pinned++
-		}
-	}
-	c.reg.Set("store.pinned_shards", int64(pinned))
-	c.reg.Set("store.resident_shards", int64(len(c.resident)))
+	c.reg.Set("store.pinned_shards", int64(c.lru.Held()))
+	c.reg.Set("store.resident_shards", int64(c.lru.Len()))
 }

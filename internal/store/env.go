@@ -5,29 +5,11 @@ import (
 	"strconv"
 )
 
-// Environment knob names (see the README knob table and bettyvet's envreg
-// registry). Both follow the repository's hardened-parser discipline:
-// empty means "unset" (zero value), anything else must parse cleanly or
-// the run aborts — a typo'd budget must never silently train unbounded.
-const (
-	// EnvBudgetMiB bounds the shard cache's resident bytes.
-	EnvBudgetMiB = "BETTY_STORE_BUDGET_MIB"
-	// EnvShardRows sets the packer's feature-shard height.
-	EnvShardRows = "BETTY_STORE_SHARD_ROWS"
-)
-
-// ParseBudgetMiB parses the BETTY_STORE_BUDGET_MIB value: "" means unset
-// (returns 0), otherwise a positive MiB count.
-func ParseBudgetMiB(v string) (int64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("store: %s=%q: want a positive integer MiB count", EnvBudgetMiB, v)
-	}
-	return n, nil
-}
+// EnvShardRows sets the packer's feature-shard height (see the README knob
+// table and bettyvet's envreg registry). It follows the repository's
+// hardened-parser discipline: empty means "unset" (zero value), anything
+// else must parse cleanly or the run aborts.
+const EnvShardRows = "BETTY_STORE_SHARD_ROWS"
 
 // ParseShardRows parses the BETTY_STORE_SHARD_ROWS value: "" means unset
 // (returns 0, callers fall back to DefaultShardRows), otherwise a positive

@@ -200,31 +200,6 @@ func TestNewCacheBudgetErrors(t *testing.T) {
 	}
 }
 
-func TestParseBudgetMiB(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"", 0, true},
-		{"64", 64, true},
-		{"1", 1, true},
-		{"0", 0, false},
-		{"-3", 0, false},
-		{"4.5", 0, false},
-		{"lots", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseBudgetMiB(c.in)
-		if c.ok != (err == nil) || got != c.want {
-			t.Fatalf("ParseBudgetMiB(%q) = %d, %v", c.in, got, err)
-		}
-		if err != nil && !strings.Contains(err.Error(), EnvBudgetMiB) {
-			t.Fatalf("error %q does not name %s", err, EnvBudgetMiB)
-		}
-	}
-}
-
 func TestParseShardRows(t *testing.T) {
 	cases := []struct {
 		in   string

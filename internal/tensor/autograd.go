@@ -31,19 +31,11 @@ func Leaf(t *Tensor) *Var { return &Var{Value: t} }
 // across backward passes until ZeroGrad.
 func Param(t *Tensor) *Var { return &Var{Value: t, requiresGrad: true} }
 
-// RequiresGrad reports whether gradients flow into v.
-func (v *Var) RequiresGrad() bool { return v.requiresGrad }
-
 // ZeroGrad clears the accumulated gradient.
 func (v *Var) ZeroGrad() {
 	if v.Grad != nil {
 		v.Grad.Zero()
 	}
-}
-
-// accumGrad adds g into v.Grad, allocating it on first use.
-func (v *Var) accumGrad(g *Tensor) {
-	AddInto(v.grad(), g)
 }
 
 // grad returns v.Grad, allocating a zero tensor if needed. Used by backward

@@ -47,9 +47,6 @@ var (
 
 func init() { poolEnabled.Store(true) }
 
-// PoolingEnabled reports whether the tape buffer pool is active.
-func PoolingEnabled() bool { return poolEnabled.Load() }
-
 // SetPooling switches the tape buffer pool on or off and returns the
 // previous setting. Disabling also drops every retained buffer, so
 // benchmarks toggling the pool start from a cold arena either way:

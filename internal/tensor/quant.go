@@ -8,20 +8,11 @@ import (
 // Quantized storage for the inference-only serve path (DESIGN.md §13).
 // Training never touches these formats: they compress weights and cached
 // feature rows at rest, and the serve worker dequantizes into pooled f32
-// scratch (AcquireScratch) before the exact f32 kernels run. Two formats:
-//
-//   - f16: IEEE 754 binary16 with round-to-nearest-even. For normal values
-//     the round-trip relative error is at most 2⁻¹¹ (half the ulp of a
-//     10-bit significand); values above 65504 overflow to ±Inf and
-//     magnitudes below 2⁻²⁴ flush to zero, neither of which occurs in
-//     trained weights or normalized features at sane scales.
-//
-//   - int8: symmetric per-row scaling. Each row stores scale = maxabs/127
-//     and bytes round(v/scale) in [-127, 127]; the round-trip error is at
-//     most scale/2 = maxabs(row)/254. All-zero rows store scale 0 and
-//     decode to exact zeros.
-//
-// Both bounds are enforced by TestF16RoundTrip/TestInt8RoundTrip.
+// scratch (AcquireScratch) before the exact f32 kernels run. One format:
+// int8 with symmetric per-row scaling. Each row stores scale = maxabs/127
+// and bytes round(v/scale) in [-127, 127]; the round-trip error is at most
+// scale/2 = maxabs(row)/254 (enforced by TestInt8RoundTrip). All-zero rows
+// store scale 0 and decode to exact zeros.
 
 // QuantMode selects the serve-path storage format.
 type QuantMode int
@@ -29,7 +20,6 @@ type QuantMode int
 // Quantization modes. Off is the default: the serve path stays exact f32.
 const (
 	QuantOff QuantMode = iota
-	QuantF16
 	QuantInt8
 )
 
@@ -38,8 +28,6 @@ func (m QuantMode) String() string {
 	switch m {
 	case QuantOff:
 		return "off"
-	case QuantF16:
-		return "f16"
 	case QuantInt8:
 		return "int8"
 	default:
@@ -48,118 +36,21 @@ func (m QuantMode) String() string {
 }
 
 // ParseQuantMode validates a BETTY_QUANT value. The empty string means
-// "unset" and yields QuantOff. Anything other than off/f16/int8 is an
+// "unset" and yields QuantOff. Anything other than off/int8 is an
 // error: a typo must fail loudly rather than silently serve exact f32 when
 // the operator asked for a compressed deployment (or vice versa).
 func ParseQuantMode(v string) (QuantMode, error) {
 	switch v {
 	case "", "off":
 		return QuantOff, nil
-	case "f16":
-		return QuantF16, nil
 	case "int8":
 		return QuantInt8, nil
 	default:
-		return QuantOff, fmt.Errorf("BETTY_QUANT=%q: unknown mode (want off, f16, or int8)", v)
-	}
-}
-
-// --- float16 codec ---
-
-// F16Encode converts v to IEEE binary16 with round-to-nearest-even,
-// overflowing to ±Inf and flushing sub-half-subnormals to ±0.
-func F16Encode(v float32) uint16 {
-	bits := math.Float32bits(v)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xff) - 127
-	mant := bits & 0x7fffff
-	switch {
-	case exp == 128: // Inf / NaN
-		if mant != 0 {
-			return sign | 0x7e00 // quiet NaN
-		}
-		return sign | 0x7c00
-	case exp > 15: // overflow → Inf
-		return sign | 0x7c00
-	case exp >= -14: // normal half
-		// 10-bit significand: round the dropped 13 bits to nearest-even.
-		h := uint32(exp+15)<<10 | mant>>13
-		round := mant & 0x1fff
-		if round > 0x1000 || (round == 0x1000 && h&1 == 1) {
-			h++ // may carry into the exponent; that is the correct rounding
-		}
-		return sign | uint16(h)
-	case exp >= -25: // subnormal half (exp -25 can still round up to q=1)
-		// Implicit leading 1 becomes explicit: v = m·2^(exp-23), and the
-		// half-subnormal quantum is 2^-24, so q = round(m·2^(exp+1)) =
-		// m >> (-exp-1) rounded to nearest-even.
-		m := mant | 0x800000
-		shift := uint32(-exp - 1) // 14 (exp=-15) .. 24 (exp=-25)
-		h := m >> shift
-		round := m & (1<<shift - 1)
-		half := uint32(1) << (shift - 1)
-		if round > half || (round == half && h&1 == 1) {
-			h++
-		}
-		return sign | uint16(h)
-	default: // underflow → signed zero
-		return sign
-	}
-}
-
-// F16Decode converts an IEEE binary16 value back to float32 exactly (every
-// half value is representable in single precision).
-func F16Decode(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	mant := uint32(h & 0x3ff)
-	switch {
-	case exp == 0x1f: // Inf / NaN
-		return math.Float32frombits(sign | 0x7f800000 | mant<<13)
-	case exp != 0: // normal
-		return math.Float32frombits(sign | (exp+112)<<23 | mant<<13)
-	case mant != 0: // subnormal: value = mant * 2^-24
-		return float32(mant) * float32(math.Ldexp(1, -24)) * signFactor(sign)
-	default:
-		return math.Float32frombits(sign) // signed zero
-	}
-}
-
-func signFactor(signBit uint32) float32 {
-	if signBit != 0 {
-		return -1
-	}
-	return 1
-}
-
-// F16EncodeSlice encodes src into dst (same length).
-func F16EncodeSlice(dst []uint16, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: F16EncodeSlice length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = F16Encode(v)
-	}
-}
-
-// F16DecodeSlice decodes src into dst (same length).
-func F16DecodeSlice(dst []float32, src []uint16) {
-	if len(dst) != len(src) {
-		panic("tensor: F16DecodeSlice length mismatch")
-	}
-	for i, h := range src {
-		dst[i] = F16Decode(h)
+		return QuantOff, fmt.Errorf("BETTY_QUANT=%q: unknown mode (want off or int8)", v)
 	}
 }
 
 // --- int8 per-row codec ---
-
-// Int8Row is one row quantized with a symmetric per-row scale: the decoded
-// value of entry j is float32(Q[j]) * Scale.
-type Int8Row struct {
-	Scale float32
-	Q     []int8
-}
 
 // Int8EncodeRow quantizes src with scale maxabs/127 into dst (same length)
 // and returns the scale. The maximum round-trip error is scale/2. An
@@ -216,16 +107,11 @@ func Int8DecodeRow(dst []float32, q []int8, scale float32) {
 }
 
 // QuantTensor is a tensor stored in a quantized format, decodable into f32
-// scratch for the exact kernels. Exactly one of the format fields is
-// populated, matching Mode.
+// scratch for the exact kernels.
 type QuantTensor struct {
-	Mode QuantMode
 	Rows int
 	Cols int
-	// F16 holds Rows*Cols encoded halves when Mode == QuantF16.
-	F16 []uint16
-	// Scales/Q hold per-row scales and Rows*Cols quantized bytes when
-	// Mode == QuantInt8.
+	// Scales/Q hold per-row scales and Rows*Cols quantized bytes.
 	Scales []float32
 	Q      []int8
 }
@@ -236,13 +122,8 @@ func Quantize(t *Tensor, mode QuantMode) *QuantTensor {
 	switch mode {
 	case QuantOff:
 		return nil
-	case QuantF16:
-		q := &QuantTensor{Mode: mode, Rows: t.RowsN, Cols: t.ColsN, F16: make([]uint16, t.Len())}
-		F16EncodeSlice(q.F16, t.Data)
-		return q
 	case QuantInt8:
 		q := &QuantTensor{
-			Mode:   mode,
 			Rows:   t.RowsN,
 			Cols:   t.ColsN,
 			Scales: make([]float32, t.RowsN),
@@ -263,26 +144,12 @@ func (q *QuantTensor) DecodeInto(dst []float32) {
 	if len(dst) != q.Rows*q.Cols {
 		panic(fmt.Sprintf("tensor: DecodeInto needs %d floats, got %d", q.Rows*q.Cols, len(dst)))
 	}
-	switch q.Mode {
-	case QuantF16:
-		F16DecodeSlice(dst, q.F16)
-	case QuantInt8:
-		for i := 0; i < q.Rows; i++ {
-			Int8DecodeRow(dst[i*q.Cols:(i+1)*q.Cols], q.Q[i*q.Cols:(i+1)*q.Cols], q.Scales[i])
-		}
-	default:
-		panic(fmt.Sprintf("tensor: DecodeInto unknown mode %v", q.Mode))
+	for i := 0; i < q.Rows; i++ {
+		Int8DecodeRow(dst[i*q.Cols:(i+1)*q.Cols], q.Q[i*q.Cols:(i+1)*q.Cols], q.Scales[i])
 	}
 }
 
 // Bytes returns the storage footprint of the quantized form.
 func (q *QuantTensor) Bytes() int64 {
-	switch q.Mode {
-	case QuantF16:
-		return int64(len(q.F16)) * 2
-	case QuantInt8:
-		return int64(len(q.Q)) + int64(len(q.Scales))*4
-	default:
-		return 0
-	}
+	return int64(len(q.Q)) + int64(len(q.Scales))*4
 }
