@@ -152,21 +152,35 @@ func BenchmarkMatMulParallel(b *testing.B) {
 }
 
 // BenchmarkBuildREGFastParallel measures sharded REG construction across
-// worker counts on the same batch as BenchmarkREGConstructionFast.
+// worker counts on the same batch as BenchmarkREGConstructionFast, and on
+// the benchmark's train_planned batch (ogbn-arxiv at scale 0.25, fanouts
+// [10,25]: 5 400 outputs, ~267 k REG edges) — the block the planner builds
+// its one REG per epoch from.
 func BenchmarkBuildREGFastParallel(b *testing.B) {
-	ds := benchDataset(b)
-	blocks := benchBatch(b, ds, []int{5, 10})
-	last := blocks[len(blocks)-1]
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			defer parallel.SetWorkers(parallel.SetWorkers(w))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := reg.BuildREGFast(last); err != nil {
-					b.Fatal(err)
+	arxiv, err := dataset.LoadScaled("ogbn-arxiv", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		blocks []*graph.Block
+	}{
+		{"products", benchBatch(b, benchDataset(b), []int{5, 10})},
+		{"arxiv", benchBatch(b, arxiv, []int{10, 25})},
+	} {
+		last := c.blocks[len(c.blocks)-1]
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
+				defer parallel.SetWorkers(parallel.SetWorkers(w))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := reg.BuildREGFast(last); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -66,7 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("betty: planner chose K=%d after estimating %d candidate counts\n", st.K, st.PlanAttempts)
+	fmt.Printf("betty: planner chose K=%d after estimating %d of %d candidate counts (the lower bound rules out the rest)\n",
+		st.K, st.PlanAttempts, st.K)
 	fmt.Printf("betty: measured peak %.1f MiB (estimated %.1f MiB) under the %d MiB capacity\n",
 		float64(st.PeakBytes)/(1<<20), float64(st.MaxEstimate)/(1<<20), capacity/device.MiB)
 	fmt.Printf("betty: loss %.4f, %d duplicated input nodes across micro-batches\n", st.Loss, st.Redundancy)

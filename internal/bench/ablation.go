@@ -54,9 +54,15 @@ func ablBatch(o Options) ([]*graph.Block, error) {
 	return fullBatch(ds, []int{3, 8}, 1)
 }
 
+// batchSplitter is the part of reg.BatchPartitioner redundancyOf calls; the
+// ablation variants below implement only it.
+type batchSplitter interface {
+	PartitionBatch(last *graph.Block, k int) ([][]int32, error)
+}
+
 // redundancyOf partitions the batch with p into k groups and measures the
 // duplicated input nodes.
-func redundancyOf(blocks []*graph.Block, p reg.BatchPartitioner, k int) (int, error) {
+func redundancyOf(blocks []*graph.Block, p batchSplitter, k int) (int, error) {
 	groups, err := p.PartitionBatch(blocks[len(blocks)-1], k)
 	if err != nil {
 		return 0, err

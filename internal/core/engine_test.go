@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"betty/internal/dataset"
@@ -131,12 +132,59 @@ func TestMemoryAwarePlanningSelectsK(t *testing.T) {
 	if st.K < 2 {
 		t.Fatalf("planner chose K=%d under a %d-byte budget", st.K, capacity)
 	}
-	if st.PlanAttempts != st.K {
-		t.Fatalf("attempts %d != K %d", st.PlanAttempts, st.K)
+	// The search is pinned by its result, not its shape: K, groups and the
+	// largest estimate are the first-fit walk's, reached from the bound.
+	full, plan, err := s.Engine.PlanEpoch(d.TrainIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refK, refGroups, refPeak := firstFitWalk(t, s.Engine, full, capacity)
+	if st.K != refK || plan.K != refK || st.MaxEstimate != refPeak || !reflect.DeepEqual(plan.Groups, refGroups) {
+		t.Fatalf("planner chose K=%d (max estimate %d); the first-fit walk K=%d (%d)", st.K, st.MaxEstimate, refK, refPeak)
+	}
+	if plan.LowerBound < 1 || st.PlanAttempts != st.K-plan.LowerBound+1 {
+		t.Fatalf("attempts %d, want K-bound+1 with K=%d bound=%d", st.PlanAttempts, st.K, plan.LowerBound)
 	}
 	if st.PeakBytes > capacity {
 		t.Fatalf("measured peak %d exceeded capacity %d", st.PeakBytes, capacity)
 	}
+}
+
+// firstFitWalk is the search memory.Planner.Plan replaced, kept as the
+// reference: K = 1, 2, 3, ... with a from-scratch PartitionBatch per attempt,
+// stopping at the first K whose largest estimate fits.
+func firstFitWalk(t *testing.T, e *Engine, full []*graph.Block, capacity int64) (int, [][]int32, int64) {
+	t.Helper()
+	last := full[len(full)-1]
+	for k := 1; k <= last.NumDst; k++ {
+		groups := [][]int32{make([]int32, last.NumDst)}
+		for i := range groups[0] {
+			groups[0][i] = int32(i)
+		}
+		if k > 1 {
+			var err error
+			if groups, err = e.Partitioner.PartitionBatch(last, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var peak int64
+		for _, sel := range groups {
+			micro, err := graph.SliceBatch(full, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := memory.Estimate(micro, e.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak = max(peak, est.Peak())
+		}
+		if peak+int64(float64(peak)*e.SafetyMargin) <= capacity {
+			return k, groups, peak
+		}
+	}
+	t.Fatal("first-fit walk found no K")
+	return 0, nil, 0
 }
 
 func TestFullBatchOOMsWhereBettyFits(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"betty/internal/dataset"
 	"betty/internal/device"
 	"betty/internal/obs"
 )
@@ -160,5 +161,71 @@ func TestSetObsNilDisables(t *testing.T) {
 	}
 	if got := r.CounterValue("train.steps"); got != 0 {
 		t.Fatalf("detached registry counted %d steps", got)
+	}
+}
+
+// Planning costs one REG build per batch and only the attempts that can
+// fit: on the benchmark's train_planned shape (ogbn-arxiv at scale 0.25,
+// fanouts [10,25], hidden 64, an 18.75 MiB device) the search starts at its
+// lower bound, reaches K = 4 in at most three attempts, and every attempt
+// shares one reg_build span — three builds and four attempts before the
+// prepare/partition split.
+func TestPlannedEpochBuildsOneREG(t *testing.T) {
+	ds, err := dataset.LoadScaled("ogbn-arxiv", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := device.New(18*device.MiB+768*device.KiB, device.DefaultCostModel())
+	s, err := BuildSAGE(ds, Options{Seed: 1, Fanouts: []int{10, 25}, Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.New(obs.NewFakeClock(0, 1000))
+	r.SetTracing(true)
+	s.Engine.SetObs(r)
+	st, err := s.Engine.TrainEpochMicro()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.K != 4 {
+		t.Fatalf("planner chose K=%d, want 4", st.K)
+	}
+	bound, ok := r.GaugeValue("plan.lower_bound_k")
+	if !ok || bound < 2 || bound > 4 {
+		t.Fatalf("plan.lower_bound_k = %d,%v, want within [2,4]", bound, ok)
+	}
+	attempts := r.CounterValue("plan.attempts")
+	if attempts > 3 || attempts != int64(st.K)-bound+1 || attempts != int64(st.PlanAttempts) {
+		t.Fatalf("plan.attempts = %d (stats %d), want K-bound+1 = %d and at most 3", attempts, st.PlanAttempts, int64(st.K)-bound+1)
+	}
+	if got := r.CounterValue("plan.reg_builds"); got != 1 {
+		t.Fatalf("plan.reg_builds = %d, want 1", got)
+	}
+	builds, ks := 0, map[string][]int64{}
+	for _, sp := range r.Spans() {
+		switch sp.Phase {
+		case obs.PhaseRegBuild:
+			builds++
+		case obs.PhasePartition, obs.PhaseEstimate:
+			k := int64(-1)
+			for _, f := range sp.Fields {
+				if f.Key == "k" {
+					k = f.Val
+				}
+			}
+			if k < 0 {
+				t.Fatalf("%s span without k: %+v", sp.Phase, sp)
+			}
+			ks[sp.Phase] = append(ks[sp.Phase], k)
+		}
+	}
+	t.Logf("K=%d lower bound=%d attempts=%d reg_build spans=%d", st.K, bound, attempts, builds)
+	if builds != 1 {
+		t.Fatalf("%d reg_build spans in one planned epoch, want 1", builds)
+	}
+	for _, ph := range []string{obs.PhasePartition, obs.PhaseEstimate} {
+		if int64(len(ks[ph])) != attempts || ks[ph][0] != bound || ks[ph][len(ks[ph])-1] != int64(st.K) {
+			t.Fatalf("%s spans carry k=%v, want %d..%d", ph, ks[ph], bound, st.K)
+		}
 	}
 }

@@ -33,6 +33,32 @@ func SliceBatch(full []*Block, sel []int32) ([]*Block, error) {
 	return blocks, nil
 }
 
+// Covered reports whether SliceBatch's covering claim holds for the batch:
+// every destination, source and edge of every block lands in at least one
+// micro-batch of any partition of the outputs. That is so when each block's
+// destinations are exactly the next block's sources and each of its sources
+// is a destination or has an edge. Sampler-built batches are covered by
+// construction.
+func Covered(blocks []*Block) bool {
+	for l, b := range blocks {
+		if l+1 < len(blocks) && b.NumDst != blocks[l+1].NumSrc {
+			return false
+		}
+		used := make([]bool, b.NumSrc)
+		n := b.NumDst
+		for _, s := range b.SrcLocal {
+			if int(s) >= b.NumDst && !used[s] {
+				used[s] = true
+				n++
+			}
+		}
+		if n != b.NumSrc {
+			return false
+		}
+	}
+	return true
+}
+
 // sliceBlock induces a sub-block of b on the destination selection sel
 // (local dst indices of b). It returns the sub-block and the selection of
 // b's local *source* indices used, in the sub-block's source order.

@@ -131,9 +131,29 @@ func (b Breakdown) String() string {
 		mib(b.Hidden), mib(b.Aggregator), mib(b.Gradients), mib(b.OptStates), mib(b.Peak()))
 }
 
+// ideal returns the breakdown of a hypothetical micro-batch holding exactly
+// 1/k of b's batch-dependent components (rounded down) beside the whole
+// model state — what a K-way split free of redundancy and imbalance would
+// cost, and so a floor under any real one (Planner.lowerBoundK).
+func (b Breakdown) ideal(k int64) Breakdown {
+	b.InputFeatures /= k
+	b.Labels /= k
+	b.Blocks /= k
+	b.Hidden /= k
+	b.Aggregator /= k
+	return b
+}
+
 // Estimate computes the memory breakdown of a batch (input-first blocks)
 // under the model spec, without executing anything.
 func Estimate(blocks []*graph.Block, spec Spec) (Breakdown, error) {
+	return estimate(blocks, spec, true)
+}
+
+// estimate is Estimate; lstmBuckets = false leaves out the LSTM
+// degree-bucket term, the one component that is not linear in the block's
+// node and edge counts.
+func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, error) {
 	if len(blocks) == 0 {
 		return Breakdown{}, fmt.Errorf("memory: empty batch")
 	}
@@ -242,8 +262,10 @@ func Estimate(blocks []*graph.Block, spec Spec) (Breakdown, error) {
 				// per-bucket scatter/accumulate outputs (2 per non-empty
 				// degree bucket, N*F each)
 				act += e * f * LSTMIntermediatesPerValue
-				if nb := int64(nonzeroDegreeBuckets(blk)); nb > 0 {
-					act += (2*nb - 1) * n * f
+				if lstmBuckets {
+					if nb := int64(nonzeroDegreeBuckets(blk)); nb > 0 {
+						act += (2*nb - 1) * n * f
+					}
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package memory
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"betty/internal/graph"
@@ -227,8 +229,18 @@ func TestPlannerFindsMinimalK(t *testing.T) {
 	if len(plan.Micro) != plan.K || len(plan.Estimates) != plan.K {
 		t.Fatal("plan structure inconsistent")
 	}
-	if plan.Attempts != plan.K {
-		t.Fatalf("K+1 search should try every count: attempts=%d K=%d", plan.Attempts, plan.K)
+	// The search is pinned by its result, not its shape: the plan is the
+	// first-fit walk's, reached from the lower bound.
+	ref, err := firstFit(pl, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.K != ref.K || !reflect.DeepEqual(plan.Groups, ref.Groups) || plan.MaxPeak != ref.MaxPeak {
+		t.Fatalf("plan K=%d peak=%d differs from the first-fit walk's K=%d peak=%d",
+			plan.K, plan.MaxPeak, ref.K, ref.MaxPeak)
+	}
+	if plan.LowerBound < 2 || plan.Attempts != plan.K-plan.LowerBound+1 {
+		t.Fatalf("attempts=%d, want K-bound+1 with K=%d bound=%d", plan.Attempts, plan.K, plan.LowerBound)
 	}
 	// K-1 must NOT fit (minimality)
 	prev, err := pl.EvaluateFixedK(full, plan.K-1)
@@ -265,6 +277,21 @@ func TestPlannerCannotFit(t *testing.T) {
 	_, err := pl.Plan(full)
 	if !errors.Is(err, ErrCannotFit) {
 		t.Fatalf("want ErrCannotFit, got %v", err)
+	}
+	// 100 bytes is below the parameters alone: the bound rules out every K
+	// and the message says so instead of naming an empty range.
+	if !strings.Contains(err.Error(), "needs K >= 9, MaxK is 8, tried none") {
+		t.Fatalf("message does not report the bound: %v", err)
+	}
+	// A capacity the bound cannot rule out but no allowed split meets
+	// reports the range actually walked.
+	two, err := pl.EvaluateFixedK(full, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Capacity, pl.MaxK = two.MaxPeak-1, 2
+	if _, err = pl.Plan(full); !errors.Is(err, ErrCannotFit) || !strings.Contains(err.Error(), "tried K=2..2") {
+		t.Fatalf("want ErrCannotFit naming K=2..2, got %v", err)
 	}
 }
 

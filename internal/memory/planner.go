@@ -15,7 +15,9 @@ var ErrCannotFit = errors.New("memory: batch cannot fit capacity at any partitio
 
 // Planner implements the memory-aware batch re-partitioning loop of
 // §4.4.3: K-way partition the batch, estimate every micro-batch, and try
-// (K+1)-way if the largest estimate violates the capacity constraint.
+// (K+1)-way if the largest estimate violates the capacity constraint. The
+// loop is entered at a proved lower bound on K (lowerBoundK), and the
+// partitioner's K-independent work — Betty's REG — is done once per batch.
 type Planner struct {
 	// Capacity is the device memory budget in bytes.
 	Capacity int64
@@ -24,8 +26,6 @@ type Planner struct {
 	Partitioner reg.BatchPartitioner
 	// Spec is the model description for estimation.
 	Spec Spec
-	// StartK is the first partition count tried (default 1).
-	StartK int
 	// MaxK caps the search (default: number of output nodes).
 	MaxK int
 	// SafetyMargin inflates estimates by this fraction to absorb
@@ -33,12 +33,16 @@ type Planner struct {
 	// 0 means no margin.
 	SafetyMargin float64
 	// Obs, when non-nil, receives partition/estimate spans per evaluated K
-	// plus planning metrics (plan.attempts, plan.repartitions, plan.k).
+	// plus planning metrics (plan.attempts, plan.repartitions, plan.k,
+	// plan.lower_bound_k).
 	Obs *obs.Registry
 	// Peak selects which breakdown component sum is compared against the
 	// capacity; nil means Breakdown.Peak (training: forward + backward).
 	// The serving planner sets Breakdown.ForwardPeak, since inference
-	// materializes no gradients or optimizer states.
+	// materializes no gradients or optimizer states. lowerBoundK needs Peak
+	// convex and non-decreasing in every component, up to rounding each
+	// component by less than a byte: Peak, ForwardPeak, SplitPeak and any
+	// non-negative weighted sum of components are.
 	Peak func(Breakdown) int64
 }
 
@@ -50,6 +54,11 @@ func (pl *Planner) peakOf(b Breakdown) int64 {
 	return b.Peak()
 }
 
+// fits applies the capacity constraint, safety margin included, to a peak.
+func (pl *Planner) fits(peak int64) bool {
+	return peak+int64(float64(peak)*pl.SafetyMargin) <= pl.Capacity
+}
+
 // Plan is the planner's result: the chosen partition count, the output
 // groups, the sliced micro-batches, and their estimates.
 type Plan struct {
@@ -59,8 +68,12 @@ type Plan struct {
 	Estimates []Breakdown
 	// MaxPeak is the largest estimated micro-batch peak in bytes.
 	MaxPeak int64
-	// Attempts is how many partition counts were evaluated.
+	// Attempts is how many partition counts were evaluated: K-LowerBound+1
+	// for a searched plan, 1 for a fixed K.
 	Attempts int
+	// LowerBound is the partition count the search started from, every
+	// smaller one being proved not to fit (0 for a fixed K).
+	LowerBound int
 }
 
 // Redundancy returns the duplicated input nodes versus the full batch.
@@ -68,8 +81,9 @@ func (p *Plan) Redundancy(full []*graph.Block) int {
 	return graph.InputRedundancy(full, p.Micro)
 }
 
-// Plan searches for the smallest K (from StartK upward) whose largest
-// estimated micro-batch fits the capacity.
+// Plan searches for the smallest K whose largest estimated micro-batch fits
+// the capacity: it evaluates lowerBoundK, lowerBoundK+1, ... and returns the
+// first fit, which is what the walk from K = 1 returns.
 func (pl *Planner) Plan(full []*graph.Block) (*Plan, error) {
 	if pl.Partitioner == nil {
 		return nil, fmt.Errorf("memory: planner needs a partitioner")
@@ -81,39 +95,81 @@ func (pl *Planner) Plan(full []*graph.Block) (*Plan, error) {
 		return nil, fmt.Errorf("memory: empty batch")
 	}
 	last := full[len(full)-1]
-	startK := pl.StartK
-	if startK <= 0 {
-		startK = 1
-	}
 	maxK := pl.MaxK
 	if maxK <= 0 || maxK > last.NumDst {
 		maxK = last.NumDst
 	}
-	attempts := 0
-	for k := startK; k <= maxK; k++ {
-		attempts++
+	bound, err := pl.lowerBoundK(full, maxK)
+	if err != nil {
+		return nil, err
+	}
+	pl.Obs.Set("plan.lower_bound_k", int64(bound))
+	var prep *reg.Prepared // built at the first k > 1, shared by every later k
+	for k := bound; k <= maxK; k++ {
 		pl.Obs.Add("plan.attempts", 1)
-		plan, err := pl.evaluate(full, k)
+		if k > 1 && prep == nil {
+			if prep, err = pl.Partitioner.Prepare(last); err != nil {
+				return nil, fmt.Errorf("memory: preparing the partitioner: %w", err)
+			}
+		}
+		plan, err := pl.evaluate(full, k, prep)
 		if err != nil {
 			return nil, err
 		}
-		plan.Attempts = attempts
-		margin := int64(float64(plan.MaxPeak) * pl.SafetyMargin)
-		if plan.MaxPeak+margin <= pl.Capacity {
-			pl.Obs.Add("plan.repartitions", int64(attempts-1))
+		plan.Attempts, plan.LowerBound = k-bound+1, bound
+		if pl.fits(plan.MaxPeak) {
+			pl.Obs.Add("plan.repartitions", int64(k-bound))
 			pl.Obs.Set("plan.k", int64(plan.K))
 			pl.Obs.Set("plan.max_peak_bytes", plan.MaxPeak)
 			return plan, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: capacity %d bytes, tried K=%d..%d",
-		ErrCannotFit, pl.Capacity, startK, maxK)
+	if bound > maxK {
+		return nil, fmt.Errorf("%w: capacity %d bytes needs K >= %d, MaxK is %d, tried none",
+			ErrCannotFit, pl.Capacity, bound, maxK)
+	}
+	return nil, fmt.Errorf("%w: capacity %d bytes, tried K=%d..%d (no smaller K can fit)",
+		ErrCannotFit, pl.Capacity, bound, maxK)
 }
 
-// evaluate partitions into exactly k micro-batches and estimates each.
-func (pl *Planner) evaluate(full []*graph.Block, k int) (*Plan, error) {
+// peakRounding is the slack lowerBoundK leaves for peak functionals that
+// round shares up (SplitPeak): under one byte per Breakdown component.
+const peakRounding = 8
+
+// lowerBoundK returns the smallest K in [1, maxK+1] the argument below does
+// not rule out; every smaller K is proved not to fit, so the search skips it.
+//
+// Proof. Every batch-dependent Breakdown component is a non-negative linear
+// function of the per-block (dst, src, edge) counts — the LSTM degree-bucket
+// term, which is not, is left out, which only lowers the bound — and in a
+// covered batch every dst, src and edge lands in at least one of the K
+// micro-batches, so the componentwise mean of their K estimates is at least
+// ideal(K): the full batch's estimate with those components divided by K
+// and the model state (params, gradients, optimizer) whole. For a convex,
+// non-decreasing peak functional, max_i peak_i >= mean_i peak_i >=
+// peak(mean) >= peak(ideal(K)) by Jensen and monotonicity (less
+// peakRounding, for SplitPeak's ceilings); if that does not fit, neither
+// does the largest micro-batch of any K-way split.
+func (pl *Planner) lowerBoundK(full []*graph.Block, maxK int) (int, error) {
+	whole, err := estimate(full, pl.Spec, false)
+	if err != nil {
+		return 0, err
+	}
+	k := 1
+	for k <= maxK && !pl.fits(pl.peakOf(whole.ideal(int64(k)))-peakRounding) {
+		k++
+	}
+	if k > 1 && !graph.Covered(full) {
+		return 1, nil // the counts argument needs a covered batch
+	}
+	return k, nil
+}
+
+// evaluate partitions into exactly k micro-batches and estimates each. prep
+// is the partitioner's prepared batch; k = 1 needs none.
+func (pl *Planner) evaluate(full []*graph.Block, k int, prep *reg.Prepared) (*Plan, error) {
 	last := full[len(full)-1]
-	groups, err := pl.partitionGroups(last, k)
+	groups, err := pl.partitionGroups(last, k, prep)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +199,7 @@ func (pl *Planner) evaluate(full []*graph.Block, k int) (*Plan, error) {
 
 // partitionGroups splits the last block's outputs into k groups under a
 // PhasePartition span (K = 1 needs no partitioner: one group of all).
-func (pl *Planner) partitionGroups(last *graph.Block, k int) ([][]int32, error) {
+func (pl *Planner) partitionGroups(last *graph.Block, k int, prep *reg.Prepared) ([][]int32, error) {
 	if k == 1 {
 		all := make([]int32, last.NumDst)
 		for i := range all {
@@ -155,7 +211,7 @@ func (pl *Planner) partitionGroups(last *graph.Block, k int) ([][]int32, error) 
 		SetInt("k", int64(k)).
 		SetInt("outputs", int64(last.NumDst))
 	defer sp.End()
-	groups, err := pl.Partitioner.PartitionBatch(last, k)
+	groups, err := prep.Partition(k)
 	if err != nil {
 		return nil, fmt.Errorf("memory: partitioning K=%d: %w", k, err)
 	}
@@ -172,7 +228,14 @@ func (pl *Planner) EvaluateFixedK(full []*graph.Block, k int) (*Plan, error) {
 		return nil, fmt.Errorf("memory: empty batch")
 	}
 	pl.Obs.Add("plan.attempts", 1)
-	plan, err := pl.evaluate(full, k)
+	var prep *reg.Prepared
+	if k > 1 {
+		var err error
+		if prep, err = pl.Partitioner.Prepare(full[len(full)-1]); err != nil {
+			return nil, fmt.Errorf("memory: preparing the partitioner: %w", err)
+		}
+	}
+	plan, err := pl.evaluate(full, k, prep)
 	if err != nil {
 		return nil, err
 	}

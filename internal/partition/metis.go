@@ -31,6 +31,29 @@ type Metis struct {
 	// RandomMatching replaces heavy-edge matching with random matching
 	// during coarsening (ablation knob).
 	RandomMatching bool
+
+	// last is the most recent coarsening. Coarsening does not depend on k
+	// beyond its stopping size, so a Metis partitioning one graph at several
+	// k (the memory planner) coarsens once per stopping size: max(120, 15k)
+	// is 120 for every k <= 8. A Metis value is therefore not safe for
+	// concurrent Partition calls.
+	last *coarsening
+}
+
+// coarsening is the K-independent prefix of Partition: the matching
+// hierarchy of g down to coarsenTo nodes, and the RNG as coarsening left it.
+type coarsening struct {
+	g         *WeightedGraph
+	coarsenTo int
+	levels    []level
+	coarsest  *WeightedGraph
+	rng       rng.RNG
+}
+
+// level is one coarsening step: a graph and its fine-to-coarse node map.
+type level struct {
+	g    *WeightedGraph
+	cmap []int32 // fine node -> coarse node in the next level
 }
 
 // Name implements Partitioner.
@@ -62,23 +85,25 @@ func (m *Metis) Partition(g *WeightedGraph, k int) ([]int32, error) {
 			coarsenTo = 120
 		}
 	}
-	r := rng.New(m.Seed ^ 0x6d657469735f6b)
-
-	// Coarsening phase.
-	type level struct {
-		g    *WeightedGraph
-		cmap []int32 // fine node -> coarse node in the next level
-	}
-	var levels []level
-	cur := g
-	for cur.N > coarsenTo && len(levels) < 40 {
-		coarse, cmap := m.coarsen(cur, r)
-		if coarse.N >= cur.N*19/20 {
-			break // diminishing returns; stop coarsening
+	// Coarsening phase, or the remembered one: every partition continues
+	// from its own copy of the RNG state coarsening ended in.
+	c := m.last
+	if c == nil || c.g != g || c.coarsenTo != coarsenTo {
+		c = &coarsening{g: g, coarsenTo: coarsenTo, coarsest: g}
+		r := rng.New(m.Seed ^ 0x6d657469735f6b)
+		for c.coarsest.N > coarsenTo && len(c.levels) < 40 {
+			coarse, cmap := m.coarsen(c.coarsest, r)
+			if coarse.N >= c.coarsest.N*19/20 {
+				break // diminishing returns; stop coarsening
+			}
+			c.levels = append(c.levels, level{g: c.coarsest, cmap: cmap})
+			c.coarsest = coarse
 		}
-		levels = append(levels, level{g: cur, cmap: cmap})
-		cur = coarse
+		c.rng = *r
+		m.last = c
 	}
+	rcopy := c.rng
+	r, levels, cur := &rcopy, c.levels, c.coarsest
 
 	// Initial partition on the coarsest graph.
 	total := cur.TotalNodeWeight()

@@ -297,6 +297,49 @@ func TestMetisDeterminism(t *testing.T) {
 	}
 }
 
+// One Metis partitioning one graph at several k reuses its coarsening
+// (every k <= 8 stops at 120 nodes, k = 9 at 135) and must return exactly
+// what a fresh Metis returns for each k: coarsening is k-independent and
+// every partition resumes from the RNG state it ended in.
+func TestMetisCoarseningReuseIsBitwise(t *testing.T) {
+	g := clusters(t, 12, 40, 9) // 480 nodes: several coarsening levels
+	for _, variant := range []Metis{{Seed: 5}, {Seed: 5, RandomMatching: true}, {Seed: 6, DisableRefinement: true}} {
+		shared := variant
+		for _, k := range []int{2, 3, 4, 8, 9, 3, 16, 2} {
+			fresh := variant
+			want, err := fresh.Partition(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := shared.Partition(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fresh.last.levels) == 0 {
+				t.Fatal("graph never coarsened; the test exercises nothing")
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s k=%d: node %d in part %d with a reused coarsening, %d fresh", variant.String(), k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	// A different graph must not be served from the memo.
+	m := &Metis{Seed: 5}
+	if _, err := m.Partition(g, 4); err != nil {
+		t.Fatal(err)
+	}
+	other := clusters(t, 12, 40, 10)
+	got, _ := m.Partition(other, 4)
+	want, _ := (&Metis{Seed: 5}).Partition(other, 4)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatal("coarsening of one graph reused for another")
+		}
+	}
+}
+
 // Property: partitions from all algorithms are structurally valid for
 // random graphs and random k.
 func TestAllPartitionersProduceValidParts(t *testing.T) {

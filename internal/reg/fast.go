@@ -2,7 +2,7 @@ package reg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"betty/internal/graph"
 	"betty/internal/parallel"
@@ -10,205 +10,128 @@ import (
 )
 
 // wedge is one weighted REG edge: an unordered destination pair (a < b)
-// and its (partially) accumulated Gram weight.
+// and its Gram weight.
 type wedge struct {
 	a, b int32
 	w    float32
 }
 
-// srcShardGrain is the number of sources each emission shard owns and
-// keyShardGrain the number of destination ids each merge shard owns. Both
-// are fixed constants — never derived from the worker count — so the shard
-// structure, and with it the floating-point accumulation tree, is identical
-// no matter how many workers execute it (see package parallel).
-const (
-	srcShardGrain = 512
-	keyShardGrain = 1024
-)
+// rowShardGrain is the number of destination rows each Gram shard owns: a
+// fixed constant, never derived from the worker count (see package
+// parallel). Rows are computed independently of one another, so the
+// sharding cannot reach a single output bit; the constant only bounds the
+// per-shard scratch and balances the load.
+const rowShardGrain = 512
 
 // BuildREGFast constructs the same redundancy-embedded graph as BuildREG
 // without materializing the sparse adjacency or its Gram product — the
 // REG-construction optimization the paper lists as future work.
 //
-// It exploits that c_ij = Σ_k a_ki·a_kj only receives contributions from
-// pairs of destinations fed by the same source: for every source it walks
-// the source's (deduplicated, multiplicity-counted) destination list once
-// and emits one weighted pair per destination combination. The per-source
-// emission is sharded across workers (each shard with private mult/scratch
-// buffers) and the sorted per-shard pair streams are merged in parallel by
-// destination range, accumulating duplicate pairs in shard — that is,
-// source — order. Non-output columns never enter the stream, so the
-// restriction and self-loop removal of Algorithm 1 lines 5-7 are free.
+// It is a row-wise (Gustavson) evaluation of the strict upper triangle of
+// C = AᵀA: c_ab = Σ_k a_ka·a_kb only receives contributions from sources k
+// feeding both a and b, so row a walks its sources in ascending order and,
+// for each, the source's destinations above a, summing m_ka·m_kb into a
+// dense accumulator (parallel edges give a source multiplicity m_ki toward
+// destination i). Rows are sharded across workers; each shard emits its
+// rows' edges already sorted by (a, b), so concatenating the shards is the
+// whole merge. Non-output columns never enter, so the restriction and
+// self-loop removal of Algorithm 1 lines 5-7 are free.
 //
-// The result is bitwise-identical for every parallel.SetWorkers value.
+// Every weight is summed in ascending source order inside one row, which no
+// worker count can change: the result is bitwise-identical for every
+// parallel.SetWorkers value.
 func BuildREGFast(last *graph.Block) (*partition.WeightedGraph, error) {
 	if err := last.Validate(); err != nil {
 		return nil, fmt.Errorf("reg: invalid block: %w", err)
 	}
-	nDst := last.NumDst
+	nDst, nSrc := last.NumDst, last.NumSrc
 
 	// Bucket the block's edges by source: srcPtr/srcDst is a CSR over the
-	// homogeneous source space listing each source's destinations.
-	nSrc := last.NumSrc
-	counts := make([]int32, nSrc+1)
+	// homogeneous source space listing each source's destinations ascending
+	// (parallel edges adjacent).
+	srcPtr := make([]int32, nSrc+1)
 	for _, s := range last.SrcLocal {
-		counts[s+1]++
+		srcPtr[s+1]++
 	}
 	for i := 0; i < nSrc; i++ {
-		counts[i+1] += counts[i]
+		srcPtr[i+1] += srcPtr[i]
 	}
 	srcDst := make([]int32, len(last.SrcLocal))
 	cursor := make([]int32, nSrc)
-	copy(cursor, counts[:nSrc])
+	copy(cursor, srcPtr[:nSrc])
 	for d := 0; d < nDst; d++ {
 		for p := last.Ptr[d]; p < last.Ptr[d+1]; p++ {
 			s := last.SrcLocal[p]
 			srcDst[cursor[s]] = int32(d)
-			cursor[s] = cursor[s] + 1
+			cursor[s]++
+		}
+	}
+	// Transpose back: rowSrc lists each destination's sources ascending
+	// (parallel edges adjacent) under the block's own row pointers.
+	rowSrc := make([]int32, len(srcDst))
+	next := make([]int64, nDst)
+	copy(next, last.Ptr[:nDst])
+	for s := 0; s < nSrc; s++ {
+		for _, d := range srcDst[srcPtr[s]:srcPtr[s+1]] {
+			rowSrc[next[d]] = int32(s)
+			next[d]++
 		}
 	}
 
-	// Emit weighted destination pairs, one shard per contiguous source
-	// range, then merge the per-shard streams into a deduplicated edge list.
-	shards := make([][]wedge, parallel.NumShards(nSrc, srcShardGrain))
-	parallel.For(nSrc, srcShardGrain, func(lo, hi int) {
-		shards[lo/srcShardGrain] = emitPairs(counts, srcDst, nDst, lo, hi)
-	})
-	u, v, w := mergeShards(shards, nDst)
-	return partition.NewWeightedGraph(nDst, u, v, w, nil)
-}
-
-// emitPairs walks sources [lo, hi) and returns their weighted destination
-// pairs, sorted by (a, b) with duplicates merged. Parallel edges give a
-// source multiplicity m_ki toward destination i; the Gram contribution of
-// source k to pair (i, j) is m_ki * m_kj, matching AᵀA exactly. The sort is
-// stable, so duplicate pairs accumulate in source order.
-func emitPairs(counts, srcDst []int32, nDst, lo, hi int) []wedge {
-	var pairs []wedge
-	scratch := make([]int32, 0, 64) // distinct destinations of one source
-	mult := make([]float32, nDst)   // multiplicity accumulator
-	for s := lo; s < hi; s++ {
-		plo, phi := counts[s], counts[s+1]
-		if phi-plo < 2 {
-			continue
-		}
-		scratch = scratch[:0]
-		for p := plo; p < phi; p++ {
-			d := srcDst[p]
-			//bettyvet:ok floateq mult holds increment-only occurrence counts, so zero marks first touch exactly
-			if mult[d] == 0 {
-				scratch = append(scratch, d)
-			}
-			mult[d]++
-		}
-		for i := 0; i < len(scratch); i++ {
-			for j := i + 1; j < len(scratch); j++ {
-				a, b := scratch[i], scratch[j]
-				if a > b {
-					a, b = b, a
-				}
-				pairs = append(pairs, wedge{a, b, mult[scratch[i]] * mult[scratch[j]]})
-			}
-		}
-		for _, d := range scratch {
-			mult[d] = 0
-		}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	out := pairs[:0]
-	for _, p := range pairs {
-		if n := len(out); n > 0 && out[n-1].a == p.a && out[n-1].b == p.b {
-			out[n-1].w += p.w
-		} else {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// mergeShards merges the sorted, locally-deduplicated shard streams into
-// one deduplicated (u, v, w) edge list sorted by (a, b). The destination-id
-// space is split into fixed ranges merged in parallel; within a range a
-// k-way merge accumulates equal pairs across shards in shard order, which
-// together with the stable in-shard sort means every edge weight is summed
-// in ascending source order regardless of the worker count.
-func mergeShards(shards [][]wedge, nDst int) (u, v []int32, w []float32) {
-	nShards := parallel.NumShards(nDst, keyShardGrain)
-	merged := make([][]wedge, nShards)
-	// Each shard's candidate-stream list lives in a disjoint window of one
-	// backing array allocated up front, so the hot closure itself allocates
-	// nothing.
-	partsBuf := make([][]wedge, nShards*len(shards))
-	parallel.For(nDst, keyShardGrain, func(aLo, aHi int) {
-		si := aLo / keyShardGrain
-		parts := partsBuf[si*len(shards) : (si+1)*len(shards)]
-		np := 0
-		for _, sh := range shards {
-			lo := sort.Search(len(sh), func(i int) bool { return sh[i].a >= int32(aLo) })
-			hi := sort.Search(len(sh), func(i int) bool { return sh[i].a >= int32(aHi) })
-			if lo < hi {
-				parts[np] = sh[lo:hi]
-				np++
-			}
-		}
-		merged[si] = mergeParts(parts[:np])
+	shards := make([][]wedge, parallel.NumShards(nDst, rowShardGrain))
+	parallel.For(nDst, rowShardGrain, func(lo, hi int) {
+		shards[lo/rowShardGrain] = gramRows(last.Ptr, rowSrc, srcPtr, srcDst, lo, hi)
 	})
 	total := 0
-	for _, m := range merged {
-		total += len(m)
+	for _, sh := range shards {
+		total += len(sh)
 	}
-	u = make([]int32, 0, total)
-	v = make([]int32, 0, total)
-	w = make([]float32, 0, total)
-	for _, m := range merged {
-		for _, e := range m {
+	u := make([]int32, 0, total)
+	v := make([]int32, 0, total)
+	w := make([]float32, 0, total)
+	for _, sh := range shards {
+		for _, e := range sh {
 			u = append(u, e.a)
 			v = append(v, e.b)
 			w = append(w, e.w)
 		}
 	}
-	return u, v, w
+	return partition.NewWeightedGraph(nDst, u, v, w, nil)
 }
 
-// mergeParts k-way merges sorted streams of unique pairs, summing the
-// weights of pairs present in several streams in stream order.
-func mergeParts(parts [][]wedge) []wedge {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]wedge, 0, total)
-	idx := make([]int, len(parts))
-	for {
-		best := -1
-		var bk wedge
-		for pi, p := range parts {
-			if idx[pi] >= len(p) {
-				continue
+// gramRows returns the REG edges (a, b > a) of rows [lo, hi), sorted by
+// (a, b). Row a's sources arrive ascending from rowSrc, so every c_ab is
+// accumulated in source order; the Gram contribution of source k to the
+// pair is m_ka·m_kb, matching AᵀA exactly.
+func gramRows(rowPtr []int64, rowSrc, srcPtr, srcDst []int32, lo, hi int) []wedge {
+	var out []wedge
+	acc := make([]float32, len(rowPtr)-1) // dense row accumulator over b
+	touched := make([]int32, 0, 64)       // b's with a nonzero acc
+	for a := lo; a < hi; a++ {
+		for p, end := rowPtr[a], rowPtr[a+1]; p < end; {
+			k, ma := rowSrc[p], float32(0)
+			for ; p < end && rowSrc[p] == k; p++ {
+				ma++
 			}
-			c := p[idx[pi]]
-			if best < 0 || c.a < bk.a || (c.a == bk.a && c.b < bk.b) {
-				best, bk = pi, c
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		var sum float32
-		for pi, p := range parts {
-			if idx[pi] < len(p) && p[idx[pi]].a == bk.a && p[idx[pi]].b == bk.b {
-				sum += p[idx[pi]].w
-				idx[pi]++
+			// k's destinations above a, walked from the top of its list.
+			for q, first := srcPtr[k+1]-1, srcPtr[k]; q >= first && int(srcDst[q]) > a; {
+				b, mb := srcDst[q], float32(0)
+				for ; q >= first && srcDst[q] == b; q-- {
+					mb++
+				}
+				//bettyvet:ok floateq acc holds sums of positive multiplicity products, so zero marks first touch exactly
+				if acc[b] == 0 {
+					touched = append(touched, b)
+				}
+				acc[b] += ma * mb
 			}
 		}
-		out = append(out, wedge{bk.a, bk.b, sum})
+		slices.Sort(touched)
+		for _, b := range touched {
+			out = append(out, wedge{int32(a), b, acc[b]})
+			acc[b] = 0
+		}
+		touched = touched[:0]
 	}
+	return out
 }

@@ -139,11 +139,11 @@ func TestFastEmptyNeighborhoods(t *testing.T) {
 // arrays, same float bits) for every worker count: the shard structure is
 // fixed by constants, and weights accumulate in source order regardless of
 // how many workers execute the shards. The block is sized well past
-// srcShardGrain so the emission genuinely runs multi-shard.
+// rowShardGrain so the row-wise Gram genuinely runs multi-shard.
 func TestFastParallelDeterminism(t *testing.T) {
 	r := rng.New(3)
-	nDst := 400
-	pool := int32(3000)
+	nDst := 3*rowShardGrain - 100
+	pool := int32(6000)
 	neigh := make([][]int32, nDst)
 	for i := range neigh {
 		deg := 2 + r.Intn(12)
@@ -159,9 +159,6 @@ func TestFastParallelDeterminism(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if b.NumSrc <= srcShardGrain {
-		t.Fatalf("block has %d sources; test needs more than one shard (grain %d)", b.NumSrc, srcShardGrain)
-	}
 
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	want, err := BuildREGFast(b)
@@ -174,19 +171,8 @@ func TestFastParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.N != want.N || len(got.Ptr) != len(want.Ptr) || len(got.Adj) != len(want.Adj) {
-			t.Fatalf("workers=%d: graph shape differs", w)
-		}
-		for i := range want.Ptr {
-			if got.Ptr[i] != want.Ptr[i] {
-				t.Fatalf("workers=%d: Ptr[%d] = %d, serial %d", w, i, got.Ptr[i], want.Ptr[i])
-			}
-		}
-		for i := range want.Adj {
-			if got.Adj[i] != want.Adj[i] || math.Float32bits(got.EWt[i]) != math.Float32bits(want.EWt[i]) {
-				t.Fatalf("workers=%d: edge %d (%d, %v) differs from serial (%d, %v)",
-					w, i, got.Adj[i], got.EWt[i], want.Adj[i], want.EWt[i])
-			}
+		if !sameCSR(got, want) {
+			t.Fatalf("workers=%d: REG differs from the serial build", w)
 		}
 	}
 }

@@ -71,37 +71,90 @@ func BuildREG(last *graph.Block) (*partition.WeightedGraph, error) {
 // BatchPartitioner splits a batch's output nodes into K groups. The
 // returned groups hold *local destination indices* of the last-layer block;
 // every group is non-empty and the groups partition [0, NumDst).
+//
+// Partitioning is two steps because the planner tries several K on one
+// batch: Prepare does whatever does not depend on K — for Betty the REG,
+// Algorithm 1's C = AᵀA — once, and Prepared.Partition cuts a K-way split
+// from it.
 type BatchPartitioner interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
+	// Prepare does the batch's K-independent partitioning work.
+	Prepare(last *graph.Block) (*Prepared, error)
 	// PartitionBatch returns K disjoint, covering groups of local output
-	// indices of the block.
+	// indices of the block: Prepare followed by one Partition.
 	PartitionBatch(last *graph.Block, k int) ([][]int32, error)
 }
 
-// groupsFromParts converts a per-node part assignment into index groups and
-// checks none is empty.
-func groupsFromParts(parts []int32, k int) ([][]int32, error) {
-	groups := make([][]int32, k)
-	for i, p := range parts {
-		groups[p] = append(groups[p], int32(i))
-	}
-	for p, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("reg: partition produced empty group %d", p)
-		}
-	}
-	return groups, nil
+// Prepared is one batch readied for partitioning at any number of K.
+type Prepared struct {
+	numDst int
+	split  func(k int) ([][]int32, error)
 }
 
-func validateBatchK(last *graph.Block, k int) error {
+// Partition returns K disjoint, covering groups of local output indices.
+func (p *Prepared) Partition(k int) ([][]int32, error) {
+	if err := validateBatchK(p.numDst, k); err != nil {
+		return nil, err
+	}
+	return p.split(k)
+}
+
+// partitionBatch is every partitioner's PartitionBatch. K is checked first
+// so a bad K costs no Prepare.
+func partitionBatch(p BatchPartitioner, last *graph.Block, k int) ([][]int32, error) {
+	if err := validateBatchK(last.NumDst, k); err != nil {
+		return nil, err
+	}
+	pr, err := p.Prepare(last)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Partition(k)
+}
+
+func validateBatchK(numDst, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("reg: k must be positive, got %d", k)
 	}
-	if k > last.NumDst {
-		return fmt.Errorf("reg: k=%d exceeds %d output nodes", k, last.NumDst)
+	if k > numDst {
+		return fmt.Errorf("reg: k=%d exceeds %d output nodes", k, numDst)
 	}
 	return nil
+}
+
+// metisSplit partitions the prepared graph g with the multilevel
+// partitioner and converts the per-node part assignment into index groups,
+// checking none is empty.
+func metisSplit(g *partition.WeightedGraph, m *partition.Metis) *Prepared {
+	return &Prepared{numDst: g.N, split: func(k int) ([][]int32, error) {
+		parts, err := m.Partition(g, k)
+		if err != nil {
+			return nil, err
+		}
+		groups := make([][]int32, k)
+		for i, p := range parts {
+			groups[p] = append(groups[p], int32(i))
+		}
+		for p, grp := range groups {
+			if len(grp) == 0 {
+				return nil, fmt.Errorf("reg: partition produced empty group %d", p)
+			}
+		}
+		return groups, nil
+	}}
+}
+
+// spread deals the output nodes in order into k equal contiguous runs.
+func spread(order []int32) *Prepared {
+	n := len(order)
+	return &Prepared{numDst: n, split: func(k int) ([][]int32, error) {
+		groups := make([][]int32, k)
+		for pos, node := range order {
+			groups[pos*k/n] = append(groups[pos*k/n], node)
+		}
+		return groups, nil
+	}}
 }
 
 // RangeBatch splits output nodes into contiguous local-index ranges.
@@ -110,18 +163,18 @@ type RangeBatch struct{}
 // Name implements BatchPartitioner.
 func (RangeBatch) Name() string { return "range" }
 
+// Prepare implements BatchPartitioner.
+func (RangeBatch) Prepare(last *graph.Block) (*Prepared, error) {
+	order := make([]int32, last.NumDst)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return spread(order), nil
+}
+
 // PartitionBatch implements BatchPartitioner.
-func (RangeBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	if err := validateBatchK(last, k); err != nil {
-		return nil, err
-	}
-	n := last.NumDst
-	groups := make([][]int32, k)
-	for i := 0; i < n; i++ {
-		p := i * k / n
-		groups[p] = append(groups[p], int32(i))
-	}
-	return groups, nil
+func (p RangeBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
+	return partitionBatch(p, last, k)
 }
 
 // RandomBatch splits output nodes into equal-size random groups.
@@ -133,19 +186,14 @@ type RandomBatch struct {
 // Name implements BatchPartitioner.
 func (RandomBatch) Name() string { return "random" }
 
+// Prepare implements BatchPartitioner.
+func (p RandomBatch) Prepare(last *graph.Block) (*Prepared, error) {
+	return spread(rng.New(p.Seed).Perm(last.NumDst)), nil
+}
+
 // PartitionBatch implements BatchPartitioner.
 func (p RandomBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	if err := validateBatchK(last, k); err != nil {
-		return nil, err
-	}
-	n := last.NumDst
-	perm := rng.New(p.Seed).Perm(n)
-	groups := make([][]int32, k)
-	for pos, node := range perm {
-		g := pos * k / n
-		groups[g] = append(groups[g], node)
-	}
-	return groups, nil
+	return partitionBatch(p, last, k)
 }
 
 // MetisBatch is the redundancy-unaware METIS baseline: it partitions the
@@ -160,11 +208,8 @@ type MetisBatch struct {
 // Name implements BatchPartitioner.
 func (MetisBatch) Name() string { return "metis" }
 
-// PartitionBatch implements BatchPartitioner.
-func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	if err := validateBatchK(last, k); err != nil {
-		return nil, err
-	}
+// Prepare implements BatchPartitioner.
+func (p MetisBatch) Prepare(last *graph.Block) (*Prepared, error) {
 	var uu, vv []int32
 	var ww []float32
 	for d := 0; d < last.NumDst; d++ {
@@ -181,18 +226,19 @@ func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) 
 	if err != nil {
 		return nil, err
 	}
-	parts, err := (&partition.Metis{Seed: p.Seed}).Partition(g, k)
-	if err != nil {
-		return nil, err
-	}
-	return groupsFromParts(parts, k)
+	return metisSplit(g, &partition.Metis{Seed: p.Seed}), nil
+}
+
+// PartitionBatch implements BatchPartitioner.
+func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
+	return partitionBatch(p, last, k)
 }
 
 // BettyBatch is the paper's REG partitioning (Algorithm 1): build the
 // redundancy-embedded graph and min-cut partition it with the multilevel
 // partitioner, so output nodes sharing many neighbors stay together.
 //
-// By default it uses the pair-streaming REG construction (BuildREGFast,
+// By default it uses the row-wise REG construction (BuildREGFast,
 // property-tested equal to the SpGEMM reference); set Reference to force
 // the Algorithm-1-literal sparse-product path.
 type BettyBatch struct {
@@ -202,20 +248,18 @@ type BettyBatch struct {
 	Imbalance float64
 	// Reference selects the literal AᵀA SpGEMM construction.
 	Reference bool
-	// Obs, when non-nil, receives one PhaseRegBuild span per REG
-	// construction. Timing comes from the registry's injected Clock —
-	// this kernel package never reads a clock itself (bettyvet dettaint).
+	// Obs, when non-nil, receives one PhaseRegBuild span and one
+	// plan.reg_builds count per REG construction. Timing comes from the
+	// registry's injected Clock — this kernel package never reads a clock
+	// itself (bettyvet dettaint).
 	Obs *obs.Registry
 }
 
 // Name implements BatchPartitioner.
 func (BettyBatch) Name() string { return "betty" }
 
-// PartitionBatch implements BatchPartitioner.
-func (p BettyBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	if err := validateBatchK(last, k); err != nil {
-		return nil, err
-	}
+// Prepare implements BatchPartitioner: it builds the batch's REG.
+func (p BettyBatch) Prepare(last *graph.Block) (*Prepared, error) {
 	build := BuildREGFast
 	if p.Reference {
 		build = BuildREG
@@ -225,12 +269,14 @@ func (p BettyBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) 
 		SetInt("edges", int64(last.NumEdges()))
 	g, err := build(last)
 	sp.End()
+	p.Obs.Add("plan.reg_builds", 1)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := (&partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}).Partition(g, k)
-	if err != nil {
-		return nil, err
-	}
-	return groupsFromParts(parts, k)
+	return metisSplit(g, &partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}), nil
+}
+
+// PartitionBatch implements BatchPartitioner.
+func (p BettyBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
+	return partitionBatch(p, last, k)
 }
