@@ -1,13 +1,15 @@
 #!/bin/sh
-# The one benchmark gate CI can hold without flaking. On the training
-# workloads loss and peak_device_bytes are pure functions of the seed
+# The one benchmark gate CI can hold without flaking. On all five workloads
+# loss and peak_device_bytes are pure functions of the seed
 # (benchmark/aa.go's repeatsExactly), so head must reproduce base's values
-# to the last digit. On the serving workloads the guard is the in-run check
-# "served scores equal solo inference bitwise" (correct) plus an identical
-# loss; their ledger peak is printed but depends on how two concurrent
-# clients happened to be batched, so it is not compared. No timing is
-# compared: timing verdicts come only from paired alternating runs of two
-# binaries (benchmark/README.md).
+# to the last digit. That includes the serving ledger peak: it is the
+# feature cache at capacity plus one embedding row per distinct layer-1
+# node the trace touches, a function of the request trace and not of how
+# two concurrent clients happened to be batched (5 of 5 runs repeat it
+# exactly, at 1 and at 2 requests per batch). The serving workloads also
+# carry the in-run check "served scores equal solo inference bitwise"
+# (correct). No timing is compared: timing verdicts come only from paired
+# alternating runs of two binaries (benchmark/README.md).
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 <base-ref>" >&2; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
@@ -33,7 +35,6 @@ for w in train_compute train_planned train_outofcore serve_hot serve_uniform; do
 		bv=$(field "$b" "$m")
 		hv=$(field "$h" "$m")
 		echo "$w $m $bv $hv"
-		case "$w $m" in serve_*" peak_device_bytes") continue ;; esac
 		[ -n "$bv" ] && [ "$bv" = "$hv" ] || { echo "$w: $m differs from base"; status=1; }
 	done
 done

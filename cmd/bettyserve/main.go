@@ -8,7 +8,7 @@
 //
 //	bettyserve -dataset ogbn-arxiv -scale 0.2 -epochs 3
 //	bettyserve -dataset cora -checkpoint model.ckpt -addr 127.0.0.1:8747
-//	BETTY_SERVE_CAPACITY_MIB=64 BETTY_SERVE_MAX_WAIT_MS=5 bettyserve -dataset cora
+//	BETTY_SERVE_CAPACITY_MIB=64 BETTY_SERVE_MAX_BATCH=128 bettyserve -dataset cora
 //
 //	curl -s localhost:8747/v1/predict -d '{"nodes":[3,8,120]}'
 //	curl -s localhost:8747/metricsz

@@ -143,7 +143,6 @@ func soloReference(t *testing.T, cfg serveConfig, model any, traces [][]int32) [
 		scfg := serve.Defaults()
 		scfg.Fanouts = fanouts
 		scfg.Seed = cfg.seed
-		scfg.MaxWait = 0
 		s, err := serve.New(ds, model, scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +202,7 @@ func nodesJSON(nodes []int32) string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
-// The headline e2e: concurrent requests against a random port must
+// The headline e2e: concurrent clients against a random port must
 // coalesce into fewer batches, every response must be bitwise the
 // single-request answer, and the planner's estimated peak must respect
 // the configured budget.
@@ -211,10 +210,7 @@ func TestE2ECoalescingAndExactness(t *testing.T) {
 	cfg := baseConfig()
 	const capacityMiB = 64
 	cfg.getenv = func(k string) string {
-		switch k {
-		case serve.EnvMaxWaitMS:
-			return "60" // generous window so all concurrent requests share a batch
-		case serve.EnvCapacityMiB:
+		if k == serve.EnvCapacityMiB {
 			return fmt.Sprint(capacityMiB)
 		}
 		return ""
@@ -226,42 +222,51 @@ func TestE2ECoalescingAndExactness(t *testing.T) {
 		{3, 8, 120}, {8, 700, 3}, {41, 5}, {700, 701, 702},
 		{1, 2, 3, 4}, {120, 5, 9},
 	}
-	got := make([][][]float32, len(traces))
-	var wg sync.WaitGroup
-	for i, nodes := range traces {
-		wg.Add(1)
-		go func(i int, nodes []int32) {
-			defer wg.Done()
-			code, resp := postPredict(t, base, `{"nodes":`+nodesJSON(nodes)+`}`)
-			if code != http.StatusOK {
-				t.Errorf("request %d: status %d", i, code)
-				return
-			}
-			got[i] = resp.Scores
-		}(i, nodes)
+	model := buildReferenceModel(t, cfg)
+	want := soloReference(t, cfg, model, traces)
+	// Six closed-loop clients keep the one worker busy, so requests queue
+	// behind the executing batch and the next batch takes them together:
+	// coalescing comes from load, not from a hold timer. How soon two
+	// requests overlap is the scheduler's business (on one CPU the worker
+	// often finishes a batch before the next client runs), so rounds
+	// repeat until they do; only never coalescing fails, at the 10s cap.
+	var m map[string]int64
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var wg sync.WaitGroup
+		for i, nodes := range traces {
+			wg.Add(1)
+			go func(i int, nodes []int32) {
+				defer wg.Done()
+				for r := 0; r < 10; r++ {
+					code, resp := postPredict(t, base, `{"nodes":`+nodesJSON(nodes)+`}`)
+					if code != http.StatusOK {
+						t.Errorf("client %d: status %d", i, code)
+						return
+					}
+					if !bitwiseEqual(resp.Scores, want[i]) {
+						t.Errorf("client %d: coalesced HTTP response differs from solo inference", i)
+						return
+					}
+				}
+			}(i, nodes)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		m = metrics(t, base)
+		if m["serve.batches"] < m["serve.requests"] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no coalescing: %d batches for %d requests", m["serve.batches"], m["serve.requests"])
+		}
 	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	m := metrics(t, base)
-	if m["serve.requests"] != int64(len(traces)) {
-		t.Fatalf("served %d requests, want %d", m["serve.requests"], len(traces))
-	}
-	if m["serve.batches"] >= int64(len(traces)) {
-		t.Fatalf("no coalescing: %d batches for %d requests", m["serve.batches"], len(traces))
+	if m["serve.batched_requests"] != m["serve.requests"] {
+		t.Fatalf("admitted %d requests, batched %d", m["serve.requests"], m["serve.batched_requests"])
 	}
 	if peak := m["serve.max_est_peak_bytes"]; peak <= 0 || peak > capacityMiB<<20 {
 		t.Fatalf("planned peak %d outside the %d MiB budget", peak, capacityMiB)
-	}
-
-	model := buildReferenceModel(t, cfg)
-	want := soloReference(t, cfg, model, traces)
-	for i := range traces {
-		if !bitwiseEqual(got[i], want[i]) {
-			t.Fatalf("request %d: coalesced HTTP response differs from solo inference", i)
-		}
 	}
 }
 
@@ -275,8 +280,6 @@ func TestE2EBackpressureAndDeadline(t *testing.T) {
 	cfg.fanouts = "-1,-1" // full neighborhoods: the big request is genuinely slow
 	cfg.getenv = func(k string) string {
 		switch k {
-		case serve.EnvMaxWaitMS:
-			return "0"
 		case serve.EnvMaxBatch:
 			return "1"
 		case serve.EnvQueueDepth:

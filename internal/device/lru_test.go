@@ -119,6 +119,61 @@ func TestLRUHeldSurvivesPressure(t *testing.T) {
 	}
 }
 
+// Recycle hands the oldest unheld entry to a new key without touching the
+// ledger: same Buffer, same charge, same value storage.
+func TestLRURecycle(t *testing.T) {
+	d := New(3*AllocGranularity, CostModel{})
+	c := NewLRU[int, int](d, "t")
+	var evicted [][2]int
+	c.OnEvict = func(k, v int) { evicted = append(evicted, [2]int{k, v}) }
+	if _, ok := c.Recycle(1); ok {
+		t.Fatal("Recycle succeeded on an empty cache")
+	}
+	for k := 1; k <= 3; k++ {
+		put(c, k, 1)
+	}
+	c.Hold(1) // the oldest entry is held: 2 is the one to go
+	used, peak, allocs, size, n := d.Used(), d.Peak(), d.nextID, c.Bytes(), c.Len()
+	p, ok := c.Recycle(7)
+	if !ok || *p != 20 {
+		t.Fatalf("Recycle(7) = %v, %v; want the storage of key 2 (value 20)", p, ok)
+	}
+	*p = 70
+	if !slices.Equal(evicted, [][2]int{{2, 20}}) {
+		t.Fatalf("OnEvict saw %v, want key 2 with value 20", evicted)
+	}
+	if v, ok := c.Get(7); !ok || v != 70 {
+		t.Fatalf("Get(7) = %d, %v after writing through the recycled pointer", v, ok)
+	}
+	if _, ok := c.Get(2); ok {
+		t.Fatal("recycled key still resident")
+	}
+	if got := evictionOrder(c); !slices.Equal(got, []int{3, 7}) {
+		t.Fatalf("eviction order %v, want [3 7]", got)
+	}
+	if d.Used() != used || d.Peak() != peak || d.nextID != allocs || c.Bytes() != size || c.Len() != n {
+		t.Fatalf("Recycle moved the ledger: used %d→%d peak %d→%d allocs %d→%d bytes %d→%d len %d→%d",
+			used, d.Used(), peak, d.Peak(), allocs, d.nextID, size, c.Bytes(), n, c.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Recycle to a resident key did not panic")
+			}
+		}()
+		c.Recycle(3)
+	}()
+	c.Hold(3)
+	c.Hold(7)
+	if _, ok := c.Recycle(8); ok || c.Len() != 3 || c.Held() != 3 {
+		t.Fatalf("Recycle took a held entry (len %d held %d)", c.Len(), c.Held())
+	}
+	c.Flush()
+	if d.Used() != 0 {
+		t.Fatalf("ledger holds %d bytes after Flush", d.Used())
+	}
+}
+
 func TestLRUReleaseUnheldPanics(t *testing.T) {
 	c := NewLRU[int, int](New(MiB, CostModel{}), "t")
 	put(c, 1, 1)
@@ -224,12 +279,27 @@ func TestLRURandomizedAgainstModel(t *testing.T) {
 			if got := c.Release(k); got != last {
 				t.Fatalf("step %d: Release(%d) = %v, model %v", step, k, got, last)
 			}
-		case op < 93:
+		case op < 91:
 			if got := c.Remove(k); got != resident {
 				t.Fatalf("step %d: Remove(%d) = %v, model %v", step, k, got, resident)
 			}
 			if resident {
 				m.drop(k)
+			}
+		case op < 96:
+			if resident {
+				continue
+			}
+			want := len(m.order) > 0
+			if want {
+				old := m.order[0]
+				m.order = append(m.order[1:], k)
+				m.size[k] = m.size[old]
+				delete(m.size, old)
+				m.evictions++
+			}
+			if _, got := c.Recycle(k); got != want {
+				t.Fatalf("step %d: Recycle(%d) = %v, model %v", step, k, got, want)
 			}
 		case op < 99:
 			want := len(m.order) > 0

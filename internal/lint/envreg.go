@@ -48,7 +48,6 @@ var knobRegistry = map[string]string{
 	"BETTY_WORKERS":                 "worker-pool size (parallel.ParseWorkers)",
 	"BETTY_QUANT":                   "serving quantization mode (tensor.ParseQuantMode)",
 	"BETTY_SERVE_MAX_BATCH":         "serving batcher coalescing target (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_MAX_WAIT_MS":       "serving batcher hold time (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_QUEUE_DEPTH":       "serving admission bound (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_CACHE_NODES":       "serving feature-cache capacity (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_TIMEOUT_MS":        "serving default deadline (serve.Config.ApplyEnv)",

@@ -48,6 +48,8 @@ const (
 	PhaseEval      = "eval"      // chunked evaluation
 	PhaseEnqueue   = "enqueue"   // serving request admission (internal/serve)
 	PhaseBatch     = "batch"     // serving batch execution (internal/serve)
+	PhaseCollect   = "collect"   // serving batch formation: drain what is queued
+	PhaseRespond   = "respond"   // serving score scatter + delivery to the callers
 	PhaseMultiDev  = "multidev"  // multi-device epoch (core.MultiDevice)
 	PhaseShard     = "shard"     // split-parallel shard execution of one micro-batch
 )

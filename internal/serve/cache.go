@@ -1,6 +1,9 @@
 package serve
 
-import "betty/internal/device"
+import (
+	"betty/internal/device"
+	"betty/internal/tensor"
+)
 
 // featureCache is an LRU cache of gathered input-feature rows keyed by
 // global node ID, stored in the server's quantized format (quantRow; f32
@@ -41,22 +44,25 @@ func (c *featureCache) get(nid int32) (quantRow, bool) {
 	return c.lru.Get(nid)
 }
 
-// put inserts an already-encoded row for nid, evicting the least recently
-// used entry when full (by node count or by ledger budget). Re-inserting
-// an existing key refreshes its recency.
-func (c *featureCache) put(nid int32, row quantRow) {
+// put encodes src as nid's row, caches it, and returns the encoding, whose
+// decoding the caller stages. nid must not be resident: the caller has just
+// missed on it. A full cache recycles its least recently used entry — same
+// ledger charge, same storage, no allocation; only growth reserves.
+func (c *featureCache) put(nid int32, mode tensor.QuantMode, src []float32) quantRow {
 	if c == nil {
-		return
-	}
-	if _, ok := c.lru.Get(nid); ok {
-		return
+		return encodeRow(mode, src)
 	}
 	if c.lru.Len() >= c.capNodes {
-		c.lru.EvictOldest()
+		if row, ok := c.lru.Recycle(nid); ok {
+			row.encode(src)
+			return *row
+		}
 	}
+	row := encodeRow(mode, src)
 	if buf, ok := c.lru.Reserve(row.bytes()); ok {
 		c.lru.Insert(nid, row, buf)
 	}
+	return row
 }
 
 // flush drops every entry and releases its ledger charge.

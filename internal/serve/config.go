@@ -23,16 +23,13 @@ type Config struct {
 	// node's neighborhood for the server's lifetime.
 	Seed uint64
 
-	// MaxBatch is the coalescing target: the batcher stops gathering
-	// requests once the batch holds at least MaxBatch seed nodes. A batch
+	// MaxBatch is the coalescing bound: the batcher takes what is already
+	// queued when the worker comes free — it never waits for more — and
+	// stops once the batch holds at least MaxBatch seed nodes. A batch
 	// may exceed it by at most one request's nodes (a pulled request is
 	// never split or pushed back); the memory planner, not MaxBatch, is
 	// what bounds the device footprint.
 	MaxBatch int
-	// MaxWait bounds how long the batcher waits for more requests after
-	// the first one arrives. 0 means drain-only: take whatever is already
-	// queued and run immediately (the deterministic-replay mode).
-	MaxWait time.Duration
 	// QueueDepth is the admission bound: requests beyond it are rejected
 	// with ErrQueueFull (HTTP 429) instead of queuing without limit.
 	QueueDepth int
@@ -87,7 +84,6 @@ type Config struct {
 func Defaults() Config {
 	return Config{
 		MaxBatch:        256,
-		MaxWait:         2 * time.Millisecond,
 		QueueDepth:      64,
 		CacheNodes:      4096,
 		DefaultTimeout:  time.Second,
@@ -111,9 +107,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxBatch <= 0 {
 		return fmt.Errorf("serve: MaxBatch must be positive (got %d)", c.MaxBatch)
-	}
-	if c.MaxWait < 0 {
-		return fmt.Errorf("serve: MaxWait must be non-negative (got %v)", c.MaxWait)
 	}
 	if c.QueueDepth <= 0 {
 		return fmt.Errorf("serve: QueueDepth must be positive (got %d)", c.QueueDepth)
@@ -157,7 +150,6 @@ func (c *Config) Validate() error {
 // than silently serving under a different policy than the operator set.
 const (
 	EnvMaxBatch        = "BETTY_SERVE_MAX_BATCH"
-	EnvMaxWaitMS       = "BETTY_SERVE_MAX_WAIT_MS"
 	EnvQueueDepth      = "BETTY_SERVE_QUEUE_DEPTH"
 	EnvCacheNodes      = "BETTY_SERVE_CACHE_NODES"
 	EnvTimeoutMS       = "BETTY_SERVE_TIMEOUT_MS"
@@ -180,7 +172,6 @@ func (c *Config) ApplyEnv(getenv func(string) string) error {
 		set  func(int64)
 	}{
 		{EnvMaxBatch, 1, func(v int64) { c.MaxBatch = int(v) }},
-		{EnvMaxWaitMS, 0, func(v int64) { c.MaxWait = time.Duration(v) * time.Millisecond }},
 		{EnvQueueDepth, 1, func(v int64) { c.QueueDepth = int(v) }},
 		{EnvCacheNodes, 0, func(v int64) { c.CacheNodes = int(v) }},
 		{EnvTimeoutMS, 0, func(v int64) { c.DefaultTimeout = time.Duration(v) * time.Millisecond }},

@@ -288,7 +288,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	model := testModel(t, d)
 	for round := 0; round < 3; round++ {
 		reg := obs.New(nil)
-		cfg := testConfig(nil, reg) // real clock, drain-only batching
+		cfg := testConfig(nil, reg) // real clock
 		cfg.QueueDepth = 256
 		s := newTestServer(t, d, model, cfg)
 		s.Start()

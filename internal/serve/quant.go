@@ -120,18 +120,29 @@ type quantRow struct {
 	scale float32
 }
 
-// encodeRow converts row into mode's storage format. The f32 mode copies
-// (the pre-quantization cache behavior, byte-exact).
+// encodeRow converts row into freshly allocated storage of mode's format.
+// The f32 mode copies (the pre-quantization cache behavior, byte-exact).
 func encodeRow(mode tensor.QuantMode, row []float32) quantRow {
+	var r quantRow
 	switch mode {
 	case tensor.QuantOff:
-		return quantRow{f32: append([]float32(nil), row...)}
+		r.f32 = make([]float32, len(row))
 	case tensor.QuantInt8:
-		r := quantRow{q: make([]int8, len(row))}
-		r.scale = tensor.Int8EncodeRow(r.q, row)
-		return r
+		r.q = make([]int8, len(row))
 	default:
 		panic(fmt.Sprintf("serve: encodeRow unknown mode %v", mode))
+	}
+	r.encode(row)
+	return r
+}
+
+// encode overwrites the row's storage in place with the encoding of src
+// (same width) — how a recycled cache entry takes a new row.
+func (r *quantRow) encode(src []float32) {
+	if r.f32 != nil {
+		copy(r.f32, src)
+	} else {
+		r.scale = tensor.Int8EncodeRow(r.q, src)
 	}
 }
 

@@ -90,8 +90,6 @@ type Server struct {
 	// frontier measures cross-batch layer-1 frontier overlap — the
 	// sample.frontier.* locality signal behind the embedding cache.
 	frontier *embcache.Meter
-	// rowBuf stages one feature row on cache misses (worker-only).
-	rowBuf []float32
 
 	queue chan *request
 
@@ -170,7 +168,6 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		cacheLedger: ledger,
 		emb:         emb,
 		frontier:    embcache.NewMeter(cfg.Obs),
-		rowBuf:      make([]float32, ds.FeatureDim()),
 		queue:       make(chan *request, cfg.QueueDepth),
 		closeDone:   make(chan struct{}),
 	}
@@ -196,6 +193,9 @@ func (s *Server) Start() {
 		return
 	}
 	s.started = true
+	// Training, which usually precedes serving in the same process, leaves
+	// the tensor pool full of size classes serving never asks for again.
+	tensor.DrainPool()
 	s.wg.Add(1)
 	go s.worker()
 }
@@ -346,30 +346,15 @@ func (s *Server) worker() {
 	}
 }
 
-// collect gathers requests for one batch, starting from first: it keeps
-// pulling until the batch holds MaxBatch seed nodes, the queue is empty
-// (MaxWait 0) or MaxWait has elapsed, or the queue closes.
+// collect forms one batch from first plus whatever is already queued, up
+// to MaxBatch seed nodes, and never waits: an idle worker dispatches a lone
+// request at once, and requests that arrive while a batch executes queue up
+// to form the next one, so batch size follows load, not a timer.
 func (s *Server) collect(first *request) []*request {
+	sp := s.obs.StartSpan(obs.PhaseCollect).SetInt("batch", s.batchSeq)
+	defer sp.End()
 	batch := []*request{first}
-	seeds := len(first.nodes)
-	if s.cfg.MaxWait <= 0 {
-		for seeds < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-				seeds += len(r.nodes)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
-	for seeds < s.cfg.MaxBatch {
+	for seeds := len(first.nodes); seeds < s.cfg.MaxBatch; {
 		select {
 		case r, ok := <-s.queue:
 			if !ok {
@@ -377,7 +362,7 @@ func (s *Server) collect(first *request) []*request {
 			}
 			batch = append(batch, r)
 			seeds += len(r.nodes)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
@@ -404,7 +389,9 @@ func (s *Server) runBatch(batch []*request) {
 			}
 		}
 	}()
-	sp := s.obs.StartSpan(obs.PhaseBatch).SetInt("requests", int64(len(batch)))
+	// The batch's spans carry its batch-log number, so its phases can be
+	// grepped from the trace.
+	sp := s.obs.StartSpan(obs.PhaseBatch).SetInt("batch", s.batchSeq).SetInt("requests", int64(len(batch)))
 	defer sp.End()
 	now := s.clock.Now()
 	for _, req := range batch {
@@ -433,6 +420,7 @@ func (s *Server) runBatch(batch []*request) {
 		return
 	}
 
+	rsp := s.obs.StartSpan(obs.PhaseRespond).SetInt("batch", s.batchSeq)
 	for _, req := range batch {
 		out := make([][]float32, len(req.nodes))
 		for i, v := range req.nodes {
@@ -440,6 +428,8 @@ func (s *Server) runBatch(batch []*request) {
 		}
 		s.respond(req, response{scores: out})
 	}
+	rsp.End()
+	s.batchSeq++
 	s.obs.Add("serve.batches", 1)
 	s.obs.Add("serve.batched_requests", int64(len(batch)))
 	s.obs.Observe("serve.batch_requests", int64(len(batch)))
@@ -488,6 +478,7 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 			return nil, err
 		}
 		fsp := s.obs.StartSpan(obs.PhaseForward).
+			SetInt("batch", s.batchSeq).
 			SetInt("outputs", int64(len(plan.Groups[gi]))).
 			SetInt("inputs", int64(micro[0].NumSrc))
 		// layer1_dst_rows counts what a cache-less forward computes at
@@ -496,6 +487,7 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		s.obs.Add("serve.layer1_dst_rows", int64(micro[0].NumDst))
 		logits, err := core.BatchInferenceCached(s.model, micro, feats, s.emb)
 		fsp.End()
+		tensor.ReleaseScratch(feats.Data) // the forward clones its logits out
 		if err != nil {
 			return nil, fmt.Errorf("serve: forward: %w", err)
 		}
@@ -506,6 +498,9 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		}
 	}
 	s.obs.Add("serve.served_nodes", int64(len(union)))
+	// Published after the forwards, so the peak includes this batch's own
+	// embedding-cache stores.
+	s.publishLedger()
 	s.writeBatchLog(union, plan)
 	return scores, nil
 }
@@ -517,34 +512,39 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 // changes the staged bytes. Rows come through the dataset's FeatureSource,
 // so a disk-backed deployment serves from its shard cache instead of a
 // resident matrix; a shard that cannot be loaded fails the batch loudly.
+// The staged tensor is pooled scratch, released once its forward is done.
 func (s *Server) gather(nids []int32) (*tensor.Tensor, error) {
+	sp := s.obs.StartSpan(obs.PhaseH2D).SetInt("batch", s.batchSeq).SetInt("rows", int64(len(nids)))
+	defer sp.End()
+	dim := s.ds.FeatureDim()
+	out := tensor.FromSlice(len(nids), dim, tensor.AcquireScratch(len(nids)*dim))
 	if s.cache == nil && s.cfg.Quant == tensor.QuantOff {
-		return s.ds.GatherFeatures(nids)
+		return out, s.ds.GatherFeaturesInto(out, nids)
 	}
-	out := tensor.New(len(nids), s.ds.FeatureDim())
 	var hits, misses int64
 	for i, nid := range nids {
+		dst := out.Row(i)
 		if row, ok := s.cache.get(nid); ok {
-			row.decodeInto(out.Row(i))
+			row.decodeInto(dst)
 			hits++
 			continue
 		}
-		// Miss: fetch through the source, encode, stage the decoded
-		// encoding — identical bytes to a later hit on the same row.
-		// encodeRow copies, so the single staging buffer is safe to reuse.
-		if err := s.ds.GatherFeatureRow(s.rowBuf, nid); err != nil {
+		// Miss: fetch through the source straight into the staged row,
+		// encode from there into the cache, and stage the decoded encoding
+		// (under QuantOff that is the fetched row itself) — identical bytes
+		// to a later hit on the same row.
+		if err := s.ds.GatherFeatureRow(dst, nid); err != nil {
 			return nil, fmt.Errorf("serve: feature row %d: %w", nid, err)
 		}
-		row := encodeRow(s.cfg.Quant, s.rowBuf)
-		row.decodeInto(out.Row(i))
-		s.cache.put(nid, row)
+		if row := s.cache.put(nid, s.cfg.Quant, dst); s.cfg.Quant != tensor.QuantOff {
+			row.decodeInto(dst)
+		}
 		misses++
 	}
 	s.obs.Add("serve.cache_hits", hits)
 	s.obs.Add("serve.cache_misses", misses)
 	s.obs.Set("serve.cache_nodes", int64(s.cache.len()))
 	s.obs.Set("serve.cache_bytes", s.cache.residentBytes())
-	s.publishLedger()
 	return out, nil
 }
 
@@ -554,14 +554,12 @@ func (s *Server) gather(nids []int32) (*tensor.Tensor, error) {
 // byte-identical logs at any BETTY_WORKERS.
 func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
 	w := s.cfg.BatchLog
-	seq := s.batchSeq
-	s.batchSeq++
 	if w == nil {
 		return
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `{"type":"batch","seq":%d,"union":%d,"k":%d,"est_peak_bytes":%d,"nodes":`,
-		seq, len(union), plan.K, plan.MaxPeak)
+		s.batchSeq, len(union), plan.K, plan.MaxPeak)
 	b.WriteByte('[')
 	for i, v := range union {
 		if i > 0 {

@@ -2,9 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,13 +45,12 @@ func testModel(t *testing.T, d *dataset.Dataset) any {
 	return s.Model
 }
 
-// testConfig is the deterministic-replay base config: drain-only batching,
-// fake clock, ample capacity.
+// testConfig is the deterministic-replay base config: fake clock, no
+// default deadline, ample capacity.
 func testConfig(clock obs.Clock, reg *obs.Registry) Config {
 	cfg := Defaults()
 	cfg.Fanouts = []int{4, 6}
 	cfg.Seed = 9
-	cfg.MaxWait = 0
 	cfg.DefaultTimeout = 0
 	cfg.Clock = clock
 	cfg.Obs = reg
@@ -108,7 +112,7 @@ func TestCoalescingIsExact(t *testing.T) {
 		{8, 700, 3}, // overlaps request 0
 		{41, 41, 5}, // duplicate node within one request
 	}
-	// Enqueue everything before Start so the drain-only batcher must
+	// Enqueue everything before Start so the worker's first drain must
 	// coalesce all three into one batch.
 	reqs := make([]*request, len(traces))
 	for i, nodes := range traces {
@@ -360,19 +364,21 @@ func TestFeatureCache(t *testing.T) {
 }
 
 // What featureCache adds to device.LRU (whose order and ledger invariants
-// internal/device/lru_test.go owns): the row-count cap, recency refresh on
-// re-put, ledger-rounded residency, nil safety.
+// internal/device/lru_test.go owns): the row-count cap, in-place recycling
+// once full, ledger-rounded residency, nil safety.
 func TestFeatureCacheLRU(t *testing.T) {
-	row := func(v float32) quantRow { return encodeRow(tensor.QuantOff, []float32{v}) }
+	put := func(c *featureCache, nid int32, v float32) quantRow {
+		return c.put(nid, tensor.QuantOff, []float32{v})
+	}
 	hit := func(nid int32, c *featureCache) bool { _, ok := c.get(nid); return ok }
 	ledger := device.New(device.MiB, device.CostModel{})
 	c := newFeatureCache(2, ledger)
-	c.put(1, row(1))
-	c.put(2, row(2))
+	put(c, 1, 1)
+	second := put(c, 2, 2)
 	if !hit(1, c) { // 1 becomes most recent
 		t.Fatal("miss on resident node")
 	}
-	c.put(3, row(3)) // evicts 2
+	third := put(c, 3, 3) // full: takes over 2's entry
 	if hit(2, c) {
 		t.Fatal("LRU kept the least recently used entry")
 	}
@@ -382,14 +388,15 @@ func TestFeatureCacheLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Fatalf("len %d, want 2", c.len())
 	}
-	// two one-float rows, each charged one allocation granule
-	if want := 2 * device.AllocGranularity; c.residentBytes() != want || ledger.Used() != want {
-		t.Fatalf("residentBytes %d, ledger %d, want %d", c.residentBytes(), ledger.Used(), want)
+	if &third.f32[0] != &second.f32[0] {
+		t.Fatal("put on a full cache did not recycle the evicted row's storage")
 	}
-	c.put(1, row(9)) // re-put refreshes recency, keeps the resident row
-	c.put(4, row(4)) // so this evicts 3, not 1
-	if hit(3, c) || !hit(1, c) || !hit(4, c) {
-		t.Fatal("re-put did not refresh recency")
+	if row, _ := c.get(3); row.f32[0] != 3 {
+		t.Fatalf("recycled row holds %v, want 3", row.f32[0])
+	}
+	// two one-float rows, each charged one allocation granule
+	if want := 2 * device.AllocGranularity; c.residentBytes() != want || ledger.Used() != want || ledger.Peak() != want {
+		t.Fatalf("residentBytes %d, ledger %d (peak %d), want %d", c.residentBytes(), ledger.Used(), ledger.Peak(), want)
 	}
 	if c.flush(); c.len() != 0 || ledger.Used() != 0 {
 		t.Fatalf("after flush: len %d, ledger %d", c.len(), ledger.Used())
@@ -398,9 +405,226 @@ func TestFeatureCacheLRU(t *testing.T) {
 	if hit(1, nilCache) || nilCache.len() != 0 || nilCache.residentBytes() != 0 {
 		t.Fatal("nil cache misbehaved")
 	}
-	nilCache.put(1, row(1)) // must not panic
+	if row := put(nilCache, 1, 1); row.f32[0] != 1 { // still encodes, caches nothing
+		t.Fatal("nil cache did not return the encoding")
+	}
 	if newFeatureCache(0, ledger) != nil {
 		t.Fatal("zero-capacity cache not disabled")
+	}
+}
+
+// On a full cache a gather of nothing but misses allocates only its output
+// tensor — so it cannot have called Device.Alloc, which heap-allocates the
+// Buffer it returns — leaves ledger residency and peak where they were,
+// and stages byte for byte what the uncached path stages, in both storage
+// modes.
+func TestGatherMissRecycles(t *testing.T) {
+	d := testData(t)
+	const rows = 64
+	var a, b []int32 // disjoint: each gather evicts all the other cached
+	for i := int32(0); i < rows; i++ {
+		a, b = append(a, i), append(b, rows+i)
+	}
+	for _, mode := range []tensor.QuantMode{tensor.QuantOff, tensor.QuantInt8} {
+		cfg := testConfig(obs.NewFakeClock(0, 1), nil)
+		cfg.Quant = mode
+		cfg.CacheNodes = rows
+		s := newTestServer(t, d, testModel(t, d), cfg)
+		bare := cfg
+		bare.CacheNodes = 0
+		uncached := newTestServer(t, d, testModel(t, d), bare)
+		gather := func(s *Server, nids []int32) *tensor.Tensor {
+			out, err := s.gather(nids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		gather(s, a) // growth: fills the cache
+		used, peak := s.cacheLedger.Used(), s.cacheLedger.Peak()
+		if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("%v: rows staged through recycled entries differ from the uncached path", mode)
+		}
+		if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("%v: rows staged from recycled entries differ from the uncached path", mode)
+		}
+		output := testing.AllocsPerRun(10, func() { tensor.New(rows, d.FeatureDim()) })
+		got := testing.AllocsPerRun(10, func() {
+			gather(s, a)
+			gather(s, b)
+		})
+		if got > 2*output {
+			t.Errorf("%v: two all-miss gathers allocate %.0f times, their output tensors %.0f", mode, got, 2*output)
+		}
+		if s.cache.len() != rows || s.cacheLedger.Used() != used || s.cacheLedger.Peak() != peak {
+			t.Errorf("%v: misses on a full cache moved the ledger: rows %d→%d used %d→%d peak %d→%d", mode,
+				rows, s.cache.len(), used, s.cacheLedger.Used(), peak, s.cacheLedger.Peak())
+		}
+	}
+}
+
+// Start drops what the process-wide tensor pool retained before serving —
+// typically the training epochs' size classes — so a serving process holds
+// pooled scratch for its own batches only.
+func TestStartDrainsPool(t *testing.T) {
+	const stale = 1 << 22 // floats: a 16 MiB class no serving batch here asks for
+	tensor.ReleaseScratch(tensor.AcquireScratch(stale))
+	if tensor.PoolBytes() < 4*stale {
+		t.Fatalf("pool retains %d bytes after a %d-byte release", tensor.PoolBytes(), 4*stale)
+	}
+	d := testData(t)
+	reg := obs.New(obs.NewFakeClock(0, 1))
+	s := newTestServer(t, d, testModel(t, d), testConfig(obs.NewFakeClock(0, 1), reg))
+	s.Start()
+	for i := int32(0); i < 20; i++ {
+		if _, err := s.Predict([]int32{i, 2 * i, 700 - i}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	// Size classes round up to a power of two, hence the factor.
+	if got, bound := tensor.PoolBytes(), 2*s.StatsSnapshot().MaxEstPeakBytes; got > bound {
+		t.Fatalf("pool retains %d bytes after serving, above twice the largest planned batch (%d)", got, bound)
+	}
+}
+
+// stageSpy is a FeatureSource that records where each row was staged.
+type stageSpy struct {
+	dataset.FeatureSource
+	staged []*float32
+}
+
+func (p *stageSpy) GatherRow(dst []float32, nid int32) error {
+	p.staged = append(p.staged, &dst[0])
+	return p.FeatureSource.GatherRow(dst, nid)
+}
+
+// The staged feature tensor is pooled scratch that scoreUnion hands back
+// after the forward: a second batch of the same shape stages into the first
+// one's storage instead of leaving a tensor of garbage per batch, and what
+// it answers is still what a fresh server answers.
+func TestStagedFeaturesArePooled(t *testing.T) {
+	d := testData(t)
+	model := testModel(t, d)
+	spied := *d
+	spy := &stageSpy{FeatureSource: d.FeatureSource()}
+	spied.Source = spy
+	cfg := testConfig(obs.NewFakeClock(0, 1), nil)
+	cfg.CacheNodes = 1 // every row but the last staged misses and is fetched again
+	s := newTestServer(t, &spied, model, cfg)
+	s.Start()
+	nodes := []int32{3, 8, 120}
+	var got [2][][]float32
+	var first [2]*float32
+	for i := range got {
+		var err error
+		if got[i], err = s.Predict(nodes, 0); err != nil {
+			t.Fatal(err)
+		}
+		first[i], spy.staged = spy.staged[0], nil
+	}
+	s.Close()
+	if first[0] != first[1] {
+		t.Error("the second batch staged its features in fresh storage, not the first batch's")
+	}
+	want := soloScores(t, d, model, testConfig(obs.NewFakeClock(0, 1), nil), nodes)
+	if !bitwiseEqual(got[0], want) || !bitwiseEqual(got[1], want) {
+		t.Error("responses staged through pooled storage differ from a fresh server's")
+	}
+}
+
+// gateSource is a FeatureSource whose first gather parks until released,
+// which holds one batch in flight without a clock.
+type gateSource struct {
+	dataset.FeatureSource
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gateSource) park() {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+}
+
+func (g *gateSource) GatherInto(out *tensor.Tensor, nids []int32) error {
+	g.park()
+	return g.FeatureSource.GatherInto(out, nids)
+}
+
+func (g *gateSource) GatherRow(dst []float32, nid int32) error {
+	g.park()
+	return g.FeatureSource.GatherRow(dst, nid)
+}
+
+// batchLogNodes returns the union each logged batch scored, in log order.
+func batchLogNodes(t *testing.T, log []byte) [][]int32 {
+	t.Helper()
+	var out [][]int32
+	for _, line := range bytes.Split(bytes.TrimSpace(log), []byte("\n")) {
+		var rec struct{ Nodes []int32 }
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("batch log line %q: %v", line, err)
+		}
+		out = append(out, rec.Nodes)
+	}
+	return out
+}
+
+// Batching is work-conserving: an idle worker dispatches a lone request at
+// once, and what arrives while that batch executes forms the next batch —
+// coalescing that follows load, with no clock anywhere in the path.
+func TestWorkConservingBatching(t *testing.T) {
+	d := testData(t)
+	gated := *d
+	gate := &gateSource{FeatureSource: d.FeatureSource(), entered: make(chan struct{}), release: make(chan struct{})}
+	gated.Source = gate
+	var log bytes.Buffer
+	clock := obs.NewFakeClock(0, 0) // never advances: nothing here may wait on time
+	cfg := testConfig(clock, obs.New(clock))
+	cfg.BatchLog = &log
+	s := newTestServer(t, &gated, testModel(t, d), cfg)
+	s.Start()
+	first, err := s.enqueue([]int32{1, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered // batch 0 is executing, and holds only the first request
+	later := [][]int32{{3, 8, 120}, {8, 700, 3}, {41, 5}, {700, 701, 702}, {9}}
+	reqs := []*request{first}
+	for _, nodes := range later {
+		r, err := s.enqueue(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	close(gate.release)
+	for i, r := range reqs {
+		if res := <-r.done; res.err != nil {
+			t.Fatalf("request %d: %v", i, res.err)
+		}
+	}
+	s.Close()
+	want := [][]int32{{1, 2}, {3, 8, 120, 700, 41, 5, 701, 702, 9}}
+	if got := batchLogNodes(t, log.Bytes()); !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+		t.Fatalf("batches scored %v, want the first request alone and then every later one together: %v", got, want)
+	}
+
+	// The rule leaves nothing to wait on: no timer in the package.
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(f, "_test.go") && bytes.Contains(src, []byte("time."+"NewTimer")) {
+			t.Errorf("%s still arms a timer", f)
+		}
 	}
 }
 
@@ -469,13 +693,25 @@ func TestServingSpans(t *testing.T) {
 	// The batch span covers the respond phase, so it ends after Predict has
 	// its answer; Close waits for the worker, and with it for that End.
 	s.Close()
-	phases := map[string]bool{}
+	// Every span the server emits for a batch names it, so one batch's
+	// phases can be grepped from the trace.
+	batchOf := map[string]int64{}
 	for _, sp := range reg.Spans() {
-		phases[sp.Phase] = true
+		batchOf[sp.Phase] = -1
+		for _, f := range sp.Fields {
+			if f.Key == "batch" {
+				batchOf[sp.Phase] = f.Val
+			}
+		}
 	}
-	for _, want := range []string{obs.PhaseEnqueue, obs.PhaseBatch, obs.PhaseSample, obs.PhaseEstimate, obs.PhaseForward} {
-		if !phases[want] {
-			t.Fatalf("no %q span recorded (got %v)", want, phases)
+	for _, want := range []string{obs.PhaseEnqueue, obs.PhaseSample, obs.PhaseEstimate} {
+		if _, ok := batchOf[want]; !ok {
+			t.Fatalf("no %q span recorded (got %v)", want, batchOf)
+		}
+	}
+	for _, want := range []string{obs.PhaseCollect, obs.PhaseBatch, obs.PhaseH2D, obs.PhaseForward, obs.PhaseRespond} {
+		if seq, ok := batchOf[want]; !ok || seq != 0 {
+			t.Fatalf("%q span of the first batch: recorded %v, batch %d, want batch 0 (got %v)", want, ok, seq, batchOf)
 		}
 	}
 	if reg.HistogramWith("serve.queue_wait_ns", nil).Count() == 0 {
@@ -500,7 +736,6 @@ func TestConfigEnv(t *testing.T) {
 	c := base()
 	if err := c.ApplyEnv(env(map[string]string{
 		EnvMaxBatch:        "32",
-		EnvMaxWaitMS:       "5",
 		EnvQueueDepth:      "7",
 		EnvCacheNodes:      "0",
 		EnvTimeoutMS:       "250",
@@ -509,7 +744,7 @@ func TestConfigEnv(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if c.MaxBatch != 32 || c.MaxWait != 5*time.Millisecond || c.QueueDepth != 7 ||
+	if c.MaxBatch != 32 || c.QueueDepth != 7 ||
 		c.CacheNodes != 0 || c.DefaultTimeout != 250*time.Millisecond ||
 		c.MaxRequestNodes != 9 || c.CapacityBytes != 64<<20 {
 		t.Fatalf("env not applied: %+v", c)
@@ -532,7 +767,6 @@ func TestConfigEnv(t *testing.T) {
 		{EnvMaxBatch: "zero"},
 		{EnvMaxBatch: "0"},
 		{EnvMaxBatch: "-3"},
-		{EnvMaxWaitMS: "-1"},
 		{EnvQueueDepth: "0"},
 		{EnvCacheNodes: "-1"},
 		{EnvTimeoutMS: "soon"},
@@ -556,7 +790,6 @@ func TestConfigEnv(t *testing.T) {
 		func(c *Config) { c.Fanouts = nil },
 		func(c *Config) { c.Fanouts = []int{0} },
 		func(c *Config) { c.MaxBatch = 0 },
-		func(c *Config) { c.MaxWait = -time.Second },
 		func(c *Config) { c.QueueDepth = 0 },
 		func(c *Config) { c.CacheNodes = -1 },
 		func(c *Config) { c.DefaultTimeout = -time.Second },
@@ -591,7 +824,6 @@ func TestRunLoad(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	cfg := testConfig(nil, obs.New(nil)) // real clock: loadgen measures wall time
-	cfg.MaxWait = time.Millisecond
 	s := newTestServer(t, d, model, cfg)
 	s.Start()
 	defer s.Close()

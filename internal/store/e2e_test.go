@@ -76,7 +76,6 @@ func TestOutOfCoreEndToEnd(t *testing.T) {
 		cfg := serve.Defaults()
 		cfg.Fanouts = []int{3, 3}
 		cfg.Seed = 9
-		cfg.MaxWait = 0
 		srv, err := serve.New(srvDS.ds, srvDS.model, cfg)
 		if err != nil {
 			t.Fatal(err)

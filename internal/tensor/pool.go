@@ -67,6 +67,13 @@ func PoolStats() (acquires, hits, releases int64) {
 	return poolAcquires.Load(), poolHits.Load(), poolReleases.Load()
 }
 
+// PoolBytes returns the bytes the pool currently retains for reuse.
+func PoolBytes() int64 {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	return poolBytes
+}
+
 // DrainPool drops every retained buffer and resets the statistics.
 func DrainPool() {
 	poolMu.Lock()
