@@ -3,10 +3,9 @@
 # loss and peak_device_bytes are pure functions of the seed
 # (benchmark/aa.go's repeatsExactly), so head must reproduce base's values
 # to the last digit. That includes the serving ledger peak: it is the
-# feature cache at capacity plus one embedding row per distinct layer-1
-# node the trace touches, a function of the request trace and not of how
-# two concurrent clients happened to be batched (5 of 5 runs repeat it
-# exactly, at 1 and at 2 requests per batch). The serving workloads also
+# feature cache at capacity (CacheNodes rows; no embedding cache is built
+# by default), whatever the request trace and however two concurrent
+# clients happened to be batched. The serving workloads also
 # carry the in-run check "served scores equal solo inference bitwise"
 # (correct). No timing is compared: timing verdicts come only from paired
 # alternating runs of two binaries (benchmark/README.md).

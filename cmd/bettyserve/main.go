@@ -28,14 +28,13 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 
 	"betty/internal/checkpoint"
 	"betty/internal/core"
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/nn"
+	"betty/internal/knobs"
 	"betty/internal/obs"
 	"betty/internal/serve"
 	"betty/internal/store"
@@ -109,7 +108,10 @@ func run(cfg serveConfig) error {
 	if cfg.getenv == nil {
 		cfg.getenv = os.Getenv
 	}
-	fanouts, err := parseFanouts(cfg.fanouts)
+	if err := knobs.Check(os.Environ()); err != nil {
+		return err
+	}
+	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		return err
 	}
@@ -173,8 +175,8 @@ func run(cfg serveConfig) error {
 		srv.Close()
 		return err
 	}
-	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d, quant %v, embcache %v)\n",
-		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch, scfg.Quant, scfg.EmbMode)
+	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d, embcache %v)\n",
+		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch, scfg.EmbMode)
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr().String()
 	}
@@ -200,42 +202,11 @@ func run(cfg serveConfig) error {
 // buildModel assembles the architecture the flags describe (weights are
 // replaced when -checkpoint is given).
 func buildModel(ds *dataset.Dataset, cfg serveConfig, fanouts []int) (*core.Setup, error) {
-	opts := core.Options{
+	return core.Build(ds, cfg.model, cfg.agg, core.Options{
 		Hidden:  cfg.hidden,
 		Heads:   cfg.heads,
 		Fanouts: fanouts,
 		LR:      cfg.lr,
 		Seed:    cfg.seed,
-	}
-	switch cfg.model {
-	case "sage":
-		a, err := nn.ParseAggregator(cfg.agg)
-		if err != nil {
-			return nil, err
-		}
-		opts.Aggregator = a
-		return core.BuildSAGE(ds, opts)
-	case "gat":
-		return core.BuildGAT(ds, opts)
-	case "gcn":
-		return core.BuildGCN(ds, opts)
-	default:
-		return nil, fmt.Errorf("unknown model %q (sage, gat, or gcn)", cfg.model)
-	}
-}
-
-func parseFanouts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v == 0 || v < -1 {
-			return nil, fmt.Errorf("bad fanout %q (positive integers or -1 for all neighbors)", p)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no fanouts given")
-	}
-	return out, nil
+	})
 }

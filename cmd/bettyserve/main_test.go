@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"betty/internal/checkpoint"
+	"betty/internal/core"
 	"betty/internal/dataset"
+	"betty/internal/embcache"
 	"betty/internal/serve"
 )
 
@@ -33,7 +35,22 @@ func baseConfig() serveConfig {
 		epochs:  0,
 		lr:      0.01,
 		seed:    5,
-		getenv:  func(string) string { return "" },
+		getenv:  testEnv(nil),
+	}
+}
+
+// testEnv is the environment the e2e servers read: the given overrides on
+// top of BETTY_EMBCACHE=exact, so every serving e2e also runs under the
+// embedding cache's bitwise self-check.
+func testEnv(over map[string]string) func(string) string {
+	return func(k string) string {
+		if v, ok := over[k]; ok {
+			return v
+		}
+		if k == embcache.EnvMode {
+			return "exact"
+		}
+		return ""
 	}
 }
 
@@ -134,7 +151,7 @@ func soloReference(t *testing.T, cfg serveConfig, model any, traces [][]int32) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanouts, err := parseFanouts(cfg.fanouts)
+	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +183,7 @@ func buildReferenceModel(t *testing.T, cfg serveConfig) any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanouts, err := parseFanouts(cfg.fanouts)
+	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +226,7 @@ func nodesJSON(nodes []int32) string {
 func TestE2ECoalescingAndExactness(t *testing.T) {
 	cfg := baseConfig()
 	const capacityMiB = 64
-	cfg.getenv = func(k string) string {
-		if k == serve.EnvCapacityMiB {
-			return fmt.Sprint(capacityMiB)
-		}
-		return ""
-	}
+	cfg.getenv = testEnv(map[string]string{serve.EnvCapacityMiB: fmt.Sprint(capacityMiB)})
 	base, stop := startServer(t, cfg)
 	defer stop()
 
@@ -278,21 +290,13 @@ func TestE2EBackpressureAndDeadline(t *testing.T) {
 	cfg.scale = 0.2
 	cfg.hidden = 64
 	cfg.fanouts = "-1,-1" // full neighborhoods: the big request is genuinely slow
-	cfg.getenv = func(k string) string {
-		switch k {
-		case serve.EnvMaxBatch:
-			return "1"
-		case serve.EnvQueueDepth:
-			return "1"
-		case serve.EnvMaxRequestNodes:
-			return "1000000"
-		case serve.EnvCapacityMiB:
-			return "8192"
-		case serve.EnvTimeoutMS:
-			return "0"
-		}
-		return ""
-	}
+	cfg.getenv = testEnv(map[string]string{
+		serve.EnvMaxBatch:        "1",
+		serve.EnvQueueDepth:      "1",
+		serve.EnvMaxRequestNodes: "1000000",
+		serve.EnvCapacityMiB:     "8192",
+		serve.EnvTimeoutMS:       "0",
+	})
 	base, stop := startServer(t, cfg)
 	defer stop()
 
@@ -411,7 +415,7 @@ func TestE2ECheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanouts, err := parseFanouts(cfg.fanouts)
+	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,28 +451,21 @@ func TestE2ECheckpointRoundTrip(t *testing.T) {
 // Malformed BETTY_SERVE_* values must abort startup, naming the variable.
 func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 	cfg := baseConfig()
-	cfg.getenv = func(k string) string {
-		if k == serve.EnvMaxBatch {
-			return "many"
-		}
-		return ""
-	}
+	cfg.getenv = testEnv(map[string]string{serve.EnvMaxBatch: "many"})
 	err := run(cfg)
 	if err == nil || !strings.Contains(err.Error(), serve.EnvMaxBatch) {
 		t.Fatalf("run returned %v, want an error naming %s", err, serve.EnvMaxBatch)
 	}
 
-	// f16 was a quant mode once; a deployment still setting it must not
-	// start as if it had asked for exact f32.
-	cfg = baseConfig()
-	cfg.getenv = func(k string) string {
-		if k == serve.EnvQuant {
-			return "f16"
-		}
-		return ""
-	}
-	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "unknown mode (want off or int8)") {
-		t.Fatalf("BETTY_QUANT=f16: run returned %v, want the unknown-mode error", err)
+	// A retired knob (int8 serving is gone) or a misspelt one must not start
+	// as if the operator had set nothing.
+	for name, val := range map[string]string{"BETTY_QUANT": "int8", "BETTY_WORKER": "2"} {
+		t.Run(name, func(t *testing.T) {
+			t.Setenv(name, val)
+			if err := run(baseConfig()); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s set: run returned %v, want an error naming it", name, err)
+			}
+		})
 	}
 
 	cfg = baseConfig()

@@ -31,8 +31,8 @@ import (
 	"betty/internal/dataset"
 	"betty/internal/device"
 	"betty/internal/embcache"
+	"betty/internal/knobs"
 	"betty/internal/memory"
-	"betty/internal/nn"
 	"betty/internal/obs"
 	"betty/internal/reg"
 	"betty/internal/store"
@@ -121,7 +121,10 @@ func run(cfg runConfig) (err error) {
 	if cfg.out == nil {
 		cfg.out = os.Stdout
 	}
-	fanouts, err := parseFanouts(cfg.fanouts)
+	if err := knobs.Check(os.Environ()); err != nil {
+		return err
+	}
+	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		return err
 	}
@@ -190,36 +193,30 @@ func run(cfg runConfig) (err error) {
 		return fmt.Errorf("unknown partitioner %q", cfg.partitioner)
 	}
 
-	var setup *core.Setup
-	switch cfg.model {
-	case "sage":
-		a, err := nn.ParseAggregator(cfg.agg)
-		if err != nil {
-			return err
-		}
-		opts.Aggregator = a
-		setup, err = core.BuildSAGE(ds, opts)
-		if err != nil {
-			return err
-		}
-	case "gat":
-		setup, err = core.BuildGAT(ds, opts)
-		if err != nil {
-			return err
-		}
-	case "gcn":
-		setup, err = core.BuildGCN(ds, opts)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown model %q (sage, gat, or gcn)", cfg.model)
+	setup, err := core.Build(ds, cfg.model, cfg.agg, opts)
+	if err != nil {
+		return err
 	}
 	setup.Engine.SetObs(obsReg)
-	if emb, err := buildEmbCache(obsReg, cfg.out); err != nil {
+	// BETTY_EMBCACHE (DESIGN.md §16) is off unless set: no cache is built
+	// and forwards take the plain path. exact audits the cache path bitwise
+	// without changing a training float; reuse trades staleness for compute.
+	mode, err := embcache.ParseMode(os.Getenv("BETTY_EMBCACHE"))
+	if err != nil {
 		return err
-	} else if emb != nil {
-		setup.Runner.Emb = emb
+	}
+	setup.Runner.Emb, err = embcache.New(embcache.Config{
+		Mode:        mode,
+		BudgetBytes: embcache.BudgetBytes,
+		MaxLag:      embcache.MaxLag,
+		Obs:         obsReg,
+	})
+	if err != nil {
+		return err
+	}
+	if mode != embcache.ModeOff {
+		fmt.Fprintf(cfg.out, "embedding cache: mode %v, budget %d MiB, max version lag %d\n",
+			mode, embcache.BudgetBytes/device.MiB, embcache.MaxLag)
 	}
 	if cfg.adaptive {
 		setup.Engine.Tracker = memory.NewErrorTracker()
@@ -303,44 +300,6 @@ func run(cfg runConfig) (err error) {
 	return nil
 }
 
-// buildEmbCache assembles the historical-embedding cache from the
-// BETTY_EMBCACHE* environment knobs (DESIGN.md §16). Unset means exact —
-// the bitwise self-checking default — so a plain run continuously audits
-// the cache path without ever changing a training float.
-func buildEmbCache(obsReg *obs.Registry, out io.Writer) (*embcache.Cache, error) {
-	mode, err := embcache.ParseMode(os.Getenv("BETTY_EMBCACHE"))
-	if err != nil {
-		return nil, err
-	}
-	if mode == embcache.ModeOff {
-		return nil, nil
-	}
-	budgetMiB := int64(64)
-	if mib, err := embcache.ParseBudgetMiB(os.Getenv("BETTY_EMBCACHE_BUDGET_MIB")); err != nil {
-		return nil, err
-	} else if mib > 0 {
-		budgetMiB = mib
-	}
-	maxLag := 1
-	if lag, err := embcache.ParseMaxLag(os.Getenv("BETTY_EMBCACHE_MAX_LAG")); err != nil {
-		return nil, err
-	} else if lag >= 0 {
-		maxLag = lag
-	}
-	emb, err := embcache.New(embcache.Config{
-		Mode:        mode,
-		BudgetBytes: budgetMiB * device.MiB,
-		MaxLag:      maxLag,
-		Obs:         obsReg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "embedding cache: mode %v, budget %d MiB, max version lag %d\n",
-		mode, budgetMiB, maxLag)
-	return emb, nil
-}
-
 // runPack converts the flag-selected dataset into the on-disk store format
 // and exits: frontiers of the training loop never see it. The shard height
 // is the packed file's layout, so it rides the BETTY_STORE_SHARD_ROWS env
@@ -366,20 +325,4 @@ func runPack(cfg runConfig) error {
 	fmt.Fprintf(cfg.out, "packed %s: %d nodes, %d shards of %d rows, %.1f MiB features\n",
 		cfg.pack, st.NumNodes(), st.NumShards(), st.ShardRows(), float64(st.FeatureBytes())/(1<<20))
 	return nil
-}
-
-func parseFanouts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v == 0 || v < -1 {
-			return nil, fmt.Errorf("bad fanout %q (positive integers or -1 for all neighbors)", p)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no fanouts given")
-	}
-	return out, nil
 }

@@ -199,3 +199,40 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatalf("err = %v, want unknown model", err)
 	}
 }
+
+// A retired knob (int8 serving is gone), a misspelt one, or a malformed value
+// must abort before any training, naming the variable.
+func TestEnvFailsLoudlyAtStartup(t *testing.T) {
+	for name, val := range map[string]string{"BETTY_QUANT": "int8", "BETTY_WORKER": "2", "BETTY_EMBCACHE": "fast"} {
+		t.Run(name, func(t *testing.T) {
+			t.Setenv(name, val)
+			if err := run(smallConfig()); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s=%s: run returned %v, want an error naming it", name, val, err)
+			}
+		})
+	}
+}
+
+// With nothing set bettytrain builds no embedding cache; BETTY_EMBCACHE=exact
+// announces one and, being a self-check, changes no other byte of the log.
+func TestDefaultsArePlainPath(t *testing.T) {
+	log := func(mode string) string {
+		t.Setenv("BETTY_EMBCACHE", mode)
+		var out bytes.Buffer
+		cfg := smallConfig()
+		cfg.out = &out
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	plain, exact := log(""), log("exact")
+	if strings.Contains(plain, "embedding cache:") {
+		t.Fatalf("default run built an embedding cache:\n%s", plain)
+	}
+	before, after, found := strings.Cut(exact, "embedding cache: mode exact")
+	_, after, _ = strings.Cut(after, "\n")
+	if !found || before+after != plain {
+		t.Fatalf("exact run is not the plain run plus one embedding-cache line:\n%s\nvs\n%s", exact, plain)
+	}
+}

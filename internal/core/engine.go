@@ -19,6 +19,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"betty/internal/dataset"
 	"betty/internal/device"
@@ -496,6 +498,41 @@ func (o *Options) defaults() {
 	if o.LR == 0 {
 		o.LR = 0.01
 	}
+}
+
+// Build assembles the setup the CLIs' -model and -agg flags name: arch is
+// sage, gat or gcn; agg names the SAGE aggregator and is read for sage only.
+func Build(ds *dataset.Dataset, arch, agg string, opts Options) (*Setup, error) {
+	switch arch {
+	case "sage":
+		a, err := nn.ParseAggregator(agg)
+		if err != nil {
+			return nil, err
+		}
+		opts.Aggregator = a
+		return BuildSAGE(ds, opts)
+	case "gat":
+		return BuildGAT(ds, opts)
+	case "gcn":
+		return BuildGCN(ds, opts)
+	default:
+		return nil, fmt.Errorf("unknown model %q (sage, gat, or gcn)", arch)
+	}
+}
+
+// ParseFanouts reads the CLIs' -fanouts flag: comma-separated per-layer
+// sampling bounds, input-first, each positive or -1 for all neighbors.
+func ParseFanouts(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v == 0 || v < -1 {
+			return nil, fmt.Errorf("bad fanout %q (positive integers or -1 for all neighbors)", p)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // BuildSAGE assembles a GraphSAGE training setup over ds.

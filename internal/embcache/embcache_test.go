@@ -16,7 +16,7 @@ func TestParseMode(t *testing.T) {
 		in   string
 		want Mode
 	}{
-		{"", ModeExact}, {"exact", ModeExact}, {"off", ModeOff}, {"reuse", ModeReuse},
+		{"", ModeOff}, {"exact", ModeExact}, {"off", ModeOff}, {"reuse", ModeReuse},
 	} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
@@ -25,37 +25,6 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("fast"); err == nil || !strings.Contains(err.Error(), EnvMode) {
 		t.Fatalf("malformed mode accepted or unnamed: %v", err)
-	}
-}
-
-func TestParseBudgetMiB(t *testing.T) {
-	if v, err := ParseBudgetMiB(""); err != nil || v != 0 {
-		t.Fatalf("empty budget = %d, %v", v, err)
-	}
-	if v, err := ParseBudgetMiB("64"); err != nil || v != 64 {
-		t.Fatalf("budget 64 = %d, %v", v, err)
-	}
-	for _, bad := range []string{"0", "-3", "lots", "1.5"} {
-		if _, err := ParseBudgetMiB(bad); err == nil {
-			t.Fatalf("budget %q accepted", bad)
-		}
-	}
-}
-
-func TestParseMaxLag(t *testing.T) {
-	if v, err := ParseMaxLag(""); err != nil || v != -1 {
-		t.Fatalf("empty lag = %d, %v (want unset sentinel -1)", v, err)
-	}
-	if v, err := ParseMaxLag("0"); err != nil || v != 0 {
-		t.Fatalf("lag 0 = %d, %v", v, err)
-	}
-	if v, err := ParseMaxLag("5"); err != nil || v != 5 {
-		t.Fatalf("lag 5 = %d, %v", v, err)
-	}
-	for _, bad := range []string{"-1", "many", "2.0"} {
-		if _, err := ParseMaxLag(bad); err == nil {
-			t.Fatalf("lag %q accepted", bad)
-		}
 	}
 }
 

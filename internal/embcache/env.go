@@ -6,13 +6,14 @@
 //
 // Three modes, selected by BETTY_EMBCACHE:
 //
-//   - off:   the cache is inert; forwards take the plain per-layer path.
-//   - exact: the default self-check mode. Every forward computes layer 1
-//     in full, and cached rows are verified bitwise against the fresh
+//   - off:   the default. No cache is built; forwards take the plain
+//     per-layer path.
+//   - exact: the opt-in self-check. Every forward computes layer 1 in
+//     full, and cached rows are verified bitwise against the fresh
 //     recomputation before being refreshed — outputs and gradients are
 //     bitwise identical to off, and any divergence is a loud error.
-//   - reuse: the fast path. Hits at version lag ≤ BETTY_EMBCACHE_MAX_LAG
-//     skip layer-1 compute for those rows; the cached row is spliced into
+//   - reuse: the fast path. Hits at version lag ≤ MaxLag skip layer-1
+//     compute for those rows; the cached row is spliced into
 //     the layer-2 input as a constant (no gradient flows through it).
 //     Staleness is bounded: rows older than the lag budget miss and are
 //     dropped lazily.
@@ -24,17 +25,18 @@ package embcache
 
 import (
 	"fmt"
-	"strconv"
+
+	"betty/internal/device"
 )
 
 // Mode selects the cache behavior (BETTY_EMBCACHE).
 type Mode int
 
 const (
-	// ModeOff disables the cache entirely.
+	// ModeOff disables the cache entirely. The default.
 	ModeOff Mode = iota
 	// ModeExact populates the cache and verifies hits bitwise against the
-	// full recomputation; compute is never skipped. The default.
+	// full recomputation; compute is never skipped.
 	ModeExact
 	// ModeReuse skips layer-1 compute for hits within the version-lag
 	// budget; cached rows enter the forward as constants.
@@ -54,58 +56,31 @@ func (m Mode) String() string {
 	}
 }
 
-// Environment knobs (see the README knob table).
+// EnvMode selects off/exact/reuse (see the README knob table). No
+// BETTY_SERVE_ prefix: this is a repo-wide numeric contract, honored
+// identically by training and serving.
+const EnvMode = "BETTY_EMBCACHE"
+
+// The cache's sizing, one value each wherever a cache is built.
 const (
-	// EnvMode selects off/exact/reuse. No BETTY_SERVE_ prefix: like
-	// BETTY_QUANT this is a repo-wide numeric contract, honored
-	// identically by training and serving.
-	EnvMode = "BETTY_EMBCACHE"
-	// EnvBudgetMiB bounds the cache's resident bytes (ledger-charged).
-	EnvBudgetMiB = "BETTY_EMBCACHE_BUDGET_MIB"
-	// EnvMaxLag bounds how many weight versions old a reusable row may be.
-	EnvMaxLag = "BETTY_EMBCACHE_MAX_LAG"
+	// BudgetBytes bounds the cache's resident bytes (ledger-charged).
+	BudgetBytes = 64 * device.MiB
+	// MaxLag bounds how many weight versions old a reusable row may be.
+	MaxLag = 1
 )
 
-// ParseMode interprets BETTY_EMBCACHE. Empty means exact — the
-// self-checking default; a malformed value is a loud error, never a
-// silent fallback to a different caching policy.
+// ParseMode interprets BETTY_EMBCACHE. Empty means off — the plain path,
+// the default; a malformed value is a loud error, never a silent fallback
+// to a different caching policy.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "exact":
-		return ModeExact, nil
-	case "off":
+	case "", "off":
 		return ModeOff, nil
+	case "exact":
+		return ModeExact, nil
 	case "reuse":
 		return ModeReuse, nil
 	default:
 		return ModeOff, fmt.Errorf("%s=%q invalid (want off, exact, or reuse)", EnvMode, s)
 	}
-}
-
-// ParseBudgetMiB interprets BETTY_EMBCACHE_BUDGET_MIB. Empty returns 0
-// (unset — caller keeps its default); anything else must be a positive
-// integer number of MiB.
-func ParseBudgetMiB(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("%s=%q invalid (want a positive integer MiB)", EnvBudgetMiB, s)
-	}
-	return v, nil
-}
-
-// ParseMaxLag interprets BETTY_EMBCACHE_MAX_LAG. Empty returns -1
-// (unset — caller keeps its default); 0 is meaningful (reuse only
-// same-version rows), so the unset sentinel is negative.
-func ParseMaxLag(s string) (int, error) {
-	if s == "" {
-		return -1, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("%s=%q invalid (want a non-negative integer)", EnvMaxLag, s)
-	}
-	return v, nil
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"betty/internal/knobs"
 )
 
 // Envreg enforces the environment-knob discipline that PR 3 established by
@@ -15,16 +17,17 @@ import (
 // is (1) read through a hardened fail-loud parser — a Parse* function that
 // rejects garbage instead of silently running a different configuration
 // than the operator set — and (2) documented in the README knob table. The
-// analyzer carries the authoritative knob registry below and diffs it both
+// analyzer takes the authoritative knob registry and diffs it both
 // ways against the doc, so adding a knob without registering and
 // documenting it, or documenting a knob that no longer exists, fails the
-// lint rather than rotting quietly as P2–P4 multiply the knob count.
+// lint rather than rotting quietly as P2–P4 multiply the knob count. The
+// registry is knobs.Registry, shared with the CLIs' startup check.
 //
 // Concretely:
 //
 //   - os.Getenv("BETTY_X") must appear as a direct argument of a call to a
-//     function whose name starts with "Parse" (ParseWorkers, ParseQuantMode,
-//     ParseBudgetMiB, ParseMaxLag, ...). Passing os.Getenv itself as a
+//     function whose name starts with "Parse" (ParseWorkers, ParseShardRows,
+//     ParseMode, ...). Passing os.Getenv itself as a
 //     getenv func into a validating applier (serve.Config.ApplyEnv) is the
 //     other approved pattern and involves no direct call to flag.
 //   - os.Getenv with a non-literal argument defeats the registry audit and
@@ -41,28 +44,10 @@ var Envreg = &Analyzer{
 	RunModule: runEnvreg,
 }
 
-// knobRegistry is the authoritative list of environment knobs. A new knob
-// lands by adding a row here, a row in the README knob table, and a
-// hardened parser — envreg fails on any subset.
-var knobRegistry = map[string]string{
-	"BETTY_WORKERS":                 "worker-pool size (parallel.ParseWorkers)",
-	"BETTY_QUANT":                   "serving quantization mode (tensor.ParseQuantMode)",
-	"BETTY_SERVE_MAX_BATCH":         "serving batcher coalescing target (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_QUEUE_DEPTH":       "serving admission bound (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_CACHE_NODES":       "serving feature-cache capacity (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_TIMEOUT_MS":        "serving default deadline (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_MAX_REQUEST_NODES": "serving per-request seed cap (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_CAPACITY_MIB":      "serving device budget (serve.Config.ApplyEnv)",
-	"BETTY_STORE_SHARD_ROWS":        "pack-time feature-shard height (store.ParseShardRows)",
-	"BETTY_EMBCACHE":                "historical-embedding cache mode off/exact/reuse (embcache.ParseMode)",
-	"BETTY_EMBCACHE_BUDGET_MIB":     "historical-embedding cache budget (embcache.ParseBudgetMiB)",
-	"BETTY_EMBCACHE_MAX_LAG":        "historical-embedding reuse staleness bound (embcache.ParseMaxLag)",
-}
-
 // KnobNames returns the registered knob names, sorted.
 func KnobNames() []string {
-	names := make([]string, 0, len(knobRegistry))
-	for n := range knobRegistry {
+	names := make([]string, 0, len(knobs.Registry))
+	for n := range knobs.Registry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -152,12 +137,12 @@ func envregFile(p *Package, f *ast.File) []Diagnostic {
 			if err != nil || !knobLit.MatchString(name) {
 				return true
 			}
-			if _, known := knobRegistry[name]; !known {
+			if _, known := knobs.Registry[name]; !known {
 				diags = append(diags, Diagnostic{
 					Analyzer: "envreg",
 					Pos:      p.pos(s),
 					Message: fmt.Sprintf("%s is not in bettyvet's knob registry: add it to "+
-						"knobRegistry in internal/lint/envreg.go and to the README knob table", name),
+						"Registry in internal/knobs and to the README knob table", name),
 				})
 			}
 		}
@@ -194,7 +179,7 @@ func envregDocDiff(m *Module) []Diagnostic {
 	}
 	sort.Strings(docNames)
 	for _, name := range docNames {
-		if _, known := knobRegistry[name]; !known {
+		if _, known := knobs.Registry[name]; !known {
 			diags = append(diags, Diagnostic{
 				Analyzer: "envreg",
 				Pos:      docPos,

@@ -20,12 +20,11 @@ import (
 //     Release; it must never escape into a return value or a struct field.
 //     (Passing it down as a call argument is fine — the callee finishes
 //     before Release can run.)
-//  3. A raw scratch slice from tensor.AcquireScratch (the dequant-tile and
-//     fused-kernel buffers of DESIGN.md §13) follows the tape's rule 1: the
-//     binding function must call tensor.ReleaseScratch or visibly transfer
-//     ownership (return the slice or store it in a struct field — the
-//     install/uninstall weight-swap pattern, where a later function
-//     releases it).
+//  3. A raw scratch slice from tensor.AcquireScratch (the fused-kernel
+//     buffers of DESIGN.md §13, serving's staged features) follows the
+//     tape's rule 1: the binding function must call tensor.ReleaseScratch
+//     or visibly transfer ownership (return the slice or store it in a
+//     struct field, where a later function releases it).
 //  4. A shard pinned through store.Cache.Pin (the out-of-core feature
 //     cache of DESIGN.md §15) follows the same shape: a pinned shard
 //     blocks eviction, so the binding function must call store.Cache.Unpin

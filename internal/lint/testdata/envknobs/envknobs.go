@@ -28,7 +28,7 @@ func unregistered() int {
 
 func suppressedRaw() string {
 	//bettyvet:ok envreg golden fixture: raw read stands in for a migration shim // want-sup+1 envreg
-	return os.Getenv("BETTY_QUANT")
+	return os.Getenv("BETTY_EMBCACHE")
 }
 
 type config struct{}

@@ -15,6 +15,22 @@ import (
 // split, kept as the reference: every call starts from the block, builds its
 // graph (the REG through the SpGEMM path, so the reference does not depend on
 // BuildREGFast either) and runs a fresh multilevel partitioner.
+// refBetty is BettyBatch over the paper-literal BuildREG, so the prepared
+// handle is also checked on the reference construction.
+type refBetty struct{ BettyBatch }
+
+func (p refBetty) Prepare(last *graph.Block) (*Prepared, error) {
+	g, err := BuildREG(last)
+	if err != nil {
+		return nil, err
+	}
+	return metisSplit(g, &partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}), nil
+}
+
+func (p refBetty) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
+	return partitionBatch(p, last, k)
+}
+
 func prePartitionBatch(p BatchPartitioner, last *graph.Block, k int) ([][]int32, error) {
 	if err := validateBatchK(last.NumDst, k); err != nil {
 		return nil, err
@@ -23,6 +39,9 @@ func prePartitionBatch(p BatchPartitioner, last *graph.Block, k int) ([][]int32,
 	groups := make([][]int32, k)
 	var g *partition.WeightedGraph
 	var m *partition.Metis
+	if r, ok := p.(refBetty); ok {
+		p = r.BettyBatch
+	}
 	switch p := p.(type) {
 	case RangeBatch:
 		for i := 0; i < n; i++ {
@@ -97,7 +116,7 @@ func degenerateBlocks(t *testing.T) map[string]*graph.Block {
 func TestPreparePartitionMatchesPreChange(t *testing.T) {
 	partitioners := []BatchPartitioner{
 		RangeBatch{}, RandomBatch{Seed: 3}, MetisBatch{Seed: 3},
-		BettyBatch{Seed: 3}, BettyBatch{Seed: 4, Imbalance: 1.3}, BettyBatch{Seed: 3, Reference: true},
+		BettyBatch{Seed: 3}, BettyBatch{Seed: 4, Imbalance: 1.3}, refBetty{BettyBatch{Seed: 3}},
 	}
 	for name, last := range degenerateBlocks(t) {
 		for _, p := range partitioners {

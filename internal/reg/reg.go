@@ -238,16 +238,13 @@ func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) 
 // redundancy-embedded graph and min-cut partition it with the multilevel
 // partitioner, so output nodes sharing many neighbors stay together.
 //
-// By default it uses the row-wise REG construction (BuildREGFast,
-// property-tested equal to the SpGEMM reference); set Reference to force
-// the Algorithm-1-literal sparse-product path.
+// It uses the row-wise REG construction, BuildREGFast, which the tests hold
+// equal to BuildREG, the Algorithm-1-literal sparse-product reference.
 type BettyBatch struct {
 	// Seed drives the multilevel partitioner's randomized phases.
 	Seed uint64
 	// Imbalance overrides the partitioner's balance tolerance (0 = default).
 	Imbalance float64
-	// Reference selects the literal AᵀA SpGEMM construction.
-	Reference bool
 	// Obs, when non-nil, receives one PhaseRegBuild span and one
 	// plan.reg_builds count per REG construction. Timing comes from the
 	// registry's injected Clock — this kernel package never reads a clock
@@ -260,14 +257,10 @@ func (BettyBatch) Name() string { return "betty" }
 
 // Prepare implements BatchPartitioner: it builds the batch's REG.
 func (p BettyBatch) Prepare(last *graph.Block) (*Prepared, error) {
-	build := BuildREGFast
-	if p.Reference {
-		build = BuildREG
-	}
 	sp := p.Obs.StartSpan(obs.PhaseRegBuild).
 		SetInt("outputs", int64(last.NumDst)).
 		SetInt("edges", int64(last.NumEdges()))
-	g, err := build(last)
+	g, err := BuildREGFast(last)
 	sp.End()
 	p.Obs.Add("plan.reg_builds", 1)
 	if err != nil {

@@ -39,7 +39,7 @@ func benchServer(b *testing.B) *Server {
 
 // The feature-cache miss path on a full cache: every gather asks for 750
 // rows (one request's layer-0 frontier on the serving workloads) that the
-// previous gathers have pushed out, so each row is fetched, encoded into a
+// previous gathers have pushed out, so each row is fetched, copied into a
 // recycled entry and staged.
 func BenchmarkServeGatherMiss(b *testing.B) {
 	s := benchServer(b)

@@ -8,7 +8,6 @@ import (
 
 	"betty/internal/embcache"
 	"betty/internal/obs"
-	"betty/internal/tensor"
 )
 
 // Config holds every knob of the serving path. The zero value is not
@@ -43,23 +42,14 @@ type Config struct {
 	MaxRequestNodes int
 
 	// EmbMode selects the historical-embedding cache behavior (DESIGN.md
-	// §16): off, exact (populate + bitwise self-check, the default), or
-	// reuse (skip layer-1 compute on hits within EmbMaxLag versions).
+	// §16): off (the default — no second cache), exact (populate + bitwise
+	// self-check), or reuse (skip layer-1 compute on hits within
+	// embcache.MaxLag versions). Its budget, embcache.BudgetBytes, is
+	// charged to the same ledger as the feature cache.
 	EmbMode embcache.Mode
-	// EmbBudgetMiB bounds the embedding cache's resident bytes; charged
-	// to the same ledger as the feature cache.
-	EmbBudgetMiB int64
-	// EmbMaxLag is the maximum weight-version lag a reuse hit may carry.
-	EmbMaxLag int
-
-	// Quant selects the at-rest storage format of the serving path's
-	// weights and cached feature rows (DESIGN.md §13): QuantOff (exact
-	// f32, the default) or QuantInt8. The forward kernels stay exact f32
-	// either way — quantized storage is dequantized into pooled scratch
-	// before each batch — so QuantOff serves bitwise what an unquantized
-	// deployment serves, and int8 trades the documented round-trip error
-	// for a smaller resident model.
-	Quant tensor.QuantMode
+	// embBudgetBytes is embcache.BudgetBytes everywhere but in the
+	// budget-pressure test, which shrinks it so a small graph must evict.
+	embBudgetBytes int64
 
 	// CapacityBytes is the device memory budget the planner enforces per
 	// micro-batch (forward-only accounting; see memory.Breakdown.ForwardPeak).
@@ -89,9 +79,7 @@ func Defaults() Config {
 		DefaultTimeout:  time.Second,
 		MaxRequestNodes: 1024,
 		CapacityBytes:   256 << 20,
-		EmbMode:         embcache.ModeExact,
-		EmbBudgetMiB:    64,
-		EmbMaxLag:       1,
+		embBudgetBytes:  embcache.BudgetBytes,
 	}
 }
 
@@ -126,21 +114,10 @@ func (c *Config) Validate() error {
 	if c.SafetyMargin < 0 {
 		return fmt.Errorf("serve: SafetyMargin must be non-negative (got %v)", c.SafetyMargin)
 	}
-	switch c.Quant {
-	case tensor.QuantOff, tensor.QuantInt8:
-	default:
-		return fmt.Errorf("serve: unknown quant mode %d", int(c.Quant))
-	}
 	switch c.EmbMode {
 	case embcache.ModeOff, embcache.ModeExact, embcache.ModeReuse:
 	default:
 		return fmt.Errorf("serve: unknown embedding-cache mode %d", int(c.EmbMode))
-	}
-	if c.EmbMode != embcache.ModeOff && c.EmbBudgetMiB <= 0 {
-		return fmt.Errorf("serve: EmbBudgetMiB must be positive with the embedding cache on (got %d)", c.EmbBudgetMiB)
-	}
-	if c.EmbMaxLag < 0 {
-		return fmt.Errorf("serve: EmbMaxLag must be non-negative (got %d)", c.EmbMaxLag)
 	}
 	return nil
 }
@@ -155,10 +132,6 @@ const (
 	EnvTimeoutMS       = "BETTY_SERVE_TIMEOUT_MS"
 	EnvMaxRequestNodes = "BETTY_SERVE_MAX_REQUEST_NODES"
 	EnvCapacityMiB     = "BETTY_SERVE_CAPACITY_MIB"
-	// EnvQuant selects the quantized serving storage (off/int8); it is
-	// deliberately not BETTY_SERVE_-prefixed because it names a repo-wide
-	// numerics contract (DESIGN.md §13), not a batching policy.
-	EnvQuant = "BETTY_QUANT"
 )
 
 // ApplyEnv overlays environment overrides on c, reading variables through
@@ -192,32 +165,15 @@ func (c *Config) ApplyEnv(getenv func(string) string) error {
 		}
 		ev.set(v)
 	}
-	if raw := getenv(EnvQuant); raw != "" {
-		mode, err := tensor.ParseQuantMode(raw)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		c.Quant = mode
-	}
-	// The embedding-cache knobs are repo-wide contracts like BETTY_QUANT
-	// (training honors them too); their hardened parsers live next to the
-	// cache. ParseMode maps "" to exact, so only override when set.
+	// BETTY_EMBCACHE is a repo-wide contract (training honors it too); its
+	// hardened parser lives next to the cache and maps "" to off, the
+	// default, so only override when set.
 	if raw := getenv(embcache.EnvMode); raw != "" {
 		mode, err := embcache.ParseMode(raw)
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 		c.EmbMode = mode
-	}
-	if mib, err := embcache.ParseBudgetMiB(getenv(embcache.EnvBudgetMiB)); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	} else if mib > 0 {
-		c.EmbBudgetMiB = mib
-	}
-	if lag, err := embcache.ParseMaxLag(getenv(embcache.EnvMaxLag)); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	} else if lag >= 0 {
-		c.EmbMaxLag = lag
 	}
 	return nil
 }

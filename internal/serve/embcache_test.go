@@ -11,6 +11,7 @@ import (
 	"betty/internal/checkpoint"
 	"betty/internal/core"
 	"betty/internal/dataset"
+	"betty/internal/device"
 	"betty/internal/embcache"
 	"betty/internal/obs"
 )
@@ -30,7 +31,8 @@ func TestExactModeCrossBatchOverlap(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	reg := obs.New(obs.NewFakeClock(0, 1))
-	cfg := testConfig(obs.NewFakeClock(0, 1), reg) // EmbMode defaults to exact
+	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
+	cfg.EmbMode = embcache.ModeExact
 	s := newTestServer(t, d, model, cfg)
 	s.Start()
 	defer s.Close()
@@ -229,7 +231,7 @@ func TestEmbcacheLedgerE2E(t *testing.T) {
 	reg := obs.New(nil)
 	cfg := testConfig(nil, reg)
 	cfg.EmbMode = embcache.ModeReuse
-	cfg.EmbBudgetMiB = 1
+	cfg.embBudgetBytes = device.MiB
 	cfg.QueueDepth = 512
 	s := newTestServer(t, d, su.Model, cfg)
 	s.Start()

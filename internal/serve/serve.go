@@ -80,7 +80,6 @@ type Server struct {
 	clock   obs.Clock
 	obs     *obs.Registry
 	cache   *featureCache
-	quant   *quantStore
 	// cacheLedger is the one device ledger all resident cache state —
 	// feature rows and historical embeddings — is charged to, so the two
 	// caches share a single accountable budget (DESIGN.md §16).
@@ -126,33 +125,25 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = obs.RealClock()
 	}
-	qs, err := newQuantStore(model, cfg.Quant)
+	// One ledger covers all resident cache state: the feature cache at
+	// capacity (CacheNodes rows, each rounded to the allocation
+	// granularity) plus, when it is on, the embedding-cache budget. Either
+	// cache hitting the ledger's ceiling evicts its own tail first, so
+	// neither can starve the other beyond its share.
+	ledgerBytes := int64(cfg.CacheNodes) * device.RoundAlloc(int64(ds.FeatureDim())*4)
+	if cfg.EmbMode != embcache.ModeOff {
+		ledgerBytes += cfg.embBudgetBytes
+	}
+	ledger := device.New(ledgerBytes, device.CostModel{})
+	emb, err := embcache.New(embcache.Config{
+		Mode:        cfg.EmbMode,
+		BudgetBytes: cfg.embBudgetBytes,
+		MaxLag:      embcache.MaxLag,
+		Ledger:      ledger,
+		Obs:         cfg.Obs,
+	})
 	if err != nil {
 		return nil, err
-	}
-	// One ledger covers all resident cache state: the feature cache's
-	// worst case (CacheNodes rows at the unquantized row size, each
-	// rounded to the allocation granularity) plus the embedding-cache
-	// budget. Either cache hitting the ledger's ceiling evicts its own
-	// tail first, so neither can starve the other beyond its share.
-	embBudget := int64(0)
-	if cfg.EmbMode != embcache.ModeOff {
-		embBudget = cfg.EmbBudgetMiB * device.MiB
-	}
-	rowWorst := device.RoundAlloc(int64(ds.FeatureDim())*4 + 4)
-	ledger := device.New(int64(cfg.CacheNodes)*rowWorst+embBudget, device.CostModel{})
-	var emb *embcache.Cache
-	if cfg.EmbMode != embcache.ModeOff {
-		emb, err = embcache.New(embcache.Config{
-			Mode:        cfg.EmbMode,
-			BudgetBytes: embBudget,
-			MaxLag:      cfg.EmbMaxLag,
-			Ledger:      ledger,
-			Obs:         cfg.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -164,7 +155,6 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		clock:       cfg.Clock,
 		obs:         cfg.Obs,
 		cache:       newFeatureCache(cfg.CacheNodes, ledger),
-		quant:       qs,
 		cacheLedger: ledger,
 		emb:         emb,
 		frontier:    embcache.NewMeter(cfg.Obs),
@@ -172,10 +162,6 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		closeDone:   make(chan struct{}),
 	}
 	s.sampler.Obs = cfg.Obs
-	if qs != nil {
-		s.obs.Set("serve.quant_weight_bytes", qs.EncBytes)
-		s.obs.Set("serve.quant_weight_f32_bytes", qs.F32Bytes)
-	}
 	s.obs.Set("serve.cache_ledger_capacity_bytes", ledger.Capacity())
 	return s, nil
 }
@@ -465,12 +451,6 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		s.obs.Set("serve.max_est_peak_bytes", s.maxEstPeak)
 	}
 
-	// Quantized deployments keep only encoded weights between batches;
-	// materialize the round-tripped f32 weights for this batch's forwards
-	// and return the scratch to the pool on the way out.
-	s.quant.install()
-	defer s.quant.uninstall()
-
 	scores := make([][]float32, len(union))
 	for gi, micro := range plan.Micro {
 		feats, err := s.gather(micro[0].SrcNID)
@@ -506,43 +486,37 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 }
 
 // gather stages the input features for the given node IDs through the LRU
-// cache (when enabled). Under QuantOff rows are exact copies of the host
-// rows; under a quantized mode every staged row — hit or miss — is the
-// codec round-trip of the host row, so in all modes cache state never
-// changes the staged bytes. Rows come through the dataset's FeatureSource,
-// so a disk-backed deployment serves from its shard cache instead of a
-// resident matrix; a shard that cannot be loaded fails the batch loudly.
-// The staged tensor is pooled scratch, released once its forward is done.
+// cache (when enabled). Staged rows are exact copies of the source rows,
+// hit or miss, so cache state never changes the staged bytes. Rows come
+// through the dataset's FeatureSource, so a disk-backed deployment serves
+// from its shard cache instead of a resident matrix; a shard that cannot be
+// loaded fails the batch loudly. The staged tensor is pooled scratch,
+// released once its forward is done.
 func (s *Server) gather(nids []int32) (*tensor.Tensor, error) {
 	sp := s.obs.StartSpan(obs.PhaseH2D).SetInt("batch", s.batchSeq).SetInt("rows", int64(len(nids)))
 	defer sp.End()
 	dim := s.ds.FeatureDim()
 	out := tensor.FromSlice(len(nids), dim, tensor.AcquireScratch(len(nids)*dim))
-	if s.cache == nil && s.cfg.Quant == tensor.QuantOff {
+	if s.cache == nil {
 		return out, s.ds.GatherFeaturesInto(out, nids)
 	}
-	var hits, misses int64
+	var hits int64
 	for i, nid := range nids {
 		dst := out.Row(i)
-		if row, ok := s.cache.get(nid); ok {
-			row.decodeInto(dst)
+		if row, ok := s.cache.lru.Get(nid); ok {
+			copy(dst, row)
 			hits++
 			continue
 		}
-		// Miss: fetch through the source straight into the staged row,
-		// encode from there into the cache, and stage the decoded encoding
-		// (under QuantOff that is the fetched row itself) — identical bytes
-		// to a later hit on the same row.
+		// Miss: fetch through the source straight into the staged row and
+		// cache a copy of it.
 		if err := s.ds.GatherFeatureRow(dst, nid); err != nil {
 			return nil, fmt.Errorf("serve: feature row %d: %w", nid, err)
 		}
-		if row := s.cache.put(nid, s.cfg.Quant, dst); s.cfg.Quant != tensor.QuantOff {
-			row.decodeInto(dst)
-		}
-		misses++
+		s.cache.put(nid, dst)
 	}
 	s.obs.Add("serve.cache_hits", hits)
-	s.obs.Add("serve.cache_misses", misses)
+	s.obs.Add("serve.cache_misses", int64(len(nids))-hits)
 	s.obs.Set("serve.cache_nodes", int64(s.cache.len()))
 	s.obs.Set("serve.cache_bytes", s.cache.residentBytes())
 	return out, nil

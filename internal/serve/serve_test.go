@@ -16,9 +16,11 @@ import (
 	"betty/internal/core"
 	"betty/internal/dataset"
 	"betty/internal/device"
+	"betty/internal/embcache"
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/parallel"
+	"betty/internal/sample"
 	"betty/internal/tensor"
 )
 
@@ -46,9 +48,11 @@ func testModel(t *testing.T, d *dataset.Dataset) any {
 }
 
 // testConfig is the deterministic-replay base config: fake clock, no
-// default deadline, ample capacity.
+// default deadline, ample capacity — and the embedding cache in exact mode,
+// so every serving test also runs under its bitwise layer-1 verify.
 func testConfig(clock obs.Clock, reg *obs.Registry) Config {
 	cfg := Defaults()
+	cfg.EmbMode = embcache.ModeExact
 	cfg.Fanouts = []int{4, 6}
 	cfg.Seed = 9
 	cfg.DefaultTimeout = 0
@@ -95,6 +99,72 @@ func bitwiseEqual(a, b [][]float32) bool {
 		}
 	}
 	return true
+}
+
+// A server from Defaults() runs the plain path: it builds no embedding
+// cache, its cache ledger is the feature cache at capacity and nothing else,
+// and it scores bitwise what the shared forward scores over the source's own
+// feature rows.
+func TestDefaultsArePlainPath(t *testing.T) {
+	d, err := dataset.Generate(dataset.GenConfig{
+		Name: "t2k", Nodes: 2048, AvgDegree: 10, FeatureDim: 128, // rows of exactly one allocation granule
+		NumClasses: 5, Homophily: 0.8, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := testModel(t, d)
+	reg := obs.New(nil)
+	cfg := Defaults()
+	cfg.Fanouts = []int{4, 6}
+	cfg.Seed = 9
+	cfg.CacheNodes = 256
+	cfg.QueueDepth = 512
+	cfg.Obs = reg
+	s := newTestServer(t, d, model, cfg)
+	if s.emb != nil {
+		t.Fatal("Defaults() built an embedding cache")
+	}
+	featureCacheBytes := int64(cfg.CacheNodes * d.FeatureDim() * 4)
+	if got, _ := reg.GaugeValue("serve.cache_ledger_capacity_bytes"); got != featureCacheBytes {
+		t.Fatalf("cache ledger capacity %d, want the feature cache's %d and no embedding budget", got, featureCacheBytes)
+	}
+	s.Start()
+	defer s.Close()
+	if rep, err := runLoad(s, loadConfig{Requests: 300, NodesPerRequest: 8, Seed: 11}); err != nil || rep.Errors != 0 {
+		t.Fatalf("load run: %v, report %+v", err, rep)
+	}
+	if peak, ok := reg.GaugeValue("serve.cache_ledger_peak_bytes"); !ok || peak > featureCacheBytes {
+		t.Fatalf("cache ledger peak %d (published %v) above the feature cache's %d", peak, ok, featureCacheBytes)
+	}
+	if st := s.StatsSnapshot(); st.EmbHits+st.EmbMisses != 0 || reg.CounterValue("embcache.computed_rows") != 0 {
+		t.Fatalf("plain path consulted an embedding cache: %+v", st)
+	}
+
+	nodes := []int32{3, 8, 120, 700, 41}
+	got, err := s.Predict(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := sample.NewNodeWise(cfg.Fanouts, cfg.Seed).Sample(d.Graph, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := tensor.New(blocks[0].NumSrc, d.FeatureDim())
+	for i, nid := range blocks[0].SrcNID {
+		copy(feats.Row(i), d.Features.Row(int(nid)))
+	}
+	logits, err := core.BatchInference(model, blocks, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float32, len(nodes))
+	for i := range want {
+		want[i] = logits.Row(i)
+	}
+	if !bitwiseEqual(got, want) {
+		t.Fatal("default serving differs from the shared forward over exact f32 features")
+	}
 }
 
 // Coalesced responses must be bitwise what each request would have gotten
@@ -365,20 +435,19 @@ func TestFeatureCache(t *testing.T) {
 
 // What featureCache adds to device.LRU (whose order and ledger invariants
 // internal/device/lru_test.go owns): the row-count cap, in-place recycling
-// once full, ledger-rounded residency, nil safety.
+// once full, ledger-rounded residency, nil safety of what Close calls.
 func TestFeatureCacheLRU(t *testing.T) {
-	put := func(c *featureCache, nid int32, v float32) quantRow {
-		return c.put(nid, tensor.QuantOff, []float32{v})
-	}
-	hit := func(nid int32, c *featureCache) bool { _, ok := c.get(nid); return ok }
+	put := func(c *featureCache, nid int32, v float32) { c.put(nid, []float32{v}) }
+	hit := func(nid int32, c *featureCache) bool { _, ok := c.lru.Get(nid); return ok }
 	ledger := device.New(device.MiB, device.CostModel{})
 	c := newFeatureCache(2, ledger)
 	put(c, 1, 1)
-	second := put(c, 2, 2)
+	put(c, 2, 2)
+	second, _ := c.lru.Get(2)
 	if !hit(1, c) { // 1 becomes most recent
 		t.Fatal("miss on resident node")
 	}
-	third := put(c, 3, 3) // full: takes over 2's entry
+	put(c, 3, 3) // full: takes over 2's entry
 	if hit(2, c) {
 		t.Fatal("LRU kept the least recently used entry")
 	}
@@ -388,11 +457,12 @@ func TestFeatureCacheLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Fatalf("len %d, want 2", c.len())
 	}
-	if &third.f32[0] != &second.f32[0] {
+	third, _ := c.lru.Get(3)
+	if &third[0] != &second[0] {
 		t.Fatal("put on a full cache did not recycle the evicted row's storage")
 	}
-	if row, _ := c.get(3); row.f32[0] != 3 {
-		t.Fatalf("recycled row holds %v, want 3", row.f32[0])
+	if third[0] != 3 {
+		t.Fatalf("recycled row holds %v, want 3", third[0])
 	}
 	// two one-float rows, each charged one allocation granule
 	if want := 2 * device.AllocGranularity; c.residentBytes() != want || ledger.Used() != want || ledger.Peak() != want {
@@ -402,11 +472,8 @@ func TestFeatureCacheLRU(t *testing.T) {
 		t.Fatalf("after flush: len %d, ledger %d", c.len(), ledger.Used())
 	}
 	var nilCache *featureCache
-	if hit(1, nilCache) || nilCache.len() != 0 || nilCache.residentBytes() != 0 {
+	if nilCache.flush(); nilCache.len() != 0 || nilCache.residentBytes() != 0 {
 		t.Fatal("nil cache misbehaved")
-	}
-	if row := put(nilCache, 1, 1); row.f32[0] != 1 { // still encodes, caches nothing
-		t.Fatal("nil cache did not return the encoding")
 	}
 	if newFeatureCache(0, ledger) != nil {
 		t.Fatal("zero-capacity cache not disabled")
@@ -416,8 +483,7 @@ func TestFeatureCacheLRU(t *testing.T) {
 // On a full cache a gather of nothing but misses allocates only its output
 // tensor — so it cannot have called Device.Alloc, which heap-allocates the
 // Buffer it returns — leaves ledger residency and peak where they were,
-// and stages byte for byte what the uncached path stages, in both storage
-// modes.
+// and stages byte for byte what the uncached path stages.
 func TestGatherMissRecycles(t *testing.T) {
 	d := testData(t)
 	const rows = 64
@@ -425,41 +491,38 @@ func TestGatherMissRecycles(t *testing.T) {
 	for i := int32(0); i < rows; i++ {
 		a, b = append(a, i), append(b, rows+i)
 	}
-	for _, mode := range []tensor.QuantMode{tensor.QuantOff, tensor.QuantInt8} {
-		cfg := testConfig(obs.NewFakeClock(0, 1), nil)
-		cfg.Quant = mode
-		cfg.CacheNodes = rows
-		s := newTestServer(t, d, testModel(t, d), cfg)
-		bare := cfg
-		bare.CacheNodes = 0
-		uncached := newTestServer(t, d, testModel(t, d), bare)
-		gather := func(s *Server, nids []int32) *tensor.Tensor {
-			out, err := s.gather(nids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
+	cfg := testConfig(obs.NewFakeClock(0, 1), nil)
+	cfg.CacheNodes = rows
+	s := newTestServer(t, d, testModel(t, d), cfg)
+	bare := cfg
+	bare.CacheNodes = 0
+	uncached := newTestServer(t, d, testModel(t, d), bare)
+	gather := func(s *Server, nids []int32) *tensor.Tensor {
+		out, err := s.gather(nids)
+		if err != nil {
+			t.Fatal(err)
 		}
-		gather(s, a) // growth: fills the cache
-		used, peak := s.cacheLedger.Used(), s.cacheLedger.Peak()
-		if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
-			t.Fatalf("%v: rows staged through recycled entries differ from the uncached path", mode)
-		}
-		if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
-			t.Fatalf("%v: rows staged from recycled entries differ from the uncached path", mode)
-		}
-		output := testing.AllocsPerRun(10, func() { tensor.New(rows, d.FeatureDim()) })
-		got := testing.AllocsPerRun(10, func() {
-			gather(s, a)
-			gather(s, b)
-		})
-		if got > 2*output {
-			t.Errorf("%v: two all-miss gathers allocate %.0f times, their output tensors %.0f", mode, got, 2*output)
-		}
-		if s.cache.len() != rows || s.cacheLedger.Used() != used || s.cacheLedger.Peak() != peak {
-			t.Errorf("%v: misses on a full cache moved the ledger: rows %d→%d used %d→%d peak %d→%d", mode,
-				rows, s.cache.len(), used, s.cacheLedger.Used(), peak, s.cacheLedger.Peak())
-		}
+		return out
+	}
+	gather(s, a) // growth: fills the cache
+	used, peak := s.cacheLedger.Used(), s.cacheLedger.Peak()
+	if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
+		t.Fatal("rows staged through recycled entries differ from the uncached path")
+	}
+	if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
+		t.Fatal("rows staged from recycled entries differ from the uncached path")
+	}
+	output := testing.AllocsPerRun(10, func() { tensor.New(rows, d.FeatureDim()) })
+	got := testing.AllocsPerRun(10, func() {
+		gather(s, a)
+		gather(s, b)
+	})
+	if got > 2*output {
+		t.Errorf("two all-miss gathers allocate %.0f times, their output tensors %.0f", got, 2*output)
+	}
+	if s.cache.len() != rows || s.cacheLedger.Used() != used || s.cacheLedger.Peak() != peak {
+		t.Errorf("misses on a full cache moved the ledger: rows %d→%d used %d→%d peak %d→%d",
+			rows, s.cache.len(), used, s.cacheLedger.Used(), peak, s.cacheLedger.Peak())
 	}
 }
 
@@ -741,12 +804,13 @@ func TestConfigEnv(t *testing.T) {
 		EnvTimeoutMS:       "250",
 		EnvMaxRequestNodes: "9",
 		EnvCapacityMiB:     "64",
+		embcache.EnvMode:   "reuse",
 	})); err != nil {
 		t.Fatal(err)
 	}
 	if c.MaxBatch != 32 || c.QueueDepth != 7 ||
 		c.CacheNodes != 0 || c.DefaultTimeout != 250*time.Millisecond ||
-		c.MaxRequestNodes != 9 || c.CapacityBytes != 64<<20 {
+		c.MaxRequestNodes != 9 || c.CapacityBytes != 64<<20 || c.EmbMode != embcache.ModeReuse {
 		t.Fatalf("env not applied: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -758,7 +822,7 @@ func TestConfigEnv(t *testing.T) {
 	if err := c2.ApplyEnv(env(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if c2.MaxBatch != base().MaxBatch {
+	if c2.MaxBatch != base().MaxBatch || c2.EmbMode != embcache.ModeOff {
 		t.Fatal("empty env changed defaults")
 	}
 
@@ -772,6 +836,7 @@ func TestConfigEnv(t *testing.T) {
 		{EnvTimeoutMS: "soon"},
 		{EnvMaxRequestNodes: "0"},
 		{EnvCapacityMiB: "0x40"},
+		{embcache.EnvMode: "fast"},
 	} {
 		c := base()
 		err := c.ApplyEnv(env(bad))

@@ -130,8 +130,8 @@ func acquire(n int) []float32 {
 
 // AcquireScratch returns a zeroed length-n float32 scratch slice drawn from
 // the tape buffer pool (or the heap when pooling is off). It is the
-// tape-free entry point for transient kernel buffers — the quantized serve
-// path dequantizes weight and feature tiles into these between batches.
+// tape-free entry point for transient kernel buffers — the serve path stages
+// each micro-batch's gathered features in one.
 // Every AcquireScratch must be paired with a ReleaseScratch (bettyvet's
 // pooldisc analyzer enforces the pairing), and the slice must not be used
 // after release.

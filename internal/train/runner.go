@@ -62,10 +62,11 @@ type Runner struct {
 	// pointer test per instrumentation point (see BenchmarkMicroBatchObs).
 	Obs *obs.Registry
 
-	// Emb, when active, is the historical-embedding cache (DESIGN.md §16):
-	// micro-batch forwards route through embcache.Forward, and every
-	// optimizer Step bumps the cache's weight version. Evaluation and
-	// MeasureForward never consult it.
+	// Emb, nil by default (forwards are Model.Forward), is the
+	// historical-embedding cache (DESIGN.md §16): when active, micro-batch
+	// forwards route through embcache.Forward, and every optimizer Step
+	// bumps the cache's weight version. Evaluation and MeasureForward
+	// never consult it.
 	Emb *embcache.Cache
 
 	resident []*device.Buffer
