@@ -73,7 +73,6 @@ func BenchmarkTab07EstimationError(b *testing.B)       { runExperiment(b, "tab7"
 func BenchmarkAblREG(b *testing.B)     { runExperiment(b, "abl-reg") }
 func BenchmarkAblFM(b *testing.B)      { runExperiment(b, "abl-fm") }
 func BenchmarkAblMatch(b *testing.B)   { runExperiment(b, "abl-match") }
-func BenchmarkAblRB(b *testing.B)      { runExperiment(b, "abl-rb") }
 func BenchmarkAblPlanner(b *testing.B) { runExperiment(b, "abl-planner") }
 
 // --- substrate micro-benchmarks ---
@@ -102,18 +101,6 @@ func BenchmarkNeighborSampling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Sample(ds.Graph, ds.TrainIdx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkREGConstruction(b *testing.B) {
-	ds := benchDataset(b)
-	blocks := benchBatch(b, ds, []int{5, 10})
-	last := blocks[len(blocks)-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reg.BuildREG(last); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +174,7 @@ func BenchmarkBuildREGFastParallel(b *testing.B) {
 func BenchmarkMetisPartition(b *testing.B) {
 	ds := benchDataset(b)
 	blocks := benchBatch(b, ds, []int{5, 10})
-	g, err := reg.BuildREG(blocks[len(blocks)-1])
+	g, err := reg.BuildREGFast(blocks[len(blocks)-1])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"betty/internal/device"
 	"betty/internal/embcache"
 	"betty/internal/knobs"
-	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/reg"
 	"betty/internal/store"
@@ -54,7 +53,6 @@ type runConfig struct {
 	k           int
 	partitioner string
 	devices     int
-	adaptive    bool
 	seed        uint64
 
 	// pack converts the (synthetic) dataset to the on-disk store format at
@@ -99,7 +97,6 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 0, "fixed micro-batch count (0 = memory-aware planner)")
 	flag.StringVar(&cfg.partitioner, "partitioner", "betty", "batch partitioner: betty, metis, random, range")
 	flag.IntVar(&cfg.devices, "devices", 1, "number of simulated devices (data-parallel)")
-	flag.BoolVar(&cfg.adaptive, "adaptive", false, "learn a planner safety margin from measured peaks")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write run metrics as NDJSON to this file (flushed on errors too)")
 	flag.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in the -metrics output")
@@ -218,9 +215,6 @@ func run(cfg runConfig) (err error) {
 		fmt.Fprintf(cfg.out, "embedding cache: mode %v, budget %d MiB, max version lag %d\n",
 			mode, embcache.BudgetBytes/device.MiB, embcache.MaxLag)
 	}
-	if cfg.adaptive {
-		setup.Engine.Tracker = memory.NewErrorTracker()
-	}
 	if cfg.macro != "" {
 		setup.Engine.Frontiers = store.NewMacroCache(cfg.macro, setup.Engine.Sampler.ConfigKey(), obsReg)
 	}
@@ -294,9 +288,6 @@ func run(cfg runConfig) (err error) {
 		return err
 	}
 	fmt.Fprintf(cfg.out, "\nvalidation accuracy %.4f, test accuracy %.4f\n", val, test)
-	if tr := setup.Engine.Tracker; tr != nil && tr.Observations() {
-		fmt.Fprintf(cfg.out, "planner safety margin %.4f (measured-vs-estimated feedback)\n", tr.Margin())
-	}
 	return nil
 }
 

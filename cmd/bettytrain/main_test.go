@@ -166,21 +166,6 @@ func TestRunMetricsOnlyWithDevice(t *testing.T) {
 	}
 }
 
-// The adaptive tracker's learned margin reaches the human-readable output.
-func TestRunAdaptiveReportsMargin(t *testing.T) {
-	var out bytes.Buffer
-	cfg := smallConfig()
-	cfg.out = &out
-	cfg.adaptive = true
-	cfg.capacityMiB = 256
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "planner safety margin") {
-		t.Fatalf("adaptive run did not report a margin:\n%s", out.String())
-	}
-}
-
 // ExampleParseFanouts-style sanity: bad flags fail before any training.
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()

@@ -39,7 +39,7 @@ func main() {
 
 	// Inspect the REG: its edge weights count shared neighbors.
 	last := blocks[len(blocks)-1]
-	regGraph, err := reg.BuildREG(last)
+	regGraph, err := reg.BuildREGFast(last)
 	if err != nil {
 		log.Fatal(err)
 	}

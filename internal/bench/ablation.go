@@ -33,11 +33,6 @@ func init() {
 		Run:   runAblMatch,
 	})
 	register(&Experiment{
-		ID:    "abl-rb",
-		Paper: "Ablation: direct K-way vs recursive-bisection multilevel partitioning on the REG — edge cut, redundancy, wall-clock",
-		Run:   runAblRB,
-	})
-	register(&Experiment{
 		ID:    "abl-planner",
 		Paper: "Ablation: memory-aware planner vs fixed partition counts — chosen K, attempts, and capacity fit",
 		Run:   runAblPlanner,
@@ -118,7 +113,7 @@ type fmVariant struct {
 func (v fmVariant) Name() string { return v.name }
 
 func (v fmVariant) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	g, err := reg.BuildREG(last)
+	g, err := reg.BuildREGFast(last)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +136,7 @@ func (v fmVariant) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
 // regCut measures the REG edge cut a variant achieves.
 func regCut(blocks []*graph.Block, v fmVariant, k int) (float64, error) {
 	last := blocks[len(blocks)-1]
-	g, err := reg.BuildREG(last)
+	g, err := reg.BuildREGFast(last)
 	if err != nil {
 		return 0, err
 	}
@@ -212,73 +207,6 @@ func runAblMatch(o Options) ([]*Table, error) {
 				label = "random"
 			}
 			t.AddRow(fmtI(k), label, fmtF(cut, 0))
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// rbVariant partitions the REG with a configurable partition.Partitioner.
-type rbVariant struct {
-	part partition.Partitioner
-}
-
-func (v rbVariant) Name() string { return v.part.Name() }
-
-func (v rbVariant) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
-	g, err := reg.BuildREGFast(last)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := v.part.Partition(g, k)
-	if err != nil {
-		return nil, err
-	}
-	groups := make([][]int32, k)
-	for i, p := range parts {
-		groups[p] = append(groups[p], int32(i))
-	}
-	return groups, nil
-}
-
-func runAblRB(o Options) ([]*Table, error) {
-	blocks, err := ablBatch(o)
-	if err != nil {
-		return nil, err
-	}
-	last := blocks[len(blocks)-1]
-	regGraph, err := reg.BuildREGFast(last)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "abl-rb",
-		Title:   "direct K-way vs recursive bisection on the REG",
-		Columns: []string{"batches", "scheme", "REG edge cut", "input redundancy", "partition time/ms"},
-	}
-	for _, k := range []int{4, 16, 64} {
-		for _, v := range []rbVariant{
-			{part: &partition.Metis{Seed: 6}},
-			{part: &partition.RecursiveBisection{Seed: 6}},
-		} {
-			start := time.Now()
-			groups, err := v.PartitionBatch(last, k)
-			if err != nil {
-				return nil, err
-			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			parts := make([]int32, last.NumDst)
-			for pi, grp := range groups {
-				for _, dd := range grp {
-					parts[dd] = int32(pi)
-				}
-			}
-			cut := partition.EdgeCut(regGraph, parts)
-			red, err := redundancyOf(blocks, v, k)
-			if err != nil {
-				return nil, err
-			}
-			o.logf("abl-rb k=%d %s cut=%.0f red=%d %.1fms", k, v.Name(), cut, red, ms)
-			t.AddRow(fmtI(k), v.Name(), fmtF(cut, 0), fmtI(red), fmtF(ms, 1))
 		}
 	}
 	return []*Table{t}, nil

@@ -43,7 +43,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig2", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig16", "tab2", "tab5", "tab6", "tab7",
-		"abl-reg", "abl-fm", "abl-match", "abl-rb", "abl-planner",
+		"abl-reg", "abl-fm", "abl-match", "abl-planner",
 	}
 	for _, id := range want {
 		e, err := Get(id)
@@ -84,7 +84,7 @@ func TestOptionsHelpers(t *testing.T) {
 // scale; the training experiments are exercised by the repository-level
 // benchmarks and by TestTrainingExperimentsSmoke below.
 func TestEstimationExperimentsSmoke(t *testing.T) {
-	for _, id := range []string{"fig2", "fig3", "fig9", "fig11", "fig16", "tab2", "abl-reg", "abl-fm", "abl-match", "abl-rb", "abl-planner"} {
+	for _, id := range []string{"fig2", "fig3", "fig9", "fig11", "fig16", "tab2", "abl-reg", "abl-fm", "abl-match", "abl-planner"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)

@@ -47,10 +47,6 @@ type Engine struct {
 	SafetyMargin float64
 	// MaxK caps the planner's search.
 	MaxK int
-	// Tracker, when set, feeds each micro-batch's estimated-vs-measured
-	// peak back into the planner's safety margin (the §6.7 feedback loop).
-	// Requires a device to measure against.
-	Tracker *memory.ErrorTracker
 	// Obs, when non-nil, receives spans and metrics from the engine, the
 	// planner it builds, and — when installed with SetObs — the runner,
 	// sampler, and REG partitioner too.
@@ -163,12 +159,6 @@ func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	margin := e.SafetyMargin
-	if e.Tracker != nil {
-		if m := e.Tracker.Margin(); m > margin {
-			margin = m
-		}
-	}
 	capacity := e.capacity()
 	if e.PlanCapacity > 0 {
 		capacity = e.PlanCapacity
@@ -178,7 +168,7 @@ func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) 
 		Partitioner:  e.Partitioner,
 		Spec:         e.Spec,
 		MaxK:         e.MaxK,
-		SafetyMargin: margin,
+		SafetyMargin: e.SafetyMargin,
 		Obs:          e.Obs,
 		Peak:         e.PlanPeak,
 	}
@@ -243,11 +233,6 @@ func (e *Engine) TrainEpochMicroSeeds(seeds []int32) (EpochStats, error) {
 	e.Obs.Set("epoch.k", int64(st.K))
 	e.Obs.Set("epoch.peak_bytes", st.PeakBytes)
 	e.Obs.Set("epoch.est_peak_bytes", st.MaxEstimate)
-	if e.Tracker != nil {
-		// Margin is a small fraction; gauges are integers, so expose it in
-		// parts per million.
-		e.Obs.Set("plan.margin_ppm", int64(e.Tracker.Margin()*1e6))
-	}
 	return st, nil
 }
 
@@ -330,11 +315,7 @@ func (e *Engine) executePlan(plan *memory.Plan, st *EpochStats) error {
 		if res.PeakBytes > st.PeakBytes {
 			st.PeakBytes = res.PeakBytes
 		}
-		est := plan.Estimates[i].Peak()
-		e.Obs.Observe("micro.est_peak_bytes", est)
-		if e.Tracker != nil && res.PeakBytes > 0 {
-			e.Tracker.Observe(est, res.PeakBytes)
-		}
+		e.Obs.Observe("micro.est_peak_bytes", plan.Estimates[i].Peak())
 	}
 	// Accuracy is over labeled outputs only: res.Count excludes masked
 	// seeds, so dividing by the seed count would deflate TrainAcc whenever

@@ -17,9 +17,6 @@ import (
 	"betty/internal/train"
 )
 
-// memoryTracker is a tiny indirection so the test reads naturally.
-func memoryTracker() *memory.ErrorTracker { return memory.NewErrorTracker() }
-
 func testData(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	d, err := dataset.Generate(dataset.GenConfig{
@@ -319,25 +316,6 @@ func TestEngineDeterminism(t *testing.T) {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("epoch %d: losses %v vs %v differ between identical runs", i, a[i], b[i])
 		}
-	}
-}
-
-// The adaptive tracker must observe epochs and only ever raise the margin
-// the planner uses (never below the static SafetyMargin).
-func TestAdaptiveTrackerFeedback(t *testing.T) {
-	d := testData(t)
-	dev := device.New(device.GiB, device.DefaultCostModel())
-	s, err := BuildSAGE(d, Options{Seed: 41, Hidden: 16, Fanouts: []int{5, 5}, Device: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := memoryTracker()
-	s.Engine.Tracker = tr
-	if _, err := s.Engine.TrainEpochMicro(); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Observations() {
-		t.Fatal("tracker saw no observations after an epoch with a device")
 	}
 }
 

@@ -6,73 +6,13 @@ import (
 	"testing"
 
 	"betty/internal/nn"
-	"betty/internal/sample"
 	"betty/internal/tensor"
 )
 
-// Layer-wise inference over the full graph must equal direct forward with
-// full-neighbor sampling, because both compute the exact (unsampled) GNN.
-func TestLayerwiseInferenceMatchesDirectForward(t *testing.T) {
-	d := testData(t)
-	s, err := BuildSAGE(d, Options{Seed: 30, Hidden: 16, Fanouts: []int{-1, -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// direct: full 2-hop neighborhood of a few probe nodes
-	probes := []int32{0, 17, 99, 500}
-	blocks, err := sample.SampleFull(d.Graph, probes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := d.GatherFeatures(blocks[0].SrcNID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := tensor.NewTape()
-	direct := s.Model.Forward(tp, blocks, tensor.Leaf(x))
-
-	// layer-wise over the whole graph with a small chunk size
-	logits, err := LayerwiseInference(s.Model, d.Graph, d.Features, 137)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range probes {
-		for j := 0; j < logits.Cols(); j++ {
-			a := float64(direct.Value.At(i, j))
-			b := float64(logits.At(int(v), j))
-			if math.Abs(a-b) > 1e-4*(1+math.Abs(a)) {
-				t.Fatalf("node %d logit %d: direct %v vs layer-wise %v", v, j, a, b)
-			}
-		}
-	}
-}
-
-func TestLayerwiseInferenceGCNAndGAT(t *testing.T) {
-	d := testData(t)
-	for _, build := range []func() (*Setup, error){
-		func() (*Setup, error) { return BuildGCN(d, Options{Seed: 31, Hidden: 8, Fanouts: []int{-1, -1}}) },
-		func() (*Setup, error) {
-			return BuildGAT(d, Options{Seed: 31, Hidden: 8, Heads: 2, Fanouts: []int{-1, -1}})
-		},
-	} {
-		s, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		logits, err := LayerwiseInference(s.Model, d.Graph, d.Features, 211)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int32(logits.Rows()) != d.Graph.NumNodes() || logits.Cols() != d.NumClasses {
-			t.Fatalf("logit shape %dx%d", logits.Rows(), logits.Cols())
-		}
-	}
-}
-
 // The three ways a batch is forwarded — the model's own Forward (training,
 // evaluation), BatchInference (serving), and a hand-written chain of
-// nn.ApplyBlockLayer over nn.LayerStack (what LayerwiseInference and the
-// embedding cache's partial-skip path do) — must produce the same bits,
+// nn.ApplyBlockLayer over nn.LayerStack (what the embedding cache's
+// partial-skip path does) — must produce the same bits,
 // for every architecture and aggregator, with the fused tier on and off.
 func TestBatchInferenceMatchesModelForward(t *testing.T) {
 	d := testData(t)
@@ -162,44 +102,6 @@ func TestBatchInferenceErrors(t *testing.T) {
 	}
 	if _, err := BatchInference(s.Model, blocks, tensor.New(1, d.FeatureDim())); err == nil {
 		t.Fatal("feature row mismatch accepted")
-	}
-}
-
-func TestLayerwiseInferenceErrors(t *testing.T) {
-	d := testData(t)
-	if _, err := LayerwiseInference(struct{}{}, d.Graph, d.Features, 0); err == nil {
-		t.Fatal("unsupported model accepted")
-	}
-	s, err := BuildSAGE(d, Options{Seed: 32, Hidden: 8, Fanouts: []int{5, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := tensor.New(3, d.FeatureDim())
-	if _, err := LayerwiseInference(s.Model, d.Graph, bad, 0); err == nil {
-		t.Fatal("feature shape mismatch accepted")
-	}
-}
-
-func TestInferAccuracy(t *testing.T) {
-	d := testData(t)
-	s, err := BuildSAGE(d, Options{Seed: 33, Hidden: 32, Fanouts: []int{8, 8}, FixedK: 2, LR: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 8; e++ {
-		if _, err := s.Engine.TrainEpochMicro(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc, err := InferAccuracy(s.Model, d.Graph, d.Features, d.Labels, d.TestIdx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 2.0/float64(d.NumClasses) {
-		t.Fatalf("inference accuracy %v no better than chance", acc)
-	}
-	if _, err := InferAccuracy(s.Model, d.Graph, d.Features, d.Labels, nil, 0); err == nil {
-		t.Fatal("empty node set accepted")
 	}
 }
 

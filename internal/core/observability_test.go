@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"betty/internal/dataset"
@@ -105,46 +104,6 @@ func TestInstrumentedEpochDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("record %d differs:\n%s\n%s", i, a[i], b[i])
 		}
-	}
-}
-
-// TestTrackerMarginConvergesOverRun is the §6.7 feedback loop end-to-end:
-// an instrumented 3-epoch run feeds each micro-batch's measured peak into
-// the ErrorTracker, whose margin must settle (each epoch moves it no more
-// than the one before) and be exported via the plan.margin_ppm gauge.
-func TestTrackerMarginConvergesOverRun(t *testing.T) {
-	s, r := obsSetup(t, false)
-	tr := memoryTracker()
-	s.Engine.Tracker = tr
-
-	margins := []float64{tr.Margin()}
-	for epoch := 0; epoch < 3; epoch++ {
-		if _, err := s.Engine.TrainEpochMicro(); err != nil {
-			t.Fatal(err)
-		}
-		margins = append(margins, tr.Margin())
-	}
-	if !tr.Observations() {
-		t.Fatal("tracker saw no observations")
-	}
-	for i, m := range margins[1:] {
-		if m < 0 || m > 1 {
-			t.Fatalf("margin after epoch %d = %v out of range", i+1, m)
-		}
-	}
-	// EMA contraction: the margin's movement shrinks epoch over epoch
-	// (identically seeded epochs repeat the same workload).
-	d1 := math.Abs(margins[2] - margins[1])
-	d2 := math.Abs(margins[3] - margins[2])
-	if d2 > d1+1e-9 {
-		t.Fatalf("margin diverging: moves %v then %v (margins %v)", d1, d2, margins)
-	}
-	ppm, ok := r.GaugeValue("plan.margin_ppm")
-	if !ok {
-		t.Fatal("plan.margin_ppm gauge not exported")
-	}
-	if want := int64(margins[3] * 1e6); ppm != want {
-		t.Fatalf("plan.margin_ppm = %d, want %d", ppm, want)
 	}
 }
 

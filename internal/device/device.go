@@ -59,14 +59,6 @@ func (m CostModel) TransferTime(n int64) float64 {
 	return m.TransferLatency + float64(n)/m.H2DBandwidth
 }
 
-// ComputeTime returns the simulated seconds to execute flops operations.
-func (m CostModel) ComputeTime(flops float64) float64 {
-	if flops <= 0 {
-		return 0
-	}
-	return m.KernelLatency + flops/m.Throughput
-}
-
 // AllocGranularity is the block size the simulated caching allocator rounds
 // every allocation up to, mirroring CUDA caching allocators. It is the main
 // source of the gap between estimated and "measured" memory (Table 7).
@@ -174,17 +166,6 @@ func (d *Device) Free(b *Buffer) {
 	b.freed = true
 }
 
-// FreeAll releases every live buffer (end of a training step).
-func (d *Device) FreeAll() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, b := range d.live {
-		d.used -= b.bytes
-		b.freed = true
-	}
-	d.live = make(map[int64]*Buffer)
-}
-
 // ResetPeak sets the peak tracker to the current usage.
 func (d *Device) ResetPeak() {
 	d.mu.Lock()
@@ -200,16 +181,6 @@ func (d *Device) Transfer(n int64) float64 {
 	defer d.mu.Unlock()
 	d.transferTime += t
 	d.transferred += n
-	return t
-}
-
-// Compute accounts a kernel of the given FLOP count and returns the
-// simulated seconds it took.
-func (d *Device) Compute(flops float64) float64 {
-	t := d.model.ComputeTime(flops)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.computeTime += t
 	return t
 }
 

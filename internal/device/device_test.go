@@ -42,15 +42,16 @@ func TestAllocFreePeak(t *testing.T) {
 
 func TestOOM(t *testing.T) {
 	d := New(4*KiB, DefaultCostModel())
-	if _, err := d.Alloc(3*KiB, "big"); err != nil {
+	big, err := d.Alloc(3*KiB, "big")
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.Alloc(2*KiB, "overflow")
+	_, err = d.Alloc(2*KiB, "overflow")
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("expected ErrOOM, got %v", err)
 	}
 	// after freeing, the same allocation succeeds
-	d.FreeAll()
+	d.Free(big)
 	if _, err := d.Alloc(2*KiB, "retry"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +86,11 @@ func TestResetPeak(t *testing.T) {
 
 func TestCostModelMonotone(t *testing.T) {
 	m := DefaultCostModel()
-	if m.TransferTime(0) != 0 || m.ComputeTime(0) != 0 {
+	if m.TransferTime(0) != 0 {
 		t.Fatal("zero work should cost zero time")
 	}
 	if m.TransferTime(1000) >= m.TransferTime(1000000) {
 		t.Fatal("transfer time not monotone in bytes")
-	}
-	if m.ComputeTime(1e6) >= m.ComputeTime(1e9) {
-		t.Fatal("compute time not monotone in flops")
 	}
 	// latency floor
 	if m.TransferTime(1) < m.TransferLatency {
@@ -102,8 +100,8 @@ func TestCostModelMonotone(t *testing.T) {
 
 func TestClockAccumulation(t *testing.T) {
 	d := New(GiB, DefaultCostModel())
-	t1 := d.Transfer(12e9 / 2) // about half a second of bandwidth
-	t2 := d.Compute(5e12)      // about one second of compute
+	t1 := d.Transfer(12e9 / 2)      // about half a second of bandwidth
+	t2 := d.ComputeKernels(5e12, 0) // about one second of compute
 	if math.Float64bits(d.TransferSeconds()) != math.Float64bits(t1) ||
 		math.Float64bits(d.ComputeSeconds()) != math.Float64bits(t2) {
 		t.Fatal("clock accumulation mismatch")

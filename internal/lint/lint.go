@@ -159,7 +159,6 @@ var kernelPrefixes = []string{
 	"betty/internal/reg",
 	"betty/internal/partition",
 	"betty/internal/sample",
-	"betty/internal/sparse",
 	"betty/internal/parallel",
 }
 

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"math"
 	"testing"
 
 	"betty/internal/graph"
@@ -248,46 +247,5 @@ func TestEstimateComponentsFused(t *testing.T) {
 				t.Errorf("fused Aggregator = %d, want %d", got.Aggregator, tc.want)
 			}
 		})
-	}
-}
-
-// TestErrorTrackerConverges drives the EMA with a constant relative
-// underestimation and checks Margin approaches underestimation+headroom
-// geometrically; overestimates clamp to headroom alone.
-func TestErrorTrackerConverges(t *testing.T) {
-	tr := NewErrorTracker()
-	if m := tr.Margin(); math.Abs(m-0.02) > 1e-12 {
-		t.Fatalf("pre-observation margin = %v, want headroom 0.02", m)
-	}
-	// measured = 1.1 * estimated: 10% underestimation, every epoch.
-	const want = 0.10 + 0.02
-	prevErr := math.Inf(1)
-	for i := 0; i < 20; i++ {
-		tr.Observe(1000, 1100)
-		e := math.Abs(tr.Margin() - want)
-		if e > prevErr+1e-15 {
-			t.Fatalf("observation %d: margin error grew %v -> %v", i, prevErr, e)
-		}
-		prevErr = e
-	}
-	if prevErr > 1e-6 {
-		t.Fatalf("margin did not converge: still %v from %v", prevErr, want)
-	}
-	if !tr.Observations() {
-		t.Fatal("Observations false after observing")
-	}
-	// A long run of overestimates decays the margin back toward headroom.
-	for i := 0; i < 40; i++ {
-		tr.Observe(1000, 900)
-	}
-	if m := tr.Margin(); math.Abs(m-0.02) > 1e-6 {
-		t.Fatalf("margin after overestimates = %v, want ~0.02", m)
-	}
-	// Degenerate observations are ignored.
-	before := tr.Margin()
-	tr.Observe(0, 100)
-	tr.Observe(100, 0)
-	if after := tr.Margin(); math.Abs(after-before) > 1e-15 {
-		t.Fatalf("degenerate observations moved margin %v -> %v", before, after)
 	}
 }

@@ -58,14 +58,6 @@ func (c *GATConv) Params() []*tensor.Var {
 	return ps
 }
 
-// OutWidth returns the layer's output feature width.
-func (c *GATConv) OutWidth() int {
-	if c.concat {
-		return len(c.heads) * c.out
-	}
-	return c.out
-}
-
 // Forward computes the layer on block b; h holds source features.
 func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {

@@ -374,14 +374,20 @@ func TestGATForwardShapesAndGrads(t *testing.T) {
 }
 
 func TestGATHiddenWidthConcatsHeads(t *testing.T) {
+	b := testBlock(t)
 	r := rng.New(15)
-	conv := NewGATConv(4, 5, 3, true, r)
-	if conv.OutWidth() != 15 {
-		t.Fatalf("concat width = %d", conv.OutWidth())
-	}
-	avg := NewGATConv(4, 5, 3, false, r)
-	if avg.OutWidth() != 5 {
-		t.Fatalf("average width = %d", avg.OutWidth())
+	x := tensor.Leaf(tensor.New(b.NumSrc, 4))
+	x.Value.Randn(r, 1)
+	for _, c := range []struct {
+		concat bool
+		want   int
+	}{{true, 15}, {false, 5}} {
+		tp := tensor.NewTape()
+		out := NewGATConv(4, 5, 3, c.concat, r).Forward(tp, b, x)
+		if out.Value.Rows() != b.NumDst || out.Value.Cols() != c.want {
+			t.Fatalf("concat=%v: output %dx%d, want %dx%d", c.concat, out.Value.Rows(), out.Value.Cols(), b.NumDst, c.want)
+		}
+		tp.Release()
 	}
 }
 
@@ -425,23 +431,6 @@ func TestOptimizerStateSizes(t *testing.T) {
 	}
 	if NewAdam(m, 0.1).StateSize() != 2 {
 		t.Fatal("adam state size")
-	}
-}
-
-func TestNewOptimizerByName(t *testing.T) {
-	w := tensor.Param(tensor.New(1, 1))
-	m := paramModule{w}
-	for _, name := range []string{"sgd", "momentum", "adam"} {
-		o, err := NewOptimizer(name, m, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.Name() == "" {
-			t.Fatal("empty optimizer name")
-		}
-	}
-	if _, err := NewOptimizer("nope", m, 0.1); err == nil {
-		t.Fatal("unknown optimizer accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"betty/internal/tensor"
@@ -120,19 +119,5 @@ func (a *Adam) Step() {
 			vh := v.Data[j] / bc2
 			p.Value.Data[j] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
 		}
-	}
-}
-
-// NewOptimizer constructs an optimizer by name ("sgd", "momentum", "adam").
-func NewOptimizer(name string, m Module, lr float32) (Optimizer, error) {
-	switch name {
-	case "sgd":
-		return NewSGD(m, lr, 0), nil
-	case "momentum":
-		return NewSGD(m, lr, 0.9), nil
-	case "adam":
-		return NewAdam(m, lr), nil
-	default:
-		return nil, fmt.Errorf("nn: unknown optimizer %q", name)
 	}
 }

@@ -72,8 +72,8 @@ func (s *Stack[L]) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var
 // them one at a time through ApplyBlockLayer records exactly the op
 // sequence the model's own Forward records — it is the same loop body —
 // so per-layer execution is bitwise identical to the whole-model forward:
-// the property core.LayerwiseInference and the embedding cache's
-// partial-skip path (internal/embcache) rely on.
+// the property the embedding cache's partial-skip path (internal/embcache)
+// relies on.
 func LayerStack(model any) ([]BlockLayer, error) {
 	m, ok := model.(interface{ BlockLayers() []BlockLayer })
 	if !ok {

@@ -86,11 +86,15 @@ func (j *job) run() {
 
 var (
 	jobPool = sync.Pool{New: func() any { return new(job) }}
-	// jobs is the feed channel of the persistent workers. Sends are
-	// non-blocking: when every worker is busy (including the nested-call
-	// case, where a worker's fn itself issues a parallel call), the
-	// submitter simply runs more shards on its own goroutine.
+	// jobs is the feed channel of the persistent workers. A job is posted
+	// only after an idle worker has been reserved for it (see idle), so
+	// every post is guaranteed a receiver; when no worker is idle —
+	// including the nested-call case, where a worker's fn itself issues a
+	// parallel call — the submitter runs the remaining shards itself.
 	jobs = make(chan *job, 256)
+	// idle counts the workers that are parked on (or about to park on) a
+	// receive from jobs and have not been reserved by a submitter.
+	idle atomic.Int64
 	// spawned counts the persistent workers launched so far; workers are
 	// started lazily, up to the largest concurrency any call has asked for.
 	spawned atomic.Int64
@@ -106,9 +110,14 @@ func ensureWorkers(w int) {
 			return
 		}
 		if spawned.CompareAndSwap(cur, cur+1) {
+			idle.Add(1)
 			go func() {
 				for j := range jobs {
 					j.run()
+					// Idle again before Done, so the submitter
+					// returning from Wait can reserve this worker for
+					// its very next call.
+					idle.Add(1)
 					j.wg.Done()
 				}
 			}()
@@ -116,19 +125,25 @@ func ensureWorkers(w int) {
 	}
 }
 
+// reserveIdle claims one idle worker, reporting false when none is idle.
+func reserveIdle() bool {
+	for {
+		n := idle.Load()
+		if n <= 0 {
+			return false
+		}
+		if idle.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
 // dispatch runs j with up to w concurrent executors and recycles it.
 func dispatch(j *job, w int) {
 	ensureWorkers(w)
-	for i := 0; i < w-1; i++ {
+	for i := 0; i < w-1 && reserveIdle(); i++ {
 		j.wg.Add(1)
-		select {
-		case jobs <- j:
-		default:
-			// Pool saturated (e.g. a nested call from inside a worker):
-			// stop posting and let the submitter drain the rest itself.
-			j.wg.Done()
-			i = w // exit the posting loop
-		}
+		jobs <- j
 	}
 	j.run() // the submitter always participates
 	j.wg.Wait()

@@ -23,9 +23,12 @@ type wedge struct {
 // per-shard scratch and balances the load.
 const rowShardGrain = 512
 
-// BuildREGFast constructs the same redundancy-embedded graph as BuildREG
-// without materializing the sparse adjacency or its Gram product — the
-// REG-construction optimization the paper lists as future work.
+// BuildREGFast constructs the redundancy-embedded graph of a last-layer
+// block (Algorithm 1 lines 1-7): one node per block destination, edge
+// weights counting shared in-neighbors. It never materializes the sparse
+// adjacency or its Gram product — the REG-construction optimization the
+// paper lists as future work; the tests hold it bitwise equal to the
+// Algorithm-1-literal SpGEMM construction and to a brute-force count.
 //
 // It is a row-wise (Gustavson) evaluation of the strict upper triangle of
 // C = AᵀA: c_ab = Σ_k a_ka·a_kb only receives contributions from sources k

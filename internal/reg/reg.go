@@ -17,56 +17,7 @@ import (
 	"betty/internal/obs"
 	"betty/internal/partition"
 	"betty/internal/rng"
-	"betty/internal/sparse"
 )
-
-// BuildREG constructs the redundancy-embedded graph of a last-layer block,
-// following Algorithm 1 lines 1-7: adjacency A over the block's homogeneous
-// node space, C = AᵀA, restriction to output (destination) nodes, and
-// self-loop removal. The result has one node per block destination; edge
-// weights count shared in-neighbors.
-func BuildREG(last *graph.Block) (*partition.WeightedGraph, error) {
-	if err := last.Validate(); err != nil {
-		return nil, fmt.Errorf("reg: invalid block: %w", err)
-	}
-	n := last.NumSrc // homogeneous node space: sources (destinations are a prefix)
-	srcIdx, dstIdx := last.EdgePairs()
-	// A[k][i] = 1 iff edge k -> i; rows are sources, cols are destinations
-	// in the same local space.
-	a, err := sparse.NewCOO(n, n, srcIdx, dstIdx, nil)
-	if err != nil {
-		return nil, fmt.Errorf("reg: adjacency: %w", err)
-	}
-	c := a.Gram() // c_ij = number of shared in-neighbors of i and j
-
-	// Remove non-output nodes (keep destinations 0..NumDst-1), then self loops.
-	keep := make([]int32, last.NumDst)
-	for i := range keep {
-		keep[i] = int32(i)
-	}
-	c, err = c.SelectSquare(keep)
-	if err != nil {
-		return nil, fmt.Errorf("reg: restrict to outputs: %w", err)
-	}
-	c = c.DropSelfLoops()
-
-	// Convert to the partitioner's undirected weighted-graph format.
-	// C is symmetric; NewWeightedGraph sums both triangle copies, so halve.
-	u := make([]int32, 0, c.NNZ())
-	v := make([]int32, 0, c.NNZ())
-	w := make([]float32, 0, c.NNZ())
-	for i := 0; i < c.NumRows; i++ {
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			j := c.ColIdx[p]
-			if int32(i) < j { // take the upper triangle once
-				u = append(u, int32(i))
-				v = append(v, j)
-				w = append(w, c.Val[p])
-			}
-		}
-	}
-	return partition.NewWeightedGraph(last.NumDst, u, v, w, nil)
-}
 
 // BatchPartitioner splits a batch's output nodes into K groups. The
 // returned groups hold *local destination indices* of the last-layer block;
@@ -239,7 +190,8 @@ func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) 
 // partitioner, so output nodes sharing many neighbors stay together.
 //
 // It uses the row-wise REG construction, BuildREGFast, which the tests hold
-// equal to BuildREG, the Algorithm-1-literal sparse-product reference.
+// bitwise equal to an Algorithm-1-literal sparse-product oracle (BuildREG,
+// oracle_test.go) and to a brute-force shared-neighbor count.
 type BettyBatch struct {
 	// Seed drives the multilevel partitioner's randomized phases.
 	Seed uint64

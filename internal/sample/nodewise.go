@@ -23,7 +23,6 @@ import (
 // Sampler; the request path uses NodeWise.
 type NodeWise struct {
 	fanouts []int
-	replace bool
 	seed    uint64
 
 	// Obs, when non-nil, receives one PhaseSample span per Sample call.
@@ -103,7 +102,7 @@ func (s *NodeWise) sampleLayer(g *graph.Graph, frontier []int32, fanout, layer i
 	for d := 0; d < nDst; d++ {
 		neigh, eids := g.InNeighbors(frontier[d])
 		chosenSrc, chosenEID := chooseNeighbors(s.nodeRNG(frontier[d], layer),
-			neigh, eids, fanout, s.replace, scratchSrc, scratchEID)
+			neigh, eids, fanout, scratchSrc, scratchEID)
 		for i, u := range chosenSrc {
 			li, ok := local[u]
 			if !ok {
@@ -137,23 +136,14 @@ func (s *NodeWise) sampleLayer(g *graph.Graph, frontier []int32, fanout, layer i
 
 // chooseNeighbors selects up to fanout entries of neigh/eids using r. With
 // fanout disabled or enough capacity it returns the inputs unchanged;
-// otherwise it reservoir-samples without replacement (or draws uniformly
-// with replacement). Shared by Sampler and NodeWise — the samplers differ
-// only in how r is derived.
-func chooseNeighbors(r *rng.RNG, neigh, eids []int32, fanout int, replace bool, scratchSrc, scratchEID []int32) ([]int32, []int32) {
+// otherwise it reservoir-samples without replacement. Shared by Sampler
+// and NodeWise — the samplers differ only in how r is derived.
+func chooseNeighbors(r *rng.RNG, neigh, eids []int32, fanout int, scratchSrc, scratchEID []int32) ([]int32, []int32) {
 	if fanout == FullNeighbors || len(neigh) <= fanout {
 		return neigh, eids
 	}
 	scratchSrc = scratchSrc[:0]
 	scratchEID = scratchEID[:0]
-	if replace {
-		for i := 0; i < fanout; i++ {
-			j := r.Intn(len(neigh))
-			scratchSrc = append(scratchSrc, neigh[j])
-			scratchEID = append(scratchEID, eids[j])
-		}
-		return scratchSrc, scratchEID
-	}
 	// Reservoir sampling (Algorithm R): uniform without replacement.
 	scratchSrc = append(scratchSrc, neigh[:fanout]...)
 	scratchEID = append(scratchEID, eids[:fanout]...)

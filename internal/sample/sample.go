@@ -26,7 +26,6 @@ const FullNeighbors = -1
 // concurrent Sample calls are safe.
 type Sampler struct {
 	fanouts []int
-	replace bool
 	seed    uint64
 
 	// Obs, when non-nil, receives one PhaseSample span per Sample call.
@@ -43,28 +42,17 @@ func New(fanouts []int, seed uint64) *Sampler {
 	return &Sampler{fanouts: append([]int(nil), fanouts...), seed: seed}
 }
 
-// NewWithReplacement returns a sampler that samples neighbors with
-// replacement, as DGL does when fanout exceeds available neighbors.
-func NewWithReplacement(fanouts []int, seed uint64) *Sampler {
-	s := New(fanouts, seed)
-	s.replace = true
-	return s
-}
-
 // NumLayers returns the number of block layers the sampler produces.
 func (s *Sampler) NumLayers() int { return len(s.fanouts) }
 
-// ConfigKey hashes the sampler's full configuration (fanouts, replacement
-// mode, seed). Two samplers with equal keys draw identical neighborhoods
-// for identical seed sets, which is what lets a persisted macrobatch
-// (store.MacroCache) verify it was sampled under this configuration.
+// ConfigKey hashes the sampler's full configuration (fanouts, seed). Two
+// samplers with equal keys draw identical neighborhoods for identical seed
+// sets, which is what lets a persisted macrobatch (store.MacroCache)
+// verify it was sampled under this configuration.
 func (s *Sampler) ConfigKey() uint64 {
 	h := mix64(s.seed ^ 0xa0761d6478bd642f)
 	for _, f := range s.fanouts {
 		h = mix64(h ^ uint64(uint32(int32(f))))
-	}
-	if s.replace {
-		h = mix64(h ^ 0xe7037ed1a0b428db)
 	}
 	return h
 }
@@ -140,7 +128,7 @@ func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, fanout int, r *r
 
 	for d := 0; d < nDst; d++ {
 		neigh, eids := g.InNeighbors(frontier[d])
-		chosenSrc, chosenEID := s.choose(r, neigh, eids, fanout, scratchSrc, scratchEID)
+		chosenSrc, chosenEID := chooseNeighbors(r, neigh, eids, fanout, scratchSrc, scratchEID)
 		for i, u := range chosenSrc {
 			li, ok := local[u]
 			if !ok {
@@ -170,21 +158,4 @@ func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, fanout int, r *r
 		}
 	}
 	return b
-}
-
-// choose selects up to fanout entries of neigh/eids. With fanout disabled or
-// enough capacity it returns the inputs unchanged; otherwise it reservoir-
-// samples without replacement (or draws uniformly with replacement).
-func (s *Sampler) choose(r *rng.RNG, neigh, eids []int32, fanout int, scratchSrc, scratchEID []int32) ([]int32, []int32) {
-	return chooseNeighbors(r, neigh, eids, fanout, s.replace, scratchSrc, scratchEID)
-}
-
-// SampleFull draws the complete (unsampled) numLayers-hop neighborhood of
-// seeds — the full-batch structure used as the partitioning input in Betty.
-func SampleFull(g *graph.Graph, seeds []int32, numLayers int) ([]*graph.Block, error) {
-	fanouts := make([]int, numLayers)
-	for i := range fanouts {
-		fanouts[i] = FullNeighbors
-	}
-	return New(fanouts, 0).Sample(g, seeds)
 }

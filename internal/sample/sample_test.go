@@ -71,17 +71,6 @@ func TestSampleFanoutBound(t *testing.T) {
 	}
 }
 
-func TestSampleFullNeighbors(t *testing.T) {
-	g := star(t, 20)
-	blocks, err := SampleFull(g, []int32{0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocks[0].InDegree(0) != 19 {
-		t.Fatalf("full sample got %d of 19 neighbors", blocks[0].InDegree(0))
-	}
-}
-
 func TestSampleSmallDegreeTakesAll(t *testing.T) {
 	g := star(t, 5)
 	s := New([]int{100}, 1)
@@ -94,25 +83,11 @@ func TestSampleSmallDegreeTakesAll(t *testing.T) {
 	}
 }
 
-func TestSampleWithReplacement(t *testing.T) {
-	g := star(t, 4) // only 3 neighbors
-	s := NewWithReplacement([]int{10}, 2)
-	blocks, err := s.Sample(g, []int32{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// degree 3 <= fanout 10, so all neighbors taken without resampling
-	if blocks[0].InDegree(0) != 3 {
-		t.Fatalf("got degree %d", blocks[0].InDegree(0))
-	}
-	// now a star big enough to trigger replacement
-	g2 := star(t, 100)
-	blocks, err = s.Sample(g2, []int32{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocks[0].InDegree(0) != 10 {
-		t.Fatalf("replacement sample degree %d, want 10", blocks[0].InDegree(0))
+// Persisted macrobatches are verified against ConfigKey, so the key of a
+// given configuration must never change between builds.
+func TestConfigKeyPinned(t *testing.T) {
+	if got, want := New([]int{5, 10}, 1).ConfigKey(), uint64(0x29b64e4c66b198d1); got != want {
+		t.Fatalf("ConfigKey = %#x, want %#x", got, want)
 	}
 }
 

@@ -1135,32 +1135,6 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Var, labels []int32) *Var {
 	return out
 }
 
-// Softmax computes a row-wise softmax of logits without recording a
-// backward op; it is a convenience for inference-time predictions.
-func Softmax(logits *Tensor) *Tensor {
-	out := New(logits.RowsN, logits.ColsN)
-	for i := 0; i < logits.RowsN; i++ {
-		row := logits.Row(i)
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		orow := out.Row(i)
-		for j, v := range row {
-			e := math.Exp(float64(v - maxv))
-			orow[j] = float32(e)
-			sum += e
-		}
-		for j := range orow {
-			orow[j] = float32(float64(orow[j]) / sum)
-		}
-	}
-	return out
-}
-
 // Argmax returns the index of the largest value in each row.
 func Argmax(t *Tensor) []int32 {
 	out := make([]int32, t.RowsN)

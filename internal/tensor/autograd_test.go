@@ -398,7 +398,9 @@ func TestDropoutZeroProbIsIdentity(t *testing.T) {
 
 func TestDropoutScalesSurvivors(t *testing.T) {
 	a := Leaf(New(100, 10))
-	a.Value.Fill(1)
+	for i := range a.Value.Data {
+		a.Value.Data[i] = 1
+	}
 	tp := NewTape()
 	out := tp.Dropout(a, 0.5, rng.New(16))
 	zeros, scaled := 0, 0

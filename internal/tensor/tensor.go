@@ -67,13 +67,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {

@@ -160,25 +160,6 @@ func TestXavierInitBounds(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	r := rng.New(11)
-	a := New(10, 5)
-	a.Randn(r, 3)
-	s := Softmax(a)
-	for i := 0; i < s.RowsN; i++ {
-		var sum float64
-		for _, v := range s.Row(i) {
-			if v < 0 {
-				t.Fatal("negative probability")
-			}
-			sum += float64(v)
-		}
-		if !almostEq(sum, 1, 1e-5) {
-			t.Fatalf("row %d sums to %v", i, sum)
-		}
-	}
-}
-
 func TestArgmax(t *testing.T) {
 	a := FromSlice(2, 3, []float32{0, 5, 2, 7, 1, 3})
 	got := Argmax(a)
