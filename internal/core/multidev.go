@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"betty/internal/device"
 	"betty/internal/graph"
@@ -31,7 +30,7 @@ import (
 // surface per-device OOM), host loads for owned inputs, halo traffic for
 // the rest, compute time from measured shard forwards, and the tree
 // all-reduce schedule. Results are therefore bitwise identical to
-// single-device training at any device count, in either mode.
+// single-device training at any device count.
 type MultiDevice struct {
 	Engine  *Engine
 	Devices []*device.Device
@@ -42,47 +41,20 @@ type MultiDevice struct {
 	Interconnect device.Interconnect
 
 	// ShardPartitioner splits each micro-batch's destination set across
-	// the devices (split-parallel mode). Nil uses the engine's batch
-	// partitioner — Betty's REG partitioning by default, so output nodes
-	// sharing many inputs land on the same device and the halo stays
-	// small. reg.RangeBatch / reg.RandomBatch / reg.MetisBatch give the
+	// the devices. Nil uses the engine's batch partitioner — Betty's REG
+	// partitioning by default, so output nodes sharing many inputs land on
+	// the same device and the halo stays small. reg.RangeBatch / reg.RandomBatch / reg.MetisBatch give the
 	// baseline layouts the multidev bench sweeps.
 	ShardPartitioner reg.BatchPartitioner
-
-	// Mode selects the scheduling scheme; the zero value is SplitParallel.
-	Mode MultiDeviceMode
 
 	// replicas holds each device's persistent model-state buffers, so one
 	// replica per device survives across epochs (no re-allocation leak).
 	replicas map[*device.Device][]*device.Buffer
 }
 
-// MultiDeviceMode selects how an epoch's work is spread over the devices.
-type MultiDeviceMode int
-
-const (
-	// SplitParallel partitions every micro-batch across all devices and
-	// executes the shards cooperatively with halo feature exchange.
-	SplitParallel MultiDeviceMode = iota
-	// BatchParallel assigns whole micro-batches to devices with an LPT
-	// greedy schedule — the data-parallel baseline split-parallelism is
-	// measured against.
-	BatchParallel
-)
-
-// String implements fmt.Stringer for experiment output.
-func (m MultiDeviceMode) String() string {
-	if m == BatchParallel {
-		return "batch-parallel"
-	}
-	return "split-parallel"
-}
-
 // DeviceLoad reports one device's share of an epoch.
 type DeviceLoad struct {
-	// Batches counts the executions charged to the device: micro-batch
-	// shards in split-parallel mode, whole micro-batches in batch-parallel
-	// mode.
+	// Batches counts the micro-batch shards charged to the device.
 	Batches int
 	// Seconds is the device's accumulated compute + transfer time.
 	Seconds float64
@@ -90,8 +62,7 @@ type DeviceLoad struct {
 	// time includes both host loads and received halo bytes.
 	ComputeSeconds, TransferSeconds float64
 	// IdleSeconds is time spent waiting at the per-micro-batch barrier for
-	// slower devices (split-parallel) or for the epoch makespan
-	// (batch-parallel) — the load-imbalance cost.
+	// slower devices — the load-imbalance cost.
 	IdleSeconds float64
 	// OwnedBytes is the input-feature bytes the device loaded from the
 	// host for the shard inputs it owns.
@@ -109,9 +80,8 @@ type MultiEpochStats struct {
 	// Devices is the device count the epoch ran on.
 	Devices int
 	// Makespan is the simulated wall time: the sum over micro-batches of
-	// the slowest device's shard time (cooperative barrier per micro-batch
-	// in split-parallel mode; the slowest device total in batch-parallel
-	// mode), plus the gradient all-reduce.
+	// the slowest device's shard time (cooperative barrier per
+	// micro-batch), plus the gradient all-reduce.
 	Makespan float64
 	// AllReduceSeconds is the critical-path time of the gradient tree
 	// all-reduce; AllReduceBytes the total interconnect traffic it moved;
@@ -130,8 +100,8 @@ type MultiEpochStats struct {
 
 // TrainEpoch runs one gradient-accumulating epoch across the devices and
 // applies a single optimizer step. The per-device planner budget is the
-// smallest device capacity; in split-parallel mode the memory planner uses
-// the split-aware peak (memory.SplitPeak), so K is chosen by what one
+// smallest device capacity; with more than one device the memory planner
+// uses the split-aware peak (memory.SplitPeak), so K is chosen by what one
 // device's *shard* must hold, not the whole micro-batch.
 func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 	var st MultiEpochStats
@@ -143,7 +113,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 
 	savedCap, savedPeak := e.PlanCapacity, e.PlanPeak
 	e.PlanCapacity = m.minCapacity()
-	if m.Mode == SplitParallel && len(m.Devices) > 1 {
+	if len(m.Devices) > 1 {
 		e.PlanPeak = memory.SplitPeak(len(m.Devices))
 	}
 	full, plan, err := e.PlanEpoch(seeds)
@@ -157,8 +127,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 
 	sp := e.Obs.StartSpan(obs.PhaseMultiDev).
 		SetInt("devices", int64(len(m.Devices))).
-		SetInt("k", int64(plan.K)).
-		SetInt("mode", int64(m.Mode))
+		SetInt("k", int64(plan.K))
 	defer sp.End()
 
 	// The simulation swaps per-device replicas in and out of the runner;
@@ -180,12 +149,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 	if err := m.ensureReplicas(); err != nil {
 		return st, err
 	}
-	if m.Mode == BatchParallel {
-		err = m.simulateBatchParallel(plan, &st)
-	} else {
-		err = m.simulateSplitParallel(plan, &st)
-	}
-	if err != nil {
+	if err := m.simulateSplitParallel(plan, &st); err != nil {
 		return st, err
 	}
 
@@ -258,13 +222,12 @@ func (m *MultiDevice) ensureReplicas() error {
 	return nil
 }
 
-// shardCharge replays one shard (or whole micro-batch) on a device: ledger
-// allocations for the transient tensors, host transfers for owned inputs
-// plus labels and block structure, halo receives for peer-owned inputs,
-// and compute time from a measured gradient-free forward. haloByOwner maps
-// owning-device index to received feature bytes (nil when everything is
-// host-loaded). It returns the activation estimate error or OOM unchanged
-// so callers can surface which device and shard hit capacity.
+// shardCharge replays one shard on a device: ledger allocations for the
+// transient tensors, host transfers for owned inputs plus labels and block
+// structure, halo receives for peer-owned inputs, and compute time from a
+// measured gradient-free forward. haloByOwner maps owning-device index to
+// received feature bytes. It returns the activation estimate error or OOM
+// unchanged so callers can surface which device and shard hit capacity.
 func (m *MultiDevice) shardCharge(d int, shard []*graph.Block, ownedBytes int64, haloByOwner []int64, load *DeviceLoad, st *MultiEpochStats) error {
 	runner := m.Engine.Runner
 	dev := m.Devices[d]
@@ -439,63 +402,6 @@ func (m *MultiDevice) splitMicro(micro []*graph.Block, mi int) ([][]*graph.Block
 		}
 	}
 	return shards, nil
-}
-
-// lptOrder returns micro-batch indices sorted by estimated peak descending,
-// index ascending on ties — the deterministic longest-processing-time order
-// the batch-parallel scheduler consumes.
-func lptOrder(estimates []memory.Breakdown) []int {
-	order := make([]int, len(estimates))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		pi, pj := estimates[order[i]].Peak(), estimates[order[j]].Peak()
-		if pi != pj {
-			return pi > pj
-		}
-		return order[i] < order[j]
-	})
-	return order
-}
-
-// simulateBatchParallel replays the epoch under the data-parallel baseline:
-// whole micro-batches are assigned to devices by LPT greedy scheduling
-// (largest estimated peak first, always to the least-loaded device, lowest
-// index on ties) and every input is loaded from the host — no halo
-// exchange, but also no per-device memory relief beyond the assignment.
-func (m *MultiDevice) simulateBatchParallel(plan *memory.Plan, st *MultiEpochStats) error {
-	nDev := len(m.Devices)
-	assigned := make([][]int, nDev)
-	loadEst := make([]int64, nDev)
-	for _, mi := range lptOrder(plan.Estimates) {
-		best := 0
-		for d := 1; d < nDev; d++ {
-			if loadEst[d] < loadEst[best] {
-				best = d
-			}
-		}
-		assigned[best] = append(assigned[best], mi)
-		loadEst[best] += plan.Estimates[mi].Peak()
-	}
-	featBytes := int64(m.Engine.Runner.Data.FeatureDim()) * 4
-	for d := range m.Devices {
-		before := busy(m.Devices[d])
-		for _, mi := range assigned[d] {
-			micro := plan.Micro[mi]
-			ownedBytes := int64(micro[0].NumSrc) * featBytes
-			if err := m.shardCharge(d, micro, ownedBytes, nil, &st.PerDevice[d], st); err != nil {
-				return fmt.Errorf("core: device %d micro-batch %d: %w", d, mi, err)
-			}
-		}
-		if t := busy(m.Devices[d]) - before; t > st.Makespan {
-			st.Makespan = t
-		}
-	}
-	for d, dev := range m.Devices {
-		st.PerDevice[d].IdleSeconds = st.Makespan - busy(dev)
-	}
-	return nil
 }
 
 // finishEpoch folds the device clocks and peaks into the epoch stats.

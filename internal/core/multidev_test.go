@@ -6,7 +6,6 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/tensor"
 )
@@ -137,7 +136,7 @@ func TestMultiDeviceSpeedup(t *testing.T) {
 // multiTrace runs two multi-device epochs over n devices and returns the
 // per-epoch loss/accuracy scalars, every recorded post-all-reduce
 // gradient, and the final parameters.
-func multiTrace(t *testing.T, n int, mode MultiDeviceMode) ([]float64, [][]float32, []float32) {
+func multiTrace(t *testing.T, n int) ([]float64, [][]float32, []float32) {
 	t.Helper()
 	d := testData(t)
 	s, err := BuildSAGE(d, Options{Seed: 21, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 6})
@@ -149,7 +148,7 @@ func multiTrace(t *testing.T, n int, mode MultiDeviceMode) ([]float64, [][]float
 	for i := range devs {
 		devs[i] = device.New(device.GiB, device.DefaultCostModel())
 	}
-	md := &MultiDevice{Engine: s.Engine, Devices: devs, Mode: mode}
+	md := &MultiDevice{Engine: s.Engine, Devices: devs}
 	var scalars []float64
 	for e := 0; e < 2; e++ {
 		st, err := md.TrainEpoch()
@@ -215,21 +214,11 @@ func compareGradTraces(t *testing.T, label string, g1, g2 [][]float32) {
 func TestMultiDeviceBitwiseIdentical(t *testing.T) {
 	sRef, gRef, pRef := singleTrace(t)
 	for _, n := range []int{1, 2, 4, 8} {
-		sN, gN, pN := multiTrace(t, n, SplitParallel)
+		sN, gN, pN := multiTrace(t, n)
 		label := "single vs " + string(rune('0'+n)) + " devices"
 		compareTraces(t, label, sRef, sN, pRef, pN)
 		compareGradTraces(t, label, gRef, gN)
 	}
-}
-
-// TestMultiDeviceBatchParallelBitwise pins the same claim for the
-// batch-parallel baseline mode: scheduling whole micro-batches onto
-// devices changes no numerical result either.
-func TestMultiDeviceBatchParallelBitwise(t *testing.T) {
-	sRef, gRef, pRef := singleTrace(t)
-	sB, gB, pB := multiTrace(t, 3, BatchParallel)
-	compareTraces(t, "single vs batch-parallel", sRef, sB, pRef, pB)
-	compareGradTraces(t, "single vs batch-parallel", gRef, gB)
 }
 
 // TestMultiDeviceMaskedAccuracy is the masked-label fixture for the
@@ -332,42 +321,5 @@ func TestMultiDeviceHaloConservation(t *testing.T) {
 	want := int64(st.InputNodes) * featBytes
 	if owned != want {
 		t.Fatalf("owned host loads %d, want %d (distinct inputs once each)", owned, want)
-	}
-}
-
-// The batch-parallel LPT schedule must keep device loads in a reasonable
-// band and must not exchange halos (every input is host-loaded).
-func TestMultiDeviceBatchParallelBalance(t *testing.T) {
-	_, md := multiSetup(t, 2, 16)
-	md.Mode = BatchParallel
-	st, err := md.TrainEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := st.PerDevice[0].Batches, st.PerDevice[1].Batches
-	if a+b != 16 {
-		t.Fatalf("scheduled %d batches", a+b)
-	}
-	if a < 4 || b < 4 {
-		t.Fatalf("grossly imbalanced schedule: %d vs %d", a, b)
-	}
-	if st.HaloBytes != 0 {
-		t.Fatalf("batch-parallel mode exchanged %d halo bytes", st.HaloBytes)
-	}
-}
-
-// lptOrder must sort by peak descending with the micro-batch index as a
-// deterministic tiebreak — the insertion-sort replacement keeps the exact
-// order the old scheduler produced.
-func TestLPTOrderDeterministic(t *testing.T) {
-	est := []memory.Breakdown{
-		{Params: 5}, {Params: 9}, {Params: 5}, {Params: 9}, {Params: 1},
-	}
-	got := lptOrder(est)
-	want := []int{1, 3, 0, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("lptOrder = %v, want %v", got, want)
-		}
 	}
 }

@@ -128,9 +128,11 @@ func (c *Cache) MaxObservedLag() uint64 {
 	return c.maxObservedLag
 }
 
-// Stats returns the cumulative FetchInto hit and miss counts (zeros for
-// a nil cache). In exact mode every lookup reports a miss by
-// construction — compute is never skipped.
+// Stats returns the cumulative FetchInto hit and miss counts — the same
+// numbers the embcache.hits and embcache.misses counters carry (zeros for
+// a nil cache). Forward looks a layer-1 frontier up once the cache holds
+// rows; in exact mode every lookup reports a miss by construction —
+// compute is never skipped.
 func (c *Cache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0

@@ -1,12 +1,10 @@
 package embcache
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"betty/internal/device"
-	"betty/internal/graph"
 	"betty/internal/obs"
 	"betty/internal/tensor"
 )
@@ -304,67 +302,6 @@ func TestStoreShapeErrors(t *testing.T) {
 	}
 	if err := c.Store([]int32{2}, tensor.New(1, 8)); err == nil {
 		t.Fatal("row dim change accepted")
-	}
-}
-
-func TestRestrictDst(t *testing.T) {
-	b := &graph.Block{
-		NumDst:   3,
-		NumSrc:   5,
-		Ptr:      []int64{0, 2, 5, 6},
-		SrcLocal: []int32{0, 3, 1, 3, 4, 2},
-		EID:      []int32{0, 1, 2, 3, 4, 5},
-		EdgeWt:   []float32{1, 2, 3, 4, 5, 6},
-		DstNID:   []int32{10, 11, 12},
-		SrcNID:   []int32{10, 11, 12, 20, 21},
-	}
-	sub, srcSel := restrictDst(b, []int32{0, 2})
-
-	if sub.NumDst != 2 || sub.NumSrc != 3 {
-		t.Fatalf("sub sizes %d/%d, want 2/3", sub.NumDst, sub.NumSrc)
-	}
-	wantSel := []int32{0, 2, 3}
-	for i, s := range wantSel {
-		if srcSel[i] != s {
-			t.Fatalf("srcSel = %v, want %v", srcSel, wantSel)
-		}
-	}
-	wantDst := []int32{10, 12}
-	wantSrc := []int32{10, 12, 20}
-	for i := range wantDst {
-		if sub.DstNID[i] != wantDst[i] || sub.SrcNID[i] != wantDst[i] {
-			t.Fatalf("DstNID %v / SrcNID %v: destinations must prefix sources", sub.DstNID, sub.SrcNID)
-		}
-	}
-	for i := range wantSrc {
-		if sub.SrcNID[i] != wantSrc[i] {
-			t.Fatalf("SrcNID = %v, want %v", sub.SrcNID, wantSrc)
-		}
-	}
-	wantPtr := []int64{0, 2, 3}
-	wantLocal := []int32{0, 2, 1}
-	wantEID := []int32{0, 1, 5}
-	wantWt := []float32{1, 2, 6}
-	for i := range wantPtr {
-		if sub.Ptr[i] != wantPtr[i] {
-			t.Fatalf("Ptr = %v, want %v", sub.Ptr, wantPtr)
-		}
-	}
-	for i := range wantLocal {
-		// EdgeWt is copied, never recomputed, so bitwise is the claim.
-		if sub.SrcLocal[i] != wantLocal[i] || sub.EID[i] != wantEID[i] ||
-			math.Float32bits(sub.EdgeWt[i]) != math.Float32bits(wantWt[i]) {
-			t.Fatalf("edges: SrcLocal %v EID %v EdgeWt %v", sub.SrcLocal, sub.EID, sub.EdgeWt)
-		}
-	}
-	// Every retained edge still names the same global endpoint pair.
-	for i, d := range []int32{0, 2} {
-		for e := sub.Ptr[i]; e < sub.Ptr[i+1]; e++ {
-			orig := b.Ptr[d] + (e - sub.Ptr[i])
-			if sub.SrcNID[sub.SrcLocal[e]] != b.SrcNID[b.SrcLocal[orig]] {
-				t.Fatalf("edge %d of kept dst %d changed endpoint", e, d)
-			}
-		}
 	}
 }
 

@@ -45,36 +45,27 @@ func Forward(tp *tensor.Tape, model any, blocks []*graph.Block, x *tensor.Var, c
 }
 
 // forwardLayer1 produces the layer-1 output (always non-last, so the
-// inter-layer ReLU is applied) through the cache.
+// inter-layer ReLU is applied) through the cache. The one lookup is
+// FetchInto, which does all hit/miss counting; a cache that has stored no
+// row yet has nothing to look up, so a cold forward counts neither.
 func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tensor.Var, c *Cache) (*tensor.Var, error) {
-	if c.mode == ModeExact {
-		h1 := nn.ApplyBlockLayer(tp, layer, b, x, false)
-		c.reg.Add("embcache.computed_rows", int64(b.NumDst))
-		if err := c.VerifyAndStore(b.DstNID, h1.Value); err != nil {
-			return nil, err
-		}
-		return h1, nil
-	}
-
-	// Reuse: fetch what the cache has directly into a leaf tensor whose
-	// miss rows stay zero; they are filled by the scattered sub-block
-	// compute below.
+	// Fetch what the cache has directly into a leaf tensor whose miss rows
+	// stay zero; they are filled by the scattered sub-block compute below.
+	// Exact mode's lookups always miss, so it always computes in full.
 	var hitRows *tensor.Tensor
 	var hit []bool
 	hits := 0
 	if dim := c.Dim(); dim > 0 {
 		hitRows = tensor.New(b.NumDst, dim)
 		hit, hits = c.FetchInto(b.DstNID, hitRows.Row)
-	} else {
-		c.reg.Add("embcache.misses", int64(b.NumDst))
 	}
-	if hits == b.NumDst {
+	if hits > 0 && hits == b.NumDst {
 		return tensor.Leaf(hitRows), nil
 	}
 	if hits == 0 {
 		h1 := nn.ApplyBlockLayer(tp, layer, b, x, false)
 		c.reg.Add("embcache.computed_rows", int64(b.NumDst))
-		if err := c.Store(b.DstNID, h1.Value); err != nil {
+		if err := c.store(b.DstNID, h1.Value, c.mode == ModeExact); err != nil {
 			return nil, err
 		}
 		return h1, nil
@@ -91,7 +82,10 @@ func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tens
 			keep = append(keep, int32(i))
 		}
 	}
-	sub, srcSel := restrictDst(b, keep)
+	sub, srcSel, err := graph.SliceBlock(b, keep)
+	if err != nil {
+		return nil, err
+	}
 	xs := tp.GatherRows(x, srcSel)
 	hm := nn.ApplyBlockLayer(tp, layer, sub, xs, false)
 	c.reg.Add("embcache.computed_rows", int64(len(keep)))

@@ -218,3 +218,39 @@ func TestReuseStaleRowsRecomputeAfterInvalidate(t *testing.T) {
 		t.Fatalf("%d hits served from an invalidated cache", hits)
 	}
 }
+
+// TestStatsMatchCounters: Stats and the embcache.hits / embcache.misses
+// counters are one count, equal after every forward — the cold first one
+// included — in both modes. Exact mode looks every warm frontier up and
+// misses all of it; reuse hits a repeated frontier in full.
+func TestStatsMatchCounters(t *testing.T) {
+	d := fwdData(t)
+	s := fwdSetup(t, d)
+	nw := sample.NewNodeWise([]int{4, 6}, 9)
+	for _, mode := range []embcache.Mode{embcache.ModeExact, embcache.ModeReuse} {
+		reg := obs.New(nil)
+		c := newCache(t, mode, 0, reg)
+		var frontier int64
+		for pass, seeds := range [][]int32{{3, 8, 120, 700}, {3, 8, 120, 700}, {3, 8, 200, 305}} {
+			blocks, x := nodewiseBlocks(t, nw, d, seeds)
+			if _, err := core.BatchInferenceCached(s.Model, blocks, x, c); err != nil {
+				t.Fatal(err)
+			}
+			hits, misses := c.Stats()
+			ch, cm := reg.CounterValue("embcache.hits"), reg.CounterValue("embcache.misses")
+			if hits != ch || misses != cm {
+				t.Fatalf("%v pass %d: Stats %d/%d, counters %d/%d", mode, pass, hits, misses, ch, cm)
+			}
+			if pass == 0 {
+				frontier = int64(blocks[0].NumDst)
+			}
+		}
+		hits, misses := c.Stats()
+		if mode == embcache.ModeExact && (hits != 0 || misses < frontier) {
+			t.Fatalf("exact: %d hits / %d misses, want 0 / at least %d", hits, misses, frontier)
+		}
+		if mode == embcache.ModeReuse && hits < frontier {
+			t.Fatalf("reuse: %d hits, want the repeated frontier's %d at least", hits, frontier)
+		}
+	}
+}

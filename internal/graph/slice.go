@@ -20,7 +20,7 @@ func SliceBatch(full []*Block, sel []int32) ([]*Block, error) {
 	blocks := make([]*Block, len(full))
 	cur := sel
 	for l := len(full) - 1; l >= 0; l-- {
-		nb, srcSel, err := sliceBlock(full[l], cur)
+		nb, srcSel, err := SliceBlock(full[l], cur)
 		if err != nil {
 			return nil, fmt.Errorf("graph: slicing layer %d: %w", l, err)
 		}
@@ -59,30 +59,53 @@ func Covered(blocks []*Block) bool {
 	return true
 }
 
-// sliceBlock induces a sub-block of b on the destination selection sel
-// (local dst indices of b). It returns the sub-block and the selection of
-// b's local *source* indices used, in the sub-block's source order.
-func sliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
+// SliceBlock induces the sub-block of b on the destination selection sel
+// (local destination indices of b, in the sub-block's destination order).
+// It returns the sub-block and srcSel, the b-local source index of each
+// sub-block source — the rows to gather from b's input.
+//
+// The selected destinations become the sub-block's source prefix (b-local
+// destination d is also b-local source d), so SrcNID[:NumDst] == DstNID
+// holds by construction; the remaining sources follow in first-occurrence
+// order of the retained edges. Edge IDs and weights are copied, never
+// recomputed; a nil EID or EdgeWt stays nil, and so do all three edge
+// arrays when the selection keeps no edge.
+//
+// Because every forward kernel computes an output row only from that row's
+// own inputs (the per-row stability invariant, DESIGN.md §11), a layer
+// applied to the sub-block yields rows bitwise equal to the selected rows
+// of the full block. SliceBatch cuts micro-batches with it, one layer at a
+// time; the embedding cache computes a partial hit's missed rows with it.
+func SliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
 	nDst := len(sel)
 	if nDst == 0 {
 		return nil, nil, fmt.Errorf("empty destination selection")
 	}
-	// srcSel[i] = b-local source index of the sub-block's local source i.
-	// Destinations come first (the dst-prefix convention).
 	srcSel := make([]int32, nDst, nDst*2)
 	localOf := make(map[int32]int32, nDst*2)
 	dstNID := make([]int32, nDst)
+	edges := 0
 	for i, d := range sel {
 		if d < 0 || int(d) >= b.NumDst {
 			return nil, nil, fmt.Errorf("destination index %d out of range [0,%d)", d, b.NumDst)
 		}
-		srcSel[i] = d // dst d is also b-local source d (prefix convention)
+		srcSel[i] = d
 		localOf[d] = int32(i)
 		dstNID[i] = b.DstNID[d]
+		edges += int(b.Ptr[d+1] - b.Ptr[d])
 	}
 	ptr := make([]int64, nDst+1)
 	var srcLocal, eid []int32
 	var ewt []float32
+	if edges > 0 {
+		srcLocal = make([]int32, 0, edges)
+		if b.EID != nil {
+			eid = make([]int32, 0, edges)
+		}
+		if b.EdgeWt != nil {
+			ewt = make([]float32, 0, edges)
+		}
+	}
 	for i, d := range sel {
 		for p := b.Ptr[d]; p < b.Ptr[d+1]; p++ {
 			s := b.SrcLocal[p]
@@ -93,8 +116,10 @@ func sliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
 				srcSel = append(srcSel, s)
 			}
 			srcLocal = append(srcLocal, li)
-			eid = append(eid, b.EID[p])
-			if b.EdgeWt != nil {
+			if eid != nil {
+				eid = append(eid, b.EID[p])
+			}
+			if ewt != nil {
 				ewt = append(ewt, b.EdgeWt[p])
 			}
 		}

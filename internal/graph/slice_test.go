@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -273,4 +275,221 @@ func TestInputRedundancyEmptyFull(t *testing.T) {
 	if InputRedundancy(nil, micro) != 8 {
 		t.Fatal("redundancy with empty full batch should equal micro total")
 	}
+}
+
+// TestSliceBlock pins one destination-restricted sub-block by hand: the
+// kept destinations prefix the sources, the rest follow in first-use
+// order, and edge IDs and weights are copied bit for bit.
+func TestSliceBlock(t *testing.T) {
+	b := &Block{
+		NumDst:   3,
+		NumSrc:   5,
+		Ptr:      []int64{0, 2, 5, 6},
+		SrcLocal: []int32{0, 3, 1, 3, 4, 2},
+		EID:      []int32{0, 1, 2, 3, 4, 5},
+		EdgeWt:   []float32{1, 2, 3, 4, 5, 6},
+		DstNID:   []int32{10, 11, 12},
+		SrcNID:   []int32{10, 11, 12, 20, 21},
+	}
+	sub, srcSel, err := SliceBlock(b, []int32{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.NumDst != 2 || sub.NumSrc != 3 {
+		t.Fatalf("sub sizes %d/%d, want 2/3", sub.NumDst, sub.NumSrc)
+	}
+	wt := make([]uint32, len(sub.EdgeWt))
+	for i, w := range sub.EdgeWt {
+		wt[i] = math.Float32bits(w)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"srcSel", srcSel, []int32{0, 2, 3}},
+		{"DstNID", sub.DstNID, []int32{10, 12}},
+		{"SrcNID", sub.SrcNID, []int32{10, 12, 20}},
+		{"Ptr", sub.Ptr, []int64{0, 2, 3}},
+		{"SrcLocal", sub.SrcLocal, []int32{0, 2, 1}},
+		{"EID", sub.EID, []int32{0, 1, 5}},
+		{"EdgeWt", wt, []uint32{math.Float32bits(1), math.Float32bits(2), math.Float32bits(6)}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if err := sub.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oldSliceBlock is the map-based slicer SliceBlock replaced, kept as the
+// fuzz oracle. Its changes: a nil EID stays nil (the original indexed
+// b.EID unconditionally), and the relabel map has no capacity hint.
+func oldSliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
+	nDst := len(sel)
+	if nDst == 0 {
+		return nil, nil, fmt.Errorf("empty destination selection")
+	}
+	srcSel := make([]int32, nDst, nDst*2)
+	localOf := map[int32]int32{}
+	dstNID := make([]int32, nDst)
+	for i, d := range sel {
+		if d < 0 || int(d) >= b.NumDst {
+			return nil, nil, fmt.Errorf("destination index %d out of range [0,%d)", d, b.NumDst)
+		}
+		srcSel[i] = d
+		localOf[d] = int32(i)
+		dstNID[i] = b.DstNID[d]
+	}
+	ptr := make([]int64, nDst+1)
+	var srcLocal, eid []int32
+	var ewt []float32
+	for i, d := range sel {
+		for p := b.Ptr[d]; p < b.Ptr[d+1]; p++ {
+			s := b.SrcLocal[p]
+			li, ok := localOf[s]
+			if !ok {
+				li = int32(len(srcSel))
+				localOf[s] = li
+				srcSel = append(srcSel, s)
+			}
+			srcLocal = append(srcLocal, li)
+			if b.EID != nil {
+				eid = append(eid, b.EID[p])
+			}
+			if b.EdgeWt != nil {
+				ewt = append(ewt, b.EdgeWt[p])
+			}
+		}
+		ptr[i+1] = int64(len(srcLocal))
+	}
+	srcNID := make([]int32, len(srcSel))
+	for i, s := range srcSel {
+		srcNID[i] = b.SrcNID[s]
+	}
+	return &Block{
+		NumSrc:   len(srcSel),
+		NumDst:   nDst,
+		Ptr:      ptr,
+		SrcLocal: srcLocal,
+		EID:      eid,
+		EdgeWt:   ewt,
+		SrcNID:   srcNID,
+		DstNID:   dstNID,
+	}, srcSel, nil
+}
+
+// fuzzBlock builds a random block with nDst destinations and nExtra
+// further sources: zero-degree destinations, self-loops (a destination
+// drawing from its own source slot) and duplicate edges all occur. flags
+// bit 0 attaches EIDs, bit 1 edge weights (arbitrary bit patterns).
+func fuzzBlock(seed uint64, nDst, nExtra int, flags uint8) *Block {
+	r := rng.New(seed)
+	nSrc := nDst + nExtra
+	b := &Block{NumSrc: nSrc, NumDst: nDst, Ptr: make([]int64, 1, nDst+1)}
+	for d := 0; d < nDst; d++ {
+		for k := r.Intn(6); k > 0; k-- {
+			s := int32(r.Intn(nSrc))
+			switch r.Intn(5) {
+			case 0:
+				s = int32(d)
+			case 1:
+				if n := len(b.SrcLocal); n > 0 {
+					s = b.SrcLocal[n-1]
+				}
+			}
+			b.SrcLocal = append(b.SrcLocal, s)
+		}
+		b.Ptr = append(b.Ptr, int64(len(b.SrcLocal)))
+	}
+	if flags&1 != 0 {
+		b.EID = make([]int32, len(b.SrcLocal))
+		for i := range b.EID {
+			b.EID[i] = int32(r.Uint64())
+		}
+	}
+	if flags&2 != 0 {
+		b.EdgeWt = make([]float32, len(b.SrcLocal))
+		for i := range b.EdgeWt {
+			b.EdgeWt[i] = math.Float32frombits(uint32(r.Uint64()))
+		}
+	}
+	b.SrcNID = r.Perm(nSrc + 64)[:nSrc]
+	b.DstNID = append([]int32(nil), b.SrcNID[:nDst]...)
+	return b
+}
+
+// sameSlice is element-wise equality that also tells nil from empty.
+func sameSlice[T comparable](a, b []T) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func weightBits(w []float32) []uint32 {
+	if w == nil {
+		return nil
+	}
+	bits := make([]uint32, len(w))
+	for i, x := range w {
+		bits[i] = math.Float32bits(x)
+	}
+	return bits
+}
+
+// FuzzSliceBlock holds SliceBlock to the old map-based slicer on random
+// blocks and selections: every array bitwise equal (nil where the oracle's
+// is nil), and an empty or out-of-range selection an error from both.
+// flags bit 2 draws selections with repeats, bit 3 lets them leave range.
+func FuzzSliceBlock(f *testing.F) {
+	f.Add(uint64(1), uint8(6), uint8(4), uint8(3))
+	f.Add(uint64(2), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(12), uint8(9), uint8(1|8))
+	f.Add(uint64(4), uint8(9), uint8(2), uint8(2|4))
+	f.Fuzz(func(t *testing.T, seed uint64, nDst, nExtra, flags uint8) {
+		b := fuzzBlock(seed, 1+int(nDst%24), int(nExtra%24), flags)
+		r := rng.New(seed ^ 0x51ce)
+		var sel []int32
+		if flags&4 != 0 {
+			sel = make([]int32, r.Intn(b.NumDst+3))
+			for i := range sel {
+				sel[i] = int32(r.Intn(b.NumDst))
+			}
+		} else {
+			sel = r.Perm(b.NumDst)[:r.Intn(b.NumDst+1)]
+		}
+		valid := len(sel) > 0
+		if flags&8 != 0 {
+			for i := range sel {
+				if r.Intn(4) == 0 {
+					sel[i] = int32(r.Intn(b.NumDst+4)) - 2
+				}
+			}
+		}
+		for _, d := range sel {
+			valid = valid && d >= 0 && int(d) < b.NumDst
+		}
+		want, wantSel, wantErr := oldSliceBlock(b, sel)
+		got, gotSel, err := SliceBlock(b, sel)
+		if (err == nil) != valid || (wantErr == nil) != valid {
+			t.Fatalf("selection %v on %d destinations: err %v, oracle err %v, valid %v", sel, b.NumDst, err, wantErr, valid)
+		}
+		if !valid {
+			return
+		}
+		if got.NumSrc != want.NumSrc || got.NumDst != want.NumDst ||
+			!sameSlice(gotSel, wantSel) || !sameSlice(got.Ptr, want.Ptr) ||
+			!sameSlice(got.SrcLocal, want.SrcLocal) || !sameSlice(got.EID, want.EID) ||
+			!sameSlice(weightBits(got.EdgeWt), weightBits(want.EdgeWt)) ||
+			!sameSlice(got.SrcNID, want.SrcNID) || !sameSlice(got.DstNID, want.DstNID) {
+			t.Fatalf("selection %v: SliceBlock\n%+v %v\ndiffers from the oracle\n%+v %v", sel, got, gotSel, want, wantSel)
+		}
+	})
 }

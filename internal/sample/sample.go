@@ -64,6 +64,14 @@ func (s *Sampler) Fanouts() []int { return append([]int(nil), s.fanouts...) }
 // The returned blocks are ordered input-layer first; the last block's
 // DstNID equals seeds.
 func (s *Sampler) Sample(g *graph.Graph, seeds []int32) ([]*graph.Block, error) {
+	return s.sample(g, seeds, false)
+}
+
+// sample is the one sampling loop behind Sampler and NodeWise. The two
+// differ only in where a destination's random stream comes from: with
+// perNode false, one stream per (call, layer), keyed by seeds[0]; with
+// perNode true, one per (node, layer), keyed by the destination itself.
+func (s *Sampler) sample(g *graph.Graph, seeds []int32, perNode bool) ([]*graph.Block, error) {
 	if len(s.fanouts) == 0 {
 		return nil, fmt.Errorf("sample: no fanouts configured")
 	}
@@ -76,10 +84,14 @@ func (s *Sampler) Sample(g *graph.Graph, seeds []int32) ([]*graph.Block, error) 
 		SetInt("seeds", int64(len(seeds))).
 		SetInt("layers", int64(len(s.fanouts)))
 	defer sp.End()
+	var callKey int32
+	if len(seeds) > 0 {
+		callKey = seeds[0]
+	}
 	blocks := make([]*graph.Block, len(s.fanouts))
 	frontier := append([]int32(nil), seeds...)
 	for l := len(s.fanouts) - 1; l >= 0; l-- {
-		b := s.sampleLayer(g, frontier, s.fanouts[l], s.layerRNG(seeds, l))
+		b := s.sampleLayer(g, frontier, l, callKey, perNode)
 		blocks[l] = b
 		frontier = b.SrcNID
 	}
@@ -87,18 +99,15 @@ func (s *Sampler) Sample(g *graph.Graph, seeds []int32) ([]*graph.Block, error) 
 	return blocks, nil
 }
 
-// layerRNG derives the generator for one layer of one Sample call from the
-// sampler seed, the call's first seed node, and the layer index. Two calls
-// with the same seed set draw identical neighborhoods regardless of call
-// order or interleaving, which is what makes chunk-parallel evaluation
-// deterministic.
-func (s *Sampler) layerRNG(seeds []int32, layer int) *rng.RNG {
-	var s0 uint64
-	if len(seeds) > 0 {
-		s0 = uint64(uint32(seeds[0]))
-	}
+// stream derives the generator for one layer from the sampler seed, a key
+// node and the layer index. Keyed by the call's first seed, two calls with
+// the same seed set draw identical neighborhoods regardless of call order
+// or interleaving, which is what makes chunk-parallel evaluation
+// deterministic; keyed by the destination, a node's draw is independent of
+// its batch.
+func (s *Sampler) stream(key int32, layer int) *rng.RNG {
 	h := mix64(s.seed ^ 0x9e3779b97f4a7c15)
-	h = mix64(h ^ (s0 + 0xbf58476d1ce4e5b9))
+	h = mix64(h ^ (uint64(uint32(key)) + 0xbf58476d1ce4e5b9))
 	h = mix64(h ^ (uint64(layer)+1)*0x94d049bb133111eb)
 	return rng.New(h)
 }
@@ -111,8 +120,9 @@ func mix64(z uint64) uint64 {
 }
 
 // sampleLayer builds one bipartite block: for every destination in frontier
-// it draws up to fanout in-neighbors from g using the layer's derived RNG.
-func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, fanout int, r *rng.RNG) *graph.Block {
+// it draws up to the layer's fanout in-neighbors from g, from the call's
+// stream or (perNode) from the destination's own.
+func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, layer int, callKey int32, perNode bool) *graph.Block {
 	nDst := len(frontier)
 	local := make(map[int32]int32, nDst*2)
 	srcNID := make([]int32, nDst, nDst*2)
@@ -125,10 +135,17 @@ func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, fanout int, r *r
 	var srcLocal, eid []int32
 	scratchSrc := make([]int32, 0, 64)
 	scratchEID := make([]int32, 0, 64)
+	var r *rng.RNG
+	if !perNode {
+		r = s.stream(callKey, layer)
+	}
 
 	for d := 0; d < nDst; d++ {
+		if perNode {
+			r = s.stream(frontier[d], layer)
+		}
 		neigh, eids := g.InNeighbors(frontier[d])
-		chosenSrc, chosenEID := chooseNeighbors(r, neigh, eids, fanout, scratchSrc, scratchEID)
+		chosenSrc, chosenEID := chooseNeighbors(r, neigh, eids, s.fanouts[layer], scratchSrc, scratchEID)
 		for i, u := range chosenSrc {
 			li, ok := local[u]
 			if !ok {
@@ -158,4 +175,26 @@ func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, fanout int, r *r
 		}
 	}
 	return b
+}
+
+// chooseNeighbors selects up to fanout entries of neigh/eids using r. With
+// fanout disabled or enough capacity it returns the inputs unchanged;
+// otherwise it reservoir-samples without replacement.
+func chooseNeighbors(r *rng.RNG, neigh, eids []int32, fanout int, scratchSrc, scratchEID []int32) ([]int32, []int32) {
+	if fanout == FullNeighbors || len(neigh) <= fanout {
+		return neigh, eids
+	}
+	scratchSrc = scratchSrc[:0]
+	scratchEID = scratchEID[:0]
+	// Reservoir sampling (Algorithm R): uniform without replacement.
+	scratchSrc = append(scratchSrc, neigh[:fanout]...)
+	scratchEID = append(scratchEID, eids[:fanout]...)
+	for i := fanout; i < len(neigh); i++ {
+		j := r.Intn(i + 1)
+		if j < fanout {
+			scratchSrc[j] = neigh[i]
+			scratchEID[j] = eids[i]
+		}
+	}
+	return scratchSrc, scratchEID
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"betty/internal/parallel"
-	"betty/internal/rng"
 )
 
 // Var is a node in the autograd graph: a tensor value plus an optional
@@ -303,30 +302,6 @@ func (tp *Tape) Add(a, b *Var) *Var {
 		}
 		if b.requiresGrad {
 			AddInto(b.grad(), out.Grad)
-		}
-	})
-	return out
-}
-
-// Sub computes a - b elementwise (same shape).
-func (tp *Tape) Sub(a, b *Var) *Var {
-	if !a.Value.SameShape(b.Value) {
-		panic("tensor: Sub shape mismatch")
-	}
-	val := tp.alloc(a.Value.RowsN, a.Value.ColsN)
-	av, bv := a.Value.Data, b.Value.Data
-	parallel.For(len(av), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			val.Data[i] = av[i] - bv[i]
-		}
-	})
-	var out *Var
-	out = tp.record(val, anyGrad(a, b), func() {
-		if a.requiresGrad {
-			AddInto(a.grad(), out.Grad)
-		}
-		if b.requiresGrad {
-			AXPY(b.grad(), -1, out.Grad)
 		}
 	})
 	return out
@@ -985,49 +960,6 @@ func (tp *Tape) SegmentSoftmax(scores *Var, dst []int32, nSeg int) *Var {
 	return out
 }
 
-// Dropout zeroes each element with probability p and scales survivors by
-// 1/(1-p) (inverted dropout). With p == 0 it is the identity. The mask is
-// drawn serially so the RNG stream is identical for every worker count;
-// applying it (and the backward pass) runs on the worker pool.
-func (tp *Tape) Dropout(a *Var, p float32, r *rng.RNG) *Var {
-	if p <= 0 {
-		return a
-	}
-	if p >= 1 {
-		panic("tensor: Dropout probability must be < 1")
-	}
-	keep := 1 - p
-	inv := 1 / keep
-	mask := tp.allocF32(a.Value.Len())
-	for i := range mask {
-		if r.Float32() < keep {
-			mask[i] = inv
-		}
-	}
-	val := tp.alloc(a.Value.RowsN, a.Value.ColsN)
-	av := a.Value.Data
-	parallel.For(len(av), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			//bettyvet:ok floateq dropout mask entries are exactly 0 or 1/keep by construction
-			if mask[i] != 0 {
-				val.Data[i] = av[i] * mask[i]
-			}
-		}
-	})
-	var out *Var
-	out = tp.record(val, a.requiresGrad, func() {
-		if a.requiresGrad {
-			g := a.grad()
-			parallel.For(len(g.Data), elemGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					g.Data[i] += out.Grad.Data[i] * mask[i]
-				}
-			})
-		}
-	})
-	return out
-}
-
 // Sum reduces a to a 1x1 scalar by summing all elements. Shards sum
 // privately in float64 and fold in shard order.
 func (tp *Tape) Sum(a *Var) *Var {
@@ -1054,11 +986,6 @@ func (tp *Tape) Sum(a *Var) *Var {
 		}
 	})
 	return out
-}
-
-// Mean reduces a to a 1x1 scalar by averaging all elements.
-func (tp *Tape) Mean(a *Var) *Var {
-	return tp.Scale(tp.Sum(a), 1/float32(a.Value.Len()))
 }
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss between logits

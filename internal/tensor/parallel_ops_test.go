@@ -72,7 +72,6 @@ func parallelOpCases() map[string]func() []float32 {
 
 	elementwise := map[string]func(tp *Tape, a, b *Var) *Var{
 		"Add":       func(tp *Tape, a, b *Var) *Var { return tp.Add(a, b) },
-		"Sub":       func(tp *Tape, a, b *Var) *Var { return tp.Sub(a, b) },
 		"Mul":       func(tp *Tape, a, b *Var) *Var { return tp.Mul(a, b) },
 		"Scale":     func(tp *Tape, a, b *Var) *Var { return tp.Scale(a, 1.7) },
 		"ReLU":      func(tp *Tape, a, b *Var) *Var { return tp.ReLU(a) },
@@ -167,13 +166,6 @@ func parallelOpCases() map[string]func() []float32 {
 		a := Param(randTensor(r, rows, feat))
 		w := Param(randTensor(r, rows, 1))
 		return backprop(tp, tp.MulRowsVec(a, w), randTensor(r, rows, feat), a, w)
-	}
-	cases["Dropout"] = func() []float32 {
-		r := rng.New(21)
-		tp := NewTape()
-		a := Param(randTensor(r, m, n))
-		drop := rng.New(99) // the mask stream is drawn serially
-		return backprop(tp, tp.Dropout(a, 0.4, drop), randTensor(r, m, n), a)
 	}
 	cases["SoftmaxCrossEntropy"] = func() []float32 {
 		r := rng.New(22)
