@@ -139,7 +139,8 @@ type EpochStats struct {
 	// MaxEstimate is the planner's largest estimated micro-batch peak.
 	MaxEstimate int64
 	// HostBytes is the host-memory footprint (features, labels, graph)
-	// that the heterogeneous layout keeps off the device.
+	// that the heterogeneous layout keeps off the device, plus the batch's
+	// staged input frontier when the features are out of core.
 	HostBytes int64
 }
 
@@ -225,7 +226,12 @@ func (e *Engine) TrainEpochMicroSeeds(seeds []int32) (EpochStats, error) {
 		return st, err
 	}
 	e.fillPlanStats(&st, full, plan)
-	if err := e.executePlan(plan, &st); err != nil {
+	if err := e.stageBatch(plan, &st); err != nil {
+		return st, err
+	}
+	err = e.executePlan(plan, &st)
+	e.Runner.Unstage()
+	if err != nil {
 		return st, err
 	}
 	e.Runner.Step()
@@ -244,6 +250,19 @@ func (e *Engine) fillPlanStats(st *EpochStats, full []*graph.Block, plan *memory
 	st.Redundancy = plan.Redundancy(full)
 	st.InputNodes = graph.TotalInputNodes(plan.Micro)
 	st.HostBytes = e.Runner.Data.HostBytes()
+}
+
+// stageBatch stages the plan's input frontier on the runner with one
+// gather (a no-op over an in-RAM source; see train.Runner.StageBatch) and
+// counts the staged host bytes into st. The caller must Unstage once every
+// pass over the plan's micro-batches is done.
+func (e *Engine) stageBatch(plan *memory.Plan, st *EpochStats) error {
+	staged, err := e.Runner.StageBatch(plan.Micro)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	st.HostBytes += staged
+	return nil
 }
 
 // labeledOutputs counts the labeled destinations of each micro-batch and

@@ -122,6 +122,12 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 		return st, err
 	}
 	e.fillPlanStats(&st.EpochStats, full, plan)
+	// One stage serves both passes over the micro-batches: the shard
+	// replay's measured forwards and the canonical execution.
+	if err := e.stageBatch(plan, &st.EpochStats); err != nil {
+		return st, err
+	}
+	defer e.Runner.Unstage()
 	st.Devices = len(m.Devices)
 	st.PerDevice = make([]DeviceLoad, len(m.Devices))
 

@@ -41,6 +41,7 @@ const (
 	PhaseRegBuild  = "reg_build" // REG construction (internal/reg)
 	PhasePartition = "partition" // K-way output partitioning
 	PhaseEstimate  = "estimate"  // analytical memory estimation
+	PhaseStage     = "stage"     // one gather of a batch's out-of-core input frontier
 	PhaseH2D       = "h2d"       // host-to-device staging + ledger charge
 	PhaseForward   = "forward"   // forward pass + loss
 	PhaseBackward  = "backward"  // backward pass

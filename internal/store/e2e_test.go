@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/obs"
+	"betty/internal/parallel"
 	"betty/internal/serve"
 )
 
@@ -46,6 +48,12 @@ func TestOutOfCoreEndToEnd(t *testing.T) {
 		if ramLosses[e] != diskLosses[e] {
 			t.Fatalf("epoch %d: out-of-core loss %x != in-RAM loss %x", e+1, diskLosses[e], ramLosses[e])
 		}
+	}
+	// One shard pass per batch: each epoch stages its input frontier with a
+	// single gather, so no shard loads twice in an epoch.
+	if misses := reg.CounterValue("store.shard_misses"); misses > int64(st.NumShards()*epochs) {
+		t.Fatalf("%d shard loads in %d epochs over %d shards: more than one pass per batch",
+			misses, epochs, st.NumShards())
 	}
 	ra, da := paramBits(ram), paramBits(disk)
 	for i := range ra {
@@ -116,6 +124,86 @@ func TestOutOfCoreEndToEnd(t *testing.T) {
 	if path := os.Getenv("STORE_E2E_LEDGER"); path != "" {
 		if err := reg.WriteFile(path); err != nil {
 			t.Fatalf("writing ledger artifact: %v", err)
+		}
+	}
+}
+
+// TestOutOfCoreOneShardPassPerBatch pins the batch stage's shard traffic as
+// an exact count. Over a cache that holds 3 shards, an epoch of K
+// micro-batches pins each shard its input frontier touches exactly once:
+// the frontier is staged with one gather in shard order, and the
+// micro-batches read the stage. (Gathering per micro-batch instead walks
+// nearly every shard K times, since REG groups outputs by shared
+// neighbours, not by node-id range.) With one worker every pin is a load:
+// the three shards left resident by the previous epoch are the highest,
+// evicted before the ascending walk reaches them. With more workers a shard
+// whose copy finished late can survive into the next epoch as a hit, so
+// there only the pins are exact. Losses stay bitwise equal to the in-RAM
+// run at every K.
+func TestOutOfCoreOneShardPassPerBatch(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer parallel.SetWorkers(parallel.SetWorkers(workers))
+			oneShardPassPerBatch(t, workers)
+		})
+	}
+}
+
+func oneShardPassPerBatch(t *testing.T, workers int) {
+	ds := genDataset(t, 4096, 48, 41)
+	st := openTemp(t, packTemp(t, ds, 128))
+	for _, k := range []int{1, 3, 8} {
+		reg := obs.New(obs.NewFakeClock(0, 1))
+		cache, err := NewCache(st, 3*st.MaxShardBytes(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diskDS, err := st.Dataset(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ram := buildSAGEK(t, ds, 9, k)
+		disk := buildSAGEK(t, diskDS, 9, k)
+		disk.Engine.SetObs(reg)
+
+		// The sampler is a pure function of the seeds, so every epoch's
+		// frontier is this one.
+		full, err := disk.Engine.Sampler.Sample(diskDS.Graph, diskDS.TrainIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := map[int32]bool{}
+		for _, nid := range full[0].SrcNID {
+			shards[nid/int32(st.ShardRows())] = true
+		}
+		touched := int64(len(shards))
+		if touched <= 8 {
+			t.Fatalf("frontier touches %d shards; the count below needs more than the cache holds", touched)
+		}
+		// The second epoch starts with the first one's residue in the cache.
+		for e := 0; e < 2; e++ {
+			beforeMisses := reg.CounterValue("store.shard_misses")
+			beforeHits := reg.CounterValue("store.shard_hits")
+			ramSt, err := ram.Engine.TrainEpochMicro()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diskSt, err := disk.Engine.TrainEpochMicro()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(ramSt.Loss) != math.Float64bits(diskSt.Loss) {
+				t.Fatalf("K=%d epoch %d: out-of-core loss %v != in-RAM loss %v", k, e+1, diskSt.Loss, ramSt.Loss)
+			}
+			misses := reg.CounterValue("store.shard_misses") - beforeMisses
+			pins := misses + reg.CounterValue("store.shard_hits") - beforeHits
+			if pins != touched || (workers == 1 && misses != touched) {
+				t.Fatalf("workers=%d K=%d epoch %d: %d shard pins, %d loads; want %d pins, one per shard the frontier touches",
+					workers, k, e+1, pins, misses, touched)
+			}
+		}
+		if cache.PeakBytes() > cache.Budget() {
+			t.Fatalf("workers=%d K=%d: ledger peak %d exceeded budget %d", workers, k, cache.PeakBytes(), cache.Budget())
 		}
 	}
 }

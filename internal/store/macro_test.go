@@ -14,12 +14,18 @@ import (
 
 func buildSAGE(t *testing.T, ds *dataset.Dataset, seed uint64) *core.Setup {
 	t.Helper()
+	return buildSAGEK(t, ds, seed, 2)
+}
+
+// buildSAGEK is buildSAGE with k micro-batches per epoch.
+func buildSAGEK(t *testing.T, ds *dataset.Dataset, seed uint64, k int) *core.Setup {
+	t.Helper()
 	agg, err := nn.ParseAggregator("mean")
 	if err != nil {
 		t.Fatal(err)
 	}
 	setup, err := core.BuildSAGE(ds, core.Options{
-		Hidden: 16, Fanouts: []int{3, 3}, LR: 0.01, Seed: seed, FixedK: 2,
+		Hidden: 16, Fanouts: []int{3, 3}, LR: 0.01, Seed: seed, FixedK: k,
 		Aggregator: agg,
 	})
 	if err != nil {

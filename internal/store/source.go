@@ -31,6 +31,10 @@ func (f *Features) Rows() int { return f.cache.store.NumNodes() }
 // Dim returns the feature width.
 func (f *Features) Dim() int { return f.cache.store.Dim() }
 
+// ShardRows returns the shard height: shard s holds node IDs
+// [s·ShardRows, (s+1)·ShardRows).
+func (f *Features) ShardRows() int { return f.cache.store.ShardRows() }
+
 // ResidentBytes is the cache's current residency — bounded by the budget,
 // not the dataset size.
 func (f *Features) ResidentBytes() int64 { return f.cache.ResidentBytes() }
@@ -42,7 +46,7 @@ func (f *Features) GatherInto(out *tensor.Tensor, nids []int32) error {
 			out.Rows(), out.Cols(), len(nids), f.Dim())
 	}
 	rows := f.Rows()
-	shardRows := f.cache.store.ShardRows()
+	shardRows := f.ShardRows()
 	for _, nid := range nids {
 		if nid < 0 || int(nid) >= rows {
 			return fmt.Errorf("store: gather node %d out of range [0,%d)", nid, rows)
@@ -112,7 +116,7 @@ func (f *Features) GatherRow(dst []float32, nid int32) error {
 	if nid < 0 || int(nid) >= f.Rows() {
 		return fmt.Errorf("store: gather node %d out of range [0,%d)", nid, f.Rows())
 	}
-	sh, err := f.cache.Pin(int(nid) / f.cache.store.ShardRows())
+	sh, err := f.cache.Pin(int(nid) / f.ShardRows())
 	if err != nil {
 		return fmt.Errorf("store: gather row %d: %w", nid, err)
 	}
