@@ -59,9 +59,10 @@ type MultiDevBenchReport struct {
 	K     int `json:"k"`
 	// Devices lists the swept device counts.
 	Devices []int `json:"devices"`
-	// RegBoundary maps partitioner name to the REG boundary-node count at
-	// k = max devices on the full batch — the static predictor of halo
-	// traffic that the dynamic HaloMiB columns validate.
+	// RegBoundary maps partitioner name to the boundary-node count of the
+	// full batch's REG under that partitioner's k = max devices split — the
+	// static predictor of halo traffic that the dynamic HaloMiB columns
+	// validate.
 	RegBoundary map[string]int `json:"reg_boundary"`
 	// Cells holds the measured sweep.
 	Cells []MultiDevBenchCell `json:"cells"`
@@ -97,32 +98,31 @@ func RunMultiDevBench(scale float64) (*MultiDevBenchReport, error) {
 		RegBoundary: map[string]int{},
 	}
 
-	// Static predictor: boundary nodes of the full batch's REG partitioned
-	// k = max devices ways. The same REG is scored under each partitioner
-	// so the column is comparable across rows.
+	// Static predictor: boundary nodes of the full batch's REG under each
+	// shard partitioner's own k = max devices split of its outputs. Every
+	// row scores the same REG, so the column is comparable across rows.
 	blocks, err := sample.New([]int{5, 10}, 1).Sample(ds.Graph, seeds)
 	if err != nil {
 		return nil, err
 	}
-	regGraph, err := reg.BuildREGFast(blocks[len(blocks)-1])
+	last := blocks[len(blocks)-1]
+	regGraph, err := reg.BuildREGFast(last)
 	if err != nil {
 		return nil, err
 	}
 	maxDev := deviceCounts[len(deviceCounts)-1]
-	for _, sp := range []struct {
-		name string
-		p    partition.Partitioner
-	}{
-		{"range", partition.Range{}},
-		{"random", partition.Random{Seed: 1}},
-		{"metis", &partition.Metis{Seed: 1}},
-		{"betty", &partition.Metis{Seed: 1}},
-	} {
-		parts, err := sp.p.Partition(regGraph, maxDev)
+	for _, p := range multidevPartitioners() {
+		groups, err := p.PartitionBatch(last, maxDev)
 		if err != nil {
 			return nil, err
 		}
-		rep.RegBoundary[sp.name] = partition.Boundary(regGraph, parts)
+		parts := make([]int32, regGraph.N)
+		for g, outs := range groups {
+			for _, o := range outs {
+				parts[o] = int32(g)
+			}
+		}
+		rep.RegBoundary[p.Name()] = partition.Boundary(regGraph, parts)
 	}
 
 	for _, shardP := range multidevPartitioners() {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -41,6 +42,37 @@ func TestMultiDevBenchSmoke(t *testing.T) {
 			t.Fatalf("cell %s x%d loss %v differs from %v",
 				c.Partitioner, c.Devices, c.Loss, rep.Cells[0].Loss)
 		}
+	}
+	// Redundancy-aware splits move the least: betty < metis < range and
+	// random, in halo traffic at every device count and in the static REG
+	// boundary predictor alike.
+	ranked := func(what string, v map[string]float64) {
+		t.Helper()
+		if !(v["betty"] < v["metis"] && v["metis"] < math.Min(v["range"], v["random"])) {
+			t.Fatalf("%s not ranked betty < metis < min(range, random): %v", what, v)
+		}
+	}
+	boundary := map[string]float64{}
+	for name, b := range rep.RegBoundary {
+		boundary[name] = float64(b)
+	}
+	ranked("reg_boundary", boundary)
+	halo := map[int]map[string]float64{}
+	prevPeak := map[string]float64{}
+	for _, c := range rep.Cells {
+		if halo[c.Devices] == nil {
+			halo[c.Devices] = map[string]float64{}
+		}
+		halo[c.Devices][c.Partitioner] = c.HaloMiB
+		// Each device holds less as devices are added.
+		if prev, ok := prevPeak[c.Partitioner]; ok && c.MaxPeakMiB >= prev {
+			t.Fatalf("%s: max per-device peak %.3f MiB at %d devices, not below %.3f MiB with fewer",
+				c.Partitioner, c.MaxPeakMiB, c.Devices, prev)
+		}
+		prevPeak[c.Partitioner] = c.MaxPeakMiB
+	}
+	for _, n := range rep.Devices[1:] {
+		ranked(fmt.Sprintf("halo MiB at %d devices", n), halo[n])
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -72,22 +72,15 @@ func (d *Dataset) GatherFeaturesInto(out *tensor.Tensor, nids []int32) error {
 	return d.FeatureSource().GatherInto(out, nids)
 }
 
-// GatherFeatureRow copies one node's feature row into dst (len
-// FeatureDim). Serving's per-row feature cache uses it to fill misses
-// without materializing a batch tensor.
-func (d *Dataset) GatherFeatureRow(dst []float32, nid int32) error {
-	return d.FeatureSource().GatherRow(dst, nid)
-}
-
 // HostBytes returns the dataset's host-memory footprint: the resident
 // feature bytes, labels, and graph adjacency. Betty's heterogeneous-memory
 // layout keeps all of this in host memory and moves only per-micro-batch
 // slices to the device, which is why the device budget can be far below
 // the dataset size. With a disk-backed source the feature term is the
-// shard cache's current residency, not the dataset size, and training
-// additionally holds one batch's input frontier on the host while the
-// batch runs (train.Runner.StageBatch); that term is per batch, so it is
-// counted in core.EpochStats.HostBytes, not here.
+// shard cache's current residency, not the dataset size, and training and
+// serving additionally hold one batch's input frontier on the host while
+// the batch runs (Stage); that term is per batch, so training counts it in
+// core.EpochStats.HostBytes, not here.
 func (d *Dataset) HostBytes() int64 {
 	return d.FeatureSource().ResidentBytes() + int64(len(d.Labels))*4 + d.Graph.Bytes()
 }

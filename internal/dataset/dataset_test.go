@@ -253,7 +253,7 @@ func TestGatherHelpers(t *testing.T) {
 		t.Fatal("out-of-range gather accepted")
 	}
 	row := make([]float32, d.FeatureDim())
-	if err := d.GatherFeatureRow(row, 5); err != nil {
+	if err := d.FeatureSource().GatherRow(row, 5); err != nil {
 		t.Fatal(err)
 	}
 	for j := range row {

@@ -55,7 +55,7 @@ func BenchmarkServeGatherMiss(b *testing.B) {
 	}
 	for range s.cfg.CacheNodes/rows + 1 { // fill the cache
 		advance()
-		if _, err := s.gather(nids); err != nil {
+		if _, err := s.gather(s.ds.FeatureSource(), nids); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkServeGatherMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		advance()
-		out, err := s.gather(nids)
+		out, err := s.gather(s.ds.FeatureSource(), nids)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -89,6 +89,8 @@ type Server struct {
 	// frontier measures cross-batch layer-1 frontier overlap — the
 	// sample.frontier.* locality signal behind the embedding cache.
 	frontier *embcache.Meter
+	// stage holds an out-of-core batch's input frontier (worker-only).
+	stage dataset.Stage
 
 	queue chan *request
 
@@ -451,9 +453,15 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		s.obs.Set("serve.max_est_peak_bytes", s.maxEstPeak)
 	}
 
+	// Over an out-of-core source every micro-batch reads one batch stage.
+	src, err := s.stage.Load(s.ds.FeatureSource(), plan.Micro, s.obs)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	defer s.stage.Release()
 	scores := make([][]float32, len(union))
 	for gi, micro := range plan.Micro {
-		feats, err := s.gather(micro[0].SrcNID)
+		feats, err := s.gather(src, micro[0].SrcNID)
 		if err != nil {
 			return nil, err
 		}
@@ -487,18 +495,17 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 
 // gather stages the input features for the given node IDs through the LRU
 // cache (when enabled). Staged rows are exact copies of the source rows,
-// hit or miss, so cache state never changes the staged bytes. Rows come
-// through the dataset's FeatureSource, so a disk-backed deployment serves
-// from its shard cache instead of a resident matrix; a shard that cannot be
-// loaded fails the batch loudly. The staged tensor is pooled scratch,
-// released once its forward is done.
-func (s *Server) gather(nids []int32) (*tensor.Tensor, error) {
+// hit or miss, so cache state never changes the staged bytes. Misses read
+// src, the batch's source: the dataset's resident matrix, or the batch
+// stage a disk-backed deployment loaded from its shard cache. The staged
+// tensor is pooled scratch, released once its forward is done.
+func (s *Server) gather(src dataset.FeatureSource, nids []int32) (*tensor.Tensor, error) {
 	sp := s.obs.StartSpan(obs.PhaseH2D).SetInt("batch", s.batchSeq).SetInt("rows", int64(len(nids)))
 	defer sp.End()
 	dim := s.ds.FeatureDim()
 	out := tensor.FromSlice(len(nids), dim, tensor.AcquireScratch(len(nids)*dim))
 	if s.cache == nil {
-		return out, s.ds.GatherFeaturesInto(out, nids)
+		return out, src.GatherInto(out, nids)
 	}
 	var hits int64
 	for i, nid := range nids {
@@ -508,9 +515,9 @@ func (s *Server) gather(nids []int32) (*tensor.Tensor, error) {
 			hits++
 			continue
 		}
-		// Miss: fetch through the source straight into the staged row and
-		// cache a copy of it.
-		if err := s.ds.GatherFeatureRow(dst, nid); err != nil {
+		// Miss: fetch from the batch's source straight into the staged row
+		// and cache a copy of it.
+		if err := src.GatherRow(dst, nid); err != nil {
 			return nil, fmt.Errorf("serve: feature row %d: %w", nid, err)
 		}
 		s.cache.put(nid, dst)

@@ -498,7 +498,7 @@ func TestGatherMissRecycles(t *testing.T) {
 	bare.CacheNodes = 0
 	uncached := newTestServer(t, d, testModel(t, d), bare)
 	gather := func(s *Server, nids []int32) *tensor.Tensor {
-		out, err := s.gather(nids)
+		out, err := s.gather(s.ds.FeatureSource(), nids)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,8 +74,8 @@ func TestOutOfCoreEndToEnd(t *testing.T) {
 	}
 
 	// Serve both trained models and compare predictions bitwise. The
-	// disk-backed server's feature cache misses route through the shard
-	// cache row by row.
+	// disk-backed server's feature cache misses read the batch stage,
+	// gathered through the shard cache once per batch.
 	nodes := make([]int32, 64)
 	for i := range nodes {
 		nodes[i] = int32((i * 61) % 4096)

@@ -8,7 +8,6 @@ package train
 
 import (
 	"fmt"
-	"slices"
 
 	"betty/internal/dataset"
 	"betty/internal/device"
@@ -81,26 +80,11 @@ type Runner struct {
 	// rebuilding the slice.
 	params []*tensor.Var
 
-	// stage holds the current batch's input frontier between StageBatch
-	// and Unstage; micro-batch gathers copy from it instead of the source.
-	stage stage
+	// From StageBatch to Unstage, batch is the source micro-batch gathers
+	// read: stage, or the dataset's source when it is resident.
+	stage dataset.Stage
+	batch dataset.FeatureSource
 }
-
-// stage is one batch's input frontier copied out of the feature source:
-// row i of data is node nids[i]'s feature row, nids ascending. row is the
-// dense node → row table shared by every lookup of the batch; an entry is
-// trusted only when nids[row[nid]] == nid, since a node outside the stage
-// reads row 0. Nothing is held between batches.
-type stage struct {
-	nids []int32
-	data []float32 // pooled scratch, len(nids) × dim; nil when nothing is staged
-	row  []int32
-}
-
-// sharded is implemented by feature sources that store rows in shards of
-// consecutive node IDs (store.Features); the stage span reports how many
-// shards a batch touched.
-type sharded interface{ ShardRows() int }
 
 // NewRunner wires a model, dataset, and optimizer; dev may be nil.
 func NewRunner(m Model, d *dataset.Dataset, opt nn.Optimizer, dev *device.Device) *Runner {
@@ -162,98 +146,38 @@ func (r *Runner) ReleaseResident() {
 	r.resident = nil
 }
 
-// StageBatch copies a batch's input frontier — the union of every
-// micro-batch's layer-0 inputs, in ascending node-ID (and so shard) order —
-// out of the feature source with one gather. Until Unstage, RunMicroBatch
-// and MeasureForward copy their input rows from this host-side stage
-// instead of each walking the source again (paper §3: the full batch stays
-// in host memory, only micro-batch inputs move). The stage holds the same
-// bytes the source does, so training numerics are unchanged.
-//
-// Staging saves work only when the source does not keep every row in RAM;
-// over a resident source it does nothing. It returns the staged bytes (0
-// when nothing was staged). On error nothing stays staged.
+// StageBatch loads a batch's input frontier — the union of every
+// micro-batch's layer-0 inputs — into the runner's dataset.Stage with one
+// gather. Until Unstage, RunMicroBatch and MeasureForward copy their input
+// rows from it instead of each walking the feature source again; over a
+// resident source they read the source itself, as before. It returns the
+// staged bytes (0 when nothing was staged). On error nothing stays staged.
 func (r *Runner) StageBatch(micros [][]*graph.Block) (int64, error) {
-	r.Unstage()
-	src := r.Data.FeatureSource()
-	dim := src.Dim()
-	if src.ResidentBytes() >= int64(src.Rows())*int64(dim)*4 {
-		return 0, nil
+	var err error
+	if r.batch, err = r.stage.Load(r.Data.FeatureSource(), micros, r.Obs); err != nil {
+		return 0, err
 	}
-	var nids []int32
-	for _, mb := range micros {
-		nids = append(nids, mb[0].SrcNID...)
+	bytes := r.stage.ResidentBytes()
+	if bytes > 0 {
+		r.Obs.Set("train.staged_bytes", bytes)
 	}
-	slices.Sort(nids)
-	nids = slices.Compact(nids)
-	if len(nids) == 0 {
-		return 0, nil
-	}
-	bytes := int64(len(nids)) * int64(dim) * 4
-	sp := r.Obs.StartSpan(obs.PhaseStage).
-		SetInt("rows", int64(len(nids))).
-		SetInt("bytes", bytes)
-	if s, ok := src.(sharded); ok {
-		sp.SetInt("shards", int64(shardsTouched(nids, s.ShardRows())))
-	}
-	data := tensor.AcquireScratch(len(nids) * dim)
-	if err := src.GatherInto(tensor.FromSlice(len(nids), dim, data), nids); err != nil {
-		tensor.ReleaseScratch(data)
-		sp.End()
-		return 0, fmt.Errorf("train: staging batch inputs: %w", err)
-	}
-	sp.End()
-	// GatherInto validated every ID against Rows, so the table covers them.
-	row := make([]int32, src.Rows())
-	for i, nid := range nids {
-		row[nid] = int32(i)
-	}
-	r.stage = stage{nids: nids, data: data, row: row}
-	r.Obs.Set("train.staged_bytes", bytes)
 	return bytes, nil
 }
 
 // Unstage releases the batch stage, if any; later gathers read the feature
 // source again.
 func (r *Runner) Unstage() {
-	tensor.ReleaseScratch(r.stage.data)
-	r.stage = stage{}
+	r.stage.Release()
+	r.batch = nil
 }
 
-// shardsTouched counts the distinct shards of shardRows consecutive node
-// IDs that ascending nids fall in.
-func shardsTouched(nids []int32, shardRows int) int {
-	n, last := 0, -1
-	for _, nid := range nids {
-		if s := int(nid) / shardRows; s != last {
-			n, last = n+1, s
-		}
+// inputs is the source micro-batch gathers read: the batch's between
+// StageBatch and Unstage, otherwise the dataset's.
+func (r *Runner) inputs() dataset.FeatureSource {
+	if r.batch != nil {
+		return r.batch
 	}
-	return n
-}
-
-// gatherInputs fills x with the feature rows of nids: from the batch stage
-// when one is held, otherwise from the feature source. A node the stage
-// does not hold is an error, never a wrong row.
-func (r *Runner) gatherInputs(x *tensor.Tensor, nids []int32) error {
-	sg := &r.stage
-	if sg.data == nil {
-		return r.Data.GatherFeaturesInto(x, nids)
-	}
-	for _, nid := range nids {
-		if nid < 0 || int(nid) >= len(sg.row) ||
-			int(sg.row[nid]) >= len(sg.nids) || sg.nids[sg.row[nid]] != nid {
-			return fmt.Errorf("train: node %d is not in the staged batch frontier", nid)
-		}
-	}
-	dim := x.Cols()
-	parallel.For(len(nids), 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j := int(sg.row[nids[i]]) * dim
-			copy(x.Row(i), sg.data[j:j+dim])
-		}
-	})
-	return nil
+	return r.Data.FeatureSource()
 }
 
 // RunMicroBatch runs forward+backward on blocks, scaling the loss by scale
@@ -281,7 +205,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	// frontier's shards through its cache here; a load failure aborts the
 	// batch before any compute.
 	x := tp.Alloc(len(input.SrcNID), r.Data.FeatureDim())
-	if err := r.gatherInputs(x, input.SrcNID); err != nil {
+	if err := r.inputs().GatherInto(x, input.SrcNID); err != nil {
 		return res, fmt.Errorf("train: feature gather: %w", err)
 	}
 	labels := r.Data.GatherLabels(last.DstNID)
@@ -430,7 +354,7 @@ func (r *Runner) MeasureForward(blocks []*graph.Block) (ForwardCost, error) {
 	tp := tensor.NewTape()
 	defer tp.Release()
 	x := tp.Alloc(len(input.SrcNID), r.Data.FeatureDim())
-	if err := r.gatherInputs(x, input.SrcNID); err != nil {
+	if err := r.inputs().GatherInto(x, input.SrcNID); err != nil {
 		return fc, fmt.Errorf("train: feature gather: %w", err)
 	}
 	labels := r.Data.GatherLabels(last.DstNID)

@@ -3,7 +3,6 @@ package train
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"betty/internal/dataset"
@@ -12,21 +11,14 @@ import (
 	"betty/internal/tensor"
 )
 
-// countingSource serves the in-RAM matrix but reports nothing resident
-// unless resident is set — the way a disk-backed source reports its
-// cache — and counts gathers.
+// countingSource serves the in-RAM matrix but reports nothing resident —
+// the way a disk-backed source reports its cache — and counts gathers.
 type countingSource struct {
 	*dataset.MatrixSource
-	resident bool
-	gathers  int
+	gathers int
 }
 
-func (c *countingSource) ResidentBytes() int64 {
-	if c.resident {
-		return c.MatrixSource.ResidentBytes()
-	}
-	return 0
-}
+func (c *countingSource) ResidentBytes() int64 { return 0 }
 
 func (c *countingSource) GatherInto(out *tensor.Tensor, nids []int32) error {
 	c.gathers++
@@ -60,8 +52,8 @@ func stageFixture(t *testing.T, src *countingSource, k int) (*dataset.Dataset, [
 
 // A staged batch gathers from the source once, serves every micro-batch's
 // forward and measurement from the stage with bitwise-identical results,
-// rejects a node it does not hold, and hands gathers back to the source
-// after Unstage.
+// and hands gathers back to the source after Unstage. The stage's own
+// cases live with dataset.Stage.
 func TestStageBatchServesMicroBatches(t *testing.T) {
 	src := &countingSource{}
 	d, micros := stageFixture(t, src, 4)
@@ -101,14 +93,6 @@ func TestStageBatchServesMicroBatches(t *testing.T) {
 		t.Fatalf("%d source gathers for a staged batch, want 1", src.gathers)
 	}
 
-	// Restage only the first micro-batch; the second reads nodes it lacks.
-	if _, err := r.StageBatch(micros[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunMicroBatch(micros[1], 1); err == nil ||
-		!strings.Contains(err.Error(), "not in the staged batch frontier") {
-		t.Fatalf("gather outside the stage: err = %v, want a missing-node error", err)
-	}
 	r.Unstage()
 	before := src.gathers
 	if _, err := r.RunMicroBatch(micros[1], 1); err != nil {
@@ -116,28 +100,5 @@ func TestStageBatchServesMicroBatches(t *testing.T) {
 	}
 	if src.gathers != before+1 {
 		t.Fatal("after Unstage the micro-batch did not gather from the source")
-	}
-}
-
-// A source that holds every row in RAM is never staged: StageBatch reports
-// 0 bytes and each micro-batch gathers from the source, as before.
-func TestStageBatchSkipsResidentSource(t *testing.T) {
-	src := &countingSource{resident: true}
-	d, micros := stageFixture(t, src, 2)
-	r := testRunner(t, d, nil)
-	bytes, err := r.StageBatch(micros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes != 0 || src.gathers != 0 {
-		t.Fatalf("resident source staged %d bytes in %d gathers", bytes, src.gathers)
-	}
-	for _, mb := range micros {
-		if _, err := r.RunMicroBatch(mb, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if src.gathers != len(micros) {
-		t.Fatalf("%d gathers for %d unstaged micro-batches", src.gathers, len(micros))
 	}
 }
