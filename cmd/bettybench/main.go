@@ -37,8 +37,8 @@ func main() {
 			os.Exit(1)
 		}
 		for _, c := range rep.Cells {
-			fmt.Printf("%-8s x%d  makespan %8.2fms  speedup %5.2fx  halo %8.2fMiB  allreduce %6.2fms  peak %7.1fMiB\n",
-				c.Partitioner, c.Devices, c.MakespanMS, c.Speedup, c.HaloMiB, c.AllReduceMS, c.MaxPeakMiB)
+			fmt.Printf("%-8s x%d  halo %8.2fMiB  peak %7.1fMiB\n",
+				c.Partitioner, c.Devices, c.HaloMiB, c.MaxPeakMiB)
 		}
 		fmt.Printf("REG boundary @ %d parts:", rep.Devices[len(rep.Devices)-1])
 		for _, name := range []string{"range", "random", "metis", "betty"} {

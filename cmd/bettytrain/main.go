@@ -96,7 +96,7 @@ func main() {
 	flag.Int64Var(&cfg.capacityMiB, "capacity", 0, "simulated device capacity in MiB (0 = unbounded)")
 	flag.IntVar(&cfg.k, "k", 0, "fixed micro-batch count (0 = memory-aware planner)")
 	flag.StringVar(&cfg.partitioner, "partitioner", "betty", "batch partitioner: betty, metis, random, range")
-	flag.IntVar(&cfg.devices, "devices", 1, "number of simulated devices (data-parallel)")
+	flag.IntVar(&cfg.devices, "devices", 1, "number of simulated devices; above 1, every micro-batch is split across them (split-parallel)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.StringVar(&cfg.metrics, "metrics", "", "write run metrics as NDJSON to this file (flushed on errors too)")
 	flag.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in the -metrics output")
@@ -251,25 +251,23 @@ func run(cfg runConfig) (err error) {
 	fmt.Fprintf(cfg.out, "%-6s %-4s %-9s %-9s %-11s %-12s %s\n",
 		"epoch", "K", "loss", "train acc", "peak MiB", "epoch sim s", "redundancy")
 	for e := 1; e <= cfg.epochs; e++ {
-		var (
-			st  core.EpochStats
-			sim float64
-		)
+		// Split-parallel epochs simulate no time: their sim column is "-".
+		var st core.EpochStats
+		sim := "-"
 		if multi != nil {
 			mst, err := multi.TrainEpoch()
 			if err != nil {
 				return err
 			}
 			st = mst.EpochStats
-			sim = mst.Makespan
 		} else {
 			st, err = setup.Engine.TrainEpochMicro()
 			if err != nil {
 				return err
 			}
-			sim = st.ComputeSeconds + st.TransferSeconds
+			sim = fmt.Sprintf("%.5f", st.ComputeSeconds+st.TransferSeconds)
 		}
-		fmt.Fprintf(cfg.out, "%-6d %-4d %-9.4f %-9.4f %-11.2f %-12.5f %d\n",
+		fmt.Fprintf(cfg.out, "%-6d %-4d %-9.4f %-9.4f %-11.2f %-12s %d\n",
 			e, st.K, st.Loss, st.TrainAcc, float64(st.PeakBytes)/(1<<20), sim, st.Redundancy)
 		completed = e
 		if cfg.hook != nil {

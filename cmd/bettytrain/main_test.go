@@ -166,6 +166,38 @@ func TestRunMetricsOnlyWithDevice(t *testing.T) {
 	}
 }
 
+// -devices 2 trains split-parallel: the same loss and train accuracy, epoch
+// by epoch, as one device, and no simulated time.
+func TestRunDevicesMatchesSingle(t *testing.T) {
+	columns := func(devices int) []string {
+		var out bytes.Buffer
+		cfg := smallConfig()
+		cfg.devices = devices
+		cfg.out = &out
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) == 7 && f[0] != "epoch" {
+				if devices > 1 && f[5] != "-" {
+					t.Fatalf("split-parallel row has a simulated time: %q", line)
+				}
+				rows = append(rows, f[2]+" "+f[3])
+			}
+		}
+		if len(rows) != cfg.epochs {
+			t.Fatalf("%d devices: %d epoch rows, want %d:\n%s", devices, len(rows), cfg.epochs, out.String())
+		}
+		return rows
+	}
+	single, split := columns(1), columns(2)
+	if strings.Join(single, "\n") != strings.Join(split, "\n") {
+		t.Fatalf("loss / train acc per epoch: 1 device %v, 2 devices %v", single, split)
+	}
+}
+
 // ExampleParseFanouts-style sanity: bad flags fail before any training.
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()

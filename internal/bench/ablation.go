@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"time"
 
 	"betty/internal/graph"
 	"betty/internal/memory"
@@ -19,7 +18,7 @@ import (
 func init() {
 	register(&Experiment{
 		ID:    "abl-reg",
-		Paper: "Ablation: REG shared-neighbor weights vs direct-edge (redundancy-unaware) partitioning — input redundancy and partitioning cost",
+		Paper: "Ablation: REG shared-neighbor weights vs direct-edge (redundancy-unaware) partitioning — input redundancy",
 		Run:   runAblREG,
 	})
 	register(&Experiment{
@@ -80,8 +79,8 @@ func runAblREG(o Options) ([]*Table, error) {
 	}
 	t := &Table{
 		ID:      "abl-reg",
-		Title:   "REG (betty) vs direct-edge metis vs random: redundancy and wall-clock partitioning cost",
-		Columns: []string{"batches", "algorithm", "input redundancy", "partition time/ms"},
+		Title:   "REG (betty) vs direct-edge metis vs random: input redundancy",
+		Columns: []string{"batches", "algorithm", "input redundancy"},
 	}
 	for _, k := range []int{4, 16, 64} {
 		for _, p := range []reg.BatchPartitioner{
@@ -89,14 +88,12 @@ func runAblREG(o Options) ([]*Table, error) {
 			reg.MetisBatch{Seed: 2},
 			reg.BettyBatch{Seed: 2},
 		} {
-			start := time.Now()
 			red, err := redundancyOf(blocks, p, k)
 			if err != nil {
 				return nil, err
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			o.logf("abl-reg k=%d %s red=%d %.1fms", k, p.Name(), red, ms)
-			t.AddRow(fmtI(k), p.Name(), fmtI(red), fmtF(ms, 1))
+			o.logf("abl-reg k=%d %s red=%d", k, p.Name(), red)
+			t.AddRow(fmtI(k), p.Name(), fmtI(red))
 		}
 	}
 	return []*Table{t}, nil

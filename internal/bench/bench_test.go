@@ -109,6 +109,29 @@ func TestEstimationExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// abl-reg prints no wall-clock column, so two runs render byte for byte
+// alike.
+func TestAblREGDeterministic(t *testing.T) {
+	render := func() string {
+		e, err := Get("abl-reg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables, err := e.Run(Options{Scale: 0.08})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tb := range tables {
+			tb.Render(&b)
+		}
+		return b.String()
+	}
+	if first, second := render(), render(); first != second {
+		t.Fatalf("abl-reg differs between runs:\n%s\nvs\n%s", first, second)
+	}
+}
+
 func TestTrainingExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training smoke runs skipped in -short mode")

@@ -14,10 +14,9 @@ import (
 )
 
 // The multidev benchmark sweeps split-parallel training over device counts
-// and shard partitioners, producing the scaling curves GSplit-style
-// execution is judged by: makespan speedup versus one device, halo traffic
-// per partitioner (Betty's REG partitioning should move the least), the
-// all-reduce tax, and the per-device memory relief. Its output is
+// and shard partitioners and reports what GSplit-style execution can show
+// in exact counts: halo traffic per partitioner (Betty's REG partitioning
+// should move the least) and the per-device memory relief. Its output is
 // BENCH_multidev.json.
 
 // MultiDevBenchCell is one (partitioner, device count) cell of the sweep.
@@ -26,14 +25,6 @@ type MultiDevBenchCell struct {
 	Partitioner string `json:"partitioner"`
 	// Devices is the simulated device count.
 	Devices int `json:"devices"`
-	// MakespanMS is the simulated epoch wall time in milliseconds,
-	// including the gradient all-reduce.
-	MakespanMS float64 `json:"makespan_ms"`
-	// Speedup is the 1-device makespan of the same partitioner divided by
-	// this cell's makespan.
-	Speedup float64 `json:"speedup"`
-	// AllReduceMS is the tree all-reduce's share of the makespan.
-	AllReduceMS float64 `json:"allreduce_ms"`
 	// HaloMiB is the boundary feature traffic between devices.
 	HaloMiB float64 `json:"halo_mib"`
 	// OwnedMiB is the host-loaded input feature traffic (constant across
@@ -41,9 +32,6 @@ type MultiDevBenchCell struct {
 	OwnedMiB float64 `json:"owned_mib"`
 	// MaxPeakMiB is the largest per-device memory peak.
 	MaxPeakMiB float64 `json:"max_peak_mib"`
-	// MaxIdleMS is the largest per-device barrier idle time — the load
-	// imbalance the shard partitioner induced.
-	MaxIdleMS float64 `json:"max_idle_ms"`
 	// Loss is the epoch loss; identical across every cell by the bitwise
 	// determinism contract, so the report doubles as evidence.
 	Loss float64 `json:"loss"`
@@ -126,7 +114,6 @@ func RunMultiDevBench(scale float64) (*MultiDevBenchReport, error) {
 	}
 
 	for _, shardP := range multidevPartitioners() {
-		baseline := 0.0
 		for _, nDev := range deviceCounts {
 			s, err := core.BuildSAGE(ds, core.Options{
 				Seed: 1, Hidden: 64, Fanouts: []int{5, 10}, FixedK: 8,
@@ -146,35 +133,18 @@ func RunMultiDevBench(scale float64) (*MultiDevBenchReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s x %d devices: %w", shardP.Name(), nDev, err)
 			}
-			if nDev == 1 {
-				baseline = st.Makespan
-			}
 			var owned int64
-			maxPeak, maxIdle := int64(0), 0.0
 			for _, l := range st.PerDevice {
 				owned += l.OwnedBytes
-				if l.PeakBytes > maxPeak {
-					maxPeak = l.PeakBytes
-				}
-				if l.IdleSeconds > maxIdle {
-					maxIdle = l.IdleSeconds
-				}
 			}
-			cell := MultiDevBenchCell{
+			rep.Cells = append(rep.Cells, MultiDevBenchCell{
 				Partitioner: shardP.Name(),
 				Devices:     nDev,
-				MakespanMS:  st.Makespan * 1e3,
-				AllReduceMS: st.AllReduceSeconds * 1e3,
 				HaloMiB:     float64(st.HaloBytes) / (1 << 20),
 				OwnedMiB:    float64(owned) / (1 << 20),
-				MaxPeakMiB:  float64(maxPeak) / (1 << 20),
-				MaxIdleMS:   maxIdle * 1e3,
+				MaxPeakMiB:  float64(st.PeakBytes) / (1 << 20),
 				Loss:        st.Loss,
-			}
-			if st.Makespan > 0 {
-				cell.Speedup = baseline / st.Makespan
-			}
-			rep.Cells = append(rep.Cells, cell)
+			})
 		}
 	}
 	rep.K = 8

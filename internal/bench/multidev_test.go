@@ -27,14 +27,11 @@ func TestMultiDevBenchSmoke(t *testing.T) {
 		}
 	}
 	for _, c := range rep.Cells {
-		if c.MakespanMS <= 0 {
-			t.Fatalf("cell %s x%d has no makespan", c.Partitioner, c.Devices)
+		if c.Devices == 1 && c.HaloMiB != 0 {
+			t.Fatalf("1-device cell has halo traffic: %+v", c)
 		}
-		if c.Devices == 1 && (c.HaloMiB != 0 || c.AllReduceMS != 0) {
-			t.Fatalf("1-device cell has parallel costs: %+v", c)
-		}
-		if c.Devices > 1 && (c.HaloMiB <= 0 || c.AllReduceMS <= 0) {
-			t.Fatalf("cell %s x%d missing halo/all-reduce: %+v", c.Partitioner, c.Devices, c)
+		if c.Devices > 1 && c.HaloMiB <= 0 {
+			t.Fatalf("cell %s x%d missing halo: %+v", c.Partitioner, c.Devices, c)
 		}
 		// Numerics are device-count and shard-partitioner independent:
 		// every cell trains to the same loss, bitwise.

@@ -51,15 +51,6 @@ type Engine struct {
 	// planner it builds, and — when installed with SetObs — the runner,
 	// sampler, and REG partitioner too.
 	Obs *obs.Registry
-	// PlanCapacity, when positive, overrides the planning budget (by
-	// default the attached device's capacity). Multi-device training plans
-	// against the smallest per-device capacity.
-	PlanCapacity int64
-	// PlanPeak, when non-nil, overrides which component sum of the memory
-	// breakdown the planner compares against the budget (see
-	// memory.Planner.Peak). Multi-device training installs the split-aware
-	// peak so each micro-batch is budgeted at its per-device share.
-	PlanPeak func(memory.Breakdown) int64
 	// Frontiers, when non-nil, persists sampled macrobatches and reuses
 	// them across epochs (BatchGNN-style): PlanEpoch loads the frontier
 	// for its seed set instead of resampling when one is available. The
@@ -156,13 +147,15 @@ func (e *Engine) capacity() int64 {
 // PlanEpoch samples the full batch for the given seeds and chooses the
 // micro-batch partition (steps 1-3 of the workflow).
 func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) {
+	return e.planEpoch(seeds, e.capacity(), nil)
+}
+
+// planEpoch is PlanEpoch against an explicit budget and planner peak
+// functional (nil is Breakdown.Peak; see memory.Planner.Peak).
+func (e *Engine) planEpoch(seeds []int32, capacity int64, peak func(memory.Breakdown) int64) ([]*graph.Block, *memory.Plan, error) {
 	full, err := e.sampleOrReuse(seeds)
 	if err != nil {
 		return nil, nil, err
-	}
-	capacity := e.capacity()
-	if e.PlanCapacity > 0 {
-		capacity = e.PlanCapacity
 	}
 	pl := &memory.Planner{
 		Capacity:     capacity,
@@ -171,7 +164,7 @@ func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) 
 		MaxK:         e.MaxK,
 		SafetyMargin: e.SafetyMargin,
 		Obs:          e.Obs,
-		Peak:         e.PlanPeak,
+		Peak:         peak,
 	}
 	var plan *memory.Plan
 	if e.FixedK > 0 {

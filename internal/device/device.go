@@ -99,7 +99,6 @@ type Device struct {
 	model        CostModel
 	transferTime float64
 	computeTime  float64
-	transferred  int64
 }
 
 // New returns a device with the given memory capacity and cost model.
@@ -180,7 +179,6 @@ func (d *Device) Transfer(n int64) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.transferTime += t
-	d.transferred += n
 	return t
 }
 
@@ -212,20 +210,6 @@ func (d *Device) ComputeSeconds() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.computeTime
-}
-
-// BytesTransferred returns the accumulated host-to-device traffic.
-func (d *Device) BytesTransferred() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.transferred
-}
-
-// ResetClocks zeroes the transfer/compute accumulators.
-func (d *Device) ResetClocks() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.transferTime, d.computeTime, d.transferred = 0, 0, 0
 }
 
 // LiveBuffers returns the labels and sizes of live allocations sorted by

@@ -91,49 +91,45 @@ func NewRunner(m Model, d *dataset.Dataset, opt nn.Optimizer, dev *device.Device
 	return &Runner{Model: m, Data: d, Opt: opt, Dev: dev}
 }
 
-// EnsureResident allocates the persistent device buffers: parameters,
-// gradients, and optimizer states live across batches.
-func (r *Runner) EnsureResident() error {
-	if r.Dev == nil || r.resident != nil {
-		return nil
-	}
-	params := int64(nn.ParamCount(r.Model))
+// AllocResident allocates a model's persistent state on dev: parameters,
+// gradients, and optimizer states, which live across batches. On error
+// nothing stays allocated.
+func AllocResident(dev *device.Device, m nn.Module, opt nn.Optimizer) ([]*device.Buffer, error) {
+	params := int64(nn.ParamCount(m))
 	allocs := []struct {
 		bytes int64
 		label string
 	}{
 		{params * 4, "parameters"},
 		{params * 4, "gradients"},
-		{params * int64(r.Opt.StateSize()) * 4, "optimizer-states"},
+		{params * int64(opt.StateSize()) * 4, "optimizer-states"},
 	}
+	var bufs []*device.Buffer
 	for _, a := range allocs {
 		if a.bytes == 0 {
 			continue
 		}
-		buf, err := r.Dev.Alloc(a.bytes, a.label)
+		buf, err := dev.Alloc(a.bytes, a.label)
 		if err != nil {
-			return fmt.Errorf("train: resident state: %w", err)
+			for _, b := range bufs {
+				dev.Free(b)
+			}
+			return nil, fmt.Errorf("train: resident state: %w", err)
 		}
-		r.resident = append(r.resident, buf)
+		bufs = append(bufs, buf)
 	}
-	return nil
+	return bufs, nil
 }
 
-// DetachResident hands ownership of the current resident buffers (the
-// model-state replica on the current device) to the caller and clears the
-// runner's record, so a subsequent EnsureResident allocates on whatever
-// device is then attached. Multi-device training uses Detach/Attach to
-// keep one persistent replica per device across epochs.
-func (r *Runner) DetachResident() []*device.Buffer {
-	bufs := r.resident
-	r.resident = nil
-	return bufs
+// EnsureResident allocates the runner's resident state on its device once.
+func (r *Runner) EnsureResident() error {
+	if r.Dev == nil || r.resident != nil {
+		return nil
+	}
+	var err error
+	r.resident, err = AllocResident(r.Dev, r.Model, r.Opt)
+	return err
 }
-
-// AttachResident installs a previously detached resident set (which must
-// belong to the currently attached device). A nil set means the next batch
-// allocates a fresh replica.
-func (r *Runner) AttachResident(bufs []*device.Buffer) { r.resident = bufs }
 
 // ReleaseResident frees the persistent buffers (end of training).
 func (r *Runner) ReleaseResident() {
@@ -325,18 +321,13 @@ func (r *Runner) forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) 
 	return embcache.Forward(tp, r.Model, blocks, x, r.Emb)
 }
 
-// ForwardCost reports the measured cost of a gradient-free forward pass:
-// the recorded tape operation count, the materialized activation bytes, and
-// the model's FLOP estimate for the blocks. Multi-device training uses it
-// to charge each simulated device for its shard of a micro-batch without
-// perturbing the canonical gradient accumulation.
+// ForwardCost reports the measured cost of a gradient-free forward pass.
+// Multi-device training uses it to charge each simulated device for its
+// shard of a micro-batch without perturbing the canonical gradient
+// accumulation.
 type ForwardCost struct {
-	// Ops is the number of operations the forward pass recorded.
-	Ops int
 	// ActivationBytes is the tape's materialized intermediate memory.
 	ActivationBytes int64
-	// Flops is the model's forward+backward FLOP estimate for the blocks.
-	Flops float64
 }
 
 // MeasureForward runs forward + loss on a scratch tape and returns the
@@ -360,9 +351,7 @@ func (r *Runner) MeasureForward(blocks []*graph.Block) (ForwardCost, error) {
 	labels := r.Data.GatherLabels(last.DstNID)
 	logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
 	tp.SoftmaxCrossEntropy(logits, labels)
-	fc.Ops = tp.NumOps()
 	fc.ActivationBytes = tp.ValueBytes()
-	fc.Flops = r.Model.Flops(blocks)
 	return fc, nil
 }
 
