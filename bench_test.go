@@ -314,18 +314,6 @@ func BenchmarkBettyEpoch(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul256(b *testing.B) {
-	r := rng.New(1)
-	x := tensor.New(256, 256)
-	y := tensor.New(256, 256)
-	x.Randn(r, 1)
-	y.Randn(r, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
-	}
-}
-
 func BenchmarkDatasetGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := dataset.LoadScaled("ogbn-arxiv", 0.1); err != nil {

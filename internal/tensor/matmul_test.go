@@ -1,0 +1,234 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"betty/internal/parallel"
+	"betty/internal/rng"
+)
+
+// MatMulTA computes aᵀ @ b into a new tensor.
+func MatMulTA(a, b *Tensor) *Tensor {
+	out := New(a.ColsN, b.ColsN)
+	matMulTAInto(out, a, b, false)
+	return out
+}
+
+// MatMulTB computes a @ bᵀ into a new tensor.
+func MatMulTB(a, b *Tensor) *Tensor {
+	out := New(a.RowsN, b.RowsN)
+	matMulTBInto(out, a, b, false)
+	return out
+}
+
+// Transpose returns aᵀ as a new tensor.
+func Transpose(a *Tensor) *Tensor {
+	out := New(a.ColsN, a.RowsN)
+	for i := 0; i < a.RowsN; i++ {
+		for j := 0; j < a.ColsN; j++ {
+			out.Data[j*a.RowsN+i] = a.Data[i*a.ColsN+j]
+		}
+	}
+	return out
+}
+
+// FuzzMatMulOracle holds the three matmul kernels, with and without accum,
+// at one and eight workers, bit for bit to the serial loops they replace:
+// out (+)= A·B with each element adding its terms in ascending k and, for
+// the forward and weight-gradient kernels, skipping every term whose
+// multiplier is ±0. MatMulTB sums a plain dot product from +0 and then
+// adds it to out, so its oracle does exactly that. A tile that reorders a
+// single add, multiplies a zero through or drops a tail term fails here.
+//
+// The inputs describe one product out[m×n] = A[m×k]·B[k×n], which the
+// forward kernel reads as A and B, MatMulTA as Aᵀ stored k×m and MatMulTB
+// as B stored transposed n×k. zeros is read in byte pairs (r, c), each
+// setting A[r mod m][c mod k] to zero (to -0 when r ≥ 128). flags: bit 0
+// zeroes every negative entry of A (ReLU sparsity), bit 1 puts ±Inf or NaN
+// in B under each listed zero, bit 2 starts the accumulated output at -0
+// instead of random values.
+func FuzzMatMulOracle(f *testing.F) {
+	const sparse, poison, negZero = 1, 2, 4
+	f.Add(17, 9, 5, uint64(1), []byte{}, uint8(0))                    // odd m: a pair's tail row; k ≡ 1 mod 4
+	f.Add(6, 14, 3, uint64(2), []byte{0, 3, 5, 13}, uint8(0))         // k ≡ 2 mod 4, a zero in the tail
+	f.Add(33, 23, 7, uint64(3), []byte{}, uint8(sparse))              // k ≡ 3 mod 4, ReLU-sparse
+	f.Add(33, 2*kChunk+7, 12, uint64(4), []byte{}, uint8(0))          // two chunk boundaries; shards of 16, 16, 1 rows
+	f.Add(4, 2*kChunk+5, 3, uint64(5), []byte{1, 255}, uint8(sparse)) // the same, sparse
+	f.Add(2, 8, 6, uint64(6), []byte{0, 2}, uint8(0))                 // only row 0 of the pair has a zero
+	f.Add(4, 12, 5, uint64(7),
+		[]byte{0, 1, 1, 1, 2, 1, 3, 1, 1, 6, 130, 9}, uint8(poison)) // NaN/Inf under zero multipliers
+	f.Add(3, 5, 4, uint64(8),
+		[]byte{1, 0, 1, 1, 129, 2, 1, 3, 129, 4}, uint8(negZero)) // a -0 accumulator over a zero row
+	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64, zeros []byte, flags uint8) {
+		if m < 1 || m > 40 || k < 1 || k > 2*kChunk+40 || n < 1 || n > 20 || len(zeros) > 512 {
+			t.Skip("bounded problem sizes keep the fuzz fast")
+		}
+		r := rng.New(seed)
+		a, b := New(m, k), New(k, n)
+		a.Randn(r, 1)
+		b.Randn(r, 1)
+		if flags&sparse != 0 {
+			relu(a)
+		}
+		specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+		for p := 0; p+1 < len(zeros); p += 2 {
+			i, kk := int(zeros[p])%m, int(zeros[p+1])%k
+			a.Set(i, kk, 0)
+			if zeros[p] >= 128 {
+				a.Set(i, kk, float32(math.Copysign(0, -1)))
+			}
+			if flags&poison != 0 {
+				b.Set(kk, i%n, specials[(p/2)%len(specials)])
+			}
+		}
+		init := New(m, n)
+		init.Randn(r, 1)
+		if flags&negZero != 0 {
+			for i := range init.Data {
+				init.Data[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		at, bt := Transpose(a), Transpose(b)
+		kernels := []struct {
+			name string
+			skip bool
+			run  func(out *Tensor, accum bool)
+		}{
+			{"MatMul", true, func(out *Tensor, accum bool) { matMulInto(out, a, b, accum) }},
+			{"MatMulTA", true, func(out *Tensor, accum bool) { matMulTAInto(out, at, b, accum) }},
+			{"MatMulTB", false, func(out *Tensor, accum bool) { matMulTBInto(out, a, bt, accum) }},
+		}
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		for _, kn := range kernels {
+			for _, accum := range []bool{false, true} {
+				want := naiveMatMul(a, b, init, accum, kn.skip)
+				for _, w := range []int{1, 8} {
+					parallel.SetWorkers(w)
+					out := init.Clone()
+					kn.run(out, accum)
+					for e, g := range out.Data {
+						if !sameFloat(g, want[e]) {
+							t.Fatalf("%s accum=%v workers=%d: out[%d][%d] = %v (%#08x), serial loop %v (%#08x)",
+								kn.name, accum, w, e/n, e%n, g, math.Float32bits(g), want[e], math.Float32bits(want[e]))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// naiveMatMul is the serial loop the matmul kernels must reproduce bit for
+// bit: out = init (accum) or +0, plus A·B. With skip each element adds its
+// nonzero-multiplier terms one at a time in ascending k; without, it sums
+// the full dot product from +0 first and then adds (or stores) it.
+func naiveMatMul(a, b, init *Tensor, accum, skip bool) []float32 {
+	m, k, n := a.RowsN, a.ColsN, b.ColsN
+	out := make([]float32, m*n)
+	if accum {
+		copy(out, init.Data)
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if skip {
+				v := out[i*n+j]
+				for kk := 0; kk < k; kk++ {
+					if x := a.At(i, kk); math.Float32bits(x)<<1 != 0 {
+						v += x * b.At(kk, j)
+					}
+				}
+				out[i*n+j] = v
+				continue
+			}
+			var s float32
+			for kk := 0; kk < k; kk++ {
+				s += a.At(i, kk) * b.At(kk, j)
+			}
+			if accum {
+				out[i*n+j] += s
+			} else {
+				out[i*n+j] = s
+			}
+		}
+	}
+	return out
+}
+
+// sameFloat is bitwise equality, except that any two NaNs match: which
+// operand's payload an add propagates is up to the hardware and to the
+// compiler's operand order, not to the kernel's summation order.
+func sameFloat(x, y float32) bool {
+	if math.IsNaN(float64(x)) && math.IsNaN(float64(y)) {
+		return true
+	}
+	return math.Float32bits(x) == math.Float32bits(y)
+}
+
+// BenchmarkMatMulShapes times the three matmul kernels at the shapes the
+// training and serving workloads run them, each written the way the tape
+// calls it: the forward product overwrites its output, the two gradient
+// products accumulate into theirs. A shape m×k→n is the layer's input
+// (m rows, k features) and its output width n:
+//
+//	MM  out[m×n]  = X[m×k] · W[k×n]      (forward)
+//	TA  dW[k×n] += X[m×k]ᵀ · dY[m×n]     (weight gradient)
+//	TB  dX[m×k] += dY[m×n] · W[k×n]ᵀ     (input gradient)
+//
+// The left operand (X for MM and TA, dY for TB) is either dense or
+// ReLU-sparse, about half of it exactly zero, since that is the operand
+// whose zeros the kernels skip. Run with
+//
+//	go test -run '^$' -bench MatMulShapes ./internal/tensor/
+func BenchmarkMatMulShapes(b *testing.B) {
+	shapes := []struct{ m, k, n int }{
+		{6500, 200, 64},
+		{4400, 256, 64},
+		{620, 128, 47},
+		{80, 256, 64},
+	}
+	for _, s := range shapes {
+		for _, sparse := range []bool{false, true} {
+			r := rng.New(1)
+			x, w, dy := New(s.m, s.k), New(s.k, s.n), New(s.m, s.n)
+			x.Randn(r, 1)
+			w.Randn(r, 1)
+			dy.Randn(r, 1)
+			density := "dense"
+			if sparse {
+				density = "relu"
+				relu(x)
+				relu(dy)
+			}
+			kernels := []struct {
+				name string
+				out  *Tensor
+				run  func(out *Tensor)
+			}{
+				{"MM", New(s.m, s.n), func(out *Tensor) { matMulInto(out, x, w, false) }},
+				{"TA", New(s.k, s.n), func(out *Tensor) { matMulTAInto(out, x, dy, true) }},
+				{"TB", New(s.m, s.k), func(out *Tensor) { matMulTBInto(out, dy, w, true) }},
+			}
+			for _, kn := range kernels {
+				name := fmt.Sprintf("%s/%dx%d->%d/%s", kn.name, s.m, s.k, s.n, density)
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						kn.run(kn.out)
+					}
+					flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
+					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// relu zeroes the non-positive entries of t in place.
+func relu(t *Tensor) {
+	for i, v := range t.Data {
+		if v <= 0 {
+			t.Data[i] = 0
+		}
+	}
+}

@@ -117,13 +117,11 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // rowGrain sizes the row blocks the parallel kernels hand to each worker:
 // large enough that a shard amortizes dispatch overhead (~64k multiply-
-// adds), small enough that big matrices fan out across every core. Each
-// kernel passes its *own* per-output-row multiply-add count — the forward
-// kernel's K·N, MatMulTA's K·N with K = rows(a), MatMulTB's K·M — rather
-// than sharing the forward kernel's formula, so shards carry comparable
-// work in every variant. It is a function of the row cost only — never of
-// the worker count — so the shard structure, and with it the result, is
-// identical for any parallelism.
+// adds), small enough that big matrices fan out across every core. The
+// caller passes its own per-output-row multiply-add count. It is a function
+// of the row cost only — never of the worker count — so the shard
+// structure is identical for any parallelism. The dot-product kernel
+// (matMulTBInto) uses it as is; the tiled kernels round it up to tileRows.
 func rowGrain(flopsPerRow int) int {
 	const target = 1 << 16
 	g := target / (flopsPerRow + 1)
@@ -133,191 +131,179 @@ func rowGrain(flopsPerRow int) int {
 	return g
 }
 
+const (
+	// tileRows is the output-row granule of the tiled kernels: a shard owns
+	// a multiple of it, however much a row costs. A row of aᵀ·b costs
+	// rows(a)·cols(b) multiply-adds, which at training shapes makes
+	// rowGrain one row, and a one-row shard streams all of b to fill that
+	// row: 200 such shards read a 1.7 MB b 200 times for a 50 KB output.
+	tileRows = 16
+	// kChunk is how many k steps of b (kChunk rows of it) a shard walks
+	// before moving on: every row of the shard uses that chunk while it is
+	// still in cache, so b is read once per shard rather than once per
+	// output row. A multiple of four, so chunk boundaries never split a
+	// four-term group.
+	kChunk = 256
+)
+
 // matMulInto computes out (+)= a @ b. When accum is true the product is
 // added to out instead of overwriting it.
-//
-// The kernel is register-blocked over k: four consecutive multipliers of a
-// row of a are held in registers and applied to four rows of b in one pass
-// over the output row, so each output element is loaded and stored once
-// per four accumulation terms instead of once per term. The adds within a
-// block are explicitly sequenced ascending in k — v = ((v+p0)+p1)+p2)+p3 —
-// so every output element accumulates its terms in exactly the serial
-// ikj order: the tiling changes memory traffic, never a single rounding.
-// Row blocks run in parallel; each worker owns a disjoint range of output
-// rows, so the result is bitwise-identical for any worker count.
 func matMulInto(out, a, b *Tensor, accum bool) {
-	n := b.ColsN
-	kDim := a.ColsN
 	if !accum {
 		out.Zero()
 	}
-	parallel.For(a.RowsN, rowGrain(kDim*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			k := 0
-			for ; k+4 <= kDim; k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				b0 := b.Data[k*n : k*n+n]
-				b1 := b.Data[(k+1)*n : (k+1)*n+n]
-				b2 := b.Data[(k+2)*n : (k+2)*n+n]
-				b3 := b.Data[(k+3)*n : (k+3)*n+n]
-				//bettyvet:ok floateq sparsity fast path: skipping exactly-zero multipliers is value-preserving for finite inputs
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-					for j := range orow {
-						v := orow[j]
-						v += a0 * b0[j]
-						v += a1 * b1[j]
-						v += a2 * b2[j]
-						v += a3 * b3[j]
-						orow[j] = v
-					}
-					continue
-				}
-				//bettyvet:ok floateq mixed block: zero multipliers must be skipped term-by-term, not multiplied through — 0*Inf is NaN and +0 can flip a -0 accumulator
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				// Mixed block: keep the single pass over the output row but
-				// guard each term, so the per-element term sequence is exactly
-				// the serial kernel's (zero terms skipped, ascending k). The
-				// guards are j-invariant, so they predict perfectly.
-				for j := range orow {
-					v := orow[j]
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a0 != 0 {
-						v += a0 * b0[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a1 != 0 {
-						v += a1 * b1[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a2 != 0 {
-						v += a2 * b2[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a3 != 0 {
-						v += a3 * b3[j]
-					}
-					orow[j] = v
-				}
-			}
-			for ; k < kDim; k++ {
-				av := arow[k]
-				//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*n : k*n+n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
+	gemm(out, a.Data, a.ColsN, 1, a.ColsN, b.Data)
 }
 
-// MatMulTA computes aᵀ @ b into a new tensor.
-func MatMulTA(a, b *Tensor) *Tensor {
-	out := New(a.ColsN, b.ColsN)
-	matMulTAInto(out, a, b, false)
-	return out
-}
-
-// matMulTAInto computes out (+)= aᵀ @ b. Workers own disjoint ranges of
-// output rows (= columns of a). The loop is output-row-outer — earlier
-// revisions walked k in the outer loop, which made every shard pay a full
-// pass over a and b regardless of how few output rows it owned, defeating
-// the grain model for narrow shards. Per output row the kernel blocks k by
-// four (strided a[k][i] loads held in registers, one pass over the output
-// row per block) with the same explicitly sequenced ascending-k adds and
-// per-term zero-skip as the serial kernel, so each output element
-// accumulates its terms in the identical order at any worker count. With
-// accum the product is added to out — the backward pass writes straight
-// into gradient tensors without a temporary.
+// matMulTAInto computes out (+)= aᵀ @ b, reading a in place: output row i
+// is column i of a against all of b, so a shard's rows share every chunk of
+// b it loads. With accum the product is added to out, which is how the
+// backward pass writes weight gradients without a temporary.
 func matMulTAInto(out, a, b *Tensor, accum bool) {
 	if a.RowsN != b.RowsN {
 		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%d ᵀ@ %dx%d", a.RowsN, a.ColsN, b.RowsN, b.ColsN))
 	}
-	n := b.ColsN
-	m := a.ColsN
-	kDim := a.RowsN
 	if !accum {
 		out.Zero()
 	}
-	// flops per output row = kDim*n: row i of the output is a length-kDim
-	// reduction over n-wide b rows, independent of m.
-	parallel.For(m, rowGrain(kDim*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*n : i*n+n]
-			k := 0
-			for ; k+4 <= kDim; k += 4 {
-				a0 := a.Data[k*m+i]
-				a1 := a.Data[(k+1)*m+i]
-				a2 := a.Data[(k+2)*m+i]
-				a3 := a.Data[(k+3)*m+i]
-				b0 := b.Data[k*n : k*n+n]
-				b1 := b.Data[(k+1)*n : (k+1)*n+n]
-				b2 := b.Data[(k+2)*n : (k+2)*n+n]
-				b3 := b.Data[(k+3)*n : (k+3)*n+n]
-				//bettyvet:ok floateq sparsity fast path: skipping exactly-zero multipliers is value-preserving for finite inputs
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-					for j := range orow {
-						v := orow[j]
-						v += a0 * b0[j]
-						v += a1 * b1[j]
-						v += a2 * b2[j]
-						v += a3 * b3[j]
-						orow[j] = v
-					}
+	gemm(out, a.Data, 1, a.ColsN, a.RowsN, b.Data)
+}
+
+// gemm adds A·B into out, where B is b read as a kDim×cols(out) row-major
+// matrix and A(i, k) = a[i*rs+k*ks]: rs, ks = kDim, 1 is a itself (matMulInto)
+// and rs, ks = 1, rows(out) is its transpose (matMulTAInto), read in place.
+//
+// Every output element adds its terms one at a time in ascending k, and a
+// term whose multiplier A(i, k) is ±0 is skipped rather than multiplied
+// through (0·Inf is NaN, and adding +0 turns a -0 accumulator into +0). The
+// result is therefore the serial loop
+//
+//	for k := range kDim { if A(i,k) != 0 { out[i][j] += A(i,k) * B[k][j] } }
+//
+// bit for bit, whatever the tiling, the shard structure or the worker count.
+//
+// Shards own tileRows-aligned blocks of output rows and walk k in chunks of
+// kChunk. Per chunk, each output row first packs its nonzero multipliers
+// and their b offsets (branch-free), then applies them four at a time in
+// one pass over the output row, so a zero costs nothing and no pass is
+// guarded. When both rows of a pair have no zero in the chunk, the pair
+// shares the pass: each b element loaded feeds both rows (a 2-row × 4-k
+// register tile).
+func gemm(out *Tensor, a []float32, rs, ks, kDim int, b []float32) {
+	n := out.ColsN
+	grain := (rowGrain(kDim*n) + tileRows - 1) / tileRows * tileRows
+	parallel.For(out.RowsN, grain, func(lo, hi int) {
+		var v0, v1 [kChunk]float32
+		var off0, off1 [kChunk]int
+		for k0 := 0; k0 < kDim; k0 += kChunk {
+			k1 := min(k0+kChunk, kDim)
+			for i := lo; i < hi; i += 2 {
+				o0 := out.Data[i*n : i*n+n]
+				c0 := packNonzero(&v0, &off0, a, i*rs, ks, k0, k1, n)
+				if i+1 == hi {
+					addTerms(o0, b, v0[:c0], off0[:c0])
+					break
+				}
+				o1 := out.Data[(i+1)*n : (i+1)*n+n]
+				c1 := packNonzero(&v1, &off1, a, (i+1)*rs, ks, k0, k1, n)
+				if c0 == k1-k0 && c1 == k1-k0 {
+					addPair(o0, o1, b[k0*n:k1*n], v0[:c0], v1[:c1])
 					continue
 				}
-				//bettyvet:ok floateq mixed block: zero multipliers must be skipped term-by-term, not multiplied through — 0*Inf is NaN and +0 can flip a -0 accumulator
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				for j := range orow {
-					v := orow[j]
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a0 != 0 {
-						v += a0 * b0[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a1 != 0 {
-						v += a1 * b1[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a2 != 0 {
-						v += a2 * b2[j]
-					}
-					//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-					if a3 != 0 {
-						v += a3 * b3[j]
-					}
-					orow[j] = v
-				}
-			}
-			for ; k < kDim; k++ {
-				av := a.Data[k*m+i]
-				//bettyvet:ok floateq sparsity fast path: skipping an exactly-zero multiplier is value-preserving for finite inputs
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*n : k*n+n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				addTerms(o0, b, v0[:c0], off0[:c0])
+				addTerms(o1, b, v1[:c1], off1[:c1])
 			}
 		}
 	})
 }
 
-// MatMulTB computes a @ bᵀ into a new tensor.
-func MatMulTB(a, b *Tensor) *Tensor {
-	out := New(a.RowsN, b.RowsN)
-	matMulTBInto(out, a, b, false)
-	return out
+// nonzero is 1 when x is not ±0 and 0 when it is — the zero-skip test as an
+// integer bit test. NaN counts as nonzero, exactly as under x != 0.
+func nonzero(x float32) int {
+	return int((math.Float32bits(x)&0x7fffffff + 0x7fffffff) >> 31)
+}
+
+// packNonzero writes the nonzero multipliers a[base+k*ks], k in [k0, k1), to
+// v in ascending k, with k*n — the offset of the b row each one scales — at
+// the same index of off, and returns how many there are.
+func packNonzero(v *[kChunk]float32, off *[kChunk]int, a []float32, base, ks, k0, k1, n int) int {
+	c := 0
+	for k := k0; k < k1; k++ {
+		x := a[base+k*ks]
+		v[c] = x
+		off[c] = k * n
+		c += nonzero(x)
+	}
+	return c
+}
+
+// addTerms adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
+// four terms per pass over o.
+func addTerms(o, b []float32, v []float32, off []int) {
+	n := len(o)
+	t := 0
+	for ; t+4 <= len(v); t += 4 {
+		x0, x1, x2, x3 := v[t], v[t+1], v[t+2], v[t+3]
+		b0 := b[off[t]:][:n]
+		b1 := b[off[t+1]:][:n]
+		b2 := b[off[t+2]:][:n]
+		b3 := b[off[t+3]:][:n]
+		for j := range o {
+			s := o[j]
+			s += x0 * b0[j]
+			s += x1 * b1[j]
+			s += x2 * b2[j]
+			s += x3 * b3[j]
+			o[j] = s
+		}
+	}
+	for ; t < len(v); t++ {
+		x := v[t]
+		bt := b[off[t]:][:n]
+		for j := range o {
+			o[j] += x * bt[j]
+		}
+	}
+}
+
+// addPair adds v0[t]·B[t] to o0 and v1[t]·B[t] to o1 for every t in order,
+// where B[t] is row t of the len(v0)×len(o0) matrix b: each b element is
+// loaded once for both rows.
+func addPair(o0, o1, b []float32, v0, v1 []float32) {
+	n := len(o0)
+	o1 = o1[:n]
+	t := 0
+	for ; t+4 <= len(v0); t += 4 {
+		x0, x1, x2, x3 := v0[t], v0[t+1], v0[t+2], v0[t+3]
+		y0, y1, y2, y3 := v1[t], v1[t+1], v1[t+2], v1[t+3]
+		b0 := b[t*n:][:n]
+		b1 := b[(t+1)*n:][:n]
+		b2 := b[(t+2)*n:][:n]
+		b3 := b[(t+3)*n:][:n]
+		for j := range o0 {
+			p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
+			s := o0[j]
+			s += x0 * p0
+			s += x1 * p1
+			s += x2 * p2
+			s += x3 * p3
+			o0[j] = s
+			u := o1[j]
+			u += y0 * p0
+			u += y1 * p1
+			u += y2 * p2
+			u += y3 * p3
+			o1[j] = u
+		}
+	}
+	for ; t < len(v0); t++ {
+		x, y := v0[t], v1[t]
+		bt := b[t*n:][:n]
+		for j := range o0 {
+			o0[j] += x * bt[j]
+			o1[j] += y * bt[j]
+		}
+	}
 }
 
 // matMulTBInto computes out (+)= a @ bᵀ with workers owning disjoint
@@ -376,17 +362,6 @@ func matMulTBInto(out, a, b *Tensor, accum bool) {
 			}
 		}
 	})
-}
-
-// Transpose returns aᵀ as a new tensor.
-func Transpose(a *Tensor) *Tensor {
-	out := New(a.ColsN, a.RowsN)
-	for i := 0; i < a.RowsN; i++ {
-		for j := 0; j < a.ColsN; j++ {
-			out.Data[j*a.RowsN+i] = a.Data[i*a.ColsN+j]
-		}
-	}
-	return out
 }
 
 // elemGrain is the element count per shard for the parallel elementwise
