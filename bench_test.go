@@ -252,9 +252,9 @@ func BenchmarkSAGEMeanForwardBackward(b *testing.B) { benchForwardBackward(b, nn
 
 // BenchmarkTrainStep measures the full training step — micro-batch
 // forward+backward plus the optimizer — across worker counts, with the
-// tape buffer pool on and off and the fused kernel tier on and off.
-// Sub-benchmark names carry all three settings so speedups and allocation
-// reductions read directly off `go test -bench TrainStep`.
+// tape buffer pool on and off. Sub-benchmark names carry both settings so
+// speedups and allocation reductions read directly off
+// `go test -bench TrainStep`.
 func BenchmarkTrainStep(b *testing.B) {
 	ds := benchDataset(b)
 	seeds := ds.TrainIdx
@@ -274,24 +274,21 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	runner := train.NewRunner(model, ds, nn.NewAdam(model, 0.01), nil)
 	onOff := map[bool]string{true: "on", false: "off"}
-	for _, fused := range []bool{true, false} {
-		for _, pool := range []bool{true, false} {
-			for _, w := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("workers=%d/pool=%s/fused=%s", w, onOff[pool], onOff[fused])
-				b.Run(name, func(b *testing.B) {
-					defer parallel.SetWorkers(parallel.SetWorkers(w))
-					defer tensor.SetPooling(tensor.SetPooling(pool))
-					defer nn.SetFused(nn.SetFused(fused))
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := runner.RunMicroBatch(blocks, 1); err != nil {
-							b.Fatal(err)
-						}
-						runner.Step()
+	for _, pool := range []bool{true, false} {
+		for _, w := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("workers=%d/pool=%s", w, onOff[pool])
+			b.Run(name, func(b *testing.B) {
+				defer parallel.SetWorkers(parallel.SetWorkers(w))
+				defer tensor.SetPooling(tensor.SetPooling(pool))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := runner.RunMicroBatch(blocks, 1); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					runner.Step()
+				}
+			})
 		}
 	}
 }

@@ -95,7 +95,7 @@ type recLayer struct {
 
 func (l *recLayer) Params() []*tensor.Var { return nil }
 
-func (l *recLayer) Forward(_ *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
+func (l *recLayer) Forward(_ *tensor.Tape, b *graph.Block, h *tensor.Var, _ bool) *tensor.Var {
 	l.blocks = append(l.blocks, b)
 	l.inputs = append(l.inputs, h.Value)
 	return tensor.Leaf(tensor.New(b.NumDst, 1))

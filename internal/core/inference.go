@@ -13,11 +13,11 @@ import (
 // tensor (one row per destination, in DstNID order). No gradients are
 // recorded and all intermediates are recycled before returning.
 //
-// Every path applies the same per-layer step, nn.ApplyBlockLayer: training
-// (train.Runner.RunMicroBatch) and evaluation through the model's Forward
-// (nn.Stack), and the online serving path (internal/serve) through here —
-// the op sequence is identical in both cases, so predictions are bitwise
-// equal across the two paths.
+// Every path applies the same per-layer step, nn.BlockLayer.Forward with
+// relu set on all but the last layer: training (train.Runner.RunMicroBatch)
+// and evaluation through the model's Forward (nn.Stack), and the online
+// serving path (internal/serve) through here — the op sequence is identical
+// in both cases, so predictions are bitwise equal across the two paths.
 func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*tensor.Tensor, error) {
 	return BatchInferenceCached(model, blocks, feats, nil)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -11,9 +10,9 @@ import (
 
 // The three ways a batch is forwarded — the model's own Forward (training,
 // evaluation), BatchInference (serving), and a hand-written chain of
-// nn.ApplyBlockLayer over nn.LayerStack (what the embedding cache's
-// partial-skip path does) — must produce the same bits,
-// for every architecture and aggregator, with the fused tier on and off.
+// per-layer Forward calls over nn.LayerStack (what the embedding cache's
+// partial-skip path does) — must produce the same bits, for every
+// architecture and aggregator.
 func TestBatchInferenceMatchesModelForward(t *testing.T) {
 	d := testData(t)
 	sage := func(agg nn.Aggregator) func() (*Setup, error) {
@@ -34,49 +33,46 @@ func TestBatchInferenceMatchesModelForward(t *testing.T) {
 			return BuildGAT(d, Options{Seed: 42, Hidden: 8, Heads: 2, Fanouts: []int{4, 6}})
 		}},
 	} {
-		for _, fused := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/fused=%v", c.name, fused), func(t *testing.T) {
-				defer nn.SetFused(nn.SetFused(fused))
-				s, err := c.build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				blocks, err := s.Engine.Sampler.Sample(d.Graph, []int32{3, 8, 120, 700})
-				if err != nil {
-					t.Fatal(err)
-				}
-				x, err := d.GatherFeatures(blocks[0].SrcNID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tp := tensor.NewTape()
-				defer tp.Release()
-				want := s.Model.Forward(tp, blocks, tensor.Leaf(x)).Value
+		t.Run(c.name, func(t *testing.T) {
+			s, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := s.Engine.Sampler.Sample(d.Graph, []int32{3, 8, 120, 700})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := d.GatherFeatures(blocks[0].SrcNID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp := tensor.NewTape()
+			defer tp.Release()
+			want := s.Model.Forward(tp, blocks, tensor.Leaf(x)).Value
 
-				got, err := BatchInference(s.Model, blocks, x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				layers, err := nn.LayerStack(s.Model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h1 := nn.ApplyBlockLayer(tp, layers[0], blocks[0], tensor.Leaf(x), false)
-				chain := nn.ApplyBlockLayer(tp, layers[1], blocks[1], h1, true).Value
+			got, err := BatchInference(s.Model, blocks, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers, err := nn.LayerStack(s.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1 := layers[0].Forward(tp, blocks[0], tensor.Leaf(x), true)
+			chain := layers[1].Forward(tp, blocks[1], h1, false).Value
 
-				for i, out := range []*tensor.Tensor{got, chain} {
-					path := []string{"BatchInference", "ApplyBlockLayer chain"}[i]
-					if out.Rows() != want.Rows() || out.Cols() != want.Cols() {
-						t.Fatalf("%s: shape %dx%d, want %dx%d", path, out.Rows(), out.Cols(), want.Rows(), want.Cols())
-					}
-					for i := range out.Data {
-						if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
-							t.Fatalf("%s: logit %d differs: %v vs %v", path, i, out.Data[i], want.Data[i])
-						}
+			for i, out := range []*tensor.Tensor{got, chain} {
+				path := []string{"BatchInference", "per-layer chain"}[i]
+				if out.Rows() != want.Rows() || out.Cols() != want.Cols() {
+					t.Fatalf("%s: shape %dx%d, want %dx%d", path, out.Rows(), out.Cols(), want.Rows(), want.Cols())
+				}
+				for i := range out.Data {
+					if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%s: logit %d differs: %v vs %v", path, i, out.Data[i], want.Data[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -39,7 +39,7 @@ func Forward(tp *tensor.Tape, model any, blocks []*graph.Block, x *tensor.Var, c
 		start = 1
 	}
 	for l := start; l < len(layers); l++ {
-		h = nn.ApplyBlockLayer(tp, layers[l], blocks[l], h, l == len(layers)-1)
+		h = layers[l].Forward(tp, blocks[l], h, l < len(layers)-1)
 	}
 	return h, nil
 }
@@ -63,7 +63,7 @@ func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tens
 		return tensor.Leaf(hitRows), nil
 	}
 	if hits == 0 {
-		h1 := nn.ApplyBlockLayer(tp, layer, b, x, false)
+		h1 := layer.Forward(tp, b, x, true)
 		c.reg.Add("embcache.computed_rows", int64(b.NumDst))
 		if err := c.store(b.DstNID, h1.Value, c.mode == ModeExact); err != nil {
 			return nil, err
@@ -87,7 +87,7 @@ func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tens
 		return nil, err
 	}
 	xs := tp.GatherRows(x, srcSel)
-	hm := nn.ApplyBlockLayer(tp, layer, sub, xs, false)
+	hm := layer.Forward(tp, sub, xs, true)
 	c.reg.Add("embcache.computed_rows", int64(len(keep)))
 	if err := c.Store(sub.DstNID, hm.Value); err != nil {
 		return nil, err

@@ -55,9 +55,6 @@ type Block struct {
 	pairsOnce          sync.Once
 	srcPairs, dstPairs []int32
 
-	wtOnce sync.Once
-	wtLeaf any
-
 	lstmOnce    sync.Once
 	lstmBuckets []DegreeBucket
 
@@ -137,15 +134,6 @@ func (b *Block) InvInDegree() []float32 {
 		b.invDeg = inv
 	})
 	return b.invDeg
-}
-
-// MemoEdgeWt memoizes an edge-weight view built from b.EdgeWt — in
-// practice the tensor leaf the SAGE weighted-sum wraps around the weights.
-// build runs at most once per block; later calls return the cached value.
-// The type is opaque (any) so graph does not depend on the tensor package.
-func (b *Block) MemoEdgeWt(build func() any) any {
-	b.wtOnce.Do(func() { b.wtLeaf = build() })
-	return b.wtLeaf
 }
 
 // InDegreeHistogram buckets the block's destination nodes by in-degree with

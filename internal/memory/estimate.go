@@ -196,27 +196,12 @@ func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, er
 		e := int64(blk.NumEdges())
 		f := int64(layerIn)
 		o := int64(out)
-		// The fused kernel tier (DESIGN.md §13) collapses several primitive
-		// ops into single-output kernels, so a fused layer materializes
-		// fewer intermediate tensors than the chains costed below. The
-		// estimate must follow the active execution path or it drifts out
-		// of the calibration band the engine tests enforce.
-		fused := nn.FusedEnabled()
 		var act int64 // all forward intermediates of this layer, in values
 		if spec.IsGCN {
-			if fused {
-				// source scaling (S*F), fused neighbor sum with the dst
-				// normalization folded in (N*F), self slice + scale (2 N*F),
-				// add (N*F), fused linear+bias+ReLU (N*O)
-				act = s*f + 4*n*f + n*o
-			} else {
-				// source scaling (S*F), neighbor sum + self path + dst
-				// normalization (5 N*F), linear (2 N*O), inter-layer ReLU
-				act = s*f + 5*n*f + 2*n*o
-				if !last {
-					act += n * o
-				}
-			}
+			// source scaling (S*F), fused neighbor sum with the dst
+			// normalization folded in (N*F), self slice + scale (2 N*F),
+			// add (N*F), fused linear+bias+ReLU (N*O)
+			act = s*f + 4*n*f + n*o
 		} else if spec.IsGAT {
 			h := int64(heads)
 			// per head: projection (S*O), score vectors (2S), per-edge
@@ -233,26 +218,12 @@ func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, er
 				act += n * o * int64(heads)
 			}
 		} else {
-			if fused {
-				// shared fused SAGE pipeline: self slice (N*F), concat
-				// (2N*F), fused linear+bias+ReLU (N*O)
-				act = 3*n*f + n*o
-			} else {
-				// shared SAGE pipeline: self slice (N*F), concat (2N*F),
-				// combine matmul + bias (2N*O), inter-layer ReLU (N*O)
-				act = 3*n*f + 2*n*o
-				if !last {
-					act += n * o
-				}
-			}
+			// shared SAGE pipeline: self slice (N*F), concat (2N*F), fused
+			// linear+bias+ReLU (N*O)
+			act = 3*n*f + n*o
 			switch spec.Model.Aggregator {
-			case nn.Mean:
-				if fused {
-					act += n * f // single fused gather+sum+scale output
-				} else {
-					act += 2 * n * f // segment sum + degree scale
-				}
-			case nn.Sum:
+			case nn.Mean, nn.Sum:
+				// one fused gather+sum(+weight, +degree scale) output
 				act += n * f
 			case nn.Pool:
 				// pre-transform (3S*F), gathered messages (E*F), max (N*F)

@@ -154,26 +154,21 @@ func checkPlanMatchesFirstFit(t *testing.T, seed uint64, model, peak uint8, capP
 
 // TestPlanMatchesFirstFit is the planner half of ROADMAP item 6: over a
 // seeded grid of batches x models x peak functionals x capacities x margins
-// the bounded, prepare-once search returns exactly the first-fit plan. Both
-// fused settings run, since the estimator follows the execution path.
+// the bounded, prepare-once search returns exactly the first-fit plan.
 func TestPlanMatchesFirstFit(t *testing.T) {
 	tight := 0
-	for _, fused := range []bool{true, false} {
-		restore := nn.SetFused(fused)
-		for seed := uint64(0); seed < 5; seed++ {
-			for model := uint8(0); model < propModels; model++ {
-				for peak := range propPeaks {
-					for _, capPermille := range []uint16{150, 350, 500, 750, 1100} {
-						for margin := range propMargins {
-							if checkPlanMatchesFirstFit(t, seed, model, uint8(peak), capPermille, uint8(margin)) > 1 {
-								tight++
-							}
+	for seed := uint64(0); seed < 5; seed++ {
+		for model := uint8(0); model < propModels; model++ {
+			for peak := range propPeaks {
+				for _, capPermille := range []uint16{150, 350, 500, 750, 1100} {
+					for margin := range propMargins {
+						if checkPlanMatchesFirstFit(t, seed, model, uint8(peak), capPermille, uint8(margin)) > 1 {
+							tight++
 						}
 					}
 				}
 			}
 		}
-		nn.SetFused(restore)
 	}
 	// The grid must exercise the bound, not only agree with it at K = 1.
 	if tight < 100 {

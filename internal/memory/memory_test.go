@@ -16,6 +16,13 @@ import (
 // testGraph builds a reproducible scale-free-ish random graph.
 func testGraph(t *testing.T, seed uint64, n int32, m int) *graph.Graph {
 	t.Helper()
+	return randomGraph(t, seed, n, m, false)
+}
+
+// randomGraph is testGraph, with a positive weight on every edge when
+// weighted is set.
+func randomGraph(t *testing.T, seed uint64, n int32, m int, weighted bool) *graph.Graph {
+	t.Helper()
 	r := rng.New(seed)
 	src := make([]int32, m)
 	dst := make([]int32, m)
@@ -23,7 +30,14 @@ func testGraph(t *testing.T, seed uint64, n int32, m int) *graph.Graph {
 		src[i] = r.Int31n(n)
 		dst[i] = r.Int31n(n)
 	}
-	g, err := graph.FromEdges(n, src, dst)
+	var w []float32
+	if weighted {
+		w = make([]float32, m)
+		for i := range w {
+			w[i] = float32(r.Float64()) + 0.5
+		}
+	}
+	g, err := graph.FromEdgesWeighted(n, src, dst, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +72,6 @@ func seedsRange(n int) []int32 {
 }
 
 func TestEstimateHandComputed(t *testing.T) {
-	defer nn.SetFused(nn.SetFused(false)) // constants below cost the unfused chains
 	// one layer, one block: 2 dst, 3 src, 4 edges
 	b := &graph.Block{
 		NumSrc:   3,
@@ -95,19 +108,19 @@ func TestEstimateHandComputed(t *testing.T) {
 	if est.Hidden != 2*4*4 {
 		t.Fatalf("Hidden = %d", est.Hidden)
 	}
-	// mean-layer intermediates: self+concat (3NF) + combine (2NO) +
-	// segment sum and scale (2NF) = 116 values, minus the N*O counted in
-	// Hidden: (116 - 8) * 4 bytes
-	if est.Aggregator != (3*2*10+2*2*4+2*2*10-2*4)*4 {
+	// mean-layer intermediates: self+concat (3NF = 60) + fused
+	// linear+bias (NO = 8) + fused gather+sum+scale (NF = 20) = 88 values,
+	// minus the N*O counted in Hidden: (88 - 8) * 4 = 320 bytes
+	if est.Aggregator != (3*2*10+2*4+2*10-2*4)*4 {
 		t.Fatalf("Aggregator = %d", est.Aggregator)
 	}
 	if est.Gradients != 400 || est.OptStates != 800 {
 		t.Fatalf("Gradients/OptStates = %d/%d", est.Gradients, est.OptStates)
 	}
-	// peak: stable + max(agg=432, grads=400) = stable + 432
+	// peak: stable + max(agg=320, grads=400) = stable + 400
 	stable := est.Params + est.InputFeatures + est.Labels + est.Blocks + est.Hidden + est.OptStates
-	if est.Peak() != stable+432 {
-		t.Fatalf("Peak = %d, want %d", est.Peak(), stable+432)
+	if est.Peak() != stable+400 {
+		t.Fatalf("Peak = %d, want %d", est.Peak(), stable+400)
 	}
 	if est.Total() != stable+est.Aggregator+est.Gradients {
 		t.Fatal("Total mismatch")
@@ -115,7 +128,6 @@ func TestEstimateHandComputed(t *testing.T) {
 }
 
 func TestEstimateLSTMEquation5(t *testing.T) {
-	defer nn.SetFused(nn.SetFused(false)) // constants below cost the unfused chains
 	b := &graph.Block{
 		NumSrc:   4,
 		NumDst:   2,
@@ -135,8 +147,9 @@ func TestEstimateLSTMEquation5(t *testing.T) {
 	}
 	// Eq 5: sum_i L_i*B_i = E = 5 edges, H = 6, x30 intermediates = 900
 	// values, plus bucket scatters (degrees {3,2} -> 2 buckets -> 3*N*F=36)
-	// plus the shared pipeline 3NF+2NO = 48, minus N*O counted in Hidden.
-	want := int64(5*6*30+36+3*2*6+2*2*3-2*3) * 4
+	// plus the shared pipeline 3NF+NO = 36+6 = 42, minus the N*O = 6
+	// counted in Hidden: (900 + 36 + 42 - 6) * 4 = 3888 bytes.
+	want := int64(5*6*30+36+3*2*6+2*3-2*3) * 4
 	if est.Aggregator != want {
 		t.Fatalf("LSTM aggregator estimate = %d, want %d", est.Aggregator, want)
 	}

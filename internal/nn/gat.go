@@ -58,8 +58,9 @@ func (c *GATConv) Params() []*tensor.Var {
 	return ps
 }
 
-// Forward computes the layer on block b; h holds source features.
-func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
+// Forward computes the layer on block b; h holds source features. With
+// relu set the concatenated (or averaged) head output passes through ReLU.
+func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: GATConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
 	}
@@ -85,6 +86,9 @@ func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tenso
 	}
 	if !c.concat && len(c.heads) > 1 {
 		outs = tp.Scale(outs, 1/float32(len(c.heads)))
+	}
+	if relu {
+		outs = tp.ReLU(outs)
 	}
 	return outs
 }

@@ -37,8 +37,12 @@ func NewGCNConv(g *graph.Graph, in, out int, r *rng.RNG) *GCNConv {
 // Params implements Module.
 func (c *GCNConv) Params() []*tensor.Var { return c.fc.Params() }
 
-// Forward computes the layer on block b; h holds source features.
-func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
+// Forward computes the layer on block b; h holds source features. The
+// destination normalization rides in FusedCSRAgg's post-scale slot, and
+// the combining linear transform fuses bias and, when relu is set, the
+// inter-layer ReLU. Edge weights are never applied: the coefficients are
+// purely degree-derived.
+func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: GCNConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
 	}
@@ -48,13 +52,11 @@ func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tenso
 		srcScale[i] = c.invSqrtDeg[nid]
 	}
 	hn := tp.RowScale(h, srcScale)
-	src, dst := b.EdgePairs()
-	agg := tp.GatherSegmentSum(hn, src, dst, b.NumDst)
+	// neighbor sum, then destination normalization 1/sqrt(d̂_v)
+	agg := tp.FusedCSRAgg(hn, blockCSR(b, nil, srcScale[:b.NumDst]))
 	// self loop: h_v / d̂_v = (h_v/√d̂_v) * 1/√d̂_v
 	self := tp.RowScale(tp.SliceRows(hn, 0, b.NumDst), srcScale[:b.NumDst])
-	// destination normalization 1/sqrt(d̂_v) applied to the neighbor sum
-	summed := tp.Add(tp.RowScale(agg, srcScale[:b.NumDst]), self)
-	return c.fc.Apply(tp, summed)
+	return tp.LinearBiasReLU(tp.Add(agg, self), c.fc.W, c.fc.B, relu)
 }
 
 // GCN is the multi-layer graph convolutional network.

@@ -47,7 +47,7 @@ func TestGCNConvHandComputed(t *testing.T) {
 	// in-degrees: node0=2, node1=1, node2=0 -> d̂ = 3, 2, 1
 	h := tensor.Leaf(tensor.FromSlice(3, 1, []float32{6, 4, 2}))
 	tp := tensor.NewTape()
-	out := conv.Forward(tp, gcnBlock(t), h)
+	out := conv.Forward(tp, gcnBlock(t), h, false)
 
 	s0 := 1 / math.Sqrt(3)
 	s1 := 1 / math.Sqrt(2)

@@ -108,7 +108,7 @@ func TestSAGEConvMeanMatchesHandComputation(t *testing.T) {
 		4, 4,
 	}))
 	tp := tensor.NewTape()
-	out := conv.Forward(tp, b, h)
+	out := conv.Forward(tp, b, h, false)
 	// dst0: self (1,0) + mean((2,2),(4,4)) = (1,0)+(3,3) = (4,3)
 	if !almostEq(float64(out.Value.At(0, 0)), 4, 1e-5) || !almostEq(float64(out.Value.At(0, 1)), 3, 1e-5) {
 		t.Fatalf("dst0 = (%v,%v), want (4,3)", out.Value.At(0, 0), out.Value.At(0, 1))
@@ -131,7 +131,7 @@ func TestSAGEConvAllAggregatorsRun(t *testing.T) {
 		h := tensor.Param(tensor.New(5, 2))
 		h.Value.Randn(r, 1)
 		tp := tensor.NewTape()
-		out := conv.Forward(tp, b, h)
+		out := conv.Forward(tp, b, h, false)
 		if out.Value.Rows() != 3 || out.Value.Cols() != 3 {
 			t.Fatalf("%v: bad shape %dx%d", agg, out.Value.Rows(), out.Value.Cols())
 		}
@@ -383,7 +383,7 @@ func TestGATHiddenWidthConcatsHeads(t *testing.T) {
 		want   int
 	}{{true, 15}, {false, 5}} {
 		tp := tensor.NewTape()
-		out := NewGATConv(4, 5, 3, c.concat, r).Forward(tp, b, x)
+		out := NewGATConv(4, 5, 3, c.concat, r).Forward(tp, b, x, false)
 		if out.Value.Rows() != b.NumDst || out.Value.Cols() != c.want {
 			t.Fatalf("concat=%v: output %dx%d, want %dx%d", c.concat, out.Value.Rows(), out.Value.Cols(), b.NumDst, c.want)
 		}

@@ -62,27 +62,31 @@ func (c *SAGEConv) AggParams() []*tensor.Var {
 }
 
 // Forward computes the layer on block b. h holds source-node features
-// (b.NumSrc rows); the result has b.NumDst rows.
-func (c *SAGEConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
+// (b.NumSrc rows); the result has b.NumDst rows, passed through ReLU when
+// relu is set. Mean and Sum aggregation — weighted or not — run as one
+// FusedCSRAgg pass, and the combining linear transform, bias and ReLU as
+// one LinearBiasReLU (DESIGN.md §13). Pool and LSTM keep their primitive
+// aggregation: learned transforms don't fuse into a CSR pass.
+func (c *SAGEConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: SAGEConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
 	}
 	self := tp.SliceRows(h, 0, b.NumDst)
 	agg := c.aggregate(tp, b, h)
-	return c.fc.Apply(tp, tp.ConcatCols(self, agg))
+	return tp.LinearBiasReLU(tp.ConcatCols(self, agg), c.fc.W, c.fc.B, relu)
 }
 
 func (c *SAGEConv) aggregate(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
-	src, dst := b.EdgePairs()
 	switch c.Agg {
 	case Sum:
-		return c.weightedSum(tp, b, h, src, dst)
+		// Table 1's weighted sum: the e_uv factor when the block has weights.
+		return tp.FusedCSRAgg(h, blockCSR(b, b.EdgeWt, nil))
 	case Mean:
 		// Equation 1: SUM(e_uv * h_u / D_v) — the weighted neighbor sum
 		// divided by the in-degree (1/deg memoized on the block).
-		sum := c.weightedSum(tp, b, h, src, dst)
-		return tp.RowScale(sum, b.InvInDegree())
+		return tp.FusedCSRAgg(h, blockCSR(b, b.EdgeWt, b.InvInDegree()))
 	case Pool:
+		src, dst := b.EdgePairs()
 		pre := tp.ReLU(c.poolFC.Apply(tp, h))
 		msgs := tp.GatherRows(pre, src)
 		return tp.SegmentMax(msgs, dst, b.NumDst)
@@ -91,23 +95,6 @@ func (c *SAGEConv) aggregate(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *te
 	default:
 		panic(fmt.Sprintf("nn: unknown aggregator %v", c.Agg))
 	}
-}
-
-// weightedSum computes the per-destination sum of source rows, multiplied
-// by the block's edge weights when present (the e_uv factor of Table 1).
-// Unweighted blocks use the fused gather+segment-sum fast path. The weight
-// leaf is memoized on the block: EdgeWt is immutable and the leaf is
-// read-only, so every layer of every step shares one wrapper instead of
-// copying the weights each call.
-func (c *SAGEConv) weightedSum(tp *tensor.Tape, b *graph.Block, h *tensor.Var, src, dst []int32) *tensor.Var {
-	if b.EdgeWt == nil {
-		return tp.GatherSegmentSum(h, src, dst, b.NumDst)
-	}
-	w := b.MemoEdgeWt(func() any {
-		return tensor.Leaf(tensor.FromSlice(len(b.EdgeWt), 1, b.EdgeWt))
-	}).(*tensor.Var)
-	msgs := tp.MulRowsVec(tp.GatherRows(h, src), w)
-	return tp.SegmentSum(msgs, dst, b.NumDst)
 }
 
 // lstmAggregate runs the LSTM cell over each destination's neighbor

@@ -9,18 +9,22 @@ import (
 
 // BlockLayer is one GNN layer that can be applied to a single bipartite
 // block — the unit of layer-wise forward execution. All conv layers in
-// this package satisfy it.
+// this package satisfy it. Forward applies the inter-layer ReLU when relu
+// is set, which a model does for every layer but its last.
 type BlockLayer interface {
 	Module
-	Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var
+	Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var
 }
 
-// FusedBlockLayer is the optional fused-tier interface (DESIGN.md §13):
-// layers that implement it run gather→aggregate→bias→ReLU in fused
-// kernels, with the inter-layer ReLU folded in. Fusion is bitwise-exact,
-// so which path executes never changes a prediction byte.
-type FusedBlockLayer interface {
-	ForwardFused(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var
+// blockCSR assembles the tensor.CSR view of block b from its memoized
+// derived views — per-edge endpoint slices and the source inverse for the
+// backward scatter-add — with the optional edge weights wt and
+// per-destination post-scale invDeg. Everything is cached on the block, so
+// building the struct on the hot path allocates nothing.
+func blockCSR(b *graph.Block, wt, invDeg []float32) tensor.CSR {
+	src, dst := b.EdgePairs()
+	cnt, pos := b.SrcInverse()
+	return tensor.CSR{Src: src, Dst: dst, Wt: wt, InvDeg: invDeg, InvCnt: cnt, InvPos: pos, NSrc: b.NumSrc, NDst: b.NumDst}
 }
 
 // Stack is a model as a list of layers, one per block: ReLU between
@@ -63,35 +67,21 @@ func (s *Stack[L]) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var
 	}
 	h := x
 	for l, layer := range s.Layers {
-		h = ApplyBlockLayer(tp, layer, blocks[l], h, l == len(s.Layers)-1)
+		h = layer.Forward(tp, blocks[l], h, l < len(s.Layers)-1)
 	}
 	return h
 }
 
 // LayerStack extracts the per-layer modules of a supported model. Applying
-// them one at a time through ApplyBlockLayer records exactly the op
-// sequence the model's own Forward records — it is the same loop body —
-// so per-layer execution is bitwise identical to the whole-model forward:
-// the property the embedding cache's partial-skip path (internal/embcache)
-// relies on.
+// them one at a time, with relu set on all but the last, records exactly
+// the op sequence the model's own Forward records — it is the same loop
+// body — so per-layer execution is bitwise identical to the whole-model
+// forward: the property the embedding cache's partial-skip path
+// (internal/embcache) relies on.
 func LayerStack(model any) ([]BlockLayer, error) {
 	m, ok := model.(interface{ BlockLayers() []BlockLayer })
 	if !ok {
 		return nil, fmt.Errorf("nn: layer-wise execution does not support %T", model)
 	}
 	return m.BlockLayers(), nil
-}
-
-// ApplyBlockLayer runs one GNN layer over one block, applying the
-// inter-layer ReLU when the layer is not the model's last. Layers that
-// implement the fused tier take it unless SetFused(false) turned it off.
-func ApplyBlockLayer(tp *tensor.Tape, layer BlockLayer, b *graph.Block, h *tensor.Var, last bool) *tensor.Var {
-	if fl, ok := layer.(FusedBlockLayer); ok && FusedEnabled() {
-		return fl.ForwardFused(tp, b, h, !last)
-	}
-	out := layer.Forward(tp, b, h)
-	if !last {
-		out = tp.ReLU(out)
-	}
-	return out
 }

@@ -43,7 +43,7 @@ func TestWeightedSumAggregation(t *testing.T) {
 	conv := identitySAGE(t, Sum)
 	h := tensor.Leaf(tensor.FromSlice(3, 1, []float32{10, 1, 1}))
 	tp := tensor.NewTape()
-	out := conv.Forward(tp, b, h)
+	out := conv.Forward(tp, b, h, false)
 	// dst0: 2*1 + 3*1 = 5; dst1: 0.5*10 = 5
 	if out.Value.At(0, 0) != 5 || out.Value.At(1, 0) != 5 {
 		t.Fatalf("weighted sums = %v, %v", out.Value.At(0, 0), out.Value.At(1, 0))
@@ -55,7 +55,7 @@ func TestWeightedMeanDividesByDegree(t *testing.T) {
 	conv := identitySAGE(t, Mean)
 	h := tensor.Leaf(tensor.FromSlice(3, 1, []float32{10, 1, 1}))
 	tp := tensor.NewTape()
-	out := conv.Forward(tp, b, h)
+	out := conv.Forward(tp, b, h, false)
 	// Eq 1: sum(e*h)/D: dst0 = 5/2 = 2.5, dst1 = 5/1 = 5
 	if out.Value.At(0, 0) != 2.5 || out.Value.At(1, 0) != 5 {
 		t.Fatalf("weighted means = %v, %v", out.Value.At(0, 0), out.Value.At(1, 0))
@@ -91,9 +91,9 @@ func TestUnitWeightsMatchUnweighted(t *testing.T) {
 	h.Value.Randn(r, 1)
 
 	tp1 := tensor.NewTape()
-	o1 := conv.Forward(tp1, unweighted, h)
+	o1 := conv.Forward(tp1, unweighted, h, false)
 	tp2 := tensor.NewTape()
-	o2 := conv.Forward(tp2, weighted, h)
+	o2 := conv.Forward(tp2, weighted, h, false)
 	for i := range o1.Value.Data {
 		if math.Float32bits(o1.Value.Data[i]) != math.Float32bits(o2.Value.Data[i]) {
 			t.Fatalf("unit weights diverge at %d: %v vs %v", i, o1.Value.Data[i], o2.Value.Data[i])
@@ -109,7 +109,7 @@ func TestWeightedAggregationGradients(t *testing.T) {
 	h := tensor.Param(tensor.New(3, 2))
 	h.Value.Randn(r, 1)
 	tp := tensor.NewTape()
-	out := conv.Forward(tp, b, h)
+	out := conv.Forward(tp, b, h, false)
 	loss := tp.Sum(tp.Mul(out, out))
 	tp.Backward(loss)
 	if h.Grad == nil {

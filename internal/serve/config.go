@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -139,17 +140,19 @@ const (
 // variables leave the field untouched; any malformed value is an error
 // naming the variable.
 func (c *Config) ApplyEnv(getenv func(string) string) error {
+	// max is the largest value whose scaled field still fits its type, so
+	// an oversized value is an error instead of a silent wrap.
 	intVars := []struct {
-		name string
-		min  int64
-		set  func(int64)
+		name     string
+		min, max int64
+		set      func(int64)
 	}{
-		{EnvMaxBatch, 1, func(v int64) { c.MaxBatch = int(v) }},
-		{EnvQueueDepth, 1, func(v int64) { c.QueueDepth = int(v) }},
-		{EnvCacheNodes, 0, func(v int64) { c.CacheNodes = int(v) }},
-		{EnvTimeoutMS, 0, func(v int64) { c.DefaultTimeout = time.Duration(v) * time.Millisecond }},
-		{EnvMaxRequestNodes, 1, func(v int64) { c.MaxRequestNodes = int(v) }},
-		{EnvCapacityMiB, 1, func(v int64) { c.CapacityBytes = v << 20 }},
+		{EnvMaxBatch, 1, math.MaxInt, func(v int64) { c.MaxBatch = int(v) }},
+		{EnvQueueDepth, 1, math.MaxInt, func(v int64) { c.QueueDepth = int(v) }},
+		{EnvCacheNodes, 0, math.MaxInt, func(v int64) { c.CacheNodes = int(v) }},
+		{EnvTimeoutMS, 0, math.MaxInt64 / int64(time.Millisecond), func(v int64) { c.DefaultTimeout = time.Duration(v) * time.Millisecond }},
+		{EnvMaxRequestNodes, 1, math.MaxInt, func(v int64) { c.MaxRequestNodes = int(v) }},
+		{EnvCapacityMiB, 1, math.MaxInt64 >> 20, func(v int64) { c.CapacityBytes = v << 20 }},
 	}
 	for _, ev := range intVars {
 		raw := getenv(ev.name)
@@ -162,6 +165,9 @@ func (c *Config) ApplyEnv(getenv func(string) string) error {
 		}
 		if v < ev.min {
 			return fmt.Errorf("serve: %s=%d: must be >= %d", ev.name, v, ev.min)
+		}
+		if v > ev.max {
+			return fmt.Errorf("serve: %s=%d: must be <= %d", ev.name, v, ev.max)
 		}
 		ev.set(v)
 	}

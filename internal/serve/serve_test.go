@@ -836,6 +836,8 @@ func TestConfigEnv(t *testing.T) {
 		{EnvTimeoutMS: "soon"},
 		{EnvMaxRequestNodes: "0"},
 		{EnvCapacityMiB: "0x40"},
+		{EnvCapacityMiB: "17592186044417"}, // << 20 wraps to 1 MiB
+		{EnvTimeoutMS: "18446744073710"},   // * time.Millisecond wraps to 448µs
 		{embcache.EnvMode: "fast"},
 	} {
 		c := base()

@@ -671,49 +671,6 @@ func (tp *Tape) SegmentSum(a *Var, dst []int32, nSeg int) *Var {
 	return out
 }
 
-// GatherSegmentSum fuses GatherRows + SegmentSum for the common
-// message-passing pattern out[dst[e]] += a[src[e]]: it avoids materializing
-// the per-edge tensor. a is (nSrc x n), out is (nSeg x n). Forward shards
-// on segment boundaries; backward owns each source row via the inverse of
-// src, accumulating in ascending edge order (see invertIndex).
-func (tp *Tape) GatherSegmentSum(a *Var, src, dst []int32, nSeg int) *Var {
-	if len(src) != len(dst) {
-		panic("tensor: GatherSegmentSum src/dst length mismatch")
-	}
-	n := a.Value.ColsN
-	nSrc := a.Value.RowsN
-	val := tp.alloc(nSeg, n)
-	bounds := segmentBounds(dst, segEdgeGrain)
-	parallel.ForShards(bounds, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			row := val.Row(int(dst[e]))
-			arow := a.Value.Row(int(src[e]))
-			for j, v := range arow {
-				row[j] += v
-			}
-		}
-	})
-	var out *Var
-	out = tp.record(val, a.requiresGrad, func() {
-		if a.requiresGrad {
-			g := a.grad()
-			cnt, pos := invertIndex(src, nSrc)
-			parallel.For(nSrc, elemRowGrain(n), func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					grow := g.Row(r)
-					for p := cnt[r]; p < cnt[r+1]; p++ {
-						orow := out.Grad.Row(int(dst[pos[p]]))
-						for j, v := range orow {
-							grow[j] += v
-						}
-					}
-				}
-			})
-		}
-	})
-	return out
-}
-
 // SegmentMax computes out[s] = elementwise max over rows of a with dst==s.
 // Segments with no edges yield zero rows. The backward pass routes each
 // output gradient to the argmax row, as in max-pooling aggregators.

@@ -214,39 +214,6 @@ func TestGradSegmentMax(t *testing.T) {
 	})
 }
 
-func TestGradGatherSegmentSumMatchesCompose(t *testing.T) {
-	r := rng.New(8)
-	src := []int32{0, 1, 2, 3, 0, 2}
-	dst := []int32{0, 0, 1, 1, 1, 0}
-	mk := func() *Var {
-		p := Param(New(4, 3))
-		return p
-	}
-	a1, a2 := mk(), mk()
-	a1.Value.Randn(r, 1)
-	copy(a2.Value.Data, a1.Value.Data)
-
-	tp1 := NewTape()
-	fused := tp1.GatherSegmentSum(a1, src, dst, 2)
-	l1 := tp1.Sum(tp1.Mul(fused, fused))
-	tp1.Backward(l1)
-
-	tp2 := NewTape()
-	gathered := tp2.GatherRows(a2, src)
-	summed := tp2.SegmentSum(gathered, dst, 2)
-	l2 := tp2.Sum(tp2.Mul(summed, summed))
-	tp2.Backward(l2)
-
-	if !almostEq(float64(l1.Value.Data[0]), float64(l2.Value.Data[0]), 1e-5) {
-		t.Fatalf("fused loss %v != composed loss %v", l1.Value.Data[0], l2.Value.Data[0])
-	}
-	for i := range a1.Grad.Data {
-		if !almostEq(float64(a1.Grad.Data[i]), float64(a2.Grad.Data[i]), 1e-4) {
-			t.Fatalf("grad mismatch at %d: %v vs %v", i, a1.Grad.Data[i], a2.Grad.Data[i])
-		}
-	}
-}
-
 func TestGradRowScaleAndMulRowsVec(t *testing.T) {
 	r := rng.New(9)
 	a := Param(New(4, 3))

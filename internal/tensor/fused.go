@@ -7,11 +7,12 @@ import (
 )
 
 // This file is the fused half of the kernel tier (DESIGN.md §13): single-pass
-// tape ops that each replace a chain of primitive ops with bitwise-identical
-// values. Fusion here is an execution detail, never an approximation — every
-// kernel accumulates each output element in exactly the serial order of the
-// unfused composition it replaces, so nn.SetFused on/off and any
-// BETTY_WORKERS count all produce identical bytes.
+// tape ops that each stand in for a chain of primitive ops with
+// bitwise-identical values. The layer forwards in package nn call them
+// directly; the primitive chains survive only as test references. Fusion is
+// an execution detail, never an approximation — every kernel accumulates
+// each output element in exactly the serial order of the primitive
+// composition, so the two agree to the byte at any BETTY_WORKERS count.
 
 // CSR describes one graph block's edges in the layout FusedCSRAgg consumes:
 // parallel per-edge endpoint slices sorted by destination, plus the
@@ -41,10 +42,10 @@ type CSR struct {
 //	out[d] = (Σ_{p: Dst[p]==d, ascending p} Wt[p] * h[Src[p]]) * InvDeg[d]
 //
 // with the Wt factor and the InvDeg scale each optional. It fuses the
-// unfused chains
+// primitive chains
 //
-//	GatherSegmentSum(h, src, dst)                       (sum)
-//	RowScale(GatherSegmentSum(h, src, dst), inv)        (mean / normalized)
+//	SegmentSum(GatherRows(h, src), dst)                 (sum)
+//	RowScale(SegmentSum(GatherRows(h, src), dst), inv)  (mean / normalized)
 //	SegmentSum(MulRowsVec(GatherRows(h, src), w), dst)  (weighted sum)
 //
 // bitwise: each destination element accumulates its edges in ascending edge

@@ -50,14 +50,11 @@ func buildCSR(r *rng.RNG, nE, nDst, nSrc int, weighted, scaled bool) CSR {
 
 // unfusedAgg runs the primitive-op composition FusedCSRAgg replaces.
 func unfusedAgg(tp *Tape, h *Var, c CSR) *Var {
-	var sum *Var
+	msgs := tp.GatherRows(h, c.Src)
 	if c.Wt != nil {
-		w := Leaf(FromSlice(len(c.Wt), 1, c.Wt))
-		msgs := tp.MulRowsVec(tp.GatherRows(h, c.Src), w)
-		sum = tp.SegmentSum(msgs, c.Dst, c.NDst)
-	} else {
-		sum = tp.GatherSegmentSum(h, c.Src, c.Dst, c.NDst)
+		msgs = tp.MulRowsVec(msgs, Leaf(FromSlice(len(c.Wt), 1, c.Wt)))
 	}
+	sum := tp.SegmentSum(msgs, c.Dst, c.NDst)
 	if c.InvDeg != nil {
 		sum = tp.RowScale(sum, c.InvDeg)
 	}

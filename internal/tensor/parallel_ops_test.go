@@ -213,13 +213,6 @@ func parallelOpCases() map[string]func() []float32 {
 			}
 		}
 	}
-	cases["GatherSegmentSum"] = func() []float32 {
-		r := rng.New(24)
-		tp := NewTape()
-		src, dst, _ := segmentEdges(r, nE, nSeg, nSrc)
-		a := Param(randTensor(r, nSrc, feat))
-		return backprop(tp, tp.GatherSegmentSum(a, src, dst, nSeg), randTensor(r, nSeg, feat), a)
-	}
 	cases["SegmentSoftmax"] = func() []float32 {
 		r := rng.New(25)
 		tp := NewTape()
