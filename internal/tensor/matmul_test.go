@@ -41,6 +41,8 @@ func Transpose(a *Tensor) *Tensor {
 // multiplier is ±0. MatMulTB sums a plain dot product from +0 and then
 // adds it to out, so its oracle does exactly that. A tile that reorders a
 // single add, multiplies a zero through or drops a tail term fails here.
+// Every input runs with gemm's column lanes on (where the CPU has them) and
+// off, so the vector path and the Go loops are both held to the oracle.
 //
 // The inputs describe one product out[m×n] = A[m×k]·B[k×n], which the
 // forward kernel reads as A and B, MatMulTA as Aᵀ stored k×m and MatMulTB
@@ -61,8 +63,16 @@ func FuzzMatMulOracle(f *testing.F) {
 		[]byte{0, 1, 1, 1, 2, 1, 3, 1, 1, 6, 130, 9}, uint8(poison)) // NaN/Inf under zero multipliers
 	f.Add(3, 5, 4, uint64(8),
 		[]byte{1, 0, 1, 1, 129, 2, 1, 3, 129, 4}, uint8(negZero)) // a -0 accumulator over a zero row
+	f.Add(5, 13, 7, uint64(9), []byte{}, uint8(0))                // n = 7: every column is tail
+	f.Add(7, 9, 8, uint64(10), []byte{2, 4}, uint8(0))            // n = 8: one lane block, no tail
+	f.Add(9, 2*kChunk+3, 47, uint64(11), []byte{}, uint8(sparse)) // n = 47 (products classes): 40 lanes + 7 tail
+	f.Add(6, 70, 64, uint64(12), []byte{0, 5, 3, 66}, uint8(0))   // n = 64 (hidden): lanes only
+	f.Add(4, 12, 21, uint64(13),
+		[]byte{0, 1, 1, 1, 2, 1, 3, 1, 1, 6, 130, 9}, uint8(poison)) // NaN/Inf under zero multipliers, in lane columns
+	f.Add(3, 5, 16, uint64(14),
+		[]byte{1, 0, 1, 1, 129, 2, 1, 3, 129, 4}, uint8(negZero)) // a -0 accumulator in lane columns
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64, zeros []byte, flags uint8) {
-		if m < 1 || m > 40 || k < 1 || k > 2*kChunk+40 || n < 1 || n > 20 || len(zeros) > 512 {
+		if m < 1 || m > 40 || k < 1 || k > 2*kChunk+40 || n < 1 || n > 80 || len(zeros) > 512 {
 			t.Skip("bounded problem sizes keep the fuzz fast")
 		}
 		r := rng.New(seed)
@@ -101,17 +111,21 @@ func FuzzMatMulOracle(f *testing.F) {
 			{"MatMulTB", false, func(out *Tensor, accum bool) { matMulTBInto(out, a, bt, accum) }},
 		}
 		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		defer setLanes(useLanes)
 		for _, kn := range kernels {
 			for _, accum := range []bool{false, true} {
 				want := naiveMatMul(a, b, init, accum, kn.skip)
-				for _, w := range []int{1, 8} {
-					parallel.SetWorkers(w)
-					out := init.Clone()
-					kn.run(out, accum)
-					for e, g := range out.Data {
-						if !sameFloat(g, want[e]) {
-							t.Fatalf("%s accum=%v workers=%d: out[%d][%d] = %v (%#08x), serial loop %v (%#08x)",
-								kn.name, accum, w, e/n, e%n, g, math.Float32bits(g), want[e], math.Float32bits(want[e]))
+				for _, lanes := range laneSettings() {
+					setLanes(lanes)
+					for _, w := range []int{1, 8} {
+						parallel.SetWorkers(w)
+						out := init.Clone()
+						kn.run(out, accum)
+						for e, g := range out.Data {
+							if !sameFloat(g, want[e]) {
+								t.Fatalf("%s accum=%v lanes=%v workers=%d: out[%d][%d] = %v (%#08x), serial loop %v (%#08x)",
+									kn.name, accum, lanes, w, e/n, e%n, g, math.Float32bits(g), want[e], math.Float32bits(want[e]))
+							}
 						}
 					}
 				}
@@ -119,6 +133,23 @@ func FuzzMatMulOracle(f *testing.F) {
 		}
 	})
 }
+
+// cpuLanes is useLanes as package init set it: whether this CPU can run the
+// column lanes at all.
+var cpuLanes = useLanes
+
+// laneSettings lists the useLanes values a test can run here: on where the
+// CPU has the lanes, and always off.
+func laneSettings() []bool {
+	if cpuLanes {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// setLanes sets useLanes, the test-only toggle of gemm's column lanes. No
+// kernel may be running: the pool's workers read the flag unsynchronized.
+func setLanes(on bool) { useLanes = on }
 
 // naiveMatMul is the serial loop the matmul kernels must reproduce bit for
 // bit: out = init (accum) or +0, plus A·B. With skip each element adds its
@@ -211,17 +242,28 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				{"TB", New(s.m, s.k), func(out *Tensor) { matMulTBInto(out, dy, w, true) }},
 			}
 			for _, kn := range kernels {
-				name := fmt.Sprintf("%s/%dx%d->%d/%s", kn.name, s.m, s.k, s.n, density)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						kn.run(kn.out)
-					}
-					flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
-					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+				for _, lanes := range laneSettings() {
+					name := fmt.Sprintf("%s/%dx%d->%d/%s/lanes=%s", kn.name, s.m, s.k, s.n, density, onOff(lanes))
+					b.Run(name, func(b *testing.B) {
+						defer setLanes(useLanes)
+						setLanes(lanes)
+						for i := 0; i < b.N; i++ {
+							kn.run(kn.out)
+						}
+						flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
+						b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
 	}
+}
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
 }
 
 // relu zeroes the non-positive entries of t in place.

@@ -188,9 +188,16 @@ func matMulTAInto(out, a, b *Tensor, accum bool) {
 // one pass over the output row, so a zero costs nothing and no pass is
 // guarded. When both rows of a pair have no zero in the chunk, the pair
 // shares the pass: each b element loaded feeds both rows (a 2-row × 4-k
-// register tile).
+// register tile). On amd64 with AVX2 both passes run eight output columns
+// per instruction (useLanes), each lane in the scalar loop's order.
+//
+// The lanes do not bounds-check b. Every offset packNonzero writes is k*n
+// with k < kDim, so the one length check below keeps them inside it.
 func gemm(out *Tensor, a []float32, rs, ks, kDim int, b []float32) {
 	n := out.ColsN
+	if len(b) != kDim*n {
+		panic(fmt.Sprintf("tensor: gemm needs a %d×%d b, got %d values", kDim, n, len(b)))
+	}
 	grain := (rowGrain(kDim*n) + tileRows - 1) / tileRows * tileRows
 	parallel.For(out.RowsN, grain, func(lo, hi int) {
 		var v0, v1 [kChunk]float32
@@ -238,11 +245,35 @@ func packNonzero(v *[kChunk]float32, off *[kChunk]int, a []float32, base, ks, k0
 }
 
 // addTerms adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
-// four terms per pass over o.
+// four terms per pass over o and the len(v) % 4 left over one at a time.
+// With useLanes, addTermsLanes runs the four-term passes over the first
+// len(o) &^ 7 columns, eight at a time, and addTerms4 the rest: each column
+// is its own sum, so splitting the columns keeps every element's order.
 func addTerms(o, b []float32, v []float32, off []int) {
 	n := len(o)
-	t := 0
-	for ; t+4 <= len(v); t += 4 {
+	g := len(v) &^ 3
+	j := 0
+	if useLanes {
+		j = n &^ 7
+		addTermsLanes(o[:j], b, v[:g], off[:g])
+	}
+	if j < n {
+		addTerms4(o[j:], b[j:], v[:g], off[:g])
+	}
+	for t := g; t < len(v); t++ {
+		x := v[t]
+		bt := b[off[t]:][:n]
+		for j := range o {
+			o[j] += x * bt[j]
+		}
+	}
+}
+
+// addTerms4 adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
+// four terms per pass over o; len(v) is a multiple of four.
+func addTerms4(o, b []float32, v []float32, off []int) {
+	n := len(o)
+	for t := 0; t+4 <= len(v); t += 4 {
 		x0, x1, x2, x3 := v[t], v[t+1], v[t+2], v[t+3]
 		b0 := b[off[t]:][:n]
 		b1 := b[off[t+1]:][:n]
@@ -257,29 +288,45 @@ func addTerms(o, b []float32, v []float32, off []int) {
 			o[j] = s
 		}
 	}
-	for ; t < len(v); t++ {
-		x := v[t]
-		bt := b[off[t]:][:n]
-		for j := range o {
-			o[j] += x * bt[j]
-		}
-	}
 }
 
 // addPair adds v0[t]·B[t] to o0 and v1[t]·B[t] to o1 for every t in order,
 // where B[t] is row t of the len(v0)×len(o0) matrix b: each b element is
-// loaded once for both rows.
+// loaded once for both rows. The columns split as in addTerms.
 func addPair(o0, o1, b []float32, v0, v1 []float32) {
 	n := len(o0)
 	o1 = o1[:n]
-	t := 0
-	for ; t+4 <= len(v0); t += 4 {
+	g := len(v0) &^ 3
+	j := 0
+	if useLanes {
+		j = n &^ 7
+		addPairLanes(o0[:j], o1[:j], b[:g*n], v0[:g], v1[:g], n)
+	}
+	if j < n {
+		addPair4(o0[j:], o1[j:], b[j:], v0[:g], v1[:g], n)
+	}
+	for t := g; t < len(v0); t++ {
+		x, y := v0[t], v1[t]
+		bt := b[t*n:][:n]
+		for j := range o0 {
+			o0[j] += x * bt[j]
+			o1[j] += y * bt[j]
+		}
+	}
+}
+
+// addPair4 is addPair's four-term passes on the columns of o0 and o1, where
+// B[t] starts at b[t*stride]; len(v0) is a multiple of four.
+func addPair4(o0, o1, b []float32, v0, v1 []float32, stride int) {
+	n := len(o0)
+	o1 = o1[:n]
+	for t := 0; t+4 <= len(v0); t += 4 {
 		x0, x1, x2, x3 := v0[t], v0[t+1], v0[t+2], v0[t+3]
 		y0, y1, y2, y3 := v1[t], v1[t+1], v1[t+2], v1[t+3]
-		b0 := b[t*n:][:n]
-		b1 := b[(t+1)*n:][:n]
-		b2 := b[(t+2)*n:][:n]
-		b3 := b[(t+3)*n:][:n]
+		b0 := b[t*stride:][:n]
+		b1 := b[(t+1)*stride:][:n]
+		b2 := b[(t+2)*stride:][:n]
+		b3 := b[(t+3)*stride:][:n]
 		for j := range o0 {
 			p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
 			s := o0[j]
@@ -294,14 +341,6 @@ func addPair(o0, o1, b []float32, v0, v1 []float32) {
 			u += y2 * p2
 			u += y3 * p3
 			o1[j] = u
-		}
-	}
-	for ; t < len(v0); t++ {
-		x, y := v0[t], v1[t]
-		bt := b[t*n:][:n]
-		for j := range o0 {
-			o0[j] += x * bt[j]
-			o1[j] += y * bt[j]
 		}
 	}
 }
