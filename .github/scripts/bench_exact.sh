@@ -3,12 +3,11 @@
 # loss and peak_device_bytes are pure functions of the seed
 # (benchmark/aa.go's repeatsExactly), so head must reproduce base's values
 # to the last digit. That includes the serving ledger peak: it is the
-# feature cache at capacity (CacheNodes rows; no embedding cache is built
-# by default), whatever the request trace and however two concurrent
-# clients happened to be batched. The serving workloads also
-# carry the in-run check "served scores equal solo inference bitwise"
-# (correct). No timing is compared: timing verdicts come only from paired
-# alternating runs of two binaries (benchmark/README.md).
+# model's parameters (no embedding cache is built by default), whatever the
+# request trace and however two concurrent clients happened to be batched.
+# The serving workloads also carry the in-run check "served scores equal
+# solo inference bitwise" (correct). No timing is compared: timing verdicts
+# come only from paired alternating runs of two binaries (benchmark/README.md).
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 <base-ref>" >&2; exit 2; }
 cd "$(git rev-parse --show-toplevel)"

@@ -13,7 +13,7 @@
 //	curl -s localhost:8747/v1/predict -d '{"nodes":[3,8,120]}'
 //	curl -s localhost:8747/metricsz
 //
-// Serving policy (batching, admission, cache, budget) is configured by the
+// Serving policy (batching, admission, deadlines, budget) is configured by the
 // BETTY_SERVE_* environment variables — see the knob table in README.md.
 // A malformed value fails at startup rather than silently serving under a
 // different policy.

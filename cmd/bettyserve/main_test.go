@@ -457,9 +457,13 @@ func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 		t.Fatalf("run returned %v, want an error naming %s", err, serve.EnvMaxBatch)
 	}
 
-	// A retired knob (int8 serving is gone) or a misspelt one must not start
-	// as if the operator had set nothing.
-	for name, val := range map[string]string{"BETTY_QUANT": "int8", "BETTY_WORKER": "2"} {
+	// A retired knob (int8 serving and the feature cache are gone) or a
+	// misspelt one must not start as if the operator had set nothing.
+	for name, val := range map[string]string{
+		"BETTY_QUANT":             "int8",
+		"BETTY_SERVE_CACHE_NODES": "4096",
+		"BETTY_WORKER":            "2",
+	} {
 		t.Run(name, func(t *testing.T) {
 			t.Setenv(name, val)
 			if err := run(baseConfig()); err == nil || !strings.Contains(err.Error(), name) {

@@ -17,7 +17,7 @@
 //   - internal/reg: REG construction and the batch partitioners
 //   - internal/memory: the memory estimator and the planner
 //   - internal/device: the byte ledger every resident tensor and cache
-//     entry is charged to, and the one LRU the three caches share
+//     entry is charged to, and the one LRU the two caches share
 //   - internal/bench: regenerators for every table and figure of the paper
 //   - cmd/bettybench: CLI over internal/bench
 //   - benchmark/: the repo benchmark (wall-clock and memory, BENCHMARK.json)

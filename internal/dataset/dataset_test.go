@@ -252,8 +252,8 @@ func TestGatherHelpers(t *testing.T) {
 	if _, err := d.GatherFeatures([]int32{int32(d.Features.Rows())}); err == nil {
 		t.Fatal("out-of-range gather accepted")
 	}
-	row := make([]float32, d.FeatureDim())
-	if err := d.FeatureSource().GatherRow(row, 5); err != nil {
+	row, err := gatherOne(d.FeatureSource(), 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range row {

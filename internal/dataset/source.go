@@ -26,8 +26,6 @@ type FeatureSource interface {
 	// GatherInto copies the rows for the given global node IDs into out,
 	// which must be len(nids) x Dim.
 	GatherInto(out *tensor.Tensor, nids []int32) error
-	// GatherRow copies one row into dst, which must be len Dim.
-	GatherRow(dst []float32, nid int32) error
 	// ResidentBytes is the source's current host-memory footprint. For the
 	// in-RAM source this is the whole matrix; for a disk-backed source it
 	// is the bytes currently cached, which is what makes HostBytes honest
@@ -71,18 +69,6 @@ func (m *MatrixSource) GatherInto(out *tensor.Tensor, nids []int32) error {
 			copy(out.Row(i), src.Row(int(nids[i])))
 		}
 	})
-	return nil
-}
-
-// GatherRow copies one row into dst.
-func (m *MatrixSource) GatherRow(dst []float32, nid int32) error {
-	if len(dst) != m.Dim() {
-		return fmt.Errorf("dataset: gather row into len %d, want %d", len(dst), m.Dim())
-	}
-	if nid < 0 || int(nid) >= m.Rows() {
-		return fmt.Errorf("dataset: gather node %d out of range [0,%d)", nid, m.Rows())
-	}
-	copy(dst, m.t().Row(int(nid)))
 	return nil
 }
 

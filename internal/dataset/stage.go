@@ -136,16 +136,3 @@ func (s *Stage) GatherInto(out *tensor.Tensor, nids []int32) error {
 	})
 	return nil
 }
-
-// GatherRow copies node nid's staged row into dst.
-func (s *Stage) GatherRow(dst []float32, nid int32) error {
-	row, err := s.lookup(nid)
-	if err != nil {
-		return err
-	}
-	if len(dst) != len(row) {
-		return fmt.Errorf("dataset: gather row into len %d, want %d", len(dst), len(row))
-	}
-	copy(dst, row)
-	return nil
-}

@@ -59,6 +59,12 @@ func missing(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "not in the staged batch frontier")
 }
 
+// gatherOne gathers node nid's row from src with a one-row GatherInto.
+func gatherOne(src FeatureSource, nid int32) ([]float32, error) {
+	out := tensor.New(1, src.Dim())
+	return out.Row(0), src.GatherInto(out, []int32{nid})
+}
+
 // A loaded stage gathers its union from the source once and serves every
 // micro-batch's rows bitwise like the source; a node outside it is an
 // error, and after Release it holds nothing.
@@ -89,15 +95,14 @@ func TestStageServesBatch(t *testing.T) {
 			t.Fatalf("staged rows of %v differ from the source's", nids)
 		}
 	}
-	row := make([]float32, src.Dim())
-	if err := got.GatherRow(row, 3); err != nil || !slices.Equal(row, src.t().Row(3)) {
+	if row, err := gatherOne(got, 3); err != nil || !slices.Equal(row, src.t().Row(3)) {
 		t.Fatalf("staged row 3: err %v, rows equal %v", err, slices.Equal(row, src.t().Row(3)))
 	}
-	if err := got.GatherRow(row, 7); !missing(err) {
+	if _, err := gatherOne(got, 7); !missing(err) {
 		t.Fatalf("gather outside the stage: err = %v, want a missing-node error", err)
 	}
 	s.Release()
-	if err := got.GatherRow(row, 5); !missing(err) || s.ResidentBytes() != 0 {
+	if _, err := gatherOne(got, 5); !missing(err) || s.ResidentBytes() != 0 {
 		t.Fatalf("after Release: err = %v, %d bytes staged", err, s.ResidentBytes())
 	}
 }
@@ -118,11 +123,10 @@ func TestStageRejectsPreviousBatchNode(t *testing.T) {
 	if &s.row[0] != table {
 		t.Fatal("the second batch allocated a new node → row table")
 	}
-	row := make([]float32, src.Dim())
-	if err := got.GatherRow(row, 2); !missing(err) {
+	if _, err := gatherOne(got, 2); !missing(err) {
 		t.Fatalf("node staged only by the previous batch: err = %v, want a missing-node error", err)
 	}
-	if err := got.GatherRow(row, 5); err != nil || !slices.Equal(row, src.t().Row(5)) {
+	if row, err := gatherOne(got, 5); err != nil || !slices.Equal(row, src.t().Row(5)) {
 		t.Fatalf("node 5: err %v, rows equal %v", err, slices.Equal(row, src.t().Row(5)))
 	}
 }
@@ -155,7 +159,7 @@ func TestStageFailedLoadHoldsNothing(t *testing.T) {
 	if _, err := s.Load(src, micros([]int32{3}), nil); err == nil || !strings.Contains(err.Error(), "shard unreadable") {
 		t.Fatalf("failed gather: err = %v", err)
 	}
-	if err := s.GatherRow(make([]float32, src.Dim()), 1); !missing(err) || s.ResidentBytes() != 0 {
+	if _, err := gatherOne(s, 1); !missing(err) || s.ResidentBytes() != 0 {
 		t.Fatalf("after a failed Load: err = %v, %d bytes staged", err, s.ResidentBytes())
 	}
 	if acq, _, rel := tensor.PoolStats(); acq == 0 || acq != rel {

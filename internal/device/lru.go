@@ -6,9 +6,8 @@ import "fmt"
 // Device ledger: every entry owns one Buffer, eviction frees it, so the
 // ledger's Used is the cache's residency and its capacity the budget — and
 // several caches built over one ledger share that budget. It is the one
-// eviction mechanism under the serving feature cache, the out-of-core
-// shard cache and the embedding cache; each owner keeps only its own
-// policy (row caps, locking, versions) on top.
+// eviction mechanism under the out-of-core shard cache and the embedding
+// cache; each owner keeps only its own policy (locking, versions) on top.
 //
 // An entry can be held: it stays resident and charged but leaves the
 // eviction order until every Hold is matched by a Release — the shard
@@ -16,8 +15,8 @@ import "fmt"
 // lock it themselves.
 type LRU[K comparable, V any] struct {
 	// OnEvict, when set, observes every entry dropped to make room
-	// (Reserve, EvictOldest, Recycle) — not Remove or Flush, which the
-	// owner asked for by name.
+	// (Reserve, EvictOldest) — not Remove or Flush, which the owner asked
+	// for by name.
 	OnEvict func(K, V)
 
 	ledger  *Device
@@ -87,31 +86,6 @@ func (c *LRU[K, V]) Insert(k K, v V, buf *Buffer) {
 	c.entries[k] = e
 	c.pushFront(e)
 	c.bytes += buf.Bytes()
-}
-
-// Recycle rekeys the least recently used unheld entry to k, which must not
-// be resident, and makes it the most recently used. The entry keeps its
-// Buffer — the ledger is not touched, residency and peak stand — and its
-// value, which the owner overwrites through the returned pointer (valid
-// until the entry is dropped) after OnEvict has seen the old key and value.
-// It reports false when nothing resident is unheld.
-func (c *LRU[K, V]) Recycle(k K) (*V, bool) {
-	if _, ok := c.entries[k]; ok {
-		panic(fmt.Sprintf("device: LRU.Recycle to resident key %v", k))
-	}
-	e := c.root.prev
-	if e == &c.root {
-		return nil, false
-	}
-	if c.OnEvict != nil {
-		c.OnEvict(e.key, e.val)
-	}
-	delete(c.entries, e.key)
-	e.key = k
-	c.entries[k] = e
-	c.unlink(e)
-	c.pushFront(e)
-	return &e.val, true
 }
 
 // Hold returns the value cached under k and takes it out of the eviction

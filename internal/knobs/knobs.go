@@ -15,7 +15,6 @@ var Registry = map[string]string{
 	"BETTY_WORKERS":                 "worker-pool size (parallel.ParseWorkers)",
 	"BETTY_SERVE_MAX_BATCH":         "serving batcher coalescing target (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_QUEUE_DEPTH":       "serving admission bound (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_CACHE_NODES":       "serving feature-cache capacity (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_TIMEOUT_MS":        "serving default deadline (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_MAX_REQUEST_NODES": "serving per-request seed cap (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_CAPACITY_MIB":      "serving device budget (serve.Config.ApplyEnv)",

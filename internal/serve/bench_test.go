@@ -11,7 +11,7 @@ import (
 
 // benchServer builds an unstarted server over a graph shaped like the
 // serving workloads of benchmark/: 128-wide features, fanouts [10,25],
-// default config (4096-row feature cache).
+// default config.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	d, err := dataset.Generate(dataset.GenConfig{
@@ -37,42 +37,28 @@ func benchServer(b *testing.B) *Server {
 	return s
 }
 
-// The feature-cache miss path on a full cache: every gather asks for 750
-// rows (one request's layer-0 frontier on the serving workloads) that the
-// previous gathers have pushed out, so each row is fetched, copied into a
-// recycled entry and staged.
-func BenchmarkServeGatherMiss(b *testing.B) {
+// The feature gather of one micro-batch: every gather stages 750 rows (one
+// request's layer-0 frontier on the serving workloads) from an id stream
+// that cycles through the whole graph, so no two consecutive gathers share
+// a row.
+func BenchmarkServeGather(b *testing.B) {
 	s := benchServer(b)
 	const rows = 750
 	n := int32(s.ds.Graph.NumNodes())
 	nids := make([]int32, rows)
 	next := int32(0)
-	advance := func() {
-		for i := range nids {
-			nids[i] = next
-			next = (next + 1) % n // a cycle of 16384 ids through 4096 slots never hits
-		}
-	}
-	for range s.cfg.CacheNodes/rows + 1 { // fill the cache
-		advance()
-		if _, err := s.gather(s.ds.FeatureSource(), nids); err != nil {
-			b.Fatal(err)
-		}
-	}
-	misses := s.StatsSnapshot().CacheMisses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		advance()
+		for j := range nids {
+			nids[j] = next
+			next = (next + 1) % n
+		}
 		out, err := s.gather(s.ds.FeatureSource(), nids)
 		if err != nil {
 			b.Fatal(err)
 		}
 		tensor.ReleaseScratch(out.Data) // as scoreUnion does after the forward
-	}
-	b.StopTimer()
-	if got := s.StatsSnapshot().CacheMisses - misses; got != int64(b.N)*rows {
-		b.Fatalf("%d misses in %d gathers of %d rows: the id stream hit the cache", got, b.N, rows)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

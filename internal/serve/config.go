@@ -33,9 +33,6 @@ type Config struct {
 	// QueueDepth is the admission bound: requests beyond it are rejected
 	// with ErrQueueFull (HTTP 429) instead of queuing without limit.
 	QueueDepth int
-	// CacheNodes is the feature-cache capacity in nodes; 0 disables the
-	// cache.
-	CacheNodes int
 	// DefaultTimeout is the per-request deadline applied when a request
 	// does not carry its own; 0 means no deadline.
 	DefaultTimeout time.Duration
@@ -46,7 +43,7 @@ type Config struct {
 	// §16): off (the default — no second cache), exact (populate + bitwise
 	// self-check), or reuse (skip layer-1 compute on hits within
 	// embcache.MaxLag versions). Its budget, embcache.BudgetBytes, is
-	// charged to the same ledger as the feature cache.
+	// the capacity of the server's cache ledger.
 	EmbMode embcache.Mode
 	// embBudgetBytes is embcache.BudgetBytes everywhere but in the
 	// budget-pressure test, which shrinks it so a small graph must evict.
@@ -76,7 +73,6 @@ func Defaults() Config {
 	return Config{
 		MaxBatch:        256,
 		QueueDepth:      64,
-		CacheNodes:      4096,
 		DefaultTimeout:  time.Second,
 		MaxRequestNodes: 1024,
 		CapacityBytes:   256 << 20,
@@ -99,9 +95,6 @@ func (c *Config) Validate() error {
 	}
 	if c.QueueDepth <= 0 {
 		return fmt.Errorf("serve: QueueDepth must be positive (got %d)", c.QueueDepth)
-	}
-	if c.CacheNodes < 0 {
-		return fmt.Errorf("serve: CacheNodes must be non-negative (got %d)", c.CacheNodes)
 	}
 	if c.DefaultTimeout < 0 {
 		return fmt.Errorf("serve: DefaultTimeout must be non-negative (got %v)", c.DefaultTimeout)
@@ -129,7 +122,6 @@ func (c *Config) Validate() error {
 const (
 	EnvMaxBatch        = "BETTY_SERVE_MAX_BATCH"
 	EnvQueueDepth      = "BETTY_SERVE_QUEUE_DEPTH"
-	EnvCacheNodes      = "BETTY_SERVE_CACHE_NODES"
 	EnvTimeoutMS       = "BETTY_SERVE_TIMEOUT_MS"
 	EnvMaxRequestNodes = "BETTY_SERVE_MAX_REQUEST_NODES"
 	EnvCapacityMiB     = "BETTY_SERVE_CAPACITY_MIB"
@@ -149,7 +141,6 @@ func (c *Config) ApplyEnv(getenv func(string) string) error {
 	}{
 		{EnvMaxBatch, 1, math.MaxInt, func(v int64) { c.MaxBatch = int(v) }},
 		{EnvQueueDepth, 1, math.MaxInt, func(v int64) { c.QueueDepth = int(v) }},
-		{EnvCacheNodes, 0, math.MaxInt, func(v int64) { c.CacheNodes = int(v) }},
 		{EnvTimeoutMS, 0, math.MaxInt64 / int64(time.Millisecond), func(v int64) { c.DefaultTimeout = time.Duration(v) * time.Millisecond }},
 		{EnvMaxRequestNodes, 1, math.MaxInt, func(v int64) { c.MaxRequestNodes = int(v) }},
 		{EnvCapacityMiB, 1, math.MaxInt64 >> 20, func(v int64) { c.CapacityBytes = v << 20 }},

@@ -213,7 +213,7 @@ func TestEmbcacheSkewedHitRate(t *testing.T) {
 
 // The budget invariant under pressure: a graph whose frontier wants more
 // rows than the 1 MiB embedding budget holds must evict — never exceed —
-// and the shared cache ledger's peak stays at or under its capacity. With
+// and the cache ledger's peak stays at or under its capacity. With
 // SERVE_E2E_LEDGER set, the run's full metric ledger is written as NDJSON
 // (the CI audit artifact).
 func TestEmbcacheLedgerE2E(t *testing.T) {

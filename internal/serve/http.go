@@ -3,13 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"time"
 
 	"betty/internal/memory"
 )
 
-// PredictRequest is the POST /v1/predict body.
+// PredictRequest is the POST /v1/predict body: one JSON object and nothing
+// after it. A body longer than predictBodyBytes(MaxRequestNodes) is refused
+// with 413 once the bound is read, before any of it is decoded.
 type PredictRequest struct {
 	// Nodes are the global node IDs to score.
 	Nodes []int32 `json:"nodes"`
@@ -17,6 +22,13 @@ type PredictRequest struct {
 	// absent or 0 uses the default, a positive value sets the deadline,
 	// -1 disables it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// predictBodyBytes bounds a predict body for a server admitting at most
+// maxNodes nodes per request: 16 bytes per ID covers "-2147483648," with
+// room for whitespace, and 4 KiB covers the rest of the object.
+func predictBodyBytes(maxNodes int) int64 {
+	return int64(maxNodes)*16 + 4<<10
 }
 
 // PredictResponse is the success body: Scores[i] holds the class scores
@@ -52,13 +64,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, predictBodyBytes(s.cfg.MaxRequestNodes)))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err.Error())
+		return
+	}
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	if req.TimeoutMS < -1 {
-		writeError(w, http.StatusBadRequest, "timeout_ms must be >= -1")
+	// The upper bound keeps the millisecond-to-Duration product from wrapping.
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); req.TimeoutMS < -1 || req.TimeoutMS > maxMS {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("timeout_ms must be in [-1, %d]", maxMS))
 		return
 	}
 	// Predict's timeout convention: negative = server default, 0 = none.

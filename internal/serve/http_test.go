@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,8 +64,18 @@ func TestHTTPPredict(t *testing.T) {
 	if code := postPredict(t, ts.URL, `{nodes:}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad JSON: status %d", code)
 	}
-	if code := postPredict(t, ts.URL, `{"nodes":[1],"timeout_ms":-2}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad timeout: status %d", code)
+	for _, body := range []string{
+		`{"nodes":[1],"timeout_ms":-2}`,
+		`{"nodes":[1],"timeout_ms":9223372036855}`, // wraps as a Duration
+		`{"nodes":[1]} {"nodes":[2]}`,
+		`{"nodes":[1]}]`,
+	} {
+		if code := postPredict(t, ts.URL, body, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, code)
+		}
+	}
+	if code := postPredict(t, ts.URL, oversizeBody(cfg.MaxRequestNodes), &fail); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", code)
 	}
 	resp, err := http.Get(ts.URL + "/v1/predict")
 	if err != nil {
@@ -138,4 +149,72 @@ func TestStatusFor(t *testing.T) {
 			t.Fatalf("statusFor(%v) = %d, want %d", c.err, got, c.code)
 		}
 	}
+}
+
+// oversizeBody is a well-formed predict body longer than the bound for
+// maxNodes, made of small in-range IDs.
+func oversizeBody(maxNodes int) string {
+	ids := strings.Repeat("1,", int(predictBodyBytes(maxNodes)/2))
+	return `{"nodes":[` + ids + `1]}`
+}
+
+// Whatever the body, /v1/predict answers JSON with one of its documented
+// statuses — never a 500, never a panic — and the server stays healthy.
+func FuzzPredictBody(f *testing.F) {
+	for _, body := range []string{
+		`{"nodes":[3,8,120]}`,
+		`{"nodes":[3,3,3],"timeout_ms":-1}`,
+		`{"nodes":[]}`,
+		`{"nodes":null}`,
+		`{"nodes":[800]}`,
+		`{"nodes":[-1]}`,
+		`{"nodes":[4294967296]}`,
+		`{"nodes":[1],"timeout_ms":-2}`,
+		`{"nodes":[1],"timeout_ms":9223372036854775807}`,
+		`{"nodes":[1]} garbage`,
+		`{"nodes":[` + strings.Repeat("7,", 1024) + `7]}`, // one node over MaxRequestNodes
+		oversizeBody(Defaults().MaxRequestNodes),
+		``,
+	} {
+		f.Add(body)
+	}
+	d := testData(f)
+	reg := obs.New(nil)
+	s, err := New(d, testModel(f, d), testConfig(nil, reg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	h := s.Handler()
+	documented := []int{
+		http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+		http.StatusTooManyRequests, http.StatusGatewayTimeout, http.StatusInsufficientStorage,
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
+		if !slices.Contains(documented, rec.Code) {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("status %d with Content-Type %q", rec.Code, ct)
+		}
+		if rec.Code == http.StatusOK {
+			var ok PredictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ok); err != nil || len(ok.Scores) != len(ok.Nodes) || len(ok.Nodes) == 0 {
+				t.Fatalf("200 body %q: %v", rec.Body, err)
+			}
+		} else {
+			var fail errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &fail); err != nil || fail.Error == "" {
+				t.Fatalf("status %d body %q: %v", rec.Code, rec.Body, err)
+			}
+		}
+		health := httptest.NewRecorder()
+		h.ServeHTTP(health, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if health.Code != http.StatusOK || reg.CounterValue("serve.panics") != 0 {
+			t.Fatalf("server unhealthy after %q: healthz %d, %d panics", body, health.Code, reg.CounterValue("serve.panics"))
+		}
+	})
 }

@@ -79,11 +79,11 @@ type Server struct {
 	part    reg.BatchPartitioner
 	clock   obs.Clock
 	obs     *obs.Registry
-	cache   *featureCache
-	// cacheLedger is the one device ledger all resident cache state —
-	// feature rows and historical embeddings — is charged to, so the two
-	// caches share a single accountable budget (DESIGN.md §16).
+	// cacheLedger is the device ledger of what stays resident between
+	// batches: params, the model's parameters, and the embedding cache's
+	// historical embeddings when it is on (DESIGN.md §16).
 	cacheLedger *device.Device
+	params      *device.Buffer
 	// emb is the historical-embedding cache (nil when EmbMode is off).
 	emb *embcache.Cache
 	// frontier measures cross-batch layer-1 frontier overlap — the
@@ -127,16 +127,18 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = obs.RealClock()
 	}
-	// One ledger covers all resident cache state: the feature cache at
-	// capacity (CacheNodes rows, each rounded to the allocation
-	// granularity) plus, when it is on, the embedding-cache budget. Either
-	// cache hitting the ledger's ceiling evicts its own tail first, so
-	// neither can starve the other beyond its share.
-	ledgerBytes := int64(cfg.CacheNodes) * device.RoundAlloc(int64(ds.FeatureDim())*4)
+	// The parameters are the Params term of every planned micro-batch's
+	// ForwardPeak; the embedding-cache budget is added when that cache is on.
+	paramBytes := int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue
+	ledgerBytes := device.RoundAlloc(paramBytes)
 	if cfg.EmbMode != embcache.ModeOff {
 		ledgerBytes += cfg.embBudgetBytes
 	}
 	ledger := device.New(ledgerBytes, device.CostModel{})
+	params, err := ledger.Alloc(paramBytes, "parameters")
+	if err != nil {
+		return nil, err
+	}
 	emb, err := embcache.New(embcache.Config{
 		Mode:        cfg.EmbMode,
 		BudgetBytes: cfg.embBudgetBytes,
@@ -156,8 +158,8 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		part:        reg.BettyBatch{Seed: cfg.Seed ^ 0xb7, Obs: cfg.Obs},
 		clock:       cfg.Clock,
 		obs:         cfg.Obs,
-		cache:       newFeatureCache(cfg.CacheNodes, ledger),
 		cacheLedger: ledger,
+		params:      params,
 		emb:         emb,
 		frontier:    embcache.NewMeter(cfg.Obs),
 		queue:       make(chan *request, cfg.QueueDepth),
@@ -173,7 +175,7 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 // to fix batch compositions deterministically). Start is idempotent, and
 // Start after (or racing) Close is a no-op: launching a worker once the
 // queue is closed would race Close's own drain — both would pull from the
-// closed queue while Close is already flushing the caches behind it.
+// closed queue while Close is already flushing the cache behind it.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,12 +191,13 @@ func (s *Server) Start() {
 }
 
 // Close stops admission, drains every already-admitted request, waits for
-// the worker to exit, and only then flushes the caches — the in-flight
-// batch must complete before its featureCache/embcache writes lose their
-// owner. It is idempotent, and every Close call (not just the first)
-// returns only after the drain and flush have finished. Close on a
-// never-Started server fails queued requests with ErrClosed instead of
-// leaving their callers waiting.
+// the worker to exit, and only then flushes the embedding cache and frees
+// the parameters' charge — the in-flight batch must complete before its
+// cache writes lose their owner.
+// It is idempotent, and every Close call (not just the first) returns only
+// after the drain and flush have finished. Close on a never-Started server
+// fails queued requests with ErrClosed instead of leaving their callers
+// waiting.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -216,22 +219,14 @@ func (s *Server) Close() error {
 	}
 	// The worker has exited and the queue is drained: cache ownership has
 	// reverted to us, so the flush cannot race a batch completion.
-	s.flushCaches()
+	s.emb.Flush()
+	s.cacheLedger.Free(s.params)
+	s.publishLedger()
 	close(s.closeDone)
 	return nil
 }
 
-// flushCaches drops all resident cache state and returns its bytes to the
-// ledger. Called only after the batch worker has fully stopped.
-func (s *Server) flushCaches() {
-	s.cache.flush()
-	s.emb.Flush()
-	s.obs.Set("serve.cache_nodes", int64(s.cache.len()))
-	s.obs.Set("serve.cache_bytes", s.cache.residentBytes())
-	s.publishLedger()
-}
-
-// publishLedger exports the shared cache ledger's residency and peak.
+// publishLedger exports the cache ledger's residency and peak.
 func (s *Server) publishLedger() {
 	s.obs.Set("serve.cache_ledger_bytes", s.cacheLedger.Used())
 	s.obs.Set("serve.cache_ledger_peak_bytes", s.cacheLedger.Peak())
@@ -493,39 +488,19 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 	return scores, nil
 }
 
-// gather stages the input features for the given node IDs through the LRU
-// cache (when enabled). Staged rows are exact copies of the source rows,
-// hit or miss, so cache state never changes the staged bytes. Misses read
-// src, the batch's source: the dataset's resident matrix, or the batch
-// stage a disk-backed deployment loaded from its shard cache. The staged
-// tensor is pooled scratch, released once its forward is done.
+// gather stages the input features for the given node IDs from src, the
+// batch's source: the dataset's resident matrix, or the batch stage a
+// disk-backed deployment loaded from its shard cache. The staged tensor is
+// pooled scratch, released once its forward is done.
 func (s *Server) gather(src dataset.FeatureSource, nids []int32) (*tensor.Tensor, error) {
 	sp := s.obs.StartSpan(obs.PhaseH2D).SetInt("batch", s.batchSeq).SetInt("rows", int64(len(nids)))
 	defer sp.End()
 	dim := s.ds.FeatureDim()
 	out := tensor.FromSlice(len(nids), dim, tensor.AcquireScratch(len(nids)*dim))
-	if s.cache == nil {
-		return out, src.GatherInto(out, nids)
+	if err := src.GatherInto(out, nids); err != nil {
+		tensor.ReleaseScratch(out.Data)
+		return nil, fmt.Errorf("serve: gather: %w", err)
 	}
-	var hits int64
-	for i, nid := range nids {
-		dst := out.Row(i)
-		if row, ok := s.cache.lru.Get(nid); ok {
-			copy(dst, row)
-			hits++
-			continue
-		}
-		// Miss: fetch from the batch's source straight into the staged row
-		// and cache a copy of it.
-		if err := src.GatherRow(dst, nid); err != nil {
-			return nil, fmt.Errorf("serve: feature row %d: %w", nid, err)
-		}
-		s.cache.put(nid, dst)
-	}
-	s.obs.Add("serve.cache_hits", hits)
-	s.obs.Add("serve.cache_misses", int64(len(nids))-hits)
-	s.obs.Set("serve.cache_nodes", int64(s.cache.len()))
-	s.obs.Set("serve.cache_bytes", s.cache.residentBytes())
 	return out, nil
 }
 
@@ -559,9 +534,12 @@ func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
 type Stats struct {
 	Requests, Batches, BatchedRequests  int64
 	RejectedQueueFull, DeadlineExceeded int64
-	CacheHits, CacheMisses              int64
-	EmbHits, EmbMisses                  int64
-	MaxEstPeakBytes                     int64
+	// CacheHits and CacheMisses are always zero: serving has no feature
+	// cache. They stay only for benchmark/serve.go, which reads them until
+	// ROADMAP item 2(ii) drops those reads.
+	CacheHits, CacheMisses int64
+	EmbHits, EmbMisses     int64
+	MaxEstPeakBytes        int64
 }
 
 // StatsSnapshot reads the counters from the registry (zero without one).
@@ -573,8 +551,6 @@ func (s *Server) StatsSnapshot() Stats {
 		BatchedRequests:   s.obs.CounterValue("serve.batched_requests"),
 		RejectedQueueFull: s.obs.CounterValue("serve.rejected_queue_full"),
 		DeadlineExceeded:  s.obs.CounterValue("serve.deadline_exceeded"),
-		CacheHits:         s.obs.CounterValue("serve.cache_hits"),
-		CacheMisses:       s.obs.CounterValue("serve.cache_misses"),
 		EmbHits:           embHits,
 		EmbMisses:         embMisses,
 		MaxEstPeakBytes:   func() int64 { v, _ := s.obs.GaugeValue("serve.max_est_peak_bytes"); return v }(),

@@ -25,7 +25,7 @@ import (
 )
 
 // testData builds the small synthetic graph the serving tests share.
-func testData(t *testing.T) *dataset.Dataset {
+func testData(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	d, err := dataset.Generate(dataset.GenConfig{
 		Name: "t", Nodes: 800, AvgDegree: 10, FeatureDim: 24,
@@ -38,7 +38,7 @@ func testData(t *testing.T) *dataset.Dataset {
 }
 
 // testModel builds a deterministic GraphSAGE over d.
-func testModel(t *testing.T, d *dataset.Dataset) any {
+func testModel(t testing.TB, d *dataset.Dataset) any {
 	t.Helper()
 	s, err := core.BuildSAGE(d, core.Options{Seed: 50, Hidden: 16, Fanouts: []int{4, 6}})
 	if err != nil {
@@ -102,12 +102,12 @@ func bitwiseEqual(a, b [][]float32) bool {
 }
 
 // A server from Defaults() runs the plain path: it builds no embedding
-// cache, its cache ledger is the feature cache at capacity and nothing else,
-// and it scores bitwise what the shared forward scores over the source's own
+// cache, its cache ledger holds the model's parameters and nothing else, and
+// it scores bitwise what the shared forward scores over the source's own
 // feature rows.
 func TestDefaultsArePlainPath(t *testing.T) {
 	d, err := dataset.Generate(dataset.GenConfig{
-		Name: "t2k", Nodes: 2048, AvgDegree: 10, FeatureDim: 128, // rows of exactly one allocation granule
+		Name: "t2k", Nodes: 2048, AvgDegree: 10, FeatureDim: 128,
 		NumClasses: 5, Homophily: 0.8, Seed: 17,
 	})
 	if err != nil {
@@ -118,24 +118,27 @@ func TestDefaultsArePlainPath(t *testing.T) {
 	cfg := Defaults()
 	cfg.Fanouts = []int{4, 6}
 	cfg.Seed = 9
-	cfg.CacheNodes = 256
 	cfg.QueueDepth = 512
 	cfg.Obs = reg
 	s := newTestServer(t, d, model, cfg)
 	if s.emb != nil {
 		t.Fatal("Defaults() built an embedding cache")
 	}
-	featureCacheBytes := int64(cfg.CacheNodes * d.FeatureDim() * 4)
-	if got, _ := reg.GaugeValue("serve.cache_ledger_capacity_bytes"); got != featureCacheBytes {
-		t.Fatalf("cache ledger capacity %d, want the feature cache's %d and no embedding budget", got, featureCacheBytes)
+	spec, err := memory.SpecForInference(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes := device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue)
+	if got, ok := reg.GaugeValue("serve.cache_ledger_capacity_bytes"); !ok || got != paramBytes {
+		t.Fatalf("cache ledger capacity %d (published %v), want the parameters' %d and no embedding budget", got, ok, paramBytes)
 	}
 	s.Start()
 	defer s.Close()
 	if rep, err := runLoad(s, loadConfig{Requests: 300, NodesPerRequest: 8, Seed: 11}); err != nil || rep.Errors != 0 {
 		t.Fatalf("load run: %v, report %+v", err, rep)
 	}
-	if peak, ok := reg.GaugeValue("serve.cache_ledger_peak_bytes"); !ok || peak > featureCacheBytes {
-		t.Fatalf("cache ledger peak %d (published %v) above the feature cache's %d", peak, ok, featureCacheBytes)
+	if peak, ok := reg.GaugeValue("serve.cache_ledger_peak_bytes"); !ok || peak != paramBytes {
+		t.Fatalf("cache ledger peak %d (published %v), want the parameters' %d", peak, ok, paramBytes)
 	}
 	if st := s.StatsSnapshot(); st.EmbHits+st.EmbMisses != 0 || reg.CounterValue("embcache.computed_rows") != 0 {
 		t.Fatalf("plain path consulted an embedding cache: %+v", st)
@@ -353,7 +356,6 @@ type panicSource struct{ dim, rows int }
 func (p panicSource) Rows() int                                { return p.rows }
 func (p panicSource) Dim() int                                 { return p.dim }
 func (p panicSource) GatherInto(*tensor.Tensor, []int32) error { panic("sabotaged feature gather") }
-func (p panicSource) GatherRow([]float32, int32) error         { panic("sabotaged feature gather") }
 func (p panicSource) ResidentBytes() int64                     { return 0 }
 
 // A panic while executing one batch must fail that batch's requests and
@@ -363,7 +365,6 @@ func TestPanicIsolation(t *testing.T) {
 	model := testModel(t, d)
 	reg := obs.New(obs.NewFakeClock(0, 1))
 	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
-	cfg.CacheNodes = 0 // gather straight from the (sabotaged) feature matrix
 	s := newTestServer(t, d, model, cfg)
 
 	// Sabotage: swap in a feature source that panics (a truncated matrix
@@ -391,138 +392,6 @@ func TestPanicIsolation(t *testing.T) {
 	// Worker must still serve.
 	if _, err := s.Predict([]int32{5, 9}, 0); err != nil {
 		t.Fatalf("worker dead after panic: %v", err)
-	}
-}
-
-// The feature cache must hit on re-requested nodes without changing any
-// response byte.
-func TestFeatureCache(t *testing.T) {
-	d := testData(t)
-	model := testModel(t, d)
-	reg := obs.New(obs.NewFakeClock(0, 1))
-	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
-	cfg.CacheNodes = 4096
-	s := newTestServer(t, d, model, cfg)
-	s.Start()
-	defer s.Close()
-	first, err := s.Predict([]int32{10, 20, 30}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.StatsSnapshot()
-	if st.CacheMisses == 0 || st.CacheHits != 0 {
-		t.Fatalf("cold cache: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
-	}
-	second, err := s.Predict([]int32{10, 20, 30}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.StatsSnapshot().CacheHits == 0 {
-		t.Fatal("warm cache produced no hits")
-	}
-	if !bitwiseEqual(first, second) {
-		t.Fatal("cache changed the response bytes")
-	}
-
-	// No-cache server must produce the same bytes.
-	noCacheCfg := testConfig(obs.NewFakeClock(0, 1), nil)
-	noCacheCfg.CacheNodes = 0
-	want := soloScores(t, d, model, noCacheCfg, []int32{10, 20, 30})
-	if !bitwiseEqual(first, want) {
-		t.Fatal("cached response differs from uncached response")
-	}
-}
-
-// What featureCache adds to device.LRU (whose order and ledger invariants
-// internal/device/lru_test.go owns): the row-count cap, in-place recycling
-// once full, ledger-rounded residency, nil safety of what Close calls.
-func TestFeatureCacheLRU(t *testing.T) {
-	put := func(c *featureCache, nid int32, v float32) { c.put(nid, []float32{v}) }
-	hit := func(nid int32, c *featureCache) bool { _, ok := c.lru.Get(nid); return ok }
-	ledger := device.New(device.MiB, device.CostModel{})
-	c := newFeatureCache(2, ledger)
-	put(c, 1, 1)
-	put(c, 2, 2)
-	second, _ := c.lru.Get(2)
-	if !hit(1, c) { // 1 becomes most recent
-		t.Fatal("miss on resident node")
-	}
-	put(c, 3, 3) // full: takes over 2's entry
-	if hit(2, c) {
-		t.Fatal("LRU kept the least recently used entry")
-	}
-	if !hit(1, c) || !hit(3, c) {
-		t.Fatal("LRU evicted a recent entry")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
-	}
-	third, _ := c.lru.Get(3)
-	if &third[0] != &second[0] {
-		t.Fatal("put on a full cache did not recycle the evicted row's storage")
-	}
-	if third[0] != 3 {
-		t.Fatalf("recycled row holds %v, want 3", third[0])
-	}
-	// two one-float rows, each charged one allocation granule
-	if want := 2 * device.AllocGranularity; c.residentBytes() != want || ledger.Used() != want || ledger.Peak() != want {
-		t.Fatalf("residentBytes %d, ledger %d (peak %d), want %d", c.residentBytes(), ledger.Used(), ledger.Peak(), want)
-	}
-	if c.flush(); c.len() != 0 || ledger.Used() != 0 {
-		t.Fatalf("after flush: len %d, ledger %d", c.len(), ledger.Used())
-	}
-	var nilCache *featureCache
-	if nilCache.flush(); nilCache.len() != 0 || nilCache.residentBytes() != 0 {
-		t.Fatal("nil cache misbehaved")
-	}
-	if newFeatureCache(0, ledger) != nil {
-		t.Fatal("zero-capacity cache not disabled")
-	}
-}
-
-// On a full cache a gather of nothing but misses allocates only its output
-// tensor — so it cannot have called Device.Alloc, which heap-allocates the
-// Buffer it returns — leaves ledger residency and peak where they were,
-// and stages byte for byte what the uncached path stages.
-func TestGatherMissRecycles(t *testing.T) {
-	d := testData(t)
-	const rows = 64
-	var a, b []int32 // disjoint: each gather evicts all the other cached
-	for i := int32(0); i < rows; i++ {
-		a, b = append(a, i), append(b, rows+i)
-	}
-	cfg := testConfig(obs.NewFakeClock(0, 1), nil)
-	cfg.CacheNodes = rows
-	s := newTestServer(t, d, testModel(t, d), cfg)
-	bare := cfg
-	bare.CacheNodes = 0
-	uncached := newTestServer(t, d, testModel(t, d), bare)
-	gather := func(s *Server, nids []int32) *tensor.Tensor {
-		out, err := s.gather(s.ds.FeatureSource(), nids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	gather(s, a) // growth: fills the cache
-	used, peak := s.cacheLedger.Used(), s.cacheLedger.Peak()
-	if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
-		t.Fatal("rows staged through recycled entries differ from the uncached path")
-	}
-	if got, want := gather(s, b), gather(uncached, b); !slices.Equal(got.Data, want.Data) {
-		t.Fatal("rows staged from recycled entries differ from the uncached path")
-	}
-	output := testing.AllocsPerRun(10, func() { tensor.New(rows, d.FeatureDim()) })
-	got := testing.AllocsPerRun(10, func() {
-		gather(s, a)
-		gather(s, b)
-	})
-	if got > 2*output {
-		t.Errorf("two all-miss gathers allocate %.0f times, their output tensors %.0f", got, 2*output)
-	}
-	if s.cache.len() != rows || s.cacheLedger.Used() != used || s.cacheLedger.Peak() != peak {
-		t.Errorf("misses on a full cache moved the ledger: rows %d→%d used %d→%d peak %d→%d",
-			rows, s.cache.len(), used, s.cacheLedger.Used(), peak, s.cacheLedger.Peak())
 	}
 }
 
@@ -557,9 +426,9 @@ type stageSpy struct {
 	staged []*float32
 }
 
-func (p *stageSpy) GatherRow(dst []float32, nid int32) error {
-	p.staged = append(p.staged, &dst[0])
-	return p.FeatureSource.GatherRow(dst, nid)
+func (p *stageSpy) GatherInto(out *tensor.Tensor, nids []int32) error {
+	p.staged = append(p.staged, &out.Data[0])
+	return p.FeatureSource.GatherInto(out, nids)
 }
 
 // The staged feature tensor is pooled scratch that scoreUnion hands back
@@ -573,7 +442,6 @@ func TestStagedFeaturesArePooled(t *testing.T) {
 	spy := &stageSpy{FeatureSource: d.FeatureSource()}
 	spied.Source = spy
 	cfg := testConfig(obs.NewFakeClock(0, 1), nil)
-	cfg.CacheNodes = 1 // every row but the last staged misses and is fetched again
 	s := newTestServer(t, &spied, model, cfg)
 	s.Start()
 	nodes := []int32{3, 8, 120}
@@ -614,11 +482,6 @@ func (g *gateSource) park() {
 func (g *gateSource) GatherInto(out *tensor.Tensor, nids []int32) error {
 	g.park()
 	return g.FeatureSource.GatherInto(out, nids)
-}
-
-func (g *gateSource) GatherRow(dst []float32, nid int32) error {
-	g.park()
-	return g.FeatureSource.GatherRow(dst, nid)
 }
 
 // batchLogNodes returns the union each logged batch scored, in log order.
@@ -800,7 +663,6 @@ func TestConfigEnv(t *testing.T) {
 	if err := c.ApplyEnv(env(map[string]string{
 		EnvMaxBatch:        "32",
 		EnvQueueDepth:      "7",
-		EnvCacheNodes:      "0",
 		EnvTimeoutMS:       "250",
 		EnvMaxRequestNodes: "9",
 		EnvCapacityMiB:     "64",
@@ -809,7 +671,7 @@ func TestConfigEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.MaxBatch != 32 || c.QueueDepth != 7 ||
-		c.CacheNodes != 0 || c.DefaultTimeout != 250*time.Millisecond ||
+		c.DefaultTimeout != 250*time.Millisecond ||
 		c.MaxRequestNodes != 9 || c.CapacityBytes != 64<<20 || c.EmbMode != embcache.ModeReuse {
 		t.Fatalf("env not applied: %+v", c)
 	}
@@ -832,7 +694,6 @@ func TestConfigEnv(t *testing.T) {
 		{EnvMaxBatch: "0"},
 		{EnvMaxBatch: "-3"},
 		{EnvQueueDepth: "0"},
-		{EnvCacheNodes: "-1"},
 		{EnvTimeoutMS: "soon"},
 		{EnvMaxRequestNodes: "0"},
 		{EnvCapacityMiB: "0x40"},
@@ -858,7 +719,6 @@ func TestConfigEnv(t *testing.T) {
 		func(c *Config) { c.Fanouts = []int{0} },
 		func(c *Config) { c.MaxBatch = 0 },
 		func(c *Config) { c.QueueDepth = 0 },
-		func(c *Config) { c.CacheNodes = -1 },
 		func(c *Config) { c.DefaultTimeout = -time.Second },
 		func(c *Config) { c.MaxRequestNodes = 0 },
 		func(c *Config) { c.CapacityBytes = 0 },

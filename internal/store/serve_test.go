@@ -90,9 +90,9 @@ func sameScores(a, b [][]float32) bool {
 // Serving pins its shards as an exact count: one 64-node request through a
 // cache that holds 3 of 32 shards pins each shard its input frontier
 // touches exactly once, at every K. The frontier is staged with one gather
-// in shard order and every micro-batch's feature-cache misses read the
-// stage; fetching miss by miss instead pins a shard per frontier row.
-// Scores stay bitwise equal to in-RAM serving.
+// in shard order and every micro-batch gathers from the stage; fetching row
+// by row instead pins a shard per frontier row. Scores stay bitwise equal
+// to in-RAM serving.
 func TestServeOneShardPassPerBatch(t *testing.T) {
 	f := newServeFixture(t)
 	nodes := make([]int32, 64)

@@ -107,20 +107,3 @@ func (f *Features) GatherInto(out *tensor.Tensor, nids []int32) error {
 	}
 	return nil
 }
-
-// GatherRow copies one row into dst.
-func (f *Features) GatherRow(dst []float32, nid int32) error {
-	if len(dst) != f.Dim() {
-		return fmt.Errorf("store: gather row into len %d, want %d", len(dst), f.Dim())
-	}
-	if nid < 0 || int(nid) >= f.Rows() {
-		return fmt.Errorf("store: gather node %d out of range [0,%d)", nid, f.Rows())
-	}
-	sh, err := f.cache.Pin(int(nid) / f.ShardRows())
-	if err != nil {
-		return fmt.Errorf("store: gather row %d: %w", nid, err)
-	}
-	copy(dst, sh.Row(int(nid)))
-	f.cache.Unpin(sh)
-	return nil
-}
