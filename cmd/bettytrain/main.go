@@ -25,6 +25,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"betty/internal/checkpoint"
 	"betty/internal/core"
@@ -248,27 +249,25 @@ func run(cfg runConfig) (err error) {
 		multi = &core.MultiDevice{Engine: setup.Engine, Devices: devs}
 	}
 
-	fmt.Fprintf(cfg.out, "%-6s %-4s %-9s %-9s %-11s %-12s %s\n",
-		"epoch", "K", "loss", "train acc", "peak MiB", "epoch sim s", "redundancy")
+	fmt.Fprintf(cfg.out, "%-6s %-4s %-9s %-9s %-11s %-9s %s\n",
+		"epoch", "K", "loss", "train acc", "peak MiB", "epoch ms", "redundancy")
 	for e := 1; e <= cfg.epochs; e++ {
-		// Split-parallel epochs simulate no time: their sim column is "-".
+		// epoch ms is measured wall-clock time, the one column that differs
+		// between two identical runs.
+		start := time.Now()
 		var st core.EpochStats
-		sim := "-"
 		if multi != nil {
 			mst, err := multi.TrainEpoch()
 			if err != nil {
 				return err
 			}
 			st = mst.EpochStats
-		} else {
-			st, err = setup.Engine.TrainEpochMicro()
-			if err != nil {
-				return err
-			}
-			sim = fmt.Sprintf("%.5f", st.ComputeSeconds+st.TransferSeconds)
+		} else if st, err = setup.Engine.TrainEpochMicro(); err != nil {
+			return err
 		}
-		fmt.Fprintf(cfg.out, "%-6d %-4d %-9.4f %-9.4f %-11.2f %-12s %d\n",
-			e, st.K, st.Loss, st.TrainAcc, float64(st.PeakBytes)/(1<<20), sim, st.Redundancy)
+		ms := float64(time.Since(start)) / float64(time.Millisecond)
+		fmt.Fprintf(cfg.out, "%-6d %-4d %-9.4f %-9.4f %-11.2f %-9.2f %d\n",
+			e, st.K, st.Loss, st.TrainAcc, float64(st.PeakBytes)/(1<<20), ms, st.Redundancy)
 		completed = e
 		if cfg.hook != nil {
 			if herr := cfg.hook(e); herr != nil {

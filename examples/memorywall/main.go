@@ -27,22 +27,20 @@ func main() {
 	fmt.Printf("dataset %s (%d nodes), simulated device capacity %d MiB\n",
 		ds.Name, ds.Graph.NumNodes(), capacity/device.MiB)
 
-	build := func(fixedK int) (*core.Setup, *device.Device, error) {
-		dev := device.New(capacity, device.DefaultCostModel())
-		s, err := core.BuildSAGE(ds, core.Options{
+	build := func(fixedK int) (*core.Setup, error) {
+		return core.BuildSAGE(ds, core.Options{
 			Hidden:     64,
 			Layers:     1,
 			Fanouts:    []int{10},
 			Aggregator: nn.LSTM,
-			Device:     dev,
+			Device:     device.New(capacity, device.DefaultCostModel()),
 			Seed:       7,
 			FixedK:     fixedK, // 0 = memory-aware planning
 		})
-		return s, dev, err
 	}
 
 	// 1) Full-batch training: runs into the wall.
-	full, _, err := build(1)
+	full, err := build(1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func main() {
 
 	// 2) Betty: the planner estimates micro-batch memory without running
 	// anything and picks the smallest K that fits.
-	betty, dev, err := build(0)
+	betty, err := build(0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +69,6 @@ func main() {
 	fmt.Printf("betty: measured peak %.1f MiB (estimated %.1f MiB) under the %d MiB capacity\n",
 		float64(st.PeakBytes)/(1<<20), float64(st.MaxEstimate)/(1<<20), capacity/device.MiB)
 	fmt.Printf("betty: loss %.4f, %d duplicated input nodes across micro-batches\n", st.Loss, st.Redundancy)
-	fmt.Printf("simulated epoch time: %.2f ms compute + %.2f ms transfer\n",
-		1e3*dev.ComputeSeconds(), 1e3*dev.TransferSeconds())
+	fmt.Printf("betty: %.2f MiB moved host-to-device (features, labels, blocks)\n",
+		float64(st.H2DBytes)/(1<<20))
 }

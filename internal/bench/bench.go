@@ -191,6 +191,9 @@ func fmtMiB(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 // fmtGiB renders bytes as GiB with three decimals.
 func fmtGiB(b int64) string { return fmt.Sprintf("%.3f", float64(b)/(1<<30)) }
 
+// fmtBytes renders an exact byte count.
+func fmtBytes(b int64) string { return fmt.Sprintf("%d", b) }
+
 // fmtF renders a float with the given precision.
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -132,11 +134,14 @@ func TestAblREGDeterministic(t *testing.T) {
 	}
 }
 
+// TestTrainingExperimentsSmoke runs the training experiments at a tiny
+// scale and asserts two of the paper's shapes on their tables.
 func TestTrainingExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training smoke runs skipped in -short mode")
 	}
-	for _, id := range []string{"fig12", "tab7", "fig4", "fig13", "tab6"} {
+	first := map[string]*Table{}
+	for _, id := range []string{"fig12", "tab7", "fig4", "fig13", "tab6", "fig14"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +153,77 @@ func TestTrainingExperimentsSmoke(t *testing.T) {
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			t.Fatalf("%s produced no output", id)
 		}
+		first[id] = tables[0]
 	}
+
+	// Fig. 14: Betty's micro-batches share more inputs, so at every K >= 2
+	// they move fewer bytes host-to-device than range's or random's.
+	fig14 := first["fig14"]
+	ks, h2d := intColumn(t, fig14, "batches"), intColumn(t, fig14, "H2D bytes")
+	part := slices.Index(fig14.Columns, "partitioner")
+	byK := map[int64]map[string]int64{}
+	for r, row := range fig14.Rows {
+		if ks[r] < 2 {
+			continue
+		}
+		if byK[ks[r]] == nil {
+			byK[ks[r]] = map[string]int64{}
+		}
+		byK[ks[r]][row[part]] = h2d[r]
+	}
+	if len(byK) == 0 {
+		t.Fatal("fig14 has no row with K >= 2")
+	}
+	for k, bytes := range byK {
+		betty, ok := bytes["betty"]
+		for _, base := range []string{"range", "random"} {
+			other, found := bytes[base]
+			if !ok || !found {
+				t.Fatalf("fig14 K=%d lacks a betty or %s row: %v", k, base, bytes)
+			}
+			if betty >= other {
+				t.Errorf("fig14 K=%d: betty moves %d H2D bytes, %s %d", k, betty, base, other)
+			}
+		}
+	}
+
+	// Table 6: slicing one sampled batch re-expands no shared neighbour, so
+	// micro-batches load fewer first-layer inputs than independently
+	// sampled mini-batches at every K >= 2.
+	tab6 := first["tab6"]
+	ks = intColumn(t, tab6, "batches")
+	micro, mini := intColumn(t, tab6, "micro inputs"), intColumn(t, tab6, "mini inputs")
+	checked := 0
+	for r, k := range ks {
+		if k < 2 {
+			continue
+		}
+		checked++
+		if micro[r] >= mini[r] {
+			t.Errorf("tab6 K=%d: %d micro inputs, %d mini inputs", k, micro[r], mini[r])
+		}
+	}
+	if checked == 0 {
+		t.Fatal("tab6 has no row with K >= 2")
+	}
+}
+
+// intColumn parses the named column of tb as integers.
+func intColumn(t *testing.T, tb *Table, name string) []int64 {
+	t.Helper()
+	col := slices.Index(tb.Columns, name)
+	if col < 0 {
+		t.Fatalf("%s: no column %q in %v", tb.ID, name, tb.Columns)
+	}
+	out := make([]int64, len(tb.Rows))
+	for r, row := range tb.Rows {
+		v, err := strconv.ParseInt(row[col], 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %s row %d: %v", tb.ID, name, r, err)
+		}
+		out[r] = v
+	}
+	return out
 }
 
 // fig10 exercises the planner search; run it at a tiny scale to keep the

@@ -10,17 +10,17 @@ import (
 func init() {
 	register(&Experiment{
 		ID:    "fig14",
-		Paper: "Figure 14: per-epoch training time and data-movement time vs number of batches for range/random/Metis/Betty (3-layer GraphSAGE+Mean, ogbn-products)",
+		Paper: "Figure 14: per-epoch data movement (first-layer inputs, host-to-device bytes) vs number of batches for range/random/Metis/Betty (3-layer GraphSAGE+Mean, ogbn-products)",
 		Run:   runFig14,
 	})
 	register(&Experiment{
 		ID:    "fig15",
-		Paper: "Figure 15: computation efficiency (total micro-batch nodes / epoch time) vs number of batches for the four partitioners",
+		Paper: "Figure 15: computation work (total micro-batch nodes) and host-to-device bytes vs number of batches for the four partitioners",
 		Run:   runFig15,
 	})
 	register(&Experiment{
 		ID:    "tab6",
-		Paper: "Table 6: first-layer inputs, per-epoch time, and memory of micro-batch vs mini-batch training as the batch count grows",
+		Paper: "Table 6: first-layer inputs, host-to-device bytes, and memory of micro-batch vs mini-batch training as the batch count grows",
 		Run:   runTab6,
 	})
 	register(&Experiment{
@@ -34,10 +34,9 @@ func init() {
 type fig14Run struct {
 	k           int
 	partitioner string
-	computeS    float64
-	transferS   float64
+	inputNodes  int
 	totalNodes  int
-	peak        int64
+	h2d         int64
 }
 
 // runFig14Sweep executes one epoch per (K, partitioner) combination of the
@@ -77,11 +76,10 @@ func runFig14Sweep(o Options) ([]fig14Run, error) {
 			for _, mb := range plan.Micro {
 				totalNodes += graph.Stats(mb).TotalNodes
 			}
-			o.logf("fig14 %s k=%d compute=%.4fs transfer=%.4fs", p.Name(), k, st.ComputeSeconds, st.TransferSeconds)
+			o.logf("fig14 %s k=%d inputs=%d h2d=%d", p.Name(), k, st.InputNodes, st.H2DBytes)
 			out = append(out, fig14Run{
 				k: k, partitioner: p.Name(),
-				computeS: st.ComputeSeconds, transferS: st.TransferSeconds,
-				totalNodes: totalNodes, peak: st.PeakBytes,
+				inputNodes: st.InputNodes, totalNodes: totalNodes, h2d: st.H2DBytes,
 			})
 		}
 	}
@@ -95,11 +93,11 @@ func runFig14(o Options) ([]*Table, error) {
 	}
 	t := &Table{
 		ID:      "fig14",
-		Title:   "per-epoch simulated time (s), 3-layer GraphSAGE+Mean, scaled fanout (3,5,10)",
-		Columns: []string{"batches", "partitioner", "train time/s", "data movement/s", "total/s"},
+		Title:   "per-epoch data movement, 3-layer GraphSAGE+Mean, scaled fanout (3,5,10)",
+		Columns: []string{"batches", "partitioner", "input nodes", "H2D bytes"},
 	}
 	for _, r := range runs {
-		t.AddRow(fmtI(r.k), r.partitioner, fmtF(r.computeS, 4), fmtF(r.transferS, 4), fmtF(r.computeS+r.transferS, 4))
+		t.AddRow(fmtI(r.k), r.partitioner, fmtI(r.inputNodes), fmtBytes(r.h2d))
 	}
 	return []*Table{t}, nil
 }
@@ -111,13 +109,11 @@ func runFig15(o Options) ([]*Table, error) {
 	}
 	t := &Table{
 		ID:      "fig15",
-		Title:   "computation efficiency: total micro-batch nodes / epoch time",
-		Columns: []string{"batches", "partitioner", "total nodes", "epoch time/s", "nodes per second"},
+		Title:   "computation work: total micro-batch nodes and host-to-device bytes",
+		Columns: []string{"batches", "partitioner", "total nodes", "H2D bytes"},
 	}
 	for _, r := range runs {
-		total := r.computeS + r.transferS
-		eff := float64(r.totalNodes) / total
-		t.AddRow(fmtI(r.k), r.partitioner, fmtI(r.totalNodes), fmtF(total, 4), fmtF(eff, 0))
+		t.AddRow(fmtI(r.k), r.partitioner, fmtI(r.totalNodes), fmtBytes(r.h2d))
 	}
 	return []*Table{t}, nil
 }
@@ -130,7 +126,7 @@ func runTab6(o Options) ([]*Table, error) {
 	t := &Table{
 		ID:      "tab6",
 		Title:   "micro-batch (Betty) vs mini-batch training, 2-layer GraphSAGE+Mean, scaled fanout (5,10)",
-		Columns: []string{"batches", "micro inputs", "mini inputs", "micro time/s", "mini time/s", "micro mem/MiB", "mini mem/MiB"},
+		Columns: []string{"batches", "micro inputs", "mini inputs", "micro H2D bytes", "mini H2D bytes", "micro mem/MiB", "mini mem/MiB"},
 	}
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
 		if k > len(ds.TrainIdx) {
@@ -161,8 +157,7 @@ func runTab6(o Options) ([]*Table, error) {
 		o.logf("tab6 k=%d micro-in=%d mini-in=%d", k, micro.InputNodes, mini.InputNodes)
 		t.AddRow(fmtI(k),
 			fmtI(micro.InputNodes), fmtI(mini.InputNodes),
-			fmtF(micro.ComputeSeconds+micro.TransferSeconds, 4),
-			fmtF(mini.ComputeSeconds+mini.TransferSeconds, 4),
+			fmtBytes(micro.H2DBytes), fmtBytes(mini.H2DBytes),
 			fmtMiB(micro.PeakBytes), fmtMiB(mini.PeakBytes))
 	}
 	return []*Table{t}, nil

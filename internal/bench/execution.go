@@ -57,7 +57,7 @@ func init() {
 	})
 	register(&Experiment{
 		ID:    "fig12",
-		Paper: "Figure 12: peak memory and per-epoch training time as the number of micro-batches grows (five dataset/model panels)",
+		Paper: "Figure 12: peak memory and per-epoch host-to-device bytes as the number of micro-batches grows (five dataset/model panels)",
 		Run:   runFig12,
 	})
 	register(&Experiment{
@@ -146,8 +146,8 @@ func fig12Panels() []fig12Panel {
 func runFig12(o Options) ([]*Table, error) {
 	t := &Table{
 		ID:      "fig12",
-		Title:   "peak device memory and per-epoch time vs number of micro-batches (Betty partitioning)",
-		Columns: []string{"panel", "dataset", "model", "batches", "peak/MiB", "train time/s", "transfer time/s", "redundancy"},
+		Title:   "peak device memory and per-epoch host-to-device bytes vs number of micro-batches (Betty partitioning)",
+		Columns: []string{"panel", "dataset", "model", "batches", "peak/MiB", "H2D bytes", "redundancy"},
 	}
 	for _, p := range fig12Panels() {
 		var ds *dataset.Dataset
@@ -177,9 +177,9 @@ func runFig12(o Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			o.logf("fig12 %s k=%d peak=%s time=%.3f", p.panel, k, fmtMiB(st.PeakBytes), st.ComputeSeconds)
+			o.logf("fig12 %s k=%d peak=%s h2d=%d", p.panel, k, fmtMiB(st.PeakBytes), st.H2DBytes)
 			t.AddRow(p.panel, p.ds, model, fmtI(k), fmtMiB(st.PeakBytes),
-				fmtF(st.ComputeSeconds, 4), fmtF(st.TransferSeconds, 4), fmtI(st.Redundancy))
+				fmtBytes(st.H2DBytes), fmtI(st.Redundancy))
 		}
 	}
 	return []*Table{t}, nil

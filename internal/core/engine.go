@@ -118,7 +118,12 @@ type EpochStats struct {
 	TrainAcc float64
 	// PeakBytes is the device peak across the epoch (0 without a device).
 	PeakBytes int64
-	// TransferSeconds and ComputeSeconds are accumulated simulated times.
+	// H2DBytes is the exact host-to-device bytes the epoch's batches moved
+	// (train.StepResult.H2DBytes summed), with or without a device.
+	H2DBytes int64
+	// TransferSeconds and ComputeSeconds are always zero. They are inert
+	// stubs, kept only because benchmark/ still reads them; the device
+	// models no time.
 	TransferSeconds, ComputeSeconds float64
 	// InputNodes is the total number of first-layer input nodes loaded.
 	InputNodes int
@@ -322,8 +327,7 @@ func (e *Engine) executePlan(plan *memory.Plan, st *EpochStats) error {
 		}
 		correct += res.Correct
 		labeled += res.Count
-		st.TransferSeconds += res.TransferSeconds
-		st.ComputeSeconds += res.ComputeSeconds
+		st.H2DBytes += res.H2DBytes
 		if res.PeakBytes > st.PeakBytes {
 			st.PeakBytes = res.PeakBytes
 		}
@@ -400,8 +404,7 @@ func (e *Engine) TrainEpochMini(k int, shuffleSeed uint64) (EpochStats, error) {
 		}
 		correct += res.Correct
 		labeled += res.Count
-		st.TransferSeconds += res.TransferSeconds
-		st.ComputeSeconds += res.ComputeSeconds
+		st.H2DBytes += res.H2DBytes
 		if res.PeakBytes > st.PeakBytes {
 			st.PeakBytes = res.PeakBytes
 		}

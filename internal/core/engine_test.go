@@ -436,8 +436,6 @@ func (m constModel) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Va
 	return tensor.Leaf(out)
 }
 
-func (m constModel) Flops(blocks []*graph.Block) float64 { return 0 }
-
 func (m constModel) Config() nn.Config {
 	return nn.Config{InDim: 1, Hidden: 1, OutDim: m.classes, Layers: 2}
 }

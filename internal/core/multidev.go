@@ -60,8 +60,8 @@ type DeviceLoad struct {
 }
 
 // MultiEpochStats extends EpochStats with split-parallel byte counts. Its
-// PeakBytes is the largest per-device peak; no simulated time is charged,
-// so TransferSeconds and ComputeSeconds stay zero.
+// PeakBytes is the largest per-device peak; its H2DBytes is the canonical
+// execution's, equal to a single-device epoch's over the same plan.
 type MultiEpochStats struct {
 	EpochStats
 	// Devices is the device count the epoch ran on.

@@ -92,8 +92,21 @@ func TestMultiDeviceBasics(t *testing.T) {
 	if st.HaloBytes <= 0 {
 		t.Fatal("split-parallel epoch exchanged no halo features")
 	}
-	if st.TransferSeconds != 0 || st.ComputeSeconds != 0 {
-		t.Fatalf("split-parallel epoch simulated time: %+v", st.EpochStats)
+	// The canonical execution moves the same batches a single-device epoch
+	// over the same plan does.
+	single, err := BuildSAGE(testData(t), Options{
+		Seed: 20, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 8,
+		Device: device.New(device.GiB, device.DefaultCostModel()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Engine.TrainEpochMicro()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.H2DBytes <= 0 || st.H2DBytes != one.H2DBytes {
+		t.Fatalf("split-parallel H2DBytes %d, single-device %d", st.H2DBytes, one.H2DBytes)
 	}
 }
 

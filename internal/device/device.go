@@ -1,13 +1,11 @@
 // Package device simulates the accelerator the paper trains on: a memory
 // ledger with a hard capacity that produces out-of-memory errors exactly
-// when allocations exceed it, and a deterministic cost model for host-to-
-// device transfers and compute.
+// when allocations exceed it.
 //
-// The paper's claims are stated in bytes allocated and relative time, not
-// in CUDA specifics, so a byte-accurate ledger reproduces the OOM
-// boundaries and the cost model reproduces the time *shape* (who wins,
-// where the knees fall). Determinism means benchmarks and tests are stable
-// across machines.
+// The paper's memory claims are stated in bytes allocated, not in CUDA
+// specifics, so a byte-accurate ledger reproduces the OOM boundaries. The
+// device models no time: the experiments report the exact bytes each batch
+// moves host-to-device, and wall-clock time is measured on the real kernels.
 package device
 
 import (
@@ -27,37 +25,14 @@ const (
 	GiB       = 1024 * MiB
 )
 
-// CostModel converts bytes and floating-point operations into simulated
-// seconds. The defaults approximate a PCIe 3.0 x16 link and a mid-range
-// fp32 accelerator; only ratios matter for the reproduced figures.
-type CostModel struct {
-	// H2DBandwidth is the host-to-device copy bandwidth in bytes/second.
-	H2DBandwidth float64
-	// TransferLatency is the fixed per-transfer setup cost in seconds.
-	TransferLatency float64
-	// Throughput is the effective compute rate in FLOP/second.
-	Throughput float64
-	// KernelLatency is the fixed per-kernel launch cost in seconds.
-	KernelLatency float64
-}
+// CostModel is an empty, inert stub, kept only so that New's existing
+// callers (benchmark/ among them) compile unchanged. The device keeps no
+// clock: time is measured on the real kernels, and the bytes a batch moves
+// are counted exactly (train.StepResult.H2DBytes).
+type CostModel struct{}
 
-// DefaultCostModel returns the cost model used by all experiments.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		H2DBandwidth:    12e9,  // ~PCIe 3.0 x16 effective
-		TransferLatency: 20e-6, // 20 us per transfer
-		Throughput:      5e12,  // 5 TFLOP/s effective fp32
-		KernelLatency:   5e-6,  // 5 us per kernel
-	}
-}
-
-// TransferTime returns the simulated seconds to copy n bytes host->device.
-func (m CostModel) TransferTime(n int64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return m.TransferLatency + float64(n)/m.H2DBandwidth
-}
+// DefaultCostModel returns the empty CostModel stub.
+func DefaultCostModel() CostModel { return CostModel{} }
 
 // AllocGranularity is the block size the simulated caching allocator rounds
 // every allocation up to, mirroring CUDA caching allocators. It is the main
@@ -84,10 +59,10 @@ func (b *Buffer) Bytes() int64 { return b.bytes }
 // Label returns the label given at allocation time.
 func (b *Buffer) Label() string { return b.label }
 
-// Device is a simulated accelerator: an allocation ledger with capacity
-// plus accumulated transfer/compute clocks. All methods are safe for
-// concurrent use: the ledger is guarded by a mutex so the chunk-parallel
-// evaluator and multi-goroutine training paths can share one device.
+// Device is a simulated accelerator: an allocation ledger with capacity.
+// All methods are safe for concurrent use: the ledger is guarded by a mutex
+// so the chunk-parallel evaluator and multi-goroutine training paths can
+// share one device.
 type Device struct {
 	mu       sync.Mutex
 	capacity int64
@@ -95,15 +70,12 @@ type Device struct {
 	peak     int64
 	nextID   int64
 	live     map[int64]*Buffer
-
-	model        CostModel
-	transferTime float64
-	computeTime  float64
 }
 
-// New returns a device with the given memory capacity and cost model.
-func New(capacity int64, model CostModel) *Device {
-	return &Device{capacity: capacity, model: model, live: make(map[int64]*Buffer)}
+// New returns a device with the given memory capacity. The CostModel
+// argument is an ignored stub (see CostModel).
+func New(capacity int64, _ CostModel) *Device {
+	return &Device{capacity: capacity, live: make(map[int64]*Buffer)}
 }
 
 // Capacity returns the configured memory capacity in bytes.
@@ -170,46 +142,6 @@ func (d *Device) ResetPeak() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.peak = d.used
-}
-
-// Transfer accounts a host-to-device copy of n bytes and returns the
-// simulated seconds it took.
-func (d *Device) Transfer(n int64) float64 {
-	t := d.model.TransferTime(n)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.transferTime += t
-	return t
-}
-
-// ComputeKernels accounts a batch of kernels with a total FLOP count: the
-// FLOP time plus one launch latency per kernel. Training steps issue one
-// kernel per recorded operation (and roughly two more each in backward),
-// so per-batch launch overhead grows with partitioning — the "lower GPU
-// utilization" cost of many small micro-batches (§6.3).
-func (d *Device) ComputeKernels(flops float64, kernels int) float64 {
-	t := flops / d.model.Throughput
-	if kernels > 0 {
-		t += float64(kernels) * d.model.KernelLatency
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.computeTime += t
-	return t
-}
-
-// TransferSeconds returns the accumulated simulated transfer time.
-func (d *Device) TransferSeconds() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.transferTime
-}
-
-// ComputeSeconds returns the accumulated simulated compute time.
-func (d *Device) ComputeSeconds() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.computeTime
 }
 
 // LiveBuffers returns the labels and sizes of live allocations sorted by

@@ -2,7 +2,6 @@ package device
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -84,53 +83,6 @@ func TestResetPeak(t *testing.T) {
 	}
 }
 
-func TestCostModelMonotone(t *testing.T) {
-	m := DefaultCostModel()
-	if m.TransferTime(0) != 0 {
-		t.Fatal("zero work should cost zero time")
-	}
-	if m.TransferTime(1000) >= m.TransferTime(1000000) {
-		t.Fatal("transfer time not monotone in bytes")
-	}
-	// latency floor
-	if m.TransferTime(1) < m.TransferLatency {
-		t.Fatal("latency not applied")
-	}
-}
-
-func TestClockAccumulation(t *testing.T) {
-	d := New(GiB, DefaultCostModel())
-	t1 := d.Transfer(12e9 / 2)      // about half a second of bandwidth
-	t2 := d.ComputeKernels(5e12, 0) // about one second of compute
-	if math.Float64bits(d.TransferSeconds()) != math.Float64bits(t1) ||
-		math.Float64bits(d.ComputeSeconds()) != math.Float64bits(t2) {
-		t.Fatal("clock accumulation mismatch")
-	}
-	t3 := d.Transfer(12e9 / 2)
-	if math.Float64bits(d.TransferSeconds()) != math.Float64bits(t1+t3) {
-		t.Fatalf("transfer clock %v after two equal copies of %v", d.TransferSeconds(), t1)
-	}
-}
-
-func TestComputeKernels(t *testing.T) {
-	m := DefaultCostModel()
-	d := New(GiB, m)
-	// pure flops, no kernels
-	t0 := d.ComputeKernels(5e12, 0)
-	if t0 != 1.0 {
-		t.Fatalf("flops-only time %v, want 1.0", t0)
-	}
-	// kernel launches add latency linearly
-	d2 := New(GiB, m)
-	t1 := d2.ComputeKernels(0, 1000)
-	if math.Float64bits(t1) != math.Float64bits(1000*m.KernelLatency) {
-		t.Fatalf("kernel-only time %v", t1)
-	}
-	if math.Float64bits(d2.ComputeSeconds()) != math.Float64bits(t1) {
-		t.Fatal("kernel time not accumulated")
-	}
-}
-
 // Property: the ledger is conservative — used equals the sum of live
 // buffer sizes after arbitrary alloc/free interleavings.
 func TestLedgerConservation(t *testing.T) {
@@ -175,7 +127,7 @@ func TestLiveBuffersSorted(t *testing.T) {
 }
 
 // The ledger is shared by parallel evaluators and multi-goroutine training
-// paths; concurrent alloc/free/clock traffic must stay consistent (run with
+// paths; concurrent alloc/free traffic must stay consistent (run with
 // -race to catch unguarded access).
 func TestConcurrentLedger(t *testing.T) {
 	d := New(GiB, DefaultCostModel())
@@ -191,8 +143,6 @@ func TestConcurrentLedger(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				d.Transfer(4096)
-				d.ComputeKernels(1e6, 2)
 				_ = d.Used()
 				_ = d.Peak()
 				d.Free(buf)
@@ -205,14 +155,5 @@ func TestConcurrentLedger(t *testing.T) {
 	}
 	if d.Peak() < 4096 || d.Peak() > int64(goroutines)*4096 {
 		t.Fatalf("peak = %d out of expected range", d.Peak())
-	}
-	// Every summand is the same float, so the total is order-independent.
-	var want float64
-	per := DefaultCostModel().TransferTime(4096)
-	for i := 0; i < goroutines*rounds; i++ {
-		want += per
-	}
-	if math.Float64bits(d.TransferSeconds()) != math.Float64bits(want) {
-		t.Fatalf("transfer clock = %v, want %v", d.TransferSeconds(), want)
 	}
 }

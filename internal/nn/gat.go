@@ -134,17 +134,3 @@ func (m *GAT) AggParamCount() int {
 	}
 	return total
 }
-
-// Flops estimates forward+backward floating point operations for one pass.
-func (m *GAT) Flops(blocks []*graph.Block) float64 {
-	var fwd float64
-	for l, conv := range m.Layers {
-		b := blocks[l]
-		e := float64(b.NumEdges())
-		nSrc := float64(b.NumSrc)
-		heads := float64(len(conv.heads))
-		in, out := float64(conv.in), float64(conv.out)
-		fwd += heads * (2*nSrc*in*out + 4*nSrc*out + 6*e + e*out)
-	}
-	return 3 * fwd
-}

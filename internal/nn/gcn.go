@@ -80,18 +80,3 @@ func NewGCN(g *graph.Graph, cfg Config, r *rng.RNG) (*GCN, error) {
 
 // AggParamCount is zero: the normalized sum has no learned parameters.
 func (m *GCN) AggParamCount() int { return 0 }
-
-// Flops estimates forward+backward floating point operations for one pass.
-func (m *GCN) Flops(blocks []*graph.Block) float64 {
-	var fwd float64
-	for l, conv := range m.Layers {
-		b := blocks[l]
-		e := float64(b.NumEdges())
-		n := float64(b.NumDst)
-		s := float64(b.NumSrc)
-		in, out := float64(conv.in), float64(conv.out)
-		fwd += s*in + e*in + 3*n*in // scaling, reduction, self path
-		fwd += 2 * n * in * out     // the linear transform
-	}
-	return 3 * fwd
-}

@@ -106,9 +106,6 @@ func TestGCNModel(t *testing.T) {
 			t.Fatalf("param %d got no gradient", i)
 		}
 	}
-	if m.Flops([]*graph.Block{inner, outer}) <= 0 {
-		t.Fatal("non-positive flops")
-	}
 }
 
 func TestGCNConfigValidation(t *testing.T) {

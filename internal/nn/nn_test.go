@@ -448,23 +448,3 @@ func TestParseAggregator(t *testing.T) {
 		t.Fatal("unknown aggregator accepted")
 	}
 }
-
-func TestFlopsPositiveAndOrdered(t *testing.T) {
-	_, blocks := buildTwoLayerBatch(t, 16)
-	r := rng.New(17)
-	mk := func(agg Aggregator) *GraphSAGE {
-		m, err := NewGraphSAGE(Config{InDim: 8, Hidden: 8, OutDim: 3, Layers: 2, Aggregator: agg}, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mean := mk(Mean).Flops(blocks)
-	lstm := mk(LSTM).Flops(blocks)
-	if mean <= 0 || lstm <= 0 {
-		t.Fatal("flops must be positive")
-	}
-	if lstm <= mean {
-		t.Fatalf("LSTM flops %v should exceed mean %v", lstm, mean)
-	}
-}

@@ -190,27 +190,3 @@ func (m *GraphSAGE) AggParamCount() int {
 	}
 	return total
 }
-
-// Flops estimates the forward+backward floating point operations of one
-// pass over the batch, used by the simulated device's compute clock.
-// Backward is costed at 2x forward, the standard rule of thumb.
-func (m *GraphSAGE) Flops(blocks []*graph.Block) float64 {
-	var fwd float64
-	for l, conv := range m.Layers {
-		b := blocks[l]
-		e := float64(b.NumEdges())
-		nDst := float64(b.NumDst)
-		in, out := float64(conv.in), float64(conv.out)
-		switch conv.Agg {
-		case Mean, Sum:
-			fwd += e * in // segment reduction
-		case Pool:
-			fwd += 2*float64(b.NumSrc)*in*in + e*in // pre-transform + max
-		case LSTM:
-			// per edge (node-timestep): 8 gate matmuls of in x in
-			fwd += e * (8 * in * in)
-		}
-		fwd += 2 * nDst * (2 * in) * out // the combining linear layer
-	}
-	return 3 * fwd // forward + ~2x backward
-}

@@ -1,6 +1,6 @@
 // Package train executes GNN training steps against the simulated device:
-// it gathers batch inputs, charges the device ledger (reproducing OOM
-// boundaries), advances the transfer/compute clocks, and runs the real
+// it gathers batch inputs, counts the bytes they move host-to-device,
+// charges the device ledger (reproducing OOM boundaries), and runs the real
 // forward/backward pass on the autograd tape. Epoch-level strategies
 // (full-batch, Betty micro-batch, mini-batch) are composed on top of it by
 // package core.
@@ -25,8 +25,6 @@ type Model interface {
 	// Forward maps an input-first block list and input features to logits
 	// for the last block's destinations.
 	Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var
-	// Flops estimates forward+backward floating point operations.
-	Flops(blocks []*graph.Block) float64
 	// Config returns the architecture description.
 	Config() nn.Config
 }
@@ -37,8 +35,13 @@ type StepResult struct {
 	Loss float64
 	// Correct and Count give training accuracy over the batch's outputs.
 	Correct, Count int
-	// TransferSeconds and ComputeSeconds are the simulated device times
-	// charged for this batch.
+	// H2DBytes is the exact bytes the batch moves host-to-device: input
+	// features, labels and block structure, before allocator rounding. It
+	// is counted whether or not a device is attached.
+	H2DBytes int64
+	// TransferSeconds and ComputeSeconds are always zero. They are inert
+	// stubs, kept only because benchmark/ still reads them; the device
+	// models no time.
 	TransferSeconds, ComputeSeconds float64
 	// ActivationBytes is the tape's materialized intermediate memory.
 	ActivationBytes int64
@@ -53,8 +56,8 @@ type Runner struct {
 	Data  *dataset.Dataset
 	Opt   nn.Optimizer
 
-	// Dev, when non-nil, enforces the memory capacity and accumulates
-	// simulated time. Training without a device skips all accounting.
+	// Dev, when non-nil, enforces the memory capacity. Training without a
+	// device skips the ledger.
 	Dev *device.Device
 
 	// Obs, when non-nil, receives per-phase spans (h2d, forward, backward,
@@ -206,9 +209,22 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	}
 	labels := r.Data.GatherLabels(last.DstNID)
 
-	// Device phase 1: transfer inputs and charge their memory.
+	// Device phase 1: count the host-to-device copies and charge their
+	// memory.
+	stats := graph.Stats(blocks)
+	h2d := [...]struct {
+		bytes int64
+		label string
+	}{
+		{int64(x.Len()) * 4, "input-features"},
+		{int64(len(labels)) * 4, "labels"},
+		{int64(stats.TotalEdges) * 3 * 4, "blocks"},
+	}
+	for _, c := range h2d {
+		res.H2DBytes += c.bytes
+	}
 	var transient []*device.Buffer
-	charge := func(bytes int64, label string, transfer bool) error {
+	charge := func(bytes int64, label string) error {
 		if r.Dev == nil || bytes == 0 {
 			return nil
 		}
@@ -217,9 +233,6 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 			return err
 		}
 		transient = append(transient, buf)
-		if transfer {
-			res.TransferSeconds += r.Dev.Transfer(bytes)
-		}
 		return nil
 	}
 	free := func() {
@@ -232,7 +245,6 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 		return res, err
 	}
 	if r.Dev != nil {
-		stats := graph.Stats(blocks)
 		hsp := r.Obs.StartSpan(obs.PhaseH2D).
 			SetInt("input_nodes", int64(stats.NumInput)).
 			SetInt("edges", int64(stats.TotalEdges))
@@ -242,14 +254,10 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 			free()
 			return res, err
 		}
-		if err := charge(int64(x.Len())*4, "input-features", true); err != nil {
-			return oom(err)
-		}
-		if err := charge(int64(len(labels))*4, "labels", true); err != nil {
-			return oom(err)
-		}
-		if err := charge(int64(stats.TotalEdges)*3*4, "blocks", true); err != nil {
-			return oom(err)
+		for _, c := range h2d {
+			if err := charge(c.bytes, c.label); err != nil {
+				return oom(err)
+			}
 		}
 		hsp.End()
 	}
@@ -282,15 +290,13 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	}
 	res.ActivationBytes = tp.ValueBytes()
 
-	// Device phase 2: charge activations and compute time, then backward.
-	if err := charge(res.ActivationBytes, "activations", false); err != nil {
+	// Device phase 2: charge activations, then backward.
+	if err := charge(res.ActivationBytes, "activations"); err != nil {
 		r.Obs.Add("train.oom", 1)
 		free()
 		return res, fmt.Errorf("train: forward activations: %w", err)
 	}
 	if r.Dev != nil {
-		// forward + backward issue roughly three kernels per recorded op
-		res.ComputeSeconds += r.Dev.ComputeKernels(r.Model.Flops(blocks), 3*tp.NumOps())
 		res.PeakBytes = r.Dev.Peak()
 	}
 	bsp := r.Obs.StartSpan(obs.PhaseBackward).SetInt("outputs", int64(last.NumDst))

@@ -60,8 +60,11 @@ func TestRunMicroBatchNoDevice(t *testing.T) {
 	if res.ActivationBytes <= 0 {
 		t.Fatal("no activation bytes recorded")
 	}
-	if res.PeakBytes != 0 || res.TransferSeconds != 0 {
-		t.Fatal("device metrics nonzero without a device")
+	if res.PeakBytes != 0 {
+		t.Fatal("device peak nonzero without a device")
+	}
+	if res.H2DBytes <= 0 {
+		t.Fatal("no host-to-device bytes counted without a device")
 	}
 	// gradients accumulated
 	grads := 0
@@ -91,8 +94,8 @@ func TestRunMicroBatchWithDevice(t *testing.T) {
 	if res.PeakBytes <= 0 {
 		t.Fatal("device peak not recorded")
 	}
-	if res.TransferSeconds <= 0 || res.ComputeSeconds <= 0 {
-		t.Fatal("simulated time not recorded")
+	if res.H2DBytes <= 0 {
+		t.Fatal("host-to-device bytes not counted")
 	}
 	// transient buffers freed; resident (params+grads+opt) remain
 	params := int64(nn.ParamCount(r.Model))
@@ -103,6 +106,70 @@ func TestRunMicroBatchWithDevice(t *testing.T) {
 	r.ReleaseResident()
 	if dev.Used() != 0 {
 		t.Fatalf("used after release = %d", dev.Used())
+	}
+}
+
+// ledgerSpy records the device's live buffers when the forward starts,
+// while the batch's host-to-device charges are live and the activations
+// are not yet charged.
+type ledgerSpy struct {
+	Model
+	dev  *device.Device
+	live []device.Buffer
+}
+
+func (m *ledgerSpy) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
+	m.live = m.dev.LiveBuffers()
+	return m.Model.Forward(tp, blocks, x)
+}
+
+// H2DBytes is exactly what the ledger's input-features, labels and blocks
+// charges hold before rounding, and a runner without a device counts the
+// same bytes.
+func TestH2DBytesMatchesLedger(t *testing.T) {
+	d := testData(t)
+	dev := device.New(device.GiB, device.DefaultCostModel())
+	r := testRunner(t, d, dev)
+	spy := &ledgerSpy{Model: r.Model, dev: dev}
+	r.Model = spy
+	blocks, err := sample.New([]int{5, 5}, 1).Sample(d.Graph, d.TrainIdx[:64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunMicroBatch(blocks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"input-features": int64(len(blocks[0].SrcNID)) * int64(d.FeatureDim()) * 4,
+		"labels":         int64(len(blocks[len(blocks)-1].DstNID)) * 4,
+		"blocks":         int64(graph.Stats(blocks).TotalEdges) * 3 * 4,
+	}
+	var sum int64
+	for label, n := range want {
+		found := 0
+		for _, b := range spy.live {
+			if b.Label() == label {
+				found++
+				if b.Bytes() != device.RoundAlloc(n) {
+					t.Fatalf("%s: ledger holds %d bytes, want RoundAlloc(%d)", label, b.Bytes(), n)
+				}
+			}
+		}
+		if found != 1 {
+			t.Fatalf("%s: %d ledger charges, want 1 (live: %v)", label, found, spy.live)
+		}
+		sum += n
+	}
+	if res.H2DBytes != sum {
+		t.Fatalf("H2DBytes = %d, ledger charges sum to %d before rounding", res.H2DBytes, sum)
+	}
+	bare, err := testRunner(t, d, nil).RunMicroBatch(blocks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.H2DBytes != res.H2DBytes {
+		t.Fatalf("H2DBytes without a device = %d, with = %d", bare.H2DBytes, res.H2DBytes)
 	}
 }
 
@@ -287,8 +354,6 @@ func (m constModel) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Va
 	}
 	return tensor.Leaf(out)
 }
-
-func (m constModel) Flops(blocks []*graph.Block) float64 { return 0 }
 
 func (m constModel) Config() nn.Config {
 	return nn.Config{InDim: 1, Hidden: 1, OutDim: m.classes, Layers: 2}
