@@ -10,85 +10,113 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"betty/internal/bench"
+	"betty/internal/knobs"
 )
 
+type benchConfig struct {
+	exp      string
+	list     bool
+	scale    float64
+	epochs   int
+	csv      bool
+	verbose  bool
+	multidev string
+	out      io.Writer
+}
+
+// errUsage is run's answer to a command line that names no work.
+var errUsage = errors.New("-exp or -list required")
+
 func main() {
-	var (
-		exp     = flag.String("exp", "", "experiment id (fig2..fig16, tab2..tab7, abl-*) or 'all'")
-		list    = flag.Bool("list", false, "list available experiments")
-		scale   = flag.Float64("scale", 1, "multiply each experiment's dataset scale (smoke runs: 0.2)")
-		epochs  = flag.Int("epochs", 0, "override training epoch counts")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		verbose = flag.Bool("v", false, "log progress to stderr")
-		mdev    = flag.String("multidev", "", "write the split-parallel scaling sweep (devices x shard partitioner) to this JSON file")
-	)
+	var cfg benchConfig
+	flag.StringVar(&cfg.exp, "exp", "", "experiment id (fig2..fig16, tab2..tab7, abl-*) or 'all'")
+	flag.BoolVar(&cfg.list, "list", false, "list available experiments")
+	flag.Float64Var(&cfg.scale, "scale", 1, "multiply each experiment's dataset scale (smoke runs: 0.2)")
+	flag.IntVar(&cfg.epochs, "epochs", 0, "override training epoch counts")
+	flag.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned tables")
+	flag.BoolVar(&cfg.verbose, "v", false, "log progress to stderr")
+	flag.StringVar(&cfg.multidev, "multidev", "", "write the split-parallel scaling sweep (devices x shard partitioner) to this JSON file")
 	flag.Parse()
 
-	if *mdev != "" {
-		rep, err := bench.WriteMultiDevBench(*mdev, *scale)
+	if err := run(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "bettybench:", err)
+		if errors.Is(err, errUsage) {
+			flag.Usage()
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(cfg benchConfig) error {
+	if cfg.out == nil {
+		cfg.out = os.Stdout
+	}
+	if err := knobs.Check(os.Environ()); err != nil {
+		return err
+	}
+	if cfg.multidev != "" {
+		rep, err := bench.WriteMultiDevBench(cfg.multidev, cfg.scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: multidev bench: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("multidev bench: %v", err)
 		}
 		for _, c := range rep.Cells {
-			fmt.Printf("%-8s x%d  halo %8.2fMiB  peak %7.1fMiB\n",
+			fmt.Fprintf(cfg.out, "%-8s x%d  halo %8.2fMiB  peak %7.1fMiB\n",
 				c.Partitioner, c.Devices, c.HaloMiB, c.MaxPeakMiB)
 		}
-		fmt.Printf("REG boundary @ %d parts:", rep.Devices[len(rep.Devices)-1])
+		fmt.Fprintf(cfg.out, "REG boundary @ %d parts:", rep.Devices[len(rep.Devices)-1])
 		for _, name := range []string{"range", "random", "metis", "betty"} {
-			fmt.Printf("  %s=%d", name, rep.RegBoundary[name])
+			fmt.Fprintf(cfg.out, "  %s=%d", name, rep.RegBoundary[name])
 		}
-		fmt.Println()
-		return
+		fmt.Fprintln(cfg.out)
+		return nil
 	}
 
-	if *list {
+	if cfg.list {
 		for _, id := range bench.IDs() {
 			e, _ := bench.Get(id)
-			fmt.Printf("%-12s %s\n", id, e.Paper)
+			fmt.Fprintf(cfg.out, "%-12s %s\n", id, e.Paper)
 		}
-		return
+		return nil
 	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "bettybench: -exp or -list required")
-		flag.Usage()
-		os.Exit(2)
+	if cfg.exp == "" {
+		return errUsage
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
+	ids := []string{cfg.exp}
+	if cfg.exp == "all" {
 		ids = bench.IDs()
 	}
 	var log io.Writer
-	if *verbose {
+	if cfg.verbose {
 		log = os.Stderr
 	}
-	opts := bench.Options{Scale: *scale, Epochs: *epochs, Log: log}
+	opts := bench.Options{Scale: cfg.scale, Epochs: cfg.epochs, Log: log}
 	for _, id := range ids {
 		e, err := bench.Get(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
-		fmt.Printf("# %s — %s\n\n", e.ID, e.Paper)
+		fmt.Fprintf(cfg.out, "# %s — %s\n\n", e.ID, e.Paper)
 		tables, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bettybench: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %v", id, err)
 		}
 		for _, t := range tables {
-			if *csv {
-				t.CSV(os.Stdout)
-				fmt.Println()
+			if cfg.csv {
+				t.CSV(cfg.out)
+				fmt.Fprintln(cfg.out)
 			} else {
-				t.Render(os.Stdout)
+				t.Render(cfg.out)
 			}
 		}
 	}
+	return nil
 }

@@ -2,8 +2,9 @@
 // static analyzers that machine-check the repository's determinism,
 // shard-purity, pool-discipline, hot-allocation, env-knob, and
 // observability invariants (see internal/lint and DESIGN.md §9/§14). It is
-// zero-dependency and fully offline: packages are enumerated with `go list
-// -json` and type-checked from source; the module-scoped analyzers
+// zero-dependency and fully offline: one `go list -export` run enumerates
+// the packages and compiles them to export data, and each package is
+// type-checked once against that export data. The module-scoped analyzers
 // (dettaint, envreg, obsdisc) additionally build a whole-module call graph
 // and diff the knob registry against the README.
 //

@@ -165,17 +165,31 @@ const SimCapacity = 1 * device.GiB
 // loadDataset generates a registered dataset at the experiment's scale,
 // memoized per (name, scale) because generation is deterministic.
 func loadDataset(name string, scale float64) (*dataset.Dataset, error) {
+	return loadDatasetWithDim(name, scale, 0)
+}
+
+// loadDatasetWithDim generates a registered dataset at a scale in (0, 1]
+// (dataset.ScaledConfig), once per process. A positive featDim overrides
+// the feature dimension: the recurrent-aggregator experiments scale the
+// feature width down because the LSTM's hidden size equals the input width
+// (the DGL convention), and the pure-Go substrate has no BLAS to absorb a
+// 1433-wide recurrence (see EXPERIMENTS.md).
+func loadDatasetWithDim(name string, scale float64, featDim int) (*dataset.Dataset, error) {
 	key := fmt.Sprintf("%s@%.4f", name, scale)
+	if featDim > 0 {
+		key += fmt.Sprintf("/d%d", featDim)
+	}
 	if d, ok := dsCache[key]; ok {
 		return d, nil
 	}
-	var d *dataset.Dataset
-	var err error
-	if scale >= 1 {
-		d, err = dataset.Load(name)
-	} else {
-		d, err = dataset.LoadScaled(name, scale)
+	cfg, err := dataset.ScaledConfig(name, scale)
+	if err != nil {
+		return nil, err
 	}
+	if featDim > 0 {
+		cfg.FeatureDim = featDim
+	}
+	d, err := dataset.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"betty/internal/core"
-	"betty/internal/dataset"
 	"betty/internal/graph"
 	"betty/internal/nn"
 )
@@ -183,7 +182,7 @@ func runTab7(o Options) ([]*Table, error) {
 		Columns: []string{"dataset", "batches", "estimated peak/MiB", "measured peak/MiB", "error/%"},
 	}
 	for _, c := range tab7Configs {
-		dsReal, err := loadTab7Dataset(c.ds, o.scale(c.scale), c.featDim)
+		dsReal, err := loadDatasetWithDim(c.ds, o.scale(c.scale), c.featDim)
 		if err != nil {
 			return nil, err
 		}
@@ -211,14 +210,4 @@ func runTab7(o Options) ([]*Table, error) {
 		}
 	}
 	return []*Table{t}, nil
-}
-
-// loadTab7Dataset loads a dataset with an optional feature-dim override
-// (the LSTM's hidden size equals the input width, so wide-feature datasets
-// are narrowed; see loadDatasetWithDim).
-func loadTab7Dataset(name string, scale float64, featDim int) (*dataset.Dataset, error) {
-	if featDim > 0 {
-		return loadDatasetWithDim(name, scale, featDim)
-	}
-	return loadDataset(name, scale)
 }

@@ -5,43 +5,9 @@ import (
 	"math"
 
 	"betty/internal/core"
-	"betty/internal/dataset"
 	"betty/internal/device"
 	"betty/internal/nn"
 )
-
-// loadDatasetWithDim generates a registered dataset at a scale with an
-// overridden feature dimension. The recurrent-aggregator experiments scale
-// the feature width down because the LSTM's hidden size equals the input
-// width (the DGL convention), and the pure-Go substrate has no BLAS to
-// absorb a 1433-wide recurrence (see EXPERIMENTS.md).
-func loadDatasetWithDim(name string, scale float64, featDim int) (*dataset.Dataset, error) {
-	cfg, err := dataset.Config(name)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%s@%.4f/d%d", name, scale, featDim)
-	if d, ok := dsCache[key]; ok {
-		return d, nil
-	}
-	cfg.Nodes = int(float64(cfg.Nodes) * scale)
-	if cfg.Nodes < cfg.NumClasses*4 {
-		cfg.Nodes = cfg.NumClasses * 4
-	}
-	if cfg.Communities > 0 {
-		cfg.Communities = int(float64(cfg.Communities) * scale)
-		if cfg.Communities < cfg.NumClasses {
-			cfg.Communities = cfg.NumClasses
-		}
-	}
-	cfg.FeatureDim = featDim
-	d, err := dataset.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dsCache[key] = d
-	return d, nil
-}
 
 // bigDevice returns a device large enough that execution experiments never
 // OOM; they measure peaks, not walls.
@@ -150,13 +116,7 @@ func runFig12(o Options) ([]*Table, error) {
 		Columns: []string{"panel", "dataset", "model", "batches", "peak/MiB", "H2D bytes", "redundancy"},
 	}
 	for _, p := range fig12Panels() {
-		var ds *dataset.Dataset
-		var err error
-		if p.featDim > 0 {
-			ds, err = loadDatasetWithDim(p.ds, o.scale(p.scale), p.featDim)
-		} else {
-			ds, err = loadDataset(p.ds, o.scale(p.scale))
-		}
+		ds, err := loadDatasetWithDim(p.ds, o.scale(p.scale), p.featDim)
 		if err != nil {
 			return nil, err
 		}

@@ -79,12 +79,24 @@ func Load(name string) (*Dataset, error) {
 // LoadScaled generates a registered dataset shrunk by the given factor
 // (0 < scale <= 1), keeping density and dimensions. Tests use small scales.
 func LoadScaled(name string, scale float64) (*Dataset, error) {
-	cfg, err := Config(name)
+	cfg, err := ScaledConfig(name, scale)
 	if err != nil {
 		return nil, err
 	}
+	return Generate(cfg)
+}
+
+// ScaledConfig returns the generator configuration LoadScaled generates:
+// the registered one with its node and community counts multiplied by
+// scale (0 < scale <= 1), each floored so every class keeps four nodes and
+// one community. Scale 1 returns Config(name) unchanged.
+func ScaledConfig(name string, scale float64) (GenConfig, error) {
+	cfg, err := Config(name)
+	if err != nil {
+		return GenConfig{}, err
+	}
 	if scale <= 0 || scale > 1 {
-		return nil, fmt.Errorf("dataset: scale %v out of (0,1]", scale)
+		return GenConfig{}, fmt.Errorf("dataset: scale %v out of (0,1]", scale)
 	}
 	cfg.Nodes = int(float64(cfg.Nodes) * scale)
 	if cfg.Nodes < cfg.NumClasses*4 {
@@ -97,5 +109,5 @@ func LoadScaled(name string, scale float64) (*Dataset, error) {
 			cfg.Communities = cfg.NumClasses
 		}
 	}
-	return Generate(cfg)
+	return cfg, nil
 }

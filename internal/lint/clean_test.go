@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestRepositoryClean runs the full analyzer suite — all seven analyzers,
 // local and module-scoped, plus the suppression audit — over the whole
@@ -28,5 +31,40 @@ func TestRepositoryClean(t *testing.T) {
 	}
 	if len(res.Stale) > 0 {
 		t.Error("stale //bettyvet:ok annotations must be removed (go run ./cmd/bettyvet -audit ./...)")
+	}
+}
+
+// TestLoadSubset loads two subsets of the module the way `go run
+// ./cmd/bettyvet <pattern>` does. internal/train's external test imports
+// core, which imports train, so that test type-checks only against go
+// list's "[betty/internal/train.test]" variants of core and train, not
+// their plain export data. A subset run sees no metric writer outside the
+// subset, so obsdisc reports the names the subset only reads; the counts
+// pin that view.
+func TestLoadSubset(t *testing.T) {
+	for _, tc := range []struct {
+		pattern           string
+		paths             []string
+		diags, suppressed int
+	}{
+		{"./internal/train", []string{"betty/internal/train", "betty/internal/train_test"}, 2, 1},
+		{"./benchmark", []string{"betty/benchmark"}, 8, 5},
+	} {
+		m, err := LoadModule("../..", tc.pattern)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.pattern, err)
+		}
+		var paths []string
+		for _, p := range m.Pkgs {
+			paths = append(paths, p.Path)
+		}
+		if !slices.Equal(paths, tc.paths) {
+			t.Errorf("%s: loaded %v, want %v", tc.pattern, paths, tc.paths)
+		}
+		res := m.Run()
+		if len(res.Diags) != tc.diags || len(res.Suppressed) != tc.suppressed {
+			t.Errorf("%s: %d diagnostics and %d suppressed findings, want %d and %d",
+				tc.pattern, len(res.Diags), len(res.Suppressed), tc.diags, tc.suppressed)
+		}
 	}
 }

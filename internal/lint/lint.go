@@ -20,11 +20,12 @@
 //     hardened and documented, and obs names are literal and spans ended
 //     (DESIGN.md §14).
 //
-// The suite is zero-dependency: packages are enumerated with `go list
-// -json`, parsed with go/parser, and type-checked with go/types against the
-// source importer, so it runs fully offline. Intentional violations are
-// suppressed with a reasoned annotation on the offending line or the line
-// above it:
+// The suite is zero-dependency and runs fully offline: one `go list -deps
+// -test -export -json` run enumerates the packages and has the go command
+// compile them to export data, then each package is parsed with go/parser
+// and type-checked once with go/types, reading its imports from that
+// export data. Intentional violations are suppressed with a reasoned
+// annotation on the offending line or the line above it:
 //
 //	//bettyvet:ok <analyzer> <reason>
 //

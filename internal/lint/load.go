@@ -13,6 +13,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -20,17 +22,21 @@ import (
 type listPackage struct {
 	Dir          string
 	ImportPath   string
+	Export       string
+	ForTest      string
+	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
 }
 
-// Load enumerates patterns with `go list -json` run in dir, then parses and
-// type-checks every matched package fully offline: module-local imports are
-// resolved from the module enumeration itself (typed in dependency order)
-// and standard-library imports through the source importer, so no compiled
-// export data or network is needed.
+// Load lists patterns, with their dependencies and test variants, in one
+// `go list -deps -test -export -json` run in dir. That run also has the go
+// command compile every listed package to export data (from its build
+// cache when warm). Load then parses each matched package and type-checks
+// it once with go/types, reading every import — standard library and
+// module alike — from the export data the listing names. Nothing is
+// fetched and no package is type-checked twice, so the load is offline.
 //
 // The returned packages are analysis views: internal _test.go files are
 // type-checked together with the package they extend, and external test
@@ -40,39 +46,41 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	targets, err := goList(dir, patterns)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	// The typing universe is the whole module, so module-local imports of
-	// the targets (including test-only imports) resolve even when the
-	// patterns select a subset.
-	universe, err := goList(dir, []string{"./..."})
-	if err != nil {
-		return nil, err
+	// export maps each listed import path, test variants such as
+	// "betty/internal/core [betty/internal/train.test]" included, to its
+	// export data. The matched packages are the listing's plain entries
+	// that are neither dependencies only, test variants nor test mains.
+	export := make(map[string]string, len(listed))
+	var targets []*listPackage
+	for _, lp := range listed {
+		export[lp.ImportPath] = lp.Export
+		if !lp.DepOnly && lp.ForTest == "" && !strings.HasSuffix(lp.ImportPath, ".test") {
+			targets = append(targets, lp)
+		}
 	}
-	byPath := make(map[string]*listPackage, len(universe))
-	for _, lp := range universe {
-		byPath[lp.ImportPath] = lp
-	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	ld := &loader{
-		fset:   fset,
-		byPath: byPath,
-		plain:  make(map[string]*types.Package),
-		std:    importer.ForCompiler(fset, "source", nil),
-	}
-
+	plain := exportImporter(fset, export, "")
 	var out []*Package
 	for _, lp := range targets {
-		p, err := ld.analysisPackage(lp)
+		p, err := check(fset, lp.ImportPath, lp.Dir, slices.Concat(lp.GoFiles, lp.TestGoFiles), plain)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, p)
 		if len(lp.XTestGoFiles) > 0 {
-			xp, err := ld.xtestPackage(lp)
+			// An external test imports its package with the internal test
+			// files compiled in, and so every package between the two:
+			// go list names those variants "dep [foo.test]". Each external
+			// test gets an importer of its own so the variants never meet
+			// the plain packages of the same path.
+			xtest := exportImporter(fset, export, " ["+lp.ImportPath+".test]")
+			xp, err := check(fset, lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles, xtest)
 			if err != nil {
 				return nil, err
 			}
@@ -113,9 +121,10 @@ func goModRoot(dir string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// goList runs `go list -json` in dir and decodes the JSON stream.
+// goList runs `go list -deps -test -export -json` in dir and decodes the
+// JSON stream.
 func goList(dir string, patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+	args := append([]string{"list", "-deps", "-test", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -138,93 +147,32 @@ func goList(dir string, patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-// loader type-checks module packages on demand, memoizing the plain
-// (non-test) variant of each so imports are shared.
-type loader struct {
-	fset   *token.FileSet
-	byPath map[string]*listPackage
-	plain  map[string]*types.Package
-	std    types.Importer
-	// visiting guards against import cycles, which would be a bug in the
-	// module but must not hang the linter.
-	visiting []string
-}
-
-// Import implements types.Importer: module-local packages come from the
-// enumeration, everything else from the source importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if lp, ok := ld.byPath[path]; ok {
-		return ld.plainPackage(lp)
-	}
-	return ld.std.Import(path)
-}
-
-// plainPackage type-checks lp's GoFiles only (the importable view).
-func (ld *loader) plainPackage(lp *listPackage) (*types.Package, error) {
-	if pkg, ok := ld.plain[lp.ImportPath]; ok {
-		return pkg, nil
-	}
-	for _, v := range ld.visiting {
-		if v == lp.ImportPath {
-			return nil, fmt.Errorf("import cycle through %s", lp.ImportPath)
+// exportImporter reads imports from the export data in export, preferring
+// each path's variant (a suffix such as " [foo.test]") over the plain
+// package.
+func exportImporter(fset *token.FileSet, export map[string]string, variant string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path+variant]
+		if !ok {
+			file = export[path]
 		}
-	}
-	ld.visiting = append(ld.visiting, lp.ImportPath)
-	defer func() { ld.visiting = ld.visiting[:len(ld.visiting)-1] }()
-
-	files, err := ld.parse(lp.Dir, lp.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	pkg, _, err := ld.check(lp.ImportPath, files, ld)
-	if err != nil {
-		return nil, err
-	}
-	ld.plain[lp.ImportPath] = pkg
-	return pkg, nil
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
 }
 
-// analysisPackage type-checks lp's GoFiles plus internal test files as one
-// package — the view the analyzers inspect.
-func (ld *loader) analysisPackage(lp *listPackage) (*Package, error) {
-	files, err := ld.parse(lp.Dir, append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...))
-	if err != nil {
-		return nil, err
-	}
-	pkg, info, err := ld.check(lp.ImportPath, files, ld)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: lp.ImportPath, Fset: ld.fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// xtestPackage type-checks lp's external test package (package foo_test).
-func (ld *loader) xtestPackage(lp *listPackage) (*Package, error) {
-	files, err := ld.parse(lp.Dir, lp.XTestGoFiles)
-	if err != nil {
-		return nil, err
-	}
-	path := lp.ImportPath + "_test"
-	pkg, info, err := ld.check(path, files, ld)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: path, Fset: ld.fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-func (ld *loader) parse(dir string, names []string) ([]*ast.File, error) {
+// check parses names in dir and type-checks them as the package path.
+func check(fset *token.FileSet, path, dir string, names []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	return files, nil
-}
-
-func (ld *loader) check(path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -232,9 +180,9 @@ func (ld *loader) check(path string, files []*ast.File, imp types.Importer) (*ty
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, ld.fset, files, info)
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	return pkg, info, nil
+	return &Package{Path: path, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
