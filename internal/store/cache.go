@@ -38,6 +38,13 @@ type Cache struct {
 	// lru holds every resident shard; a pinned shard is held — resident
 	// and charged, but out of the eviction order.
 	lru *device.LRU[int, *Shard]
+	// spare is the payload of the most recently evicted shard, waiting for
+	// the next load to read into, so a steady-state miss allocates no
+	// payload. A Pin takes it under the lock right after its Reserve and
+	// gives it back if its load fails or loses to a concurrent one. It is
+	// at most one shard of host memory outside the ledger — the bytes a
+	// fresh load would otherwise leave to the garbage collector.
+	spare []float32
 }
 
 // NewCache builds a cache over st with the given byte budget. The registry
@@ -53,7 +60,10 @@ func NewCache(st *Store, budget int64, reg *obs.Registry) (*Cache, error) {
 	}
 	c := &Cache{store: st, ledger: device.New(budget, device.CostModel{}), reg: reg}
 	c.lru = device.NewLRU[int, *Shard](c.ledger, "store.shard")
-	c.lru.OnEvict = func(int, *Shard) { reg.Add("store.evictions", 1) }
+	c.lru.OnEvict = func(_ int, sh *Shard) {
+		reg.Add("store.evictions", 1)
+		c.spare = sh.Data
+	}
 	c.cond = sync.NewCond(&c.mu)
 	reg.Set("store.budget_bytes", budget)
 	return c, nil
@@ -73,10 +83,13 @@ func (c *Cache) PeakBytes() int64 { return c.ledger.Peak() }
 // until the matching Unpin. Pin blocks while the budget is exhausted by
 // other pinned shards; it fails on I/O errors, corruption, or an id out of
 // range. Every Pin must be paired with an Unpin (bettyvet's pooldisc
-// enforces the pairing outside this package).
+// enforces the pairing outside this package). A shard's rows must not be
+// read after its Unpin: once it is evicted, the next load reuses its
+// memory. Features.GatherInto copies the rows out before it unpins.
 func (c *Cache) Pin(id int) (*Shard, error) {
 	c.mu.Lock()
 	var buf *device.Buffer
+	var spare []float32
 	for {
 		if sh, ok := c.lru.Hold(id); ok {
 			c.publishLocked()
@@ -89,6 +102,7 @@ func (c *Cache) Pin(id int) (*Shard, error) {
 		// while the I/O runs unlocked.
 		var ok bool
 		if buf, ok = c.lru.Reserve(c.shardBytes(id)); ok {
+			spare, c.spare = c.spare, nil
 			break
 		}
 		// Everything resident is pinned and the budget cannot take this
@@ -98,11 +112,14 @@ func (c *Cache) Pin(id int) (*Shard, error) {
 	}
 	c.mu.Unlock()
 
-	sh, err := c.store.LoadShard(id)
+	sh, err := c.store.loadShard(id, spare)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
+		if spare != nil {
+			c.spare = spare
+		}
 		c.ledger.Free(buf)
 		c.cond.Broadcast()
 		c.reg.Add("store.load_errors", 1)
@@ -111,6 +128,7 @@ func (c *Cache) Pin(id int) (*Shard, error) {
 	if resident, ok := c.lru.Hold(id); ok {
 		// A concurrent Pin loaded the same shard while we read: keep the
 		// established entry, drop our duplicate load.
+		c.spare = sh.Data
 		c.ledger.Free(buf)
 		c.cond.Broadcast()
 		c.publishLocked()

@@ -138,7 +138,8 @@ func TestPinnedShardSurvivesEviction(t *testing.T) {
 }
 
 // Concurrent raw pinners at a one-shard budget: every worker makes
-// progress (pin waits, not deadlock), and the ledger never overshoots.
+// progress (pin waits, not deadlock), sees its shard's rows bitwise (the
+// short remainder shard included), and the ledger never overshoots.
 func TestConcurrentPinOneShardBudget(t *testing.T) {
 	ds := genDataset(t, 600, 8, 23)
 	st := openTemp(t, packTemp(t, ds, 64))
@@ -160,13 +161,19 @@ func TestConcurrentPinOneShardBudget(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				want := ds.Features.At(sh.Start, 0)
-				if math.Float32bits(sh.Row(sh.Start)[0]) != math.Float32bits(want) {
-					cache.Unpin(sh)
-					errs[w] = errShardMismatch
-					return
+				// Every row, bitwise: loads read into evicted shards'
+				// buffers, shared by all workers through one spare slot.
+				for r := sh.Start; r < sh.Start+sh.Rows; r++ {
+					for j, v := range sh.Row(r) {
+						if math.Float32bits(v) != math.Float32bits(ds.Features.At(r, j)) {
+							errs[w] = errShardMismatch
+						}
+					}
 				}
 				cache.Unpin(sh)
+				if errs[w] != nil {
+					return
+				}
 			}
 		}(w)
 	}

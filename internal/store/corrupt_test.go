@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,6 +110,44 @@ func TestTruncationMatrix(t *testing.T) {
 				t.Fatalf("cut %d: truncated file opened cleanly", n)
 			}
 		}()
+	}
+}
+
+// A header whose checksum is valid but whose payload reference is huge
+// (Off+Len overflows int64) must fail Open, not pass it and panic in the
+// first read.
+func TestHostileBlobLength(t *testing.T) {
+	ds := genDataset(t, 300, 8, 13)
+	path := packTemp(t, ds, 64)
+	st := openTemp(t, path)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := *st.hdr
+	h.Labels.Len = math.MaxInt64
+	hdr, hdrCRC, err := encodeHeader(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrOff := int64(binary.LittleEndian.Uint64(good[len(good)-trailerSize:]))
+	bad := append(append([]byte(nil), good[:hdrOff]...), hdr...)
+	trailer := append([]byte(nil), good[len(good)-trailerSize:]...)
+	binary.LittleEndian.PutUint64(trailer[8:], uint64(len(hdr)))
+	binary.LittleEndian.PutUint32(trailer[16:], hdrCRC)
+	bad = append(bad, trailer...)
+	badPath := filepath.Join(t.TempDir(), "hostile.betty")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("hostile blob length panicked: %v", r)
+		}
+	}()
+	if bst, err := Open(badPath); err == nil {
+		bst.Close()
+		t.Fatal("a payload reference overflowing the file opened cleanly")
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"math/bits"
 	"os"
+	"unsafe"
 
 	"betty/internal/dataset"
 	"betty/internal/graph"
@@ -248,7 +251,9 @@ func openFile(f *os.File, path string) (*Store, error) {
 	refs := append([]blobRef{hdr.Labels, hdr.Train, hdr.Val, hdr.Test}, hdr.EdgeChunks...)
 	refs = append(refs, hdr.Shards...)
 	for _, ref := range refs {
-		if ref.Off < int64(len(headMagic)) || ref.Len < 0 || ref.Off+ref.Len > hdrOff {
+		// ref.Off+ref.Len can overflow on a hostile header; hdrOff-ref.Off
+		// cannot, as both are at least len(headMagic) here.
+		if ref.Off < int64(len(headMagic)) || ref.Len < 0 || ref.Len > hdrOff-ref.Off {
 			return nil, fmt.Errorf("store: %s payload reference [%d,+%d) escapes the payload region [%d,%d)",
 				path, ref.Off, ref.Len, len(headMagic), hdrOff)
 		}
@@ -325,24 +330,70 @@ func (sh *Shard) Bytes() int64 { return int64(sh.Rows) * int64(sh.Dim) * 4 }
 // LoadShard reads, verifies, and decodes shard id. Cache users go through
 // Cache.Pin instead; LoadShard is the uncached path (and the packer test
 // surface).
-func (s *Store) LoadShard(id int) (*Shard, error) {
+func (s *Store) LoadShard(id int) (*Shard, error) { return s.loadShard(id, nil) }
+
+// loadShard is LoadShard reading into spare when its capacity holds the
+// shard, so a cache miss can reuse an evicted shard's memory. The payload
+// is read straight into the returned []float32 viewed as bytes, so beyond
+// the two reads a load costs the CRC over every byte of the blob and, on
+// a big-endian host only, a byte swap per word. The tests hold it bitwise
+// to DecodeShard, the format's reference decoder.
+func (s *Store) loadShard(id int, spare []float32) (*Shard, error) {
 	if id < 0 || id >= s.NumShards() {
 		return nil, fmt.Errorf("store: shard %d out of range [0,%d)", id, s.NumShards())
 	}
-	blob, err := s.readBlob(s.hdr.Shards[id], fmt.Sprintf("feature shard %d", id))
-	if err != nil {
-		return nil, err
-	}
-	rows, dim, data, err := DecodeShard(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w (shard %d of %s)", err, id, s.path)
-	}
+	ref := s.hdr.Shards[id]
 	start, end := s.hdr.shardRowRange(id)
-	if rows != end-start || dim != s.hdr.Dim {
+	rows, dim := end-start, s.hdr.Dim
+	// Size the payload from the blob's length, which Open bounded by the
+	// file size, never from a product of header fields that could overflow.
+	// A length the header geometry cannot explain would fail the shape
+	// check below anyway; failing here just skips the read.
+	words := (ref.Len - 8) / 4
+	if ref.Len < 8 || (ref.Len-8)%4 != 0 || words%int64(dim) != 0 || words/int64(dim) != int64(rows) {
+		return nil, fmt.Errorf("store: feature shard %d of %s carries %d bytes, header expects %dx%d values",
+			id, s.path, ref.Len, rows, dim)
+	}
+	var head [8]byte
+	if _, err := s.f.ReadAt(head[:], ref.Off); err != nil {
+		return nil, fmt.Errorf("store: reading feature shard %d of %s: %w", id, s.path, err)
+	}
+	data := spare
+	if int64(cap(data)) < words {
+		data = make([]float32, words)
+	}
+	data = data[:words]
+	payload := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
+	if _, err := s.f.ReadAt(payload, ref.Off+8); err != nil {
+		return nil, fmt.Errorf("store: reading feature shard %d of %s: %w", id, s.path, err)
+	}
+	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, head[:]), crc32.IEEETable, payload)
+	if crc != ref.CRC {
+		return nil, fmt.Errorf("store: feature shard %d of %s is corrupt: checksum %08x, header expects %08x",
+			id, s.path, crc, ref.CRC)
+	}
+	r, d := binary.LittleEndian.Uint32(head[0:]), binary.LittleEndian.Uint32(head[4:])
+	if int64(r) != int64(rows) || int64(d) != int64(dim) {
 		return nil, fmt.Errorf("store: shard %d of %s decodes to %dx%d, header expects %dx%d",
-			id, s.path, rows, dim, end-start, s.hdr.Dim)
+			id, s.path, r, d, rows, dim)
+	}
+	if !littleEndianHost {
+		swapWords(data)
 	}
 	return &Shard{ID: id, Start: start, Rows: rows, Dim: dim, Data: data}, nil
+}
+
+// littleEndianHost reports whether a float32's in-memory bytes are the
+// format's little-endian encoding, so a payload read into a []float32 is
+// already decoded.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// swapWords reverses the bytes of every word in place: on a big-endian
+// host it turns a little-endian payload read as raw memory into floats.
+func swapWords(data []float32) {
+	for i, v := range data {
+		data[i] = math.Float32frombits(bits.ReverseBytes32(math.Float32bits(v)))
+	}
 }
 
 // loadInt32s reads one int32 blob.
