@@ -30,7 +30,6 @@ func main() {
 	build := func(fixedK int) (*core.Setup, error) {
 		return core.BuildSAGE(ds, core.Options{
 			Hidden:     64,
-			Layers:     1,
 			Fanouts:    []int{10},
 			Aggregator: nn.LSTM,
 			Device:     device.New(capacity, device.DefaultCostModel()),

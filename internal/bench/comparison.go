@@ -56,7 +56,7 @@ func runFig14Sweep(o Options) ([]fig14Run, error) {
 			}
 			dev := bigDevice()
 			s, err := core.BuildSAGE(ds, core.Options{
-				Seed: 14, Hidden: 64, Layers: 3, Fanouts: []int{3, 5, 10},
+				Seed: 14, Hidden: 64, Fanouts: []int{3, 5, 10},
 				Aggregator: nn.Mean, FixedK: k, Device: dev, Partitioner: p,
 			})
 			if err != nil {
@@ -192,7 +192,7 @@ func runTab7(o Options) ([]*Table, error) {
 			}
 			dev := bigDevice()
 			s, err := core.BuildSAGE(dsReal, core.Options{
-				Seed: 7, Hidden: 64, Layers: 1, Fanouts: []int{10},
+				Seed: 7, Hidden: 64, Fanouts: []int{10},
 				Aggregator: nn.LSTM, FixedK: k, Device: dev,
 			})
 			if err != nil {

@@ -93,7 +93,6 @@ type fig12Panel struct {
 	ds      string
 	scale   float64
 	featDim int // 0 keeps the dataset's native width
-	layers  int
 	hidden  int
 	agg     nn.Aggregator
 	fanouts []int
@@ -101,11 +100,11 @@ type fig12Panel struct {
 
 func fig12Panels() []fig12Panel {
 	return []fig12Panel{
-		{"a", "ogbn-arxiv", 0.3, 0, 2, 64, nn.Mean, []int{5, 10}},
-		{"b", "reddit", 0.3, 0, 4, 32, nn.Mean, []int{5, 10, 10, 10}},
-		{"c", "pubmed", 1.0, 64, 2, 32, nn.LSTM, []int{3, 5}},
-		{"d", "cora", 1.0, 64, 2, 32, nn.LSTM, []int{3, 5}},
-		{"e", "ogbn-products", 0.3, 0, 1, 64, nn.LSTM, []int{10}},
+		{"a", "ogbn-arxiv", 0.3, 0, 64, nn.Mean, []int{5, 10}},
+		{"b", "reddit", 0.3, 0, 32, nn.Mean, []int{5, 10, 10, 10}},
+		{"c", "pubmed", 1.0, 64, 32, nn.LSTM, []int{3, 5}},
+		{"d", "cora", 1.0, 64, 32, nn.LSTM, []int{3, 5}},
+		{"e", "ogbn-products", 0.3, 0, 64, nn.LSTM, []int{10}},
 	}
 }
 
@@ -120,15 +119,15 @@ func runFig12(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := fmt.Sprintf("%d-layer SAGE %s", p.layers, p.agg)
+		model := fmt.Sprintf("%d-layer SAGE %s", len(p.fanouts), p.agg)
 		for _, k := range []int{1, 2, 4, 8, 16, 32} {
 			if k > len(ds.TrainIdx) {
 				continue
 			}
 			dev := bigDevice()
 			s, err := core.BuildSAGE(ds, core.Options{
-				Seed: 12, Hidden: p.hidden, Layers: p.layers,
-				Fanouts: p.fanouts, Aggregator: p.agg, FixedK: k, Device: dev,
+				Seed: 12, Hidden: p.hidden, Fanouts: p.fanouts,
+				Aggregator: p.agg, FixedK: k, Device: dev,
 			})
 			if err != nil {
 				return nil, err
@@ -155,7 +154,7 @@ func runFig13(o Options) ([]*Table, error) {
 	setups := make([]*core.Setup, len(counts))
 	for i, k := range counts {
 		s, err := core.BuildSAGE(ds, core.Options{
-			Seed: 13, Hidden: 64, Fanouts: []int{3, 5, 10}, Layers: 3,
+			Seed: 13, Hidden: 64, Fanouts: []int{3, 5, 10},
 			Aggregator: nn.Mean, FixedK: k, LR: 0.01,
 		})
 		if err != nil {
@@ -241,12 +240,7 @@ func runTab5(o Options) ([]*Table, error) {
 				} else {
 					opts.FixedK = 4
 				}
-				var s *core.Setup
-				if c.model == "gat" {
-					s, err = core.BuildGAT(ds, opts)
-				} else {
-					s, err = core.BuildSAGE(ds, opts)
-				}
+				s, err := core.Build(ds, c.model, "mean", opts)
 				if err != nil {
 					return nil, err
 				}

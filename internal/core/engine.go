@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,8 +46,6 @@ type Engine struct {
 	FixedK int
 	// SafetyMargin is forwarded to the planner (see memory.Planner).
 	SafetyMargin float64
-	// MaxK caps the planner's search.
-	MaxK int
 	// Obs, when non-nil, receives spans and metrics from the engine, the
 	// planner it builds, and — when installed with SetObs — the runner,
 	// sampler, and REG partitioner too.
@@ -61,8 +60,8 @@ type Engine struct {
 
 	// frontierMeter measures cross-micro-batch frontier overlap
 	// (sample.frontier.* metrics) — the temporal-locality signal the
-	// historical-embedding cache exploits. Built lazily once a registry
-	// is installed.
+	// historical-embedding cache exploits. SetObs builds it for its
+	// registry; it is nil without one.
 	frontierMeter *embcache.Meter
 }
 
@@ -80,9 +79,11 @@ type FrontierCache interface {
 // SetObs installs one registry on the engine and every collaborator it
 // owns: the runner (h2d/forward/backward/step/eval spans), the sampler
 // (sample spans), the planner built per epoch (partition/estimate spans),
-// and — when the partitioner is the REG one — its reg_build span.
+// and — when the partitioner is the REG one — its reg_build span. The
+// frontier meter is rebuilt for r, so SetObs(nil) stops it too.
 func (e *Engine) SetObs(r *obs.Registry) {
 	e.Obs = r
+	e.frontierMeter = embcache.NewMeter(r)
 	if e.Runner != nil {
 		e.Runner.Obs = r
 	}
@@ -152,12 +153,13 @@ func (e *Engine) capacity() int64 {
 // PlanEpoch samples the full batch for the given seeds and chooses the
 // micro-batch partition (steps 1-3 of the workflow).
 func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) {
-	return e.planEpoch(seeds, e.capacity(), nil)
+	return e.planEpoch(seeds, e.FixedK, e.capacity(), nil)
 }
 
-// planEpoch is PlanEpoch against an explicit budget and planner peak
-// functional (nil is Breakdown.Peak; see memory.Planner.Peak).
-func (e *Engine) planEpoch(seeds []int32, capacity int64, peak func(memory.Breakdown) int64) ([]*graph.Block, *memory.Plan, error) {
+// planEpoch is PlanEpoch with an explicit partition count (0 plans one),
+// budget and planner peak functional (nil is Breakdown.Peak; see
+// memory.Planner.Peak).
+func (e *Engine) planEpoch(seeds []int32, fixedK int, capacity int64, peak func(memory.Breakdown) int64) ([]*graph.Block, *memory.Plan, error) {
 	full, err := e.sampleOrReuse(seeds)
 	if err != nil {
 		return nil, nil, err
@@ -166,14 +168,13 @@ func (e *Engine) planEpoch(seeds []int32, capacity int64, peak func(memory.Break
 		Capacity:     capacity,
 		Partitioner:  e.Partitioner,
 		Spec:         e.Spec,
-		MaxK:         e.MaxK,
 		SafetyMargin: e.SafetyMargin,
 		Obs:          e.Obs,
 		Peak:         peak,
 	}
 	var plan *memory.Plan
-	if e.FixedK > 0 {
-		plan, err = pl.EvaluateFixedK(full, e.FixedK)
+	if fixedK > 0 {
+		plan, err = pl.EvaluateFixedK(full, fixedK)
 	} else {
 		plan, err = pl.Plan(full)
 	}
@@ -218,8 +219,14 @@ func (e *Engine) TrainEpochMicro() (EpochStats, error) {
 
 // TrainEpochMicroSeeds is TrainEpochMicro over an explicit seed set.
 func (e *Engine) TrainEpochMicroSeeds(seeds []int32) (EpochStats, error) {
+	return e.trainEpoch(seeds, e.FixedK)
+}
+
+// trainEpoch is one micro-batch epoch over seeds with fixedK partitions (0
+// lets the planner choose).
+func (e *Engine) trainEpoch(seeds []int32, fixedK int) (EpochStats, error) {
 	var st EpochStats
-	full, plan, err := e.PlanEpoch(seeds)
+	full, plan, err := e.planEpoch(seeds, fixedK, e.capacity(), nil)
 	if err != nil {
 		return st, err
 	}
@@ -263,83 +270,91 @@ func (e *Engine) stageBatch(plan *memory.Plan, st *EpochStats) error {
 	return nil
 }
 
-// labeledOutputs counts the labeled destinations of each micro-batch and
-// their total. Losses and gradient scales follow the labeled-count
-// convention: SoftmaxCrossEntropy averages over labeled rows only, so the
-// micro-batch whose gradients reconstruct the full-batch gradient must be
-// weighted by its share of *labeled* outputs — weighting by the raw
-// destination count over-weights micro-batches that happen to hold many
-// unlabeled seeds. When no label is masked the two conventions produce the
-// same floats, so unmasked training is bitwise unchanged.
-func (e *Engine) labeledOutputs(micros [][]*graph.Block) ([]int, int) {
-	labels := e.Runner.Data.Labels
-	counts := make([]int, len(micros))
-	total := 0
-	for i, mb := range micros {
-		last := mb[len(mb)-1]
-		n := 0
-		for _, nid := range last.DstNID {
-			if labels[nid] >= 0 {
-				n++
-			}
+// labeled counts the labeled (label >= 0) nodes among nids.
+func (e *Engine) labeled(nids []int32) int {
+	n := 0
+	for _, nid := range nids {
+		if e.Runner.Data.Labels[nid] >= 0 {
+			n++
 		}
-		counts[i] = n
-		total += n
 	}
-	return counts, total
+	return n
+}
+
+// fold folds executed batches into one epoch's stats. Losses follow the
+// labeled-count convention: SoftmaxCrossEntropy averages over labeled rows
+// only, so each batch's loss is weighted by its share of the epoch's
+// labeled outputs — weighting by the raw destination count would
+// over-weight batches that happen to hold many unlabeled seeds. When no
+// label is masked the two conventions produce the same floats. Accuracy is
+// over labeled outputs only, and 0 when none was seen.
+type fold struct {
+	e  *Engine
+	st *EpochStats
+	// labeled is the epoch's labeled output count; correct and seen count
+	// the executed batches' correct and labeled outputs.
+	labeled, correct, seen int
+}
+
+// run executes one batch with its loss scaled by scale before backward and
+// folds its loss, accuracy, H2D bytes and device peak into the stats. The
+// device peak is reset first: transient buffers are freed between batches,
+// so the epoch peak is the max of the per-batch peaks, and each batch's
+// peak lines up with its own estimate.
+func (f *fold) run(blocks []*graph.Block, scale float32) error {
+	r := f.e.Runner
+	if r.Dev != nil {
+		r.Dev.ResetPeak()
+	}
+	res, err := r.RunMicroBatch(blocks, scale)
+	if err != nil {
+		return err
+	}
+	st := f.st
+	if f.labeled > 0 {
+		st.Loss += res.Loss * float64(res.Count) / float64(f.labeled)
+	}
+	f.correct += res.Correct
+	f.seen += res.Count
+	if f.seen > 0 {
+		st.TrainAcc = float64(f.correct) / float64(f.seen)
+	}
+	st.H2DBytes += res.H2DBytes
+	st.PeakBytes = max(st.PeakBytes, res.PeakBytes)
+	return nil
+}
+
+// share is a micro-batch's gradient scale: its share of the epoch's
+// labeled outputs, so the accumulated micro-batch gradients equal the full
+// batch's (0 when nothing is labeled).
+func (f *fold) share(blocks []*graph.Block) float32 {
+	if f.labeled == 0 {
+		return 0
+	}
+	return float32(f.e.labeled(blocks[len(blocks)-1].DstNID)) / float32(f.labeled)
 }
 
 // executePlan runs the planned micro-batches in plan order — one
-// gradient-accumulating pass with the labeled-count loss convention —
-// and accumulates loss, accuracy, times, and peaks into st. It is the
-// canonical execution shared by single-device training and the
-// multi-device path, which is what keeps the two bitwise identical: the
-// numerical work is a function of the plan alone, never of how many
-// devices the simulation spreads it over.
+// gradient-accumulating pass, each micro-batch's gradient scaled by its
+// fold share — and folds them into st. It is the canonical
+// execution shared by single-device training and the multi-device path,
+// which is what keeps the two bitwise identical: the numerical work is a
+// function of the plan alone, never of how many devices the simulation
+// spreads it over.
 func (e *Engine) executePlan(plan *memory.Plan, st *EpochStats) error {
-	labeledPer, totalLabeled := e.labeledOutputs(plan.Micro)
-	if e.frontierMeter == nil && e.Obs != nil {
-		e.frontierMeter = embcache.NewMeter(e.Obs)
+	f := fold{e: e, st: st}
+	for _, micro := range plan.Micro {
+		f.labeled += e.labeled(micro[len(micro)-1].DstNID)
 	}
-	correct, labeled := 0, 0
 	for i, micro := range plan.Micro {
 		// micro[0].DstNID is the layer-1 destination frontier — the
 		// embedding cache's key space — so its overlap with the previous
 		// micro-batch is exactly the reusable fraction.
 		e.frontierMeter.Observe(micro[0].DstNID)
-		// Reset the peak tracker per micro-batch: transient buffers are
-		// freed between micro-batches, so the epoch peak is the max of the
-		// per-micro peaks — unchanged — while each measurement now lines
-		// up with its own estimate for the tracker's feedback loop.
-		if e.Runner.Dev != nil {
-			e.Runner.Dev.ResetPeak()
-		}
-		var scale float32
-		if totalLabeled > 0 {
-			scale = float32(labeledPer[i]) / float32(totalLabeled)
-		}
-		res, err := e.Runner.RunMicroBatch(micro, scale)
-		if err != nil {
+		if err := f.run(micro, f.share(micro)); err != nil {
 			return fmt.Errorf("core: micro-batch: %w", err)
 		}
-		if totalLabeled > 0 {
-			st.Loss += res.Loss * float64(labeledPer[i]) / float64(totalLabeled)
-		}
-		correct += res.Correct
-		labeled += res.Count
-		st.H2DBytes += res.H2DBytes
-		if res.PeakBytes > st.PeakBytes {
-			st.PeakBytes = res.PeakBytes
-		}
 		e.Obs.Observe("micro.est_peak_bytes", plan.Estimates[i].Peak())
-	}
-	// Accuracy is over labeled outputs only: res.Count excludes masked
-	// seeds, so dividing by the seed count would deflate TrainAcc whenever
-	// any seed is unlabeled.
-	if labeled > 0 {
-		st.TrainAcc = float64(correct) / float64(labeled)
-	} else {
-		st.TrainAcc = 0
 	}
 	return nil
 }
@@ -348,10 +363,7 @@ func (e *Engine) executePlan(plan *memory.Plan, st *EpochStats) error {
 // memory footprint Betty reduces. It fails with a device OOM error when
 // the batch does not fit.
 func (e *Engine) TrainEpochFull() (EpochStats, error) {
-	saved := e.FixedK
-	e.FixedK = 1
-	defer func() { e.FixedK = saved }()
-	return e.TrainEpochMicro()
+	return e.trainEpoch(e.Runner.Data.TrainIdx, 1)
 }
 
 // TrainEpochMini runs one epoch of conventional mini-batch training with k
@@ -360,61 +372,25 @@ func (e *Engine) TrainEpochFull() (EpochStats, error) {
 // not sliced), and the optimizer steps after every batch. This is the
 // baseline of Table 6 and §3.3 — note it changes the effective batch size.
 func (e *Engine) TrainEpochMini(k int, shuffleSeed uint64) (EpochStats, error) {
-	var st EpochStats
 	seeds := e.Runner.Data.TrainIdx
 	if k <= 0 || k > len(seeds) {
-		return st, fmt.Errorf("core: invalid mini-batch count %d", k)
+		return EpochStats{}, fmt.Errorf("core: invalid mini-batch count %d", k)
 	}
-	st.K = k
-	order := make([]int32, len(seeds))
-	copy(order, seeds)
+	st := EpochStats{K: k}
+	order := slices.Clone(seeds)
 	shuffle(order, shuffleSeed)
-
-	if e.Runner.Dev != nil {
-		e.Runner.Dev.ResetPeak()
-	}
+	f := fold{e: e, st: &st, labeled: e.labeled(order)}
 	n := len(order)
-	// Loss weighting follows the labeled-count convention (see
-	// labeledOutputs): each batch's mean-over-labeled loss is weighted by
-	// its share of the epoch's labeled seeds. Identical to seed-count
-	// weighting when nothing is masked.
-	totalLabeled := 0
-	for _, nid := range order {
-		if e.Runner.Data.Labels[nid] >= 0 {
-			totalLabeled++
-		}
-	}
-	correct, labeled := 0, 0
 	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo == hi {
-			continue
-		}
-		blocks, err := e.Sampler.Sample(e.Runner.Data.Graph, order[lo:hi])
+		blocks, err := e.Sampler.Sample(e.Runner.Data.Graph, order[i*n/k:(i+1)*n/k])
 		if err != nil {
 			return st, err
 		}
 		st.InputNodes += blocks[0].NumSrc
-		res, err := e.Runner.RunMicroBatch(blocks, 1)
-		if err != nil {
+		if err := f.run(blocks, 1); err != nil {
 			return st, fmt.Errorf("core: mini-batch %d: %w", i, err)
 		}
-		if totalLabeled > 0 {
-			st.Loss += res.Loss * float64(res.Count) / float64(totalLabeled)
-		}
-		correct += res.Correct
-		labeled += res.Count
-		st.H2DBytes += res.H2DBytes
-		if res.PeakBytes > st.PeakBytes {
-			st.PeakBytes = res.PeakBytes
-		}
 		e.Runner.Step()
-	}
-	// As in TrainEpochMicroSeeds: divide by labeled outputs, not seeds.
-	if labeled > 0 {
-		st.TrainAcc = float64(correct) / float64(labeled)
-	} else {
-		st.TrainAcc = 0
 	}
 	return st, nil
 }
@@ -456,13 +432,12 @@ type Setup struct {
 	Dataset *dataset.Dataset
 }
 
-// Options configures BuildSAGE / BuildGAT.
+// Options configures Build and BuildSAGE.
 type Options struct {
 	// Hidden is the hidden width (default 64).
 	Hidden int
-	// Layers is the number of GNN layers (default len(Fanouts)).
-	Layers int
-	// Fanouts are the per-layer sampling bounds, input-first.
+	// Fanouts are the per-layer sampling bounds, input-first; the model has
+	// one layer per fanout.
 	Fanouts []int
 	// Aggregator selects the SAGE reduction (default Mean).
 	Aggregator nn.Aggregator
@@ -487,9 +462,6 @@ func (o *Options) defaults() {
 	if len(o.Fanouts) == 0 {
 		o.Fanouts = []int{10, 25}
 	}
-	if o.Layers == 0 {
-		o.Layers = len(o.Fanouts)
-	}
 	//bettyvet:ok floateq zero-value config sentinel: an unset LR is exactly 0
 	if o.LR == 0 {
 		o.LR = 0.01
@@ -499,21 +471,14 @@ func (o *Options) defaults() {
 // Build assembles the setup the CLIs' -model and -agg flags name: arch is
 // sage, gat or gcn; agg names the SAGE aggregator and is read for sage only.
 func Build(ds *dataset.Dataset, arch, agg string, opts Options) (*Setup, error) {
-	switch arch {
-	case "sage":
+	if arch == "sage" {
 		a, err := nn.ParseAggregator(agg)
 		if err != nil {
 			return nil, err
 		}
 		opts.Aggregator = a
-		return BuildSAGE(ds, opts)
-	case "gat":
-		return BuildGAT(ds, opts)
-	case "gcn":
-		return BuildGCN(ds, opts)
-	default:
-		return nil, fmt.Errorf("unknown model %q (sage, gat, or gcn)", arch)
 	}
+	return build(ds, arch, opts)
 }
 
 // ParseFanouts reads the CLIs' -fanouts flag: comma-separated per-layer
@@ -533,67 +498,44 @@ func ParseFanouts(s string) ([]int, error) {
 
 // BuildSAGE assembles a GraphSAGE training setup over ds.
 func BuildSAGE(ds *dataset.Dataset, opts Options) (*Setup, error) {
+	return build(ds, "sage", opts)
+}
+
+// build assembles a training setup for arch over ds. The architectures
+// differ only in their constructor: GraphSAGE reads opts.Aggregator, GAT
+// opts.Heads, and GCN neither (it always uses the normalized sum).
+func build(ds *dataset.Dataset, arch string, opts Options) (*Setup, error) {
 	opts.defaults()
 	cfg := nn.Config{
 		InDim:      ds.FeatureDim(),
 		Hidden:     opts.Hidden,
 		OutDim:     ds.NumClasses,
-		Layers:     opts.Layers,
+		Layers:     len(opts.Fanouts),
 		Aggregator: opts.Aggregator,
+		Heads:      opts.Heads,
 	}
-	model, err := nn.NewGraphSAGE(cfg, rngFor(opts.Seed))
+	r := rngFor(opts.Seed)
+	var model interface {
+		train.Model
+		memory.Model
+	}
+	var err error
+	switch arch {
+	case "sage":
+		model, err = nn.NewGraphSAGE(cfg, r)
+	case "gcn":
+		model, err = nn.NewGCN(ds.Graph, cfg, r)
+	case "gat":
+		model, err = nn.NewGAT(cfg, r)
+	default:
+		return nil, fmt.Errorf("unknown model %q (sage, gat, or gcn)", arch)
+	}
 	if err != nil {
 		return nil, err
 	}
 	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecOf(model, opt)
-	return finishSetup(ds, model, opt, spec, opts)
-}
-
-// BuildGCN assembles a GCN training setup over ds (the Aggregator option
-// is ignored; GCN always uses the symmetric normalized sum).
-func BuildGCN(ds *dataset.Dataset, opts Options) (*Setup, error) {
-	opts.defaults()
-	cfg := nn.Config{
-		InDim:  ds.FeatureDim(),
-		Hidden: opts.Hidden,
-		OutDim: ds.NumClasses,
-		Layers: opts.Layers,
-	}
-	model, err := nn.NewGCN(ds.Graph, cfg, rngFor(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecOf(model, opt)
-	return finishSetup(ds, model, opt, spec, opts)
-}
-
-// BuildGAT assembles a GAT training setup over ds.
-func BuildGAT(ds *dataset.Dataset, opts Options) (*Setup, error) {
-	opts.defaults()
-	cfg := nn.Config{
-		InDim:  ds.FeatureDim(),
-		Hidden: opts.Hidden,
-		OutDim: ds.NumClasses,
-		Layers: opts.Layers,
-		Heads:  opts.Heads,
-	}
-	model, err := nn.NewGAT(cfg, rngFor(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-	opt := nn.NewAdam(model, opts.LR)
-	spec := memory.SpecOf(model, opt)
-	return finishSetup(ds, model, opt, spec, opts)
-}
-
-func finishSetup(ds *dataset.Dataset, model train.Model, opt nn.Optimizer, spec memory.Spec, opts Options) (*Setup, error) {
-	if len(opts.Fanouts) != spec.Model.Layers {
-		return nil, fmt.Errorf("core: %d fanouts for %d layers", len(opts.Fanouts), spec.Model.Layers)
-	}
 	runner := train.NewRunner(model, ds, opt, opts.Device)
-	eng := New(runner, sample.New(opts.Fanouts, opts.Seed^0x5a), spec, opts.Seed^0xb7)
+	eng := New(runner, sample.New(opts.Fanouts, opts.Seed^0x5a), memory.SpecOf(model, opt), opts.Seed^0xb7)
 	eng.FixedK = opts.FixedK
 	if opts.Partitioner != nil {
 		eng.Partitioner = opts.Partitioner

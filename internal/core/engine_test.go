@@ -44,10 +44,24 @@ func TestBuildSAGEDefaults(t *testing.T) {
 	}
 }
 
+// Build rejects an unknown architecture and an unknown SAGE aggregator, and
+// gives the model one layer per fanout.
 func TestBuildValidation(t *testing.T) {
 	d := testData(t)
-	if _, err := BuildSAGE(d, Options{Fanouts: []int{5}, Layers: 3}); err == nil {
-		t.Fatal("fanout/layer mismatch accepted")
+	if _, err := Build(d, "gin", "mean", Options{}); err == nil {
+		t.Fatal("unknown model accepted")
+	}
+	if _, err := Build(d, "sage", "max", Options{}); err == nil {
+		t.Fatal("unknown aggregator accepted")
+	}
+	for _, arch := range []string{"sage", "gcn", "gat"} {
+		s, err := Build(d, arch, "mean", Options{Hidden: 8, Fanouts: []int{3, 4, 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Model.Config().Layers; got != 3 {
+			t.Fatalf("%s: %d layers for 3 fanouts", arch, got)
+		}
 	}
 }
 
@@ -338,7 +352,7 @@ func TestBaselinePartitionerOverride(t *testing.T) {
 
 func TestBuildGATRuns(t *testing.T) {
 	d := testData(t)
-	s, err := BuildGAT(d, Options{Seed: 10, Hidden: 8, Heads: 2, Fanouts: []int{5, 5}, FixedK: 2})
+	s, err := Build(d, "gat", "", Options{Seed: 10, Hidden: 8, Heads: 2, Fanouts: []int{5, 5}, FixedK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +390,10 @@ func TestEstimatorCalibrationAcrossModels(t *testing.T) {
 			return BuildSAGE(d, Options{Seed: 50, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4, Device: dev, Aggregator: nn.LSTM})
 		}},
 		{"gat", func(dev *device.Device) (*Setup, error) {
-			return BuildGAT(d, Options{Seed: 50, Hidden: 8, Heads: 2, Fanouts: []int{5, 5}, FixedK: 4, Device: dev})
+			return Build(d, "gat", "", Options{Seed: 50, Hidden: 8, Heads: 2, Fanouts: []int{5, 5}, FixedK: 4, Device: dev})
 		}},
 		{"gcn", func(dev *device.Device) (*Setup, error) {
-			return BuildGCN(d, Options{Seed: 50, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4, Device: dev})
+			return Build(d, "gcn", "", Options{Seed: 50, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4, Device: dev})
 		}},
 	}
 	for _, tc := range cases {

@@ -28,9 +28,9 @@ func TestBatchInferenceMatchesModelForward(t *testing.T) {
 		{"sage-sum", sage(nn.Sum)},
 		{"sage-pool", sage(nn.Pool)},
 		{"sage-lstm", sage(nn.LSTM)},
-		{"gcn", func() (*Setup, error) { return BuildGCN(d, Options{Seed: 41, Hidden: 8, Fanouts: []int{4, 6}}) }},
+		{"gcn", func() (*Setup, error) { return Build(d, "gcn", "", Options{Seed: 41, Hidden: 8, Fanouts: []int{4, 6}}) }},
 		{"gat", func() (*Setup, error) {
-			return BuildGAT(d, Options{Seed: 42, Hidden: 8, Heads: 2, Fanouts: []int{4, 6}})
+			return Build(d, "gat", "", Options{Seed: 42, Hidden: 8, Heads: 2, Fanouts: []int{4, 6}})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -104,7 +104,7 @@ func TestBatchInferenceErrors(t *testing.T) {
 // GCN trains end to end through the Betty engine.
 func TestGCNTrainsWithBetty(t *testing.T) {
 	d := testData(t)
-	s, err := BuildGCN(d, Options{Seed: 34, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4})
+	s, err := Build(d, "gcn", "", Options{Seed: 34, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 		return st, fmt.Errorf("core: multi-device training needs at least one device")
 	}
 	e := m.Engine
-	full, plan, err := e.planEpoch(e.Runner.Data.TrainIdx, m.minCapacity(), memory.SplitPeak(len(m.Devices)))
+	full, plan, err := e.planEpoch(e.Runner.Data.TrainIdx, e.FixedK, m.minCapacity(), memory.SplitPeak(len(m.Devices)))
 	if err != nil {
 		return st, err
 	}
@@ -176,8 +176,8 @@ func (m *MultiDevice) ensureReplicas() error {
 	return nil
 }
 
-// shardCharge replays one shard on a device's ledger: the input features,
-// labels and block structure it holds, plus the activations of a measured
+// shardCharge replays one shard on a device's ledger: the buffers
+// train.BatchCharges lists for it, with the activations of a measured
 // gradient-free forward, all freed once the shard is done. It returns the
 // OOM unchanged so callers can surface which device and shard hit capacity.
 func (m *MultiDevice) shardCharge(dev *device.Device, shard []*graph.Block) error {
@@ -186,33 +186,10 @@ func (m *MultiDevice) shardCharge(dev *device.Device, shard []*graph.Block) erro
 	if err != nil {
 		return err
 	}
-	stats := graph.Stats(shard)
-	charges := []struct {
-		bytes int64
-		label string
-	}{
-		{int64(stats.NumInput) * int64(runner.Data.FeatureDim()) * 4, "input-features"},
-		{int64(stats.NumOutput) * 4, "labels"},
-		{int64(stats.TotalEdges) * 3 * 4, "blocks"},
-		{fc.ActivationBytes, "activations"},
-	}
-	var live []*device.Buffer
-	defer func() {
-		for _, b := range live {
-			dev.Free(b)
-		}
-	}()
-	for _, c := range charges {
-		if c.bytes == 0 {
-			continue
-		}
-		buf, err := dev.Alloc(c.bytes, c.label)
-		if err != nil {
-			return err
-		}
-		live = append(live, buf)
-	}
-	return nil
+	charges := train.BatchCharges(shard, runner.Data.FeatureDim(), fc.ActivationBytes)
+	live, err := train.Alloc(dev, nil, charges[:]...)
+	train.Free(dev, live)
+	return err
 }
 
 // simulateSplitParallel replays the epoch under split-parallelism: each

@@ -123,6 +123,26 @@ func TestSetObsNilDisables(t *testing.T) {
 	}
 }
 
+// Detaching the registry after an instrumented epoch must stop the frontier
+// meter too: it was built for that registry and must not keep adding to it.
+func TestSetObsNilStopsFrontierMeter(t *testing.T) {
+	s, r := obsSetup(t, false)
+	if _, err := s.Engine.TrainEpochMicro(); err != nil {
+		t.Fatal(err)
+	}
+	total := r.CounterValue("sample.frontier.total_nodes")
+	if total == 0 {
+		t.Fatal("attached epoch metered no frontier")
+	}
+	s.Engine.SetObs(nil)
+	if _, err := s.Engine.TrainEpochMicro(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.CounterValue("sample.frontier.total_nodes"); got != total {
+		t.Fatalf("detached epoch metered frontier nodes: %d, then %d", total, got)
+	}
+}
+
 // Planning costs one REG build per batch and only the attempts that can
 // fit: on the benchmark's train_planned shape (ogbn-arxiv at scale 0.25,
 // fanouts [10,25], hidden 64, an 18.75 MiB device) the search starts at its

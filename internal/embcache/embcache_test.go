@@ -327,6 +327,9 @@ func TestMeter(t *testing.T) {
 	}
 	var nilMeter *Meter
 	nilMeter.Observe([]int32{1})
+	if NewMeter(nil) != nil {
+		t.Fatal("a meter without a registry was built")
+	}
 	m.Observe(nil)
 }
 

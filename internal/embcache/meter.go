@@ -18,8 +18,13 @@ type Meter struct {
 	prev map[int32]struct{}
 }
 
-// NewMeter builds a frontier-overlap meter reporting to reg.
+// NewMeter builds a frontier-overlap meter reporting to reg. With no
+// registry there is nothing to report to: it returns nil, whose Observe
+// does nothing.
 func NewMeter(reg *obs.Registry) *Meter {
+	if reg == nil {
+		return nil
+	}
 	return &Meter{reg: reg, prev: make(map[int32]struct{})}
 }
 

@@ -18,14 +18,6 @@ import (
 type Metis struct {
 	// Seed drives all randomized choices (visit orders, seeds).
 	Seed uint64
-	// Imbalance is the allowed max-part/ideal ratio; 0 means the 1.05
-	// default used by METIS.
-	Imbalance float64
-	// Passes bounds refinement passes per level; 0 means 8.
-	Passes int
-	// CoarsenTo stops coarsening when this few nodes remain; 0 means
-	// max(120, 15*k).
-	CoarsenTo int
 	// DisableRefinement turns off KL/FM refinement (ablation knob).
 	DisableRefinement bool
 	// RandomMatching replaces heavy-edge matching with random matching
@@ -70,21 +62,8 @@ func (m *Metis) Partition(g *WeightedGraph, k int) ([]int32, error) {
 	if k == 1 {
 		return make([]int32, g.N), nil
 	}
-	imbalance := m.Imbalance
-	if imbalance <= 0 {
-		imbalance = 1.05
-	}
-	passes := m.Passes
-	if passes <= 0 {
-		passes = 8
-	}
-	coarsenTo := m.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 15 * k
-		if coarsenTo < 120 {
-			coarsenTo = 120
-		}
-	}
+	// Coarsening stops once this few nodes remain.
+	coarsenTo := max(120, 15*k)
 	// Coarsening phase, or the remembered one: every partition continues
 	// from its own copy of the RNG state coarsening ended in.
 	c := m.last
@@ -106,11 +85,9 @@ func (m *Metis) Partition(g *WeightedGraph, k int) ([]int32, error) {
 	r, levels, cur := &rcopy, c.levels, c.coarsest
 
 	// Initial partition on the coarsest graph.
-	total := cur.TotalNodeWeight()
-	maxAllowed := imbalance * total / float64(k)
 	parts := m.initialPartition(cur, k, r)
 	if !m.DisableRefinement {
-		refine(cur, parts, k, maxAllowed, passes, r)
+		refine(cur, parts, k, r)
 	}
 
 	// Uncoarsening: project and refine at every level.
@@ -122,8 +99,7 @@ func (m *Metis) Partition(g *WeightedGraph, k int) ([]int32, error) {
 		}
 		parts = fine
 		if !m.DisableRefinement {
-			lvlTotal := lv.g.TotalNodeWeight()
-			refine(lv.g, parts, k, imbalance*lvlTotal/float64(k), passes, r)
+			refine(lv.g, parts, k, r)
 		}
 	}
 	ensureNonEmpty(g, parts, k, r)
@@ -276,16 +252,25 @@ func (m *Metis) initialPartition(g *WeightedGraph, k int, r *rng.RNG) []int32 {
 	return parts
 }
 
+// Refinement's balance bound and effort: a part may weigh imbalance times
+// its ideal share (METIS's default ratio), and each level gets at most
+// refinePasses passes.
+const (
+	imbalance    = 1.05
+	refinePasses = 8
+)
+
 // refine runs greedy boundary KL/FM passes: each pass visits nodes in
 // random order and moves a node to the neighboring part with the largest
-// positive cut gain, subject to the balance bound maxAllowed.
-func refine(g *WeightedGraph, parts []int32, k int, maxAllowed float64, passes int, r *rng.RNG) {
+// positive cut gain, subject to the balance bound.
+func refine(g *WeightedGraph, parts []int32, k int, r *rng.RNG) {
+	maxAllowed := imbalance * g.TotalNodeWeight() / float64(k)
 	partWt := PartWeights(g, parts, k)
 	sizes := Sizes(parts, k)
 	conn := make([]float32, k)
 	connTouched := make([]int32, 0, k)
 
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		order := r.Perm(g.N)
 		for _, v := range order {
@@ -395,6 +380,6 @@ func ensureNonEmpty(g *WeightedGraph, parts []int32, k int, r *rng.RNG) {
 
 // String describes the configuration, useful in experiment logs.
 func (m *Metis) String() string {
-	return fmt.Sprintf("metis(seed=%d imbalance=%.2f refine=%t hem=%t)",
-		m.Seed, m.Imbalance, !m.DisableRefinement, !m.RandomMatching)
+	return fmt.Sprintf("metis(seed=%d refine=%t hem=%t)",
+		m.Seed, !m.DisableRefinement, !m.RandomMatching)
 }

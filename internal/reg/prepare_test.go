@@ -24,7 +24,7 @@ func (p refBetty) Prepare(last *graph.Block) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return metisSplit(g, &partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}), nil
+	return metisSplit(g, &partition.Metis{Seed: p.Seed}), nil
 }
 
 func (p refBetty) PartitionBatch(last *graph.Block, k int) ([][]int32, error) {
@@ -73,7 +73,7 @@ func prePartitionBatch(p BatchPartitioner, last *graph.Block, k int) ([][]int32,
 		if g, err = BuildREG(last); err != nil {
 			return nil, err
 		}
-		m = &partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}
+		m = &partition.Metis{Seed: p.Seed}
 	}
 	parts, err := m.Partition(g, k)
 	if err != nil {
@@ -116,7 +116,7 @@ func degenerateBlocks(t *testing.T) map[string]*graph.Block {
 func TestPreparePartitionMatchesPreChange(t *testing.T) {
 	partitioners := []BatchPartitioner{
 		RangeBatch{}, RandomBatch{Seed: 3}, MetisBatch{Seed: 3},
-		BettyBatch{Seed: 3}, BettyBatch{Seed: 4, Imbalance: 1.3}, refBetty{BettyBatch{Seed: 3}},
+		BettyBatch{Seed: 3}, BettyBatch{Seed: 4}, refBetty{BettyBatch{Seed: 3}},
 	}
 	for name, last := range degenerateBlocks(t) {
 		for _, p := range partitioners {

@@ -195,8 +195,6 @@ func (p MetisBatch) PartitionBatch(last *graph.Block, k int) ([][]int32, error) 
 type BettyBatch struct {
 	// Seed drives the multilevel partitioner's randomized phases.
 	Seed uint64
-	// Imbalance overrides the partitioner's balance tolerance (0 = default).
-	Imbalance float64
 	// Obs, when non-nil, receives one PhaseRegBuild span and one
 	// plan.reg_builds count per REG construction. Timing comes from the
 	// registry's injected Clock — this kernel package never reads a clock
@@ -218,7 +216,7 @@ func (p BettyBatch) Prepare(last *graph.Block) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return metisSplit(g, &partition.Metis{Seed: p.Seed, Imbalance: p.Imbalance}), nil
+	return metisSplit(g, &partition.Metis{Seed: p.Seed}), nil
 }
 
 // PartitionBatch implements BatchPartitioner.

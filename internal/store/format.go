@@ -52,8 +52,8 @@ const (
 	// not told otherwise (BETTY_STORE_SHARD_ROWS).
 	DefaultShardRows = 1024
 
-	// defaultChunkEdges bounds the edges per graph chunk.
-	defaultChunkEdges = 1 << 18
+	// chunkEdges bounds the edges per graph chunk.
+	chunkEdges = 1 << 18
 )
 
 // blobRef locates one checksummed payload inside the store file.

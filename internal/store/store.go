@@ -21,8 +21,6 @@ type PackConfig struct {
 	// Smaller shards mean finer-grained eviction; the cache budget must
 	// hold at least one shard.
 	ShardRows int
-	// ChunkEdges bounds the edges per graph chunk (default 256Ki).
-	ChunkEdges int
 }
 
 // Pack writes ds to path in the store format. The feature rows are pulled
@@ -31,9 +29,6 @@ type PackConfig struct {
 func Pack(path string, ds *dataset.Dataset, cfg PackConfig) (err error) {
 	if cfg.ShardRows <= 0 {
 		cfg.ShardRows = DefaultShardRows
-	}
-	if cfg.ChunkEdges <= 0 {
-		cfg.ChunkEdges = defaultChunkEdges
 	}
 	src := ds.FeatureSource()
 	n := int(ds.Graph.NumNodes())
@@ -73,8 +68,8 @@ func Pack(path string, ds *dataset.Dataset, cfg PackConfig) (err error) {
 	// Graph: edges re-materialized in edge-ID order so the rebuilt CSR/CSC
 	// assigns identical edge IDs, then chunked.
 	esrc, edst := ds.Graph.Edges()
-	for lo := 0; lo < len(esrc); lo += cfg.ChunkEdges {
-		hi := lo + cfg.ChunkEdges
+	for lo := 0; lo < len(esrc); lo += chunkEdges {
+		hi := lo + chunkEdges
 		if hi > len(esrc) {
 			hi = len(esrc)
 		}

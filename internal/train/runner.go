@@ -99,29 +99,65 @@ func NewRunner(m Model, d *dataset.Dataset, opt nn.Optimizer, dev *device.Device
 // nothing stays allocated.
 func AllocResident(dev *device.Device, m nn.Module, opt nn.Optimizer) ([]*device.Buffer, error) {
 	params := int64(nn.ParamCount(m))
-	allocs := []struct {
-		bytes int64
-		label string
-	}{
-		{params * 4, "parameters"},
-		{params * 4, "gradients"},
-		{params * int64(opt.StateSize()) * 4, "optimizer-states"},
-	}
-	var bufs []*device.Buffer
-	for _, a := range allocs {
-		if a.bytes == 0 {
-			continue
-		}
-		buf, err := dev.Alloc(a.bytes, a.label)
-		if err != nil {
-			for _, b := range bufs {
-				dev.Free(b)
-			}
-			return nil, fmt.Errorf("train: resident state: %w", err)
-		}
-		bufs = append(bufs, buf)
+	bufs, err := Alloc(dev, nil,
+		Charge{params * 4, "parameters"},
+		Charge{params * 4, "gradients"},
+		Charge{params * int64(opt.StateSize()) * 4, "optimizer-states"},
+	)
+	if err != nil {
+		return nil, fmt.Errorf("train: resident state: %w", err)
 	}
 	return bufs, nil
+}
+
+// Charge is one buffer put on a device ledger.
+type Charge struct {
+	Bytes int64
+	Label string
+}
+
+// BatchCharges lists the buffers a batch puts on a device, in allocation
+// order: the host-to-device copies — input features, labels and block
+// structure, whose sum is the batch's H2DBytes — then the activations its
+// forward materializes (0 until a forward has measured them). blocks must
+// be non-empty. It allocates nothing, since every training step calls it.
+func BatchCharges(blocks []*graph.Block, featDim int, activations int64) [4]Charge {
+	var edges int64
+	for _, b := range blocks {
+		edges += int64(b.NumEdges())
+	}
+	return [4]Charge{
+		{int64(blocks[0].NumSrc) * int64(featDim) * 4, "input-features"},
+		{int64(blocks[len(blocks)-1].NumDst) * 4, "labels"},
+		{edges * 3 * 4, "blocks"},
+		{activations, "activations"},
+	}
+}
+
+// Alloc charges cs to dev in order, skipping empty ones, and returns live
+// with the new buffers appended. On OOM it frees every buffer in live and
+// the ones it allocated, and returns the error unchanged.
+func Alloc(dev *device.Device, live []*device.Buffer, cs ...Charge) ([]*device.Buffer, error) {
+	for _, c := range cs {
+		if c.Bytes == 0 {
+			continue
+		}
+		buf, err := dev.Alloc(c.Bytes, c.Label)
+		if err != nil {
+			Free(dev, live)
+			return nil, err
+		}
+		live = append(live, buf)
+	}
+	return live, nil
+}
+
+// Free releases bufs on dev (nothing when bufs is empty, so a nil device
+// with no buffers is fine).
+func Free(dev *device.Device, bufs []*device.Buffer) {
+	for _, b := range bufs {
+		dev.Free(b)
+	}
 }
 
 // EnsureResident allocates the runner's resident state on its device once.
@@ -139,9 +175,7 @@ func (r *Runner) ReleaseResident() {
 	if r.Dev == nil {
 		return
 	}
-	for _, b := range r.resident {
-		r.Dev.Free(b)
-	}
+	Free(r.Dev, r.resident)
 	r.resident = nil
 }
 
@@ -212,54 +246,26 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	// Device phase 1: count the host-to-device copies and charge their
 	// memory.
 	stats := graph.Stats(blocks)
-	h2d := [...]struct {
-		bytes int64
-		label string
-	}{
-		{int64(x.Len()) * 4, "input-features"},
-		{int64(len(labels)) * 4, "labels"},
-		{int64(stats.TotalEdges) * 3 * 4, "blocks"},
-	}
+	charges := BatchCharges(blocks, r.Data.FeatureDim(), 0)
+	h2d := charges[:3]
 	for _, c := range h2d {
-		res.H2DBytes += c.bytes
-	}
-	var transient []*device.Buffer
-	charge := func(bytes int64, label string) error {
-		if r.Dev == nil || bytes == 0 {
-			return nil
-		}
-		buf, err := r.Dev.Alloc(bytes, label)
-		if err != nil {
-			return err
-		}
-		transient = append(transient, buf)
-		return nil
-	}
-	free := func() {
-		for _, b := range transient {
-			r.Dev.Free(b)
-		}
-		transient = nil
+		res.H2DBytes += c.Bytes
 	}
 	if err := r.EnsureResident(); err != nil {
 		return res, err
 	}
+	var live []*device.Buffer
 	if r.Dev != nil {
 		hsp := r.Obs.StartSpan(obs.PhaseH2D).
 			SetInt("input_nodes", int64(stats.NumInput)).
 			SetInt("edges", int64(stats.TotalEdges))
-		oom := func(err error) (StepResult, error) {
-			hsp.End()
+		var err error
+		live, err = Alloc(r.Dev, nil, h2d...)
+		hsp.End()
+		if err != nil {
 			r.Obs.Add("train.oom", 1)
-			free()
 			return res, err
 		}
-		for _, c := range h2d {
-			if err := charge(c.bytes, c.label); err != nil {
-				return oom(err)
-			}
-		}
-		hsp.End()
 	}
 
 	// Forward + loss on the tape. Every intermediate tensor comes from the
@@ -273,30 +279,22 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	logits, err := r.forward(tp, blocks, tensor.Leaf(x))
 	if err != nil {
 		fsp.End()
-		free()
+		Free(r.Dev, live)
 		return res, err
 	}
 	loss := tp.SoftmaxCrossEntropy(logits, labels)
 	fsp.End()
 	res.Loss = float64(loss.Value.Data[0])
-	pred := tensor.Argmax(logits.Value)
-	for i, p := range pred {
-		if labels[i] >= 0 {
-			res.Count++
-			if p == labels[i] {
-				res.Correct++
-			}
-		}
-	}
+	res.Correct, res.Count = score(logits.Value, labels)
 	res.ActivationBytes = tp.ValueBytes()
 
 	// Device phase 2: charge activations, then backward.
-	if err := charge(res.ActivationBytes, "activations"); err != nil {
-		r.Obs.Add("train.oom", 1)
-		free()
-		return res, fmt.Errorf("train: forward activations: %w", err)
-	}
 	if r.Dev != nil {
+		charges[3].Bytes = res.ActivationBytes
+		if live, err = Alloc(r.Dev, live, charges[3]); err != nil {
+			r.Obs.Add("train.oom", 1)
+			return res, fmt.Errorf("train: forward activations: %w", err)
+		}
 		res.PeakBytes = r.Dev.Peak()
 	}
 	bsp := r.Obs.StartSpan(obs.PhaseBackward).SetInt("outputs", int64(last.NumDst))
@@ -306,13 +304,27 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	}
 	tp.Backward(loss)
 	bsp.End()
-	free()
+	Free(r.Dev, live)
 	r.Obs.Add("train.micro_batches", 1)
 	r.Obs.Observe("micro.activation_bytes", res.ActivationBytes)
 	if res.PeakBytes > 0 {
 		r.Obs.Observe("micro.peak_bytes", res.PeakBytes)
 	}
 	return res, nil
+}
+
+// score counts a batch's labeled outputs and the correct predictions among
+// them; masked outputs (label < 0) count in neither.
+func score(logits *tensor.Tensor, labels []int32) (correct, labeled int) {
+	for i, p := range tensor.Argmax(logits) {
+		if labels[i] >= 0 {
+			labeled++
+			if p == labels[i] {
+				correct++
+			}
+		}
+	}
+	return correct, labeled
 }
 
 // forward routes a micro-batch forward through the historical-embedding
@@ -427,16 +439,7 @@ func (r *Runner) Evaluate(s sampler, seeds []int32, chunkSize int) (float64, err
 			labels := r.Data.GatherLabels(blocks[len(blocks)-1].DstNID)
 			tp := tensor.NewTape()
 			logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
-			pred := tensor.Argmax(logits.Value)
-			for i, p := range pred {
-				if labels[i] < 0 {
-					continue
-				}
-				results[c].count++
-				if p == labels[i] {
-					results[c].correct++
-				}
-			}
+			results[c].correct, results[c].count = score(logits.Value, labels)
 			tp.Release() // predictions extracted; recycle the chunk's arena
 		}
 	})
