@@ -1,6 +1,7 @@
 package embcache
 
 import (
+	"slices"
 	"sync"
 
 	"betty/internal/obs"
@@ -14,8 +15,10 @@ import (
 type Meter struct {
 	reg *obs.Registry
 
-	mu   sync.Mutex
-	prev map[int32]struct{}
+	mu sync.Mutex
+	// prev is the previous frontier, sorted and deduplicated; next is the
+	// buffer the following frontier is sorted into before the two swap.
+	prev, next []int32
 }
 
 // NewMeter builds a frontier-overlap meter reporting to reg. With no
@@ -25,27 +28,32 @@ func NewMeter(reg *obs.Registry) *Meter {
 	if reg == nil {
 		return nil
 	}
-	return &Meter{reg: reg, prev: make(map[int32]struct{})}
+	return &Meter{reg: reg}
 }
 
 // Observe records one batch frontier, emitting the overlap with the
 // previous frontier as sample.frontier.reuse_nodes / total_nodes
 // counters and the running fraction as the reuse_frac_ppm gauge
 // (parts-per-million, the repo's integer-gauge idiom for fractions).
+// Every element of nids counts once per occurrence; an empty frontier is
+// not recorded and leaves the previous one in place.
 func (m *Meter) Observe(nids []int32) {
 	if m == nil || len(nids) == 0 {
 		return
 	}
 	m.mu.Lock()
-	reused := 0
-	next := make(map[int32]struct{}, len(nids))
-	for _, nid := range nids {
-		if _, ok := m.prev[nid]; ok {
+	cur := append(m.next[:0], nids...)
+	slices.Sort(cur)
+	reused, j := 0, 0
+	for _, nid := range cur {
+		for j < len(m.prev) && m.prev[j] < nid {
+			j++
+		}
+		if j < len(m.prev) && m.prev[j] == nid {
 			reused++
 		}
-		next[nid] = struct{}{}
 	}
-	m.prev = next
+	m.prev, m.next = slices.Compact(cur), m.prev
 	m.mu.Unlock()
 	m.reg.Add("sample.frontier.reuse_nodes", int64(reused))
 	m.reg.Add("sample.frontier.total_nodes", int64(len(nids)))

@@ -222,6 +222,9 @@ func (b *Block) Validate() error {
 	if len(b.Ptr) != b.NumDst+1 {
 		return fmt.Errorf("block: Ptr length %d, want %d", len(b.Ptr), b.NumDst+1)
 	}
+	if b.Ptr[0] != 0 {
+		return fmt.Errorf("block: Ptr[0]=%d, want 0", b.Ptr[0])
+	}
 	if b.Ptr[b.NumDst] != int64(len(b.SrcLocal)) {
 		return fmt.Errorf("block: Ptr does not cover all edges")
 	}

@@ -31,6 +31,7 @@ func TestBlockValidateCatchesCorruption(t *testing.T) {
 		{"dst not src prefix", func(b *Block) { b.SrcNID[0] = 99 }},
 		{"ptr too short", func(b *Block) { b.Ptr = b.Ptr[:2] }},
 		{"ptr not covering", func(b *Block) { b.Ptr[2] = 3 }},
+		{"ptr starts below zero", func(b *Block) { b.Ptr[0] = -1 }},
 		{"eid length", func(b *Block) { b.EID = b.EID[:3] }},
 		{"src out of range", func(b *Block) { b.SrcLocal[0] = 42 }},
 		{"src negative", func(b *Block) { b.SrcLocal[0] = -1 }},

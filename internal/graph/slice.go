@@ -17,10 +17,15 @@ func SliceBatch(full []*Block, sel []int32) ([]*Block, error) {
 	if len(full) == 0 {
 		return nil, fmt.Errorf("graph: SliceBatch on empty batch")
 	}
+	maxSrc := 0
+	for _, b := range full {
+		maxSrc = max(maxSrc, b.NumSrc)
+	}
+	local := make([]int32, maxSrc)
 	blocks := make([]*Block, len(full))
 	cur := sel
 	for l := len(full) - 1; l >= 0; l-- {
-		nb, srcSel, err := SliceBlock(full[l], cur)
+		nb, srcSel, err := sliceBlock(full[l], cur, local)
 		if err != nil {
 			return nil, fmt.Errorf("graph: slicing layer %d: %w", l, err)
 		}
@@ -77,23 +82,31 @@ func Covered(blocks []*Block) bool {
 // of the full block. SliceBatch cuts micro-batches with it, one layer at a
 // time; the embedding cache computes a partial hit's missed rows with it.
 func SliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
+	return sliceBlock(b, sel, make([]int32, b.NumSrc))
+}
+
+// sliceBlock is SliceBlock relabeling through local, a b-local source →
+// sub-block source table of at least b.NumSrc entries. The table is never
+// cleared: an entry for s is trusted only when srcSel[local[s]] == s, so a
+// stale one from an earlier block reads as absent. A selection that repeats
+// a destination keeps its last slot, as a map overwrite would.
+func sliceBlock(b *Block, sel []int32, local []int32) (*Block, []int32, error) {
 	nDst := len(sel)
 	if nDst == 0 {
 		return nil, nil, fmt.Errorf("empty destination selection")
 	}
-	srcSel := make([]int32, nDst, nDst*2)
-	localOf := make(map[int32]int32, nDst*2)
 	dstNID := make([]int32, nDst)
 	edges := 0
 	for i, d := range sel {
 		if d < 0 || int(d) >= b.NumDst {
 			return nil, nil, fmt.Errorf("destination index %d out of range [0,%d)", d, b.NumDst)
 		}
-		srcSel[i] = d
-		localOf[d] = int32(i)
+		local[d] = int32(i)
 		dstNID[i] = b.DstNID[d]
 		edges += int(b.Ptr[d+1] - b.Ptr[d])
 	}
+	srcSel := make([]int32, nDst, nDst+min(edges, b.NumSrc))
+	copy(srcSel, sel)
 	ptr := make([]int64, nDst+1)
 	var srcLocal, eid []int32
 	var ewt []float32
@@ -107,21 +120,21 @@ func SliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
 		}
 	}
 	for i, d := range sel {
-		for p := b.Ptr[d]; p < b.Ptr[d+1]; p++ {
-			s := b.SrcLocal[p]
-			li, ok := localOf[s]
-			if !ok {
+		lo, hi := b.Ptr[d], b.Ptr[d+1]
+		for _, s := range b.SrcLocal[lo:hi] {
+			li := local[s]
+			if int(li) >= len(srcSel) || srcSel[li] != s {
 				li = int32(len(srcSel))
-				localOf[s] = li
+				local[s] = li
 				srcSel = append(srcSel, s)
 			}
 			srcLocal = append(srcLocal, li)
-			if eid != nil {
-				eid = append(eid, b.EID[p])
-			}
-			if ewt != nil {
-				ewt = append(ewt, b.EdgeWt[p])
-			}
+		}
+		if eid != nil {
+			eid = append(eid, b.EID[lo:hi]...)
+		}
+		if ewt != nil {
+			ewt = append(ewt, b.EdgeWt[lo:hi]...)
 		}
 		ptr[i+1] = int64(len(srcLocal))
 	}

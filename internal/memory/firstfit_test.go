@@ -152,7 +152,7 @@ func checkPlanMatchesFirstFit(t *testing.T, seed uint64, model, peak uint8, capP
 	return got.LowerBound
 }
 
-// TestPlanMatchesFirstFit is the planner half of ROADMAP item 6: over a
+// TestPlanMatchesFirstFit is the planner half of ROADMAP item 10: over a
 // seeded grid of batches x models x peak functionals x capacities x margins
 // the bounded, prepare-once search returns exactly the first-fit plan.
 func TestPlanMatchesFirstFit(t *testing.T) {

@@ -282,6 +282,60 @@ func TestPlannerHugeCapacityKeepsK1(t *testing.T) {
 	}
 }
 
+// At K = 1 a covered batch is its own micro-batch: the plan holds full's
+// blocks themselves, with the estimate an all-selecting slice would get.
+// A batch that is not covered is still sliced.
+func TestPlannerK1UsesCoveredBatch(t *testing.T) {
+	g := testGraph(t, 6, 500, 4000)
+	for _, agg := range []nn.Aggregator{nn.Mean, nn.LSTM} {
+		full := sampleBatch(t, g, []int32{3, 40, 3, 41, 7}, []int{5, 5})
+		spec := sageSpec(t, nn.Config{InDim: 8, Hidden: 8, OutDim: 4, Layers: 2, Aggregator: agg})
+		pl := &Planner{Capacity: 1 << 40, Partitioner: reg.BettyBatch{}, Spec: spec}
+		plan, err := pl.Plan(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.K != 1 || len(plan.Micro) != 1 {
+			t.Fatalf("K=%d with %d micro-batches, want one", plan.K, len(plan.Micro))
+		}
+		for l, b := range plan.Micro[0] {
+			if b != full[l] {
+				t.Fatalf("%v: micro-batch layer %d is a copy, not the batch's own block", agg, l)
+			}
+		}
+		sliced, err := graph.SliceBatch(full, plan.Groups[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Estimate(sliced, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Estimates[0] != want {
+			t.Fatalf("%v: K=1 estimate %+v, the sliced batch's %+v", agg, plan.Estimates[0], want)
+		}
+
+		// One extra source no edge reaches: not covered, so K = 1 slices it
+		// away.
+		in := full[0]
+		loose := append([]*graph.Block{{
+			NumSrc: in.NumSrc + 1, NumDst: in.NumDst,
+			Ptr: in.Ptr, SrcLocal: in.SrcLocal, EID: in.EID,
+			SrcNID: append(append([]int32(nil), in.SrcNID...), 499), DstNID: in.DstNID,
+		}}, full[1:]...)
+		if graph.Covered(loose) {
+			t.Fatal("batch with an unreached source reads as covered")
+		}
+		plan, err = pl.EvaluateFixedK(loose, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Micro[0][0] == loose[0] || plan.Micro[0][0].NumSrc != full[0].NumSrc {
+			t.Fatalf("%v: uncovered batch was not sliced", agg)
+		}
+	}
+}
+
 func TestPlannerCannotFit(t *testing.T) {
 	g := testGraph(t, 7, 500, 4000)
 	full := sampleBatch(t, g, seedsRange(20), []int{5, 5})

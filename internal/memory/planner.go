@@ -178,10 +178,17 @@ func (pl *Planner) evaluate(full []*graph.Block, k int, prep *reg.Prepared) (*Pl
 	// micro-batches — the full cost of evaluating one candidate K.
 	esp := pl.Obs.StartSpan(obs.PhaseEstimate).SetInt("k", int64(k))
 	defer esp.End()
+	// On a covered batch the one all-selecting slice of K = 1 would only
+	// relabel the sources of full — same counts, degrees and estimate, and
+	// by per-row stability (DESIGN.md §11) the same output bits — so the
+	// micro-batch is full itself.
+	whole := k == 1 && graph.Covered(full)
 	for gi, sel := range groups {
-		micro, err := graph.SliceBatch(full, sel)
-		if err != nil {
-			return nil, fmt.Errorf("memory: slicing group %d: %w", gi, err)
+		micro := full
+		if !whole {
+			if micro, err = graph.SliceBatch(full, sel); err != nil {
+				return nil, fmt.Errorf("memory: slicing group %d: %w", gi, err)
+			}
 		}
 		est, err := Estimate(micro, pl.Spec)
 		if err != nil {

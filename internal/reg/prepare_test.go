@@ -85,7 +85,7 @@ func prePartitionBatch(p BatchPartitioner, last *graph.Block, k int) ([][]int32,
 	return groups, nil
 }
 
-// degenerateBlocks are the shapes ROADMAP item 6 names, plus one block big
+// degenerateBlocks are the shapes ROADMAP item 10 names, plus one block big
 // enough (> 120 outputs) for the multilevel partitioner to coarsen.
 func degenerateBlocks(t *testing.T) map[string]*graph.Block {
 	t.Helper()
@@ -227,7 +227,7 @@ func checkREGOracle(t *testing.T, seed uint64, nDst uint16, pool, maxDeg uint8) 
 	}
 }
 
-// TestREGOracle is ROADMAP item 6's REG half over a seeded sweep.
+// TestREGOracle is ROADMAP item 10's REG half over a seeded sweep.
 func TestREGOracle(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
 		checkREGOracle(t, seed, uint16(seed*7), uint8(seed*37), uint8(seed))

@@ -6,6 +6,7 @@ package sample
 
 import (
 	"fmt"
+	"sync"
 
 	"betty/internal/graph"
 	"betty/internal/obs"
@@ -88,10 +89,15 @@ func (s *Sampler) sample(g *graph.Graph, seeds []int32, perNode bool) ([]*graph.
 	if len(seeds) > 0 {
 		callKey = seeds[0]
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if n := int(g.NumNodes()); len(sc.local) < n {
+		sc.local = make([]int32, n)
+	}
 	blocks := make([]*graph.Block, len(s.fanouts))
-	frontier := append([]int32(nil), seeds...)
+	frontier := seeds
 	for l := len(s.fanouts) - 1; l >= 0; l-- {
-		b := s.sampleLayer(g, frontier, l, callKey, perNode)
+		b := s.sampleLayer(g, frontier, l, callKey, perNode, sc)
 		blocks[l] = b
 		frontier = b.SrcNID
 	}
@@ -104,12 +110,13 @@ func (s *Sampler) sample(g *graph.Graph, seeds []int32, perNode bool) ([]*graph.
 // the same seed set draw identical neighborhoods regardless of call order
 // or interleaving, which is what makes chunk-parallel evaluation
 // deterministic; keyed by the destination, a node's draw is independent of
-// its batch.
-func (s *Sampler) stream(key int32, layer int) *rng.RNG {
+// its batch. It is returned by value so that a node-wise draw, one stream
+// per destination, stays on the caller's stack.
+func (s *Sampler) stream(key int32, layer int) rng.RNG {
 	h := mix64(s.seed ^ 0x9e3779b97f4a7c15)
 	h = mix64(h ^ (uint64(uint32(key)) + 0xbf58476d1ce4e5b9))
 	h = mix64(h ^ (uint64(layer)+1)*0x94d049bb133111eb)
-	return rng.New(h)
+	return *rng.New(h)
 }
 
 // mix64 is the splitmix64 finalizer, used to hash the stream key.
@@ -119,44 +126,75 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// scratch is one Sample call's working memory: local is the node →
+// local-source table, and src/eid hold one destination's reservoir draw.
+// local is never cleared: an entry for u is trusted only when it points at
+// a source slot holding u (sampleLayer's back-check), so a stale entry
+// from an earlier layer, call or graph reads as absent.
+type scratch struct {
+	local    []int32
+	src, eid []int32
+}
+
+// scratchPool recycles scratch across Sample calls; each call holds its
+// own, so concurrent calls never share one.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // sampleLayer builds one bipartite block: for every destination in frontier
 // it draws up to the layer's fanout in-neighbors from g, from the call's
-// stream or (perNode) from the destination's own.
-func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, layer int, callKey int32, perNode bool) *graph.Block {
+// stream or (perNode) from the destination's own. Sources are relabeled
+// through sc.local; a frontier that repeats a node keeps its last slot, as
+// a map overwrite would.
+func (s *Sampler) sampleLayer(g *graph.Graph, frontier []int32, layer int, callKey int32, perNode bool, sc *scratch) *graph.Block {
 	nDst := len(frontier)
-	local := make(map[int32]int32, nDst*2)
-	srcNID := make([]int32, nDst, nDst*2)
+	fanout := s.fanouts[layer]
+	ptr := make([]int64, nDst+1)
+	for d, v := range frontier {
+		n := g.InDegree(v)
+		if fanout != FullNeighbors && n > fanout {
+			n = fanout
+		}
+		ptr[d+1] = ptr[d] + int64(n)
+	}
+	edges := int(ptr[nDst])
+	// Every source beyond the destinations comes from a distinct edge and
+	// is a distinct graph node.
+	srcNID := make([]int32, nDst, nDst+min(edges, int(g.NumNodes())))
 	copy(srcNID, frontier)
+	local := sc.local
 	for i, v := range frontier {
 		local[v] = int32(i)
 	}
 
-	ptr := make([]int64, nDst+1)
 	var srcLocal, eid []int32
-	scratchSrc := make([]int32, 0, 64)
-	scratchEID := make([]int32, 0, 64)
-	var r *rng.RNG
+	if edges > 0 {
+		srcLocal = make([]int32, edges)
+		eid = make([]int32, edges)
+	}
+	if fanout > cap(sc.src) {
+		sc.src, sc.eid = make([]int32, 0, fanout), make([]int32, 0, fanout)
+	}
+	var r rng.RNG
 	if !perNode {
 		r = s.stream(callKey, layer)
 	}
-
-	for d := 0; d < nDst; d++ {
+	for d, v := range frontier {
 		if perNode {
-			r = s.stream(frontier[d], layer)
+			r = s.stream(v, layer)
 		}
-		neigh, eids := g.InNeighbors(frontier[d])
-		chosenSrc, chosenEID := chooseNeighbors(r, neigh, eids, s.fanouts[layer], scratchSrc, scratchEID)
+		neigh, eids := g.InNeighbors(v)
+		chosenSrc, chosenEID := chooseNeighbors(&r, neigh, eids, fanout, sc.src, sc.eid)
+		p := ptr[d]
+		copy(eid[p:], chosenEID)
 		for i, u := range chosenSrc {
-			li, ok := local[u]
-			if !ok {
+			li := local[u]
+			if int(li) >= len(srcNID) || srcNID[li] != u {
 				li = int32(len(srcNID))
 				local[u] = li
 				srcNID = append(srcNID, u)
 			}
-			srcLocal = append(srcLocal, li)
-			eid = append(eid, chosenEID[i])
+			srcLocal[p+int64(i)] = li
 		}
-		ptr[d+1] = int64(len(srcLocal))
 	}
 
 	b := &graph.Block{

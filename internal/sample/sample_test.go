@@ -375,3 +375,191 @@ func TestSampleConcurrentSafe(t *testing.T) {
 		}
 	}
 }
+
+// oldSample is the map-based sampler the dense node → local table
+// replaced, kept as FuzzSample's oracle: one fresh map per layer, every
+// new source appended in first-draw order, a repeated frontier node
+// relabeled to its last slot.
+func oldSample(s *Sampler, g *graph.Graph, seeds []int32, perNode bool) []*graph.Block {
+	var callKey int32
+	if len(seeds) > 0 {
+		callKey = seeds[0]
+	}
+	blocks := make([]*graph.Block, len(s.fanouts))
+	frontier := append([]int32(nil), seeds...)
+	for l := len(s.fanouts) - 1; l >= 0; l-- {
+		nDst := len(frontier)
+		local := make(map[int32]int32, nDst*2)
+		srcNID := append([]int32(nil), frontier...)
+		for i, v := range frontier {
+			local[v] = int32(i)
+		}
+		ptr := make([]int64, nDst+1)
+		var srcLocal, eid []int32
+		var r rng.RNG
+		if !perNode {
+			r = s.stream(callKey, l)
+		}
+		for d := 0; d < nDst; d++ {
+			if perNode {
+				r = s.stream(frontier[d], l)
+			}
+			neigh, eids := g.InNeighbors(frontier[d])
+			chosenSrc, chosenEID := chooseNeighbors(&r, neigh, eids, s.fanouts[l], nil, nil)
+			for i, u := range chosenSrc {
+				li, ok := local[u]
+				if !ok {
+					li = int32(len(srcNID))
+					local[u] = li
+					srcNID = append(srcNID, u)
+				}
+				srcLocal = append(srcLocal, li)
+				eid = append(eid, chosenEID[i])
+			}
+			ptr[d+1] = int64(len(srcLocal))
+		}
+		b := &graph.Block{
+			NumSrc: len(srcNID), NumDst: nDst, Ptr: ptr,
+			SrcLocal: srcLocal, EID: eid, SrcNID: srcNID,
+			DstNID: append([]int32(nil), frontier...),
+		}
+		if g.HasWeights() {
+			b.EdgeWt = make([]float32, len(eid))
+			for i, e := range eid {
+				b.EdgeWt[i] = g.EdgeWeight(e)
+			}
+		}
+		blocks[l] = b
+		frontier = srcNID
+	}
+	return blocks
+}
+
+// sameInts is element-wise equality that also tells nil from empty.
+func sameInts[T comparable](a, b []T) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSample holds Sampler and NodeWise to the map-based oracle on random
+// graphs, seed sets and fanouts: every array of every block bitwise equal,
+// nil where the oracle's is nil. A quarter of the nodes have no in-edge, so
+// zero-degree seeds and frontier nodes occur. flags bit 0 weights the
+// graph, bit 1 samples node-wise, bit 2 makes one layer FullNeighbors and
+// bit 3 repeats seeds. Each input is sampled on two graphs of different
+// sizes, so the pooled table arrives stale from the other graph.
+func FuzzSample(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(3), uint8(0))
+	f.Add(uint64(2), uint8(7), uint8(2), uint8(1|8))
+	f.Add(uint64(3), uint8(90), uint8(1), uint8(2|4))
+	f.Add(uint64(4), uint8(25), uint8(3), uint8(15))
+	f.Fuzz(func(t *testing.T, seed uint64, nNodes, layers, flags uint8) {
+		r := rng.New(seed)
+		for _, n := range []int32{2 + int32(nNodes%120), 2 + int32(nNodes%120)/3} {
+			m := r.Intn(8 * int(n))
+			src, dst, w := make([]int32, m), make([]int32, m), make([]float32, m)
+			for i := range src {
+				src[i] = r.Int31n(n)
+				dst[i] = r.Int31n(n - n/4)
+				w[i] = math.Float32frombits(uint32(r.Uint64()))
+			}
+			if flags&1 == 0 {
+				w = nil
+			}
+			g, err := graph.FromEdgesWeighted(n, src, dst, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fanouts := make([]int, 1+int(layers%3))
+			for l := range fanouts {
+				fanouts[l] = 1 + r.Intn(6)
+			}
+			if flags&4 != 0 {
+				fanouts[r.Intn(len(fanouts))] = FullNeighbors
+			}
+			seeds := make([]int32, 1+r.Intn(12))
+			for i := range seeds {
+				seeds[i] = r.Int31n(n)
+				if flags&8 != 0 && i > 0 && r.Intn(3) == 0 {
+					seeds[i] = seeds[r.Intn(i)]
+				}
+			}
+			s := New(fanouts, seed^0x5a)
+			perNode := flags&2 != 0
+			var got []*graph.Block
+			if perNode {
+				got, err = (*NodeWise)(s).Sample(g, seeds)
+			} else {
+				got, err = s.Sample(g, seeds)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oldSample(s, g, seeds, perNode)
+			for l := range want {
+				a, b := got[l], want[l]
+				if a.NumSrc != b.NumSrc || a.NumDst != b.NumDst ||
+					!sameInts(a.Ptr, b.Ptr) || !sameInts(a.SrcLocal, b.SrcLocal) ||
+					!sameInts(a.EID, b.EID) || !sameInts(a.SrcNID, b.SrcNID) ||
+					!sameInts(a.DstNID, b.DstNID) ||
+					!sameInts(weightBits(a.EdgeWt), weightBits(b.EdgeWt)) {
+					t.Fatalf("n=%d fanouts %v seeds %v layer %d: Sample\n%+v\ndiffers from the oracle\n%+v",
+						n, fanouts, seeds, l, a, b)
+				}
+				if err := a.Validate(); err != nil {
+					t.Fatalf("layer %d: %v", l, err)
+				}
+			}
+		}
+	})
+}
+
+func weightBits(w []float32) []uint32 {
+	if w == nil {
+		return nil
+	}
+	bits := make([]uint32, len(w))
+	for i, x := range w {
+		bits[i] = math.Float32bits(x)
+	}
+	return bits
+}
+
+// TestSampleSliceAllocs pins the allocations of one Sample plus one
+// SliceBatch of half its outputs at the measured count. Sample allocates
+// its block list and, per layer, five arrays and the Block; SliceBatch its
+// relabel table, its block list and, per layer, six arrays and the Block.
+// Neither builds a map, Sample's table comes from a pool and its random
+// streams live on the stack.
+func TestSampleSliceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	g := randomGraph(t, 5, 2000, 20000)
+	s := New([]int{10, 25}, 1)
+	seeds := []int32{3, 77, 150, 999, 1200, 1800, 4, 5}
+	sel := []int32{0, 2, 4, 6}
+	if _, err := s.Sample(g, seeds); err != nil {
+		t.Fatal(err)
+	}
+	const want = 1 + 2*6 + 2 + 2*7
+	got := testing.AllocsPerRun(50, func() {
+		blocks, err := s.Sample(g, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.SliceBatch(blocks, sel); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != want {
+		t.Fatalf("Sample + SliceBatch made %v allocations, want %d", got, want)
+	}
+}

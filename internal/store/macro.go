@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"slices"
 	"sync"
 
 	"betty/internal/graph"
@@ -117,10 +118,34 @@ func (m *MacroCache) Load(seeds []int32) ([]*graph.Block, bool, error) {
 			SrcNID: mb.SrcNID, DstNID: mb.DstNID,
 		}
 	}
+	if err := checkFrontier(blocks); err != nil {
+		return nil, false, fmt.Errorf("store: macrobatch %s is malformed: %w", m.path, err)
+	}
 	m.mem[sh] = blocks
 	m.reg.Add("macro.reuse", 1)
 	m.reg.Add("macro.disk_loads", 1)
 	return blocks, true, nil
+}
+
+// checkFrontier is the structural check a decoded frontier must pass
+// before anything indexes through it: the checksum proves the bytes are
+// the ones written, not that they form a batch. Every block must be valid
+// on its own, and each block's destinations must be the next block's
+// sources, as the sampler chains them.
+func checkFrontier(blocks []*graph.Block) error {
+	if len(blocks) == 0 {
+		return fmt.Errorf("no blocks")
+	}
+	for l, b := range blocks {
+		if err := b.Validate(); err != nil {
+			return fmt.Errorf("layer %d: %w", l, err)
+		}
+		if l+1 < len(blocks) && !slices.Equal(b.DstNID, blocks[l+1].SrcNID) {
+			return fmt.Errorf("layer %d's %d destinations are not layer %d's %d sources",
+				l, b.NumDst, l+1, blocks[l+1].NumSrc)
+		}
+	}
+	return nil
 }
 
 // Save persists the frontier sampled for seeds and primes the in-memory

@@ -4,10 +4,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"betty/internal/core"
 	"betty/internal/dataset"
+	"betty/internal/graph"
 	"betty/internal/nn"
 	"betty/internal/obs"
 )
@@ -189,6 +191,43 @@ func TestMacroCorruption(t *testing.T) {
 		fresh := NewMacroCache(path, setup.Engine.Sampler.ConfigKey(), nil)
 		if _, _, err := fresh.Load(ds.TrainIdx); err == nil {
 			t.Fatalf("truncation %d: accepted", n)
+		}
+	}
+}
+
+// A macrobatch whose checksum, key and seed hash all verify can still hold
+// a frontier no batch can have. Load must refuse it, naming the file,
+// before the engine indexes through it.
+func TestMacroMalformedFrontier(t *testing.T) {
+	seeds := []int32{4, 9}
+	inner := &graph.Block{
+		NumSrc: 3, NumDst: 2, Ptr: []int64{0, 1, 2},
+		SrcLocal: []int32{2, 0}, EID: []int32{5, 6},
+		SrcNID: []int32{7, 4, 9}, DstNID: []int32{7, 4},
+	}
+	for name, blocks := range map[string][]*graph.Block{
+		"source out of range": {{
+			NumSrc: 2, NumDst: 2, Ptr: []int64{0, 1, 2},
+			SrcLocal: []int32{0, 99}, EID: []int32{0, 1},
+			SrcNID: []int32{4, 9}, DstNID: []int32{4, 9},
+		}},
+		"broken chain": {inner, {
+			NumSrc: 3, NumDst: 2, Ptr: []int64{0, 1, 1},
+			SrcLocal: []int32{2}, EID: []int32{3},
+			SrcNID: []int32{4, 9, 7}, DstNID: []int32{4, 9},
+		}},
+		"no blocks": {},
+	} {
+		path := filepath.Join(t.TempDir(), "m.macro")
+		if err := NewMacroCache(path, 1, nil).Save(seeds, blocks); err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := NewMacroCache(path, 1, nil).Load(seeds)
+		if err == nil || ok {
+			t.Fatalf("%s: Load returned ok=%v err=%v, want an error", name, ok, err)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: error %q does not name %s", name, err, path)
 		}
 	}
 }
