@@ -268,3 +268,18 @@ func TestDefaultsArePlainPath(t *testing.T) {
 		t.Fatalf("exact run is not the plain run plus one embedding-cache line:\n%s\nvs\n%s", exact, plain)
 	}
 }
+
+// At 1 MiB per device single-device planning fits this run, and -devices 8
+// must fit too. A K chosen by the redundancy-free floor of a device's share
+// overflows a device here, since each shard holds every input its outputs
+// reach; planning the shards that will run does not.
+func TestRunDevicesFitWherePlanned(t *testing.T) {
+	for _, devices := range []int{1, 8} {
+		cfg := smallConfig()
+		cfg.dataset, cfg.scale, cfg.epochs = "ogbn-arxiv", 0.05, 1
+		cfg.capacityMiB, cfg.devices = 1, devices
+		if err := run(cfg); err != nil {
+			t.Fatalf("%d devices at 1 MiB: %v", devices, err)
+		}
+	}
+}

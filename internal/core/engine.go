@@ -157,9 +157,8 @@ func (e *Engine) PlanEpoch(seeds []int32) ([]*graph.Block, *memory.Plan, error) 
 }
 
 // planEpoch is PlanEpoch with an explicit partition count (0 plans one),
-// budget and planner peak functional (nil is Breakdown.Peak; see
-// memory.Planner.Peak).
-func (e *Engine) planEpoch(seeds []int32, fixedK int, capacity int64, peak func(memory.Breakdown) int64) ([]*graph.Block, *memory.Plan, error) {
+// budget and split (nil plans for one device; see memory.Planner.Split).
+func (e *Engine) planEpoch(seeds []int32, fixedK int, capacity int64, split *memory.Split) ([]*graph.Block, *memory.Plan, error) {
 	full, err := e.sampleOrReuse(seeds)
 	if err != nil {
 		return nil, nil, err
@@ -170,7 +169,7 @@ func (e *Engine) planEpoch(seeds []int32, fixedK int, capacity int64, peak func(
 		Spec:         e.Spec,
 		SafetyMargin: e.SafetyMargin,
 		Obs:          e.Obs,
-		Peak:         peak,
+		Split:        split,
 	}
 	var plan *memory.Plan
 	if fixedK > 0 {
@@ -240,11 +239,16 @@ func (e *Engine) trainEpoch(seeds []int32, fixedK int) (EpochStats, error) {
 		return st, err
 	}
 	e.Runner.Step()
+	e.publishEpoch(&st)
+	return st, nil
+}
+
+// publishEpoch publishes a finished planned epoch's K and peaks.
+func (e *Engine) publishEpoch(st *EpochStats) {
 	e.Obs.Add("epoch.count", 1)
 	e.Obs.Set("epoch.k", int64(st.K))
 	e.Obs.Set("epoch.peak_bytes", st.PeakBytes)
 	e.Obs.Set("epoch.est_peak_bytes", st.MaxEstimate)
-	return st, nil
 }
 
 // fillPlanStats records the planning outcome on st.

@@ -74,27 +74,21 @@ type MultiEpochStats struct {
 }
 
 // TrainEpoch runs one gradient-accumulating epoch across the devices and
-// applies a single optimizer step. The per-device planner budget is the
-// smallest device capacity, compared against the split-aware peak
-// (memory.SplitPeak), so K is chosen by what one device's *shard* must
-// hold, not the whole micro-batch.
+// applies a single optimizer step. The planner budgets the smallest device
+// capacity against every shard it will run (memory.Split), so K is chosen
+// by what one device's shard must hold, not the whole micro-batch.
 func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 	var st MultiEpochStats
 	if len(m.Devices) == 0 {
 		return st, fmt.Errorf("core: multi-device training needs at least one device")
 	}
 	e := m.Engine
-	full, plan, err := e.planEpoch(e.Runner.Data.TrainIdx, e.FixedK, m.minCapacity(), memory.SplitPeak(len(m.Devices)))
+	split := &memory.Split{Devices: len(m.Devices), Partitioner: m.ShardPartitioner}
+	full, plan, err := e.planEpoch(e.Runner.Data.TrainIdx, e.FixedK, m.minCapacity(), split)
 	if err != nil {
 		return st, err
 	}
 	e.fillPlanStats(&st.EpochStats, full, plan)
-	// One stage serves both passes over the micro-batches: the shard
-	// replay's measured forwards and the canonical execution.
-	if err := e.stageBatch(plan, &st.EpochStats); err != nil {
-		return st, err
-	}
-	defer e.Runner.Unstage()
 	st.Devices = len(m.Devices)
 	st.PerDevice = make([]DeviceLoad, len(m.Devices))
 
@@ -116,11 +110,15 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 	// Canonical numerics, device-count independent and off every ledger:
 	// the same execution single-device training performs, in plan order.
 	// Its gradient fold is the merge every replica would hold.
+	if err := e.stageBatch(plan, &st.EpochStats); err != nil {
+		return st, err
+	}
 	runner := e.Runner
 	own := runner.Dev
 	runner.Dev = nil
 	err = e.executePlan(plan, &st.EpochStats)
 	runner.Dev = own
+	runner.Unstage()
 	if err != nil {
 		return st, err
 	}
@@ -131,6 +129,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 		}
 	}
 	runner.Step()
+	e.publishEpoch(&st.EpochStats)
 	m.exportObs(&st)
 	sp.SetInt("halo_bytes", st.HaloBytes)
 	return st, nil
@@ -145,15 +144,6 @@ func (m *MultiDevice) minCapacity() int64 {
 		}
 	}
 	return min
-}
-
-// shardPartitioner resolves the partitioner that splits each micro-batch's
-// destinations across devices.
-func (m *MultiDevice) shardPartitioner() reg.BatchPartitioner {
-	if m.ShardPartitioner != nil {
-		return m.ShardPartitioner
-	}
-	return m.Engine.Partitioner
 }
 
 // ensureReplicas allocates each device's persistent model-state buffers
@@ -177,38 +167,36 @@ func (m *MultiDevice) ensureReplicas() error {
 }
 
 // shardCharge replays one shard on a device's ledger: the buffers
-// train.BatchCharges lists for it, with the activations of a measured
-// gradient-free forward, all freed once the shard is done. It returns the
-// OOM unchanged so callers can surface which device and shard hit capacity.
+// train.BatchCharges lists for it, with the activations its forward would
+// materialize — the estimator's hidden outputs and aggregator working set
+// plus the loss value, which is what RunMicroBatch charges — all freed once
+// the shard is done. It returns the OOM unchanged so callers can surface
+// which device and shard hit capacity.
 func (m *MultiDevice) shardCharge(dev *device.Device, shard []*graph.Block) error {
-	runner := m.Engine.Runner
-	fc, err := runner.MeasureForward(shard)
+	e := m.Engine
+	est, err := memory.Estimate(shard, e.Spec)
 	if err != nil {
 		return err
 	}
-	charges := train.BatchCharges(shard, runner.Data.FeatureDim(), fc.ActivationBytes)
+	activations := est.Hidden + est.Aggregator + memory.BytesPerValue
+	charges := train.BatchCharges(shard, e.Runner.Data.FeatureDim(), activations)
 	live, err := train.Alloc(dev, nil, charges[:]...)
 	train.Free(dev, live)
 	return err
 }
 
-// simulateSplitParallel replays the epoch under split-parallelism: each
-// micro-batch's destination set is partitioned into one shard per device,
-// every shard is charged to its device's ledger, and each shard input is
+// simulateSplitParallel replays the epoch under split-parallelism: every
+// planned shard is charged to its device's ledger, and each shard input is
 // counted as owned or halo bytes.
 func (m *MultiDevice) simulateSplitParallel(plan *memory.Plan, st *MultiEpochStats) error {
 	e := m.Engine
 	featBytes := int64(e.Runner.Data.FeatureDim()) * 4
-	for mi, micro := range plan.Micro {
-		last := micro[len(micro)-1]
-		shards, err := m.splitMicro(micro, mi)
-		if err != nil {
-			return err
-		}
+	for mi, shards := range plan.Shards {
+		micro := plan.Micro[mi]
 		msp := e.Obs.StartSpan(obs.PhaseShard).
 			SetInt("micro", int64(mi)).
 			SetInt("shards", int64(len(shards))).
-			SetInt("outputs", int64(last.NumDst))
+			SetInt("outputs", int64(micro[len(micro)-1].NumDst))
 
 		// Ownership: walking devices in index order, the first shard that
 		// references an input node owns it and loads it from the host;
@@ -245,39 +233,6 @@ func (m *MultiDevice) simulateSplitParallel(plan *memory.Plan, st *MultiEpochSta
 		msp.End()
 	}
 	return nil
-}
-
-// splitMicro partitions one micro-batch's destinations into at most one
-// shard per device and slices the shard block lists. A single shard (one
-// device, or a micro-batch with one output) reuses the micro-batch blocks
-// unsliced, so the one-device simulation charges exactly what single-device
-// training charges. Partitioners that cannot produce the requested group
-// count on a tiny REG (an empty part) fall back to range splitting.
-func (m *MultiDevice) splitMicro(micro []*graph.Block, mi int) ([][]*graph.Block, error) {
-	last := micro[len(micro)-1]
-	n := len(m.Devices)
-	if last.NumDst < n {
-		n = last.NumDst
-	}
-	if n == 1 {
-		return [][]*graph.Block{micro}, nil
-	}
-	groups, err := m.shardPartitioner().PartitionBatch(last, n)
-	if err != nil {
-		m.Engine.Obs.Add("multidev.shard_fallbacks", 1)
-		groups, err = reg.RangeBatch{}.PartitionBatch(last, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharding micro-batch %d: %w", mi, err)
-		}
-	}
-	shards := make([][]*graph.Block, len(groups))
-	for g, sel := range groups {
-		shards[g], err = graph.SliceBatch(micro, sel)
-		if err != nil {
-			return nil, fmt.Errorf("core: slicing shard %d of micro-batch %d: %w", g, mi, err)
-		}
-	}
-	return shards, nil
 }
 
 // exportObs publishes the epoch's multi-device gauges and counters.

@@ -7,8 +7,10 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/device"
+	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/tensor"
+	"betty/internal/train"
 )
 
 func multiSetup(t *testing.T, numDevices, k int) (*Setup, *MultiDevice) {
@@ -356,5 +358,93 @@ func TestMultiDeviceHaloConservation(t *testing.T) {
 	want := int64(st.InputNodes) * featBytes
 	if owned != want {
 		t.Fatalf("owned host loads %d, want %d (distinct inputs once each)", owned, want)
+	}
+}
+
+// The plan says what each device will hold. Every device's ledger peak
+// exceeds the planned peak by at most what Breakdown.Peak leaves out — the
+// gradients, which the replica holds all run, and the loss value — plus
+// allocator rounding of the seven buffers (three resident, four per
+// shard).
+func TestMultiDevicePeakWithinPlan(t *testing.T) {
+	for _, arch := range []string{"sage", "gcn", "gat"} {
+		for _, k := range []int{2, 4} {
+			for _, n := range []int{1, 2, 4, 8} {
+				s, err := Build(testData(t), arch, "mean", Options{Seed: 20, Hidden: 16, Fanouts: []int{5, 5}, FixedK: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				devs := make([]*device.Device, n)
+				for i := range devs {
+					devs[i] = device.New(device.GiB, device.DefaultCostModel())
+				}
+				st, err := (&MultiDevice{Engine: s.Engine, Devices: devs}).TrainEpoch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				slack := int64(nn.ParamCount(s.Model))*memory.BytesPerValue + memory.BytesPerValue +
+					7*(device.AllocGranularity-1)
+				for d, l := range st.PerDevice {
+					if l.PeakBytes-st.MaxEstimate > slack {
+						t.Errorf("%s K=%d D=%d: device %d peak %d, plan %d: %d over, slack %d",
+							arch, k, n, d, l.PeakBytes, st.MaxEstimate, l.PeakBytes-st.MaxEstimate, slack)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The replay charges the shards the plan holds, not a re-split: with every
+// micro-batch's shards handed to the devices in reverse, device g's peak is
+// that of the shards now at index g.
+func TestMultiDeviceChargesPlannedShards(t *testing.T) {
+	s, md := multiSetup(t, 4, 4)
+	e := s.Engine
+	_, plan, err := e.planEpoch(e.Runner.Data.TrainIdx, e.FixedK, md.minCapacity(), &memory.Split{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := md.ensureReplicas(); err != nil {
+		t.Fatal(err)
+	}
+	resident := md.Devices[0].Used()
+	// peaks predicts each device's ledger peak from plan.Shards.
+	peaks := func() []int64 {
+		want := make([]int64, len(md.Devices))
+		for _, shards := range plan.Shards {
+			for g, shard := range shards {
+				est, err := memory.Estimate(shard, e.Spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				used := resident
+				for _, c := range train.BatchCharges(shard, s.Dataset.FeatureDim(), est.Hidden+est.Aggregator+memory.BytesPerValue) {
+					used += device.RoundAlloc(c.Bytes)
+				}
+				want[g] = max(want[g], used)
+			}
+		}
+		return want
+	}
+	planned := peaks()
+	for _, shards := range plan.Shards {
+		slices.Reverse(shards)
+	}
+	want := peaks()
+	if slices.Equal(planned, want) {
+		t.Fatalf("reversing the shards leaves every device peak at %v; the check cannot tell them apart", want)
+	}
+	for _, dev := range md.Devices {
+		dev.ResetPeak()
+	}
+	st := MultiEpochStats{PerDevice: make([]DeviceLoad, len(md.Devices))}
+	if err := md.simulateSplitParallel(plan, &st); err != nil {
+		t.Fatal(err)
+	}
+	for g, dev := range md.Devices {
+		if dev.Peak() != want[g] {
+			t.Errorf("device %d peak %d, want %d from the plan's shards (%d in planned order)", g, dev.Peak(), want[g], planned[g])
+		}
 	}
 }

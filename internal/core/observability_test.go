@@ -60,18 +60,7 @@ func TestInstrumentedEpochEmitsEveryPhase(t *testing.T) {
 	if got := r.CounterValue("train.steps"); got != 1 {
 		t.Errorf("train.steps = %d", got)
 	}
-	if got := r.CounterValue("epoch.count"); got != 1 {
-		t.Errorf("epoch.count = %d", got)
-	}
-	if k, ok := r.GaugeValue("epoch.k"); !ok || k != int64(st.K) {
-		t.Errorf("epoch.k = %d,%v, want %d", k, ok, st.K)
-	}
-	if pk, ok := r.GaugeValue("epoch.peak_bytes"); !ok || pk != st.PeakBytes {
-		t.Errorf("epoch.peak_bytes = %d,%v, want %d", pk, ok, st.PeakBytes)
-	}
-	if est, ok := r.GaugeValue("epoch.est_peak_bytes"); !ok || est != st.MaxEstimate {
-		t.Errorf("epoch.est_peak_bytes = %d,%v, want %d", est, ok, st.MaxEstimate)
-	}
+	checkEpochGauges(t, r, st)
 	// Estimated and measured peaks were recorded per micro-batch.
 	for _, name := range []string{"micro.est_peak_bytes", "micro.peak_bytes"} {
 		if h := r.HistogramWith(name, nil); h.Count() != int64(st.K) {
@@ -84,6 +73,39 @@ func TestInstrumentedEpochEmitsEveryPhase(t *testing.T) {
 	if k, ok := r.GaugeValue("plan.k"); !ok || k != int64(st.K) {
 		t.Errorf("plan.k = %d,%v, want %d", k, ok, st.K)
 	}
+}
+
+// checkEpochGauges asserts the epoch gauges of one finished epoch agree
+// with its stats.
+func checkEpochGauges(t *testing.T, r *obs.Registry, st EpochStats) {
+	t.Helper()
+	if got := r.CounterValue("epoch.count"); got != 1 {
+		t.Errorf("epoch.count = %d", got)
+	}
+	if k, ok := r.GaugeValue("epoch.k"); !ok || k != int64(st.K) {
+		t.Errorf("epoch.k = %d,%v, want %d", k, ok, st.K)
+	}
+	if pk, ok := r.GaugeValue("epoch.peak_bytes"); !ok || pk != st.PeakBytes {
+		t.Errorf("epoch.peak_bytes = %d,%v, want %d", pk, ok, st.PeakBytes)
+	}
+	if est, ok := r.GaugeValue("epoch.est_peak_bytes"); !ok || est != st.MaxEstimate {
+		t.Errorf("epoch.est_peak_bytes = %d,%v, want %d", est, ok, st.MaxEstimate)
+	}
+}
+
+// A split-parallel epoch publishes the same epoch gauges, so /metricsz
+// names the K a multi-device run planned and the peak it reached.
+func TestMultiDeviceEpochGauges(t *testing.T) {
+	s, r := obsSetup(t, false)
+	md := &MultiDevice{Engine: s.Engine, Devices: []*device.Device{
+		device.New(device.GiB, device.DefaultCostModel()),
+		device.New(device.GiB, device.DefaultCostModel()),
+	}}
+	st, err := md.TrainEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEpochGauges(t, r, st.EpochStats)
 }
 
 // The fake clock makes span timings a pure function of the call sequence:

@@ -114,8 +114,10 @@ func TestEpochStatsPinned(t *testing.T) {
 
 // The buffers a batch puts on a device are the ones the estimator sizes:
 // train.BatchCharges' input-features, labels and blocks equal
-// memory.Estimate's InputFeatures, Labels and Blocks to the byte, for every
-// micro-batch of every architecture.
+// memory.Estimate's InputFeatures, Labels and Blocks to the byte, and the
+// activations RunMicroBatch charges equal its Hidden and Aggregator plus
+// the loss value — the identity the split-parallel replay charges shards
+// by — for every micro-batch of every architecture.
 func TestBatchChargesMatchEstimate(t *testing.T) {
 	for _, arch := range []string{"sage", "gcn", "gat"} {
 		s := pinSetup(t, arch, 4)
@@ -133,6 +135,13 @@ func TestBatchChargesMatchEstimate(t *testing.T) {
 			want := [3]int64{est.InputFeatures, est.Labels, est.Blocks}
 			if got != want || c[0].Label != "input-features" || c[1].Label != "labels" || c[2].Label != "blocks" {
 				t.Fatalf("%s micro %d: charges %v, estimate %v", arch, i, c, want)
+			}
+			res, err := s.Runner.RunMicroBatch(micro, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := est.Hidden + est.Aggregator + memory.BytesPerValue; res.ActivationBytes != want {
+				t.Fatalf("%s micro %d: activations %d, estimate %d", arch, i, res.ActivationBytes, want)
 			}
 		}
 	}

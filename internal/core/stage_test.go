@@ -51,10 +51,10 @@ func shardPins(reg *obs.Registry) int64 {
 	return reg.CounterValue("store.shard_misses") + reg.CounterValue("store.shard_hits")
 }
 
-// A 2-device out-of-core epoch stages its frontier once for both of its
-// passes — the per-device shard forwards and the canonical execution — so
-// it loads each shard at most once, and it trains bitwise like single-device
-// training on the in-RAM matrix.
+// A 2-device out-of-core epoch stages its frontier once for its canonical
+// execution — the shard replay reads no features — so it loads each shard
+// at most once, and it trains bitwise like single-device training on the
+// in-RAM matrix.
 func TestMultiDeviceStageOutOfCore(t *testing.T) {
 	opts := Options{Seed: 21, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 6}
 	single, err := BuildSAGE(testData(t), opts)

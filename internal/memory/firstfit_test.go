@@ -14,7 +14,8 @@ import (
 
 // firstFit is the search Planner.Plan replaced, kept as its reference: walk
 // K = 1, 2, 3, ... with a from-scratch PartitionBatch per attempt and return
-// the first K whose largest estimate fits.
+// the first K whose largest estimate fits — under a Split, the largest
+// estimate of any micro-batch's shards.
 func firstFit(pl *Planner, full []*graph.Block) (*Plan, error) {
 	last := full[len(full)-1]
 	maxK := pl.MaxK
@@ -44,7 +45,22 @@ func firstFit(pl *Planner, full []*graph.Block) (*Plan, error) {
 			}
 			plan.Micro = append(plan.Micro, micro)
 			plan.Estimates = append(plan.Estimates, est)
-			plan.MaxPeak = max(plan.MaxPeak, pl.peakOf(est))
+			if pl.Split == nil {
+				plan.MaxPeak = max(plan.MaxPeak, pl.peakOf(est))
+				continue
+			}
+			shards, err := pl.shard(micro, len(plan.Shards))
+			if err != nil {
+				return nil, err
+			}
+			plan.Shards = append(plan.Shards, shards)
+			for _, shard := range shards {
+				se, err := Estimate(shard, pl.Spec)
+				if err != nil {
+					return nil, err
+				}
+				plan.MaxPeak = max(plan.MaxPeak, pl.peakOf(se))
+			}
 		}
 		if plan.MaxPeak+int64(float64(plan.MaxPeak)*pl.SafetyMargin) <= pl.Capacity {
 			return plan, nil
@@ -57,15 +73,23 @@ func firstFit(pl *Planner, full []*graph.Block) (*Plan, error) {
 // aggregators, GCN and GAT.
 const propModels = 6
 
+// propPeak is one point of the grid's peak axis: a peak functional, and a
+// device count above 1 for a split-parallel plan.
+type propPeak struct {
+	peak    func(Breakdown) int64
+	devices int
+}
+
 var (
-	propPeaks   = []func(Breakdown) int64{nil, Breakdown.ForwardPeak, SplitPeak(2), SplitPeak(4)}
+	propPeaks   = []propPeak{{nil, 1}, {Breakdown.ForwardPeak, 1}, {nil, 2}, {nil, 4}}
 	propMargins = []float64{0, 0.02, 0.1}
 )
 
 // propCase builds one grid point: a random small batch (sampled, so covered;
 // every fifth seed grows an unreachable input node, so not), a model spec, a
-// peak functional, a capacity in permille of the full batch's peak, and a
-// margin. Everything derives from the arguments.
+// peak functional or a split over the case's partitioner, a capacity in
+// permille of the full batch's peak, and a margin. Everything derives from
+// the arguments.
 func propCase(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, margin uint8) (*Planner, []*graph.Block) {
 	t.Helper()
 	r := rng.New(seed)
@@ -106,11 +130,15 @@ func propCase(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, 
 		spec.Model.Aggregator = []nn.Aggregator{nn.Mean, nn.Sum, nn.Pool, nn.LSTM}[model%propModels]
 	}
 	parts := []reg.BatchPartitioner{reg.BettyBatch{Seed: seed}, reg.MetisBatch{Seed: seed}, reg.RandomBatch{Seed: seed}, reg.RangeBatch{}}
+	pp := propPeaks[int(peak)%len(propPeaks)]
 	pl := &Planner{
 		Partitioner:  parts[r.Intn(len(parts))],
 		Spec:         spec,
 		SafetyMargin: propMargins[int(margin)%len(propMargins)],
-		Peak:         propPeaks[int(peak)%len(propPeaks)],
+		Peak:         pp.peak,
+	}
+	if pp.devices > 1 {
+		pl.Split = &Split{Devices: pp.devices, Partitioner: pl.Partitioner}
 	}
 	if r.Intn(4) == 0 {
 		pl.MaxK = 1 + r.Intn(4)
@@ -124,9 +152,9 @@ func propCase(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, 
 }
 
 // checkPlanMatchesFirstFit asserts Plan ≡ firstFit on one grid point: the
-// same error, or the same K, groups and estimates — and that the bound the
-// search started from never exceeds the reference K. It returns that bound
-// (0 when nothing fits).
+// same error, or the same K, groups, estimates and shards — and that the
+// bound the search started from never exceeds the reference K. It returns
+// that bound (0 when nothing fits).
 func checkPlanMatchesFirstFit(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, margin uint8) int {
 	t.Helper()
 	pl, full := propCase(t, seed, model, peak, capPermille, margin)
@@ -139,8 +167,9 @@ func checkPlanMatchesFirstFit(t *testing.T, seed uint64, model, peak uint8, capP
 		return 0
 	}
 	if got.K != want.K || got.MaxPeak != want.MaxPeak ||
-		!reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.Estimates, want.Estimates) {
-		t.Fatalf("Plan chose K=%d peak=%d, first-fit K=%d peak=%d (or groups/estimates differ)",
+		!reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.Estimates, want.Estimates) ||
+		!reflect.DeepEqual(got.Shards, want.Shards) {
+		t.Fatalf("Plan chose K=%d peak=%d, first-fit K=%d peak=%d (or groups/estimates/shards differ)",
 			got.K, got.MaxPeak, want.K, want.MaxPeak)
 	}
 	if got.LowerBound < 1 || got.LowerBound > want.K || got.Attempts != got.K-got.LowerBound+1 {
@@ -153,8 +182,9 @@ func checkPlanMatchesFirstFit(t *testing.T, seed uint64, model, peak uint8, capP
 }
 
 // TestPlanMatchesFirstFit is the planner half of ROADMAP item 10: over a
-// seeded grid of batches x models x peak functionals x capacities x margins
-// the bounded, prepare-once search returns exactly the first-fit plan.
+// seeded grid of batches x models x peak functionals or splits x capacities
+// x margins the bounded, prepare-once search returns exactly the first-fit
+// plan.
 func TestPlanMatchesFirstFit(t *testing.T) {
 	tight := 0
 	for seed := uint64(0); seed < 5; seed++ {
@@ -181,6 +211,7 @@ func FuzzPlanMatchesFirstFit(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint16(500), uint8(0))
 	f.Add(uint64(4), uint8(3), uint8(2), uint16(350), uint8(2))
 	f.Add(uint64(7), uint8(5), uint8(1), uint16(150), uint8(1))
+	f.Add(uint64(9), uint8(4), uint8(3), uint16(300), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, margin uint8) {
 		checkPlanMatchesFirstFit(t, seed, model, peak, capPermille, margin)
 	})

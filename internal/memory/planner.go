@@ -40,10 +40,22 @@ type Planner struct {
 	// capacity; nil means Breakdown.Peak (training: forward + backward).
 	// The serving planner sets Breakdown.ForwardPeak, since inference
 	// materializes no gradients or optimizer states. lowerBoundK needs Peak
-	// convex and non-decreasing in every component, up to rounding each
-	// component by less than a byte: Peak, ForwardPeak, SplitPeak and any
-	// non-negative weighted sum of components are.
+	// convex and non-decreasing in every component: Peak, ForwardPeak and
+	// any non-negative weighted sum of components are.
 	Peak func(Breakdown) int64
+	// Split, when non-nil, plans split-parallel execution: the capacity
+	// bounds every shard of a micro-batch instead of the micro-batch.
+	Split *Split
+}
+
+// Split describes GSplit-style split-parallel execution: each micro-batch
+// is cut into min(Devices, outputs) shards, one per device, and every
+// device holds its shard beside a full replica of the model state.
+type Split struct {
+	Devices int
+	// Partitioner cuts a micro-batch's outputs into shards; nil uses the
+	// planner's Partitioner.
+	Partitioner reg.BatchPartitioner
 }
 
 // peakOf applies the configured peak function (default Breakdown.Peak).
@@ -66,7 +78,11 @@ type Plan struct {
 	Groups    [][]int32
 	Micro     [][]*graph.Block
 	Estimates []Breakdown
-	// MaxPeak is the largest estimated micro-batch peak in bytes.
+	// Shards holds, under a Split, each micro-batch's shards in device
+	// order; a micro-batch cut into one shard is its own shard.
+	Shards [][][]*graph.Block
+	// MaxPeak is the largest estimated micro-batch peak in bytes — under a
+	// Split, the largest shard peak.
 	MaxPeak int64
 	// Attempts is how many partition counts were evaluated: K-LowerBound+1
 	// for a searched plan, 1 for a fixed K.
@@ -132,10 +148,6 @@ func (pl *Planner) Plan(full []*graph.Block) (*Plan, error) {
 		ErrCannotFit, pl.Capacity, bound, maxK)
 }
 
-// peakRounding is the slack lowerBoundK leaves for peak functionals that
-// round shares up (SplitPeak): under one byte per Breakdown component.
-const peakRounding = 8
-
 // lowerBoundK returns the smallest K in [1, maxK+1] the argument below does
 // not rule out; every smaller K is proved not to fit, so the search skips it.
 //
@@ -147,16 +159,20 @@ const peakRounding = 8
 // ideal(K): the full batch's estimate with those components divided by K
 // and the model state (params, gradients, optimizer) whole. For a convex,
 // non-decreasing peak functional, max_i peak_i >= mean_i peak_i >=
-// peak(mean) >= peak(ideal(K)) by Jensen and monotonicity (less
-// peakRounding, for SplitPeak's ceilings); if that does not fit, neither
-// does the largest micro-batch of any K-way split.
+// peak(mean) >= peak(ideal(K)) by Jensen and monotonicity; if that does
+// not fit, neither does the largest micro-batch of any K-way split. Under
+// a Split the shards are at most K·D slices of the batch that still cover
+// it, so the same argument bounds the largest shard by ideal(K·D).
 func (pl *Planner) lowerBoundK(full []*graph.Block, maxK int) (int, error) {
 	whole, err := estimate(full, pl.Spec, false)
 	if err != nil {
 		return 0, err
 	}
-	k := 1
-	for k <= maxK && !pl.fits(pl.peakOf(whole.ideal(int64(k)))-peakRounding) {
+	k, d := 1, 1
+	if pl.Split != nil {
+		d = max(1, pl.Split.Devices)
+	}
+	for k <= maxK && !pl.fits(pl.peakOf(whole.ideal(int64(k*d)))) {
 		k++
 	}
 	if k > 1 && !graph.Covered(full) {
@@ -196,12 +212,59 @@ func (pl *Planner) evaluate(full []*graph.Block, k int, prep *reg.Prepared) (*Pl
 		}
 		plan.Micro = append(plan.Micro, micro)
 		plan.Estimates = append(plan.Estimates, est)
-		if p := pl.peakOf(est); p > plan.MaxPeak {
-			plan.MaxPeak = p
+		peak := pl.peakOf(est)
+		if pl.Split != nil {
+			shards, err := pl.shard(micro, gi)
+			if err != nil {
+				return nil, err
+			}
+			plan.Shards = append(plan.Shards, shards)
+			peak = 0
+			for _, shard := range shards {
+				se, err := Estimate(shard, pl.Spec)
+				if err != nil {
+					return nil, err
+				}
+				peak = max(peak, pl.peakOf(se))
+			}
 		}
+		plan.MaxPeak = max(plan.MaxPeak, peak)
 	}
 	esp.SetInt("max_peak_bytes", plan.MaxPeak)
 	return plan, nil
+}
+
+// shard cuts micro-batch mi's outputs into min(Split.Devices, outputs)
+// groups and slices one shard per group. A single shard (one device, or a
+// micro-batch with one output) is the micro-batch itself, so a one-device
+// split plans and charges exactly what single-device training does.
+// Partitioners that cannot produce the requested group count on a tiny REG
+// (an empty part) fall back to range splitting, counted in
+// multidev.shard_fallbacks.
+func (pl *Planner) shard(micro []*graph.Block, mi int) ([][]*graph.Block, error) {
+	last := micro[len(micro)-1]
+	n := min(pl.Split.Devices, last.NumDst)
+	if n <= 1 {
+		return [][]*graph.Block{micro}, nil
+	}
+	part := pl.Split.Partitioner
+	if part == nil {
+		part = pl.Partitioner
+	}
+	groups, err := part.PartitionBatch(last, n)
+	if err != nil {
+		pl.Obs.Add("multidev.shard_fallbacks", 1)
+		if groups, err = (reg.RangeBatch{}).PartitionBatch(last, n); err != nil {
+			return nil, fmt.Errorf("memory: sharding micro-batch %d: %w", mi, err)
+		}
+	}
+	shards := make([][]*graph.Block, len(groups))
+	for g, sel := range groups {
+		if shards[g], err = graph.SliceBatch(micro, sel); err != nil {
+			return nil, fmt.Errorf("memory: slicing shard %d of micro-batch %d: %w", g, mi, err)
+		}
+	}
+	return shards, nil
 }
 
 // partitionGroups splits the last block's outputs into k groups under a

@@ -339,9 +339,8 @@ func (r *Runner) forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) 
 	return embcache.Forward(tp, r.Model, blocks, x, r.Emb)
 }
 
-// ForwardCost reports the measured cost of a gradient-free forward pass.
-// Multi-device training uses it to charge each simulated device for its
-// shard of a micro-batch without perturbing the canonical gradient
+// ForwardCost reports the measured cost of a gradient-free forward pass:
+// what a batch would materialize, measured without perturbing gradient
 // accumulation.
 type ForwardCost struct {
 	// ActivationBytes is the tape's materialized intermediate memory.
