@@ -5,8 +5,9 @@
 // zero-dependency and fully offline: one `go list -export` run enumerates
 // the packages and compiles them to export data, and each package is
 // type-checked once against that export data. The module-scoped analyzers
-// (dettaint, envreg, obsdisc) additionally build a whole-module call graph
-// and diff the knob registry against the README.
+// see every package at once: dettaint follows the kernel packages' imports,
+// obsdisc matches metric reads to writers, and envreg diffs the knob
+// registry against the README.
 //
 // Usage:
 //

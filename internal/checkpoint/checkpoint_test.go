@@ -12,7 +12,7 @@ import (
 	"betty/internal/tensor"
 )
 
-func testModel(t *testing.T, seed uint64) *nn.GraphSAGE {
+func testModel(t testing.TB, seed uint64) *nn.GraphSAGE {
 	t.Helper()
 	m, err := nn.NewGraphSAGE(nn.Config{
 		InDim: 6, Hidden: 8, OutDim: 3, Layers: 2, Aggregator: nn.Mean,

@@ -8,30 +8,26 @@ import (
 )
 
 // Dettaint guards DESIGN.md §8's determinism clause — kernel outputs are
-// pure functions of their inputs and seeds — against the nondeterministic
-// inputs of the shared classification in callgraph.go: wall-clock reads,
-// the global math/rand stream, worker-count reads (shard boundaries must
-// depend on the problem, never on runtime.NumCPU, GOMAXPROCS or
-// parallel.Workers) and unsorted map iteration. It runs two passes:
+// pure functions of their inputs and seeds — against nondeterministic
+// inputs: wall-clock reads, the global math/rand stream and worker-count
+// reads (shard boundaries must depend on the problem, never on
+// runtime.NumCPU, GOMAXPROCS or parallel.Workers).
 //
-//   - Kernel-local (kernelSinks): inside the kernel packages, test files
-//     included, every identifier use that resolves to a sink is reported —
-//     not only calls, so storing time.Now in a variable is caught too — and
-//     importing math/rand, math/rand/v2 or crypto/rand at all is banned.
-//     Map iteration in kernel packages stays with mapiter, whose
-//     collect-then-sort idiom check is sharper.
-//   - Interprocedural: any function *transitively reachable* from a kernel
-//     entry point — the exported API of the kernel packages and nn — must
-//     not reach a sink either, whichever package it lives in. A helper one
-//     package away that reads time.Now is invisible to every per-package
-//     check yet breaks the same bitwise-reproduction guarantee (PAPER.md
-//     §4); these diagnostics carry the discovery path, so the finding is
-//     actionable without re-deriving the reachability by hand.
+// It scans the kernel packages, internal/nn (whose layers run inside every
+// kernel call of the training step), and every module package their
+// non-test files import, transitively: a sink one package away from a
+// kernel breaks the same bitwise-reproduction guarantee (PAPER.md §4) as
+// one inside it. internal/obs is the one exemption: kernels reach its
+// clock only through the injected obs.Clock interface, and obs's
+// FakeClock goldens pin its direct wall-clock reads. Inside the scanned
+// packages, test files included, every identifier use that resolves to a
+// sink is reported — not only calls, so storing time.Now in a variable is
+// caught too — and importing math/rand, math/rand/v2 or crypto/rand at all
+// is banned.
 var Dettaint = &Analyzer{
 	Name: "dettaint",
 	Doc: "forbid nondeterministic inputs (wall clock, math/rand and crypto/rand, worker-count reads) " +
-		"in kernel packages, and those plus unsorted map iteration anywhere transitively reachable " +
-		"from kernel entry points, with the call path in the diagnostic",
+		"in the kernel packages, internal/nn, and every module package they import (internal/obs excepted)",
 	RunModule: runDettaint,
 }
 
@@ -43,30 +39,82 @@ var bannedKernelImports = map[string]string{
 	"crypto/rand":  "kernels need reproducible streams, not entropy",
 }
 
-// sinkAdvice is the fix each kind of kernel-local sink calls for.
+// sinkAdvice is the fix each kind of sink calls for.
 var sinkAdvice = map[string]string{
 	"wall-clock":   "kernel results must not depend on time (inject timestamps from the caller)",
 	"global-rand":  "randomness must come from the seeded betty/internal/rng",
 	"worker-count": "shard boundaries must depend only on the problem (keep worker awareness inside internal/parallel)",
 }
 
-// taintEntryPrefixes are the packages whose exported APIs seed the
-// reachability: the kernel packages plus nn, whose layer forwards sit
-// directly on the training hot path but are not a "kernel" package for the
-// local analyzers.
-var taintEntryPrefixes = append([]string{"betty/internal/nn"}, kernelPrefixes...)
+var (
+	// wallClockFuncs are the time-package reads whose results change run
+	// to run. Importing time for durations and formatting stays legal.
+	wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func isTaintEntryPkg(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, pre := range taintEntryPrefixes {
-		if path == pre || strings.HasPrefix(path, pre+"/") {
-			return true
+	// globalRandExempt are the math/rand package-level functions that do
+	// not touch the global stream: constructors for locally seeded
+	// generators are deterministic when their seed is.
+	globalRandExempt = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
+)
+
+const (
+	nnPkg       = "betty/internal/nn"
+	parallelPkg = "betty/internal/parallel"
+)
+
+func runDettaint(m *Module) []Diagnostic {
+	scope := taintScope(m.Pkgs)
+	var diags []Diagnostic
+	for _, p := range m.Pkgs {
+		if scope[strings.TrimSuffix(p.Path, "_test")] {
+			diags = append(diags, kernelSinks(p)...)
 		}
 	}
-	return false
+	return diags
 }
 
-// kernelSinks is the kernel-local pass over one kernel package.
+// taintScope returns the import paths dettaint scans: the kernel packages,
+// nn, and the closure of their non-test imports among the loaded packages,
+// stopping at obs.
+func taintScope(pkgs []*Package) map[string]bool {
+	imports := make(map[string][]string)
+	for _, p := range pkgs {
+		if strings.HasSuffix(p.Path, "_test") {
+			continue
+		}
+		for _, f := range p.Files {
+			if p.isTestFile(f) {
+				continue
+			}
+			for _, imp := range f.Imports {
+				if path, err := strconv.Unquote(imp.Path.Value); err == nil {
+					imports[p.Path] = append(imports[p.Path], path)
+				}
+			}
+		}
+	}
+	scope := make(map[string]bool)
+	var visit func(path string)
+	visit = func(path string) {
+		if scope[path] || path == obsPkg {
+			return
+		}
+		scope[path] = true
+		for _, imp := range imports[path] {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		path := strings.TrimSuffix(p.Path, "_test")
+		if isKernel(path) || path == nnPkg {
+			visit(path)
+		}
+	}
+	return scope
+}
+
+// kernelSinks reports every sink use and banned import in one scanned
+// package.
 func kernelSinks(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
@@ -79,7 +127,7 @@ func kernelSinks(p *Package) []Diagnostic {
 				diags = append(diags, Diagnostic{
 					Analyzer: "dettaint",
 					Pos:      p.pos(imp),
-					Message:  fmt.Sprintf("kernel package imports nondeterministic %s: %s", path, why),
+					Message:  fmt.Sprintf("kernel-scope package imports nondeterministic %s: %s", path, why),
 				})
 			}
 		}
@@ -97,65 +145,43 @@ func kernelSinks(p *Package) []Diagnostic {
 		diags = append(diags, Diagnostic{
 			Analyzer: "dettaint",
 			Pos:      p.Fset.Position(id.Pos()),
-			Message:  fmt.Sprintf("%s (%s) used in a kernel package; %s", detail, kind, sinkAdvice[kind]),
+			Message:  fmt.Sprintf("%s (%s) used in a kernel-scope package; %s", detail, kind, sinkAdvice[kind]),
 		})
 	}
 	return diags
 }
 
-func runDettaint(m *Module) []Diagnostic {
-	var diags []Diagnostic
-	for _, p := range m.Pkgs {
-		if isKernel(p.Path) {
-			diags = append(diags, kernelSinks(p)...)
+// classifySink reports whether a use of fn from a function in callerPkg
+// is a nondeterministic input, and which kind.
+func classifySink(fn *types.Func, callerPkg string) (kind, detail string, ok bool) {
+	if fn == nil || fn.Pkg() == nil {
+		return "", "", false
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	pkgLevel := sig == nil || sig.Recv() == nil
+	switch fn.Pkg().Path() {
+	case "time":
+		if wallClockFuncs[fn.Name()] {
+			return "wall-clock", "time." + fn.Name(), true
+		}
+	case "math/rand", "math/rand/v2":
+		// Only the package-level functions draw from the shared global
+		// stream; methods on a locally constructed *rand.Rand are as
+		// deterministic as their seed.
+		if pkgLevel && !globalRandExempt[fn.Name()] {
+			return "global-rand", fn.Pkg().Path() + "." + fn.Name(), true
+		}
+	case "runtime":
+		if fn.Name() == "NumCPU" || fn.Name() == "GOMAXPROCS" {
+			if callerPkg == parallelPkg {
+				return "", "", false // concurrency configuration, not shard math
+			}
+			return "worker-count", "runtime." + fn.Name(), true
+		}
+	case parallelPkg:
+		if pkgLevel && fn.Name() == "Workers" && callerPkg != parallelPkg {
+			return "worker-count", "parallel.Workers", true
 		}
 	}
-
-	g := m.CallGraph()
-	var entries []FuncID
-	for _, id := range g.SortedIDs() {
-		n := g.Nodes[id]
-		if n.Exported && isTaintEntryPkg(n.PkgPath) {
-			entries = append(entries, id)
-		}
-	}
-	pred := g.reach(entries)
-	for _, id := range g.SortedIDs() {
-		if _, reachable := pred[id]; !reachable {
-			continue
-		}
-		n := g.Nodes[id]
-		// Kernel-package sinks were reported above, reachable or not (and
-		// their map iteration is mapiter's); nn — an entry package but not
-		// a kernel package — and everything else a kernel reaches is
-		// reported here.
-		if len(n.Sinks) == 0 || isKernel(n.PkgPath) {
-			continue
-		}
-		path := g.pathTo(pred, id)
-		for _, s := range n.Sinks {
-			diags = append(diags, Diagnostic{
-				Analyzer: "dettaint",
-				Pos:      s.Pos,
-				Message: fmt.Sprintf("%s (%s) is reachable from kernel entry point %s; "+
-					"call path: %s; kernel-reachable code must be a pure function of its inputs and seeds",
-					s.Detail, s.Kind, path[0], renderPath(path, s.Detail)),
-			})
-		}
-	}
-	return diags
-}
-
-// renderPath prints entry → ... → sink with short names.
-func renderPath(path []FuncID, sink string) string {
-	parts := make([]string, 0, len(path)+1)
-	for _, id := range path {
-		parts = append(parts, shortFuncID(id))
-	}
-	return strings.Join(append(parts, sink), " → ")
-}
-
-// shortFuncID strips the "betty/internal/" prefix for readability.
-func shortFuncID(id FuncID) string {
-	return strings.TrimPrefix(string(id), "betty/internal/")
+	return "", "", false
 }

@@ -1,24 +1,24 @@
 // Package lint implements bettyvet, the project-specific static-analysis
-// suite that machine-checks the invariants the training stack's correctness
-// rests on (DESIGN.md §9):
+// suite. It keeps the checks that catch what the dynamic checks (the
+// bitwise 1-vs-N pins, the results_smoke.txt and BENCH_multidev.json
+// goldens, and the benchmark's exact-repeat gate) cannot: each analyzer
+// names, in DESIGN.md §9, a realistic mutant that only it catches.
 //
-//   - mapiter: no kernel feeds ordered output from an unsorted map
-//     iteration.
 //   - pooldisc: every tape created is released (or has its ownership
-//     transferred), and pooled tensors from Tape.Alloc never escape into
-//     struct fields or return values.
+//     transferred), pooled tensors from Tape.Alloc never escape into
+//     struct fields or return values, and every scratch slice is released.
 //   - floateq: floating-point values are never compared with ==/!= outside
 //     approved epsilon/bit-equality helpers.
-//   - dettaint: kernel packages draw randomness only from the seeded
-//     internal/rng and never read the wall clock or the worker count
-//     (runtime.NumCPU, runtime.GOMAXPROCS, parallel.Workers outside
-//     internal/parallel), and nothing a kernel entry point transitively
-//     reaches does either — every kernel output is a pure function of its
-//     inputs and seeds.
-//   - hotalloc, envreg, obsdisc: the training hot path allocates nothing
-//     per step outside the pool, every BETTY_* knob is registered,
-//     hardened and documented, and obs names are literal and spans ended
-//     (DESIGN.md §14).
+//   - hotalloc: the training hot path allocates nothing per shard or per
+//     tape op outside the pool.
+//   - dettaint: the kernel packages, internal/nn and every module package
+//     they import (internal/obs excepted) draw randomness only from the
+//     seeded internal/rng and never read the wall clock or the worker
+//     count (runtime.NumCPU, runtime.GOMAXPROCS, parallel.Workers outside
+//     internal/parallel).
+//   - envreg, obsdisc: every BETTY_* knob is registered, hardened and
+//     documented, and obs spans are ended and metric reads name metrics
+//     the module writes (DESIGN.md §14).
 //
 // The suite is zero-dependency and runs fully offline: one `go list -deps
 // -test -export -json` run enumerates the packages and has the go command
@@ -55,10 +55,10 @@ func (d Diagnostic) String() string {
 
 // An Analyzer reports findings at one of two scopes: local analyzers (Run)
 // inspect one type-checked package at a time; module analyzers (RunModule)
-// see the whole module at once — the call graph, every package, and the
-// README — and catch what no single-package view can (a sink one call away
-// from a kernel, a knob missing from the doc table). Exactly one of Run
-// and RunModule is set.
+// see the whole module at once — every package and the README — and catch
+// what no single-package view can (a sink in a package a kernel imports, a
+// knob missing from the doc table). Exactly one of Run and RunModule is
+// set.
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -66,35 +66,23 @@ type Analyzer struct {
 	RunModule func(m *Module) []Diagnostic
 }
 
-// Analyzers returns the full bettyvet suite in report order: the four
+// Analyzers returns the full bettyvet suite in report order: the three
 // per-package analyzers, then the three module-scoped ones.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Mapiter, Pooldisc, Floateq, Hotalloc, Dettaint, Envreg, Obsdisc}
+	return []*Analyzer{Pooldisc, Floateq, Hotalloc, Dettaint, Envreg, Obsdisc}
 }
 
 // Module is the whole-module analysis view: every loaded package plus the
-// lazily built call graph and the README content envreg diffs its knob
-// registry against.
+// README content envreg diffs its knob registry against.
 type Module struct {
 	Pkgs []*Package
 	// KnobDoc is the README.md content ("" skips the registry/doc diff —
 	// subset runs and golden tests set it explicitly).
 	KnobDoc string
-
-	graph *CallGraph
 }
 
 // NewModule wraps pkgs for module-scoped analysis.
 func NewModule(pkgs []*Package) *Module { return &Module{Pkgs: pkgs} }
-
-// CallGraph returns the module's static call graph, building it on first
-// use.
-func (m *Module) CallGraph() *CallGraph {
-	if m.graph == nil {
-		m.graph = buildCallGraph(m.Pkgs)
-	}
-	return m.graph
-}
 
 // Run executes the full analyzer suite — local analyzers over every
 // package, module analyzers once — applies suppressions across the whole
@@ -152,8 +140,8 @@ func (m *Module) Run() Result {
 const auditAnalyzer = "bettyvet-audit"
 
 // kernelPrefixes are the import paths of the kernel packages whose outputs
-// must be bitwise-deterministic. Scoped analyzers apply to these packages
-// and their subpackages only.
+// must be bitwise-deterministic; dettaint's scope starts from these
+// packages and their subpackages.
 var kernelPrefixes = []string{
 	"betty/internal/tensor",
 	"betty/internal/graph",

@@ -19,7 +19,7 @@ import (
 // analyzed under — the path, not the directory, decides analyzer scope, so
 // the same source can be checked as a kernel or a non-kernel package. The
 // list is typed in order; a package marked register is importable by the
-// packages after it (taintentry imports taintutil).
+// packages after it (taintentry imports taintutil and obs).
 var goldenPackages = []struct {
 	dir      string
 	path     string
@@ -28,8 +28,10 @@ var goldenPackages = []struct {
 	{"kernel", "betty/internal/sample", false},
 	{"nonkernel", "betty/internal/bench", false},
 	{"floateq", "betty/app", false},
+	{"stubs/obs", "betty/internal/obs", true},
 	{"taintutil", "betty/app/taintutil", true},
 	{"taintentry", "betty/internal/sample/deep", false},
+	{"nnlayer", "betty/internal/nn", false},
 	{"envknobs", "betty/app/envknobs", false},
 	{"obsgold", "betty/app/obsgold", false},
 }
@@ -64,9 +66,8 @@ var (
 // goldenModule type-checks every golden package offline against the stub
 // betty packages and wraps them in a Module whose KnobDoc documents every
 // registered knob (the README diff is exercised separately in
-// TestEnvregDocDiff). It returns the module and the packages by testdata
-// directory, for tests that run a single analyzer against one fixture.
-func goldenModule(t *testing.T) (*Module, map[string]*Package) {
+// TestEnvregDocDiff).
+func goldenModule(t *testing.T) *Module {
 	t.Helper()
 	fset := token.NewFileSet()
 	imp := &stubImporter{
@@ -76,16 +77,12 @@ func goldenModule(t *testing.T) (*Module, map[string]*Package) {
 	for _, stub := range []struct{ dir, path string }{
 		{"stubs/tensor", "betty/internal/tensor"},
 		{"stubs/parallel", "betty/internal/parallel"},
-		{"stubs/obs", "betty/internal/obs"},
-		{"stubs/store", "betty/internal/store"},
 	} {
 		imp.local[stub.path] = typecheckDir(t, fset, imp, stub.dir, stub.path).Pkg
 	}
-	byDir := make(map[string]*Package)
 	var pkgs []*Package
 	for _, gp := range goldenPackages {
 		p := typecheckDir(t, fset, imp, gp.dir, gp.path)
-		byDir[gp.dir] = p
 		pkgs = append(pkgs, p)
 		if gp.register {
 			imp.local[gp.path] = p.Pkg
@@ -93,7 +90,7 @@ func goldenModule(t *testing.T) (*Module, map[string]*Package) {
 	}
 	m := NewModule(pkgs)
 	m.KnobDoc = strings.Join(KnobNames(), " ")
-	return m, byDir
+	return m
 }
 
 // TestGolden runs the full suite — local analyzers, module analyzers, and
@@ -102,7 +99,7 @@ func goldenModule(t *testing.T) (*Module, map[string]*Package) {
 // scope/idiom negative, and a reasoned suppression, and the audit must
 // catch the deliberately stale annotation.
 func TestGolden(t *testing.T) {
-	m, _ := goldenModule(t)
+	m := goldenModule(t)
 
 	var wantDiags, wantSup, wantStale []expectation
 	for _, gp := range goldenPackages {
@@ -148,29 +145,29 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestDettaintInterprocedural is the seeded regression the interprocedural
-// rebuild exists for: a wall-clock read planted two calls below a kernel
-// entry point, in another package. Dettaint's kernel-local pass is blind
-// to it — the kernel package itself is spotless — while the reach pass
-// reports the sink with the full discovery path in the message.
-func TestDettaintInterprocedural(t *testing.T) {
-	m, byDir := goldenModule(t)
-
-	if diags := kernelSinks(byDir["taintentry"]); len(diags) != 0 {
-		t.Fatalf("the kernel-local pass should find nothing in the entry package (the sink is interprocedural), got %v", diags)
-	}
-
-	const wantPath = "call path: sample/deep.PlanBatches → betty/app/taintutil.Stamp → " +
-		"betty/app/taintutil.tag → betty/app/taintutil.now → time.Now"
-	var messages []string
-	for _, d := range runDettaint(m) {
-		messages = append(messages, d.Message)
-		if strings.Contains(d.Message, wantPath) {
-			return
+// TestDettaintScope pins which golden packages dettaint scans: the kernel
+// packages, nn by name, and taintutil, which only a kernel's import puts
+// in scope. obs stays out although a kernel imports it, and so does a
+// package nothing in scope imports.
+func TestDettaintScope(t *testing.T) {
+	m := goldenModule(t)
+	scope := taintScope(m.Pkgs)
+	for _, c := range []struct {
+		path    string
+		scanned bool
+	}{
+		{"betty/internal/sample", true},
+		{"betty/internal/sample/deep", true},
+		{"betty/app/taintutil", true},
+		{"betty/internal/nn", true},
+		{"betty/internal/obs", false},
+		{"betty/internal/bench", false},
+		{"betty/app/obsgold", false},
+	} {
+		if scope[c.path] != c.scanned {
+			t.Errorf("%s: scanned = %v, want %v", c.path, scope[c.path], c.scanned)
 		}
 	}
-	t.Fatalf("no dettaint diagnostic carries the taint path %q; got:\n%s",
-		wantPath, strings.Join(messages, "\n"))
 }
 
 // TestEnvregDocDiff exercises the registry↔README diff both ways: a doc

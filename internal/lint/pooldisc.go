@@ -25,34 +25,23 @@ import (
 //     tape's rule 1: the binding function must call tensor.ReleaseScratch
 //     or visibly transfer ownership (return the slice or store it in a
 //     struct field, where a later function releases it).
-//  4. A shard pinned through store.Cache.Pin (the out-of-core feature
-//     cache of DESIGN.md §15) follows the same shape: a pinned shard
-//     blocks eviction, so the binding function must call store.Cache.Unpin
-//     or visibly transfer ownership (return the shard or store it in a
-//     struct field whose owner unpins later). A leaked pin slowly wedges
-//     the cache — gathers block once every resident shard is pinned.
 //
-// The tensor and store packages themselves are exempt: each is the
-// implementation of its discipline (their internal acquire/release pairs
-// are arena- or cache-scoped, not function-scoped). Test files are exempt
-// too — short-lived test tapes lean on the GC by design, and the pool only
-// retains buffers on Release.
+// The tensor package itself is exempt: it is the implementation of the
+// discipline (its internal acquire/release pairs are arena-scoped, not
+// function-scoped). Test files are exempt too — short-lived test tapes
+// lean on the GC by design, and the pool only retains buffers on Release.
 var Pooldisc = &Analyzer{
 	Name: "pooldisc",
 	Doc: "require every locally bound tensor.NewTape to be Released or ownership-transferred, " +
 		"forbid Tape.Alloc results escaping into returns or struct fields, " +
-		"require every tensor.AcquireScratch to be ReleaseScratch-ed or ownership-transferred, " +
-		"and require every store.Cache.Pin to be Unpinned or ownership-transferred",
+		"and require every tensor.AcquireScratch to be ReleaseScratch-ed or ownership-transferred",
 	Run: runPooldisc,
 }
 
-const (
-	tensorPkg = "betty/internal/tensor"
-	storePkg  = "betty/internal/store"
-)
+const tensorPkg = "betty/internal/tensor"
 
 func runPooldisc(p *Package) []Diagnostic {
-	if p.Path == tensorPkg || p.Path == storePkg {
+	if p.Path == tensorPkg {
 		return nil
 	}
 	var diags []Diagnostic
@@ -82,10 +71,8 @@ func pooldiscFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 	pooled := make(map[types.Object]bool)
 	owned := make(map[types.Object]ast.Node)
 	scratchOwned := make(map[types.Object]ast.Node)
-	pinOwned := make(map[types.Object]ast.Node)
 	released := false
 	scratchReleased := false
-	unpinned := false
 
 	// isTensorFunc matches a call to a package-level tensor function.
 	isTensorFunc := func(e ast.Expr, name string) bool {
@@ -120,16 +107,6 @@ func pooldiscFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
 			if len(s.Lhs) != len(s.Rhs) {
-				// Multi-value form. The only tracked multi-value acquisition
-				// is the cache pin: sh, err := c.Pin(id).
-				if len(s.Lhs) == 2 && len(s.Rhs) == 1 {
-					if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok &&
-						isMethodOn(funcObj(p.Info, call), storePkg, "Cache", "Pin") {
-						if id, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident); ok {
-							pinOwned[p.Info.ObjectOf(id)] = s
-						}
-					}
-				}
 				return true
 			}
 			for i, rhs := range s.Rhs {
@@ -173,7 +150,6 @@ func pooldiscFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
 					delete(owned, p.Info.ObjectOf(id))
 					delete(scratchOwned, p.Info.ObjectOf(id))
-					delete(pinOwned, p.Info.ObjectOf(id))
 				}
 			}
 		case *ast.CallExpr:
@@ -182,9 +158,6 @@ func pooldiscFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 			}
 			if isTensorFunc(s, "ReleaseScratch") {
 				scratchReleased = true
-			}
-			if isMethodOn(funcObj(p.Info, s), storePkg, "Cache", "Unpin") {
-				unpinned = true
 			}
 		}
 		return true
@@ -213,19 +186,6 @@ func pooldiscFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 				Pos:      p.pos(site),
 				Message: "tensor.AcquireScratch bound here but no tensor.ReleaseScratch in this function: " +
 					"every scratch slice must be released (defer tensor.ReleaseScratch(s)) or ownership visibly transferred",
-			})
-		}
-	}
-	if !unpinned {
-		for obj, site := range pinOwned {
-			if fieldAssigned(p, fd, obj) {
-				continue // ownership transferred: the holding struct unpins later
-			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "pooldisc",
-				Pos:      p.pos(site),
-				Message: "store.Cache.Pin bound here but no Cache.Unpin in this function: a leaked pin " +
-					"blocks eviction forever — unpin (defer c.Unpin(sh)) or visibly transfer ownership",
 			})
 		}
 	}

@@ -1,15 +1,11 @@
 package kernel
 
-import (
-	"betty/internal/store"
-	"betty/internal/tensor"
-)
+import "betty/internal/tensor"
 
 type holder struct {
 	scratch *tensor.Tensor
 	tape    *tensor.Tape
 	weights []float32
-	pinned  *store.Shard
 }
 
 func leakField(tp *tensor.Tape, h *holder) {
@@ -72,41 +68,4 @@ func okScratchTransferField(h *holder) {
 func okScratchTransferReturn() []float32 {
 	s := tensor.AcquireScratch(8)
 	return s
-}
-
-func leakPin(c *store.Cache) float32 {
-	sh, err := c.Pin(3) // want pooldisc
-	if err != nil {
-		return 0
-	}
-	return sh.Data[0]
-}
-
-func okPinUnpinned(c *store.Cache) (float32, error) {
-	sh, err := c.Pin(3)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Unpin(sh)
-	return sh.Data[0], nil
-}
-
-func okPinTransferField(c *store.Cache, h *holder) error {
-	sh, err := c.Pin(3)
-	if err != nil {
-		return err
-	}
-	h.pinned = sh // holder's owner unpins on teardown
-	return nil
-}
-
-func okPinTransferReturn(c *store.Cache) (*store.Shard, error) {
-	sh, err := c.Pin(3)
-	return sh, err
-}
-
-func okPinAnnotated(c *store.Cache) float32 {
-	//bettyvet:ok pooldisc fixture pin is unpinned by the caller-registered finalizer // want-sup+1 pooldisc
-	sh, _ := c.Pin(4)
-	return sh.Data[0]
 }

@@ -22,9 +22,9 @@ func keys(m map[string]int) []string {
 
 func procs() int { return runtime.NumCPU() }
 
-// The annotation below silences nothing — nothing here is a kernel package
-// or reachable from one, so dettaint reports no sink — and the suppression
-// audit must flag it as stale.
+// The annotation below silences nothing — this package is neither a kernel
+// package nor imported by one, so dettaint reports no sink — and the
+// suppression audit must flag it as stale.
 //
 //bettyvet:ok dettaint deliberately stale annotation for the audit golden // want-stale
 func annotatedForNothing(since time.Time) time.Duration {

@@ -1,11 +1,27 @@
 // Package obs is a minimal stand-in for betty/internal/obs with just
 // enough API surface (Registry, StartSpan/SetInt/End, the metric
 // write/read methods) for the obsdisc golden tests to type-check against.
+// It is analyzed as well as imported: the kernel fixture taintentry
+// imports it, and dettaint must leave its wall-clock read alone.
 package obs
 
-type Registry struct{ counters map[string]int64 }
+import "time"
 
-func NewRegistry() *Registry { return &Registry{counters: map[string]int64{}} }
+// Clock is the time source spans read; kernels see only this interface.
+type Clock interface{ Now() int64 }
+
+type realClock struct{}
+
+// Now reads the wall clock. obs is the one package kernels import whose
+// clock is exempt from dettaint: kernels reach it only through Clock.
+func (realClock) Now() int64 { return time.Now().UnixNano() }
+
+type Registry struct {
+	counters map[string]int64
+	clock    Clock
+}
+
+func NewRegistry() *Registry { return &Registry{counters: map[string]int64{}, clock: realClock{}} }
 
 type Span struct{}
 

@@ -1,20 +1,22 @@
-// Package deep is the kernel side of the dettaint golden fixture: analyzed
-// under betty/internal/sample/deep, its exported functions are taint entry
-// points. The package itself is spotless under mapiter and dettaint's
-// kernel-local pass — the nondeterminism lives two calls away in
-// betty/app/taintutil, which is exactly the gap the interprocedural pass
-// closes (see TestDettaintInterprocedural, which asserts the local pass
-// stays blind here).
+// Package deep is the kernel side of the dettaint scope golden: analyzed
+// under betty/internal/sample/deep it is a kernel package, so every
+// module package it imports is scanned too. Its own code is spotless; the
+// sinks live in betty/app/taintutil, which only this import puts in scope.
+// It also imports obs, the one exempt package, whose realClock reads the
+// wall clock unflagged.
 package deep
 
-import "betty/app/taintutil"
+import (
+	"betty/app/taintutil"
+	"betty/internal/obs"
+)
 
-// PlanBatches reaches time.Now through taintutil.Stamp → tag → now.
+// PlanBatches reaches time.Now through taintutil.Stamp.
 func PlanBatches(n int) int { return taintutil.Stamp(n) }
 
-// PlanOrder reaches the global math/rand stream through taintutil.Shuffle,
-// whose finding carries a reasoned suppression.
-func PlanOrder(xs []int) { taintutil.Shuffle(xs) }
-
-// planLocal is unexported: not an entry point, and it calls nothing tainted.
-func planLocal(n int) int { return n * 2 }
+// Traced times its work through obs, whose clock is injected.
+func Traced(r *obs.Registry, n int) int {
+	sp := r.StartSpan("plan")
+	defer sp.End()
+	return n * 2
+}

@@ -1,17 +1,13 @@
-// Package taintutil is the dettaint golden fixture: a non-kernel helper
-// package whose sinks are invisible to every per-package analyzer (it is
-// analyzed under betty/app/taintutil, outside kernel scope) yet reachable
-// from the kernel entry points in the taintentry fixture. The wall-clock
-// read sits two calls below the exported surface, so only the
-// interprocedural walk can connect it to a kernel.
+// Package taintutil is the other half of the dettaint scope golden: a
+// helper package outside every kernel prefix, analyzed under
+// betty/app/taintutil, that the kernel fixture taintentry imports. Its
+// sinks are reported because of that import, wherever they sit in the
+// package: the scope is the import closure of the kernel packages.
 package taintutil
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// Stamp is what the kernel entry point calls; the sink is two hops down.
+// Stamp is what the kernel calls; the sink is two hops down.
 func Stamp(n int) int { return tag(n) }
 
 func tag(n int) int { return n + int(now().UnixNano()) }
@@ -20,13 +16,8 @@ func now() time.Time {
 	return time.Now() // want dettaint
 }
 
-// Shuffle carries a reasoned suppression: the finding is real (the global
-// math/rand stream is kernel-reachable through PlanOrder) but excused for
-// the golden.
-func Shuffle(xs []int) {
-	//bettyvet:ok dettaint golden fixture: suppressed interprocedural finding // want-sup+1 dettaint
-	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+// overBudget carries a reasoned suppression.
+func overBudget(start time.Time) bool {
+	//bettyvet:ok dettaint golden fixture: suppressed finding in a kernel-imported package // want-sup+1 dettaint
+	return time.Since(start) > time.Second
 }
-
-// cold has the same sink but no caller: unreachable code is not reported.
-func cold() int64 { return time.Now().UnixNano() }
