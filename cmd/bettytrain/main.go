@@ -31,7 +31,6 @@ import (
 	"betty/internal/core"
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/knobs"
 	"betty/internal/obs"
 	"betty/internal/reg"
@@ -122,6 +121,11 @@ func run(cfg runConfig) (err error) {
 	if err := knobs.Check(os.Environ()); err != nil {
 		return err
 	}
+	// The embedding cache is serving's alone (DESIGN.md §16): training's
+	// weights change every step. A set knob would otherwise be ignored.
+	if _, set := os.LookupEnv("BETTY_EMBCACHE"); set {
+		return fmt.Errorf("BETTY_EMBCACHE is set, but only bettyserve has an embedding cache; unset it to train")
+	}
 	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		return err
@@ -196,26 +200,6 @@ func run(cfg runConfig) (err error) {
 		return err
 	}
 	setup.Engine.SetObs(obsReg)
-	// BETTY_EMBCACHE (DESIGN.md §16) is off unless set: no cache is built
-	// and forwards take the plain path. exact audits the cache path bitwise
-	// without changing a training float; reuse trades staleness for compute.
-	mode, err := embcache.ParseMode(os.Getenv("BETTY_EMBCACHE"))
-	if err != nil {
-		return err
-	}
-	setup.Runner.Emb, err = embcache.New(embcache.Config{
-		Mode:        mode,
-		BudgetBytes: embcache.BudgetBytes,
-		MaxLag:      embcache.MaxLag,
-		Obs:         obsReg,
-	})
-	if err != nil {
-		return err
-	}
-	if mode != embcache.ModeOff {
-		fmt.Fprintf(cfg.out, "embedding cache: mode %v, budget %d MiB, max version lag %d\n",
-			mode, embcache.BudgetBytes/device.MiB, embcache.MaxLag)
-	}
 	if cfg.macro != "" {
 		setup.Engine.Frontiers = store.NewMacroCache(cfg.macro, setup.Engine.Sampler.ConfigKey(), obsReg)
 	}

@@ -231,41 +231,30 @@ func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 	}
 }
 
-// maskEpochMS blanks the measured epoch ms column of the epoch rows, the one
-// part of a log that differs between two identical runs.
-func maskEpochMS(log string) string {
-	lines := strings.Split(log, "\n")
-	for i, line := range lines {
-		if f := strings.Fields(line); len(f) == 7 {
-			f[5] = "-"
-			lines[i] = strings.Join(f, " ")
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
-// With nothing set bettytrain builds no embedding cache; BETTY_EMBCACHE=exact
-// announces one and, being a self-check, changes no other byte of the log
-// but the measured epoch times.
+// Training has no embedding cache: with nothing set the run is the plain
+// one, and any BETTY_EMBCACHE value, even off, is refused at startup with
+// an error that names the knob and bettyserve, the tool that has the cache.
 func TestDefaultsArePlainPath(t *testing.T) {
-	log := func(mode string) string {
+	var out bytes.Buffer
+	cfg := smallConfig()
+	cfg.out = &out
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "embedding cache") {
+		t.Fatalf("default run mentions an embedding cache:\n%s", out.String())
+	}
+	for _, mode := range []string{"off", "exact", "reuse"} {
 		t.Setenv("BETTY_EMBCACHE", mode)
-		var out bytes.Buffer
-		cfg := smallConfig()
+		out.Reset()
 		cfg.out = &out
-		if err := run(cfg); err != nil {
-			t.Fatal(err)
+		err := run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "BETTY_EMBCACHE") || !strings.Contains(err.Error(), "bettyserve") {
+			t.Fatalf("BETTY_EMBCACHE=%s: run returned %v, want a refusal naming the knob and bettyserve", mode, err)
 		}
-		return maskEpochMS(out.String())
-	}
-	plain, exact := log(""), log("exact")
-	if strings.Contains(plain, "embedding cache:") {
-		t.Fatalf("default run built an embedding cache:\n%s", plain)
-	}
-	before, after, found := strings.Cut(exact, "embedding cache: mode exact")
-	_, after, _ = strings.Cut(after, "\n")
-	if !found || before+after != plain {
-		t.Fatalf("exact run is not the plain run plus one embedding-cache line:\n%s\nvs\n%s", exact, plain)
+		if out.Len() != 0 {
+			t.Fatalf("BETTY_EMBCACHE=%s: refused run logged %q", mode, out.String())
+		}
 	}
 }
 

@@ -14,12 +14,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"betty/internal/nn"
 )
 
-// formatVersion guards against decoding incompatible files.
-const formatVersion = 1
+// formatVersion guards against decoding incompatible files. Version 2
+// stores the metadata as a slice of pairs instead of a map.
+const formatVersion = 2
 
 // paramBlob is one serialized parameter tensor.
 type paramBlob struct {
@@ -27,16 +30,29 @@ type paramBlob struct {
 	Data       []float32
 }
 
-// envelope is the on-disk structure.
+// metaPair is one metadata entry.
+type metaPair struct {
+	Key, Value string
+}
+
+// envelope is the on-disk structure. Meta is a slice, not a map: gob sizes
+// a map from the count in the input before reading any entry, so a corrupt
+// count could ask for gigabytes, while a slice's first allocation is
+// capped and grows only as entries actually decode.
 type envelope struct {
 	Version int
-	Meta    map[string]string
+	Meta    []metaPair
 	Params  []paramBlob
 }
 
 // Save writes m's parameters and the metadata to w.
 func Save(w io.Writer, m nn.Module, meta map[string]string) error {
-	env := envelope{Version: formatVersion, Meta: meta}
+	env := envelope{Version: formatVersion}
+	for k, v := range meta {
+		env.Meta = append(env.Meta, metaPair{k, v})
+	}
+	// Sorted, so a checkpoint's bytes are a function of its contents.
+	slices.SortFunc(env.Meta, func(a, b metaPair) int { return strings.Compare(a.Key, b.Key) })
 	for _, p := range m.Params() {
 		env.Params = append(env.Params, paramBlob{
 			Rows: p.Value.Rows(),
@@ -79,7 +95,14 @@ func Load(r io.Reader, m nn.Module) (map[string]string, error) {
 	for i, p := range params {
 		copy(p.Value.Data, env.Params[i].Data)
 	}
-	return env.Meta, nil
+	var meta map[string]string
+	if len(env.Meta) > 0 {
+		meta = make(map[string]string, len(env.Meta))
+	}
+	for _, kv := range env.Meta {
+		meta[kv.Key] = kv.Value
+	}
+	return meta, nil
 }
 
 // SaveFile writes a checkpoint to path (created or truncated).
@@ -103,26 +126,4 @@ func LoadFile(path string, m nn.Module) (map[string]string, error) {
 	}
 	defer f.Close()
 	return Load(f, m)
-}
-
-// Invalidator is anything holding state derived from the model weights
-// that a checkpoint load makes stale — the historical-embedding cache
-// (embcache.Cache, serve.Server) being the motivating case.
-type Invalidator interface {
-	Invalidate()
-}
-
-// LoadFileAndInvalidate restores a checkpoint and, only after the
-// parameters have actually been replaced, invalidates the derived state.
-// A failed load leaves both the model and inv untouched, so callers never
-// pay a cache flush for a checkpoint that was rejected.
-func LoadFileAndInvalidate(path string, m nn.Module, inv Invalidator) (map[string]string, error) {
-	meta, err := LoadFile(path, m)
-	if err != nil {
-		return nil, err
-	}
-	if inv != nil {
-		inv.Invalidate()
-	}
-	return meta, nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"betty/internal/nn"
@@ -66,4 +70,38 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMetaCountBombBounded loads the corpus checkpoint meta-count-2p28: a
+// valid version-2 checkpoint whose Meta count was rewritten to claim 2^28
+// entries (gob bytes fc 10 00 00 00). gob sizes a map from such a count
+// before reading any entry — over 20 GB for this file when Meta was a map —
+// but caps a slice's first allocation, so Load must fail in the decode
+// having allocated under 16 MiB.
+func TestMetaCountBombBounded(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzCheckpointLoad/meta-count-2p28")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "\n[]byte(")
+	q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(q)
+	if !bytes.Contains(data, []byte{0xfc, 0x10, 0, 0, 0}) {
+		t.Fatal("corpus file carries no 2^28 count")
+	}
+	m := testModel(t, 99)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = Load(bytes.NewReader(data), m)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "decode") {
+		t.Fatalf("Load = %v, want a decode error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("Load allocated %d bytes for a 2^28 Meta count, want under 16 MiB", got)
+	}
 }

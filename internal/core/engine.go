@@ -25,7 +25,6 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/graph"
 	"betty/internal/memory"
 	"betty/internal/nn"
@@ -57,12 +56,6 @@ type Engine struct {
 	// bitwise identical to resampling — the macro.reuse / macro.resample
 	// counters record which path each epoch took.
 	Frontiers FrontierCache
-
-	// frontierMeter measures cross-micro-batch frontier overlap
-	// (sample.frontier.* metrics) — the temporal-locality signal the
-	// historical-embedding cache exploits. SetObs builds it for its
-	// registry; it is nil without one.
-	frontierMeter *embcache.Meter
 }
 
 // FrontierCache persists sampled full-batch frontiers across epochs (and
@@ -79,11 +72,9 @@ type FrontierCache interface {
 // SetObs installs one registry on the engine and every collaborator it
 // owns: the runner (h2d/forward/backward/step/eval spans), the sampler
 // (sample spans), the planner built per epoch (partition/estimate spans),
-// and — when the partitioner is the REG one — its reg_build span. The
-// frontier meter is rebuilt for r, so SetObs(nil) stops it too.
+// and — when the partitioner is the REG one — its reg_build span.
 func (e *Engine) SetObs(r *obs.Registry) {
 	e.Obs = r
-	e.frontierMeter = embcache.NewMeter(r)
 	if e.Runner != nil {
 		e.Runner.Obs = r
 	}
@@ -351,10 +342,6 @@ func (e *Engine) executePlan(plan *memory.Plan, st *EpochStats) error {
 		f.labeled += e.labeled(micro[len(micro)-1].DstNID)
 	}
 	for i, micro := range plan.Micro {
-		// micro[0].DstNID is the layer-1 destination frontier — the
-		// embedding cache's key space — so its overlap with the previous
-		// micro-batch is exactly the reusable fraction.
-		e.frontierMeter.Observe(micro[0].DstNID)
 		if err := f.run(micro, f.share(micro)); err != nil {
 			return fmt.Errorf("core: micro-batch: %w", err)
 		}

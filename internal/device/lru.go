@@ -7,7 +7,7 @@ import "fmt"
 // ledger's Used is the cache's residency and its capacity the budget — and
 // several caches built over one ledger share that budget. It is the one
 // eviction mechanism under the out-of-core shard cache and the embedding
-// cache; each owner keeps only its own policy (locking, versions) on top.
+// cache; each owner keeps only its own policy (locking, verify) on top.
 //
 // An entry can be held: it stays resident and charged but leaves the
 // eviction order until every Hold is matched by a Release — the shard
@@ -15,8 +15,8 @@ import "fmt"
 // lock it themselves.
 type LRU[K comparable, V any] struct {
 	// OnEvict, when set, observes every entry dropped to make room
-	// (Reserve, EvictOldest) — not Remove or Flush, which the owner asked
-	// for by name.
+	// (Reserve, EvictOldest) — not Flush, which the owner asked for by
+	// name.
 	OnEvict func(K, V)
 
 	ledger  *Device
@@ -119,16 +119,6 @@ func (c *LRU[K, V]) Release(k K) bool {
 	c.held--
 	c.pushFront(e)
 	return true
-}
-
-// Remove drops k, held or not, and frees its charge; it reports whether k
-// was resident.
-func (c *LRU[K, V]) Remove(k K) bool {
-	e, ok := c.entries[k]
-	if ok {
-		c.drop(e)
-	}
-	return ok
 }
 
 // EvictOldest drops the least recently used unheld entry; false when

@@ -56,10 +56,6 @@ func TestLRUEvictionOrderAndTouch(t *testing.T) {
 	if c.Len() != 3 || c.Bytes() != 3*AllocGranularity || d.Used() != c.Bytes() {
 		t.Fatalf("len %d bytes %d ledger %d", c.Len(), c.Bytes(), d.Used())
 	}
-	// Remove is the owner's own drop: no OnEvict.
-	if !c.Remove(4) || c.Remove(4) || len(evicted) != 2 {
-		t.Fatalf("Remove misbehaved (evicted %v)", evicted)
-	}
 	// One allocation larger than everything resident evicts it all.
 	if !put(c, 6, 3*AllocGranularity) || c.Len() != 1 {
 		t.Fatalf("full-budget put left %d entries", c.Len())
@@ -223,13 +219,6 @@ func TestLRURandomizedAgainstModel(t *testing.T) {
 			}
 			if got := c.Release(k); got != last {
 				t.Fatalf("step %d: Release(%d) = %v, model %v", step, k, got, last)
-			}
-		case op < 91:
-			if got := c.Remove(k); got != resident {
-				t.Fatalf("step %d: Remove(%d) = %v, model %v", step, k, got, resident)
-			}
-			if resident {
-				m.drop(k)
 			}
 		case op < 99:
 			want := len(m.order) > 0

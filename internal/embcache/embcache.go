@@ -17,7 +17,8 @@ type Config struct {
 	Mode Mode
 	// BudgetBytes bounds resident row bytes. Required when Ledger is nil.
 	BudgetBytes int64
-	// MaxLag is the maximum weight-version lag a reuse hit may carry.
+	// MaxLag is ignored. It stays only because benchmark/ still sets it;
+	// the cache holds no weight versions (see the package doc).
 	MaxLag int
 	// Ledger, when non-nil, is the device ledger cache bytes are charged
 	// to (shared with other caches); otherwise the cache creates its own
@@ -27,41 +28,27 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// entry is one cached layer-1 row. version records the weight version the
-// row was computed under; staleness is version lag, checked lazily at
-// lookup so invalidation is O(1).
-type entry struct {
-	version uint64
-	row     []float32
-}
-
-// Cache is a concurrency-safe versioned historical-embedding cache.
+// Cache is a concurrency-safe historical-embedding cache of layer-1 rows.
 // Rows are copied in and out under the lock — no caller ever holds a
 // reference into cache-owned memory, so eviction needs no pinning. Order,
 // charging and eviction are device.LRU's; this type adds the lock, the
-// versions and lag check, the self-budget on a shared ledger, and verify.
+// self-budget on a shared ledger, and verify.
 type Cache struct {
 	mode   Mode
-	maxLag uint64
 	budget int64
 	ledger *device.Device
 	reg    *obs.Registry
 
-	mu             sync.Mutex
-	version        uint64
-	lru            *device.LRU[int32, *entry]
-	rowDim         int
-	maxObservedLag uint64
-	hits, misses   int64
+	mu           sync.Mutex
+	lru          *device.LRU[int32, []float32]
+	rowDim       int
+	hits, misses int64
 }
 
 // New builds a cache, or nil when cfg.Mode is ModeOff.
 func New(cfg Config) (*Cache, error) {
 	if cfg.Mode == ModeOff {
 		return nil, nil
-	}
-	if cfg.MaxLag < 0 {
-		return nil, fmt.Errorf("embcache: negative max lag %d", cfg.MaxLag)
 	}
 	ledger := cfg.Ledger
 	if ledger == nil {
@@ -74,15 +61,13 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		mode:   cfg.Mode,
-		maxLag: uint64(cfg.MaxLag),
 		budget: cfg.BudgetBytes,
 		ledger: ledger,
 		reg:    cfg.Obs,
-		lru:    device.NewLRU[int32, *entry](ledger, "embcache.row"),
+		lru:    device.NewLRU[int32, []float32](ledger, "embcache.row"),
 	}
-	c.lru.OnEvict = func(int32, *entry) { c.reg.Add("embcache.evictions", 1) }
+	c.lru.OnEvict = func(int32, []float32) { c.reg.Add("embcache.evictions", 1) }
 	c.reg.Set("embcache.budget_bytes", cfg.BudgetBytes)
-	c.reg.Set("embcache.version", 0)
 	return c, nil
 }
 
@@ -97,16 +82,6 @@ func (c *Cache) Mode() Mode {
 	return c.mode
 }
 
-// Version returns the current weight version.
-func (c *Cache) Version() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
 // Dim returns the cached row width, or 0 before the first Store.
 func (c *Cache) Dim() int {
 	if c == nil {
@@ -115,17 +90,6 @@ func (c *Cache) Dim() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rowDim
-}
-
-// MaxObservedLag returns the largest version lag any reuse hit has
-// carried — the quantity the staleness-bound test pins against MaxLag.
-func (c *Cache) MaxObservedLag() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxObservedLag
 }
 
 // Stats returns the cumulative FetchInto hit and miss counts — the same
@@ -150,35 +114,6 @@ func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Bytes()
-}
-
-// BumpVersion advances the weight version by one — called after every
-// optimizer step. Entries are not touched: staleness is evaluated lazily
-// at lookup against the new version.
-func (c *Cache) BumpVersion() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.version++
-	v := c.version
-	c.mu.Unlock()
-	c.reg.Set("embcache.version", int64(v))
-}
-
-// Invalidate advances the version past every entry's reuse window —
-// called on checkpoint load, when the weights change discontinuously.
-// Entries drop lazily on their next lookup; no eager sweep.
-func (c *Cache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.version += c.maxLag + 1
-	v := c.version
-	c.mu.Unlock()
-	c.reg.Add("embcache.invalidations", 1)
-	c.reg.Set("embcache.version", int64(v))
 }
 
 // Flush drops every entry and releases its ledger charge — called when a
@@ -211,49 +146,33 @@ func (c *Cache) FetchInto(nids []int32, dst func(i int) []float32) ([]bool, int)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hits, staleDrops := 0, 0
+	hits := 0
 	for i, nid := range nids {
-		e, ok := c.lru.Get(nid)
-		if !ok {
-			continue
+		if row, ok := c.lru.Get(nid); ok {
+			copy(dst(i), row)
+			hit[i] = true
+			hits++
 		}
-		lag := c.version - e.version
-		if lag > c.maxLag {
-			c.lru.Remove(nid)
-			staleDrops++
-			continue
-		}
-		copy(dst(i), e.row)
-		if lag > c.maxObservedLag {
-			c.maxObservedLag = lag
-		}
-		c.reg.Observe("embcache.hit_lag", int64(lag))
-		hit[i] = true
-		hits++
 	}
 	c.hits += int64(hits)
 	c.misses += int64(len(nids) - hits)
 	c.reg.Add("embcache.hits", int64(hits))
 	c.reg.Add("embcache.misses", int64(len(nids)-hits))
-	if staleDrops > 0 {
-		c.reg.Add("embcache.stale_drops", int64(staleDrops))
-		c.publishResidency()
-	}
 	return hit, hits
 }
 
-// Store inserts rows of t (one per nid, at the current version), evicting
-// LRU entries as needed to fit the budget. Rows that cannot fit even
+// Store inserts rows of t (one per nid), evicting LRU entries as needed
+// to fit the budget. Rows that cannot fit even
 // after evicting everything else are skipped, never partially stored.
 func (c *Cache) Store(nids []int32, t *tensor.Tensor) error {
 	return c.store(nids, t, false)
 }
 
-// VerifyAndStore is the exact-mode path: any cached row already at the
-// current version must be bitwise equal to the freshly recomputed row in
-// t. A mismatch is a loud error — it means the cache and the forward
-// disagree about the same weights, which is exactly the corruption the
-// self-check mode exists to catch. Rows are then (re)stored as in Store.
+// VerifyAndStore is the exact-mode path: any cached row must be bitwise
+// equal to the freshly recomputed row in t. A mismatch is a loud error —
+// the weights are fixed for the cache's lifetime, so it means the cache
+// and the forward disagree, which is exactly the corruption the self-check
+// mode exists to catch. Rows are then (re)stored as in Store.
 func (c *Cache) VerifyAndStore(nids []int32, t *tensor.Tensor) error {
 	return c.store(nids, t, true)
 }
@@ -277,16 +196,15 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 	budgetSkips := 0
 	for i, nid := range nids {
 		fresh := t.Row(i)
-		if e, ok := c.lru.Get(nid); ok {
-			if verify && e.version == c.version {
-				if j := mismatch(e.row, fresh); j >= 0 {
+		if row, ok := c.lru.Get(nid); ok {
+			if verify {
+				if j := mismatch(row, fresh); j >= 0 {
 					c.reg.Add("embcache.verify_failures", 1)
-					return fmt.Errorf("embcache: exact-mode verify failed for node %d at version %d: cached[%d]=%x recomputed=%x",
-						nid, c.version, j, math.Float32bits(e.row[j]), math.Float32bits(fresh[j]))
+					return fmt.Errorf("embcache: exact-mode verify failed for node %d: cached[%d]=%x recomputed=%x",
+						nid, j, math.Float32bits(row[j]), math.Float32bits(fresh[j]))
 				}
 			}
-			copy(e.row, fresh)
-			e.version = c.version
+			copy(row, fresh)
 			continue
 		}
 		buf, ok := c.reserveLocked(rowBytes)
@@ -294,7 +212,7 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 			budgetSkips++
 			continue
 		}
-		c.lru.Insert(nid, &entry{version: c.version, row: append([]float32(nil), fresh...)}, buf)
+		c.lru.Insert(nid, append([]float32(nil), fresh...), buf)
 	}
 	if budgetSkips > 0 {
 		c.reg.Add("embcache.budget_skips", int64(budgetSkips))

@@ -30,9 +30,6 @@ func TestNewValidation(t *testing.T) {
 	if c, err := New(Config{Mode: ModeOff}); c != nil || err != nil {
 		t.Fatalf("off mode: %v, %v (want nil cache, nil error)", c, err)
 	}
-	if _, err := New(Config{Mode: ModeReuse, BudgetBytes: 1024, MaxLag: -1}); err == nil {
-		t.Fatal("negative max lag accepted")
-	}
 	if _, err := New(Config{Mode: ModeExact}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
@@ -44,14 +41,12 @@ func TestNewValidation(t *testing.T) {
 
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
-	if c.Active() || c.Mode() != ModeOff || c.Version() != 0 || c.Dim() != 0 {
+	if c.Active() || c.Mode() != ModeOff || c.Dim() != 0 {
 		t.Fatal("nil cache not inert")
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
 		t.Fatal("nil cache has stats")
 	}
-	c.BumpVersion()
-	c.Invalidate()
 	c.Flush()
 	hit, hits := c.FetchInto([]int32{1, 2}, func(int) []float32 { return nil })
 	if hits != 0 || len(hit) != 2 || hit[0] || hit[1] {
@@ -60,7 +55,7 @@ func TestNilCacheIsInert(t *testing.T) {
 	if err := c.Store([]int32{1}, tensor.New(1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if c.ResidentBytes() != 0 || c.MaxObservedLag() != 0 {
+	if c.ResidentBytes() != 0 {
 		t.Fatal("nil cache holds state")
 	}
 }
@@ -81,46 +76,6 @@ func fetch(c *Cache, nids []int32, dim int) ([]bool, int, *tensor.Tensor) {
 	dst := tensor.New(len(nids), dim)
 	hit, hits := c.FetchInto(nids, dst.Row)
 	return hit, hits, dst
-}
-
-func TestReuseStalenessBound(t *testing.T) {
-	reg := obs.New(nil)
-	c, err := New(Config{Mode: ModeReuse, BudgetBytes: device.MiB, MaxLag: 1, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store([]int32{7, 9}, rows(t, []float32{1, 2}, []float32{3, 4})); err != nil {
-		t.Fatal(err)
-	}
-
-	// Lag 0 and lag 1 hit; the rows come back bit-for-bit.
-	for lag := 0; lag <= 1; lag++ {
-		hit, hits, dst := fetch(c, []int32{7, 9}, 2)
-		if hits != 2 || !hit[0] || !hit[1] {
-			t.Fatalf("lag %d: hits = %d, mask %v", lag, hits, hit)
-		}
-		if dst.Row(0)[0] != 1 || dst.Row(1)[1] != 4 {
-			t.Fatalf("lag %d: wrong row data %v %v", lag, dst.Row(0), dst.Row(1))
-		}
-		c.BumpVersion()
-	}
-	if c.MaxObservedLag() != 1 {
-		t.Fatalf("max observed lag = %d, want 1", c.MaxObservedLag())
-	}
-
-	// Lag 2 exceeds MaxLag: the entries miss and are dropped.
-	if _, hits, _ := fetch(c, []int32{7, 9}, 2); hits != 0 {
-		t.Fatalf("stale rows hit (%d)", hits)
-	}
-	if got := reg.CounterValue("embcache.stale_drops"); got != 2 {
-		t.Fatalf("stale_drops = %d, want 2", got)
-	}
-	if c.ResidentBytes() != 0 {
-		t.Fatalf("stale entries still resident: %d bytes", c.ResidentBytes())
-	}
-	if c.MaxObservedLag() > 1 {
-		t.Fatalf("over-lag fetch counted as observed lag %d", c.MaxObservedLag())
-	}
 }
 
 func TestExactModeNeverHits(t *testing.T) {
@@ -149,22 +104,17 @@ func TestVerifyAndStore(t *testing.T) {
 	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2})); err != nil {
 		t.Fatal(err)
 	}
-	// Same version, same bits: fine.
+	// Same bits: fine.
 	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2})); err != nil {
 		t.Fatal(err)
 	}
-	// Same version, different bits: the self-check must fire loudly.
+	// Different bits under the same weights: the self-check must fire
+	// loudly.
 	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2.5})); err == nil {
-		t.Fatal("bitwise mismatch at the same version accepted")
+		t.Fatal("bitwise mismatch accepted")
 	}
 	if got := reg.CounterValue("embcache.verify_failures"); got != 1 {
 		t.Fatalf("verify_failures = %d, want 1", got)
-	}
-	// After a version bump the weights legitimately changed: no verify,
-	// the row is refreshed.
-	c.BumpVersion()
-	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{9, 9})); err != nil {
-		t.Fatalf("cross-version refresh rejected: %v", err)
 	}
 }
 
@@ -254,26 +204,12 @@ func TestSharedLedgerPressureEvicts(t *testing.T) {
 	}
 }
 
-func TestFlushAndInvalidate(t *testing.T) {
+func TestFlush(t *testing.T) {
 	reg := obs.New(nil)
-	c, err := New(Config{Mode: ModeReuse, BudgetBytes: device.MiB, MaxLag: 3, Obs: reg})
+	c, err := New(Config{Mode: ModeReuse, BudgetBytes: device.MiB, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Store([]int32{1, 2}, rows(t, []float32{1}, []float32{2})); err != nil {
-		t.Fatal(err)
-	}
-
-	// Invalidate jumps the version past the whole lag window: every entry
-	// misses on its next touch, with no eager sweep.
-	c.Invalidate()
-	if _, hits, _ := fetch(c, []int32{1, 2}, 1); hits != 0 {
-		t.Fatal("invalidated rows still hit")
-	}
-	if got := reg.CounterValue("embcache.invalidations"); got != 1 {
-		t.Fatalf("invalidations = %d", got)
-	}
-
 	if err := c.Store([]int32{5}, rows(t, []float32{5})); err != nil {
 		t.Fatal(err)
 	}
@@ -361,25 +297,5 @@ func TestMeterDuplicatesAndEmpty(t *testing.T) {
 			t.Fatalf("step %d %v: reuse_nodes %d total_nodes %d reuse_frac_ppm %d, want %d %d %d",
 				i, step.nids, r, n, frac, step.reused, step.total, step.frac)
 		}
-	}
-}
-
-func TestVersionGauge(t *testing.T) {
-	reg := obs.New(nil)
-	c, err := New(Config{Mode: ModeReuse, BudgetBytes: device.MiB, MaxLag: 2, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.BumpVersion()
-	c.BumpVersion()
-	if v, ok := reg.GaugeValue("embcache.version"); !ok || v != 2 {
-		t.Fatalf("version gauge = %d (ok=%v), want 2", v, ok)
-	}
-	if c.Version() != 2 {
-		t.Fatalf("Version() = %d", c.Version())
-	}
-	c.Invalidate()
-	if c.Version() != 5 { // += maxLag+1
-		t.Fatalf("post-invalidate version = %d, want 5", c.Version())
 	}
 }

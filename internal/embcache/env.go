@@ -1,22 +1,26 @@
-// Package embcache is a versioned historical-embedding cache: it stores
-// layer-1 activations keyed by (weight version, node id) so consecutive
-// minibatches — training micro-batches and concurrent serve requests
-// alike — can reuse rows computed moments ago instead of re-running the
-// layer-1 gather+aggregate for them (DESIGN.md §16).
+// Package embcache is serving's historical-embedding cache: it stores
+// layer-1 activations keyed by node id so concurrent serve requests can
+// reuse rows computed moments ago instead of re-running the layer-1
+// gather+aggregate for them (DESIGN.md §16).
 //
-// Three modes, selected by BETTY_EMBCACHE:
+// The cache holds no weight versions. A server's weights never change
+// during its lifetime — bettyserve loads its checkpoint or trains its
+// warm-up epochs before serve.New — and serving samples node-wise, so a
+// node's layer-1 row is a pure function of the node for as long as the
+// cache lives. Training has no cache: its optimizer steps change the
+// weights every batch, and a reused row would stop the gradient.
+//
+// Three modes, selected by BETTY_EMBCACHE (bettyserve only):
 //
 //   - off:   the default. No cache is built; forwards take the plain
 //     per-layer path.
 //   - exact: the opt-in self-check. Every forward computes layer 1 in
 //     full, and cached rows are verified bitwise against the fresh
-//     recomputation before being refreshed — outputs and gradients are
-//     bitwise identical to off, and any divergence is a loud error.
-//   - reuse: the fast path. Hits at version lag ≤ MaxLag skip layer-1
-//     compute for those rows; the cached row is spliced into
-//     the layer-2 input as a constant (no gradient flows through it).
-//     Staleness is bounded: rows older than the lag budget miss and are
-//     dropped lazily.
+//     recomputation before being refreshed — outputs are bitwise
+//     identical to off, and any divergence is a loud error.
+//   - reuse: the fast path. Hits skip layer-1 compute for those rows; the
+//     cached row is spliced into the layer-2 input, so responses stay
+//     bitwise equal to off.
 //
 // Resident bytes are budget-pinned LRU, charged to a device.Device ledger
 // (the same accounting discipline as internal/store's shard cache), so
@@ -38,8 +42,8 @@ const (
 	// ModeExact populates the cache and verifies hits bitwise against the
 	// full recomputation; compute is never skipped.
 	ModeExact
-	// ModeReuse skips layer-1 compute for hits within the version-lag
-	// budget; cached rows enter the forward as constants.
+	// ModeReuse skips layer-1 compute for hits; cached rows enter the
+	// forward as constants.
 	ModeReuse
 )
 
@@ -56,18 +60,12 @@ func (m Mode) String() string {
 	}
 }
 
-// EnvMode selects off/exact/reuse (see the README knob table). No
-// BETTY_SERVE_ prefix: this is a repo-wide numeric contract, honored
-// identically by training and serving.
+// EnvMode selects off/exact/reuse for bettyserve (see the README knob
+// table); bettytrain refuses it at startup.
 const EnvMode = "BETTY_EMBCACHE"
 
-// The cache's sizing, one value each wherever a cache is built.
-const (
-	// BudgetBytes bounds the cache's resident bytes (ledger-charged).
-	BudgetBytes = 64 * device.MiB
-	// MaxLag bounds how many weight versions old a reusable row may be.
-	MaxLag = 1
-)
+// BudgetBytes bounds a server's cache's resident bytes (ledger-charged).
+const BudgetBytes = 64 * device.MiB
 
 // ParseMode interprets BETTY_EMBCACHE. Empty means off — the plain path,
 // the default; a malformed value is a loud error, never a silent fallback

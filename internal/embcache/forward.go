@@ -16,11 +16,11 @@ import (
 //   - nil / off cache: plain per-layer application, op-for-op identical to
 //     the model's own Forward.
 //   - exact: layer 1 is computed in full, then verified+stored — outputs
-//     and gradients bitwise match the off path.
+//     bitwise match the off path.
 //   - reuse: hit rows are spliced in as constants and only the missed
 //     destinations are computed, on the destination-restricted sub-block.
-//     No gradient flows through a hit row (historical embeddings are
-//     treated as constants, the VR-GCN/GNNAutoScale trade).
+//     Under fixed weights and node-wise sampling a hit row is bitwise the
+//     row it replaces, so outputs match the off path too.
 func Forward(tp *tensor.Tape, model any, blocks []*graph.Block, x *tensor.Var, c *Cache) (*tensor.Var, error) {
 	layers, err := nn.LayerStack(model)
 	if err != nil {
@@ -89,6 +89,7 @@ func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tens
 	xs := tp.GatherRows(x, srcSel)
 	hm := layer.Forward(tp, sub, xs, true)
 	c.reg.Add("embcache.computed_rows", int64(len(keep)))
+	c.reg.Add("embcache.partial_hits", 1)
 	if err := c.Store(sub.DstNID, hm.Value); err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ var Registry = map[string]string{
 	"BETTY_SERVE_MAX_REQUEST_NODES": "serving per-request seed cap (serve.Config.ApplyEnv)",
 	"BETTY_SERVE_CAPACITY_MIB":      "serving device budget (serve.Config.ApplyEnv)",
 	"BETTY_STORE_SHARD_ROWS":        "pack-time feature-shard height (store.ParseShardRows)",
-	"BETTY_EMBCACHE":                "historical-embedding cache mode off/exact/reuse (embcache.ParseMode)",
+	"BETTY_EMBCACHE":                "serving's historical-embedding cache mode off/exact/reuse; bettytrain refuses it (embcache.ParseMode)",
 }
 
 // Check rejects an environment (in os.Environ form) that sets a BETTY_*

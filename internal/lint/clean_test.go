@@ -35,10 +35,10 @@ func TestRepositoryClean(t *testing.T) {
 }
 
 // TestLoadSubset loads two subsets of the module the way `go run
-// ./cmd/bettyvet <pattern>` does. internal/train's external test imports
-// core, which imports train, so that test type-checks only against go
-// list's "[betty/internal/train.test]" variants of core and train, not
-// their plain export data. A subset run sees no metric writer outside the
+// ./cmd/bettyvet <pattern>` does. internal/embcache's external test imports
+// core, which imports embcache, so that test type-checks only against go
+// list's "[betty/internal/embcache.test]" variants of core and embcache,
+// not their plain export data. A subset run sees no metric writer outside the
 // subset, so obsdisc reports the names the subset only reads; the counts
 // pin that view.
 func TestLoadSubset(t *testing.T) {
@@ -47,7 +47,7 @@ func TestLoadSubset(t *testing.T) {
 		paths             []string
 		diags, suppressed int
 	}{
-		{"./internal/train", []string{"betty/internal/train", "betty/internal/train_test"}, 2, 1},
+		{"./internal/embcache", []string{"betty/internal/embcache", "betty/internal/embcache_test"}, 0, 0},
 		{"./benchmark", []string{"betty/benchmark"}, 8, 5},
 	} {
 		m, err := LoadModule("../..", tc.pattern)

@@ -76,8 +76,8 @@ func (s *Stack[L]) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var
 // them one at a time, with relu set on all but the last, records exactly
 // the op sequence the model's own Forward records — it is the same loop
 // body — so per-layer execution is bitwise identical to the whole-model
-// forward: the property the embedding cache's partial-skip path
-// (internal/embcache) relies on.
+// forward: the property serving's embedding cache (internal/embcache)
+// relies on when it computes only a partial hit's missed rows.
 func LayerStack(model any) ([]BlockLayer, error) {
 	m, ok := model.(interface{ BlockLayers() []BlockLayer })
 	if !ok {

@@ -41,9 +41,9 @@ type Config struct {
 
 	// EmbMode selects the historical-embedding cache behavior (DESIGN.md
 	// §16): off (the default — no second cache), exact (populate + bitwise
-	// self-check), or reuse (skip layer-1 compute on hits within
-	// embcache.MaxLag versions). Its budget, embcache.BudgetBytes, is
-	// the capacity of the server's cache ledger.
+	// self-check), or reuse (skip layer-1 compute on hits). Its budget,
+	// embcache.BudgetBytes, is added to the capacity of the server's cache
+	// ledger.
 	EmbMode embcache.Mode
 	// embBudgetBytes is embcache.BudgetBytes everywhere but in the
 	// budget-pressure test, which shrinks it so a small graph must evict.
@@ -162,9 +162,8 @@ func (c *Config) ApplyEnv(getenv func(string) string) error {
 		}
 		ev.set(v)
 	}
-	// BETTY_EMBCACHE is a repo-wide contract (training honors it too); its
-	// hardened parser lives next to the cache and maps "" to off, the
-	// default, so only override when set.
+	// BETTY_EMBCACHE's hardened parser lives next to the cache and maps ""
+	// to off, the default, so only override when set.
 	if raw := getenv(embcache.EnvMode); raw != "" {
 		mode, err := embcache.ParseMode(raw)
 		if err != nil {

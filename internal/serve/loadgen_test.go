@@ -47,6 +47,8 @@ type loadReport struct {
 	P90NS int64 `json:"p90_ns"`
 	P99NS int64 `json:"p99_ns"`
 	MaxNS int64 `json:"max_ns"`
+	// Scores holds each request's response in trace order (nil on error).
+	Scores [][][]float32 `json:"-"`
 }
 
 // runLoad drives s with the configured open-loop arrival trace and blocks
@@ -87,6 +89,7 @@ func runLoad(s *Server, cfg loadConfig) (*loadReport, error) {
 
 	lats := make([]int64, cfg.Requests)
 	errs := make([]error, cfg.Requests)
+	scores := make([][][]float32, cfg.Requests)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Requests; i++ {
@@ -97,15 +100,15 @@ func runLoad(s *Server, cfg loadConfig) (*loadReport, error) {
 		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
-			_, err := s.Predict(traces[i], cfg.Timeout)
+			sc, err := s.Predict(traces[i], cfg.Timeout)
 			lats[i] = time.Since(t0).Nanoseconds()
-			errs[i] = err
+			scores[i], errs[i] = sc, err
 		}(i)
 	}
 	wg.Wait()
 	dur := time.Since(start)
 
-	rep := &loadReport{Requests: cfg.Requests, DurNS: dur.Nanoseconds()}
+	rep := &loadReport{Requests: cfg.Requests, DurNS: dur.Nanoseconds(), Scores: scores}
 	var ok []int64
 	for i, err := range errs {
 		if err != nil {

@@ -113,6 +113,12 @@ type Server struct {
 // New builds a server for the given dataset and model. The model must be
 // one of the supported architectures (memory.SpecForInference) and cfg
 // must validate; cfg.Fanouts must match the model's layer count.
+//
+// The model's weights must be final when New is called and must not change
+// for the server's lifetime: load the checkpoint or finish training first,
+// as bettyserve does. The embedding cache keeps no weight versions, so a
+// row it holds is only exact while the weights it was computed under are
+// the weights being served.
 func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -142,7 +148,6 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	emb, err := embcache.New(embcache.Config{
 		Mode:        cfg.EmbMode,
 		BudgetBytes: cfg.embBudgetBytes,
-		MaxLag:      embcache.MaxLag,
 		Ledger:      ledger,
 		Obs:         cfg.Obs,
 	})
@@ -230,14 +235,6 @@ func (s *Server) Close() error {
 func (s *Server) publishLedger() {
 	s.obs.Set("serve.cache_ledger_bytes", s.cacheLedger.Used())
 	s.obs.Set("serve.cache_ledger_peak_bytes", s.cacheLedger.Peak())
-}
-
-// Invalidate marks every historical embedding stale — the weights changed
-// out from under the cache (checkpoint swap). Satisfies
-// checkpoint.Invalidator, so weight loads can be written as
-// checkpoint.LoadFileAndInvalidate(path, model, server).
-func (s *Server) Invalidate() {
-	s.emb.Invalidate()
 }
 
 // Predict scores the given nodes and blocks until the response is ready.

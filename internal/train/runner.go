@@ -11,7 +11,6 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/graph"
 	"betty/internal/nn"
 	"betty/internal/obs"
@@ -65,12 +64,9 @@ type Runner struct {
 	// pointer test per instrumentation point (see BenchmarkMicroBatchObs).
 	Obs *obs.Registry
 
-	// Emb, nil by default (forwards are Model.Forward), is the
-	// historical-embedding cache (DESIGN.md §16): when active, micro-batch
-	// forwards route through embcache.Forward, and every optimizer Step
-	// bumps the cache's weight version. Evaluation and MeasureForward
-	// never consult it.
-	Emb *embcache.Cache
+	// Emb is inert: nothing reads it. It stays only because benchmark/
+	// still assigns it; training has no embedding cache (DESIGN.md §16).
+	Emb any
 
 	resident []*device.Buffer
 
@@ -276,12 +272,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	fsp := r.Obs.StartSpan(obs.PhaseForward).
 		SetInt("input_nodes", int64(input.NumSrc)).
 		SetInt("outputs", int64(last.NumDst))
-	logits, err := r.forward(tp, blocks, tensor.Leaf(x))
-	if err != nil {
-		fsp.End()
-		Free(r.Dev, live)
-		return res, err
-	}
+	logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
 	loss := tp.SoftmaxCrossEntropy(logits, labels)
 	fsp.End()
 	res.Loss = float64(loss.Value.Data[0])
@@ -291,6 +282,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	// Device phase 2: charge activations, then backward.
 	if r.Dev != nil {
 		charges[3].Bytes = res.ActivationBytes
+		var err error
 		if live, err = Alloc(r.Dev, live, charges[3]); err != nil {
 			r.Obs.Add("train.oom", 1)
 			return res, fmt.Errorf("train: forward activations: %w", err)
@@ -325,18 +317,6 @@ func score(logits *tensor.Tensor, labels []int32) (correct, labeled int) {
 		}
 	}
 	return correct, labeled
-}
-
-// forward routes a micro-batch forward through the historical-embedding
-// cache when one is active; otherwise it is exactly Model.Forward. In
-// exact mode the cached path is op-for-op identical to the plain one
-// (verified bitwise row by row), so loss and gradients never change; in
-// reuse mode hit rows enter as constants and only misses are computed.
-func (r *Runner) forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) (*tensor.Var, error) {
-	if !r.Emb.Active() {
-		return r.Model.Forward(tp, blocks, x), nil
-	}
-	return embcache.Forward(tp, r.Model, blocks, x, r.Emb)
 }
 
 // ForwardCost reports the measured cost of a gradient-free forward pass:
@@ -383,10 +363,6 @@ func (r *Runner) Step() {
 		p.ZeroGrad()
 	}
 	sp.End()
-	// The weights just changed: advance the embedding-cache version so
-	// rows computed before this step age by one (and exact mode never
-	// verifies against rows from older weights).
-	r.Emb.BumpVersion()
 	r.Obs.Add("train.steps", 1)
 }
 
