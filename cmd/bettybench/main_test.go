@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-// A misspelt knob, or one whose feature is gone, must abort before any
-// experiment runs, naming the variable.
+// Betty reads no environment variable: any set BETTY_* variable — a
+// retired knob (BETTY_WORKERS; int8 serving and the feature cache are
+// gone) or a misspelt one — must abort before any experiment runs, naming
+// the variable.
 func TestEnvFailsLoudlyAtStartup(t *testing.T) {
-	for _, name := range []string{"BETTY_WORKRS", "BETTY_QUANT", "BETTY_SERVE_CACHE_NODES"} {
+	for _, name := range []string{"BETTY_WORKRS", "BETTY_WORKERS", "BETTY_QUANT", "BETTY_SERVE_CACHE_NODES"} {
 		t.Run(name, func(t *testing.T) {
 			t.Setenv(name, "2")
 			var out bytes.Buffer

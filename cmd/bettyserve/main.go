@@ -8,15 +8,14 @@
 //
 //	bettyserve -dataset ogbn-arxiv -scale 0.2 -epochs 3
 //	bettyserve -dataset cora -checkpoint model.ckpt -addr 127.0.0.1:8747
-//	BETTY_SERVE_CAPACITY_MIB=64 BETTY_SERVE_MAX_BATCH=128 bettyserve -dataset cora
+//	bettyserve -dataset cora -capacity 64 -max-batch 128 -embcache reuse
 //
 //	curl -s localhost:8747/v1/predict -d '{"nodes":[3,8,120]}'
 //	curl -s localhost:8747/metricsz
 //
-// Serving policy (batching, admission, deadlines, budget) is configured by the
-// BETTY_SERVE_* environment variables — see the knob table in README.md.
-// A malformed value fails at startup rather than silently serving under a
-// different policy.
+// Serving policy (batching, admission, deadlines, budget, embedding cache)
+// is set by flags whose defaults are serve.Defaults(). A malformed value
+// fails at startup rather than silently serving under a different policy.
 package main
 
 import (
@@ -29,19 +28,20 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"betty/internal/checkpoint"
 	"betty/internal/core"
 	"betty/internal/dataset"
-	"betty/internal/device"
+	"betty/internal/embcache"
 	"betty/internal/knobs"
 	"betty/internal/obs"
 	"betty/internal/serve"
 	"betty/internal/store"
 )
 
-// serveConfig carries every knob of one bettyserve invocation; main fills
-// it from flags and the environment, tests construct it directly.
+// serveConfig carries every setting of one bettyserve invocation; flags
+// binds it to the command line.
 type serveConfig struct {
 	addr    string
 	dataset string
@@ -52,10 +52,18 @@ type serveConfig struct {
 	heads   int
 	fanouts string
 	epochs  int
-	lr      float32
+	lr      float64
 	ckpt    string
 	seed    uint64
 	trace   bool
+
+	// The serving policy; policy turns it into a serve.Config.
+	maxBatch        int
+	queueDepth      int
+	timeout         time.Duration
+	maxRequestNodes int
+	capacityMiB     int64
+	embcache        string
 
 	// storePath serves out-of-core from a packed store (bettytrain -pack)
 	// instead of loading the dataset into RAM; storeBudgetMiB bounds the
@@ -63,8 +71,6 @@ type serveConfig struct {
 	storePath      string
 	storeBudgetMiB int64
 
-	// getenv resolves the BETTY_SERVE_* overrides (nil = os.Getenv).
-	getenv func(string) string
 	// ready, when non-nil, receives the bound listen address once the
 	// server accepts connections (tests bind to port 0 and read it here).
 	ready chan<- string
@@ -75,26 +81,37 @@ type serveConfig struct {
 	out io.Writer
 }
 
+// flags binds every bettyserve flag to cfg, which then holds the defaults.
+func flags(cfg *serveConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("bettyserve", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8747", "listen address")
+	fs.StringVar(&cfg.dataset, "dataset", "ogbn-arxiv", "dataset: "+strings.Join(dataset.Names(), ", "))
+	fs.Float64Var(&cfg.scale, "scale", 0.2, "dataset scale in (0,1]")
+	fs.StringVar(&cfg.model, "model", "sage", "model: sage, gat, or gcn")
+	fs.StringVar(&cfg.agg, "agg", "mean", "SAGE aggregator: mean, sum, pool, lstm")
+	fs.IntVar(&cfg.hidden, "hidden", 64, "hidden width")
+	fs.IntVar(&cfg.heads, "heads", 4, "GAT attention heads")
+	fs.StringVar(&cfg.fanouts, "fanouts", "5,10", "per-layer fanouts, input-first (layers = count)")
+	fs.IntVar(&cfg.epochs, "epochs", 1, "training epochs before serving (ignored with -checkpoint)")
+	fs.Float64Var(&cfg.lr, "lr", 0.01, "Adam learning rate for the warm-up epochs")
+	fs.StringVar(&cfg.ckpt, "checkpoint", "", "serve weights from this checkpoint instead of training")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "random seed (weights, sampling, partitioning)")
+	fs.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in /metricsz")
+	fs.StringVar(&cfg.storePath, "store", "", "serve out-of-core from this packed store (bettytrain -pack)")
+	fs.Int64Var(&cfg.storeBudgetMiB, "store-budget", 256, "out-of-core shard-cache budget in MiB")
+	d := serve.Defaults()
+	fs.IntVar(&cfg.maxBatch, "max-batch", d.MaxBatch, "batcher coalescing target in seed nodes")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", d.QueueDepth, "admission bound: queued requests beyond it get 429")
+	fs.DurationVar(&cfg.timeout, "timeout", d.DefaultTimeout, "deadline of a request that sets none (0 = none)")
+	fs.IntVar(&cfg.maxRequestNodes, "max-request-nodes", d.MaxRequestNodes, "seed nodes allowed in one request")
+	fs.Int64Var(&cfg.capacityMiB, "capacity", d.CapacityBytes>>20, "device budget the planner enforces per micro-batch, in MiB")
+	fs.StringVar(&cfg.embcache, "embcache", d.EmbMode.String(), "historical-embedding cache: off, exact (bitwise self-check) or reuse")
+	return fs
+}
+
 func main() {
 	var cfg serveConfig
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8747", "listen address")
-	flag.StringVar(&cfg.dataset, "dataset", "ogbn-arxiv", "dataset: "+strings.Join(dataset.Names(), ", "))
-	flag.Float64Var(&cfg.scale, "scale", 0.2, "dataset scale in (0,1]")
-	flag.StringVar(&cfg.model, "model", "sage", "model: sage, gat, or gcn")
-	flag.StringVar(&cfg.agg, "agg", "mean", "SAGE aggregator: mean, sum, pool, lstm")
-	flag.IntVar(&cfg.hidden, "hidden", 64, "hidden width")
-	flag.IntVar(&cfg.heads, "heads", 4, "GAT attention heads")
-	flag.StringVar(&cfg.fanouts, "fanouts", "5,10", "per-layer fanouts, input-first (layers = count)")
-	flag.IntVar(&cfg.epochs, "epochs", 1, "training epochs before serving (ignored with -checkpoint)")
-	lr := flag.Float64("lr", 0.01, "Adam learning rate for the warm-up epochs")
-	flag.StringVar(&cfg.ckpt, "checkpoint", "", "serve weights from this checkpoint instead of training")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed (weights, sampling, partitioning)")
-	flag.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in /metricsz")
-	flag.StringVar(&cfg.storePath, "store", "", "serve out-of-core from this packed store (bettytrain -pack)")
-	flag.Int64Var(&cfg.storeBudgetMiB, "store-budget", 256, "out-of-core shard-cache budget in MiB")
-	flag.Parse()
-	cfg.lr = float32(*lr)
-
+	flags(&cfg).Parse(os.Args[1:])
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bettyserve:", err)
 		os.Exit(1)
@@ -105,13 +122,18 @@ func run(cfg serveConfig) error {
 	if cfg.out == nil {
 		cfg.out = os.Stdout
 	}
-	if cfg.getenv == nil {
-		cfg.getenv = os.Getenv
-	}
 	if err := knobs.Check(os.Environ()); err != nil {
 		return err
 	}
 	fanouts, err := core.ParseFanouts(cfg.fanouts)
+	if err != nil {
+		return err
+	}
+	scfg, err := cfg.policy(fanouts)
+	if err != nil {
+		return err
+	}
+	storeBudget, err := knobs.MiBBytes("store-budget", cfg.storeBudgetMiB)
 	if err != nil {
 		return err
 	}
@@ -125,7 +147,7 @@ func run(cfg serveConfig) error {
 			return err
 		}
 		defer st.Close()
-		cache, err := store.NewCache(st, cfg.storeBudgetMiB*device.MiB, reg)
+		cache, err := store.NewCache(st, storeBudget, reg)
 		if err != nil {
 			return err
 		}
@@ -157,13 +179,7 @@ func run(cfg serveConfig) error {
 		}
 	}
 
-	scfg := serve.Defaults()
-	scfg.Fanouts = fanouts
-	scfg.Seed = cfg.seed
 	scfg.Obs = reg
-	if err := scfg.ApplyEnv(cfg.getenv); err != nil {
-		return err
-	}
 	srv, err := serve.New(ds, setup.Model, scfg)
 	if err != nil {
 		return err
@@ -199,6 +215,29 @@ func run(cfg serveConfig) error {
 	return err
 }
 
+// policy is the serve.Config the flags describe, checked by
+// serve.Config.Validate before any dataset is loaded.
+func (cfg serveConfig) policy(fanouts []int) (serve.Config, error) {
+	capacity, err := knobs.MiBBytes("capacity", cfg.capacityMiB)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	mode, err := embcache.ParseMode(cfg.embcache)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	scfg := serve.Defaults()
+	scfg.Fanouts = fanouts
+	scfg.Seed = cfg.seed
+	scfg.MaxBatch = cfg.maxBatch
+	scfg.QueueDepth = cfg.queueDepth
+	scfg.DefaultTimeout = cfg.timeout
+	scfg.MaxRequestNodes = cfg.maxRequestNodes
+	scfg.CapacityBytes = capacity
+	scfg.EmbMode = mode
+	return scfg, scfg.Validate()
+}
+
 // buildModel assembles the architecture the flags describe (weights are
 // replaced when -checkpoint is given).
 func buildModel(ds *dataset.Dataset, cfg serveConfig, fanouts []int) (*core.Setup, error) {
@@ -206,7 +245,7 @@ func buildModel(ds *dataset.Dataset, cfg serveConfig, fanouts []int) (*core.Setu
 		Hidden:  cfg.hidden,
 		Heads:   cfg.heads,
 		Fanouts: fanouts,
-		LR:      cfg.lr,
+		LR:      float32(cfg.lr),
 		Seed:    cfg.seed,
 	})
 }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,40 +22,30 @@ import (
 	"betty/internal/serve"
 )
 
-// baseConfig is the e2e server shape shared by the tests: a small cora
-// model on a random port, no warm-up training (weights are deterministic
-// in the seed, so an in-process Build with the same knobs is bitwise the
-// served model).
-func baseConfig() serveConfig {
-	return serveConfig{
-		addr:    "127.0.0.1:0",
-		dataset: "cora",
-		scale:   0.5,
-		model:   "sage",
-		agg:     "mean",
-		hidden:  16,
-		heads:   4,
-		fanouts: "4,6",
-		epochs:  0,
-		lr:      0.01,
-		seed:    5,
-		getenv:  testEnv(nil),
-	}
+// parseArgs parses a bettyserve command line without exiting on error.
+func parseArgs(args ...string) (serveConfig, error) {
+	var cfg serveConfig
+	fs := flags(&cfg)
+	fs.Init("bettyserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	return cfg, err
 }
 
-// testEnv is the environment the e2e servers read: the given overrides on
-// top of BETTY_EMBCACHE=exact, so every serving e2e also runs under the
+// baseArgs is the e2e server shape shared by the tests: a small cora model
+// on a random port, no warm-up training (weights are deterministic in the
+// seed, so an in-process Build with the same settings is bitwise the served
+// model), and -embcache exact, so every serving e2e also runs under the
 // embedding cache's bitwise self-check.
-func testEnv(over map[string]string) func(string) string {
-	return func(k string) string {
-		if v, ok := over[k]; ok {
-			return v
-		}
-		if k == embcache.EnvMode {
-			return "exact"
-		}
-		return ""
+var baseArgs = []string{"-addr", "127.0.0.1:0", "-dataset", "cora", "-scale", "0.5", "-hidden", "16",
+	"-fanouts", "4,6", "-epochs", "0", "-seed", "5", "-embcache", "exact"}
+
+func baseConfig() serveConfig {
+	cfg, err := parseArgs(baseArgs...)
+	if err != nil {
+		panic(err)
 	}
+	return cfg
 }
 
 // startServer runs cfg in a goroutine and returns its base URL and a stop
@@ -226,7 +220,7 @@ func nodesJSON(nodes []int32) string {
 func TestE2ECoalescingAndExactness(t *testing.T) {
 	cfg := baseConfig()
 	const capacityMiB = 64
-	cfg.getenv = testEnv(map[string]string{serve.EnvCapacityMiB: fmt.Sprint(capacityMiB)})
+	cfg.capacityMiB = capacityMiB
 	base, stop := startServer(t, cfg)
 	defer stop()
 
@@ -290,13 +284,8 @@ func TestE2EBackpressureAndDeadline(t *testing.T) {
 	cfg.scale = 0.2
 	cfg.hidden = 64
 	cfg.fanouts = "-1,-1" // full neighborhoods: the big request is genuinely slow
-	cfg.getenv = testEnv(map[string]string{
-		serve.EnvMaxBatch:        "1",
-		serve.EnvQueueDepth:      "1",
-		serve.EnvMaxRequestNodes: "1000000",
-		serve.EnvCapacityMiB:     "8192",
-		serve.EnvTimeoutMS:       "0",
-	})
+	cfg.maxBatch, cfg.queueDepth, cfg.maxRequestNodes = 1, 1, 1000000
+	cfg.capacityMiB, cfg.timeout = 8192, 0
 	base, stop := startServer(t, cfg)
 	defer stop()
 
@@ -448,21 +437,89 @@ func TestE2ECheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// Malformed BETTY_SERVE_* values must abort startup, naming the variable.
-func TestEnvFailsLoudlyAtStartup(t *testing.T) {
-	cfg := baseConfig()
-	cfg.getenv = testEnv(map[string]string{serve.EnvMaxBatch: "many"})
-	err := run(cfg)
-	if err == nil || !strings.Contains(err.Error(), serve.EnvMaxBatch) {
-		t.Fatalf("run returned %v, want an error naming %s", err, serve.EnvMaxBatch)
+// Every serving-policy flag reaches the serve.Config the server runs
+// under, and with none given the config is serve.Defaults().
+func TestFlagsReachServeConfig(t *testing.T) {
+	fanouts := []int{4, 6}
+	cfg, err := parseArgs("-seed", "5", "-max-batch", "32", "-queue-depth", "7", "-timeout", "250ms",
+		"-max-request-nodes", "9", "-capacity", "64", "-embcache", "reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cfg.policy(fanouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serve.Defaults()
+	want.Fanouts, want.Seed = fanouts, 5
+	want.MaxBatch, want.QueueDepth, want.DefaultTimeout = 32, 7, 250*time.Millisecond
+	want.MaxRequestNodes, want.CapacityBytes, want.EmbMode = 9, 64<<20, embcache.ModeReuse
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags gave %+v, want %+v", got, want)
 	}
 
-	// A retired knob (int8 serving and the feature cache are gone) or a
-	// misspelt one must not start as if the operator had set nothing.
+	cfg, err = parseArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = cfg.policy(fanouts); err != nil {
+		t.Fatal(err)
+	}
+	want = serve.Defaults()
+	want.Fanouts, want.Seed = fanouts, 1
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("no flags gave %+v, want serve.Defaults() %+v", got, want)
+	}
+}
+
+// A malformed or out-of-range flag aborts startup before any dataset is
+// loaded, with an error naming the flag (flag parsing, knobs.MiBBytes,
+// embcache.ParseMode) or the serve.Config field it sets (Validate).
+func TestBadFlagsFailLoudly(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-max-batch", "zero", "-max-batch"},
+		{"-max-batch", "0", "MaxBatch"},
+		{"-max-batch", "-3", "MaxBatch"},
+		{"-queue-depth", "0", "QueueDepth"},
+		{"-timeout", "soon", "-timeout"},
+		{"-timeout", "-1s", "DefaultTimeout"},
+		{"-timeout", "18446744073710ms", "-timeout"}, // overflows a Duration
+		{"-max-request-nodes", "0", "MaxRequestNodes"},
+		{"-capacity", "0", "-capacity"},
+		{"-capacity", "-5", "-capacity"},
+		{"-capacity", "17592186044417", "-capacity"}, // 2^44+1 MiB: << 20 would wrap to 1 MiB
+		{"-embcache", "fast", "-embcache"},
+		{"-store-budget", "0", "-store-budget"},
+		{"-store-budget", "17592186044417", "-store-budget"},
+	} {
+		// -epochs 1: a check that ran after the warm-up would log it.
+		cfg, err := parseArgs(append(baseArgs, "-epochs", "1", c.flag, c.value)...)
+		var out bytes.Buffer
+		if err == nil {
+			// A run the flags fail to stop shuts down as soon as it serves.
+			stop := make(chan struct{})
+			close(stop)
+			cfg.out, cfg.shutdown = &out, stop
+			err = run(cfg)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: got %v, want an error naming %s", c.flag, c.value, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s: refused run logged %q", c.flag, c.value, out.String())
+		}
+	}
+}
+
+// Every setting is a flag: any set BETTY_* variable — a retired knob
+// (BETTY_WORKERS; int8 serving and the feature cache are gone) or a
+// misspelt one — must not start as if the operator had set nothing.
+func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 	for name, val := range map[string]string{
 		"BETTY_QUANT":             "int8",
 		"BETTY_SERVE_CACHE_NODES": "4096",
 		"BETTY_WORKER":            "2",
+		"BETTY_WORKERS":           "4",
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Setenv(name, val)
@@ -472,7 +529,7 @@ func TestEnvFailsLoudlyAtStartup(t *testing.T) {
 		})
 	}
 
-	cfg = baseConfig()
+	cfg := baseConfig()
 	cfg.fanouts = "0,5"
 	if err := run(cfg); err == nil {
 		t.Fatal("bad fanouts accepted")

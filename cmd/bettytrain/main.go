@@ -10,6 +10,7 @@
 //	bettytrain -dataset cora -partitioner random -k 8 -epochs 20
 //	bettytrain -dataset ogbn-arxiv -scale 0.2 -devices 4 -epochs 5
 //	bettytrain -dataset cora -epochs 5 -metrics run.ndjson -trace
+//	bettytrain -dataset pubmed -pack pubmed.store -shard-rows 512
 //
 // With -metrics the run's counters, gauges, and per-phase histograms are
 // written as NDJSON (see DESIGN.md §10); -trace additionally records one
@@ -37,8 +38,8 @@ import (
 	"betty/internal/store"
 )
 
-// runConfig carries every knob of one bettytrain invocation; main fills it
-// from flags, tests construct it directly.
+// runConfig carries every setting of one bettytrain invocation; flags
+// binds it to the command line.
 type runConfig struct {
 	dataset     string
 	scale       float64
@@ -48,7 +49,7 @@ type runConfig struct {
 	heads       int
 	fanouts     string
 	epochs      int
-	lr          float32
+	lr          float64
 	capacityMiB int64
 	k           int
 	partitioner string
@@ -56,8 +57,9 @@ type runConfig struct {
 	seed        uint64
 
 	// pack converts the (synthetic) dataset to the on-disk store format at
-	// this path and exits; shard height comes from BETTY_STORE_SHARD_ROWS.
-	pack string
+	// this path and exits, in feature shards of shardRows rows.
+	pack      string
+	shardRows int
 	// storePath trains out-of-core from a packed store instead of loading
 	// the dataset into RAM; features stream through a budget-pinned cache.
 	storePath string
@@ -82,32 +84,37 @@ type runConfig struct {
 	out io.Writer
 }
 
+// flags binds every bettytrain flag to cfg, which then holds the defaults.
+func flags(cfg *runConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("bettytrain", flag.ExitOnError)
+	fs.StringVar(&cfg.dataset, "dataset", "ogbn-arxiv", "dataset: "+strings.Join(dataset.Names(), ", "))
+	fs.Float64Var(&cfg.scale, "scale", 0.2, "dataset scale in (0,1]")
+	fs.StringVar(&cfg.model, "model", "sage", "model: sage, gat, or gcn")
+	fs.StringVar(&cfg.agg, "agg", "mean", "SAGE aggregator: mean, sum, pool, lstm")
+	fs.IntVar(&cfg.hidden, "hidden", 64, "hidden width")
+	fs.IntVar(&cfg.heads, "heads", 4, "GAT attention heads")
+	fs.StringVar(&cfg.fanouts, "fanouts", "5,10", "per-layer fanouts, input-first (layers = count)")
+	fs.IntVar(&cfg.epochs, "epochs", 10, "training epochs")
+	fs.Float64Var(&cfg.lr, "lr", 0.01, "Adam learning rate")
+	fs.Int64Var(&cfg.capacityMiB, "capacity", 0, "simulated device capacity in MiB (0 = unbounded)")
+	fs.IntVar(&cfg.k, "k", 0, "fixed micro-batch count (0 = memory-aware planner)")
+	fs.StringVar(&cfg.partitioner, "partitioner", "betty", "batch partitioner: betty, metis, random, range")
+	fs.IntVar(&cfg.devices, "devices", 1, "number of simulated devices; above 1, every micro-batch is split across them (split-parallel)")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "random seed")
+	fs.StringVar(&cfg.metrics, "metrics", "", "write run metrics as NDJSON to this file (flushed on errors too)")
+	fs.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in the -metrics output")
+	fs.StringVar(&cfg.ckpt, "checkpoint", "", "save the trained model to this file (also on errors)")
+	fs.StringVar(&cfg.pack, "pack", "", "pack the dataset into an on-disk store at this path and exit")
+	fs.IntVar(&cfg.shardRows, "shard-rows", store.DefaultShardRows, "feature-shard height in rows for -pack")
+	fs.StringVar(&cfg.storePath, "store", "", "train out-of-core from this packed store (see -pack)")
+	fs.Int64Var(&cfg.storeBudgetMiB, "store-budget", 256, "out-of-core shard-cache budget in MiB")
+	fs.StringVar(&cfg.macro, "macro", "", "persist macrobatch frontiers here and reuse them across epochs")
+	return fs
+}
+
 func main() {
 	var cfg runConfig
-	flag.StringVar(&cfg.dataset, "dataset", "ogbn-arxiv", "dataset: "+strings.Join(dataset.Names(), ", "))
-	flag.Float64Var(&cfg.scale, "scale", 0.2, "dataset scale in (0,1]")
-	flag.StringVar(&cfg.model, "model", "sage", "model: sage, gat, or gcn")
-	flag.StringVar(&cfg.agg, "agg", "mean", "SAGE aggregator: mean, sum, pool, lstm")
-	flag.IntVar(&cfg.hidden, "hidden", 64, "hidden width")
-	flag.IntVar(&cfg.heads, "heads", 4, "GAT attention heads")
-	flag.StringVar(&cfg.fanouts, "fanouts", "5,10", "per-layer fanouts, input-first (layers = count)")
-	flag.IntVar(&cfg.epochs, "epochs", 10, "training epochs")
-	lr := flag.Float64("lr", 0.01, "Adam learning rate")
-	flag.Int64Var(&cfg.capacityMiB, "capacity", 0, "simulated device capacity in MiB (0 = unbounded)")
-	flag.IntVar(&cfg.k, "k", 0, "fixed micro-batch count (0 = memory-aware planner)")
-	flag.StringVar(&cfg.partitioner, "partitioner", "betty", "batch partitioner: betty, metis, random, range")
-	flag.IntVar(&cfg.devices, "devices", 1, "number of simulated devices; above 1, every micro-batch is split across them (split-parallel)")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
-	flag.StringVar(&cfg.metrics, "metrics", "", "write run metrics as NDJSON to this file (flushed on errors too)")
-	flag.BoolVar(&cfg.trace, "trace", false, "record per-phase spans in the -metrics output")
-	flag.StringVar(&cfg.ckpt, "checkpoint", "", "save the trained model to this file (also on errors)")
-	flag.StringVar(&cfg.pack, "pack", "", "pack the dataset into an on-disk store at this path and exit")
-	flag.StringVar(&cfg.storePath, "store", "", "train out-of-core from this packed store (see -pack)")
-	flag.Int64Var(&cfg.storeBudgetMiB, "store-budget", 256, "out-of-core shard-cache budget in MiB")
-	flag.StringVar(&cfg.macro, "macro", "", "persist macrobatch frontiers here and reuse them across epochs")
-	flag.Parse()
-	cfg.lr = float32(*lr)
-
+	flags(&cfg).Parse(os.Args[1:])
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bettytrain:", err)
 		os.Exit(1)
@@ -121,14 +128,27 @@ func run(cfg runConfig) (err error) {
 	if err := knobs.Check(os.Environ()); err != nil {
 		return err
 	}
-	// The embedding cache is serving's alone (DESIGN.md §16): training's
-	// weights change every step. A set knob would otherwise be ignored.
-	if _, set := os.LookupEnv("BETTY_EMBCACHE"); set {
-		return fmt.Errorf("BETTY_EMBCACHE is set, but only bettyserve has an embedding cache; unset it to train")
-	}
 	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {
 		return err
+	}
+	switch {
+	case cfg.k < 0:
+		return fmt.Errorf("-k %d: want 0 (memory-aware planner) or a positive micro-batch count", cfg.k)
+	case cfg.devices < 1:
+		return fmt.Errorf("-devices %d: want at least 1", cfg.devices)
+	case cfg.shardRows < 1:
+		return fmt.Errorf("-shard-rows %d: want a positive row count", cfg.shardRows)
+	}
+	storeBudget, err := knobs.MiBBytes("store-budget", cfg.storeBudgetMiB)
+	if err != nil {
+		return err
+	}
+	var capBytes int64 // 0: unbounded
+	if cfg.capacityMiB != 0 {
+		if capBytes, err = knobs.MiBBytes("capacity", cfg.capacityMiB); err != nil {
+			return err
+		}
 	}
 	if cfg.pack != "" {
 		return runPack(cfg)
@@ -157,7 +177,7 @@ func run(cfg runConfig) (err error) {
 			return err
 		}
 		defer st.Close()
-		cache, err := store.NewCache(st, cfg.storeBudgetMiB*device.MiB, obsReg)
+		cache, err := store.NewCache(st, storeBudget, obsReg)
 		if err != nil {
 			return err
 		}
@@ -176,12 +196,12 @@ func run(cfg runConfig) (err error) {
 		Hidden:  cfg.hidden,
 		Heads:   cfg.heads,
 		Fanouts: fanouts,
-		LR:      cfg.lr,
+		LR:      float32(cfg.lr),
 		Seed:    cfg.seed,
 		FixedK:  cfg.k,
 	}
-	if cfg.capacityMiB > 0 {
-		opts.Device = device.New(cfg.capacityMiB*device.MiB, device.DefaultCostModel())
+	if capBytes > 0 {
+		opts.Device = device.New(capBytes, device.DefaultCostModel())
 	}
 	switch cfg.partitioner {
 	case "betty":
@@ -223,12 +243,12 @@ func run(cfg runConfig) (err error) {
 	var multi *core.MultiDevice
 	if cfg.devices > 1 {
 		devs := make([]*device.Device, cfg.devices)
-		capBytes := int64(64) * device.GiB
-		if cfg.capacityMiB > 0 {
-			capBytes = cfg.capacityMiB * device.MiB
+		devCap := capBytes
+		if devCap == 0 {
+			devCap = 64 * device.GiB
 		}
 		for i := range devs {
-			devs[i] = device.New(capBytes, device.DefaultCostModel())
+			devs[i] = device.New(devCap, device.DefaultCostModel())
 		}
 		multi = &core.MultiDevice{Engine: setup.Engine, Devices: devs}
 	}
@@ -274,19 +294,14 @@ func run(cfg runConfig) (err error) {
 
 // runPack converts the flag-selected dataset into the on-disk store format
 // and exits: frontiers of the training loop never see it. The shard height
-// is the packed file's layout, so it rides the BETTY_STORE_SHARD_ROWS env
-// knob rather than a flag — it must match nothing at train time, any
+// is the packed file's layout and must match nothing at train time; any
 // reader adapts to the header.
 func runPack(cfg runConfig) error {
 	ds, err := dataset.LoadScaled(cfg.dataset, cfg.scale)
 	if err != nil {
 		return err
 	}
-	rows, err := store.ParseShardRows(os.Getenv("BETTY_STORE_SHARD_ROWS"))
-	if err != nil {
-		return err
-	}
-	if err := store.Pack(cfg.pack, ds, store.PackConfig{ShardRows: rows}); err != nil {
+	if err := store.Pack(cfg.pack, ds, store.PackConfig{ShardRows: cfg.shardRows}); err != nil {
 		return err
 	}
 	st, err := store.Open(cfg.pack)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -15,23 +17,26 @@ import (
 	"betty/internal/dataset"
 )
 
-// smallConfig is a fast cora run used by every CLI test.
+// parseArgs parses a bettytrain command line without exiting on error.
+func parseArgs(args ...string) (runConfig, error) {
+	var cfg runConfig
+	fs := flags(&cfg)
+	fs.Init("bettytrain", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	cfg.out = &bytes.Buffer{}
+	return cfg, err
+}
+
+// smallArgs is a fast cora run used by every CLI test.
+var smallArgs = []string{"-dataset", "cora", "-scale", "0.2", "-hidden", "8", "-heads", "2", "-fanouts", "3,3", "-epochs", "3"}
+
 func smallConfig() runConfig {
-	return runConfig{
-		dataset:     "cora",
-		scale:       0.2,
-		model:       "sage",
-		agg:         "mean",
-		hidden:      8,
-		heads:       2,
-		fanouts:     "3,3",
-		epochs:      3,
-		lr:          0.01,
-		partitioner: "betty",
-		devices:     1,
-		seed:        1,
-		out:         &bytes.Buffer{},
+	cfg, err := parseArgs(smallArgs...)
+	if err != nil {
+		panic(err)
 	}
+	return cfg
 }
 
 // parseNDJSON decodes every line of an NDJSON file and returns the set of
@@ -218,22 +223,54 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// A retired knob (int8 serving is gone), a misspelt one, or a malformed value
-// must abort before any training, naming the variable.
+// Every numeric flag is range-checked before any work: a bad value is an
+// error naming the flag, from flag parsing or from run, and nothing trains.
+func TestBadFlagsFailLoudly(t *testing.T) {
+	for _, bad := range [][2]string{
+		{"-capacity", "-5"},
+		{"-capacity", "17592186044417"}, // 2^44+1 MiB: << 20 would wrap to 1 MiB
+		{"-capacity", "many"},
+		{"-k", "-3"},
+		{"-devices", "0"},
+		{"-devices", "-2"},
+		{"-store-budget", "0"},
+		{"-store-budget", "-1"},
+		{"-store-budget", "17592186044417"},
+		{"-shard-rows", "0"},
+		{"-shard-rows", "x"},
+	} {
+		cfg, err := parseArgs(append(smallArgs, bad[:]...)...)
+		if err == nil {
+			err = run(cfg)
+		}
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%s %s: got %v, want an error naming %s", bad[0], bad[1], err, bad[0])
+		}
+		if out := cfg.out.(*bytes.Buffer); out.Len() != 0 {
+			t.Errorf("%s %s: refused run logged %q", bad[0], bad[1], out.String())
+		}
+	}
+}
+
+// Every setting is a flag: any set BETTY_* variable — a retired knob
+// (BETTY_WORKERS, BETTY_EMBCACHE; int8 serving is gone) or a misspelt one —
+// aborts before any training, naming the variable.
 func TestEnvFailsLoudlyAtStartup(t *testing.T) {
-	for name, val := range map[string]string{"BETTY_QUANT": "int8", "BETTY_WORKER": "2", "BETTY_EMBCACHE": "fast"} {
+	for name, val := range map[string]string{"BETTY_QUANT": "int8", "BETTY_WORKER": "2", "BETTY_WORKERS": "4", "BETTY_EMBCACHE": "off"} {
 		t.Run(name, func(t *testing.T) {
 			t.Setenv(name, val)
-			if err := run(smallConfig()); err == nil || !strings.Contains(err.Error(), name) {
+			cfg := smallConfig()
+			if err := run(cfg); err == nil || !strings.Contains(err.Error(), name) {
 				t.Fatalf("%s=%s: run returned %v, want an error naming it", name, val, err)
+			}
+			if out := cfg.out.(*bytes.Buffer); out.Len() != 0 {
+				t.Fatalf("%s=%s: refused run logged %q", name, val, out.String())
 			}
 		})
 	}
 }
 
-// Training has no embedding cache: with nothing set the run is the plain
-// one, and any BETTY_EMBCACHE value, even off, is refused at startup with
-// an error that names the knob and bettyserve, the tool that has the cache.
+// Training has no embedding cache: the default run is the plain one.
 func TestDefaultsArePlainPath(t *testing.T) {
 	var out bytes.Buffer
 	cfg := smallConfig()
@@ -243,18 +280,6 @@ func TestDefaultsArePlainPath(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "embedding cache") {
 		t.Fatalf("default run mentions an embedding cache:\n%s", out.String())
-	}
-	for _, mode := range []string{"off", "exact", "reuse"} {
-		t.Setenv("BETTY_EMBCACHE", mode)
-		out.Reset()
-		cfg.out = &out
-		err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "BETTY_EMBCACHE") || !strings.Contains(err.Error(), "bettyserve") {
-			t.Fatalf("BETTY_EMBCACHE=%s: run returned %v, want a refusal naming the knob and bettyserve", mode, err)
-		}
-		if out.Len() != 0 {
-			t.Fatalf("BETTY_EMBCACHE=%s: refused run logged %q", mode, out.String())
-		}
 	}
 }
 

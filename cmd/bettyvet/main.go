@@ -1,13 +1,11 @@
 // Command bettyvet type-checks the module and runs the project-specific
 // static analyzers that machine-check the repository's determinism,
-// shard-purity, pool-discipline, hot-allocation, env-knob, and
-// observability invariants (see internal/lint and DESIGN.md §9/§14). It is
+// shard-purity, pool-discipline, hot-allocation and observability invariants (see internal/lint and DESIGN.md §9/§14). It is
 // zero-dependency and fully offline: one `go list -export` run enumerates
 // the packages and compiles them to export data, and each package is
 // type-checked once against that export data. The module-scoped analyzers
-// see every package at once: dettaint follows the kernel packages' imports,
-// obsdisc matches metric reads to writers, and envreg diffs the knob
-// registry against the README.
+// see every package at once: dettaint follows the kernel packages' imports
+// and obsdisc matches metric reads to writers.
 //
 // Usage:
 //
@@ -55,12 +53,12 @@ func main() {
 		fatal(err)
 	}
 	patterns := flag.Args()
-	m, err := lint.LoadModule(cwd, patterns...)
+	pkgs, err := lint.Load(cwd, patterns...)
 	if err != nil {
 		fatal(err)
 	}
 
-	res := m.Run()
+	res := lint.NewModule(pkgs).Run()
 	diags := res.Diags
 	if *audit {
 		diags = append(diags, res.Stale...)

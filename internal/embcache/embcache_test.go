@@ -21,7 +21,7 @@ func TestParseMode(t *testing.T) {
 			t.Fatalf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseMode("fast"); err == nil || !strings.Contains(err.Error(), EnvMode) {
+	if _, err := ParseMode("fast"); err == nil || !strings.Contains(err.Error(), "-embcache") {
 		t.Fatalf("malformed mode accepted or unnamed: %v", err)
 	}
 }

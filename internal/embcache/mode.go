@@ -10,7 +10,7 @@
 // cache lives. Training has no cache: its optimizer steps change the
 // weights every batch, and a reused row would stop the gradient.
 //
-// Three modes, selected by BETTY_EMBCACHE (bettyserve only):
+// Three modes, selected by bettyserve -embcache:
 //
 //   - off:   the default. No cache is built; forwards take the plain
 //     per-layer path.
@@ -33,7 +33,7 @@ import (
 	"betty/internal/device"
 )
 
-// Mode selects the cache behavior (BETTY_EMBCACHE).
+// Mode selects the cache behavior (bettyserve -embcache).
 type Mode int
 
 const (
@@ -60,14 +60,10 @@ func (m Mode) String() string {
 	}
 }
 
-// EnvMode selects off/exact/reuse for bettyserve (see the README knob
-// table); bettytrain refuses it at startup.
-const EnvMode = "BETTY_EMBCACHE"
-
 // BudgetBytes bounds a server's cache's resident bytes (ledger-charged).
 const BudgetBytes = 64 * device.MiB
 
-// ParseMode interprets BETTY_EMBCACHE. Empty means off — the plain path,
+// ParseMode interprets bettyserve's -embcache value. Empty means off — the plain path,
 // the default; a malformed value is a loud error, never a silent fallback
 // to a different caching policy.
 func ParseMode(s string) (Mode, error) {
@@ -79,6 +75,6 @@ func ParseMode(s string) (Mode, error) {
 	case "reuse":
 		return ModeReuse, nil
 	default:
-		return ModeOff, fmt.Errorf("%s=%q invalid (want off, exact, or reuse)", EnvMode, s)
+		return ModeOff, fmt.Errorf("-embcache %q invalid (want off, exact, or reuse)", s)
 	}
 }

@@ -1,37 +1,37 @@
-// Package knobs is the registry of BETTY_* environment knobs: the one name
-// list that bettyvet's envreg analyzer audits the code and the README
-// against and that the CLIs check the process environment against.
+// Package knobs holds the configuration checks the CLIs share. Every
+// setting is a command-line flag: Check refuses a leftover BETTY_*
+// environment variable, and MiBBytes converts a MiB flag to bytes.
 package knobs
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// Registry maps every knob to what it sets and its hardened parser. A new
-// knob lands by adding a row here, a row in the README knob table, and a
-// hardened parser — envreg fails on any subset.
-var Registry = map[string]string{
-	"BETTY_WORKERS":                 "worker-pool size (parallel.ParseWorkers)",
-	"BETTY_SERVE_MAX_BATCH":         "serving batcher coalescing target (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_QUEUE_DEPTH":       "serving admission bound (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_TIMEOUT_MS":        "serving default deadline (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_MAX_REQUEST_NODES": "serving per-request seed cap (serve.Config.ApplyEnv)",
-	"BETTY_SERVE_CAPACITY_MIB":      "serving device budget (serve.Config.ApplyEnv)",
-	"BETTY_STORE_SHARD_ROWS":        "pack-time feature-shard height (store.ParseShardRows)",
-	"BETTY_EMBCACHE":                "serving's historical-embedding cache mode off/exact/reuse; bettytrain refuses it (embcache.ParseMode)",
-}
-
-// Check rejects an environment (in os.Environ form) that sets a BETTY_*
-// variable the registry does not hold. A retired or misspelt knob would
-// otherwise be ignored, and the process would run a different configuration
-// than the one its operator set.
+// Check rejects an environment (in os.Environ form) that sets any BETTY_*
+// variable. Betty reads no environment variable, so a setting left over
+// from the retired environment knobs, or a misspelt one, would otherwise be
+// ignored and the process would run a different configuration than the one
+// its operator set.
 func Check(environ []string) error {
 	for _, kv := range environ {
-		name, _, _ := strings.Cut(kv, "=")
-		if _, ok := Registry[name]; !ok && strings.HasPrefix(name, "BETTY_") {
-			return fmt.Errorf("%s is set but is not a Betty knob (retired or misspelt; README.md has the knob table)", name)
+		if name, _, _ := strings.Cut(kv, "="); strings.HasPrefix(name, "BETTY_") {
+			return fmt.Errorf("%s is set, but Betty takes every setting as a flag (see -help), none from the environment: unset it", name)
 		}
 	}
 	return nil
+}
+
+// maxMiB is the largest MiB count whose byte count fits an int64.
+const maxMiB = math.MaxInt64 >> 20
+
+// MiBBytes converts the value of the MiB flag -name to bytes. A value that
+// is not positive, or whose byte count overflows, is an error naming the
+// flag rather than a silently wrapped budget.
+func MiBBytes(name string, mib int64) (int64, error) {
+	if mib <= 0 || mib > maxMiB {
+		return 0, fmt.Errorf("-%s %d: want a MiB count in [1, %d]", name, mib, int64(maxMiB))
+	}
+	return mib << 20, nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestRepositoryClean runs the full analyzer suite — all six analyzers,
+// TestRepositoryClean runs the full analyzer suite — all five analyzers,
 // local and module-scoped, plus the suppression audit — over the whole
 // module and requires zero active diagnostics and zero stale suppressions:
 // every real finding must be fixed, every intentional one annotated, and
@@ -15,11 +15,11 @@ func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	m, err := LoadModule("../..", "./...")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Run()
+	res := NewModule(pkgs).Run()
 	for _, d := range res.Diags {
 		t.Errorf("%s", d)
 	}
@@ -50,18 +50,18 @@ func TestLoadSubset(t *testing.T) {
 		{"./internal/embcache", []string{"betty/internal/embcache", "betty/internal/embcache_test"}, 0, 0},
 		{"./benchmark", []string{"betty/benchmark"}, 8, 5},
 	} {
-		m, err := LoadModule("../..", tc.pattern)
+		pkgs, err := Load("../..", tc.pattern)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.pattern, err)
 		}
 		var paths []string
-		for _, p := range m.Pkgs {
+		for _, p := range pkgs {
 			paths = append(paths, p.Path)
 		}
 		if !slices.Equal(paths, tc.paths) {
 			t.Errorf("%s: loaded %v, want %v", tc.pattern, paths, tc.paths)
 		}
-		res := m.Run()
+		res := NewModule(pkgs).Run()
 		if len(res.Diags) != tc.diags || len(res.Suppressed) != tc.suppressed {
 			t.Errorf("%s: %d diagnostics and %d suppressed findings, want %d and %d",
 				tc.pattern, len(res.Diags), len(res.Suppressed), tc.diags, tc.suppressed)

@@ -16,9 +16,8 @@
 //     seeded internal/rng and never read the wall clock or the worker
 //     count (runtime.NumCPU, runtime.GOMAXPROCS, parallel.Workers outside
 //     internal/parallel).
-//   - envreg, obsdisc: every BETTY_* knob is registered, hardened and
-//     documented, and obs spans are ended and metric reads name metrics
-//     the module writes (DESIGN.md §14).
+//   - obsdisc: obs spans are ended and metric reads name metrics the
+//     module writes (DESIGN.md §14).
 //
 // The suite is zero-dependency and runs fully offline: one `go list -deps
 // -test -export -json` run enumerates the packages and has the go command
@@ -55,9 +54,8 @@ func (d Diagnostic) String() string {
 
 // An Analyzer reports findings at one of two scopes: local analyzers (Run)
 // inspect one type-checked package at a time; module analyzers (RunModule)
-// see the whole module at once — every package and the README — and catch
-// what no single-package view can (a sink in a package a kernel imports, a
-// knob missing from the doc table). Exactly one of Run and RunModule is
+// see every package at once and catch what no single-package view can (a
+// sink in a package a kernel imports, a metric read with no writer). Exactly one of Run and RunModule is
 // set.
 type Analyzer struct {
 	Name      string
@@ -69,16 +67,12 @@ type Analyzer struct {
 // Analyzers returns the full bettyvet suite in report order: the three
 // per-package analyzers, then the three module-scoped ones.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Pooldisc, Floateq, Hotalloc, Dettaint, Envreg, Obsdisc}
+	return []*Analyzer{Pooldisc, Floateq, Hotalloc, Dettaint, Obsdisc}
 }
 
-// Module is the whole-module analysis view: every loaded package plus the
-// README content envreg diffs its knob registry against.
+// Module is the whole-module analysis view: every loaded package.
 type Module struct {
 	Pkgs []*Package
-	// KnobDoc is the README.md content ("" skips the registry/doc diff —
-	// subset runs and golden tests set it explicitly).
-	KnobDoc string
 }
 
 // NewModule wraps pkgs for module-scoped analysis.

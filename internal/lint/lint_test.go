@@ -32,7 +32,6 @@ var goldenPackages = []struct {
 	{"taintutil", "betty/app/taintutil", true},
 	{"taintentry", "betty/internal/sample/deep", false},
 	{"nnlayer", "betty/internal/nn", false},
-	{"envknobs", "betty/app/envknobs", false},
 	{"obsgold", "betty/app/obsgold", false},
 }
 
@@ -64,9 +63,7 @@ var (
 )
 
 // goldenModule type-checks every golden package offline against the stub
-// betty packages and wraps them in a Module whose KnobDoc documents every
-// registered knob (the README diff is exercised separately in
-// TestEnvregDocDiff).
+// betty packages and wraps them in a Module.
 func goldenModule(t *testing.T) *Module {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -88,9 +85,7 @@ func goldenModule(t *testing.T) *Module {
 			imp.local[gp.path] = p.Pkg
 		}
 	}
-	m := NewModule(pkgs)
-	m.KnobDoc = strings.Join(KnobNames(), " ")
-	return m
+	return NewModule(pkgs)
 }
 
 // TestGolden runs the full suite — local analyzers, module analyzers, and
@@ -167,41 +162,6 @@ func TestDettaintScope(t *testing.T) {
 		if scope[c.path] != c.scanned {
 			t.Errorf("%s: scanned = %v, want %v", c.path, scope[c.path], c.scanned)
 		}
-	}
-}
-
-// TestEnvregDocDiff exercises the registry↔README diff both ways: a doc
-// missing a registered knob and documenting an unregistered one must yield
-// one README.md-anchored diagnostic each; an empty KnobDoc skips the diff.
-func TestEnvregDocDiff(t *testing.T) {
-	names := KnobNames()
-	complete := strings.Join(names, " ")
-
-	m := NewModule(nil)
-	if diags := runEnvreg(m); len(diags) != 0 {
-		t.Errorf("empty KnobDoc must skip the doc diff, got %v", diags)
-	}
-
-	m.KnobDoc = complete
-	if diags := runEnvreg(m); len(diags) != 0 {
-		t.Errorf("complete doc must be clean, got %v", diags)
-	}
-
-	m.KnobDoc = strings.Join(names[1:], " ") + " BETTY_NOT_A_REAL_KNOB"
-	diags := runEnvreg(m)
-	if len(diags) != 2 {
-		t.Fatalf("want 2 doc-diff diagnostics (one missing, one unregistered), got %d: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Pos.Filename != "README.md" || d.Pos.Line != 1 {
-			t.Errorf("doc-diff diagnostic must anchor at README.md:1, got %s", d.Pos)
-		}
-	}
-	if !strings.Contains(diags[0].Message, names[0]) {
-		t.Errorf("first diagnostic should name the undocumented knob %s: %s", names[0], diags[0].Message)
-	}
-	if !strings.Contains(diags[1].Message, "BETTY_NOT_A_REAL_KNOB") {
-		t.Errorf("second diagnostic should name the unregistered doc token: %s", diags[1].Message)
 	}
 }
 

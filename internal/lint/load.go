@@ -90,37 +90,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadModule loads patterns like Load and wraps the result in a Module
-// ready for the full suite, with the module root's README.md attached for
-// envreg's registry/doc diff. A missing README leaves KnobDoc empty, which
-// skips the diff (subset runs outside a module root stay usable).
-func LoadModule(dir string, patterns ...string) (*Module, error) {
-	pkgs, err := Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	m := NewModule(pkgs)
-	root, err := goModRoot(dir)
-	if err != nil {
-		root = dir
-	}
-	if doc, err := os.ReadFile(filepath.Join(root, "README.md")); err == nil {
-		m.KnobDoc = string(doc)
-	}
-	return m, nil
-}
-
-// goModRoot resolves the module root directory for dir.
-func goModRoot(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
 // goList runs `go list -deps -test -export -json` in dir and decodes the
 // JSON stream.
 func goList(dir string, patterns []string) ([]*listPackage, error) {

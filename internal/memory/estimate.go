@@ -36,7 +36,7 @@ type Spec struct {
 	// ParamsAgg is NP_Agg: aggregator-only parameter values.
 	ParamsAgg int
 	// OptStatePerParam is the optimizer-state values kept per parameter
-	// value (Adam: 2, momentum SGD: 1, plain SGD: 0).
+	// value (Adam: 2; 0 for a forward-only spec).
 	OptStatePerParam int
 	// IsGAT marks attention models, whose aggregator working set differs.
 	IsGAT bool

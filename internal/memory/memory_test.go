@@ -516,7 +516,7 @@ func TestSpecFromModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := SpecOf(gat, nn.NewSGD(gat, 0.01, 0))
+	gs := SpecOf(gat, nil)
 	if !gs.IsGAT || gs.IsGCN || gs.OptStatePerParam != 0 {
 		t.Fatalf("bad GAT spec: %+v", gs)
 	}
@@ -524,8 +524,8 @@ func TestSpecFromModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := SpecOf(gcn, nn.NewSGD(gcn, 0.01, 0.9))
-	if !cs.IsGCN || cs.IsGAT || cs.ParamsAgg != 0 || cs.ParamsGNN != nn.ParamCount(gcn) || cs.OptStatePerParam != 1 {
+	cs := SpecOf(gcn, nn.NewAdam(gcn, 0.01))
+	if !cs.IsGCN || cs.IsGAT || cs.ParamsAgg != 0 || cs.ParamsGNN != nn.ParamCount(gcn) || cs.OptStatePerParam != 2 {
 		t.Fatalf("bad GCN spec: %+v", cs)
 	}
 	if s.IsGAT || s.IsGCN {

@@ -1,7 +1,7 @@
 // Package nn implements the GNN models the paper evaluates — GraphSAGE
 // with Mean, Sum, Pool, and LSTM aggregators, and GAT with multi-head
 // attention — together with the layers they are built from (Linear, LSTM
-// cell) and the optimizers (SGD, Adam). Everything runs on the tensor
+// cell) and the Adam optimizer. Everything runs on the tensor
 // package's autograd tape, so micro-batch gradient accumulation is exact.
 package nn
 

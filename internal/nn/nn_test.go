@@ -405,12 +405,6 @@ func TestOptimizersDescend(t *testing.T) {
 		}
 		return float64(w.Value.Data[0]*w.Value.Data[0] + w.Value.Data[1]*w.Value.Data[1])
 	}
-	if v := quadratic(func(m Module) Optimizer { return NewSGD(m, 0.1, 0) }); v > 1e-6 {
-		t.Fatalf("SGD did not descend: %v", v)
-	}
-	if v := quadratic(func(m Module) Optimizer { return NewSGD(m, 0.05, 0.9) }); v > 1e-6 {
-		t.Fatalf("momentum SGD did not descend: %v", v)
-	}
 	if v := quadratic(func(m Module) Optimizer { return NewAdam(m, 0.05) }); v > 1e-4 {
 		t.Fatalf("Adam did not descend: %v", v)
 	}
@@ -423,12 +417,6 @@ func (m paramModule) Params() []*tensor.Var { return []*tensor.Var{m.p} }
 func TestOptimizerStateSizes(t *testing.T) {
 	w := tensor.Param(tensor.New(2, 2))
 	m := paramModule{w}
-	if NewSGD(m, 0.1, 0).StateSize() != 0 {
-		t.Fatal("plain SGD state size")
-	}
-	if NewSGD(m, 0.1, 0.9).StateSize() != 1 {
-		t.Fatal("momentum state size")
-	}
 	if NewAdam(m, 0.1).StateSize() != 2 {
 		t.Fatal("adam state size")
 	}

@@ -12,65 +12,11 @@ type Optimizer interface {
 	// after, or rely on the trainer to do so).
 	Step()
 	// StateSize returns the number of float32 optimizer-state values per
-	// model parameter value (0 for plain SGD, 2 for Adam) — component (8)
+	// model parameter value (2 for Adam) — component (8)
 	// of the paper's memory estimator.
 	StateSize() int
 	// Name identifies the optimizer in experiment output.
 	Name() string
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	params   []*tensor.Var
-	velocity []*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer over m's parameters.
-func NewSGD(m Module, lr, momentum float32) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: m.Params()}
-	//bettyvet:ok floateq zero-value config sentinel: momentum 0 means plain SGD with no velocity state
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(s.params))
-		for i, p := range s.params {
-			s.velocity[i] = tensor.New(p.Value.Rows(), p.Value.Cols())
-		}
-	}
-	return s
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// StateSize implements Optimizer.
-func (s *SGD) StateSize() int {
-	//bettyvet:ok floateq zero-value config sentinel: momentum 0 means plain SGD with no velocity state
-	if s.Momentum != 0 {
-		return 1
-	}
-	return 0
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		//bettyvet:ok floateq zero-value config sentinel: momentum 0 means plain SGD with no velocity state
-		if s.Momentum != 0 {
-			v := s.velocity[i]
-			for j := range v.Data {
-				v.Data[j] = s.Momentum*v.Data[j] + p.Grad.Data[j]
-				p.Value.Data[j] -= s.LR * v.Data[j]
-			}
-		} else {
-			for j := range p.Value.Data {
-				p.Value.Data[j] -= s.LR * p.Grad.Data[j]
-			}
-		}
-	}
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction — the

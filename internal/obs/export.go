@@ -22,7 +22,7 @@ import (
 //
 // Spans come first in sequence order, then counters, gauges, and histograms
 // each sorted by name. Metric values are commutative atomics, so the bytes
-// are identical for any BETTY_WORKERS; span order is the End order, which
+// are identical for any worker count; span order is the End order, which
 // is deterministic for the serial training loop.
 
 // schemaVersion guards consumers against layout changes.

@@ -18,7 +18,7 @@
 //     callers opt in by attaching a registry.
 //
 //   - Determinism under parallelism. The registry is lock-sharded by metric
-//     name so concurrent workers (BETTY_WORKERS > 1) never contend on one
+//     name so concurrent workers never contend on one
 //     mutex, and all metric state is commutative (atomic adds), so exported
 //     values are identical for any worker count. Span records carry a
 //     sequence number assigned in End order; phases recorded from the
@@ -102,7 +102,7 @@ func (c *FakeClock) Advance(d int64) {
 }
 
 // numShards is the lock-sharding degree of the metric maps. Sixteen shards
-// keep distinct-name contention negligible at any plausible BETTY_WORKERS.
+// keep distinct-name contention negligible at any plausible worker count.
 const numShards = 16
 
 // metricShard holds the metrics whose names hash to one shard.

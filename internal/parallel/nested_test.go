@@ -16,7 +16,7 @@ const nestedChildEnv = "PARALLEL_TEST_NESTED_CHILD"
 // A shard that issues its own parallel call must never wait on a post only
 // a busy worker could dequeue. Earlier tests in this binary may already
 // have grown the pool, which hides the bug, so the check runs in a fresh
-// process with BETTY_WORKERS=2: one persistent worker plus the submitter,
+// process with GOMAXPROCS=2: one persistent worker plus the submitter,
 // both inside outer shards when the inner calls are posted.
 func TestNestedForCompletesOnFreshPool(t *testing.T) {
 	if os.Getenv(nestedChildEnv) == "1" {
@@ -26,7 +26,7 @@ func TestNestedForCompletesOnFreshPool(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestNestedForCompletesOnFreshPool$", "-test.count=1")
-	cmd.Env = append(os.Environ(), nestedChildEnv+"=1", "BETTY_WORKERS=2")
+	cmd.Env = append(os.Environ(), nestedChildEnv+"=1", "GOMAXPROCS=2")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("nested For in a fresh 2-worker process failed: %v\n%s", err, out)

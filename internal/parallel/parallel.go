@@ -11,15 +11,12 @@
 // is therefore bitwise-deterministic: SetWorkers(1) and SetWorkers(64)
 // produce identical bytes.
 //
-// The worker count defaults to GOMAXPROCS and can be overridden by the
-// BETTY_WORKERS environment variable or SetWorkers.
+// The worker count defaults to GOMAXPROCS and can be overridden by
+// SetWorkers.
 package parallel
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -35,8 +32,8 @@ func init() {
 //
 // Earlier revisions spawned fresh goroutines (and a WaitGroup) on every
 // parallel call, which showed up as ~200 extra allocations per training
-// step at BETTY_WORKERS=8 (PR 2; the step benchmark/'s train_compute
-// workload times). The pool below keeps long-lived workers fed through a
+// step at eight workers (the step benchmark/'s train_compute workload
+// times). The pool below keeps long-lived workers fed through a
 // buffered channel and recycles the per-call job descriptor through a
 // sync.Pool, so a steady-state parallel call allocates nothing beyond the
 // caller's own closure.
@@ -152,46 +149,14 @@ func dispatch(j *job, w int) {
 	jobPool.Put(j)
 }
 
-// ParseWorkers validates a BETTY_WORKERS override: it must be a positive
-// decimal integer. The empty string means "unset" and returns (0, nil) so
-// the caller falls back to GOMAXPROCS. Anything else — garbage, zero, or a
-// negative count — is an error: a typo must fail loudly rather than
-// silently train on a different worker count than the experiment intended.
-func ParseWorkers(v string) (int, error) {
-	if v == "" {
-		return 0, nil
-	}
-	k, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("BETTY_WORKERS=%q: not an integer (want a positive worker count)", v)
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("BETTY_WORKERS=%d: worker count must be positive", k)
-	}
-	return k, nil
-}
-
-// defaultWorkers returns GOMAXPROCS, overridden by BETTY_WORKERS when set.
-// An invalid BETTY_WORKERS value panics at startup.
-func defaultWorkers() int {
-	k, err := ParseWorkers(os.Getenv("BETTY_WORKERS"))
-	if err != nil {
-		panic("parallel: " + err.Error())
-	}
-	if k > 0 {
-		return k
-	}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
-}
+// defaultWorkers returns GOMAXPROCS, which is always at least 1.
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Workers returns the current worker count.
 func Workers() int { return int(workers.Load()) }
 
 // SetWorkers sets the worker count and returns the previous value; n <= 0
-// resets to the default (GOMAXPROCS / BETTY_WORKERS). Tests use the
+// resets to the default (GOMAXPROCS). Tests use the
 // returned value to restore the global:
 //
 //	defer parallel.SetWorkers(parallel.SetWorkers(8))

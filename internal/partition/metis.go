@@ -48,10 +48,7 @@ type level struct {
 	cmap []int32 // fine node -> coarse node in the next level
 }
 
-// Name implements Partitioner.
-func (m *Metis) Name() string { return "metis" }
-
-// Partition implements Partitioner.
+// Partition returns a part id in [0, k) for every node of g.
 func (m *Metis) Partition(g *WeightedGraph, k int) ([]int32, error) {
 	if err := validateK(g, k); err != nil {
 		return nil, err

@@ -1,16 +1,14 @@
-// Package partition implements K-way graph partitioning. It provides the
-// three baseline partitioners the paper evaluates against (range, random,
-// and a METIS-style multilevel min-edge-cut partitioner built from scratch)
-// behind a common interface, plus partition-quality metrics (edge cut,
-// balance). Betty's REG partitioning (package reg) feeds its
-// redundancy-embedded graph to the multilevel partitioner from here.
+// Package partition implements K-way graph partitioning: a METIS-style
+// multilevel min-edge-cut partitioner built from scratch, plus
+// partition-quality metrics (edge cut, balance). Betty's REG partitioning
+// (package reg) feeds its redundancy-embedded graph to the multilevel
+// partitioner from here; the range and random baselines the paper
+// evaluates against are reg.RangeBatch and reg.RandomBatch.
 package partition
 
 import (
 	"fmt"
 	"sort"
-
-	"betty/internal/rng"
 )
 
 // WeightedGraph is an undirected graph with edge and node weights, the
@@ -122,14 +120,6 @@ func (g *WeightedGraph) TotalNodeWeight() float64 {
 	return s
 }
 
-// Partitioner assigns each of a weighted graph's nodes to one of k parts.
-type Partitioner interface {
-	// Name identifies the algorithm in experiment output.
-	Name() string
-	// Partition returns a part id in [0, k) for every node of g.
-	Partition(g *WeightedGraph, k int) ([]int32, error)
-}
-
 // validateK rejects degenerate part counts.
 func validateK(g *WeightedGraph, k int) error {
 	if k <= 0 {
@@ -139,50 +129,6 @@ func validateK(g *WeightedGraph, k int) error {
 		return fmt.Errorf("partition: k=%d exceeds %d nodes", k, g.N)
 	}
 	return nil
-}
-
-// Range partitions nodes into k contiguous id ranges of near-equal size —
-// the "range partition" baseline: the space of output node IDs is evenly
-// and sequentially partitioned.
-type Range struct{}
-
-// Name implements Partitioner.
-func (Range) Name() string { return "range" }
-
-// Partition implements Partitioner.
-func (Range) Partition(g *WeightedGraph, k int) ([]int32, error) {
-	if err := validateK(g, k); err != nil {
-		return nil, err
-	}
-	parts := make([]int32, g.N)
-	for i := 0; i < g.N; i++ {
-		parts[i] = int32(i * k / g.N)
-	}
-	return parts, nil
-}
-
-// Random partitions node ids evenly but randomly — the "random partition"
-// baseline: the space of output node IDs is evenly and randomly partitioned.
-type Random struct {
-	// Seed makes the assignment reproducible.
-	Seed uint64
-}
-
-// Name implements Partitioner.
-func (Random) Name() string { return "random" }
-
-// Partition implements Partitioner.
-func (p Random) Partition(g *WeightedGraph, k int) ([]int32, error) {
-	if err := validateK(g, k); err != nil {
-		return nil, err
-	}
-	r := rng.New(p.Seed)
-	perm := r.Perm(g.N)
-	parts := make([]int32, g.N)
-	for pos, node := range perm {
-		parts[node] = int32(pos * k / g.N)
-	}
-	return parts, nil
 }
 
 // EdgeCut returns the total weight of edges whose endpoints are in

@@ -124,62 +124,14 @@ func TestNewWeightedGraphValidation(t *testing.T) {
 	}
 }
 
-func TestRangePartition(t *testing.T) {
-	g := ring(t, 10)
-	parts, err := Range{}.Partition(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValidPartition(t, parts, 10, 3)
-	// contiguity: parts must be non-decreasing over node ids
-	for i := 1; i < 10; i++ {
-		if parts[i] < parts[i-1] {
-			t.Fatalf("range partition not contiguous: %v", parts)
-		}
-	}
-}
-
-func TestRandomPartitionEvenAndReproducible(t *testing.T) {
-	g := ring(t, 100)
-	a, err := Random{Seed: 7}.Partition(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValidPartition(t, a, 100, 4)
-	sizes := Sizes(a, 4)
-	for _, s := range sizes {
-		if s != 25 {
-			t.Fatalf("uneven random partition: %v", sizes)
-		}
-	}
-	b, _ := Random{Seed: 7}.Partition(g, 4)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different partition")
-		}
-	}
-	c, _ := Random{Seed: 8}.Partition(g, 4)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical partition (suspicious)")
-	}
-}
-
 func TestValidateK(t *testing.T) {
 	g := ring(t, 4)
-	for _, p := range []Partitioner{Range{}, Random{}, &Metis{}} {
-		if _, err := p.Partition(g, 0); err == nil {
-			t.Fatalf("%s accepted k=0", p.Name())
-		}
-		if _, err := p.Partition(g, 9); err == nil {
-			t.Fatalf("%s accepted k > n", p.Name())
-		}
+	p := &Metis{}
+	if _, err := p.Partition(g, 0); err == nil {
+		t.Fatal("metis accepted k=0")
+	}
+	if _, err := p.Partition(g, 9); err == nil {
+		t.Fatal("metis accepted k > n")
 	}
 }
 
@@ -233,9 +185,11 @@ func TestMetisBeatsRandomOnCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rparts, err := Random{Seed: 1}.Partition(g, 8)
-	if err != nil {
-		t.Fatal(err)
+	// An even random assignment: the node at position pos of a seeded
+	// permutation goes to part pos*k/n.
+	rparts := make([]int32, g.N)
+	for pos, node := range rng.New(1).Perm(g.N) {
+		rparts[node] = int32(pos * 8 / g.N)
 	}
 	mcut, rcut := EdgeCut(g, mparts), EdgeCut(g, rparts)
 	if mcut >= rcut {
@@ -340,8 +294,8 @@ func TestMetisCoarseningReuseIsBitwise(t *testing.T) {
 	}
 }
 
-// Property: partitions from all algorithms are structurally valid for
-// random graphs and random k.
+// Property: Metis partitions are structurally valid for random graphs and
+// random k.
 func TestAllPartitionersProduceValidParts(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -363,27 +317,18 @@ func TestAllPartitionersProduceValidParts(t *testing.T) {
 		if k > n {
 			k = n
 		}
-		for _, p := range []Partitioner{Range{}, Random{Seed: seed}, &Metis{Seed: seed}} {
-			parts, err := p.Partition(g, k)
-			if err != nil {
-				return false
-			}
-			if len(parts) != n {
-				return false
-			}
-			sizes := Sizes(parts, k)
-			total := 0
-			for _, s := range sizes {
-				if s == 0 {
-					return false
-				}
-				total += s
-			}
-			if total != n {
-				return false
-			}
+		parts, err := (&Metis{Seed: seed}).Partition(g, k)
+		if err != nil || len(parts) != n {
+			return false
 		}
-		return true
+		total := 0
+		for _, s := range Sizes(parts, k) {
+			if s == 0 {
+				return false
+			}
+			total += s
+		}
+		return total == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

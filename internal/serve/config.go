@@ -3,8 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"time"
 
 	"betty/internal/embcache"
@@ -12,8 +10,8 @@ import (
 )
 
 // Config holds every knob of the serving path. The zero value is not
-// usable; start from Defaults (or fill every field) and optionally layer
-// environment overrides on top with ApplyEnv.
+// usable; start from Defaults (or fill every field). bettyserve sets the
+// policy fields from its flags.
 type Config struct {
 	// Fanouts are the per-layer sampling bounds, input-first — they must
 	// match the model's layer count.
@@ -112,64 +110,6 @@ func (c *Config) Validate() error {
 	case embcache.ModeOff, embcache.ModeExact, embcache.ModeReuse:
 	default:
 		return fmt.Errorf("serve: unknown embedding-cache mode %d", int(c.EmbMode))
-	}
-	return nil
-}
-
-// The BETTY_SERVE_* environment knobs. Like BETTY_WORKERS (see
-// parallel.ParseWorkers), a malformed value fails loudly at startup rather
-// than silently serving under a different policy than the operator set.
-const (
-	EnvMaxBatch        = "BETTY_SERVE_MAX_BATCH"
-	EnvQueueDepth      = "BETTY_SERVE_QUEUE_DEPTH"
-	EnvTimeoutMS       = "BETTY_SERVE_TIMEOUT_MS"
-	EnvMaxRequestNodes = "BETTY_SERVE_MAX_REQUEST_NODES"
-	EnvCapacityMiB     = "BETTY_SERVE_CAPACITY_MIB"
-)
-
-// ApplyEnv overlays environment overrides on c, reading variables through
-// getenv (os.Getenv in production; tests pass a map lookup). Unset or empty
-// variables leave the field untouched; any malformed value is an error
-// naming the variable.
-func (c *Config) ApplyEnv(getenv func(string) string) error {
-	// max is the largest value whose scaled field still fits its type, so
-	// an oversized value is an error instead of a silent wrap.
-	intVars := []struct {
-		name     string
-		min, max int64
-		set      func(int64)
-	}{
-		{EnvMaxBatch, 1, math.MaxInt, func(v int64) { c.MaxBatch = int(v) }},
-		{EnvQueueDepth, 1, math.MaxInt, func(v int64) { c.QueueDepth = int(v) }},
-		{EnvTimeoutMS, 0, math.MaxInt64 / int64(time.Millisecond), func(v int64) { c.DefaultTimeout = time.Duration(v) * time.Millisecond }},
-		{EnvMaxRequestNodes, 1, math.MaxInt, func(v int64) { c.MaxRequestNodes = int(v) }},
-		{EnvCapacityMiB, 1, math.MaxInt64 >> 20, func(v int64) { c.CapacityBytes = v << 20 }},
-	}
-	for _, ev := range intVars {
-		raw := getenv(ev.name)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return fmt.Errorf("serve: %s=%q: not an integer", ev.name, raw)
-		}
-		if v < ev.min {
-			return fmt.Errorf("serve: %s=%d: must be >= %d", ev.name, v, ev.min)
-		}
-		if v > ev.max {
-			return fmt.Errorf("serve: %s=%d: must be <= %d", ev.name, v, ev.max)
-		}
-		ev.set(v)
-	}
-	// BETTY_EMBCACHE's hardened parser lives next to the cache and maps ""
-	// to off, the default, so only override when set.
-	if raw := getenv(embcache.EnvMode); raw != "" {
-		mode, err := embcache.ParseMode(raw)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		c.EmbMode = mode
 	}
 	return nil
 }

@@ -504,7 +504,7 @@ func (s *Server) gather(src dataset.FeatureSource, nids []int32) (*tensor.Tensor
 // writeBatchLog emits one hand-assembled NDJSON line describing the batch
 // composition and plan. Every field is a pure function of the admitted
 // request trace — no timestamps, no durations — so a fixed trace yields
-// byte-identical logs at any BETTY_WORKERS.
+// byte-identical logs at any worker count.
 func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
 	w := s.cfg.BatchLog
 	if w == nil {

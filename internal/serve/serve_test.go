@@ -555,7 +555,7 @@ func TestWorkConservingBatching(t *testing.T) {
 }
 
 // A fixed request trace must produce byte-identical batch logs and
-// bitwise-identical responses at any BETTY_WORKERS.
+// bitwise-identical responses at any worker count.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	d := testData(t)
 	traces := [][]int32{
@@ -648,72 +648,16 @@ func TestServingSpans(t *testing.T) {
 	}
 }
 
-// Config validation and the BETTY_SERVE_* environment overlay.
-func TestConfigEnv(t *testing.T) {
+// Config validation: every policy field is range-checked.
+func TestConfigValidate(t *testing.T) {
 	base := func() Config {
 		c := Defaults()
 		c.Fanouts = []int{4, 6}
 		return c
 	}
-	env := func(m map[string]string) func(string) string {
-		return func(k string) string { return m[k] }
+	if c := base(); c.Validate() != nil {
+		t.Fatalf("defaults rejected: %v", c.Validate())
 	}
-
-	c := base()
-	if err := c.ApplyEnv(env(map[string]string{
-		EnvMaxBatch:        "32",
-		EnvQueueDepth:      "7",
-		EnvTimeoutMS:       "250",
-		EnvMaxRequestNodes: "9",
-		EnvCapacityMiB:     "64",
-		embcache.EnvMode:   "reuse",
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if c.MaxBatch != 32 || c.QueueDepth != 7 ||
-		c.DefaultTimeout != 250*time.Millisecond ||
-		c.MaxRequestNodes != 9 || c.CapacityBytes != 64<<20 || c.EmbMode != embcache.ModeReuse {
-		t.Fatalf("env not applied: %+v", c)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unset variables leave defaults alone.
-	c2 := base()
-	if err := c2.ApplyEnv(env(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if c2.MaxBatch != base().MaxBatch || c2.EmbMode != embcache.ModeOff {
-		t.Fatal("empty env changed defaults")
-	}
-
-	// Malformed values fail loudly, naming the variable.
-	for _, bad := range []map[string]string{
-		{EnvMaxBatch: "zero"},
-		{EnvMaxBatch: "0"},
-		{EnvMaxBatch: "-3"},
-		{EnvQueueDepth: "0"},
-		{EnvTimeoutMS: "soon"},
-		{EnvMaxRequestNodes: "0"},
-		{EnvCapacityMiB: "0x40"},
-		{EnvCapacityMiB: "17592186044417"}, // << 20 wraps to 1 MiB
-		{EnvTimeoutMS: "18446744073710"},   // * time.Millisecond wraps to 448µs
-		{embcache.EnvMode: "fast"},
-	} {
-		c := base()
-		err := c.ApplyEnv(env(bad))
-		if err == nil {
-			t.Fatalf("malformed env %v accepted", bad)
-		}
-		for k := range bad {
-			if !bytes.Contains([]byte(err.Error()), []byte(k)) {
-				t.Fatalf("error %q does not name %s", err, k)
-			}
-		}
-	}
-
-	// Validate catches bad programmatic configs too.
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Fanouts = nil },
 		func(c *Config) { c.Fanouts = []int{0} },
@@ -723,6 +667,7 @@ func TestConfigEnv(t *testing.T) {
 		func(c *Config) { c.MaxRequestNodes = 0 },
 		func(c *Config) { c.CapacityBytes = 0 },
 		func(c *Config) { c.SafetyMargin = -0.1 },
+		func(c *Config) { c.EmbMode = embcache.Mode(3) },
 	} {
 		c := base()
 		mutate(&c)

@@ -56,7 +56,7 @@ func NewCache(st *Store, budget int64, reg *obs.Registry) (*Cache, error) {
 	}
 	if min := st.MaxShardBytes(); budget < min {
 		return nil, fmt.Errorf("store: cache budget %d cannot hold one %d-byte shard — "+
-			"raise the budget or repack with smaller BETTY_STORE_SHARD_ROWS", budget, min)
+			"raise -store-budget or repack with a smaller bettytrain -shard-rows", budget, min)
 	}
 	c := &Cache{store: st, ledger: device.New(budget, device.CostModel{}), reg: reg}
 	c.lru = device.NewLRU[int, *Shard](c.ledger, "store.shard")

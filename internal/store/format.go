@@ -49,7 +49,7 @@ const (
 	trailerSize = 8 + 8 + 4 + len(tailMagic)
 
 	// DefaultShardRows is the feature-shard height used when the packer is
-	// not told otherwise (BETTY_STORE_SHARD_ROWS).
+	// not told otherwise (bettytrain -pack -shard-rows).
 	DefaultShardRows = 1024
 
 	// chunkEdges bounds the edges per graph chunk.

@@ -188,8 +188,8 @@ func TestNewCacheBudgetErrors(t *testing.T) {
 	}
 	if _, err := NewCache(st, st.MaxShardBytes()-1, nil); err == nil {
 		t.Fatal("budget below one shard accepted")
-	} else if !strings.Contains(err.Error(), EnvShardRows) {
-		t.Fatalf("sub-shard budget error %q should suggest %s", err, EnvShardRows)
+	} else if !strings.Contains(err.Error(), "-store-budget") || !strings.Contains(err.Error(), "-shard-rows") {
+		t.Fatalf("sub-shard budget error %q should name -store-budget and -shard-rows", err)
 	}
 	c, err := NewCache(st, st.MaxShardBytes(), obs.New(obs.NewFakeClock(0, 1)))
 	if err != nil {
@@ -197,28 +197,5 @@ func TestNewCacheBudgetErrors(t *testing.T) {
 	}
 	if c.Budget() != st.MaxShardBytes() {
 		t.Fatalf("budget = %d", c.Budget())
-	}
-}
-
-func TestParseShardRows(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"", 0, true},
-		{"128", 128, true},
-		{"0", 0, false},
-		{"-1", 0, false},
-		{"x", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseShardRows(c.in)
-		if c.ok != (err == nil) || got != c.want {
-			t.Fatalf("ParseShardRows(%q) = %d, %v", c.in, got, err)
-		}
-		if err != nil && !strings.Contains(err.Error(), EnvShardRows) {
-			t.Fatalf("error %q does not name %s", err, EnvShardRows)
-		}
 	}
 }

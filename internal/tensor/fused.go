@@ -12,7 +12,7 @@ import (
 // directly; the primitive chains survive only as test references. Fusion is
 // an execution detail, never an approximation — every kernel accumulates
 // each output element in exactly the serial order of the primitive
-// composition, so the two agree to the byte at any BETTY_WORKERS count.
+// composition, so the two agree to the byte at any worker count.
 
 // CSR describes one graph block's edges in the layout FusedCSRAgg consumes:
 // parallel per-edge endpoint slices sorted by destination, plus the

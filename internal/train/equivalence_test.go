@@ -136,7 +136,7 @@ func TestMicroBatchEquivalence(t *testing.T) {
 
 // TestMicroBatchBitwiseRepeatable pins the determinism contract: at a fixed
 // worker count the K-micro-batch step is bit-for-bit reproducible, and the
-// bits do not change with BETTY_WORKERS (deterministic parallel kernels).
+// bits do not change with the worker count (deterministic parallel kernels).
 func TestMicroBatchBitwiseRepeatable(t *testing.T) {
 	d := testData(t)
 	s := sample.New([]int{5, 5}, 1)
