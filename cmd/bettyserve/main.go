@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -124,6 +125,12 @@ func run(cfg serveConfig) error {
 	}
 	if err := knobs.Check(os.Environ()); err != nil {
 		return err
+	}
+	switch {
+	case cfg.epochs < 0:
+		return fmt.Errorf("-epochs %d: want 0 (serve the initial weights) or more", cfg.epochs)
+	case !(cfg.lr > 0) || math.IsInf(cfg.lr, 1):
+		return fmt.Errorf("-lr %v: want a positive, finite learning rate", cfg.lr)
 	}
 	fanouts, err := core.ParseFanouts(cfg.fanouts)
 	if err != nil {

@@ -491,6 +491,11 @@ func TestBadFlagsFailLoudly(t *testing.T) {
 		{"-embcache", "fast", "-embcache"},
 		{"-store-budget", "0", "-store-budget"},
 		{"-store-budget", "17592186044417", "-store-budget"},
+		{"-epochs", "-1", "-epochs"},
+		{"-lr", "0", "-lr"},
+		{"-lr", "-1", "-lr"},
+		{"-lr", "NaN", "-lr"},
+		{"-lr", "+Inf", "-lr"},
 	} {
 		// -epochs 1: a check that ran after the warm-up would log it.
 		cfg, err := parseArgs(append(baseArgs, "-epochs", "1", c.flag, c.value)...)

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -133,6 +134,10 @@ func run(cfg runConfig) (err error) {
 		return err
 	}
 	switch {
+	case cfg.epochs < 1:
+		return fmt.Errorf("-epochs %d: want at least 1", cfg.epochs)
+	case !(cfg.lr > 0) || math.IsInf(cfg.lr, 1):
+		return fmt.Errorf("-lr %v: want a positive, finite learning rate", cfg.lr)
 	case cfg.k < 0:
 		return fmt.Errorf("-k %d: want 0 (memory-aware planner) or a positive micro-batch count", cfg.k)
 	case cfg.devices < 1:

@@ -238,6 +238,12 @@ func TestBadFlagsFailLoudly(t *testing.T) {
 		{"-store-budget", "17592186044417"},
 		{"-shard-rows", "0"},
 		{"-shard-rows", "x"},
+		{"-epochs", "0"},
+		{"-epochs", "-3"},
+		{"-lr", "0"},
+		{"-lr", "-1"},
+		{"-lr", "NaN"},
+		{"-lr", "+Inf"},
 	} {
 		cfg, err := parseArgs(append(smallArgs, bad[:]...)...)
 		if err == nil {

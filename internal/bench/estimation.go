@@ -175,7 +175,8 @@ func runFig3(o Options) ([]*Table, error) {
 		Title:   "memory breakdown, 1-layer GraphSAGE+Mean, fanout 10, hidden 64",
 		Columns: []string{"component", "MiB", "share/%"},
 	}
-	total := float64(est.Total())
+	total := float64(est.Params + est.InputFeatures + est.Labels + est.Blocks +
+		est.Hidden + est.Aggregator + est.Gradients + est.OptStates)
 	row := func(name string, v int64) {
 		t.AddRow(name, fmtMiB(v), fmtF(100*float64(v)/total, 1))
 	}
@@ -288,17 +289,7 @@ func runFig10(o Options) ([]*Table, error) {
 
 func runFig11(o Options) ([]*Table, error) {
 	// Panel 1: ogbn-products across batch counts, all four partitioners.
-	// Fanouts are scaled with the graph (the paper's (10,25) on 2.45M
-	// nodes keeps multi-hop frontiers partial; (5,10) does the same here).
-	ds, err := loadDataset("ogbn-products", o.scale(1.0))
-	if err != nil {
-		return nil, err
-	}
-	spec, err := sageSpec(ds, 2, 128, nn.Mean)
-	if err != nil {
-		return nil, err
-	}
-	blocks, err := fullBatch(ds, []int{5, 10}, 1)
+	spec, blocks, err := fig11Batch(o, "ogbn-products")
 	if err != nil {
 		return nil, err
 	}
@@ -308,22 +299,10 @@ func runFig11(o Options) ([]*Table, error) {
 		Columns: []string{"batches", "range", "random", "metis", "betty", "betty reduction/%"},
 	}
 	for _, k := range []int{2, 4, 8, 16, 32} {
-		peaks := make([]int64, 0, 4)
-		for _, p := range batchPartitioners(1) {
-			pl := &memory.Planner{Capacity: 1 << 62, Partitioner: p, Spec: spec}
-			plan, err := pl.EvaluateFixedK(blocks, k)
-			if err != nil {
-				return nil, err
-			}
-			peaks = append(peaks, plan.MaxPeak)
+		peaks, red, err := partitionerPeaks(blocks, spec, k)
+		if err != nil {
+			return nil, err
 		}
-		worst := peaks[0]
-		for _, p := range peaks[:3] {
-			if p > worst {
-				worst = p
-			}
-		}
-		red := 100 * (1 - float64(peaks[3])/float64(worst))
 		o.logf("fig11 k=%d betty reduction %.1f%%", k, red)
 		t1.AddRow(fmtI(k), fmtMiB(peaks[0]), fmtMiB(peaks[1]), fmtMiB(peaks[2]), fmtMiB(peaks[3]), fmtF(red, 1))
 	}
@@ -335,37 +314,49 @@ func runFig11(o Options) ([]*Table, error) {
 		Columns: []string{"dataset", "range", "random", "metis", "betty", "betty reduction/%"},
 	}
 	for _, name := range dataset.Names() {
-		dsi, err := loadDataset(name, o.scale(1.0))
+		speci, blocksi, err := fig11Batch(o, name)
 		if err != nil {
 			return nil, err
 		}
-		speci, err := sageSpec(dsi, 2, 128, nn.Mean)
+		peaks, red, err := partitionerPeaks(blocksi, speci, 8)
 		if err != nil {
 			return nil, err
 		}
-		blocksi, err := fullBatch(dsi, []int{5, 10}, 1)
-		if err != nil {
-			return nil, err
-		}
-		peaks := make([]int64, 0, 4)
-		for _, p := range batchPartitioners(1) {
-			pl := &memory.Planner{Capacity: 1 << 62, Partitioner: p, Spec: speci}
-			plan, err := pl.EvaluateFixedK(blocksi, 8)
-			if err != nil {
-				return nil, err
-			}
-			peaks = append(peaks, plan.MaxPeak)
-		}
-		worst := peaks[0]
-		for _, p := range peaks[:3] {
-			if p > worst {
-				worst = p
-			}
-		}
-		red := 100 * (1 - float64(peaks[3])/float64(worst))
 		t2.AddRow(name, fmtMiB(peaks[0]), fmtMiB(peaks[1]), fmtMiB(peaks[2]), fmtMiB(peaks[3]), fmtF(red, 1))
 	}
 	return []*Table{t1, t2}, nil
+}
+
+// fig11Batch is Figure 11's setup on one dataset: 2-layer SAGE-mean,
+// hidden 128, full batch under fanouts (5,10) — scaled with the graph, as
+// the paper's (10,25) on 2.45M nodes keeps multi-hop frontiers partial.
+func fig11Batch(o Options, name string) (memory.Spec, []*graph.Block, error) {
+	ds, err := loadDataset(name, o.scale(1.0))
+	if err != nil {
+		return memory.Spec{}, nil, err
+	}
+	spec, err := sageSpec(ds, 2, 128, nn.Mean)
+	if err != nil {
+		return spec, nil, err
+	}
+	blocks, err := fullBatch(ds, []int{5, 10}, 1)
+	return spec, blocks, err
+}
+
+// partitionerPeaks returns the largest micro-batch estimate of a K-way split
+// under each of batchPartitioners, and Betty's reduction in percent against
+// the worst of the other three.
+func partitionerPeaks(blocks []*graph.Block, spec memory.Spec, k int) ([]int64, float64, error) {
+	var peaks []int64
+	for _, p := range batchPartitioners(1) {
+		plan, err := (&memory.Planner{Capacity: 1 << 62, Partitioner: p, Spec: spec}).EvaluateFixedK(blocks, k)
+		if err != nil {
+			return nil, 0, err
+		}
+		peaks = append(peaks, plan.MaxPeak)
+	}
+	worst := max(peaks[0], peaks[1], peaks[2])
+	return peaks, 100 * (1 - float64(peaks[3])/float64(worst)), nil
 }
 
 func runFig16(o Options) ([]*Table, error) {

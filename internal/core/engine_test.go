@@ -368,7 +368,7 @@ func TestBuildGATRuns(t *testing.T) {
 	}
 }
 
-// The estimator must track the measured device peak for every model and
+// The estimator must equal the measured device peak for every model and
 // aggregator — the calibrated constants of memory.Estimate regress here if
 // the nn layer op sequences change without updating the estimator.
 func TestEstimatorCalibrationAcrossModels(t *testing.T) {
@@ -406,17 +406,14 @@ func TestEstimatorCalibrationAcrossModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		ratio := float64(st.MaxEstimate) / float64(st.PeakBytes)
-		if ratio < 0.80 || ratio > 1.20 {
-			t.Fatalf("%s: estimate/measured ratio %.3f out of band (est %d, meas %d)",
-				tc.name, ratio, st.MaxEstimate, st.PeakBytes)
+		if st.MaxEstimate != st.PeakBytes {
+			t.Fatalf("%s: estimate %d, measured %d", tc.name, st.MaxEstimate, st.PeakBytes)
 		}
 	}
 }
 
-// The estimator must stay within a sane band of the measured device peak
-// (the Table 7 property, loosely checked here; the bench records exact
-// numbers).
+// The estimate is the measured device peak (the Table 7 property; the
+// bench records the numbers).
 func TestEstimateTracksMeasuredPeak(t *testing.T) {
 	d := testData(t)
 	dev := device.New(8*device.GiB, device.DefaultCostModel())
@@ -428,11 +425,8 @@ func TestEstimateTracksMeasuredPeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := float64(st.MaxEstimate)
-	meas := float64(st.PeakBytes)
-	ratio := est / meas
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("estimate %v vs measured %v (ratio %.2f) out of band", est, meas, ratio)
+	if st.MaxEstimate != st.PeakBytes {
+		t.Fatalf("estimate %d, measured %d", st.MaxEstimate, st.PeakBytes)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/reg"
-	"betty/internal/train"
 )
 
 // MultiDevice extends the engine to several simulated accelerators using
@@ -124,9 +123,7 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 	}
 	for d, dev := range m.Devices {
 		st.PerDevice[d].PeakBytes = dev.Peak()
-		if dev.Peak() > st.PeakBytes {
-			st.PeakBytes = dev.Peak()
-		}
+		st.PeakBytes = max(st.PeakBytes, dev.Peak())
 	}
 	runner.Step()
 	e.publishEpoch(&st.EpochStats)
@@ -137,13 +134,11 @@ func (m *MultiDevice) TrainEpoch() (MultiEpochStats, error) {
 
 // minCapacity is the per-device planning budget.
 func (m *MultiDevice) minCapacity() int64 {
-	min := m.Devices[0].Capacity()
+	c := m.Devices[0].Capacity()
 	for _, d := range m.Devices[1:] {
-		if c := d.Capacity(); c < min {
-			min = c
-		}
+		c = min(c, d.Capacity())
 	}
-	return min
+	return c
 }
 
 // ensureReplicas allocates each device's persistent model-state buffers
@@ -157,7 +152,7 @@ func (m *MultiDevice) ensureReplicas() error {
 		if m.replicas[dev] != nil {
 			continue
 		}
-		bufs, err := train.AllocResident(dev, r.Model, r.Opt)
+		bufs, err := memory.AllocResident(dev, r.Model, r.Opt)
 		if err != nil {
 			return fmt.Errorf("core: device %d replica: %w", d, err)
 		}
@@ -166,22 +161,18 @@ func (m *MultiDevice) ensureReplicas() error {
 	return nil
 }
 
-// shardCharge replays one shard on a device's ledger: the buffers
-// train.BatchCharges lists for it, with the activations its forward would
-// materialize — the estimator's hidden outputs and aggregator working set
-// plus the loss value, which is what RunMicroBatch charges — all freed once
+// shardCharge replays one shard on a device's ledger: the batch charges of
+// its estimate, which are what RunMicroBatch charges for it, all freed once
 // the shard is done. It returns the OOM unchanged so callers can surface
 // which device and shard hit capacity.
 func (m *MultiDevice) shardCharge(dev *device.Device, shard []*graph.Block) error {
-	e := m.Engine
-	est, err := memory.Estimate(shard, e.Spec)
+	est, err := memory.Estimate(shard, m.Engine.Spec)
 	if err != nil {
 		return err
 	}
-	activations := est.Hidden + est.Aggregator + memory.BytesPerValue
-	charges := train.BatchCharges(shard, e.Runner.Data.FeatureDim(), activations)
-	live, err := train.Alloc(dev, nil, charges[:]...)
-	train.Free(dev, live)
+	charges := est.Charges()
+	live, err := memory.Alloc(dev, nil, charges[3:]...)
+	memory.Free(dev, live)
 	return err
 }
 

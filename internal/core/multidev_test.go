@@ -10,7 +10,6 @@ import (
 	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/tensor"
-	"betty/internal/train"
 )
 
 func multiSetup(t *testing.T, numDevices, k int) (*Setup, *MultiDevice) {
@@ -294,8 +293,12 @@ func TestMultiDeviceNoReplicaLeak(t *testing.T) {
 	if len(ownLive) == 0 {
 		t.Fatal("runner allocated no resident set")
 	}
-	params := int64(nn.ParamCount(s.Model)) * 4
-	replica := 2*device.RoundAlloc(params) + device.RoundAlloc(params*int64(s.Opt.StateSize()))
+	_, plan, err := s.Engine.PlanEpoch(s.Dataset.TrainIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charges := plan.Estimates[0].Charges()
+	replica := ledgerSum(charges[:3]) // parameters, gradients, optimizer states
 	md := &MultiDevice{Engine: s.Engine, Devices: []*device.Device{
 		device.New(device.GiB, device.DefaultCostModel()),
 		device.New(device.GiB, device.DefaultCostModel()),
@@ -361,11 +364,8 @@ func TestMultiDeviceHaloConservation(t *testing.T) {
 	}
 }
 
-// The plan says what each device will hold. Every device's ledger peak
-// exceeds the planned peak by at most what Breakdown.Peak leaves out — the
-// gradients, which the replica holds all run, and the loss value — plus
-// allocator rounding of the seven buffers (three resident, four per
-// shard).
+// The plan says what each device will hold: the largest per-device ledger
+// peak is the plan's largest shard estimate, to the byte.
 func TestMultiDevicePeakWithinPlan(t *testing.T) {
 	for _, arch := range []string{"sage", "gcn", "gat"} {
 		for _, k := range []int{2, 4} {
@@ -382,17 +382,21 @@ func TestMultiDevicePeakWithinPlan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slack := int64(nn.ParamCount(s.Model))*memory.BytesPerValue + memory.BytesPerValue +
-					7*(device.AllocGranularity-1)
-				for d, l := range st.PerDevice {
-					if l.PeakBytes-st.MaxEstimate > slack {
-						t.Errorf("%s K=%d D=%d: device %d peak %d, plan %d: %d over, slack %d",
-							arch, k, n, d, l.PeakBytes, st.MaxEstimate, l.PeakBytes-st.MaxEstimate, slack)
-					}
+				if st.PeakBytes != st.MaxEstimate {
+					t.Errorf("%s K=%d D=%d: largest device peak %d, plan %d", arch, k, n, st.PeakBytes, st.MaxEstimate)
 				}
 			}
 		}
 	}
+}
+
+// ledgerSum is what the device ledger charges for cs.
+func ledgerSum(cs []memory.Charge) int64 {
+	var n int64
+	for _, c := range cs {
+		n += device.RoundAlloc(c.Bytes)
+	}
+	return n
 }
 
 // The replay charges the shards the plan holds, not a re-split: with every
@@ -418,11 +422,8 @@ func TestMultiDeviceChargesPlannedShards(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				used := resident
-				for _, c := range train.BatchCharges(shard, s.Dataset.FeatureDim(), est.Hidden+est.Aggregator+memory.BytesPerValue) {
-					used += device.RoundAlloc(c.Bytes)
-				}
-				want[g] = max(want[g], used)
+				charges := est.Charges()
+				want[g] = max(want[g], resident+ledgerSum(charges[3:]))
 			}
 		}
 		return want

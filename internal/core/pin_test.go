@@ -8,7 +8,6 @@ import (
 	"betty/internal/dataset"
 	"betty/internal/device"
 	"betty/internal/memory"
-	"betty/internal/train"
 )
 
 // epochPin is the part of EpochStats every epoch strategy must reproduce
@@ -112,36 +111,46 @@ func TestEpochStatsPinned(t *testing.T) {
 	}
 }
 
-// The buffers a batch puts on a device are the ones the estimator sizes:
-// train.BatchCharges' input-features, labels and blocks equal
-// memory.Estimate's InputFeatures, Labels and Blocks to the byte, and the
-// activations RunMicroBatch charges equal its Hidden and Aggregator plus
-// the loss value — the identity the split-parallel replay charges shards
-// by — for every micro-batch of every architecture.
+// The buffers a training step puts on a device are the estimator's charge
+// list: for every micro-batch of every architecture and SAGE aggregator,
+// the runner's batch charges equal the last four charges of the
+// micro-batch's estimate to the byte, its resident state the first three,
+// and so its ledger peak the estimate's Peak.
 func TestBatchChargesMatchEstimate(t *testing.T) {
-	for _, arch := range []string{"sage", "gcn", "gat"} {
-		s := pinSetup(t, arch, 4)
+	for _, m := range [][2]string{{"sage", "mean"}, {"sage", "sum"}, {"sage", "pool"}, {"sage", "lstm"}, {"gcn", "mean"}, {"gat", "mean"}} {
+		s, err := Build(pinData(t), m[0], m[1], Options{
+			Seed: 60, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4,
+			Device: device.New(device.GiB, device.DefaultCostModel()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, plan, err := s.Engine.PlanEpoch(s.Dataset.TrainIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dev := s.Runner.Dev
 		for i, micro := range plan.Micro {
-			est, err := memory.Estimate(micro, s.Engine.Spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := train.BatchCharges(micro, s.Dataset.FeatureDim(), 0)
-			got := [3]int64{c[0].Bytes, c[1].Bytes, c[2].Bytes}
-			want := [3]int64{est.InputFeatures, est.Labels, est.Blocks}
-			if got != want || c[0].Label != "input-features" || c[1].Label != "labels" || c[2].Label != "blocks" {
-				t.Fatalf("%s micro %d: charges %v, estimate %v", arch, i, c, want)
-			}
+			want := plan.Estimates[i].Charges()
+			dev.ResetPeak()
 			res, err := s.Runner.RunMicroBatch(micro, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := est.Hidden + est.Aggregator + memory.BytesPerValue; res.ActivationBytes != want {
-				t.Fatalf("%s micro %d: activations %d, estimate %d", arch, i, res.ActivationBytes, want)
+			if got := memory.BatchCharges(micro, s.Dataset.FeatureDim(), res.ActivationBytes); got != [4]memory.Charge(want[3:]) {
+				t.Fatalf("%s-%s micro %d: runner charged %v, estimate lists %v", m[0], m[1], i, got, want[3:])
+			}
+			resident := map[string]int64{}
+			for _, b := range dev.LiveBuffers() {
+				resident[b.Label()] = b.Bytes()
+			}
+			for _, c := range want[:3] {
+				if len(resident) != 3 || resident[c.Label] != device.RoundAlloc(c.Bytes) {
+					t.Fatalf("%s-%s: resident %v, estimate lists %v", m[0], m[1], resident, want[:3])
+				}
+			}
+			if res.PeakBytes != plan.Estimates[i].Peak() {
+				t.Fatalf("%s-%s micro %d: ledger peak %d, estimate %d", m[0], m[1], i, res.PeakBytes, plan.Estimates[i].Peak())
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package memory
 import (
 	"fmt"
 
+	"betty/internal/device"
 	"betty/internal/graph"
 	"betty/internal/nn"
 )
@@ -90,58 +91,141 @@ type Breakdown struct {
 	Aggregator    int64 // (6) aggregator working set (Eq. 5 for LSTM)
 	Gradients     int64 // (7) one gradient value per parameter
 	OptStates     int64 // (8) optimizer states
+	// unrounded marks the planner's ideal breakdowns, whose peaks sum the
+	// charges without allocator rounding (see Planner.lowerBoundK).
+	unrounded bool
 }
 
-// Peak returns the estimated peak bytes: the aggregator working set (live
-// during forward) and the gradients (live during backward) do not coexist
-// at full size, so the peak is the stable tensors plus max of the two.
-func (b Breakdown) Peak() int64 {
-	transient := b.Aggregator
-	if b.Gradients > transient {
-		transient = b.Gradients
+// Charge is one buffer put on a device ledger.
+type Charge struct {
+	Bytes int64
+	Label string
+}
+
+// Charges lists the buffers a training step over b puts on a device, in
+// the runner's allocation order: the model state, resident all run, then
+// the batch's host-to-device copies and the activations its forward and
+// loss materialize. All seven are live once the activations are charged.
+func (b Breakdown) Charges() [7]Charge {
+	return [7]Charge{
+		{b.Params, "parameters"},
+		{b.Gradients, "gradients"},
+		{b.OptStates, "optimizer-states"},
+		{b.InputFeatures, "input-features"},
+		{b.Labels, "labels"},
+		{b.Blocks, "blocks"},
+		{b.Hidden + b.Aggregator + BytesPerValue, "activations"}, // + the loss value
 	}
-	return b.stable() + transient
 }
 
-// ForwardPeak returns the estimated peak bytes of a forward-only pass —
-// the inference-serving budget. No gradients or optimizer states exist,
-// and labels are never gathered; what remains is the parameters, the
-// staged inputs and blocks, the per-layer outputs, and the aggregator
-// working set.
+// Peak returns the device peak of a training step over b: every charge,
+// rounded as the allocator rounds it.
+func (b Breakdown) Peak() int64 {
+	c := b.Charges()
+	return b.sum(c[:]...)
+}
+
+// ForwardPeak returns the device peak of a forward-only pass over b — the
+// inference-serving budget: the parameters, input features, blocks and
+// activations charges, without the loss value.
 func (b Breakdown) ForwardPeak() int64 {
-	return b.Params + b.InputFeatures + b.Blocks + b.Hidden + b.Aggregator
+	c := b.Charges()
+	c[6].Bytes -= BytesPerValue
+	return b.sum(c[0], c[3], c[5], c[6])
 }
 
-// Total returns the sum of all components (an upper bound the paper's
-// Figure 3 style accounting uses for the full pie).
-func (b Breakdown) Total() int64 {
-	return b.stable() + b.Aggregator + b.Gradients
-}
-
-func (b Breakdown) stable() int64 {
-	return b.Params + b.InputFeatures + b.Labels + b.Blocks + b.Hidden + b.OptStates
-}
-
-// String renders the breakdown in MiB for logs.
-func (b Breakdown) String() string {
-	mib := func(v int64) float64 { return float64(v) / (1 << 20) }
-	return fmt.Sprintf(
-		"params=%.1fMiB input=%.1fMiB labels=%.1fMiB blocks=%.1fMiB hidden=%.1fMiB agg=%.1fMiB grads=%.1fMiB opt=%.1fMiB peak=%.1fMiB",
-		mib(b.Params), mib(b.InputFeatures), mib(b.Labels), mib(b.Blocks),
-		mib(b.Hidden), mib(b.Aggregator), mib(b.Gradients), mib(b.OptStates), mib(b.Peak()))
+// sum adds up charges as the device ledger rounds them.
+func (b Breakdown) sum(cs ...Charge) (n int64) {
+	for _, c := range cs {
+		if b.unrounded {
+			n += c.Bytes
+		} else {
+			n += device.RoundAlloc(c.Bytes)
+		}
+	}
+	return n
 }
 
 // ideal returns the breakdown of a hypothetical micro-batch holding exactly
 // 1/k of b's batch-dependent components (rounded down) beside the whole
 // model state — what a K-way split free of redundancy and imbalance would
-// cost, and so a floor under any real one (Planner.lowerBoundK).
+// cost, and so, with its peaks unrounded, a floor under any real one
+// (Planner.lowerBoundK).
 func (b Breakdown) ideal(k int64) Breakdown {
 	b.InputFeatures /= k
 	b.Labels /= k
 	b.Blocks /= k
 	b.Hidden /= k
 	b.Aggregator /= k
+	b.unrounded = true
 	return b
+}
+
+// modelState is the resident part of a breakdown: params parameter values,
+// one gradient each, and statePerParam optimizer values each.
+func modelState(params int64, statePerParam int) Breakdown {
+	return Breakdown{
+		Params:    params * BytesPerValue,
+		Gradients: params * BytesPerValue,
+		OptStates: params * int64(statePerParam) * BytesPerValue,
+	}
+}
+
+// AllocResident allocates a model's persistent state on dev — the first
+// three charges: parameters, gradients and optimizer states, which live
+// across batches. A nil optimizer means forward-only: the parameters
+// alone. On error nothing stays allocated.
+func AllocResident(dev *device.Device, m nn.Module, opt nn.Optimizer) ([]*device.Buffer, error) {
+	c, n := modelState(int64(nn.ParamCount(m)), 0).Charges(), 1
+	if opt != nil {
+		c, n = modelState(int64(nn.ParamCount(m)), opt.StateSize()).Charges(), 3
+	}
+	return Alloc(dev, nil, c[:n]...)
+}
+
+// BatchCharges lists a batch's last four charges: the host-to-device copies
+// — featDim values per input node, one label per output and (src id, dst
+// id, weight) per edge; their sum is the batch's H2DBytes — then the given
+// activations. blocks must be non-empty. It allocates nothing, since every
+// training step calls it.
+func BatchCharges(blocks []*graph.Block, featDim int, activations int64) [4]Charge {
+	var edges int64
+	for _, b := range blocks {
+		edges += int64(b.NumEdges())
+	}
+	c := Breakdown{
+		InputFeatures: int64(blocks[0].NumSrc) * int64(featDim) * BytesPerValue,
+		Labels:        int64(blocks[len(blocks)-1].NumDst) * BytesPerValue,
+		Blocks:        edges * 3 * BytesPerValue,
+	}.Charges()
+	c[6].Bytes = activations
+	return [4]Charge(c[3:])
+}
+
+// Alloc charges cs to dev in order, skipping empty ones, and returns live
+// with the new buffers appended. On OOM it frees every buffer in live and
+// the ones it allocated, and returns the error unchanged.
+func Alloc(dev *device.Device, live []*device.Buffer, cs ...Charge) ([]*device.Buffer, error) {
+	for _, c := range cs {
+		if c.Bytes == 0 {
+			continue
+		}
+		buf, err := dev.Alloc(c.Bytes, c.Label)
+		if err != nil {
+			Free(dev, live)
+			return nil, err
+		}
+		live = append(live, buf)
+	}
+	return live, nil
+}
+
+// Free releases bufs on dev (nothing when bufs is empty, so a nil device
+// with no buffers is fine).
+func Free(dev *device.Device, bufs []*device.Buffer) {
+	for _, b := range bufs {
+		dev.Free(b)
+	}
 }
 
 // Estimate computes the memory breakdown of a batch (input-first blocks)
@@ -160,17 +244,9 @@ func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, er
 	if len(blocks) != spec.Model.Layers {
 		return Breakdown{}, fmt.Errorf("memory: %d blocks for %d model layers", len(blocks), spec.Model.Layers)
 	}
-	var b Breakdown
-	params := int64(spec.ParamsGNN + spec.ParamsAgg)
-	b.Params = params * BytesPerValue
-	b.Gradients = params * BytesPerValue
-	b.OptStates = params * int64(spec.OptStatePerParam) * BytesPerValue
-
-	stats := graph.Stats(blocks)
-	b.InputFeatures = int64(stats.NumInput) * int64(spec.Model.InDim) * BytesPerValue
-	b.Labels = int64(stats.NumOutput) * BytesPerValue
-	// (4): each block edge is stored as (src id, dst id, weight) = 3 values
-	b.Blocks = int64(stats.TotalEdges) * 3 * BytesPerValue
+	b := modelState(int64(spec.ParamsGNN+spec.ParamsAgg), spec.OptStatePerParam)
+	in := BatchCharges(blocks, spec.Model.InDim, 0)
+	b.InputFeatures, b.Labels, b.Blocks = in[0].Bytes, in[1].Bytes, in[2].Bytes
 
 	for l, blk := range blocks {
 		layerIn, out := spec.Model.LayerDims(l)

@@ -45,6 +45,9 @@ func TestEstimateComponentsByModel(t *testing.T) {
 		blocks []*graph.Block
 		spec   Spec
 		want   Breakdown
+		// peak and forward are Peak and ForwardPeak: the charges rounded
+		// up to 512-byte blocks, by hand.
+		peak, forward int64
 	}{
 		{
 			// LayerDims(0) of a 1-layer net: f=InDim=10, o=OutDim=4.
@@ -67,6 +70,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     50 * 4,
 				OptStates:     50 * 1 * 4,
 			},
+			// Every charge rounds to one block; activations are 88*4+4 = 356.
+			peak: 7 * 512, forward: 4 * 512,
 		},
 		{
 			// Mean folds the degree scale into the same fused kernel
@@ -88,6 +93,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     50 * 4,
 				OptStates:     0,
 			},
+			// No optimizer states: six one-block charges.
+			peak: 6 * 512, forward: 4 * 512,
 		},
 		{
 			// Pool adds pre-transform 3SF(90) + gathered messages EF(40) +
@@ -110,6 +117,9 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     110 * 4,
 				OptStates:     110 * 2 * 4,
 			},
+			// Optimizer states 880 and activations 218*4+4 = 876 take two
+			// blocks each; the forward's activations 872 too.
+			peak: 9 * 512, forward: 5 * 512,
 		},
 		{
 			// GCN: source scaling SF(30) + fused normalized sum NF(20) +
@@ -133,6 +143,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     44 * 4,
 				OptStates:     44 * 2 * 4,
 			},
+			// Activations 118*4+4 = 476: one block, like every other charge.
+			peak: 7 * 512, forward: 4 * 512,
 		},
 		{
 			// GAT, 2 heads, last layer (output width stays o=4): per head
@@ -157,6 +169,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     72 * 4,
 				OptStates:     0,
 			},
+			// No optimizer states; activations 172*4+4 = 692 take two blocks.
+			peak: 7 * 512, forward: 5 * 512,
 		},
 		{
 			// Two layers. Layer 0 on midBlock (N=3,S=5,E=6,f=10,o=8):
@@ -181,6 +195,10 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Gradients:     200 * 4,
 				OptStates:     200 * 2 * 4,
 			},
+			// Parameters and gradients 800 (two blocks each), optimizer states
+			// 1600 (four), activations (144+72)*4+4 = 868 (two), and three
+			// one-block batch inputs.
+			peak: 13 * 512, forward: 6 * 512,
 		},
 	}
 	for _, tc := range cases {
@@ -192,18 +210,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			if got != tc.want {
 				t.Errorf("Breakdown mismatch:\ngot  %+v\nwant %+v", got, tc.want)
 			}
-			// Peak/Total follow from the components.
-			stable := tc.want.Params + tc.want.InputFeatures + tc.want.Labels +
-				tc.want.Blocks + tc.want.Hidden + tc.want.OptStates
-			transient := tc.want.Aggregator
-			if tc.want.Gradients > transient {
-				transient = tc.want.Gradients
-			}
-			if got.Peak() != stable+transient {
-				t.Errorf("Peak = %d, want %d", got.Peak(), stable+transient)
-			}
-			if got.Total() != stable+tc.want.Aggregator+tc.want.Gradients {
-				t.Errorf("Total = %d", got.Total())
+			if got.Peak() != tc.peak || got.ForwardPeak() != tc.forward {
+				t.Errorf("Peak = %d, ForwardPeak = %d; want %d, %d", got.Peak(), got.ForwardPeak(), tc.peak, tc.forward)
 			}
 		})
 	}

@@ -268,3 +268,40 @@ func TestLowerBoundDropsLSTMBuckets(t *testing.T) {
 		t.Fatalf("sweep reached only K in %v", ks)
 	}
 }
+
+// Allocator rounding is not convex, so the bound sums the ideal breakdown's
+// charges unrounded. Three outputs with 20-wide features split 2 + 1: each
+// half peaks at four 512-byte blocks of batch charges, but the ideal half
+// takes five once rounded (its activations, 514 B, cross a block). A bound
+// that rounded would rule out the K = 2 that fits.
+func TestLowerBoundUnrounded(t *testing.T) {
+	b := &graph.Block{NumSrc: 4, NumDst: 3, Ptr: []int64{0, 0, 0, 1}, SrcLocal: []int32{3}, EID: []int32{-1},
+		SrcNID: []int32{0, 1, 2, 3}, DstNID: []int32{0, 1, 2}}
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	full := []*graph.Block{b}
+	spec := Spec{Model: nn.Config{InDim: 20, Hidden: 5, OutDim: 5, Layers: 1, Aggregator: nn.Mean}, ParamsGNN: 10}
+	pl := &Planner{Partitioner: reg.RangeBatch{}, Spec: spec}
+	two, err := pl.EvaluateFixedK(full, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Capacity = two.MaxPeak
+	whole, err := Estimate(full, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounded := whole.ideal(2)
+	rounded.unrounded = false
+	if rounded.Peak() <= pl.Capacity {
+		t.Fatalf("rounded ideal half %d fits capacity %d; the case shows nothing", rounded.Peak(), pl.Capacity)
+	}
+	got, err := pl.Plan(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K != 2 {
+		t.Fatalf("Plan K=%d from bound %d at capacity %d, want the K=2 that fits", got.K, got.LowerBound, pl.Capacity)
+	}
+}

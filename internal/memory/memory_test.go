@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"betty/internal/device"
 	"betty/internal/graph"
 	"betty/internal/nn"
 	"betty/internal/reg"
@@ -117,13 +118,26 @@ func TestEstimateHandComputed(t *testing.T) {
 	if est.Gradients != 400 || est.OptStates != 800 {
 		t.Fatalf("Gradients/OptStates = %d/%d", est.Gradients, est.OptStates)
 	}
-	// peak: stable + max(agg=320, grads=400) = stable + 400
-	stable := est.Params + est.InputFeatures + est.Labels + est.Blocks + est.Hidden + est.OptStates
-	if est.Peak() != stable+400 {
-		t.Fatalf("Peak = %d, want %d", est.Peak(), stable+400)
+	// peak: every charge rounds up to 512-byte blocks — parameters 400,
+	// gradients 400, input features 120, labels 8, blocks 48 and
+	// activations 32+320+4 (the loss value) one block each, optimizer
+	// states 800 two.
+	if est.Peak() != 8*512 {
+		t.Fatalf("Peak = %d, want %d", est.Peak(), 8*512)
 	}
-	if est.Total() != stable+est.Aggregator+est.Gradients {
-		t.Fatal("Total mismatch")
+	// forward: parameters, input features, blocks and activations 352.
+	if est.ForwardPeak() != 4*512 {
+		t.Fatalf("ForwardPeak = %d, want %d", est.ForwardPeak(), 4*512)
+	}
+
+	// The loss value counts: activations of 510 bytes take one block in a
+	// forward pass and two in a training step.
+	edge := Breakdown{Params: 512, Gradients: 512, OptStates: 1024, InputFeatures: 513, Labels: 1, Hidden: 500, Aggregator: 10}
+	if got, want := edge.Peak(), int64(512+512+1024+1024+512+0+1024); got != want {
+		t.Fatalf("boundary Peak = %d, want %d", got, want)
+	}
+	if got, want := edge.ForwardPeak(), int64(512+1024+0+512); got != want {
+		t.Fatalf("boundary ForwardPeak = %d, want %d", got, want)
 	}
 }
 
@@ -415,8 +429,9 @@ func TestPartitioningReducesPeak(t *testing.T) {
 	}
 }
 
-// ForwardPeak must exclude backward-only components and labels, and the
-// planner's Peak override must change which budget the search enforces.
+// ForwardPeak must exclude backward-only components, labels and the loss
+// value, and round like the ledger; the planner's Peak override must change
+// which budget the search enforces.
 func TestForwardPeakAndPlannerOverride(t *testing.T) {
 	g := testGraph(t, 8, 2000, 30000)
 	full := sampleBatch(t, g, seedsRange(200), []int{10, 10})
@@ -430,9 +445,10 @@ func TestForwardPeakAndPlannerOverride(t *testing.T) {
 	if fwd >= est.Peak() {
 		t.Fatalf("forward peak %d not below training peak %d", fwd, est.Peak())
 	}
-	want := est.Params + est.InputFeatures + est.Blocks + est.Hidden + est.Aggregator
+	want := device.RoundAlloc(est.Params) + device.RoundAlloc(est.InputFeatures) +
+		device.RoundAlloc(est.Blocks) + device.RoundAlloc(est.Hidden+est.Aggregator)
 	if fwd != want {
-		t.Fatalf("ForwardPeak = %d, want component sum %d", fwd, want)
+		t.Fatalf("ForwardPeak = %d, want rounded charge sum %d", fwd, want)
 	}
 
 	// A capacity between the forward peak and the training peak: the

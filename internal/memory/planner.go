@@ -36,12 +36,12 @@ type Planner struct {
 	// plus planning metrics (plan.attempts, plan.repartitions, plan.k,
 	// plan.lower_bound_k).
 	Obs *obs.Registry
-	// Peak selects which breakdown component sum is compared against the
-	// capacity; nil means Breakdown.Peak (training: forward + backward).
-	// The serving planner sets Breakdown.ForwardPeak, since inference
-	// materializes no gradients or optimizer states. lowerBoundK needs Peak
-	// convex and non-decreasing in every component: Peak, ForwardPeak and
-	// any non-negative weighted sum of components are.
+	// Peak selects which charges are compared against the capacity; nil
+	// means Breakdown.Peak (training). The serving planner sets
+	// Breakdown.ForwardPeak, since inference materializes no gradients or
+	// optimizer states. lowerBoundK needs Peak, without the rounding ideal
+	// switches off, convex and non-decreasing in every component: Peak,
+	// ForwardPeak and any non-negative weighted sum of components are.
 	Peak func(Breakdown) int64
 	// Split, when non-nil, plans split-parallel execution: the capacity
 	// bounds every shard of a micro-batch instead of the micro-batch.
@@ -120,15 +120,10 @@ func (pl *Planner) Plan(full []*graph.Block) (*Plan, error) {
 		return nil, err
 	}
 	pl.Obs.Set("plan.lower_bound_k", int64(bound))
-	var prep *reg.Prepared // built at the first k > 1, shared by every later k
+	var prep *reg.Prepared
 	for k := bound; k <= maxK; k++ {
 		pl.Obs.Add("plan.attempts", 1)
-		if k > 1 && prep == nil {
-			if prep, err = pl.Partitioner.Prepare(last); err != nil {
-				return nil, fmt.Errorf("memory: preparing the partitioner: %w", err)
-			}
-		}
-		plan, err := pl.evaluate(full, k, prep)
+		plan, err := pl.evaluate(full, k, &prep)
 		if err != nil {
 			return nil, err
 		}
@@ -151,18 +146,20 @@ func (pl *Planner) Plan(full []*graph.Block) (*Plan, error) {
 // lowerBoundK returns the smallest K in [1, maxK+1] the argument below does
 // not rule out; every smaller K is proved not to fit, so the search skips it.
 //
-// Proof. Every batch-dependent Breakdown component is a non-negative linear
+// Proof. A peak is at least its charges summed unrounded, an affine,
+// non-decreasing function of the components (the rounded sum is not
+// convex). Every batch-dependent component is a non-negative linear
 // function of the per-block (dst, src, edge) counts — the LSTM degree-bucket
 // term, which is not, is left out, which only lowers the bound — and in a
 // covered batch every dst, src and edge lands in at least one of the K
 // micro-batches, so the componentwise mean of their K estimates is at least
 // ideal(K): the full batch's estimate with those components divided by K
-// and the model state (params, gradients, optimizer) whole. For a convex,
-// non-decreasing peak functional, max_i peak_i >= mean_i peak_i >=
-// peak(mean) >= peak(ideal(K)) by Jensen and monotonicity; if that does
-// not fit, neither does the largest micro-batch of any K-way split. Under
-// a Split the shards are at most K·D slices of the batch that still cover
-// it, so the same argument bounds the largest shard by ideal(K·D).
+// and the model state whole, its peak unrounded. So max_i peak_i >=
+// mean_i unrounded_i >= unrounded(mean) >= peak(ideal(K)) by Jensen and
+// monotonicity; if that does not fit, neither does the largest micro-batch
+// of any K-way split. Under a Split the shards are at most K·D slices of
+// the batch that still cover it, so the same argument bounds the largest
+// shard by ideal(K·D).
 func (pl *Planner) lowerBoundK(full []*graph.Block, maxK int) (int, error) {
 	whole, err := estimate(full, pl.Spec, false)
 	if err != nil {
@@ -181,9 +178,9 @@ func (pl *Planner) lowerBoundK(full []*graph.Block, maxK int) (int, error) {
 	return k, nil
 }
 
-// evaluate partitions into exactly k micro-batches and estimates each. prep
-// is the partitioner's prepared batch; k = 1 needs none.
-func (pl *Planner) evaluate(full []*graph.Block, k int, prep *reg.Prepared) (*Plan, error) {
+// evaluate partitions into exactly k micro-batches and estimates each;
+// prep is as for partitionGroups.
+func (pl *Planner) evaluate(full []*graph.Block, k int, prep **reg.Prepared) (*Plan, error) {
 	last := full[len(full)-1]
 	groups, err := pl.partitionGroups(last, k, prep)
 	if err != nil {
@@ -269,7 +266,9 @@ func (pl *Planner) shard(micro []*graph.Block, mi int) ([][]*graph.Block, error)
 
 // partitionGroups splits the last block's outputs into k groups under a
 // PhasePartition span (K = 1 needs no partitioner: one group of all).
-func (pl *Planner) partitionGroups(last *graph.Block, k int, prep *reg.Prepared) ([][]int32, error) {
+// *prep is the partitioner's prepared batch, built at the first k > 1 and
+// shared by every later k.
+func (pl *Planner) partitionGroups(last *graph.Block, k int, prep **reg.Prepared) ([][]int32, error) {
 	if k == 1 {
 		all := make([]int32, last.NumDst)
 		for i := range all {
@@ -277,11 +276,17 @@ func (pl *Planner) partitionGroups(last *graph.Block, k int, prep *reg.Prepared)
 		}
 		return [][]int32{all}, nil
 	}
+	if *prep == nil {
+		var err error
+		if *prep, err = pl.Partitioner.Prepare(last); err != nil {
+			return nil, fmt.Errorf("memory: preparing the partitioner: %w", err)
+		}
+	}
 	sp := pl.Obs.StartSpan(obs.PhasePartition).
 		SetInt("k", int64(k)).
 		SetInt("outputs", int64(last.NumDst))
 	defer sp.End()
-	groups, err := prep.Partition(k)
+	groups, err := (*prep).Partition(k)
 	if err != nil {
 		return nil, fmt.Errorf("memory: partitioning K=%d: %w", k, err)
 	}
@@ -298,14 +303,7 @@ func (pl *Planner) EvaluateFixedK(full []*graph.Block, k int) (*Plan, error) {
 		return nil, fmt.Errorf("memory: empty batch")
 	}
 	pl.Obs.Add("plan.attempts", 1)
-	var prep *reg.Prepared
-	if k > 1 {
-		var err error
-		if prep, err = pl.Partitioner.Prepare(full[len(full)-1]); err != nil {
-			return nil, fmt.Errorf("memory: preparing the partitioner: %w", err)
-		}
-	}
-	plan, err := pl.evaluate(full, k, prep)
+	plan, err := pl.evaluate(full, k, new(*reg.Prepared))
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ type Server struct {
 	// batches: params, the model's parameters, and the embedding cache's
 	// historical embeddings when it is on (DESIGN.md §16).
 	cacheLedger *device.Device
-	params      *device.Buffer
+	params      []*device.Buffer
 	// emb is the historical-embedding cache (nil when EmbMode is off).
 	emb *embcache.Cache
 	// frontier measures cross-batch layer-1 frontier overlap — the
@@ -133,15 +133,14 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = obs.RealClock()
 	}
-	// The parameters are the Params term of every planned micro-batch's
+	// The parameters are the first charge of every planned micro-batch's
 	// ForwardPeak; the embedding-cache budget is added when that cache is on.
-	paramBytes := int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue
-	ledgerBytes := device.RoundAlloc(paramBytes)
+	ledgerBytes := device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue)
 	if cfg.EmbMode != embcache.ModeOff {
 		ledgerBytes += cfg.embBudgetBytes
 	}
 	ledger := device.New(ledgerBytes, device.CostModel{})
-	params, err := ledger.Alloc(paramBytes, "parameters")
+	params, err := memory.AllocResident(ledger, model.(memory.Model), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +224,7 @@ func (s *Server) Close() error {
 	// The worker has exited and the queue is drained: cache ownership has
 	// reverted to us, so the flush cannot race a batch completion.
 	s.emb.Flush()
-	s.cacheLedger.Free(s.params)
+	memory.Free(s.cacheLedger, s.params)
 	s.publishLedger()
 	close(s.closeDone)
 	return nil

@@ -12,6 +12,7 @@ import (
 	"betty/internal/dataset"
 	"betty/internal/device"
 	"betty/internal/graph"
+	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/obs"
 	"betty/internal/parallel"
@@ -90,79 +91,13 @@ func NewRunner(m Model, d *dataset.Dataset, opt nn.Optimizer, dev *device.Device
 	return &Runner{Model: m, Data: d, Opt: opt, Dev: dev}
 }
 
-// AllocResident allocates a model's persistent state on dev: parameters,
-// gradients, and optimizer states, which live across batches. On error
-// nothing stays allocated.
-func AllocResident(dev *device.Device, m nn.Module, opt nn.Optimizer) ([]*device.Buffer, error) {
-	params := int64(nn.ParamCount(m))
-	bufs, err := Alloc(dev, nil,
-		Charge{params * 4, "parameters"},
-		Charge{params * 4, "gradients"},
-		Charge{params * int64(opt.StateSize()) * 4, "optimizer-states"},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("train: resident state: %w", err)
-	}
-	return bufs, nil
-}
-
-// Charge is one buffer put on a device ledger.
-type Charge struct {
-	Bytes int64
-	Label string
-}
-
-// BatchCharges lists the buffers a batch puts on a device, in allocation
-// order: the host-to-device copies — input features, labels and block
-// structure, whose sum is the batch's H2DBytes — then the activations its
-// forward materializes (0 until a forward has measured them). blocks must
-// be non-empty. It allocates nothing, since every training step calls it.
-func BatchCharges(blocks []*graph.Block, featDim int, activations int64) [4]Charge {
-	var edges int64
-	for _, b := range blocks {
-		edges += int64(b.NumEdges())
-	}
-	return [4]Charge{
-		{int64(blocks[0].NumSrc) * int64(featDim) * 4, "input-features"},
-		{int64(blocks[len(blocks)-1].NumDst) * 4, "labels"},
-		{edges * 3 * 4, "blocks"},
-		{activations, "activations"},
-	}
-}
-
-// Alloc charges cs to dev in order, skipping empty ones, and returns live
-// with the new buffers appended. On OOM it frees every buffer in live and
-// the ones it allocated, and returns the error unchanged.
-func Alloc(dev *device.Device, live []*device.Buffer, cs ...Charge) ([]*device.Buffer, error) {
-	for _, c := range cs {
-		if c.Bytes == 0 {
-			continue
-		}
-		buf, err := dev.Alloc(c.Bytes, c.Label)
-		if err != nil {
-			Free(dev, live)
-			return nil, err
-		}
-		live = append(live, buf)
-	}
-	return live, nil
-}
-
-// Free releases bufs on dev (nothing when bufs is empty, so a nil device
-// with no buffers is fine).
-func Free(dev *device.Device, bufs []*device.Buffer) {
-	for _, b := range bufs {
-		dev.Free(b)
-	}
-}
-
 // EnsureResident allocates the runner's resident state on its device once.
 func (r *Runner) EnsureResident() error {
 	if r.Dev == nil || r.resident != nil {
 		return nil
 	}
 	var err error
-	r.resident, err = AllocResident(r.Dev, r.Model, r.Opt)
+	r.resident, err = memory.AllocResident(r.Dev, r.Model, r.Opt)
 	return err
 }
 
@@ -171,7 +106,7 @@ func (r *Runner) ReleaseResident() {
 	if r.Dev == nil {
 		return
 	}
-	Free(r.Dev, r.resident)
+	memory.Free(r.Dev, r.resident)
 	r.resident = nil
 }
 
@@ -242,11 +177,9 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	// Device phase 1: count the host-to-device copies and charge their
 	// memory.
 	stats := graph.Stats(blocks)
-	charges := BatchCharges(blocks, r.Data.FeatureDim(), 0)
+	charges := memory.BatchCharges(blocks, r.Data.FeatureDim(), 0)
 	h2d := charges[:3]
-	for _, c := range h2d {
-		res.H2DBytes += c.Bytes
-	}
+	res.H2DBytes = h2d[0].Bytes + h2d[1].Bytes + h2d[2].Bytes
 	if err := r.EnsureResident(); err != nil {
 		return res, err
 	}
@@ -256,7 +189,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 			SetInt("input_nodes", int64(stats.NumInput)).
 			SetInt("edges", int64(stats.TotalEdges))
 		var err error
-		live, err = Alloc(r.Dev, nil, h2d...)
+		live, err = memory.Alloc(r.Dev, nil, h2d...)
 		hsp.End()
 		if err != nil {
 			r.Obs.Add("train.oom", 1)
@@ -283,7 +216,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	if r.Dev != nil {
 		charges[3].Bytes = res.ActivationBytes
 		var err error
-		if live, err = Alloc(r.Dev, live, charges[3]); err != nil {
+		if live, err = memory.Alloc(r.Dev, live, charges[3]); err != nil {
 			r.Obs.Add("train.oom", 1)
 			return res, fmt.Errorf("train: forward activations: %w", err)
 		}
@@ -296,7 +229,7 @@ func (r *Runner) RunMicroBatch(blocks []*graph.Block, scale float32) (StepResult
 	}
 	tp.Backward(loss)
 	bsp.End()
-	Free(r.Dev, live)
+	memory.Free(r.Dev, live)
 	r.Obs.Add("train.micro_batches", 1)
 	r.Obs.Observe("micro.activation_bytes", res.ActivationBytes)
 	if res.PeakBytes > 0 {

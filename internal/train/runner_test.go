@@ -97,11 +97,12 @@ func TestRunMicroBatchWithDevice(t *testing.T) {
 	if res.H2DBytes <= 0 {
 		t.Fatal("host-to-device bytes not counted")
 	}
-	// transient buffers freed; resident (params+grads+opt) remain
+	// transient buffers freed; the resident parameters, gradients and
+	// Adam's two states remain, each rounded up by the allocator
 	params := int64(nn.ParamCount(r.Model))
-	wantResident := params*4 + params*4 + params*2*4
-	if dev.Used() < wantResident || dev.Used() > wantResident+10*device.AllocGranularity {
-		t.Fatalf("used after batch = %d, want about %d (resident only)", dev.Used(), wantResident)
+	wantResident := 2*device.RoundAlloc(params*4) + device.RoundAlloc(params*2*4)
+	if dev.Used() != wantResident {
+		t.Fatalf("used after batch = %d, want %d (resident only)", dev.Used(), wantResident)
 	}
 	r.ReleaseResident()
 	if dev.Used() != 0 {
