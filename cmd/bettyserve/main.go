@@ -106,7 +106,7 @@ func flags(cfg *serveConfig) *flag.FlagSet {
 	fs.DurationVar(&cfg.timeout, "timeout", d.DefaultTimeout, "deadline of a request that sets none (0 = none)")
 	fs.IntVar(&cfg.maxRequestNodes, "max-request-nodes", d.MaxRequestNodes, "seed nodes allowed in one request")
 	fs.Int64Var(&cfg.capacityMiB, "capacity", d.CapacityBytes>>20, "device budget the planner enforces per micro-batch, in MiB")
-	fs.StringVar(&cfg.embcache, "embcache", d.EmbMode.String(), "historical-embedding cache: off, exact (bitwise self-check) or reuse")
+	fs.StringVar(&cfg.embcache, "embcache", d.EmbMode.String(), "historical-embedding cache: off or reuse")
 	return fs
 }
 

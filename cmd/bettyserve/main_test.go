@@ -35,10 +35,10 @@ func parseArgs(args ...string) (serveConfig, error) {
 // baseArgs is the e2e server shape shared by the tests: a small cora model
 // on a random port, no warm-up training (weights are deterministic in the
 // seed, so an in-process Build with the same settings is bitwise the served
-// model), and -embcache exact, so every serving e2e also runs under the
-// embedding cache's bitwise self-check.
+// model), and -embcache reuse, so every serving e2e that compares against
+// in-process inference also checks that cached rows change no bit.
 var baseArgs = []string{"-addr", "127.0.0.1:0", "-dataset", "cora", "-scale", "0.5", "-hidden", "16",
-	"-fanouts", "4,6", "-epochs", "0", "-seed", "5", "-embcache", "exact"}
+	"-fanouts", "4,6", "-epochs", "0", "-seed", "5", "-embcache", "reuse"}
 
 func baseConfig() serveConfig {
 	cfg, err := parseArgs(baseArgs...)

@@ -31,6 +31,7 @@ import (
 	"betty/internal/obs"
 	"betty/internal/reg"
 	"betty/internal/sample"
+	"betty/internal/tensor"
 	"betty/internal/train"
 )
 
@@ -56,6 +57,9 @@ type Engine struct {
 	// bitwise identical to resampling — the macro.reuse / macro.resample
 	// counters record which path each epoch took.
 	Frontiers FrontierCache
+
+	// stage holds an out-of-core evaluation chunk's input frontier.
+	stage dataset.Stage
 }
 
 // FrontierCache persists sampled full-batch frontiers across epochs (and
@@ -69,8 +73,8 @@ type FrontierCache interface {
 	Save(seeds []int32, blocks []*graph.Block) error
 }
 
-// SetObs installs one registry on the engine and every collaborator it
-// owns: the runner (h2d/forward/backward/step/eval spans), the sampler
+// SetObs installs one registry on the engine (eval spans) and every
+// collaborator it owns: the runner (h2d/forward/backward/step spans), the sampler
 // (sample spans), the planner built per epoch (partition/estimate spans),
 // and — when the partitioner is the REG one — its reg_build span.
 func (e *Engine) SetObs(r *obs.Registry) {
@@ -386,15 +390,87 @@ func (e *Engine) TrainEpochMini(k int, shuffleSeed uint64) (EpochStats, error) {
 	return st, nil
 }
 
-// TestAccuracy evaluates the model on the dataset's test split using the
-// engine's sampler, chunked to bound memory.
+// TestAccuracy evaluates the model on the dataset's test split.
 func (e *Engine) TestAccuracy() (float64, error) {
-	return e.Runner.Evaluate(e.Sampler, e.Runner.Data.TestIdx, 2048)
+	return e.evaluate(e.Runner.Data.TestIdx)
 }
 
 // ValAccuracy evaluates the model on the validation split.
 func (e *Engine) ValAccuracy() (float64, error) {
-	return e.Runner.Evaluate(e.Sampler, e.Runner.Data.ValIdx, 2048)
+	return e.evaluate(e.Runner.Data.ValIdx)
+}
+
+// evalChunk is evaluation's sampling unit. The sampler derives one random
+// stream per call from its first seed, so the chunk size fixes which
+// neighborhoods are drawn and with them the accuracy; planning then splits
+// each sampled chunk as the device requires, which by per-row stability
+// (DESIGN.md §11) changes no logit bit.
+const evalChunk = 2048
+
+// evaluate computes accuracy over seeds through PlannedForward, one
+// sampled chunk at a time, on the runner's device when it has one: the
+// model state is made resident as a training step does, and every chunk is
+// planned into the room left beside it, so evaluation never runs out of
+// memory either — it fits or fails with memory.ErrCannotFit. Masked seeds
+// (label < 0) count in neither numerator nor denominator, matching
+// training; it is an error only when no labeled seed is seen at all.
+//
+// Its planner reports nothing, so the plan.* metrics keep describing
+// training; the eval span carries the largest K, the K attempts summed and
+// the largest planned forward peak.
+func (e *Engine) evaluate(seeds []int32) (float64, error) {
+	r := e.Runner
+	if err := r.EnsureResident(); err != nil {
+		return 0, err
+	}
+	capacity := e.capacity()
+	if r.Dev != nil {
+		params := int64(e.Spec.ParamsGNN+e.Spec.ParamsAgg) * memory.BytesPerValue
+		capacity += device.RoundAlloc(params) - r.Dev.Used()
+	}
+	part := e.Partitioner
+	if bb, ok := part.(reg.BettyBatch); ok {
+		bb.Obs = nil
+		part = bb
+	}
+	pl := &memory.Planner{
+		Capacity:     capacity,
+		Partitioner:  part,
+		Spec:         e.Spec,
+		SafetyMargin: e.SafetyMargin,
+		Peak:         memory.Breakdown.ForwardPeak,
+	}
+	sp := e.Obs.StartSpan(obs.PhaseEval).
+		SetInt("seeds", int64(len(seeds))).
+		SetInt("chunks", int64((len(seeds)+evalChunk-1)/evalChunk))
+	defer sp.End()
+	var correct, labeled, maxK, attempts int
+	var maxPeak int64
+	for lo := 0; lo < len(seeds); lo += evalChunk {
+		blocks, err := e.Sampler.Sample(r.Data.Graph, seeds[lo:min(lo+evalChunk, len(seeds))])
+		if err != nil {
+			return 0, fmt.Errorf("core: sampling: %w", err)
+		}
+		dst := blocks[len(blocks)-1].DstNID
+		plan, err := PlannedForward(pl, blocks, r.Model, r.Data.FeatureSource(), &e.stage, r.Dev, nil, 0,
+			func(pos int, row []float32) {
+				if y := r.Data.Labels[dst[pos]]; y >= 0 {
+					labeled++
+					if tensor.ArgmaxRow(row) == y {
+						correct++
+					}
+				}
+			})
+		if err != nil {
+			return 0, fmt.Errorf("core: evaluation: %w", err)
+		}
+		maxK, attempts, maxPeak = max(maxK, plan.K), attempts+plan.Attempts, max(maxPeak, plan.MaxPeak)
+	}
+	sp.SetInt("k", int64(maxK)).SetInt("attempts", int64(attempts)).SetInt("max_peak_bytes", maxPeak)
+	if labeled == 0 {
+		return 0, fmt.Errorf("core: no labeled evaluation nodes")
+	}
+	return float64(correct) / float64(labeled), nil
 }
 
 // shuffle is a seeded Fisher-Yates over node ids.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"betty/internal/device"
@@ -13,12 +14,14 @@ import (
 // exactly that capacity, and the largest ledger peak equals the plan's
 // MaxPeak to the byte — on one device and split across four. A plan is a
 // function of K, so each distinct K runs once, at the smallest capacity
-// that planned it.
+// that planned it. On one device the trained model is then evaluated on
+// the same device, which must fit or be refused too (checkEvaluationFits).
 func TestPlannedEpochFits(t *testing.T) {
 	for _, m := range [][2]string{{"sage", "mean"}, {"sage", "lstm"}, {"gcn", "mean"}, {"gat", "mean"}} {
 		for _, devices := range []int{1, 4} {
 			d := testData(t)
-			d.TrainIdx = d.TrainIdx[:48] // keeps the sweep's 100 plans cheap
+			// Keep the sweep's 100 plans and the evaluations cheap.
+			d.TrainIdx, d.TestIdx = d.TrainIdx[:48], d.TestIdx[:48]
 			s, err := Build(d, m[0], m[1], Options{Seed: 20, Hidden: 8, Fanouts: []int{5, 5}})
 			if err != nil {
 				t.Fatal(err)
@@ -71,6 +74,9 @@ func TestPlannedEpochFits(t *testing.T) {
 				if st.K != k || st.PeakBytes != st.MaxEstimate {
 					t.Errorf("%s-%s D=%d at %d bytes: K=%d (planned %d), ledger peak %d, plan %d",
 						m[0], m[1], devices, capacity, st.K, k, st.PeakBytes, st.MaxEstimate)
+				}
+				if devices == 1 {
+					checkEvaluationFits(t, s, devs[0], fmt.Sprintf("%s-%s at %d bytes", m[0], m[1], capacity))
 				}
 			}
 		}

@@ -3,8 +3,12 @@ package core
 import (
 	"fmt"
 
+	"betty/internal/dataset"
+	"betty/internal/device"
 	"betty/internal/embcache"
 	"betty/internal/graph"
+	"betty/internal/memory"
+	"betty/internal/obs"
 	"betty/internal/tensor"
 )
 
@@ -15,19 +19,10 @@ import (
 //
 // Every path applies the same per-layer step, nn.BlockLayer.Forward with
 // relu set on all but the last layer: training (train.Runner.RunMicroBatch)
-// and evaluation through the model's Forward (nn.Stack), and the online
-// serving path (internal/serve) through here — the op sequence is identical
-// in both cases, so predictions are bitwise equal across the two paths.
+// through the model's Forward (nn.Stack), and serving and evaluation
+// (PlannedForward) and this function through embcache.Forward — the op
+// sequence is identical, so predictions are bitwise equal across the paths.
 func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*tensor.Tensor, error) {
-	return BatchInferenceCached(model, blocks, feats, nil)
-}
-
-// BatchInferenceCached is BatchInference with an optional historical-
-// embedding cache (DESIGN.md §16). A nil or off cache takes exactly the
-// plain path; an exact cache verifies layer-1 rows bitwise while
-// populating; a reuse cache splices cached layer-1 rows into the layer-2
-// input and computes only the missed destinations.
-func BatchInferenceCached(model any, blocks []*graph.Block, feats *tensor.Tensor, ec *embcache.Cache) (*tensor.Tensor, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
@@ -36,9 +31,93 @@ func BatchInferenceCached(model any, blocks []*graph.Block, feats *tensor.Tensor
 	}
 	tp := tensor.NewTape()
 	defer tp.Release() // logits are cloned out below; recycle the arena
-	h, err := embcache.Forward(tp, model, blocks, tensor.Leaf(feats), ec)
+	h, err := embcache.Forward(tp, model, blocks, tensor.Leaf(feats), nil)
 	if err != nil {
 		return nil, err
 	}
 	return h.Value.Clone(), nil
+}
+
+// PlannedForward is the one forward-only path: serving's batches and
+// evaluation's chunks both run through it. It plans blocks with pl, whose
+// Peak must be memory.Breakdown.ForwardPeak; stages the plan's input
+// frontier from src into stage (a no-op over a resident source); then, in
+// plan order, gathers each micro-batch's input rows, forwards it through
+// the embedding cache ec (nil for none) and hands every output row to emit
+// with its position among the last block's destinations. A row is valid
+// only during its emit call. It returns the plan.
+//
+// With a device, each micro-batch charges its input features and blocks
+// before the forward and its activations (the tape's values) after, and
+// frees all three before the next; labels are not charged, since
+// predictions are read on the host. ForwardPeak counts the parameters,
+// which the ledger already holds, so pl.Capacity must be the ledger's room
+// plus their charge, dev.Capacity() − dev.Used() + RoundAlloc(params):
+// then the ledger peaks at dev.Used() − RoundAlloc(params) + plan.MaxPeak,
+// to the byte, and never runs out.
+//
+// The h2d and forward spans go to pl.Obs, tagged with batch. Pooled
+// buffers and ledger charges are returned on every exit, panics included.
+func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model any, src dataset.FeatureSource,
+	stage *dataset.Stage, dev *device.Device, ec *embcache.Cache, batch int64, emit func(pos int, row []float32)) (*memory.Plan, error) {
+	plan, err := pl.Plan(blocks)
+	if err != nil {
+		return nil, fmt.Errorf("core: planning: %w", err)
+	}
+	if src, err = stage.Load(src, plan.Micro, pl.Obs); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	defer stage.Release()
+	tp := tensor.NewTape()
+	defer tp.Release()
+	for gi, micro := range plan.Micro {
+		if err := forwardMicro(tp, pl.Obs, batch, model, micro, src, dev, ec, plan.Groups[gi], emit); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
+// forwardMicro gathers, charges and forwards one planned micro-batch on tp
+// and emits its rows; group holds the destination positions its rows
+// score, in its destination order. It rewinds tp and frees its charges
+// before returning.
+func forwardMicro(tp *tensor.Tape, reg *obs.Registry, batch int64, model any, micro []*graph.Block,
+	src dataset.FeatureSource, dev *device.Device, ec *embcache.Cache, group []int32, emit func(int, []float32)) error {
+	defer tp.Release()
+	nids := micro[0].SrcNID
+	sp := reg.StartSpan(obs.PhaseH2D).SetInt("batch", batch).SetInt("rows", int64(len(nids)))
+	x := tp.Alloc(len(nids), src.Dim())
+	err := src.GatherInto(x, nids)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("core: gather: %w", err)
+	}
+	var live []*device.Buffer
+	if dev != nil {
+		c := memory.BatchCharges(micro, src.Dim(), 0)
+		if live, err = memory.Alloc(dev, nil, c[0], c[2]); err != nil {
+			return err
+		}
+		defer func() { memory.Free(dev, live) }()
+	}
+	fsp := reg.StartSpan(obs.PhaseForward).
+		SetInt("batch", batch).
+		SetInt("outputs", int64(len(group))).
+		SetInt("inputs", int64(micro[0].NumSrc))
+	h, err := embcache.Forward(tp, model, micro, tensor.Leaf(x), ec)
+	fsp.End()
+	if err != nil {
+		return fmt.Errorf("core: forward: %w", err)
+	}
+	if dev != nil {
+		c := memory.BatchCharges(micro, src.Dim(), tp.ValueBytes())
+		if live, err = memory.Alloc(dev, live, c[3]); err != nil {
+			return fmt.Errorf("core: forward activations: %w", err)
+		}
+	}
+	for ri, pos := range group {
+		emit(int(pos), h.Value.Row(ri))
+	}
+	return nil
 }

@@ -39,7 +39,8 @@ type sharded interface{ ShardRows() int }
 // Load replaces the stage's contents with the input frontier of micros,
 // gathered from src, and returns the source the batch should read: the
 // stage, or src itself when src keeps every row in RAM and staging would
-// only copy it. On error nothing stays staged.
+// only copy it. On error or panic nothing stays staged, and the pooled
+// buffer the gather filled is returned.
 func (s *Stage) Load(src FeatureSource, micros [][]*graph.Block, reg *obs.Registry) (FeatureSource, error) {
 	s.Release()
 	dim := src.Dim()
@@ -60,12 +61,18 @@ func (s *Stage) Load(src FeatureSource, micros [][]*graph.Block, reg *obs.Regist
 		sp.SetInt("shards", int64(shardsTouched(nids, sh.ShardRows())))
 	}
 	data := tensor.AcquireScratch(len(nids) * dim)
+	staged := false
+	defer func() {
+		if !staged { // a failed or panicking gather
+			tensor.ReleaseScratch(data)
+		}
+	}()
 	err := src.GatherInto(tensor.FromSlice(len(nids), dim, data), nids)
 	sp.End()
 	if err != nil {
-		tensor.ReleaseScratch(data)
 		return nil, fmt.Errorf("dataset: staging batch inputs: %w", err)
 	}
+	staged = true
 	// GatherInto validated every ID against Rows, so the table covers them.
 	if len(s.row) != src.Rows() {
 		s.row = make([]int32, src.Rows())

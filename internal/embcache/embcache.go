@@ -2,7 +2,6 @@ package embcache
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"betty/internal/device"
@@ -12,7 +11,7 @@ import (
 
 // Config assembles a Cache.
 type Config struct {
-	// Mode is off/exact/reuse; New returns nil for ModeOff so callers can
+	// Mode is off/reuse; New returns nil for ModeOff so callers can
 	// thread the result unconditionally (all methods are nil-safe).
 	Mode Mode
 	// BudgetBytes bounds resident row bytes. Required when Ledger is nil.
@@ -31,10 +30,9 @@ type Config struct {
 // Cache is a concurrency-safe historical-embedding cache of layer-1 rows.
 // Rows are copied in and out under the lock — no caller ever holds a
 // reference into cache-owned memory, so eviction needs no pinning. Order,
-// charging and eviction are device.LRU's; this type adds the lock, the
-// self-budget on a shared ledger, and verify.
+// charging and eviction are device.LRU's; this type adds the lock and the
+// self-budget on a shared ledger.
 type Cache struct {
-	mode   Mode
 	budget int64
 	ledger *device.Device
 	reg    *obs.Registry
@@ -60,7 +58,6 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("embcache: shared-ledger cache needs a positive self-budget, got %d", cfg.BudgetBytes)
 	}
 	c := &Cache{
-		mode:   cfg.Mode,
 		budget: cfg.BudgetBytes,
 		ledger: ledger,
 		reg:    cfg.Obs,
@@ -71,16 +68,9 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Active reports whether forwards should consult the cache.
-func (c *Cache) Active() bool { return c != nil && c.mode != ModeOff }
-
-// Mode returns the cache mode (ModeOff for a nil cache).
-func (c *Cache) Mode() Mode {
-	if c == nil {
-		return ModeOff
-	}
-	return c.mode
-}
+// Active reports whether forwards should consult the cache: New builds
+// one only in reuse mode.
+func (c *Cache) Active() bool { return c != nil }
 
 // Dim returns the cached row width, or 0 before the first Store.
 func (c *Cache) Dim() int {
@@ -95,8 +85,7 @@ func (c *Cache) Dim() int {
 // Stats returns the cumulative FetchInto hit and miss counts — the same
 // numbers the embcache.hits and embcache.misses counters carry (zeros for
 // a nil cache). Forward looks a layer-1 frontier up once the cache holds
-// rows; in exact mode every lookup reports a miss by construction —
-// compute is never skipped.
+// rows.
 func (c *Cache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
@@ -128,22 +117,13 @@ func (c *Cache) Flush() {
 	c.publishResidency()
 }
 
-// FetchInto looks up nids and copies each hit's row into dst(i). Only
-// reuse mode returns hits; exact mode always reports misses so the
-// caller computes in full (verification happens in VerifyAndStore).
-// Returns the per-node hit mask and the hit count.
+// FetchInto looks up nids and copies each hit's row into dst(i). Returns
+// the per-node hit mask and the hit count.
 func (c *Cache) FetchInto(nids []int32, dst func(i int) []float32) ([]bool, int) {
 	if !c.Active() {
 		return make([]bool, len(nids)), 0
 	}
 	hit := make([]bool, len(nids))
-	if c.mode != ModeReuse {
-		c.mu.Lock()
-		c.misses += int64(len(nids))
-		c.mu.Unlock()
-		c.reg.Add("embcache.misses", int64(len(nids)))
-		return hit, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hits := 0
@@ -165,19 +145,6 @@ func (c *Cache) FetchInto(nids []int32, dst func(i int) []float32) ([]bool, int)
 // to fit the budget. Rows that cannot fit even
 // after evicting everything else are skipped, never partially stored.
 func (c *Cache) Store(nids []int32, t *tensor.Tensor) error {
-	return c.store(nids, t, false)
-}
-
-// VerifyAndStore is the exact-mode path: any cached row must be bitwise
-// equal to the freshly recomputed row in t. A mismatch is a loud error —
-// the weights are fixed for the cache's lifetime, so it means the cache
-// and the forward disagree, which is exactly the corruption the self-check
-// mode exists to catch. Rows are then (re)stored as in Store.
-func (c *Cache) VerifyAndStore(nids []int32, t *tensor.Tensor) error {
-	return c.store(nids, t, true)
-}
-
-func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 	if !c.Active() || len(nids) == 0 {
 		return nil
 	}
@@ -197,13 +164,6 @@ func (c *Cache) store(nids []int32, t *tensor.Tensor, verify bool) error {
 	for i, nid := range nids {
 		fresh := t.Row(i)
 		if row, ok := c.lru.Get(nid); ok {
-			if verify {
-				if j := mismatch(row, fresh); j >= 0 {
-					c.reg.Add("embcache.verify_failures", 1)
-					return fmt.Errorf("embcache: exact-mode verify failed for node %d: cached[%d]=%x recomputed=%x",
-						nid, j, math.Float32bits(row[j]), math.Float32bits(fresh[j]))
-				}
-			}
 			copy(row, fresh)
 			continue
 		}
@@ -237,19 +197,4 @@ func (c *Cache) publishResidency() {
 	c.reg.Set("embcache.resident_bytes", c.lru.Bytes())
 	c.reg.Set("embcache.resident_rows", int64(c.lru.Len()))
 	c.reg.Set("embcache.resident_peak_bytes", c.ledger.Peak())
-}
-
-// mismatch returns the first index where a and b differ bitwise, or -1.
-// NaN payloads and signed zeros count as differences: the exact-mode
-// contract is bit equality, not numeric equality.
-func mismatch(a, b []float32) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return i
-		}
-	}
-	return -1
 }

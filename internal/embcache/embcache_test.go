@@ -14,15 +14,17 @@ func TestParseMode(t *testing.T) {
 		in   string
 		want Mode
 	}{
-		{"", ModeOff}, {"exact", ModeExact}, {"off", ModeOff}, {"reuse", ModeReuse},
+		{"", ModeOff}, {"off", ModeOff}, {"reuse", ModeReuse},
 	} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseMode("fast"); err == nil || !strings.Contains(err.Error(), "-embcache") {
-		t.Fatalf("malformed mode accepted or unnamed: %v", err)
+	for _, bad := range []string{"fast", "exact"} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "-embcache") {
+			t.Fatalf("malformed mode %q accepted or unnamed: %v", bad, err)
+		}
 	}
 }
 
@@ -30,18 +32,18 @@ func TestNewValidation(t *testing.T) {
 	if c, err := New(Config{Mode: ModeOff}); c != nil || err != nil {
 		t.Fatalf("off mode: %v, %v (want nil cache, nil error)", c, err)
 	}
-	if _, err := New(Config{Mode: ModeExact}); err == nil {
+	if _, err := New(Config{Mode: ModeReuse}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 	shared := device.New(device.MiB, device.CostModel{})
-	if _, err := New(Config{Mode: ModeExact, Ledger: shared}); err == nil {
+	if _, err := New(Config{Mode: ModeReuse, Ledger: shared}); err == nil {
 		t.Fatal("shared-ledger cache without a self-budget accepted")
 	}
 }
 
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
-	if c.Active() || c.Mode() != ModeOff || c.Dim() != 0 {
+	if c.Active() || c.Dim() != 0 {
 		t.Fatal("nil cache not inert")
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
@@ -76,46 +78,6 @@ func fetch(c *Cache, nids []int32, dim int) ([]bool, int, *tensor.Tensor) {
 	dst := tensor.New(len(nids), dim)
 	hit, hits := c.FetchInto(nids, dst.Row)
 	return hit, hits, dst
-}
-
-func TestExactModeNeverHits(t *testing.T) {
-	reg := obs.New(nil)
-	c, err := New(Config{Mode: ModeExact, BudgetBytes: device.MiB, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store([]int32{1}, rows(t, []float32{5})); err != nil {
-		t.Fatal(err)
-	}
-	if _, hits, _ := fetch(c, []int32{1}, 1); hits != 0 {
-		t.Fatal("exact mode returned a hit — compute must never be skipped")
-	}
-	if h, m := c.Stats(); h != 0 || m != 1 {
-		t.Fatalf("stats = %d/%d, want 0/1", h, m)
-	}
-}
-
-func TestVerifyAndStore(t *testing.T) {
-	reg := obs.New(nil)
-	c, err := New(Config{Mode: ModeExact, BudgetBytes: device.MiB, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2})); err != nil {
-		t.Fatal(err)
-	}
-	// Same bits: fine.
-	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2})); err != nil {
-		t.Fatal(err)
-	}
-	// Different bits under the same weights: the self-check must fire
-	// loudly.
-	if err := c.VerifyAndStore([]int32{3}, rows(t, []float32{1, 2.5})); err == nil {
-		t.Fatal("bitwise mismatch accepted")
-	}
-	if got := reg.CounterValue("embcache.verify_failures"); got != 1 {
-		t.Fatalf("verify_failures = %d, want 1", got)
-	}
 }
 
 func TestBudgetEvictionLRU(t *testing.T) {
@@ -226,7 +188,7 @@ func TestFlush(t *testing.T) {
 }
 
 func TestStoreShapeErrors(t *testing.T) {
-	c, err := New(Config{Mode: ModeExact, BudgetBytes: device.MiB})
+	c, err := New(Config{Mode: ModeReuse, BudgetBytes: device.MiB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,6 @@ import (
 //
 //   - nil / off cache: plain per-layer application, op-for-op identical to
 //     the model's own Forward.
-//   - exact: layer 1 is computed in full, then verified+stored — outputs
-//     bitwise match the off path.
 //   - reuse: hit rows are spliced in as constants and only the missed
 //     destinations are computed, on the destination-restricted sub-block.
 //     Under fixed weights and node-wise sampling a hit row is bitwise the
@@ -51,7 +49,6 @@ func Forward(tp *tensor.Tape, model any, blocks []*graph.Block, x *tensor.Var, c
 func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tensor.Var, c *Cache) (*tensor.Var, error) {
 	// Fetch what the cache has directly into a leaf tensor whose miss rows
 	// stay zero; they are filled by the scattered sub-block compute below.
-	// Exact mode's lookups always miss, so it always computes in full.
 	var hitRows *tensor.Tensor
 	var hit []bool
 	hits := 0
@@ -65,7 +62,7 @@ func forwardLayer1(tp *tensor.Tape, layer nn.BlockLayer, b *graph.Block, x *tens
 	if hits == 0 {
 		h1 := layer.Forward(tp, b, x, true)
 		c.reg.Add("embcache.computed_rows", int64(b.NumDst))
-		if err := c.store(b.DstNID, h1.Value, c.mode == ModeExact); err != nil {
+		if err := c.Store(b.DstNID, h1.Value); err != nil {
 			return nil, err
 		}
 		return h1, nil

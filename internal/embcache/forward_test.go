@@ -14,12 +14,11 @@ import (
 	"betty/internal/tensor"
 )
 
-// The forward tests run the cached path through core.BatchInferenceCached
-// (the external package avoids the core→embcache import cycle) and pin the
-// contract the modes advertise under fixed weights: exact is bitwise
-// identical to off, and reuse is bitwise identical too — including across
-// partial hits, where only the missed destinations are recomputed on a
-// restricted sub-block.
+// The forward tests build their models through core (the external package
+// avoids the core→embcache import cycle) and pin the contract reuse mode
+// advertises under fixed weights: it is bitwise identical to off (the
+// plain core.BatchInference) — including across partial hits, where only
+// the missed destinations are recomputed on a restricted sub-block.
 
 func fwdData(t *testing.T) *dataset.Dataset {
 	t.Helper()
@@ -89,33 +88,16 @@ func newCache(t *testing.T, mode embcache.Mode, reg *obs.Registry) *embcache.Cac
 	return c
 }
 
-func TestExactModeBitwiseIdenticalToOff(t *testing.T) {
-	d := fwdData(t)
-	s := fwdSetup(t, d)
-	blocks, x := sampleBlocks(t, s, d, []int32{3, 8, 120, 700})
-
-	off, err := core.BatchInference(s.Model, blocks, x)
+// cachedForward is core.BatchInference through cache c: the logits of one
+// forward over blocks, cloned out of the tape.
+func cachedForward(model any, blocks []*graph.Block, x *tensor.Tensor, c *embcache.Cache) (*tensor.Tensor, error) {
+	tp := tensor.NewTape()
+	defer tp.Release()
+	h, err := embcache.Forward(tp, model, blocks, tensor.Leaf(x), c)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	c := newCache(t, embcache.ModeExact, obs.New(nil))
-	// Twice: the first populates, the second verifies every cached row
-	// bitwise against the recomputation.
-	for pass := 0; pass < 2; pass++ {
-		got, err := core.BatchInferenceCached(s.Model, blocks, x, c)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if !tensorsBitwiseEqual(off, got) {
-			t.Fatalf("pass %d: exact mode diverged from off", pass)
-		}
-	}
-	if h, _ := c.Stats(); h != 0 {
-		t.Fatalf("exact mode reported %d hits: compute must never be skipped", h)
-	}
-	if c.Dim() == 0 {
-		t.Fatal("exact passes did not populate the cache")
-	}
+	return h.Value.Clone(), nil
 }
 
 func TestReuseAllHitsBitwiseAtLagZero(t *testing.T) {
@@ -129,12 +111,12 @@ func TestReuseAllHitsBitwiseAtLagZero(t *testing.T) {
 	}
 	c := newCache(t, embcache.ModeReuse, obs.New(nil))
 	// First pass: cold, computes and populates.
-	if _, err := core.BatchInferenceCached(s.Model, blocks, x, c); err != nil {
+	if _, err := cachedForward(s.Model, blocks, x, c); err != nil {
 		t.Fatal(err)
 	}
 	// Second pass over the same blocks: every layer-1 destination hits,
 	// and the spliced result is still bitwise the off-path logits.
-	got, err := core.BatchInferenceCached(s.Model, blocks, x, c)
+	got, err := cachedForward(s.Model, blocks, x, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +144,7 @@ func TestReusePartialHitsBitwiseAtLagZero(t *testing.T) {
 	// dependent, which is exactly why serving uses NodeWise.
 	nw := sample.NewNodeWise([]int{4, 6}, 9)
 	warm, wx := nodewiseBlocks(t, nw, d, []int32{3, 8, 120, 700})
-	if _, err := core.BatchInferenceCached(s.Model, warm, wx, c); err != nil {
+	if _, err := cachedForward(s.Model, warm, wx, c); err != nil {
 		t.Fatal(err)
 	}
 	blocks, x := nodewiseBlocks(t, nw, d, []int32{3, 8, 200, 305})
@@ -170,7 +152,7 @@ func TestReusePartialHitsBitwiseAtLagZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.BatchInferenceCached(s.Model, blocks, x, c)
+	got, err := cachedForward(s.Model, blocks, x, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,36 +176,29 @@ func TestReusePartialHitsBitwiseAtLagZero(t *testing.T) {
 
 // TestStatsMatchCounters: Stats and the embcache.hits / embcache.misses
 // counters are one count, equal after every forward — the cold first one
-// included — in both modes. Exact mode looks every warm frontier up and
-// misses all of it; reuse hits a repeated frontier in full.
+// included — and a repeated frontier hits in full.
 func TestStatsMatchCounters(t *testing.T) {
 	d := fwdData(t)
 	s := fwdSetup(t, d)
 	nw := sample.NewNodeWise([]int{4, 6}, 9)
-	for _, mode := range []embcache.Mode{embcache.ModeExact, embcache.ModeReuse} {
-		reg := obs.New(nil)
-		c := newCache(t, mode, reg)
-		var frontier int64
-		for pass, seeds := range [][]int32{{3, 8, 120, 700}, {3, 8, 120, 700}, {3, 8, 200, 305}} {
-			blocks, x := nodewiseBlocks(t, nw, d, seeds)
-			if _, err := core.BatchInferenceCached(s.Model, blocks, x, c); err != nil {
-				t.Fatal(err)
-			}
-			hits, misses := c.Stats()
-			ch, cm := reg.CounterValue("embcache.hits"), reg.CounterValue("embcache.misses")
-			if hits != ch || misses != cm {
-				t.Fatalf("%v pass %d: Stats %d/%d, counters %d/%d", mode, pass, hits, misses, ch, cm)
-			}
-			if pass == 0 {
-				frontier = int64(blocks[0].NumDst)
-			}
+	reg := obs.New(nil)
+	c := newCache(t, embcache.ModeReuse, reg)
+	var frontier int64
+	for pass, seeds := range [][]int32{{3, 8, 120, 700}, {3, 8, 120, 700}, {3, 8, 200, 305}} {
+		blocks, x := nodewiseBlocks(t, nw, d, seeds)
+		if _, err := cachedForward(s.Model, blocks, x, c); err != nil {
+			t.Fatal(err)
 		}
 		hits, misses := c.Stats()
-		if mode == embcache.ModeExact && (hits != 0 || misses < frontier) {
-			t.Fatalf("exact: %d hits / %d misses, want 0 / at least %d", hits, misses, frontier)
+		ch, cm := reg.CounterValue("embcache.hits"), reg.CounterValue("embcache.misses")
+		if hits != ch || misses != cm {
+			t.Fatalf("pass %d: Stats %d/%d, counters %d/%d", pass, hits, misses, ch, cm)
 		}
-		if mode == embcache.ModeReuse && hits < frontier {
-			t.Fatalf("reuse: %d hits, want the repeated frontier's %d at least", hits, frontier)
+		if pass == 0 {
+			frontier = int64(blocks[0].NumDst)
 		}
+	}
+	if hits, _ := c.Stats(); hits < frontier {
+		t.Fatalf("%d hits, want the repeated frontier's %d at least", hits, frontier)
 	}
 }

@@ -10,14 +10,10 @@
 // cache lives. Training has no cache: its optimizer steps change the
 // weights every batch, and a reused row would stop the gradient.
 //
-// Three modes, selected by bettyserve -embcache:
+// Two modes, selected by bettyserve -embcache:
 //
 //   - off:   the default. No cache is built; forwards take the plain
 //     per-layer path.
-//   - exact: the opt-in self-check. Every forward computes layer 1 in
-//     full, and cached rows are verified bitwise against the fresh
-//     recomputation before being refreshed — outputs are bitwise
-//     identical to off, and any divergence is a loud error.
 //   - reuse: the fast path. Hits skip layer-1 compute for those rows; the
 //     cached row is spliced into the layer-2 input, so responses stay
 //     bitwise equal to off.
@@ -39,9 +35,6 @@ type Mode int
 const (
 	// ModeOff disables the cache entirely. The default.
 	ModeOff Mode = iota
-	// ModeExact populates the cache and verifies hits bitwise against the
-	// full recomputation; compute is never skipped.
-	ModeExact
 	// ModeReuse skips layer-1 compute for hits; cached rows enter the
 	// forward as constants.
 	ModeReuse
@@ -51,8 +44,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeOff:
 		return "off"
-	case ModeExact:
-		return "exact"
 	case ModeReuse:
 		return "reuse"
 	default:
@@ -70,11 +61,9 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "off":
 		return ModeOff, nil
-	case "exact":
-		return ModeExact, nil
 	case "reuse":
 		return ModeReuse, nil
 	default:
-		return ModeOff, fmt.Errorf("-embcache %q invalid (want off, exact, or reuse)", s)
+		return ModeOff, fmt.Errorf("-embcache %q invalid (want off or reuse)", s)
 	}
 }

@@ -37,16 +37,20 @@ func benchServer(b *testing.B) *Server {
 	return s
 }
 
-// The feature gather of one micro-batch: every gather stages 750 rows (one
+// The feature gather of one micro-batch, into the tape arena as
+// core.PlannedForward stages it: every gather stages 750 rows (one
 // request's layer-0 frontier on the serving workloads) from an id stream
 // that cycles through the whole graph, so no two consecutive gathers share
 // a row.
 func BenchmarkServeGather(b *testing.B) {
 	s := benchServer(b)
 	const rows = 750
+	src := s.ds.FeatureSource()
 	n := int32(s.ds.Graph.NumNodes())
 	nids := make([]int32, rows)
 	next := int32(0)
+	tp := tensor.NewTape()
+	defer tp.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,11 +58,10 @@ func BenchmarkServeGather(b *testing.B) {
 			nids[j] = next
 			next = (next + 1) % n
 		}
-		out, err := s.gather(s.ds.FeatureSource(), nids)
-		if err != nil {
+		if err := src.GatherInto(tp.Alloc(rows, src.Dim()), nids); err != nil {
 			b.Fatal(err)
 		}
-		tensor.ReleaseScratch(out.Data) // as scoreUnion does after the forward
+		tp.Release() // as PlannedForward does after the forward
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

@@ -38,8 +38,8 @@ type Config struct {
 	MaxRequestNodes int
 
 	// EmbMode selects the historical-embedding cache behavior (DESIGN.md
-	// §16): off (the default — no second cache), exact (populate + bitwise
-	// self-check), or reuse (skip layer-1 compute on hits). Its budget,
+	// §16): off (the default — no second cache) or reuse (skip layer-1
+	// compute on hits). Its budget,
 	// embcache.BudgetBytes, is added to the capacity of the server's cache
 	// ledger.
 	EmbMode embcache.Mode
@@ -107,7 +107,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("serve: SafetyMargin must be non-negative (got %v)", c.SafetyMargin)
 	}
 	switch c.EmbMode {
-	case embcache.ModeOff, embcache.ModeExact, embcache.ModeReuse:
+	case embcache.ModeOff, embcache.ModeReuse:
 	default:
 		return fmt.Errorf("serve: unknown embedding-cache mode %d", int(c.EmbMode))
 	}

@@ -15,22 +15,21 @@ import (
 )
 
 // The serving-side embedding-cache suite (DESIGN.md §16): cross-batch
-// exact verification, reuse answering like off end to end, the hit rate
+// reuse, reuse answering like off end to end, the hit rate
 // under skewed repeat traffic, the shared-ledger budget invariant, and the
 // graceful-drain pin for the Start/Close race fix.
 
-// Cross-batch exact mode is only sound because serving samples node-wise:
-// a node's layer-1 row is a pure function of (seed, node, weights), never
-// of its batch, so a later batch recomputing a cached node must reproduce
-// it bitwise. Three overlapping requests on one server exercise exactly
-// that verify path — and each response must still be bitwise what the
-// request would have gotten alone.
-func TestExactModeCrossBatchOverlap(t *testing.T) {
+// Cross-batch reuse is only sound because serving samples node-wise: a
+// node's layer-1 row is a pure function of (seed, node, weights), never of
+// its batch, so a row cached by one batch is bitwise the row a later batch
+// would compute. Three overlapping requests on one server splice cached
+// rows into later batches — and each response must still be bitwise what
+// the request would have gotten alone.
+func TestReuseModeCrossBatchOverlap(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	reg := obs.New(obs.NewFakeClock(0, 1))
 	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
-	cfg.EmbMode = embcache.ModeExact
 	s := newTestServer(t, d, model, cfg)
 	s.Start()
 	defer s.Close()
@@ -39,7 +38,7 @@ func TestExactModeCrossBatchOverlap(t *testing.T) {
 	soloCfg.Obs = obs.New(obs.NewFakeClock(0, 1))
 	for _, nodes := range [][]int32{
 		{3, 8, 120, 700},
-		{8, 3, 200, 305}, // overlaps batch 0: its rows get re-verified
+		{8, 3, 200, 305}, // overlaps batch 0: its cached rows are spliced in
 		{700, 305, 9, 42},
 	} {
 		got, err := s.Predict(nodes, 0)
@@ -50,11 +49,8 @@ func TestExactModeCrossBatchOverlap(t *testing.T) {
 			t.Fatalf("coalesced response for %v diverged from solo", nodes)
 		}
 	}
-	if v := reg.CounterValue("embcache.verify_failures"); v != 0 {
-		t.Fatalf("cross-batch exact verify failed %d times", v)
-	}
-	if v, ok := reg.GaugeValue("embcache.resident_rows"); !ok || v == 0 {
-		t.Fatal("exact mode never populated the cache")
+	if reg.CounterValue("embcache.hits") == 0 {
+		t.Fatal("overlapping batches served no cached row")
 	}
 }
 

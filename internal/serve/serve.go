@@ -1,8 +1,8 @@
 // Package serve is the memory-aware online inference layer: a dynamic
 // batcher coalesces concurrent prediction requests into one sampled batch,
-// the §4.4.3 planner splits that batch into micro-batches whose estimated
-// forward footprint fits the device budget, and the shared forward path
-// (core.BatchInference) produces the scores.
+// and the shared planned forward (core.PlannedForward) splits it with the
+// §4.4.3 planner into micro-batches whose estimated forward footprint fits
+// the device budget and produces the scores.
 //
 // The correctness contract is exactness under coalescing: every response
 // is bitwise identical to what the same request would have received alone.
@@ -414,9 +414,10 @@ func (s *Server) runBatch(batch []*request) {
 	s.obs.Observe("serve.batch_requests", int64(len(batch)))
 }
 
-// scoreUnion samples, plans, and forwards the deduplicated seed list,
-// returning one score row per union node. It also emits the batch-log
-// line, which must happen after planning (it records K and the estimate).
+// scoreUnion samples the deduplicated seed list and scores it through
+// core.PlannedForward, returning one score row per union node. It also
+// emits the batch-log line, which must happen after planning (it records
+// K and the estimate).
 func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 	blocks, err := s.sampler.Sample(s.ds.Graph, union)
 	if err != nil {
@@ -435,46 +436,23 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		Obs:          s.obs,
 		Peak:         memory.Breakdown.ForwardPeak,
 	}
-	plan, err := pl.Plan(blocks)
+	// The forward is not charged: the cache ledger's peak is the
+	// serve_*/peak_device_bytes the benchmark reports (DESIGN.md §11).
+	scores := make([][]float32, len(union))
+	plan, err := core.PlannedForward(pl, blocks, s.model, s.ds.FeatureSource(), &s.stage, nil, s.emb, s.batchSeq,
+		func(pos int, row []float32) { scores[pos] = append([]float32(nil), row...) })
 	if err != nil {
-		return nil, fmt.Errorf("serve: planning: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if plan.MaxPeak > s.maxEstPeak {
 		s.maxEstPeak = plan.MaxPeak
 		s.obs.Set("serve.max_est_peak_bytes", s.maxEstPeak)
 	}
-
-	// Over an out-of-core source every micro-batch reads one batch stage.
-	src, err := s.stage.Load(s.ds.FeatureSource(), plan.Micro, s.obs)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	defer s.stage.Release()
-	scores := make([][]float32, len(union))
-	for gi, micro := range plan.Micro {
-		feats, err := s.gather(src, micro[0].SrcNID)
-		if err != nil {
-			return nil, err
-		}
-		fsp := s.obs.StartSpan(obs.PhaseForward).
-			SetInt("batch", s.batchSeq).
-			SetInt("outputs", int64(len(plan.Groups[gi]))).
-			SetInt("inputs", int64(micro[0].NumSrc))
-		// layer1_dst_rows counts what a cache-less forward computes at
-		// layer 1; against embcache.computed_rows it yields the
-		// compute-per-request saving in the bench report.
+	// layer1_dst_rows counts what a cache-less forward computes at layer 1;
+	// against embcache.computed_rows it yields the compute-per-request
+	// saving in the bench report.
+	for _, micro := range plan.Micro {
 		s.obs.Add("serve.layer1_dst_rows", int64(micro[0].NumDst))
-		logits, err := core.BatchInferenceCached(s.model, micro, feats, s.emb)
-		fsp.End()
-		tensor.ReleaseScratch(feats.Data) // the forward clones its logits out
-		if err != nil {
-			return nil, fmt.Errorf("serve: forward: %w", err)
-		}
-		// Groups[gi] holds the union positions this micro-batch scored,
-		// in the micro-batch's destination order.
-		for ri, pos := range plan.Groups[gi] {
-			scores[pos] = append([]float32(nil), logits.Row(ri)...)
-		}
 	}
 	s.obs.Add("serve.served_nodes", int64(len(union)))
 	// Published after the forwards, so the peak includes this batch's own
@@ -482,22 +460,6 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 	s.publishLedger()
 	s.writeBatchLog(union, plan)
 	return scores, nil
-}
-
-// gather stages the input features for the given node IDs from src, the
-// batch's source: the dataset's resident matrix, or the batch stage a
-// disk-backed deployment loaded from its shard cache. The staged tensor is
-// pooled scratch, released once its forward is done.
-func (s *Server) gather(src dataset.FeatureSource, nids []int32) (*tensor.Tensor, error) {
-	sp := s.obs.StartSpan(obs.PhaseH2D).SetInt("batch", s.batchSeq).SetInt("rows", int64(len(nids)))
-	defer sp.End()
-	dim := s.ds.FeatureDim()
-	out := tensor.FromSlice(len(nids), dim, tensor.AcquireScratch(len(nids)*dim))
-	if err := src.GatherInto(out, nids); err != nil {
-		tensor.ReleaseScratch(out.Data)
-		return nil, fmt.Errorf("serve: gather: %w", err)
-	}
-	return out, nil
 }
 
 // writeBatchLog emits one hand-assembled NDJSON line describing the batch

@@ -48,11 +48,12 @@ func testModel(t testing.TB, d *dataset.Dataset) any {
 }
 
 // testConfig is the deterministic-replay base config: fake clock, no
-// default deadline, ample capacity — and the embedding cache in exact mode,
-// so every serving test also runs under its bitwise layer-1 verify.
+// default deadline, ample capacity — and the embedding cache in reuse mode,
+// so every serving test that compares against solo inference also checks
+// that spliced cached rows change no bit.
 func testConfig(clock obs.Clock, reg *obs.Registry) Config {
 	cfg := Defaults()
-	cfg.EmbMode = embcache.ModeExact
+	cfg.EmbMode = embcache.ModeReuse
 	cfg.Fanouts = []int{4, 6}
 	cfg.Seed = 9
 	cfg.DefaultTimeout = 0
@@ -358,40 +359,50 @@ func (p panicSource) Dim() int                                 { return p.dim }
 func (p panicSource) GatherInto(*tensor.Tensor, []int32) error { panic("sabotaged feature gather") }
 func (p panicSource) ResidentBytes() int64                     { return 0 }
 
-// A panic while executing one batch must fail that batch's requests and
-// leave the worker serving the next.
+// A panic while executing one batch must fail that batch's requests,
+// return every pooled buffer the batch took, and leave the worker serving
+// the next.
 func TestPanicIsolation(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	reg := obs.New(obs.NewFakeClock(0, 1))
 	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
 	s := newTestServer(t, d, model, cfg)
+	outstanding := func() int64 {
+		acquires, _, releases := tensor.PoolStats()
+		return acquires - releases
+	}
 
 	// Sabotage: swap in a feature source that panics (a truncated matrix
 	// no longer works — out-of-range gathers are descriptive errors now)
-	// so the batch's feature gather panics mid-pipeline.
+	// so the batch's input staging panics mid-pipeline.
 	good := s.ds
 	bad := *d
 	bad.Features = nil
 	bad.Source = panicSource{dim: d.FeatureDim(), rows: int(d.Graph.NumNodes())}
 	s.ds = &bad
-	doomed, err := s.enqueue([]int32{5, 9}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s.Start()
 	defer s.Close()
-	res := <-doomed.done
-	s.ds = good // repair; the worker is idle again once doomed has its answer
-	if res.err == nil || !strings.Contains(res.err.Error(), "panicked") {
-		t.Fatalf("panicked batch returned %v, want a batch-panic error", res.err)
+	// The worker is idle until the first Predict, so nothing moves the
+	// pool between this reading and the panic.
+	before := outstanding()
+	_, err := s.Predict([]int32{5, 9}, 0)
+	s.ds = good // repair; the worker is idle again once Predict has its answer
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicked batch returned %v, want a batch-panic error", err)
 	}
 	if reg.CounterValue("serve.panics") != 1 {
 		t.Fatal("panic not counted")
 	}
-	// Worker must still serve.
+	if got := outstanding(); got != before {
+		t.Fatalf("pooled buffers outstanding after the panic: %d, want %d", got, before)
+	}
+	// Worker must still serve, and its batch returns what it takes.
 	if _, err := s.Predict([]int32{5, 9}, 0); err != nil {
 		t.Fatalf("worker dead after panic: %v", err)
+	}
+	if got := outstanding(); got != before {
+		t.Fatalf("pooled buffers outstanding after the next batch: %d, want %d", got, before)
 	}
 }
 
@@ -406,7 +417,11 @@ func TestStartDrainsPool(t *testing.T) {
 	}
 	d := testData(t)
 	reg := obs.New(obs.NewFakeClock(0, 1))
-	s := newTestServer(t, d, testModel(t, d), testConfig(obs.NewFakeClock(0, 1), reg))
+	// The bound below is the planner's forward estimate, which a reuse
+	// cache's splice buffers (partial hits) exceed, so the cache is off.
+	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
+	cfg.EmbMode = embcache.ModeOff
+	s := newTestServer(t, d, testModel(t, d), cfg)
 	s.Start()
 	for i := int32(0); i < 20; i++ {
 		if _, err := s.Predict([]int32{i, 2 * i, 700 - i}, 0); err != nil {
@@ -431,8 +446,8 @@ func (p *stageSpy) GatherInto(out *tensor.Tensor, nids []int32) error {
 	return p.FeatureSource.GatherInto(out, nids)
 }
 
-// The staged feature tensor is pooled scratch that scoreUnion hands back
-// after the forward: a second batch of the same shape stages into the first
+// The staged feature tensor is a tape allocation that core.PlannedForward
+// hands back after the forward: a second batch of the same shape stages into the first
 // one's storage instead of leaving a tensor of garbage per batch, and what
 // it answers is still what a fresh server answers.
 func TestStagedFeaturesArePooled(t *testing.T) {

@@ -1023,14 +1023,18 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Var, labels []int32) *Var {
 func Argmax(t *Tensor) []int32 {
 	out := make([]int32, t.RowsN)
 	for i := 0; i < t.RowsN; i++ {
-		row := t.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = int32(best)
+		out[i] = ArgmaxRow(t.Row(i))
 	}
 	return out
+}
+
+// ArgmaxRow returns the index of the first largest value in row.
+func ArgmaxRow(row []float32) int32 {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return int32(best)
 }

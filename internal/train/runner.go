@@ -15,7 +15,6 @@ import (
 	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/obs"
-	"betty/internal/parallel"
 	"betty/internal/tensor"
 )
 
@@ -61,7 +60,7 @@ type Runner struct {
 	Dev *device.Device
 
 	// Obs, when non-nil, receives per-phase spans (h2d, forward, backward,
-	// step, eval) and per-micro-batch metrics. A nil registry costs one
+	// step) and per-micro-batch metrics. A nil registry costs one
 	// pointer test per instrumentation point (see BenchmarkMicroBatchObs).
 	Obs *obs.Registry
 
@@ -73,8 +72,7 @@ type Runner struct {
 
 	// tape is reused across micro-batches: Release rewinds it, so every
 	// step after the first records its graph into recycled headers and
-	// pooled buffers. Training steps are serial; Evaluate's parallel
-	// chunks use their own tapes.
+	// pooled buffers. Training steps are serial.
 	tape *tensor.Tape
 	// params caches Model.Params() so the per-step ZeroGrad stops
 	// rebuilding the slice.
@@ -297,70 +295,4 @@ func (r *Runner) Step() {
 	}
 	sp.End()
 	r.Obs.Add("train.steps", 1)
-}
-
-// sampler is the subset of sample.Sampler the evaluator needs; declared
-// here to avoid a dependency cycle in tests that fake it. Sample must be
-// safe for concurrent calls (the evaluator runs chunks in parallel).
-type sampler interface {
-	Sample(g *graph.Graph, seeds []int32) ([]*graph.Block, error)
-}
-
-// Evaluate computes accuracy over seeds, processing them in chunks of
-// chunkSize with the given sampler (no device accounting, no gradients).
-// Chunks run in parallel: the sampler derives each chunk's random stream
-// from the chunk's own seeds, so the result is identical for any worker
-// count and to a serial evaluation. Masked seeds (label < 0) are excluded
-// from both numerator and denominator, matching RunMicroBatch; it is an
-// error only when no labeled seed was seen at all.
-func (r *Runner) Evaluate(s sampler, seeds []int32, chunkSize int) (float64, error) {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	type chunkResult struct {
-		correct, count int
-		err            error
-	}
-	nChunks := (len(seeds) + chunkSize - 1) / chunkSize
-	sp := r.Obs.StartSpan(obs.PhaseEval).
-		SetInt("seeds", int64(len(seeds))).
-		SetInt("chunks", int64(nChunks))
-	defer sp.End()
-	results := make([]chunkResult, nChunks)
-	parallel.For(nChunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			clo := c * chunkSize
-			chi := clo + chunkSize
-			if chi > len(seeds) {
-				chi = len(seeds)
-			}
-			blocks, err := s.Sample(r.Data.Graph, seeds[clo:chi])
-			if err != nil {
-				results[c].err = err
-				continue
-			}
-			x, err := r.Data.GatherFeatures(blocks[0].SrcNID)
-			if err != nil {
-				results[c].err = err
-				continue
-			}
-			labels := r.Data.GatherLabels(blocks[len(blocks)-1].DstNID)
-			tp := tensor.NewTape()
-			logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
-			results[c].correct, results[c].count = score(logits.Value, labels)
-			tp.Release() // predictions extracted; recycle the chunk's arena
-		}
-	})
-	correct, count := 0, 0
-	for _, cr := range results {
-		if cr.err != nil {
-			return 0, cr.err
-		}
-		correct += cr.correct
-		count += cr.count
-	}
-	if count == 0 {
-		return 0, fmt.Errorf("train: no labeled evaluation nodes")
-	}
-	return float64(correct) / float64(count), nil
 }

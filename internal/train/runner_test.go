@@ -231,22 +231,6 @@ func TestStepAppliesAndClears(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	d := testData(t)
-	r := testRunner(t, d, nil)
-	s := sample.New([]int{5, 5}, 3)
-	acc, err := r.Evaluate(s, d.TestIdx, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %v out of range", acc)
-	}
-	if _, err := r.Evaluate(s, nil, 10); err == nil {
-		t.Fatal("empty evaluation accepted")
-	}
-}
-
 func TestEmptyBatchRejected(t *testing.T) {
 	d := testData(t)
 	r := testRunner(t, d, nil)
@@ -330,7 +314,7 @@ func TestStepAllocsBounded(t *testing.T) {
 }
 
 // maskedData returns a dataset where every third node is unlabeled
-// (label < 0), the fixture for the masked-accuracy fixes.
+// (label < 0), the fixture for the masked-accuracy fix.
 func maskedData(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	d := testData(t)
@@ -360,70 +344,7 @@ func (m constModel) Config() nn.Config {
 	return nn.Config{InDim: 1, Hidden: 1, OutDim: m.classes, Layers: 2}
 }
 
-// Evaluate must score labeled seeds only: with a model that always predicts
-// class 0, accuracy is exactly (#labeled seeds with label 0) / (#labeled).
-// The old code counted masked seeds as wrong, deflating the denominator.
-func TestEvaluateSkipsMaskedLabels(t *testing.T) {
-	d := maskedData(t)
-	r := NewRunner(constModel{classes: d.NumClasses}, d, nn.NewAdam(constModel{}, 0.01), nil)
-	s := sample.New([]int{3, 3}, 11)
-	got, err := r.Evaluate(s, d.TestIdx, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros, labeled := 0, 0
-	for _, nid := range d.TestIdx {
-		switch {
-		case d.Labels[nid] < 0:
-		case d.Labels[nid] == 0:
-			zeros++
-			labeled++
-		default:
-			labeled++
-		}
-	}
-	want := float64(zeros) / float64(labeled)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("Evaluate = %v, want %v (%d/%d labeled)", got, want, zeros, labeled)
-	}
-}
-
-func TestEvaluateAllMaskedErrors(t *testing.T) {
-	d := testData(t)
-	for i := range d.Labels {
-		d.Labels[i] = -1
-	}
-	r := testRunner(t, d, nil)
-	s := sample.New([]int{3, 3}, 11)
-	if _, err := r.Evaluate(s, d.TestIdx, 64); err == nil {
-		t.Fatal("evaluation over fully masked seeds must error")
-	}
-}
-
-// The chunk-parallel evaluator must return the identical accuracy for any
-// worker count (order-independent sampling + integer chunk sums).
-func TestEvaluateParallelDeterminism(t *testing.T) {
-	d := testData(t)
-	r := testRunner(t, d, nil)
-	s := sample.New([]int{5, 5}, 3)
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	want, err := r.Evaluate(s, d.TestIdx, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 8} {
-		parallel.SetWorkers(w)
-		got, err := r.Evaluate(s, d.TestIdx, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("workers=%d: accuracy %v != serial %v", w, got, want)
-		}
-	}
-}
-
-// RunMicroBatch already masked labels; pin that behaviour with the fixture.
+// RunMicroBatch masks labels; pin that behaviour with the fixture.
 func TestRunMicroBatchMaskedCount(t *testing.T) {
 	d := maskedData(t)
 	r := NewRunner(constModel{classes: d.NumClasses}, d, nn.NewAdam(constModel{}, 0.01), nil)
