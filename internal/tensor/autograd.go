@@ -114,8 +114,11 @@ func (tp *Tape) newTensor(t Tensor) *Tensor {
 
 // allocF32 acquires a zeroed length-n slice from the buffer pool (or the
 // heap when pooling is off) and registers it for Release.
-func (tp *Tape) allocF32(n int) []float32 {
-	s := acquire(n)
+func (tp *Tape) allocF32(n int) []float32 { return tp.takeF32(n, true) }
+
+// takeF32 is take's slice registered for Release.
+func (tp *Tape) takeF32(n int, zero bool) []float32 {
+	s := take(n, zero)
 	if s != nil {
 		tp.owned = append(tp.owned, s)
 	}
@@ -123,11 +126,20 @@ func (tp *Tape) allocF32(n int) []float32 {
 }
 
 // alloc returns a zeroed rows x cols tensor backed by the tape's arena.
-func (tp *Tape) alloc(rows, cols int) *Tensor {
+func (tp *Tape) alloc(rows, cols int) *Tensor { return tp.allocTensor(rows, cols, true) }
+
+// allocDirty is alloc without the zeroing of a recycled buffer: the tensor
+// may hold a released tape's values. Only an op that writes every element
+// before anything reads it may take one (GatherRows, SliceRows,
+// ConcatCols, FusedCSRAgg and LinearBiasReLU's ReLU mask); an output that
+// is accumulated into, as gemm's and every gradient are, must be zeroed.
+func (tp *Tape) allocDirty(rows, cols int) *Tensor { return tp.allocTensor(rows, cols, false) }
+
+func (tp *Tape) allocTensor(rows, cols int, zero bool) *Tensor {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
-	return tp.newTensor(Tensor{RowsN: rows, ColsN: cols, Data: tp.allocF32(rows * cols)})
+	return tp.newTensor(Tensor{RowsN: rows, ColsN: cols, Data: tp.takeF32(rows*cols, zero)})
 }
 
 // Alloc returns a zeroed rows x cols tensor whose backing slice is drawn
@@ -268,7 +280,7 @@ func (tp *Tape) MatMul(a, b *Var) *Var {
 			a.Value.RowsN, a.Value.ColsN, b.Value.RowsN, b.Value.ColsN))
 	}
 	val := tp.alloc(a.Value.RowsN, b.Value.ColsN)
-	matMulInto(val, a.Value, b.Value, false)
+	matMulInto(val, a.Value, b.Value, true) // into val's zeros: no second clear
 	var out *Var
 	out = tp.record(val, anyGrad(a, b), func() {
 		if a.requiresGrad {
@@ -386,7 +398,7 @@ func (tp *Tape) AddBias(a, b *Var) *Var {
 			// per-shard partials in ascending shard order; the partials live
 			// in the tape's pooled arena (see addBiasGrad in fused.go, which
 			// shares the exact reduction with LinearBiasReLU's backward).
-			addBiasGrad(tp, b.grad(), out.Grad)
+			addBiasGrad(tp, b.grad(), out.Grad, nil, nil)
 		}
 	})
 	return out
@@ -504,7 +516,7 @@ func (tp *Tape) ConcatCols(a, b *Var) *Var {
 		panic("tensor: ConcatCols row mismatch")
 	}
 	m, n1, n2 := a.Value.RowsN, a.Value.ColsN, b.Value.ColsN
-	val := tp.alloc(m, n1+n2)
+	val := tp.allocDirty(m, n1+n2) // every row is copied in full
 	parallel.For(m, elemRowGrain(n1+n2), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(val.Row(i)[:n1], a.Value.Row(i))
@@ -545,7 +557,7 @@ func (tp *Tape) ConcatCols(a, b *Var) *Var {
 func (tp *Tape) GatherRows(a *Var, idx []int32) *Var {
 	n := a.Value.ColsN
 	rows := a.Value.RowsN
-	val := tp.alloc(len(idx), n)
+	val := tp.allocDirty(len(idx), n) // every row is copied in full
 	parallel.For(len(idx), elemRowGrain(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(val.Row(i), a.Value.Row(int(idx[i])))
@@ -561,15 +573,7 @@ func (tp *Tape) GatherRows(a *Var, idx []int32) *Var {
 			g := a.grad()
 			cnt, pos := invertIndex(idx, rows)
 			parallel.For(rows, elemRowGrain(n), func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					grow := g.Row(r)
-					for p := cnt[r]; p < cnt[r+1]; p++ {
-						orow := out.Grad.Row(int(pos[p]))
-						for j, v := range orow {
-							grow[j] += v
-						}
-					}
-				}
+				scatterRows(g.Data, out.Grad.Data, n, lo, hi, cnt, pos, nil, nil, nil)
 			})
 		}
 	})
@@ -582,7 +586,7 @@ func (tp *Tape) SliceRows(a *Var, lo, hi int) *Var {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, a.Value.RowsN))
 	}
 	n := a.Value.ColsN
-	val := tp.alloc(hi-lo, n)
+	val := tp.allocDirty(hi-lo, n)
 	copy(val.Data, a.Value.Data[lo*n:hi*n])
 	var out *Var
 	out = tp.record(val, a.requiresGrad, func() {

@@ -31,7 +31,7 @@ type CSR struct {
 	// InvCnt/InvPos are the inverse of Src (see invertIndex): positions
 	// InvPos[InvCnt[r]:InvCnt[r+1]] list, ascending, the edges with
 	// Src == r. Required — the backward pass owns each source row through
-	// this inverse.
+	// this inverse, and its column lanes read InvPos's edges unchecked.
 	InvCnt, InvPos []int32
 	// NSrc and NDst are the source and destination node counts.
 	NSrc, NDst int
@@ -49,11 +49,15 @@ type CSR struct {
 //	SegmentSum(MulRowsVec(GatherRows(h, src), w), dst)  (weighted sum)
 //
 // bitwise: each destination element accumulates its edges in ascending edge
-// order into a single accumulator and is scaled once afterwards — the exact
-// value sequence of the chain, without materializing the per-edge messages
-// or the pre-scale sum. The backward pass owns each source row via the
-// precomputed inverse and accumulates dh[r] += (dOut[Dst[p]] * InvDeg[Dst[p]])
-// * Wt[p] in ascending p — the same parenthesization the RowScale →
+// order into a single accumulator, starting from +0, and is scaled once
+// before it is stored — the exact value sequence of the chain, without
+// materializing the per-edge messages or the pre-scale sum. A destination
+// with no edges gets a +0 row, which is what scaling its zero sum by a
+// finite, non-negative InvDeg gives. With column lanes the accumulator is
+// a block of a destination's row held in registers across its segment
+// (aggRow). The backward pass owns each source row via the precomputed
+// inverse and accumulates dh[r] += (dOut[Dst[p]] * InvDeg[Dst[p]]) * Wt[p]
+// in ascending p — the same parenthesization the RowScale →
 // SegmentSum/MulRowsVec → GatherRows backward composition produces — so
 // gradients are bitwise-identical too, at any worker count.
 func (tp *Tape) FusedCSRAgg(h *Var, c CSR) *Var {
@@ -69,37 +73,51 @@ func (tp *Tape) FusedCSRAgg(h *Var, c CSR) *Var {
 	if c.InvDeg != nil && len(c.InvDeg) != c.NDst {
 		panic("tensor: FusedCSRAgg InvDeg length mismatch")
 	}
+	if len(c.InvCnt) != c.NSrc+1 || len(c.InvPos) != len(c.Src) {
+		panic("tensor: FusedCSRAgg inverse length mismatch")
+	}
 	n := h.Value.ColsN
-	val := tp.alloc(c.NDst, n)
+	val := tp.allocDirty(c.NDst, n) // every row is stored or cleared below
+	if len(c.Dst) == 0 {
+		clear(val.Data)
+	}
 	bounds := segmentBounds(c.Dst, segEdgeGrain)
 	parallel.ForShards(bounds, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			row := val.Row(int(c.Dst[e]))
-			hrow := h.Value.Row(int(c.Src[e]))
+		// The shard owns its destinations' rows and the edgeless rows up to
+		// the next shard's first destination (from row 0 for the first
+		// shard, to the last row for the last one), and writes each once.
+		next := 0
+		if lo > 0 {
+			next = int(c.Dst[lo])
+		}
+		for e0 := lo; e0 < hi; {
+			d := c.Dst[e0]
+			e1 := e0
+			for ; e1 < hi && c.Dst[e1] == d; e1++ {
+				if uint(c.Src[e1]) >= uint(c.NSrc) {
+					panic(fmt.Sprintf("tensor: FusedCSRAgg edge %d has source %d of %d", e1, c.Src[e1], c.NSrc))
+				}
+			}
+			if e1 < hi && c.Dst[e1] < d {
+				panic("tensor: FusedCSRAgg needs destination-sorted edges")
+			}
+			clear(val.Data[next*n : int(d)*n])
+			var wt, post []float32
 			if c.Wt != nil {
-				w := c.Wt[e]
-				for j, v := range hrow {
-					row[j] += v * w
-				}
-			} else {
-				for j, v := range hrow {
-					row[j] += v
-				}
+				wt = c.Wt[e0:e1]
 			}
-		}
-		if c.InvDeg != nil {
-			// The shard owns complete destination segments, so scaling its
-			// destinations in place races with nobody. Destinations with no
-			// edges keep their zero rows — identical to scaling them, since
-			// the InvDeg factors are non-negative.
-			for d := int(c.Dst[lo]); d <= int(c.Dst[hi-1]); d++ {
-				s := c.InvDeg[d]
-				row := val.Row(d)
-				for j := range row {
-					row[j] *= s
-				}
+			if c.InvDeg != nil {
+				post = c.InvDeg[d : d+1]
 			}
+			aggRow(val.Row(int(d)), h.Value.Data, c.Src[e0:e1], wt, post)
+			next = int(d) + 1
+			e0 = e1
 		}
+		end := c.NDst
+		if hi < len(c.Dst) {
+			end = int(c.Dst[hi])
+		}
+		clear(val.Data[next*n : end*n])
 	})
 	var out *Var
 	out = tp.record(val, h.requiresGrad, func() {
@@ -108,52 +126,134 @@ func (tp *Tape) FusedCSRAgg(h *Var, c CSR) *Var {
 		}
 		g := h.grad()
 		parallel.For(c.NSrc, elemRowGrain(n), func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				grow := g.Row(r)
-				for p := c.InvCnt[r]; p < c.InvCnt[r+1]; p++ {
-					e := c.InvPos[p]
-					d := int(c.Dst[e])
-					orow := out.Grad.Row(d)
-					switch {
-					case c.Wt != nil && c.InvDeg != nil:
-						s, w := c.InvDeg[d], c.Wt[e]
-						for j, v := range orow {
-							grow[j] += (v * s) * w
-						}
-					case c.Wt != nil:
-						w := c.Wt[e]
-						for j, v := range orow {
-							grow[j] += v * w
-						}
-					case c.InvDeg != nil:
-						s := c.InvDeg[d]
-						for j, v := range orow {
-							grow[j] += v * s
-						}
-					default:
-						for j, v := range orow {
-							grow[j] += v
-						}
-					}
-				}
-			}
+			scatterRows(g.Data, out.Grad.Data, n, lo, hi, c.InvCnt, c.InvPos, c.Dst, c.InvDeg, c.Wt)
 		})
 	})
 	return out
 }
 
+// aggRow sets o, one destination's row, to
+//
+//	o[j] = (+0 + h[src[0]][j]·wt[0] + … + h[src[last]][j]·wt[last]) · post[0]
+//
+// for h read as rows of len(o), added in order and rounded at each step; a
+// nil wt or post drops that factor. With useLanes, aggLanes runs the first
+// len(o) &^ 7 columns with the row's blocks held in registers across the
+// segment, and the Go loop the rest: each column is its own sum, so
+// splitting the columns keeps every element's order.
+func aggRow(o, h []float32, src []int32, wt, post []float32) {
+	n := len(o)
+	j := 0
+	if useLanes {
+		j = n &^ 7
+		aggLanes(o[:j], h, src, wt, post, n)
+	}
+	if j == n {
+		return
+	}
+	tail := o[j:]
+	for t, s := range src {
+		hrow := h[int(s)*n+j : int(s)*n+n]
+		hrow = hrow[:len(tail)]
+		switch {
+		case t == 0 && wt != nil: // +0 + x is x + 0: the accumulator starts at +0
+			w := wt[t]
+			for q, v := range hrow {
+				tail[q] = v*w + 0
+			}
+		case t == 0:
+			for q, v := range hrow {
+				tail[q] = v + 0
+			}
+		case wt != nil:
+			w := wt[t]
+			for q, v := range hrow {
+				tail[q] += v * w
+			}
+		default:
+			for q, v := range hrow {
+				tail[q] += v
+			}
+		}
+	}
+	if post != nil {
+		s := post[0]
+		for q := range tail {
+			tail[q] *= s
+		}
+	}
+}
+
+// scatterRows adds to each row r in [lo, hi) of dh, n wide, the terms
+// (g[d][j]·scale[d])·wt[e] for e = pos[p], p in [cnt[r], cnt[r+1]) in
+// order, where d = rows[e] (d = e when rows is nil) and g has rows n wide;
+// a nil scale or wt drops that factor. Every output element adds its terms
+// one at a time into its own value. With useLanes, scatterLanes runs the
+// first n &^ 7 columns of a row and the Go loop the rest, as in aggRow.
+func scatterRows(dh, g []float32, n, lo, hi int, cnt, pos, rows []int32, scale, wt []float32) {
+	j := 0
+	if useLanes {
+		j = n &^ 7
+	}
+	for r := lo; r < hi; r++ {
+		ps := pos[cnt[r]:cnt[r+1]]
+		if len(ps) == 0 {
+			continue
+		}
+		o := dh[r*n : r*n+n]
+		if j > 0 {
+			scatterLanes(o[:j], g, ps, rows, scale, wt, n)
+		}
+		if j == n {
+			continue
+		}
+		tail := o[j:]
+		for _, p := range ps {
+			e := int(p)
+			d := e
+			if rows != nil {
+				d = int(rows[e])
+			}
+			grow := g[d*n+j : d*n+n]
+			switch {
+			case scale != nil && wt != nil:
+				s, w := scale[d], wt[e]
+				for q, v := range grow {
+					tail[q] += (v * s) * w
+				}
+			case wt != nil:
+				w := wt[e]
+				for q, v := range grow {
+					tail[q] += v * w
+				}
+			case scale != nil:
+				s := scale[d]
+				for q, v := range grow {
+					tail[q] += v * s
+				}
+			default:
+				for q, v := range grow {
+					tail[q] += v
+				}
+			}
+		}
+	}
+}
+
 // LinearBiasReLU computes ReLU(x @ W + b) — or x @ W + b when relu is false
 // — as one tape op. It fuses the MatMul → AddBias → ReLU chain bitwise: the
-// matmul lands in the output buffer first (same tiled kernel, same
-// per-element accumulation order), then one pass over each output row adds
-// the bias and clamps negatives, producing exactly the values the three
-// separate ops would, without materializing the two intermediate tensors.
+// matmul accumulates into the zeroed output buffer (same tiled kernel, same
+// per-element accumulation order), and each gemm shard then adds the bias
+// to its own rows and clamps negatives while they are still in cache (its
+// epilogue), producing exactly the values the three separate ops would,
+// without materializing the two intermediate tensors.
 //
 // Backward reproduces the chain's gradient values exactly: the ReLU mask is
 // taken from the post-activation output (out > 0 ⇔ pre-activation > 0, since
-// ReLU only zeroes non-positives), the bias gradient folds per-shard partial
-// column sums in ascending shard order with the same grain as AddBias, and
-// the weight/input gradients go through the same transposed kernels MatMul's
+// ReLU only zeroes non-positives) in the same pass over the gradient that
+// sums the bias gradient's per-shard partial columns, which fold in
+// ascending shard order with the same grain as AddBias, and the
+// weight/input gradients go through the same transposed kernels MatMul's
 // backward uses.
 func (tp *Tape) LinearBiasReLU(x, w, b *Var, relu bool) *Var {
 	if x.Value.ColsN != w.Value.RowsN {
@@ -165,46 +265,22 @@ func (tp *Tape) LinearBiasReLU(x, w, b *Var, relu bool) *Var {
 	}
 	m, n := x.Value.RowsN, w.Value.ColsN
 	val := tp.alloc(m, n)
-	matMulInto(val, x.Value, w.Value, false)
-	bias := b.Value.Data
-	parallel.For(m, elemRowGrain(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := val.Row(i)
-			if relu {
-				for j := range row {
-					v := row[j] + bias[j]
-					if v > 0 {
-						row[j] = v
-					} else {
-						row[j] = 0
-					}
-				}
-			} else {
-				for j := range row {
-					row[j] += bias[j]
-				}
-			}
-		}
-	})
+	gemm(val, x.Value.Data, x.Value.ColsN, 1, x.Value.ColsN, w.Value.Data, b.Value.Data, relu)
 	var out *Var
 	out = tp.record(val, anyGrad(x, w, b), func() {
 		// dPre is the gradient at the pre-activation (post-bias) value. With
-		// relu it is the masked output gradient in a pooled scratch tensor;
-		// without, the output gradient itself serves unmasked.
-		dPre := out.Grad
+		// relu it is the masked output gradient in a pooled scratch tensor,
+		// which the mask pass writes in full; without, the output gradient
+		// itself serves unmasked.
+		dPre, mask := out.Grad, (*Tensor)(nil)
 		if relu {
-			dPre = tp.alloc(m, n)
-			parallel.For(len(val.Data), elemGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if val.Data[i] > 0 {
-						dPre.Data[i] = out.Grad.Data[i]
-					}
-				}
-			})
+			dPre, mask = tp.allocDirty(m, n), val
 		}
+		var gb *Tensor
 		if b.requiresGrad {
-			addBiasGrad(tp, b.grad(), dPre)
+			gb = b.grad()
 		}
+		addBiasGrad(tp, gb, out.Grad, mask, dPre)
 		if x.requiresGrad {
 			matMulTBInto(x.grad(), dPre, w.Value, true)
 		}
@@ -217,36 +293,81 @@ func (tp *Tape) LinearBiasReLU(x, w, b *Var, relu bool) *Var {
 
 // addBiasGrad accumulates the column sums of dOut into g (the bias
 // gradient): each shard sums its rows into a private partial, and partials
-// fold in ascending shard order. The shard structure depends only on the
-// problem, so the reduction tree — shared verbatim with AddBias's backward —
-// is fixed for every worker count.
-func addBiasGrad(tp *Tape, g, dOut *Tensor) {
+// fold in ascending shard order. With mask, it first sets each value of
+// dOut to +0 where mask is not greater than 0 (the ReLU backward) and
+// stores it to dPre, in the same pass; a nil g only masks. The shard
+// structure depends only on the problem, so the reduction tree — shared
+// verbatim with AddBias's backward — is fixed for every worker count.
+func addBiasGrad(tp *Tape, g, dOut, mask, dPre *Tensor) {
+	if g == nil && mask == nil {
+		return
+	}
 	m, n := dOut.RowsN, dOut.ColsN
 	grain := elemRowGrain(n)
 	nShards := parallel.NumShards(m, grain)
-	if nShards <= 1 {
-		for i := 0; i < m; i++ {
-			row := dOut.Row(i)
-			for j, v := range row {
-				g.Data[j] += v
-			}
+	var partials []float32
+	if g != nil && nShards > 1 {
+		partials = tp.allocF32(nShards * n)
+	}
+	pass := func(lo, hi int) {
+		var d, v, p []float32
+		if mask != nil {
+			d, v = dPre.Data[lo*n:hi*n], mask.Data[lo*n:hi*n]
 		}
+		switch {
+		case partials != nil:
+			p = partials[(lo/grain)*n : (lo/grain+1)*n]
+		case g != nil:
+			p = g.Data
+		}
+		maskSum(d, dOut.Data[lo*n:hi*n], v, p, n)
+	}
+	if nShards <= 1 {
+		pass(0, m)
 		return
 	}
-	partials := tp.allocF32(nShards * n)
-	parallel.For(m, grain, func(lo, hi int) {
-		p := partials[(lo/grain)*n : (lo/grain+1)*n]
-		for i := lo; i < hi; i++ {
-			row := dOut.Row(i)
-			for j, v := range row {
-				p[j] += v
-			}
-		}
-	})
+	parallel.For(m, grain, pass)
+	if partials == nil {
+		return
+	}
 	for s := 0; s < nShards; s++ {
 		p := partials[s*n : (s+1)*n]
 		for j, v := range p {
 			g.Data[j] += v
+		}
+	}
+}
+
+// maskSum walks the n-wide rows of x in order. With v, each value is set
+// to +0 where v is not greater than 0 and stored to d; with p, the (masked)
+// row is added into p. With useLanes, maskSumLanes runs the first n &^ 7
+// columns of every row and the Go loop the rest.
+func maskSum(d, x, v, p []float32, n int) {
+	j := 0
+	if useLanes {
+		j = n &^ 7
+		maskSumLanes(d, x, v, p, n)
+	}
+	if j == n {
+		return
+	}
+	for i := 0; i < len(x); i += n {
+		row := x[i+j : i+n]
+		if v != nil {
+			vrow, drow := v[i+j:i+n], d[i+j:i+n]
+			for q, y := range row {
+				if vrow[q] > 0 {
+					drow[q] = y
+				} else {
+					drow[q] = 0
+				}
+			}
+			row = drow
+		}
+		if p != nil {
+			for q, y := range row {
+				p[j+q] += y
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package tensor
 
-// useLanes routes gemm's 4-term groups through the AVX2 column lanes of
-// lanes_amd64.s. It is decided once, from the CPU, and only tests change it.
+// useLanes routes gemm's 4-term groups, its epilogue and zero scan, CSR
+// aggregation and its backward, and the ReLU/bias backward pass through the
+// AVX2 column lanes of lanes_amd64.s. It is decided once, from the CPU, and
+// only tests change it.
 var useLanes = haveAVX2()
 
 // haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -48,3 +50,45 @@ func addPairLanes(o0, o1, b, v0, v1 []float32, n int)
 //
 //go:noescape
 func addTermsLanes(o, b, v []float32, off []int)
+
+// aggLanes sets o to one destination's aggregate on the columns of o, a
+// multiple of 8 wide: for every column j,
+//
+//	o[j] = (+0 + h[src[0]*n+j]·wt[0] + … + h[src[last]*n+j]·wt[last]) · post[0]
+//
+// added left to right and rounded at each step, with the ·wt factors when wt
+// is not empty and the ·post[0] scale when post is not empty. Nothing is
+// bounds-checked: every src[t] must be a row of the n-wide h, and wt as long
+// as src.
+//
+//go:noescape
+func aggLanes(o, h []float32, src []int32, wt, post []float32, n int)
+
+// scatterLanes adds to o, on its columns (a multiple of 8), the terms
+// (g[r*n+j]·scale[r])·wt[e] for e = pos[t] in order, where r = rows[e], or e
+// itself when rows is nil; a nil scale or wt drops that factor. Nothing is
+// bounds-checked: every e must index rows and wt, and every r scale and the
+// rows of the n-wide g.
+//
+//go:noescape
+func scatterLanes(o, g []float32, pos, rows []int32, scale, wt []float32, n int)
+
+// biasLanes adds bias[j] to o[i*n+j] for every row i of o and every column
+// j < len(bias), a multiple of 8, then with relu clamps the sum to +0 unless
+// it is greater than 0.
+//
+//go:noescape
+func biasLanes(o, bias []float32, n int, relu bool)
+
+// maskSumLanes walks the rows of x (n wide) on columns j < n &^ 7. Each
+// value y = x[i*n+j] is masked to +0 where v[i*n+j] is not greater than 0,
+// and stored to d, when v is not nil; then p[j] += y when p is not nil, the
+// rows added in order. d and v, when present, are as long as x.
+//
+//go:noescape
+func maskSumLanes(d, x, v, p []float32, n int)
+
+// zeroLanes reports whether any of a[:len(a) &^ 7] is ±0.
+//
+//go:noescape
+func zeroLanes(a []float32) bool

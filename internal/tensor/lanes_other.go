@@ -2,7 +2,8 @@
 
 package tensor
 
-// useLanes is false off amd64: gemm runs its Go loops on every column.
+// useLanes is false off amd64: every kernel runs its Go loops on every
+// column.
 var useLanes = false
 
 func addPairLanes(o0, o1, b, v0, v1 []float32, n int) {
@@ -10,5 +11,25 @@ func addPairLanes(o0, o1, b, v0, v1 []float32, n int) {
 }
 
 func addTermsLanes(o, b, v []float32, off []int) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func aggLanes(o, h []float32, src []int32, wt, post []float32, n int) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func scatterLanes(o, g []float32, pos, rows []int32, scale, wt []float32, n int) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func biasLanes(o, bias []float32, n int, relu bool) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func maskSumLanes(d, x, v, p []float32, n int) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func zeroLanes(a []float32) bool {
 	panic("tensor: column lanes are amd64-only")
 }

@@ -52,7 +52,7 @@ func Transpose(a *Tensor) *Tensor {
 // in B under each listed zero, bit 2 starts the accumulated output at -0
 // instead of random values.
 func FuzzMatMulOracle(f *testing.F) {
-	const sparse, poison, negZero = 1, 2, 4
+	const sparse, poison, negZero, late = 1, 2, 4, 8                  // late: every zero sits kChunk columns on
 	f.Add(17, 9, 5, uint64(1), []byte{}, uint8(0))                    // odd m: a pair's tail row; k ≡ 1 mod 4
 	f.Add(6, 14, 3, uint64(2), []byte{0, 3, 5, 13}, uint8(0))         // k ≡ 2 mod 4, a zero in the tail
 	f.Add(33, 23, 7, uint64(3), []byte{}, uint8(sparse))              // k ≡ 3 mod 4, ReLU-sparse
@@ -71,6 +71,8 @@ func FuzzMatMulOracle(f *testing.F) {
 		[]byte{0, 1, 1, 1, 2, 1, 3, 1, 1, 6, 130, 9}, uint8(poison)) // NaN/Inf under zero multipliers, in lane columns
 	f.Add(3, 5, 16, uint64(14),
 		[]byte{1, 0, 1, 1, 129, 2, 1, 3, 129, 4}, uint8(negZero)) // a -0 accumulator in lane columns
+	f.Add(5, kChunk+45, 43, uint64(15), []byte{1, kChunk - 1}, uint8(poison))   // dense rows beside one zero at k = 255
+	f.Add(5, kChunk+45, 43, uint64(16), []byte{1, 0, 4, 0}, uint8(late|poison)) // and at k = 256, in a pair and the tail row
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64, zeros []byte, flags uint8) {
 		if m < 1 || m > 40 || k < 1 || k > 2*kChunk+40 || n < 1 || n > 80 || len(zeros) > 512 {
 			t.Skip("bounded problem sizes keep the fuzz fast")
@@ -85,6 +87,9 @@ func FuzzMatMulOracle(f *testing.F) {
 		specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 		for p := 0; p+1 < len(zeros); p += 2 {
 			i, kk := int(zeros[p])%m, int(zeros[p+1])%k
+			if flags&late != 0 {
+				kk = (int(zeros[p+1]) + kChunk) % k
+			}
 			a.Set(i, kk, 0)
 			if zeros[p] >= 128 {
 				a.Set(i, kk, float32(math.Copysign(0, -1)))
@@ -254,6 +259,58 @@ func BenchmarkMatMulShapes(b *testing.B) {
 						b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 					})
 				}
+			}
+		}
+	}
+}
+
+// BenchmarkFusedCSRAgg times mean aggregation (FusedCSRAgg with InvDeg),
+// forward and backward, with the column lanes on and off, at the feature
+// widths the workloads aggregate: ogbn-products' layer 0 (F = 100),
+// ogbn-arxiv's (F = 128) and the hidden layer (64). Each destination has
+// deg edges from sources drawn uniformly; ns/edge is the time per edge of
+// one full pass over all F columns. Run with
+//
+//	go test -run '^$' -bench FusedCSRAgg ./internal/tensor/
+func BenchmarkFusedCSRAgg(b *testing.B) {
+	shapes := []struct {
+		name               string
+		f, nDst, deg, nSrc int
+	}{
+		{"products-l0", 100, 2048, 10, 16384},
+		{"arxiv-l0", 128, 2048, 10, 16384},
+		{"hidden", 64, 512, 25, 2048},
+	}
+	for _, s := range shapes {
+		r := rng.New(1)
+		nE := s.nDst * s.deg
+		c := buildCSR(r, nE, s.nDst, s.nSrc, false, true)
+		h := Param(randTensor(r, s.nSrc, s.f))
+		dOut := randTensor(r, s.nDst, s.f)
+		for _, pass := range []string{"forward", "backward"} {
+			for _, lanes := range laneSettings() {
+				name := fmt.Sprintf("%s/F=%d/%s/lanes=%s", s.name, s.f, pass, onOff(lanes))
+				b.Run(name, func(b *testing.B) {
+					defer setLanes(useLanes)
+					setLanes(lanes)
+					tp := NewTape()
+					defer tp.Release()
+					out := tp.FusedCSRAgg(h, c) // the backward's op, and a warm pool
+					out.Grad = dOut
+					fwd := NewTape()
+					fwd.FusedCSRAgg(h, c)
+					fwd.Release()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if pass == "forward" {
+							fwd.FusedCSRAgg(h, c)
+							fwd.Release() // the next iteration takes the same buffer
+						} else {
+							out.back()
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nE), "ns/edge")
+				})
 			}
 		}
 	}

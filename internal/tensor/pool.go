@@ -15,10 +15,12 @@ import (
 //
 // The pool is a set of power-of-two size classes, each a LIFO stack of
 // slices, guarded by one mutex (acquire/release are rare relative to the
-// kernel work done on each buffer). Acquired slices are always zeroed, so
-// a pooled tensor is indistinguishable from a freshly made one and pooling
+// kernel work done on each buffer). Acquired slices are zeroed, so a
+// pooled tensor is indistinguishable from a freshly made one and pooling
 // cannot change any numerical result: training with the pool on and off is
-// bitwise-identical by construction.
+// bitwise-identical by construction. The one exception, take(n, false),
+// serves outputs whose op writes every element before anything reads it,
+// so what the slice held before is never seen.
 //
 // Pooling is on; SetPooling(false) disables it, turning acquire/release
 // into plain make/no-op — the reference arm of the pooled≡unpooled tests.
@@ -100,7 +102,13 @@ func sizeClass(n int) (c int, ok bool) {
 
 // acquire returns a zeroed slice of length n, recycled from the pool when
 // possible. The zeroing makes pooled and fresh slices indistinguishable.
-func acquire(n int) []float32 {
+func acquire(n int) []float32 { return take(n, true) }
+
+// take returns a slice of length n, recycled from the pool when possible.
+// A fresh slice is zeroed by the heap; a recycled one is cleared only with
+// zero. Without it the slice holds whatever its last user left, which is
+// for an output its op writes in full before anything reads it.
+func take(n int, zero bool) []float32 {
 	if n == 0 {
 		return nil
 	}
@@ -124,7 +132,9 @@ func acquire(n int) []float32 {
 	poolMu.Unlock()
 	poolHits.Add(1)
 	s = s[:n]
-	clear(s)
+	if zero {
+		clear(s)
+	}
 	return s
 }
 

@@ -152,7 +152,7 @@ func matMulInto(out, a, b *Tensor, accum bool) {
 	if !accum {
 		out.Zero()
 	}
-	gemm(out, a.Data, a.ColsN, 1, a.ColsN, b.Data)
+	gemm(out, a.Data, a.ColsN, 1, a.ColsN, b.Data, nil, false)
 }
 
 // matMulTAInto computes out (+)= aᵀ @ b, reading a in place: output row i
@@ -166,7 +166,7 @@ func matMulTAInto(out, a, b *Tensor, accum bool) {
 	if !accum {
 		out.Zero()
 	}
-	gemm(out, a.Data, 1, a.ColsN, a.RowsN, b.Data)
+	gemm(out, a.Data, 1, a.ColsN, a.RowsN, b.Data, nil, false)
 }
 
 // gemm adds A·B into out, where B is b read as a kDim×cols(out) row-major
@@ -183,43 +183,57 @@ func matMulTAInto(out, a, b *Tensor, accum bool) {
 // bit for bit, whatever the tiling, the shard structure or the worker count.
 //
 // Shards own tileRows-aligned blocks of output rows and walk k in chunks of
-// kChunk. Per chunk, each output row first packs its nonzero multipliers
-// and their b offsets (branch-free), then applies them four at a time in
-// one pass over the output row, so a zero costs nothing and no pass is
-// guarded. When both rows of a pair have no zero in the chunk, the pair
+// kChunk. Per chunk, each output row takes its multipliers (chunkTerms): a
+// row with no zero in the chunk uses them as they are, one with a zero
+// packs its nonzero ones and their b offsets. They are applied four at a
+// time in one pass over the output row, so a zero costs nothing and no pass
+// is guarded. When both rows of a pair have no zero in the chunk, the pair
 // shares the pass: each b element loaded feeds both rows (a 2-row × 4-k
 // register tile). On amd64 with AVX2 both passes run eight output columns
 // per instruction (useLanes), each lane in the scalar loop's order.
 //
-// The lanes do not bounds-check b. Every offset packNonzero writes is k*n
+// A non-nil bias is the epilogue: after its last chunk each shard adds bias
+// to its own rows and, with relu, clamps every sum that is not greater than
+// 0 to +0, while the rows are still in cache.
+//
+// The lanes do not bounds-check b. Every offset chunkTerms hands out is k*n
 // with k < kDim, so the one length check below keeps them inside it.
-func gemm(out *Tensor, a []float32, rs, ks, kDim int, b []float32) {
+func gemm(out *Tensor, a []float32, rs, ks, kDim int, b, bias []float32, relu bool) {
 	n := out.ColsN
 	if len(b) != kDim*n {
 		panic(fmt.Sprintf("tensor: gemm needs a %d×%d b, got %d values", kDim, n, len(b)))
 	}
+	if bias != nil && len(bias) != n {
+		panic(fmt.Sprintf("tensor: gemm needs a %d-wide bias, got %d values", n, len(bias)))
+	}
 	grain := (rowGrain(kDim*n) + tileRows - 1) / tileRows * tileRows
 	parallel.For(out.RowsN, grain, func(lo, hi int) {
 		var v0, v1 [kChunk]float32
-		var off0, off1 [kChunk]int
+		var off0, off1, dense [kChunk]int
 		for k0 := 0; k0 < kDim; k0 += kChunk {
 			k1 := min(k0+kChunk, kDim)
+			for k := k0; k < k1; k++ {
+				dense[k-k0] = k * n
+			}
 			for i := lo; i < hi; i += 2 {
 				o0 := out.Data[i*n : i*n+n]
-				c0 := packNonzero(&v0, &off0, a, i*rs, ks, k0, k1, n)
+				x0, f0 := chunkTerms(&v0, &off0, &dense, a, i*rs, ks, k0, k1, n)
 				if i+1 == hi {
-					addTerms(o0, b, v0[:c0], off0[:c0])
+					addTerms(o0, b, x0, f0)
 					break
 				}
 				o1 := out.Data[(i+1)*n : (i+1)*n+n]
-				c1 := packNonzero(&v1, &off1, a, (i+1)*rs, ks, k0, k1, n)
-				if c0 == k1-k0 && c1 == k1-k0 {
-					addPair(o0, o1, b[k0*n:k1*n], v0[:c0], v1[:c1])
+				x1, f1 := chunkTerms(&v1, &off1, &dense, a, (i+1)*rs, ks, k0, k1, n)
+				if len(x0) == k1-k0 && len(x1) == k1-k0 {
+					addPair(o0, o1, b[k0*n:k1*n], x0, x1)
 					continue
 				}
-				addTerms(o0, b, v0[:c0], off0[:c0])
-				addTerms(o1, b, v1[:c1], off1[:c1])
+				addTerms(o0, b, x0, f0)
+				addTerms(o1, b, x1, f1)
 			}
+		}
+		if bias != nil {
+			biasRows(out.Data[lo*n:hi*n], bias, relu)
 		}
 	})
 }
@@ -230,18 +244,93 @@ func nonzero(x float32) int {
 	return int((math.Float32bits(x)&0x7fffffff + 0x7fffffff) >> 31)
 }
 
-// packNonzero writes the nonzero multipliers a[base+k*ks], k in [k0, k1), to
-// v in ascending k, with k*n — the offset of the b row each one scales — at
-// the same index of off, and returns how many there are.
-func packNonzero(v *[kChunk]float32, off *[kChunk]int, a []float32, base, ks, k0, k1, n int) int {
+// chunkTerms returns the nonzero multipliers A(i, k), k in [k0, k1), of
+// the output row whose first multiplier is a[base], in ascending k, and the
+// offsets k*n of the b rows they scale. A row with no zero in the chunk
+// needs no packing: its multipliers are a[base+k0 : base+k1] itself when
+// ks == 1 (found by a scan, not a copy), or the gathered column when not,
+// and its offsets are dense, the chunk's k*n in order. A row with a zero
+// is packed into v and off.
+func chunkTerms(v *[kChunk]float32, off, dense *[kChunk]int, a []float32, base, ks, k0, k1, n int) ([]float32, []int) {
+	kc := k1 - k0
+	if ks == 1 {
+		row := a[base+k0 : base+k1]
+		if !hasZero(row) {
+			return row, dense[:kc]
+		}
+		c := packNonzero(v, off, row, k0, n)
+		return v[:c], off[:c]
+	}
+	all := 1
+	for t := range kc {
+		x := a[base+(k0+t)*ks]
+		v[t] = x
+		all &= nonzero(x)
+	}
+	if all == 1 {
+		return v[:kc], dense[:kc]
+	}
+	c := packNonzero(v, off, v[:kc], k0, n)
+	return v[:c], off[:c]
+}
+
+// packNonzero writes the nonzero values of x, the multipliers of k in
+// [k0, k0+len(x)), to v in ascending k, with k*n — the offset of the b row
+// each one scales — at the same index of off, and returns how many there
+// are. x may be v itself: the write index never passes the read index.
+func packNonzero(v *[kChunk]float32, off *[kChunk]int, x []float32, k0, n int) int {
 	c := 0
-	for k := k0; k < k1; k++ {
-		x := a[base+k*ks]
-		v[c] = x
-		off[c] = k * n
-		c += nonzero(x)
+	for t, y := range x {
+		v[c] = y
+		off[c] = (k0 + t) * n
+		c += nonzero(y)
 	}
 	return c
+}
+
+// hasZero reports whether any value of a is ±0; NaN is not zero. With
+// useLanes, zeroLanes scans the first len(a) &^ 7 values.
+func hasZero(a []float32) bool {
+	j := 0
+	if useLanes {
+		if zeroLanes(a) {
+			return true
+		}
+		j = len(a) &^ 7
+	}
+	for _, x := range a[j:] {
+		if nonzero(x) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// biasRows is gemm's epilogue on o, whole rows len(bias) wide: every value
+// becomes o + bias[j] and, with relu, +0 unless that sum is greater than 0.
+// With useLanes, biasLanes runs the first len(bias) &^ 7 columns of every
+// row and the Go loop the rest.
+func biasRows(o, bias []float32, relu bool) {
+	n := len(bias)
+	j := 0
+	if useLanes {
+		j = n &^ 7
+		biasLanes(o, bias[:j], n, relu)
+	}
+	if j == n {
+		return
+	}
+	bt := bias[j:]
+	for i := 0; i < len(o); i += n {
+		row := o[i+j : i+n]
+		for q, x := range bt {
+			y := row[q] + x
+			if relu && !(y > 0) {
+				y = 0
+			}
+			row[q] = y
+		}
+	}
 }
 
 // addTerms adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
