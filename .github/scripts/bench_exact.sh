@@ -3,7 +3,7 @@
 # loss and peak_device_bytes are pure functions of the seed
 # (benchmark/aa.go's repeatsExactly), so head must reproduce base's values
 # to the last digit. That includes the serving ledger peak: it is the
-# model's parameters (no embedding cache is built by default), whatever the
+# model's parameters (serving charges nothing else), whatever the
 # request trace and however two concurrent clients happened to be batched.
 # The serving workloads also carry the in-run check "served scores equal
 # solo inference bitwise" (correct). No timing is compared: timing verdicts

@@ -1,9 +1,10 @@
 package betty_test
 
 // Block-byte pins: every array of the blocks the two samplers draw, of the
-// micro-batches SliceBatch cuts, and of the sub-block a partial embedding-
-// cache hit computes on, hashed against constants. A refactor of the
-// sampling loop or the slicer must leave every byte where it was.
+// micro-batches SliceBatch cuts, and of the micro-batches and input rows a
+// planned forward hands the model, hashed against constants. A refactor of
+// the sampling loop, the slicer or the planned forward must leave every
+// byte where it was.
 
 import (
 	"encoding/binary"
@@ -12,10 +13,12 @@ import (
 	"math"
 	"testing"
 
-	"betty/internal/device"
-	"betty/internal/embcache"
+	"betty/internal/core"
+	"betty/internal/dataset"
 	"betty/internal/graph"
+	"betty/internal/memory"
 	"betty/internal/nn"
+	"betty/internal/reg"
 	"betty/internal/rng"
 	"betty/internal/sample"
 	"betty/internal/tensor"
@@ -86,24 +89,25 @@ func hashBlock(h hash.Hash64, b *graph.Block) {
 	hashInts(h, bits)
 }
 
-// recLayer records the blocks and inputs it is applied to and returns
-// zeros, so a forward through it exposes exactly what the caller built.
-type recLayer struct {
-	blocks []*graph.Block
-	inputs []*tensor.Tensor
+// recModel records the blocks and input values of every forward it runs
+// and returns zeros, so a forward through it exposes exactly what the
+// caller built.
+type recModel struct {
+	blocks [][]*graph.Block
+	inputs [][]float32
 }
 
-func (l *recLayer) Params() []*tensor.Var { return nil }
+func (m *recModel) Params() []*tensor.Var { return nil }
 
-func (l *recLayer) Forward(_ *tensor.Tape, b *graph.Block, h *tensor.Var, _ bool) *tensor.Var {
-	l.blocks = append(l.blocks, b)
-	l.inputs = append(l.inputs, h.Value)
-	return tensor.Leaf(tensor.New(b.NumDst, 1))
+func (m *recModel) Config() nn.Config {
+	return nn.Config{InDim: 1, Hidden: 4, OutDim: 1, Layers: 2, Aggregator: nn.Mean}
 }
 
-type recModel struct{ layers []nn.BlockLayer }
-
-func (m recModel) BlockLayers() []nn.BlockLayer { return m.layers }
+func (m *recModel) Forward(_ *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
+	m.blocks = append(m.blocks, blocks)
+	m.inputs = append(m.inputs, append([]float32(nil), x.Value.Data...)) // x is the tape's, reused after
+	return tensor.Leaf(tensor.New(blocks[len(blocks)-1].NumDst, 1))
+}
 
 func TestBlockBytesPinned(t *testing.T) {
 	seeds := []int32{3, 41, 42, 120, 121, 250, 333, 398, 17, 74}
@@ -158,54 +162,53 @@ func TestBlockBytesPinned(t *testing.T) {
 		}
 		hashAll("SliceBatch", micro)
 
-		// Partial hit: warm a reuse cache with one frontier, then forward an
-		// overlapping one; layer 1 is applied to the sub-block of the missed
-		// destinations, and its input rows reveal the source selection.
-		c, err := embcache.New(embcache.Config{Mode: embcache.ModeReuse, BudgetBytes: device.MiB})
+		// Planned forward: plan the node-wise batch into two thirds of its
+		// one-piece forward peak, so it splits, and forward it through
+		// recModel over features whose row v holds v; each micro-batch's
+		// input values are then its gathered node ids.
+		spec := memory.Spec{Model: (&recModel{}).Config(), ParamsGNN: 8}
+		pl := &memory.Planner{Capacity: 1 << 40, Partitioner: reg.BettyBatch{Seed: 3}, Spec: spec, Peak: memory.Breakdown.ForwardPeak}
+		whole, err := pl.Plan(nwBlocks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l1 := &recLayer{}
-		model := recModel{layers: []nn.BlockLayer{l1, &recLayer{}}}
-		for _, s := range [][]int32{seeds[:6], {3, 41, 200, 201, 399}} {
-			blocks, err := nw.Sample(g, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := tensor.New(blocks[0].NumSrc, 1)
-			for i := range x.Data {
-				x.Data[i] = float32(i)
-			}
-			if _, err := embcache.Forward(tensor.NewTape(), model, blocks, tensor.Leaf(x), c); err != nil {
-				t.Fatal(err)
-			}
-			if len(l1.blocks) == 2 && l1.blocks[1].NumDst >= blocks[0].NumDst {
-				t.Fatalf("second forward computed %d of %d rows: not a partial hit", l1.blocks[1].NumDst, blocks[0].NumDst)
-			}
+		pl.Capacity = whole.MaxPeak * 2 / 3
+		feats := tensor.New(int(g.NumNodes()), 1)
+		for v := range feats.Data {
+			feats.Data[v] = float32(v)
 		}
-		if len(l1.blocks) != 2 {
-			t.Fatalf("layer 1 applied %d times over two forwards, want 2", len(l1.blocks))
-		}
-		sub := l1.blocks[1]
+		rec := &recModel{}
 		h := fnv.New64a()
-		hashBlock(h, sub)
-		sel := make([]int32, len(l1.inputs[1].Data))
-		for i, v := range l1.inputs[1].Data {
-			sel[i] = int32(v)
+		plan, err := core.PlannedForward(pl, nwBlocks, rec, dataset.AsSource(feats), &dataset.Stage{}, nil, 0,
+			func(pos int, _ []float32) { hashInts(h, []int32{int32(pos)}) })
+		if err != nil {
+			t.Fatal(err)
 		}
-		hashInts(h, sel)
-		got = append(got, pin{"PartialHit/" + tag, h.Sum64()})
+		if plan.K < 2 || len(rec.blocks) != plan.K {
+			t.Fatalf("planned forward ran %d micro-batches for K = %d, want K >= 2", len(rec.blocks), plan.K)
+		}
+		for i, micro := range rec.blocks {
+			for _, b := range micro {
+				hashBlock(h, b)
+			}
+			ids := make([]int32, len(rec.inputs[i]))
+			for j, v := range rec.inputs[i] {
+				ids[j] = int32(v)
+			}
+			hashInts(h, ids)
+		}
+		got = append(got, pin{"Planned/" + tag, h.Sum64()})
 	}
 
 	want := []pin{
 		{"Sampler/unweighted", 0xfdefe10977a1c108},
 		{"NodeWise/unweighted", 0x904725af295d929d},
 		{"SliceBatch/unweighted", 0x186bd122625b032f},
-		{"PartialHit/unweighted", 0x82bdf5e60eadc71b},
+		{"Planned/unweighted", 0xb78cac266dfeaf6d},
 		{"Sampler/weighted", 0xac8ad217eafe2988},
 		{"NodeWise/weighted", 0xd30620967f05dadd},
 		{"SliceBatch/weighted", 0xff002ad13c9e2568},
-		{"PartialHit/weighted", 0x2da9ee8b5930cea4},
+		{"Planned/weighted", 0x030baa90ae54cbd4},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("hashed %d cases, want %d", len(got), len(want))

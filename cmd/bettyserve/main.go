@@ -8,13 +8,12 @@
 //
 //	bettyserve -dataset ogbn-arxiv -scale 0.2 -epochs 3
 //	bettyserve -dataset cora -checkpoint model.ckpt -addr 127.0.0.1:8747
-//	bettyserve -dataset cora -capacity 64 -max-batch 128 -embcache reuse
+//	bettyserve -dataset cora -capacity 64 -max-batch 128
 //
 //	curl -s localhost:8747/v1/predict -d '{"nodes":[3,8,120]}'
 //	curl -s localhost:8747/metricsz
 //
-// Serving policy (batching, admission, deadlines, budget, embedding cache)
-// is set by flags whose defaults are serve.Defaults(). A malformed value
+// Serving policy (batching, admission, deadlines, budget) is set by flags whose defaults are serve.Defaults(). A malformed value
 // fails at startup rather than silently serving under a different policy.
 package main
 
@@ -34,7 +33,6 @@ import (
 	"betty/internal/checkpoint"
 	"betty/internal/core"
 	"betty/internal/dataset"
-	"betty/internal/embcache"
 	"betty/internal/knobs"
 	"betty/internal/obs"
 	"betty/internal/serve"
@@ -64,7 +62,6 @@ type serveConfig struct {
 	timeout         time.Duration
 	maxRequestNodes int
 	capacityMiB     int64
-	embcache        string
 
 	// storePath serves out-of-core from a packed store (bettytrain -pack)
 	// instead of loading the dataset into RAM; storeBudgetMiB bounds the
@@ -106,7 +103,6 @@ func flags(cfg *serveConfig) *flag.FlagSet {
 	fs.DurationVar(&cfg.timeout, "timeout", d.DefaultTimeout, "deadline of a request that sets none (0 = none)")
 	fs.IntVar(&cfg.maxRequestNodes, "max-request-nodes", d.MaxRequestNodes, "seed nodes allowed in one request")
 	fs.Int64Var(&cfg.capacityMiB, "capacity", d.CapacityBytes>>20, "device budget the planner enforces per micro-batch, in MiB")
-	fs.StringVar(&cfg.embcache, "embcache", d.EmbMode.String(), "historical-embedding cache: off or reuse")
 	return fs
 }
 
@@ -198,8 +194,8 @@ func run(cfg serveConfig) error {
 		srv.Close()
 		return err
 	}
-	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d, embcache %v)\n",
-		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch, scfg.EmbMode)
+	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d)\n",
+		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch)
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr().String()
 	}
@@ -229,10 +225,6 @@ func (cfg serveConfig) policy(fanouts []int) (serve.Config, error) {
 	if err != nil {
 		return serve.Config{}, err
 	}
-	mode, err := embcache.ParseMode(cfg.embcache)
-	if err != nil {
-		return serve.Config{}, err
-	}
 	scfg := serve.Defaults()
 	scfg.Fanouts = fanouts
 	scfg.Seed = cfg.seed
@@ -241,7 +233,6 @@ func (cfg serveConfig) policy(fanouts []int) (serve.Config, error) {
 	scfg.DefaultTimeout = cfg.timeout
 	scfg.MaxRequestNodes = cfg.maxRequestNodes
 	scfg.CapacityBytes = capacity
-	scfg.EmbMode = mode
 	return scfg, scfg.Validate()
 }
 

@@ -18,7 +18,6 @@ import (
 	"betty/internal/checkpoint"
 	"betty/internal/core"
 	"betty/internal/dataset"
-	"betty/internal/embcache"
 	"betty/internal/serve"
 )
 
@@ -35,10 +34,9 @@ func parseArgs(args ...string) (serveConfig, error) {
 // baseArgs is the e2e server shape shared by the tests: a small cora model
 // on a random port, no warm-up training (weights are deterministic in the
 // seed, so an in-process Build with the same settings is bitwise the served
-// model), and -embcache reuse, so every serving e2e that compares against
-// in-process inference also checks that cached rows change no bit.
+// model).
 var baseArgs = []string{"-addr", "127.0.0.1:0", "-dataset", "cora", "-scale", "0.5", "-hidden", "16",
-	"-fanouts", "4,6", "-epochs", "0", "-seed", "5", "-embcache", "reuse"}
+	"-fanouts", "4,6", "-epochs", "0", "-seed", "5"}
 
 func baseConfig() serveConfig {
 	cfg, err := parseArgs(baseArgs...)
@@ -442,7 +440,7 @@ func TestE2ECheckpointRoundTrip(t *testing.T) {
 func TestFlagsReachServeConfig(t *testing.T) {
 	fanouts := []int{4, 6}
 	cfg, err := parseArgs("-seed", "5", "-max-batch", "32", "-queue-depth", "7", "-timeout", "250ms",
-		"-max-request-nodes", "9", "-capacity", "64", "-embcache", "reuse")
+		"-max-request-nodes", "9", "-capacity", "64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +451,7 @@ func TestFlagsReachServeConfig(t *testing.T) {
 	want := serve.Defaults()
 	want.Fanouts, want.Seed = fanouts, 5
 	want.MaxBatch, want.QueueDepth, want.DefaultTimeout = 32, 7, 250*time.Millisecond
-	want.MaxRequestNodes, want.CapacityBytes, want.EmbMode = 9, 64<<20, embcache.ModeReuse
+	want.MaxRequestNodes, want.CapacityBytes = 9, 64<<20
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flags gave %+v, want %+v", got, want)
 	}
@@ -473,8 +471,9 @@ func TestFlagsReachServeConfig(t *testing.T) {
 }
 
 // A malformed or out-of-range flag aborts startup before any dataset is
-// loaded, with an error naming the flag (flag parsing, knobs.MiBBytes,
-// embcache.ParseMode) or the serve.Config field it sets (Validate).
+// loaded, with an error naming the flag (flag parsing, knobs.MiBBytes) or
+// the serve.Config field it sets (Validate). The deleted -embcache flag is
+// refused by name, whatever its value.
 func TestBadFlagsFailLoudly(t *testing.T) {
 	for _, c := range []struct{ flag, value, want string }{
 		{"-max-batch", "zero", "-max-batch"},
@@ -488,7 +487,7 @@ func TestBadFlagsFailLoudly(t *testing.T) {
 		{"-capacity", "0", "-capacity"},
 		{"-capacity", "-5", "-capacity"},
 		{"-capacity", "17592186044417", "-capacity"}, // 2^44+1 MiB: << 20 would wrap to 1 MiB
-		{"-embcache", "fast", "-embcache"},
+		{"-embcache", "reuse", "-embcache"},
 		{"-store-budget", "0", "-store-budget"},
 		{"-store-budget", "17592186044417", "-store-budget"},
 		{"-epochs", "-1", "-epochs"},

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -140,6 +142,112 @@ func TestEstimationExperimentsSmoke(t *testing.T) {
 				k, rb[r], rm[r], rr[r], rx[r])
 		}
 	}
+
+	// abl-planner: the planned micro-batches fit the capacity, the planner
+	// picks no more of them than any fixed K that fits, and it refuses a
+	// capacity (-) only when no fixed K fits either.
+	abl := first["abl-planner"]
+	col := func(name string) int {
+		c := slices.Index(abl.Columns, name)
+		if c < 0 {
+			t.Fatalf("abl-planner: no column %q in %v", name, abl.Columns)
+		}
+		return c
+	}
+	capCol, kCol, peakCol := col("capacity/MiB"), col("planner K"), col("max micro peak/MiB")
+	fixed := []struct {
+		k   int
+		col int
+	}{{4, col("fixed K=4 fits")}, {16, col("fixed K=16 fits")}}
+	planned := 0
+	for _, row := range abl.Rows {
+		if row[kCol] == "-" {
+			for _, f := range fixed {
+				if row[f.col] != "no" {
+					t.Errorf("abl-planner capacity %s MiB: planner refused, fixed K=%d fits %q", row[capCol], f.k, row[f.col])
+				}
+			}
+			continue
+		}
+		planned++
+		k, err := strconv.Atoi(row[kCol])
+		if err != nil {
+			t.Fatalf("abl-planner planner K %q: %v", row[kCol], err)
+		}
+		capacity, err1 := strconv.ParseFloat(row[capCol], 64)
+		peak, err2 := strconv.ParseFloat(row[peakCol], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("abl-planner row %v: %v %v", row, err1, err2)
+		}
+		if peak > capacity {
+			t.Errorf("abl-planner capacity %s MiB: planned max micro peak %s MiB exceeds it", row[capCol], row[peakCol])
+		}
+		for _, f := range fixed {
+			if row[f.col] == "yes" && k > f.k {
+				t.Errorf("abl-planner capacity %s MiB: planner K=%d, but fixed K=%d fits", row[capCol], k, f.k)
+			}
+		}
+	}
+	if planned == 0 {
+		t.Error("abl-planner planned no row")
+	}
+}
+
+// Table 5 takes seconds to train even at smoke scale, so its shape is
+// asserted on the committed golden, results_smoke.txt, which CI
+// regenerates and diffs byte for byte: micro-batch training is full-batch
+// training regrouped, so every SAGE row's Betty accuracy equals its full
+// batch accuracy. GAT's accumulated gradients agree with the full batch's
+// only to float32 rounding (ogbn-arxiv 42.86 vs 43.57 in the golden), so
+// its rows are not asserted.
+func TestTab5Shape(t *testing.T) {
+	golden, err := os.ReadFile("../../results_smoke.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab5 := renderedTable(t, string(golden), "tab5")
+	model, full, betty := slices.Index(tab5.Columns, "model"), slices.Index(tab5.Columns, "full-batch acc"), slices.Index(tab5.Columns, "betty acc")
+	if model < 0 || full < 0 || betty < 0 {
+		t.Fatalf("tab5 columns %v", tab5.Columns)
+	}
+	sage := 0
+	for _, row := range tab5.Rows {
+		if row[model] != "sage" {
+			continue
+		}
+		sage++
+		if row[betty] != row[full] {
+			t.Errorf("tab5 %s sage: betty accuracy %s, full batch %s", row[0], row[betty], row[full])
+		}
+	}
+	if sage == 0 {
+		t.Fatal("tab5 has no sage row")
+	}
+}
+
+// renderedTable parses the table id out of Render's text: the line after
+// its "== id:" title holds the columns, then a rule, then one row per line
+// up to the first blank line. Cells are separated by two or more spaces.
+func renderedTable(t *testing.T, text, id string) *Table {
+	t.Helper()
+	_, after, ok := strings.Cut(text, "\n== "+id+": ")
+	if !ok {
+		t.Fatalf("no table %s", id)
+	}
+	lines := strings.Split(after, "\n")
+	sep := regexp.MustCompile(`\s{2,}`)
+	tb := &Table{ID: id, Columns: sep.Split(lines[1], -1)}
+	for _, line := range lines[3:] {
+		if line == "" {
+			break
+		}
+		row := sep.Split(line, -1)
+		if len(row) != len(tb.Columns) {
+			t.Fatalf("%s row %q: %d cells for %d columns", id, line, len(row), len(tb.Columns))
+		}
+		tb.Rows = append(tb.Rows, row)
+	}
+	return tb
 }
 
 // abl-reg prints no wall-clock column, so two runs render byte for byte

@@ -452,7 +452,7 @@ func (e *Engine) evaluate(seeds []int32) (float64, error) {
 			return 0, fmt.Errorf("core: sampling: %w", err)
 		}
 		dst := blocks[len(blocks)-1].DstNID
-		plan, err := PlannedForward(pl, blocks, r.Model, r.Data.FeatureSource(), &e.stage, r.Dev, nil, 0,
+		plan, err := PlannedForward(pl, blocks, r.Model, r.Data.FeatureSource(), &e.stage, r.Dev, 0,
 			func(pos int, row []float32) {
 				if y := r.Data.Labels[dst[pos]]; y >= 0 {
 					labeled++

@@ -6,27 +6,11 @@ import (
 	"testing"
 
 	"betty/internal/device"
-	"betty/internal/graph"
 	"betty/internal/memory"
 	"betty/internal/nn"
 	"betty/internal/obs"
 	"betty/internal/parallel"
-	"betty/internal/tensor"
 )
-
-// BlockLayers lets PlannedForward run constModel layer by layer: every
-// layer emits the constant class-0 rows.
-func (m constModel) BlockLayers() []nn.BlockLayer {
-	return []nn.BlockLayer{constLayer(m), constLayer(m)}
-}
-
-type constLayer constModel
-
-func (l constLayer) Params() []*tensor.Var { return nil }
-
-func (l constLayer) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var {
-	return constModel(l).Forward(tp, []*graph.Block{b}, h)
-}
 
 // evalSpan returns the fields of the last eval span r recorded.
 func evalSpan(t *testing.T, r *obs.Registry) map[string]int64 {

@@ -5,37 +5,36 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/graph"
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/tensor"
+	"betty/internal/train"
 )
 
 // BatchInference runs one forward pass of model over an input-first block
 // list and returns the logits for the last block's destinations as a fresh
 // tensor (one row per destination, in DstNID order). No gradients are
-// recorded and all intermediates are recycled before returning.
+// recorded and all intermediates are recycled before returning. model must
+// be a train.Model with one layer per block.
 //
-// Every path applies the same per-layer step, nn.BlockLayer.Forward with
-// relu set on all but the last layer: training (train.Runner.RunMicroBatch)
-// through the model's Forward (nn.Stack), and serving and evaluation
-// (PlannedForward) and this function through embcache.Forward — the op
-// sequence is identical, so predictions are bitwise equal across the paths.
+// Training (train.Runner.RunMicroBatch), evaluation and serving
+// (PlannedForward) and this function all call the model's own Forward, one
+// loop over its layers, so predictions are bitwise equal across the paths.
 func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	m, ok := model.(train.Model)
+	if !ok {
+		return nil, fmt.Errorf("core: %T has no forward", model)
+	}
+	if len(blocks) != m.Config().Layers {
+		return nil, fmt.Errorf("core: %d blocks for %d layers", len(blocks), m.Config().Layers)
 	}
 	if feats.Rows() != blocks[0].NumSrc {
 		return nil, fmt.Errorf("core: feature rows %d != %d input nodes", feats.Rows(), blocks[0].NumSrc)
 	}
 	tp := tensor.NewTape()
 	defer tp.Release() // logits are cloned out below; recycle the arena
-	h, err := embcache.Forward(tp, model, blocks, tensor.Leaf(feats), nil)
-	if err != nil {
-		return nil, err
-	}
-	return h.Value.Clone(), nil
+	return m.Forward(tp, blocks, tensor.Leaf(feats)).Value.Clone(), nil
 }
 
 // PlannedForward is the one forward-only path: serving's batches and
@@ -43,7 +42,7 @@ func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*te
 // Peak must be memory.Breakdown.ForwardPeak; stages the plan's input
 // frontier from src into stage (a no-op over a resident source); then, in
 // plan order, gathers each micro-batch's input rows, forwards it through
-// the embedding cache ec (nil for none) and hands every output row to emit
+// the model and hands every output row to emit
 // with its position among the last block's destinations. A row is valid
 // only during its emit call. It returns the plan.
 //
@@ -58,8 +57,8 @@ func BatchInference(model any, blocks []*graph.Block, feats *tensor.Tensor) (*te
 //
 // The h2d and forward spans go to pl.Obs, tagged with batch. Pooled
 // buffers and ledger charges are returned on every exit, panics included.
-func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model any, src dataset.FeatureSource,
-	stage *dataset.Stage, dev *device.Device, ec *embcache.Cache, batch int64, emit func(pos int, row []float32)) (*memory.Plan, error) {
+func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model train.Model, src dataset.FeatureSource,
+	stage *dataset.Stage, dev *device.Device, batch int64, emit func(pos int, row []float32)) (*memory.Plan, error) {
 	plan, err := pl.Plan(blocks)
 	if err != nil {
 		return nil, fmt.Errorf("core: planning: %w", err)
@@ -71,7 +70,7 @@ func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model any, src da
 	tp := tensor.NewTape()
 	defer tp.Release()
 	for gi, micro := range plan.Micro {
-		if err := forwardMicro(tp, pl.Obs, batch, model, micro, src, dev, ec, plan.Groups[gi], emit); err != nil {
+		if err := forwardMicro(tp, pl.Obs, batch, model, micro, src, dev, plan.Groups[gi], emit); err != nil {
 			return nil, err
 		}
 	}
@@ -82,8 +81,8 @@ func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model any, src da
 // and emits its rows; group holds the destination positions its rows
 // score, in its destination order. It rewinds tp and frees its charges
 // before returning.
-func forwardMicro(tp *tensor.Tape, reg *obs.Registry, batch int64, model any, micro []*graph.Block,
-	src dataset.FeatureSource, dev *device.Device, ec *embcache.Cache, group []int32, emit func(int, []float32)) error {
+func forwardMicro(tp *tensor.Tape, reg *obs.Registry, batch int64, model train.Model, micro []*graph.Block,
+	src dataset.FeatureSource, dev *device.Device, group []int32, emit func(int, []float32)) error {
 	defer tp.Release()
 	nids := micro[0].SrcNID
 	sp := reg.StartSpan(obs.PhaseH2D).SetInt("batch", batch).SetInt("rows", int64(len(nids)))
@@ -105,11 +104,8 @@ func forwardMicro(tp *tensor.Tape, reg *obs.Registry, batch int64, model any, mi
 		SetInt("batch", batch).
 		SetInt("outputs", int64(len(group))).
 		SetInt("inputs", int64(micro[0].NumSrc))
-	h, err := embcache.Forward(tp, model, micro, tensor.Leaf(x), ec)
+	h := model.Forward(tp, micro, tensor.Leaf(x))
 	fsp.End()
-	if err != nil {
-		return fmt.Errorf("core: forward: %w", err)
-	}
 	if dev != nil {
 		c := memory.BatchCharges(micro, src.Dim(), tp.ValueBytes())
 		if live, err = memory.Alloc(dev, live, c[3]); err != nil {

@@ -8,11 +8,9 @@ import (
 	"betty/internal/tensor"
 )
 
-// The three ways a batch is forwarded — the model's own Forward (training,
-// evaluation), BatchInference (serving), and a hand-written chain of
-// per-layer Forward calls over nn.LayerStack (what the embedding cache's
-// partial-skip path does) — must produce the same bits, for every
-// architecture and aggregator.
+// BatchInference, the one-shot forward-only entry, produces the bits of
+// the model's own Forward on a fresh tape, for every architecture and
+// aggregator.
 func TestBatchInferenceMatchesModelForward(t *testing.T) {
 	d := testData(t)
 	sage := func(agg nn.Aggregator) func() (*Setup, error) {
@@ -54,22 +52,12 @@ func TestBatchInferenceMatchesModelForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			layers, err := nn.LayerStack(s.Model)
-			if err != nil {
-				t.Fatal(err)
+			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+				t.Fatalf("shape %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
 			}
-			h1 := layers[0].Forward(tp, blocks[0], tensor.Leaf(x), true)
-			chain := layers[1].Forward(tp, blocks[1], h1, false).Value
-
-			for i, out := range []*tensor.Tensor{got, chain} {
-				path := []string{"BatchInference", "per-layer chain"}[i]
-				if out.Rows() != want.Rows() || out.Cols() != want.Cols() {
-					t.Fatalf("%s: shape %dx%d, want %dx%d", path, out.Rows(), out.Cols(), want.Rows(), want.Cols())
-				}
-				for i := range out.Data {
-					if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("%s: logit %d differs: %v vs %v", path, i, out.Data[i], want.Data[i])
-					}
+			for i := range got.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("logit %d differs: %v vs %v", i, got.Data[i], want.Data[i])
 				}
 			}
 		})

@@ -5,9 +5,9 @@ import "fmt"
 // LRU is a least-recently-used cache whose resident bytes are charged to a
 // Device ledger: every entry owns one Buffer, eviction frees it, so the
 // ledger's Used is the cache's residency and its capacity the budget — and
-// several caches built over one ledger share that budget. It is the one
-// eviction mechanism under the out-of-core shard cache and the embedding
-// cache; each owner keeps only its own policy (locking, verify) on top.
+// several caches built over one ledger share that budget. It is the
+// eviction mechanism under the out-of-core shard cache, which keeps only
+// its own policy (locking, pin waits) on top.
 //
 // An entry can be held: it stays resident and charged but leaves the
 // eviction order until every Hold is matched by a Release — the shard
@@ -15,8 +15,7 @@ import "fmt"
 // lock it themselves.
 type LRU[K comparable, V any] struct {
 	// OnEvict, when set, observes every entry dropped to make room
-	// (Reserve, EvictOldest) — not Flush, which the owner asked for by
-	// name.
+	// (Reserve, EvictOldest).
 	OnEvict func(K, V)
 
 	ledger  *Device
@@ -25,9 +24,8 @@ type LRU[K comparable, V any] struct {
 	// root is the sentinel of the eviction ring over unheld entries:
 	// root.next is the most recently used, root.prev the next to go. The
 	// ring is intrusive, so an entry costs one allocation.
-	root  lruEntry[K, V]
-	held  int
-	bytes int64
+	root lruEntry[K, V]
+	held int
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -44,20 +42,6 @@ func NewLRU[K comparable, V any](ledger *Device, label string) *LRU[K, V] {
 	c := &LRU[K, V]{ledger: ledger, label: label, entries: make(map[K]*lruEntry[K, V])}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
-}
-
-// Get returns the value cached under k and marks it most recently used.
-func (c *LRU[K, V]) Get(k K) (V, bool) {
-	e, ok := c.entries[k]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	if e.holds == 0 {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e.val, true
 }
 
 // Reserve charges n bytes to the ledger, evicting least recently used
@@ -85,7 +69,6 @@ func (c *LRU[K, V]) Insert(k K, v V, buf *Buffer) {
 	e := &lruEntry[K, V]{key: k, val: v, buf: buf}
 	c.entries[k] = e
 	c.pushFront(e)
-	c.bytes += buf.Bytes()
 }
 
 // Hold returns the value cached under k and takes it out of the eviction
@@ -135,25 +118,11 @@ func (c *LRU[K, V]) EvictOldest() bool {
 	return true
 }
 
-// Flush drops every entry, held ones included, returning all of the
-// cache's bytes to the ledger.
-func (c *LRU[K, V]) Flush() {
-	for _, e := range c.entries {
-		c.ledger.Free(e.buf)
-	}
-	clear(c.entries)
-	c.root.prev, c.root.next = &c.root, &c.root
-	c.held, c.bytes = 0, 0
-}
-
 // Len returns the resident entry count, held entries included.
 func (c *LRU[K, V]) Len() int { return len(c.entries) }
 
 // Held returns how many resident entries are currently held.
 func (c *LRU[K, V]) Held() int { return c.held }
-
-// Bytes returns the ledger-charged (rounded) bytes of all resident entries.
-func (c *LRU[K, V]) Bytes() int64 { return c.bytes }
 
 func (c *LRU[K, V]) drop(e *lruEntry[K, V]) {
 	if e.holds == 0 {
@@ -163,7 +132,6 @@ func (c *LRU[K, V]) drop(e *lruEntry[K, V]) {
 	}
 	delete(c.entries, e.key)
 	c.ledger.Free(e.buf)
-	c.bytes -= e.buf.Bytes()
 }
 
 func (c *LRU[K, V]) pushFront(e *lruEntry[K, V]) {

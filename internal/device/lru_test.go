@@ -39,12 +39,10 @@ func TestLRUEvictionOrderAndTouch(t *testing.T) {
 			t.Fatalf("put %d refused with room left", k)
 		}
 	}
-	if v, ok := c.Get(1); !ok || v != 10 { // 1 becomes most recent
-		t.Fatalf("Get(1) = %d, %v", v, ok)
+	if v, ok := c.Hold(1); !ok || v != 10 {
+		t.Fatalf("Hold(1) = %d, %v", v, ok)
 	}
-	if _, ok := c.Get(9); ok {
-		t.Fatal("hit on a key never inserted")
-	}
+	c.Release(1) // 1 becomes most recent
 	put(c, 4, 1) // evicts 2, the oldest untouched
 	put(c, 5, 1) // evicts 3
 	if !slices.Equal(evicted, []int{2, 3}) {
@@ -53,8 +51,8 @@ func TestLRUEvictionOrderAndTouch(t *testing.T) {
 	if got := evictionOrder(c); !slices.Equal(got, []int{1, 4, 5}) {
 		t.Fatalf("eviction order %v, want [1 4 5]", got)
 	}
-	if c.Len() != 3 || c.Bytes() != 3*AllocGranularity || d.Used() != c.Bytes() {
-		t.Fatalf("len %d bytes %d ledger %d", c.Len(), c.Bytes(), d.Used())
+	if c.Len() != 3 || d.Used() != 3*AllocGranularity {
+		t.Fatalf("len %d ledger %d", c.Len(), d.Used())
 	}
 	// One allocation larger than everything resident evicts it all.
 	if !put(c, 6, 3*AllocGranularity) || c.Len() != 1 {
@@ -85,7 +83,7 @@ func TestLRUHeldSurvivesPressure(t *testing.T) {
 			t.Fatalf("put %d refused with an evictable entry resident", k)
 		}
 	}
-	if _, ok := c.Get(1); !ok || c.Held() != 1 || c.Len() != 2 {
+	if _, ok := c.entries[1]; !ok || c.Held() != 1 || c.Len() != 2 {
 		t.Fatalf("held entry lost: held %d len %d", c.Held(), c.Len())
 	}
 	c.Hold(19)
@@ -107,7 +105,7 @@ func TestLRUHeldSurvivesPressure(t *testing.T) {
 	if !put(c, 20, 1) { // evicts 1, now the only unheld entry
 		t.Fatal("put refused after Release")
 	}
-	if _, ok := c.Get(1); ok {
+	if _, ok := c.entries[1]; ok {
 		t.Fatal("released entry was not evictable")
 	}
 	if d.Peak() > d.Capacity() {
@@ -171,7 +169,9 @@ func (m *lruModel) put(k int, n int64) bool {
 
 // A seeded random walk over every operation, checked step by step against
 // the model: same hits, same eviction order, same ledger bytes — and the
-// ledger back at zero after Flush wherever the walk happens to stand.
+// ledger back at zero once the holds are released and everything evicted.
+// A touch is a Hold and its Release, which re-enters the entry as the most
+// recently used.
 func TestLRURandomizedAgainstModel(t *testing.T) {
 	const keys, steps = 24, 20000
 	d := New(16*AllocGranularity, CostModel{})
@@ -185,8 +185,10 @@ func TestLRURandomizedAgainstModel(t *testing.T) {
 		_, resident := m.size[k]
 		switch op := r.Intn(100); {
 		case op < 30:
-			if _, ok := c.Get(k); ok != resident {
-				t.Fatalf("step %d: Get(%d) hit=%v, model %v", step, k, ok, resident)
+			if _, ok := c.Hold(k); ok != resident {
+				t.Fatalf("step %d: touching Hold(%d) hit=%v, model %v", step, k, ok, resident)
+			} else if ok {
+				c.Release(k)
 			}
 			m.touch(k)
 		case op < 60:
@@ -220,7 +222,7 @@ func TestLRURandomizedAgainstModel(t *testing.T) {
 			if got := c.Release(k); got != last {
 				t.Fatalf("step %d: Release(%d) = %v, model %v", step, k, got, last)
 			}
-		case op < 99:
+		default:
 			want := len(m.order) > 0
 			if want {
 				m.drop(m.order[0])
@@ -229,29 +231,27 @@ func TestLRURandomizedAgainstModel(t *testing.T) {
 			if got := c.EvictOldest(); got != want {
 				t.Fatalf("step %d: EvictOldest = %v, model %v", step, got, want)
 			}
-		default:
-			c.Flush()
-			if d.Used() != 0 {
-				t.Fatalf("step %d: ledger holds %d bytes after Flush", step, d.Used())
-			}
-			m.used, m.order = 0, nil
-			clear(m.holds)
-			clear(m.size)
 		}
 		if got := evictionOrder(c); !slices.Equal(got, m.order) {
 			t.Fatalf("step %d: eviction order %v, model %v", step, got, m.order)
 		}
-		if c.Len() != len(m.size) || c.Held() != len(m.holds) || c.Bytes() != m.used ||
+		if c.Len() != len(m.size) || c.Held() != len(m.holds) ||
 			d.Used() != m.used || evictions != m.evictions {
-			t.Fatalf("step %d: len %d/%d held %d/%d bytes %d ledger %d/%d evictions %d/%d", step,
-				c.Len(), len(m.size), c.Held(), len(m.holds), c.Bytes(), d.Used(), m.used, evictions, m.evictions)
+			t.Fatalf("step %d: len %d/%d held %d/%d ledger %d/%d evictions %d/%d", step,
+				c.Len(), len(m.size), c.Held(), len(m.holds), d.Used(), m.used, evictions, m.evictions)
 		}
 	}
 	if d.Peak() > d.Capacity() {
 		t.Fatalf("ledger peak %d above capacity %d", d.Peak(), d.Capacity())
 	}
-	c.Flush()
-	if c.Len() != 0 || c.Held() != 0 || c.Bytes() != 0 || d.Used() != 0 {
-		t.Fatalf("after final Flush: len %d held %d bytes %d ledger %d", c.Len(), c.Held(), c.Bytes(), d.Used())
+	for k, n := range m.holds {
+		for ; n > 0; n-- {
+			c.Release(k)
+		}
+	}
+	for c.EvictOldest() {
+	}
+	if c.Len() != 0 || c.Held() != 0 || d.Used() != 0 {
+		t.Fatalf("after releasing and evicting all: len %d held %d ledger %d", c.Len(), c.Held(), d.Used())
 	}
 }

@@ -64,10 +64,11 @@ func Covered(blocks []*Block) bool {
 	return true
 }
 
-// SliceBlock induces the sub-block of b on the destination selection sel
+// sliceBlock induces the sub-block of b on the destination selection sel
 // (local destination indices of b, in the sub-block's destination order).
 // It returns the sub-block and srcSel, the b-local source index of each
-// sub-block source — the rows to gather from b's input.
+// sub-block source — the rows to gather from b's input. SliceBatch cuts
+// micro-batches with it, one layer at a time.
 //
 // The selected destinations become the sub-block's source prefix (b-local
 // destination d is also b-local source d), so SrcNID[:NumDst] == DstNID
@@ -76,20 +77,11 @@ func Covered(blocks []*Block) bool {
 // recomputed; a nil EID or EdgeWt stays nil, and so do all three edge
 // arrays when the selection keeps no edge.
 //
-// Because every forward kernel computes an output row only from that row's
-// own inputs (the per-row stability invariant, DESIGN.md §11), a layer
-// applied to the sub-block yields rows bitwise equal to the selected rows
-// of the full block. SliceBatch cuts micro-batches with it, one layer at a
-// time; the embedding cache computes a partial hit's missed rows with it.
-func SliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
-	return sliceBlock(b, sel, make([]int32, b.NumSrc))
-}
-
-// sliceBlock is SliceBlock relabeling through local, a b-local source →
-// sub-block source table of at least b.NumSrc entries. The table is never
-// cleared: an entry for s is trusted only when srcSel[local[s]] == s, so a
-// stale one from an earlier block reads as absent. A selection that repeats
-// a destination keeps its last slot, as a map overwrite would.
+// Sources are relabeled through local, a b-local source → sub-block source
+// table of at least b.NumSrc entries. The table is never cleared: an entry
+// for s is trusted only when srcSel[local[s]] == s, so a stale one from an
+// earlier block reads as absent. A selection that repeats a destination
+// keeps its last slot, as a map overwrite would.
 func sliceBlock(b *Block, sel []int32, local []int32) (*Block, []int32, error) {
 	nDst := len(sel)
 	if nDst == 0 {

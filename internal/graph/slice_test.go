@@ -291,7 +291,7 @@ func TestSliceBlock(t *testing.T) {
 		DstNID:   []int32{10, 11, 12},
 		SrcNID:   []int32{10, 11, 12, 20, 21},
 	}
-	sub, srcSel, err := SliceBlock(b, []int32{0, 2})
+	sub, srcSel, err := sliceBlock(b, []int32{0, 2}, make([]int32, b.NumSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestSliceBlock(t *testing.T) {
 	}
 }
 
-// oldSliceBlock is the map-based slicer SliceBlock replaced, kept as the
+// oldSliceBlock is the map-based slicer sliceBlock replaced, kept as the
 // fuzz oracle. Its changes: a nil EID stays nil (the original indexed
 // b.EID unconditionally), and the relabel map has no capacity hint.
 func oldSliceBlock(b *Block, sel []int32) (*Block, []int32, error) {
@@ -444,7 +444,7 @@ func weightBits(w []float32) []uint32 {
 	return bits
 }
 
-// FuzzSliceBlock holds SliceBlock to the old map-based slicer on random
+// FuzzSliceBlock holds sliceBlock to the old map-based slicer on random
 // blocks and selections: every array bitwise equal (nil where the oracle's
 // is nil), and an empty or out-of-range selection an error from both.
 // flags bit 2 draws selections with repeats, bit 3 lets them leave range.
@@ -477,7 +477,7 @@ func FuzzSliceBlock(f *testing.F) {
 			valid = valid && d >= 0 && int(d) < b.NumDst
 		}
 		want, wantSel, wantErr := oldSliceBlock(b, sel)
-		got, gotSel, err := SliceBlock(b, sel)
+		got, gotSel, err := sliceBlock(b, sel, make([]int32, b.NumSrc))
 		if (err == nil) != valid || (wantErr == nil) != valid {
 			t.Fatalf("selection %v on %d destinations: err %v, oracle err %v, valid %v", sel, b.NumDst, err, wantErr, valid)
 		}
@@ -489,7 +489,7 @@ func FuzzSliceBlock(f *testing.F) {
 			!sameSlice(got.SrcLocal, want.SrcLocal) || !sameSlice(got.EID, want.EID) ||
 			!sameSlice(weightBits(got.EdgeWt), weightBits(want.EdgeWt)) ||
 			!sameSlice(got.SrcNID, want.SrcNID) || !sameSlice(got.DstNID, want.DstNID) {
-			t.Fatalf("selection %v: SliceBlock\n%+v %v\ndiffers from the oracle\n%+v %v", sel, got, gotSel, want, wantSel)
+			t.Fatalf("selection %v: sliceBlock\n%+v %v\ndiffers from the oracle\n%+v %v", sel, got, gotSel, want, wantSel)
 		}
 	})
 }

@@ -35,19 +35,19 @@ func TestRepositoryClean(t *testing.T) {
 }
 
 // TestLoadSubset loads two subsets of the module the way `go run
-// ./cmd/bettyvet <pattern>` does. internal/embcache's external test imports
-// core, which imports embcache, so that test type-checks only against go
-// list's "[betty/internal/embcache.test]" variants of core and embcache,
-// not their plain export data. A subset run sees no metric writer outside the
-// subset, so obsdisc reports the names the subset only reads; the counts
-// pin that view.
+// ./cmd/bettyvet <pattern>` does. The root package's external test
+// (package betty_test) is returned as a package of its own. No package it
+// imports imports the root package, so go list builds no "[betty.test]"
+// variants and its importer reads plain export data throughout. A subset
+// run sees no metric writer outside the subset, so obsdisc reports the
+// names the subset only reads; the counts pin that view.
 func TestLoadSubset(t *testing.T) {
 	for _, tc := range []struct {
 		pattern           string
 		paths             []string
 		diags, suppressed int
 	}{
-		{"./internal/embcache", []string{"betty/internal/embcache", "betty/internal/embcache_test"}, 0, 0},
+		{".", []string{"betty", "betty_test"}, 0, 0},
 		{"./benchmark", []string{"betty/benchmark"}, 8, 5},
 	} {
 		pkgs, err := Load("../..", tc.pattern)

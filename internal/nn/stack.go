@@ -30,7 +30,8 @@ func blockCSR(b *graph.Block, wt, invDeg []float32) tensor.CSR {
 // Stack is a model as a list of layers, one per block: ReLU between
 // layers, raw logits at the output. GraphSAGE, GCN and GAT embed it, so
 // the whole-model forward loop, the parameter order (the checkpoint
-// format) and the architecture accessor exist once.
+// format) and the architecture accessor exist once. Training, evaluation
+// and serving all run that one loop.
 type Stack[L BlockLayer] struct {
 	Layers []L
 	cfg    Config
@@ -48,16 +49,6 @@ func (s *Stack[L]) Params() []*tensor.Var {
 	return ps
 }
 
-// BlockLayers returns the layers as BlockLayer values, for callers that
-// apply them one at a time (see LayerStack).
-func (s *Stack[L]) BlockLayers() []BlockLayer {
-	out := make([]BlockLayer, len(s.Layers))
-	for i, l := range s.Layers {
-		out[i] = l
-	}
-	return out
-}
-
 // Forward runs the model over an input-first block list; x holds the input
 // features of blocks[0].NumSrc source nodes. It returns logits for the last
 // block's destinations.
@@ -70,18 +61,4 @@ func (s *Stack[L]) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var
 		h = layer.Forward(tp, blocks[l], h, l < len(s.Layers)-1)
 	}
 	return h
-}
-
-// LayerStack extracts the per-layer modules of a supported model. Applying
-// them one at a time, with relu set on all but the last, records exactly
-// the op sequence the model's own Forward records — it is the same loop
-// body — so per-layer execution is bitwise identical to the whole-model
-// forward: the property serving's embedding cache (internal/embcache)
-// relies on when it computes only a partial hit's missed rows.
-func LayerStack(model any) ([]BlockLayer, error) {
-	m, ok := model.(interface{ BlockLayers() []BlockLayer })
-	if !ok {
-		return nil, fmt.Errorf("nn: layer-wise execution does not support %T", model)
-	}
-	return m.BlockLayers(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"betty/internal/embcache"
 	"betty/internal/obs"
 )
 
@@ -37,16 +36,6 @@ type Config struct {
 	// MaxRequestNodes bounds the seed nodes of a single request.
 	MaxRequestNodes int
 
-	// EmbMode selects the historical-embedding cache behavior (DESIGN.md
-	// §16): off (the default — no second cache) or reuse (skip layer-1
-	// compute on hits). Its budget,
-	// embcache.BudgetBytes, is added to the capacity of the server's cache
-	// ledger.
-	EmbMode embcache.Mode
-	// embBudgetBytes is embcache.BudgetBytes everywhere but in the
-	// budget-pressure test, which shrinks it so a small graph must evict.
-	embBudgetBytes int64
-
 	// CapacityBytes is the device memory budget the planner enforces per
 	// micro-batch (forward-only accounting; see memory.Breakdown.ForwardPeak).
 	CapacityBytes int64
@@ -74,7 +63,6 @@ func Defaults() Config {
 		DefaultTimeout:  time.Second,
 		MaxRequestNodes: 1024,
 		CapacityBytes:   256 << 20,
-		embBudgetBytes:  embcache.BudgetBytes,
 	}
 }
 
@@ -105,11 +93,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SafetyMargin < 0 {
 		return fmt.Errorf("serve: SafetyMargin must be non-negative (got %v)", c.SafetyMargin)
-	}
-	switch c.EmbMode {
-	case embcache.ModeOff, embcache.ModeReuse:
-	default:
-		return fmt.Errorf("serve: unknown embedding-cache mode %d", int(c.EmbMode))
 	}
 	return nil
 }

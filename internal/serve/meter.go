@@ -1,4 +1,4 @@
-package embcache
+package serve
 
 import (
 	"slices"
@@ -7,12 +7,12 @@ import (
 	"betty/internal/obs"
 )
 
-// Meter measures cross-batch frontier overlap: what fraction of each
-// batch's layer-1 destination frontier was also in the previous batch's
-// frontier. This is the temporal-locality signal (Cooperative
-// Minibatching, PAPERS.md) that justifies the historical-embedding cache,
-// published whether or not the cache is on.
-type Meter struct {
+// frontierMeter measures cross-batch frontier overlap: what fraction of
+// each batch's layer-1 destination frontier was also in the previous
+// batch's frontier. This is the temporal-locality signal (Cooperative
+// Minibatching, PAPERS.md) that any reuse of layer-1 rows across batches
+// would feed on.
+type frontierMeter struct {
 	reg *obs.Registry
 
 	mu sync.Mutex
@@ -21,14 +21,14 @@ type Meter struct {
 	prev, next []int32
 }
 
-// NewMeter builds a frontier-overlap meter reporting to reg. With no
-// registry there is nothing to report to: it returns nil, whose Observe
+// newFrontierMeter builds a frontier-overlap meter reporting to reg. With
+// no registry there is nothing to report to: it returns nil, whose Observe
 // does nothing.
-func NewMeter(reg *obs.Registry) *Meter {
+func newFrontierMeter(reg *obs.Registry) *frontierMeter {
 	if reg == nil {
 		return nil
 	}
-	return &Meter{reg: reg}
+	return &frontierMeter{reg: reg}
 }
 
 // Observe records one batch frontier, emitting the overlap with the
@@ -37,7 +37,7 @@ func NewMeter(reg *obs.Registry) *Meter {
 // (parts-per-million, the repo's integer-gauge idiom for fractions).
 // Every element of nids counts once per occurrence; an empty frontier is
 // not recorded and leaves the previous one in place.
-func (m *Meter) Observe(nids []int32) {
+func (m *frontierMeter) Observe(nids []int32) {
 	if m == nil || len(nids) == 0 {
 		return
 	}

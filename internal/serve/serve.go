@@ -33,12 +33,12 @@ import (
 	"betty/internal/core"
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/reg"
 	"betty/internal/sample"
 	"betty/internal/tensor"
+	"betty/internal/train"
 )
 
 // Sentinel errors of the admission path; the HTTP layer maps them to
@@ -73,22 +73,19 @@ type response struct {
 type Server struct {
 	cfg     Config
 	ds      *dataset.Dataset
-	model   any
+	model   train.Model
 	sampler *sample.NodeWise
 	spec    memory.Spec
 	part    reg.BatchPartitioner
 	clock   obs.Clock
 	obs     *obs.Registry
 	// cacheLedger is the device ledger of what stays resident between
-	// batches: params, the model's parameters, and the embedding cache's
-	// historical embeddings when it is on (DESIGN.md §16).
+	// batches: params, the model's parameters, and nothing else.
 	cacheLedger *device.Device
 	params      []*device.Buffer
-	// emb is the historical-embedding cache (nil when EmbMode is off).
-	emb *embcache.Cache
-	// frontier measures cross-batch layer-1 frontier overlap — the
-	// sample.frontier.* locality signal behind the embedding cache.
-	frontier *embcache.Meter
+	// frontier measures cross-batch layer-1 frontier overlap, published as
+	// sample.frontier.*.
+	frontier *frontierMeter
 	// stage holds an out-of-core batch's input frontier (worker-only).
 	stage dataset.Stage
 
@@ -99,8 +96,8 @@ type Server struct {
 	started bool
 	wg      sync.WaitGroup
 	// closeDone is closed once the first Close call has finished draining
-	// and flushing; concurrent/repeat Close calls wait on it so no caller
-	// returns while cache state is still being torn down.
+	// and freeing; concurrent/repeat Close calls wait on it so no caller
+	// returns while the server is still being torn down.
 	closeDone chan struct{}
 
 	// batchSeq numbers executed batches for the batch log (worker-only).
@@ -116,12 +113,14 @@ type Server struct {
 //
 // The model's weights must be final when New is called and must not change
 // for the server's lifetime: load the checkpoint or finish training first,
-// as bettyserve does. The embedding cache keeps no weight versions, so a
-// row it holds is only exact while the weights it was computed under are
-// the weights being served.
+// as bettyserve does. The batch worker reads them without a lock.
 func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	m, ok := model.(train.Model)
+	if !ok {
+		return nil, fmt.Errorf("serve: %T has no forward", model)
 	}
 	spec, err := memory.SpecForInference(model)
 	if err != nil {
@@ -134,29 +133,16 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		cfg.Clock = obs.RealClock()
 	}
 	// The parameters are the first charge of every planned micro-batch's
-	// ForwardPeak; the embedding-cache budget is added when that cache is on.
-	ledgerBytes := device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue)
-	if cfg.EmbMode != embcache.ModeOff {
-		ledgerBytes += cfg.embBudgetBytes
-	}
-	ledger := device.New(ledgerBytes, device.CostModel{})
-	params, err := memory.AllocResident(ledger, model.(memory.Model), nil)
-	if err != nil {
-		return nil, err
-	}
-	emb, err := embcache.New(embcache.Config{
-		Mode:        cfg.EmbMode,
-		BudgetBytes: cfg.embBudgetBytes,
-		Ledger:      ledger,
-		Obs:         cfg.Obs,
-	})
+	// ForwardPeak, and the only one the ledger holds.
+	ledger := device.New(device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg)*memory.BytesPerValue), device.CostModel{})
+	params, err := memory.AllocResident(ledger, m, nil)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:         cfg,
 		ds:          ds,
-		model:       model,
+		model:       m,
 		sampler:     sample.NewNodeWise(cfg.Fanouts, cfg.Seed),
 		spec:        spec,
 		part:        reg.BettyBatch{Seed: cfg.Seed ^ 0xb7, Obs: cfg.Obs},
@@ -164,13 +150,16 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		obs:         cfg.Obs,
 		cacheLedger: ledger,
 		params:      params,
-		emb:         emb,
-		frontier:    embcache.NewMeter(cfg.Obs),
+		frontier:    newFrontierMeter(cfg.Obs),
 		queue:       make(chan *request, cfg.QueueDepth),
 		closeDone:   make(chan struct{}),
 	}
 	s.sampler.Obs = cfg.Obs
 	s.obs.Set("serve.cache_ledger_capacity_bytes", ledger.Capacity())
+	s.publishLedger()
+	// Registered at zero only for benchmark/serve.go, which still reads
+	// the deleted embedding cache's counter (ROADMAP, the benchmark queue).
+	s.obs.Counter("embcache.computed_rows")
 	return s, nil
 }
 
@@ -179,7 +168,7 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 // to fix batch compositions deterministically). Start is idempotent, and
 // Start after (or racing) Close is a no-op: launching a worker once the
 // queue is closed would race Close's own drain — both would pull from the
-// closed queue while Close is already flushing the cache behind it.
+// closed queue while Close is already freeing the parameters behind it.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,11 +184,9 @@ func (s *Server) Start() {
 }
 
 // Close stops admission, drains every already-admitted request, waits for
-// the worker to exit, and only then flushes the embedding cache and frees
-// the parameters' charge — the in-flight batch must complete before its
-// cache writes lose their owner.
+// the worker to exit, and only then frees the parameters' charge.
 // It is idempotent, and every Close call (not just the first) returns only
-// after the drain and flush have finished. Close on a never-Started server
+// after the drain and the free have finished. Close on a never-Started server
 // fails queued requests with ErrClosed instead of leaving their callers
 // waiting.
 func (s *Server) Close() error {
@@ -221,9 +208,8 @@ func (s *Server) Close() error {
 			s.respond(req, response{err: ErrClosed})
 		}
 	}
-	// The worker has exited and the queue is drained: cache ownership has
-	// reverted to us, so the flush cannot race a batch completion.
-	s.emb.Flush()
+	// The worker has exited and the queue is drained, so no batch can
+	// still be reading the parameters.
 	memory.Free(s.cacheLedger, s.params)
 	s.publishLedger()
 	close(s.closeDone)
@@ -423,23 +409,11 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: sampling: %w", err)
 	}
-	// blocks[0].DstNID is the layer-1 destination frontier — the
-	// embedding cache's key space — so its overlap across consecutive
-	// batches is exactly the reusable fraction.
 	s.frontier.Observe(blocks[0].DstNID)
-	pl := &memory.Planner{
-		Capacity:     s.cfg.CapacityBytes,
-		Partitioner:  s.part,
-		Spec:         s.spec,
-		MaxK:         s.cfg.MaxK,
-		SafetyMargin: s.cfg.SafetyMargin,
-		Obs:          s.obs,
-		Peak:         memory.Breakdown.ForwardPeak,
-	}
 	// The forward is not charged: the cache ledger's peak is the
 	// serve_*/peak_device_bytes the benchmark reports (DESIGN.md §11).
 	scores := make([][]float32, len(union))
-	plan, err := core.PlannedForward(pl, blocks, s.model, s.ds.FeatureSource(), &s.stage, nil, s.emb, s.batchSeq,
+	plan, err := core.PlannedForward(s.planner(), blocks, s.model, s.ds.FeatureSource(), &s.stage, nil, s.batchSeq,
 		func(pos int, row []float32) { scores[pos] = append([]float32(nil), row...) })
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -448,18 +422,27 @@ func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
 		s.maxEstPeak = plan.MaxPeak
 		s.obs.Set("serve.max_est_peak_bytes", s.maxEstPeak)
 	}
-	// layer1_dst_rows counts what a cache-less forward computes at layer 1;
-	// against embcache.computed_rows it yields the compute-per-request
-	// saving in the bench report.
+	// layer1_dst_rows counts the layer-1 rows the forwards computed.
 	for _, micro := range plan.Micro {
 		s.obs.Add("serve.layer1_dst_rows", int64(micro[0].NumDst))
 	}
 	s.obs.Add("serve.served_nodes", int64(len(union)))
-	// Published after the forwards, so the peak includes this batch's own
-	// embedding-cache stores.
-	s.publishLedger()
 	s.writeBatchLog(union, plan)
 	return scores, nil
+}
+
+// planner is the §4.4.3 planner every batch is split with: forward-only
+// peaks (memory.Breakdown.ForwardPeak) against CapacityBytes.
+func (s *Server) planner() *memory.Planner {
+	return &memory.Planner{
+		Capacity:     s.cfg.CapacityBytes,
+		Partitioner:  s.part,
+		Spec:         s.spec,
+		MaxK:         s.cfg.MaxK,
+		SafetyMargin: s.cfg.SafetyMargin,
+		Obs:          s.obs,
+		Peak:         memory.Breakdown.ForwardPeak,
+	}
 }
 
 // writeBatchLog emits one hand-assembled NDJSON line describing the batch
@@ -492,9 +475,10 @@ func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
 type Stats struct {
 	Requests, Batches, BatchedRequests  int64
 	RejectedQueueFull, DeadlineExceeded int64
-	// CacheHits and CacheMisses are always zero: serving has no feature
-	// cache. They stay only for benchmark/serve.go, which reads them until
-	// ROADMAP item 2(ii) drops those reads.
+	// CacheHits, CacheMisses, EmbHits and EmbMisses are always zero:
+	// serving has neither a feature cache nor an embedding cache. They stay
+	// only for benchmark/serve.go, which reads them until the next change
+	// to benchmark/ drops those reads (ROADMAP).
 	CacheHits, CacheMisses int64
 	EmbHits, EmbMisses     int64
 	MaxEstPeakBytes        int64
@@ -502,15 +486,12 @@ type Stats struct {
 
 // StatsSnapshot reads the counters from the registry (zero without one).
 func (s *Server) StatsSnapshot() Stats {
-	embHits, embMisses := s.emb.Stats()
 	return Stats{
 		Requests:          s.obs.CounterValue("serve.requests"),
 		Batches:           s.obs.CounterValue("serve.batches"),
 		BatchedRequests:   s.obs.CounterValue("serve.batched_requests"),
 		RejectedQueueFull: s.obs.CounterValue("serve.rejected_queue_full"),
 		DeadlineExceeded:  s.obs.CounterValue("serve.deadline_exceeded"),
-		EmbHits:           embHits,
-		EmbMisses:         embMisses,
 		MaxEstPeakBytes:   func() int64 { v, _ := s.obs.GaugeValue("serve.max_est_peak_bytes"); return v }(),
 	}
 }

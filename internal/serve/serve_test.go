@@ -16,7 +16,6 @@ import (
 	"betty/internal/core"
 	"betty/internal/dataset"
 	"betty/internal/device"
-	"betty/internal/embcache"
 	"betty/internal/memory"
 	"betty/internal/obs"
 	"betty/internal/parallel"
@@ -48,12 +47,9 @@ func testModel(t testing.TB, d *dataset.Dataset) any {
 }
 
 // testConfig is the deterministic-replay base config: fake clock, no
-// default deadline, ample capacity — and the embedding cache in reuse mode,
-// so every serving test that compares against solo inference also checks
-// that spliced cached rows change no bit.
+// default deadline, ample capacity.
 func testConfig(clock obs.Clock, reg *obs.Registry) Config {
 	cfg := Defaults()
-	cfg.EmbMode = embcache.ModeReuse
 	cfg.Fanouts = []int{4, 6}
 	cfg.Seed = 9
 	cfg.DefaultTimeout = 0
@@ -102,10 +98,9 @@ func bitwiseEqual(a, b [][]float32) bool {
 	return true
 }
 
-// A server from Defaults() runs the plain path: it builds no embedding
-// cache, its cache ledger holds the model's parameters and nothing else, and
-// it scores bitwise what the shared forward scores over the source's own
-// feature rows.
+// A server from Defaults() runs the plain path: its cache ledger holds the
+// model's parameters and nothing else, and it scores bitwise what the
+// shared forward scores over the source's own feature rows.
 func TestDefaultsArePlainPath(t *testing.T) {
 	d, err := dataset.Generate(dataset.GenConfig{
 		Name: "t2k", Nodes: 2048, AvgDegree: 10, FeatureDim: 128,
@@ -122,16 +117,13 @@ func TestDefaultsArePlainPath(t *testing.T) {
 	cfg.QueueDepth = 512
 	cfg.Obs = reg
 	s := newTestServer(t, d, model, cfg)
-	if s.emb != nil {
-		t.Fatal("Defaults() built an embedding cache")
-	}
 	spec, err := memory.SpecForInference(model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	paramBytes := device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue)
 	if got, ok := reg.GaugeValue("serve.cache_ledger_capacity_bytes"); !ok || got != paramBytes {
-		t.Fatalf("cache ledger capacity %d (published %v), want the parameters' %d and no embedding budget", got, ok, paramBytes)
+		t.Fatalf("cache ledger capacity %d (published %v), want the parameters' %d", got, ok, paramBytes)
 	}
 	s.Start()
 	defer s.Close()
@@ -142,7 +134,7 @@ func TestDefaultsArePlainPath(t *testing.T) {
 		t.Fatalf("cache ledger peak %d (published %v), want the parameters' %d", peak, ok, paramBytes)
 	}
 	if st := s.StatsSnapshot(); st.EmbHits+st.EmbMisses != 0 || reg.CounterValue("embcache.computed_rows") != 0 {
-		t.Fatalf("plain path consulted an embedding cache: %+v", st)
+		t.Fatalf("embedding-cache stubs kept for benchmark/ read nonzero: %+v", st)
 	}
 
 	nodes := []int32{3, 8, 120, 700, 41}
@@ -417,10 +409,7 @@ func TestStartDrainsPool(t *testing.T) {
 	}
 	d := testData(t)
 	reg := obs.New(obs.NewFakeClock(0, 1))
-	// The bound below is the planner's forward estimate, which a reuse
-	// cache's splice buffers (partial hits) exceed, so the cache is off.
 	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
-	cfg.EmbMode = embcache.ModeOff
 	s := newTestServer(t, d, testModel(t, d), cfg)
 	s.Start()
 	for i := int32(0); i < 20; i++ {
@@ -682,7 +671,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MaxRequestNodes = 0 },
 		func(c *Config) { c.CapacityBytes = 0 },
 		func(c *Config) { c.SafetyMargin = -0.1 },
-		func(c *Config) { c.EmbMode = embcache.Mode(3) },
 	} {
 		c := base()
 		mutate(&c)
@@ -726,5 +714,97 @@ func TestRunLoad(t *testing.T) {
 	}
 	if _, err := runLoad(s, loadConfig{}); err == nil {
 		t.Fatal("zero-request load accepted")
+	}
+}
+
+// Serving samples node-wise, so a node's rows are a pure function of
+// (seed, node, weights), never of its batch. Three overlapping requests on
+// one server each get bitwise what they would have gotten alone, and the
+// frontier meter sees the overlap between consecutive batches.
+func TestCrossBatchOverlapIsExact(t *testing.T) {
+	d := testData(t)
+	model := testModel(t, d)
+	reg := obs.New(obs.NewFakeClock(0, 1))
+	cfg := testConfig(obs.NewFakeClock(0, 1), reg)
+	s := newTestServer(t, d, model, cfg)
+	s.Start()
+	defer s.Close()
+
+	soloCfg := cfg
+	soloCfg.Obs = obs.New(obs.NewFakeClock(0, 1))
+	for _, nodes := range [][]int32{
+		{3, 8, 120, 700},
+		{8, 3, 200, 305}, // overlaps batch 0
+		{700, 305, 9, 42},
+	} {
+		got, err := s.Predict(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitwiseEqual(got, soloScores(t, d, model, soloCfg, nodes)) {
+			t.Fatalf("coalesced response for %v diverged from solo", nodes)
+		}
+	}
+	if reg.CounterValue("sample.frontier.reuse_nodes") == 0 {
+		t.Fatal("frontier meter saw no overlap between overlapping batches")
+	}
+}
+
+// The graceful-drain pin for the Start/Close race fix: Close racing
+// in-flight Predicts must give every request exactly one terminal outcome
+// (scores, or ErrClosed at admission), concurrent and repeated Close calls
+// all succeed after the drain, and Start after Close stays a no-op. A
+// dropped request hangs its Predict and fails the test by timeout.
+func TestGracefulDrainUnderLoad(t *testing.T) {
+	d := testData(t)
+	model := testModel(t, d)
+	for round := 0; round < 3; round++ {
+		reg := obs.New(nil)
+		cfg := testConfig(nil, reg) // real clock
+		cfg.QueueDepth = 256
+		s := newTestServer(t, d, model, cfg)
+		s.Start()
+
+		const callers = 24
+		var wg sync.WaitGroup
+		outcomes := make([]error, callers)
+		scores := make([][][]float32, callers)
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sc, err := s.Predict([]int32{int32(i), int32(i + 100), 7}, 0)
+				scores[i], outcomes[i] = sc, err
+			}(i)
+		}
+		// Widen the race window differently each round: round 0 closes
+		// immediately, later rounds close mid-drain.
+		time.Sleep(time.Duration(round) * 500 * time.Microsecond)
+		closeErrs := make(chan error, 2)
+		go func() { closeErrs <- s.Close() }()
+		go func() { closeErrs <- s.Close() }()
+		wg.Wait()
+		for i := 0; i < 2; i++ {
+			if err := <-closeErrs; err != nil {
+				t.Fatalf("round %d: Close: %v", round, err)
+			}
+		}
+		for i, err := range outcomes {
+			switch {
+			case err == nil:
+				if len(scores[i]) != 3 {
+					t.Fatalf("round %d request %d: %d score rows for 3 nodes", round, i, len(scores[i]))
+				}
+			case errors.Is(err, ErrClosed):
+			default:
+				t.Fatalf("round %d request %d: unexpected terminal error %v", round, i, err)
+			}
+		}
+		// Once drained, the server stays closed: Start is a no-op and new
+		// admissions are rejected, not silently dropped.
+		s.Start()
+		if _, err := s.Predict([]int32{1}, 0); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: Predict after Close returned %v, want ErrClosed", round, err)
+		}
 	}
 }
