@@ -59,15 +59,17 @@ func pinSetup(t *testing.T, arch string, fixedK int) *Setup {
 }
 
 // The epoch strategies share one batch fold; these are the exact stats each
-// produced before they did, and must keep producing.
+// produced before they did, and must keep producing. The SAGE and GCN peaks
+// fell when their layers stopped copying the self rows (and SAGE the
+// concatenation); no loss or accuracy bit moved.
 func TestEpochStatsPinned(t *testing.T) {
 	want := []epochPin{
-		{"mini-1", 0x3ff5d14e59d5799f, 0x3fda93fc9916f6a5, 387584, 328576, 2280, 3},
-		{"mini-2", 0x3fe58a987b37484b, 0x3fea78c550cc1e9e, 382464, 329212, 2289, 3},
-		{"full", 0x3ffbbe2e00000000, 0x3fcc7ddfae5a271f, 608768, 144952, 796, 1},
-		{"multidev-2", 0x3ffbbe2df49fe4c9, 0x3fcc7ddfae5a271f, 180224, 311380, 2294, 4},
-		{"micro-sage", 0x3ffbbe2df49fe4c9, 0x3fcc7ddfae5a271f, 268288, 311380, 2294, 4},
-		{"micro-gcn", 0x3ff8ef2b5e4c8b7b, 0x3fdd5799f0b0e756, 338432, 311380, 2294, 4},
+		{"mini-1", 0x3ff5d14e59d5799f, 0x3fda93fc9916f6a5, 218624, 328576, 2280, 3},
+		{"mini-2", 0x3fe58a987b37484b, 0x3fea78c550cc1e9e, 217088, 329212, 2289, 3},
+		{"full", 0x3ffbbe2e00000000, 0x3fcc7ddfae5a271f, 315904, 144952, 796, 1},
+		{"multidev-2", 0x3ffbbe2df49fe4c9, 0x3fcc7ddfae5a271f, 114688, 311380, 2294, 4},
+		{"micro-sage", 0x3ffbbe2df49fe4c9, 0x3fcc7ddfae5a271f, 158208, 311380, 2294, 4},
+		{"micro-gcn", 0x3ff8ef2b5e4c8b7b, 0x3fdd5799f0b0e756, 302080, 311380, 2294, 4},
 		{"micro-gat", 0x3ff81a2b761ceabd, 0x3fd2492492492492, 1717760, 311380, 2294, 4},
 	}
 	var got []epochPin

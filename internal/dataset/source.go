@@ -24,7 +24,9 @@ type FeatureSource interface {
 	// Dim is the feature width.
 	Dim() int
 	// GatherInto copies the rows for the given global node IDs into out,
-	// which must be len(nids) x Dim.
+	// which must be len(nids) x Dim. When it returns nil it has written
+	// every row of out, so out may start with any values (tensor.Tape.Alloc
+	// hands out unzeroed pool memory for it).
 	GatherInto(out *tensor.Tensor, nids []int32) error
 	// ResidentBytes is the source's current host-memory footprint. For the
 	// in-RAM source this is the whole matrix; for a disk-backed source it

@@ -96,10 +96,12 @@ func (b *Block) EdgePairs() (src, dst []int32) {
 // SrcInverse returns the inverse of the block's per-edge source index:
 // positions pos[cnt[r]:cnt[r+1]] list, in ascending order, the edge
 // positions p with SrcLocal[p] == r. The fused aggregation backward
-// (tensor.FusedCSRAgg) iterates it so each source row is owned by exactly
-// one worker; memoizing it here removes the rebuild — and its two
-// allocations — from every backward pass of every micro-batch. Callers
-// must not modify the returned slices.
+// (tensor.FusedCSRAgg, through the tensor.SrcInverter the block is) asks
+// for it so each source row is owned by exactly one worker; a block whose
+// aggregation no backward reads (serving, evaluation, a layer over the
+// input features) never builds it. Memoizing it here removes the rebuild —
+// and its two allocations — from every later backward pass over the
+// block. Callers must not modify the returned slices.
 func (b *Block) SrcInverse() (cnt, pos []int32) {
 	b.srcInvOnce.Do(func() {
 		cnt := make([]int32, b.NumSrc+1)

@@ -68,3 +68,27 @@ func TestLoadSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadExternalTestVariants loads testdata/xtestmod, a module whose
+// package base has an external test that imports user, a dependent of
+// base. go list builds that test against "[xtestmod/base.test]" variants of
+// base (with its internal test files, which alone declare base.Secret) and
+// of user (built against that base). The external test type-checks only if
+// Load's importer for it prefers those variants to the plain export data.
+func TestLoadExternalTestVariants(t *testing.T) {
+	pkgs, err := Load("testdata/xtestmod", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	want := []string{"xtestmod/base", "xtestmod/base_test", "xtestmod/user"}
+	if !slices.Equal(paths, want) {
+		t.Fatalf("loaded %v, want %v", paths, want)
+	}
+	if obj := pkgs[1].Pkg.Scope().Lookup("TestWrap"); obj == nil {
+		t.Fatal("the external test package has no TestWrap")
+	}
+}

@@ -275,9 +275,10 @@ func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, er
 		var act int64 // all forward intermediates of this layer, in values
 		if spec.IsGCN {
 			// source scaling (S*F), fused neighbor sum with the dst
-			// normalization folded in (N*F), self slice + scale (2 N*F),
-			// add (N*F), fused linear+bias+ReLU (N*O)
-			act = s*f + 4*n*f + n*o
+			// normalization folded in (N*F), scale of the self rows (N*F;
+			// the self slice is a view), add (N*F), fused
+			// linear+bias+ReLU (N*O)
+			act = s*f + 3*n*f + n*o
 		} else if spec.IsGAT {
 			h := int64(heads)
 			// per head: projection (S*O), score vectors (2S), per-edge
@@ -294,9 +295,10 @@ func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, er
 				act += n * o * int64(heads)
 			}
 		} else {
-			// shared SAGE pipeline: self slice (N*F), concat (2N*F), fused
-			// linear+bias+ReLU (N*O)
-			act = 3*n*f + n*o
+			// shared SAGE pipeline: the fused linear+bias+ReLU (N*O) over
+			// the self rows, a view, and the aggregate as two column
+			// blocks, so neither a self copy nor a concatenation
+			act = n * o
 			switch spec.Model.Aggregator {
 			case nn.Mean, nn.Sum:
 				// one fused gather+sum(+weight, +degree scale) output

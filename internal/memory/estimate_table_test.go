@@ -51,8 +51,8 @@ func TestEstimateComponentsByModel(t *testing.T) {
 	}{
 		{
 			// LayerDims(0) of a 1-layer net: f=InDim=10, o=OutDim=4.
-			// act = self+concat 3NF(60) + fused linear NO(8) + fused
-			//     sum-agg NF(20) = 88 values; Aggregator = 88*4 - Hidden(32).
+			// act = fused linear NO(8) over the self view and the fused
+			//     sum-agg NF(20) = 28 values; Aggregator = 28*4 - Hidden(32).
 			name:   "sage-sum-1layer",
 			blocks: []*graph.Block{tinyBlock()},
 			spec: Spec{
@@ -66,17 +66,17 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Labels:        2 * 4,
 				Blocks:        4 * 3 * 4,
 				Hidden:        2 * 4 * 4,
-				Aggregator:    88*4 - 2*4*4,
+				Aggregator:    28*4 - 2*4*4,
 				Gradients:     50 * 4,
 				OptStates:     50 * 1 * 4,
 			},
-			// Every charge rounds to one block; activations are 88*4+4 = 356.
+			// Every charge rounds to one block; activations are 28*4+4 = 116.
 			peak: 7 * 512, forward: 4 * 512,
 		},
 		{
 			// Mean folds the degree scale into the same fused kernel
-			// output, so the count matches Sum: 3NF(60) + NO(8) + NF(20)
-			// = 88 values.
+			// output, so the count matches Sum: NO(8) + NF(20) = 28
+			// values.
 			name:   "sage-mean-1layer",
 			blocks: []*graph.Block{tinyBlock()},
 			spec: Spec{
@@ -89,7 +89,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Labels:        2 * 4,
 				Blocks:        4 * 3 * 4,
 				Hidden:        2 * 4 * 4,
-				Aggregator:    88*4 - 2*4*4,
+				Aggregator:    28*4 - 2*4*4,
 				Gradients:     50 * 4,
 				OptStates:     0,
 			},
@@ -98,7 +98,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 		},
 		{
 			// Pool adds pre-transform 3SF(90) + gathered messages EF(40) +
-			// max NF(20) on top of the shared 3NF+NO(68): 218 values.
+			// max NF(20) on top of the shared NO(8): 158 values.
 			name:   "sage-pool-1layer",
 			blocks: []*graph.Block{tinyBlock()},
 			spec: Spec{
@@ -113,18 +113,18 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Labels:        2 * 4,
 				Blocks:        4 * 3 * 4,
 				Hidden:        2 * 4 * 4,
-				Aggregator:    218*4 - 2*4*4,
+				Aggregator:    158*4 - 2*4*4,
 				Gradients:     110 * 4,
 				OptStates:     110 * 2 * 4,
 			},
-			// Optimizer states 880 and activations 218*4+4 = 876 take two
-			// blocks each; the forward's activations 872 too.
+			// Optimizer states 880 and activations 158*4+4 = 636 take two
+			// blocks each; the forward's activations 632 too.
 			peak: 9 * 512, forward: 5 * 512,
 		},
 		{
 			// GCN: source scaling SF(30) + fused normalized sum NF(20) +
-			// self slice/scale 2NF(40) + add NF(20) + fused linear NO(8)
-			// = 118 values.
+			// scale of the self view NF(20) + add NF(20) + fused linear
+			// NO(8) = 98 values.
 			name:   "gcn-1layer",
 			blocks: []*graph.Block{tinyBlock()},
 			spec: Spec{
@@ -139,11 +139,11 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Labels:        2 * 4,
 				Blocks:        4 * 3 * 4,
 				Hidden:        2 * 4 * 4,
-				Aggregator:    118*4 - 2*4*4,
+				Aggregator:    98*4 - 2*4*4,
 				Gradients:     44 * 4,
 				OptStates:     44 * 2 * 4,
 			},
-			// Activations 118*4+4 = 476: one block, like every other charge.
+			// Activations 98*4+4 = 396: one block, like every other charge.
 			peak: 7 * 512, forward: 4 * 512,
 		},
 		{
@@ -174,10 +174,10 @@ func TestEstimateComponentsByModel(t *testing.T) {
 		},
 		{
 			// Two layers. Layer 0 on midBlock (N=3,S=5,E=6,f=10,o=8):
-			// 3NF(90) + fused linear+ReLU NO(24) + fused mean NF(30) = 144
-			// values, minus Hidden0 = 3*8 values (96 bytes). Layer 1 on
-			// tinyBlock (N=2,S=3,f=8,o=4): 3NF(48) + NO(8) + mean NF(16) =
-			// 72 values, minus Hidden1 = 2*4 values (32 bytes).
+			// fused linear+ReLU NO(24) + fused mean NF(30) = 54 values,
+			// minus Hidden0 = 3*8 values (96 bytes). Layer 1 on tinyBlock
+			// (N=2,S=3,f=8,o=4): NO(8) + mean NF(16) = 24 values, minus
+			// Hidden1 = 2*4 values (32 bytes).
 			name:   "sage-mean-2layer",
 			blocks: []*graph.Block{midBlock(), tinyBlock()},
 			spec: Spec{
@@ -191,14 +191,14 @@ func TestEstimateComponentsByModel(t *testing.T) {
 				Labels:        2 * 4,
 				Blocks:        10 * 3 * 4,
 				Hidden:        3*8*4 + 2*4*4,
-				Aggregator:    (144*4 - 3*8*4) + (72*4 - 2*4*4),
+				Aggregator:    (54*4 - 3*8*4) + (24*4 - 2*4*4),
 				Gradients:     200 * 4,
 				OptStates:     200 * 2 * 4,
 			},
 			// Parameters and gradients 800 (two blocks each), optimizer states
-			// 1600 (four), activations (144+72)*4+4 = 868 (two), and three
+			// 1600 (four), activations (54+24)*4+4 = 316 (one), and three
 			// one-block batch inputs.
-			peak: 13 * 512, forward: 6 * 512,
+			peak: 12 * 512, forward: 5 * 512,
 		},
 	}
 	for _, tc := range cases {
@@ -237,32 +237,31 @@ func TestEstimateComponentsFused(t *testing.T) {
 		want   int64 // Aggregator bytes
 	}{
 		{
-			// f=10, o=4: self+concat 3NF(60) + fused linear NO(8) +
-			// fused weighted sum-agg NF(20) = 88 values; minus Hidden
-			// (8 values).
+			// f=10, o=4: fused linear NO(8) + fused weighted sum-agg
+			// NF(20) = 28 values; minus Hidden (8 values).
 			name:   "sage-sum-1layer",
 			blocks: []*graph.Block{weighted()},
 			spec: Spec{
 				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Sum},
 				ParamsGNN: 50,
 			},
-			want: (88 - 8) * 4,
+			want: (28 - 8) * 4,
 		},
 		{
 			// Mean folds the weights and the degree scale into the same
-			// kernel output: 3NF(60) + NO(8) + NF(20) = 88 values.
+			// kernel output: NO(8) + NF(20) = 28 values.
 			name:   "sage-mean-1layer",
 			blocks: []*graph.Block{weighted()},
 			spec: Spec{
 				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean},
 				ParamsGNN: 50,
 			},
-			want: (88 - 8) * 4,
+			want: (28 - 8) * 4,
 		},
 		{
 			// GCN: source scaling SF(30) + fused normalized weighted sum
-			// NF(20) + self slice/scale 2NF(40) + add NF(20) + fused
-			// linear NO(8) = 118 values.
+			// NF(20) + scale of the self view NF(20) + add NF(20) + fused
+			// linear NO(8) = 98 values.
 			name:   "gcn-1layer",
 			blocks: []*graph.Block{weighted()},
 			spec: Spec{
@@ -270,7 +269,7 @@ func TestEstimateComponentsFused(t *testing.T) {
 				ParamsGNN: 44,
 				IsGCN:     true,
 			},
-			want: (118 - 8) * 4,
+			want: (98 - 8) * 4,
 		},
 	}
 	for _, tc := range cases {

@@ -270,9 +270,9 @@ func TestLowerBoundDropsLSTMBuckets(t *testing.T) {
 }
 
 // Allocator rounding is not convex, so the bound sums the ideal breakdown's
-// charges unrounded. Three outputs with 20-wide features split 2 + 1: each
-// half peaks at four 512-byte blocks of batch charges, but the ideal half
-// takes five once rounded (its activations, 514 B, cross a block). A bound
+// charges unrounded. Three outputs with 80-wide features split 2 + 1: each
+// half peaks at five 512-byte blocks of batch charges, but the ideal half
+// takes six once rounded (its activations, 514 B, cross a block). A bound
 // that rounded would rule out the K = 2 that fits.
 func TestLowerBoundUnrounded(t *testing.T) {
 	b := &graph.Block{NumSrc: 4, NumDst: 3, Ptr: []int64{0, 0, 0, 1}, SrcLocal: []int32{3}, EID: []int32{-1},
@@ -281,7 +281,7 @@ func TestLowerBoundUnrounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := []*graph.Block{b}
-	spec := Spec{Model: nn.Config{InDim: 20, Hidden: 5, OutDim: 5, Layers: 1, Aggregator: nn.Mean}, ParamsGNN: 10}
+	spec := Spec{Model: nn.Config{InDim: 80, Hidden: 5, OutDim: 5, Layers: 1, Aggregator: nn.Mean}, ParamsGNN: 10}
 	pl := &Planner{Partitioner: reg.RangeBatch{}, Spec: spec}
 	two, err := pl.EvaluateFixedK(full, 2)
 	if err != nil {

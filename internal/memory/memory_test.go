@@ -109,10 +109,10 @@ func TestEstimateHandComputed(t *testing.T) {
 	if est.Hidden != 2*4*4 {
 		t.Fatalf("Hidden = %d", est.Hidden)
 	}
-	// mean-layer intermediates: self+concat (3NF = 60) + fused
-	// linear+bias (NO = 8) + fused gather+sum+scale (NF = 20) = 88 values,
-	// minus the N*O counted in Hidden: (88 - 8) * 4 = 320 bytes
-	if est.Aggregator != (3*2*10+2*4+2*10-2*4)*4 {
+	// mean-layer intermediates: fused linear+bias over the self view and
+	// the aggregate (NO = 8) + fused gather+sum+scale (NF = 20) = 28
+	// values, minus the N*O counted in Hidden: (28 - 8) * 4 = 80 bytes
+	if est.Aggregator != (2*4+2*10-2*4)*4 {
 		t.Fatalf("Aggregator = %d", est.Aggregator)
 	}
 	if est.Gradients != 400 || est.OptStates != 800 {
@@ -120,12 +120,12 @@ func TestEstimateHandComputed(t *testing.T) {
 	}
 	// peak: every charge rounds up to 512-byte blocks — parameters 400,
 	// gradients 400, input features 120, labels 8, blocks 48 and
-	// activations 32+320+4 (the loss value) one block each, optimizer
+	// activations 32+80+4 (the loss value) one block each, optimizer
 	// states 800 two.
 	if est.Peak() != 8*512 {
 		t.Fatalf("Peak = %d, want %d", est.Peak(), 8*512)
 	}
-	// forward: parameters, input features, blocks and activations 352.
+	// forward: parameters, input features, blocks and activations 112.
 	if est.ForwardPeak() != 4*512 {
 		t.Fatalf("ForwardPeak = %d, want %d", est.ForwardPeak(), 4*512)
 	}
@@ -161,9 +161,9 @@ func TestEstimateLSTMEquation5(t *testing.T) {
 	}
 	// Eq 5: sum_i L_i*B_i = E = 5 edges, H = 6, x30 intermediates = 900
 	// values, plus bucket scatters (degrees {3,2} -> 2 buckets -> 3*N*F=36)
-	// plus the shared pipeline 3NF+NO = 36+6 = 42, minus the N*O = 6
-	// counted in Hidden: (900 + 36 + 42 - 6) * 4 = 3888 bytes.
-	want := int64(5*6*30+36+3*2*6+2*3-2*3) * 4
+	// plus the shared pipeline's fused linear NO = 6, minus the N*O = 6
+	// counted in Hidden: (900 + 36 + 6 - 6) * 4 = 3744 bytes.
+	want := int64(5*6*30+36+2*3-2*3) * 4
 	if est.Aggregator != want {
 		t.Fatalf("LSTM aggregator estimate = %d, want %d", est.Aggregator, want)
 	}

@@ -56,7 +56,7 @@ func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu b
 	agg := tp.FusedCSRAgg(hn, blockCSR(b, nil, srcScale[:b.NumDst]))
 	// self loop: h_v / d̂_v = (h_v/√d̂_v) * 1/√d̂_v
 	self := tp.RowScale(tp.SliceRows(hn, 0, b.NumDst), srcScale[:b.NumDst])
-	return tp.LinearBiasReLU(tp.Add(agg, self), c.fc.W, c.fc.B, relu)
+	return tp.LinearBiasReLU(tp.Add(agg, self), nil, c.fc.W, c.fc.B, relu)
 }
 
 // GCN is the multi-layer graph convolutional network.

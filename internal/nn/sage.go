@@ -14,7 +14,8 @@ import (
 // h'_v = W · [h_v ‖ AGG({h_u : u→v})] + b.
 type SAGEConv struct {
 	Agg Aggregator
-	// fc maps concat(self, agg) of width 2*in to out.
+	// fc maps [self ‖ agg], 2*in wide, to out: its first in rows weight
+	// the self rows, the rest the aggregate.
 	fc *Linear
 	// poolFC pre-transforms neighbor features for the Pool aggregator.
 	poolFC *Linear
@@ -65,15 +66,17 @@ func (c *SAGEConv) AggParams() []*tensor.Var {
 // (b.NumSrc rows); the result has b.NumDst rows, passed through ReLU when
 // relu is set. Mean and Sum aggregation — weighted or not — run as one
 // FusedCSRAgg pass, and the combining linear transform, bias and ReLU as
-// one LinearBiasReLU (DESIGN.md §13). Pool and LSTM keep their primitive
-// aggregation: learned transforms don't fuse into a CSR pass.
+// one LinearBiasReLU over the self rows and the aggregate as two column
+// blocks, so [h_v ‖ AGG] is never built (DESIGN.md §13). Pool and LSTM
+// keep their primitive aggregation: learned transforms don't fuse into a
+// CSR pass.
 func (c *SAGEConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: SAGEConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
 	}
-	self := tp.SliceRows(h, 0, b.NumDst)
+	self := tp.SliceRows(h, 0, b.NumDst) // a view: the destinations lead the sources
 	agg := c.aggregate(tp, b, h)
-	return tp.LinearBiasReLU(tp.ConcatCols(self, agg), c.fc.W, c.fc.B, relu)
+	return tp.LinearBiasReLU(self, agg, c.fc.W, c.fc.B, relu)
 }
 
 func (c *SAGEConv) aggregate(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {

@@ -17,14 +17,15 @@ type BlockLayer interface {
 }
 
 // blockCSR assembles the tensor.CSR view of block b from its memoized
-// derived views — per-edge endpoint slices and the source inverse for the
-// backward scatter-add — with the optional edge weights wt and
-// per-destination post-scale invDeg. Everything is cached on the block, so
-// building the struct on the hot path allocates nothing.
+// per-edge endpoint slices, with the optional edge weights wt and
+// per-destination post-scale invDeg. The block itself supplies the source
+// inverse, which it builds only when a backward scatter-add first asks for
+// it: never in serving, evaluation, or over the input features. Everything
+// is cached on the block, so building the struct on the hot path allocates
+// nothing.
 func blockCSR(b *graph.Block, wt, invDeg []float32) tensor.CSR {
 	src, dst := b.EdgePairs()
-	cnt, pos := b.SrcInverse()
-	return tensor.CSR{Src: src, Dst: dst, Wt: wt, InvDeg: invDeg, InvCnt: cnt, InvPos: pos, NSrc: b.NumSrc, NDst: b.NumDst}
+	return tensor.CSR{Src: src, Dst: dst, Wt: wt, InvDeg: invDeg, Inverse: b, NSrc: b.NumSrc, NDst: b.NumDst}
 }
 
 // Stack is a model as a list of layers, one per block: ReLU between

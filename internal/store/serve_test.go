@@ -118,7 +118,7 @@ func TestServeOneShardPassPerBatch(t *testing.T) {
 	for _, c := range []struct {
 		k        int
 		capacity int64
-	}{{1, 256 << 20}, {4, 100_000}, {8, 60_000}} {
+	}{{1, 256 << 20}, {4, 70_000}, {8, 40_000}} {
 		cfg := serveConfig(c.capacity)
 		want := predictOnce(t, f.ds, f.model, cfg, nodes)
 		disk, reg := f.disk(t)

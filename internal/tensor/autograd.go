@@ -130,9 +130,10 @@ func (tp *Tape) alloc(rows, cols int) *Tensor { return tp.allocTensor(rows, cols
 
 // allocDirty is alloc without the zeroing of a recycled buffer: the tensor
 // may hold a released tape's values. Only an op that writes every element
-// before anything reads it may take one (GatherRows, SliceRows,
-// ConcatCols, FusedCSRAgg and LinearBiasReLU's ReLU mask); an output that
-// is accumulated into, as gemm's and every gradient are, must be zeroed.
+// before anything reads it may take one (GatherRows, ConcatCols,
+// FusedCSRAgg, LinearBiasReLU's ReLU mask and Alloc's gathered features);
+// an output that is accumulated into, as gemm's and every gradient are,
+// must be zeroed.
 func (tp *Tape) allocDirty(rows, cols int) *Tensor { return tp.allocTensor(rows, cols, false) }
 
 func (tp *Tape) allocTensor(rows, cols int, zero bool) *Tensor {
@@ -142,11 +143,13 @@ func (tp *Tape) allocTensor(rows, cols int, zero bool) *Tensor {
 	return tp.newTensor(Tensor{RowsN: rows, ColsN: cols, Data: tp.takeF32(rows*cols, zero)})
 }
 
-// Alloc returns a zeroed rows x cols tensor whose backing slice is drawn
-// from the buffer pool and returned by Release. Callers use it to stage
-// per-batch inputs (gathered features) in the recycled arena; like every
-// tape tensor, the result is invalid after Release.
-func (tp *Tape) Alloc(rows, cols int) *Tensor { return tp.alloc(rows, cols) }
+// Alloc returns a rows x cols tensor whose backing slice is drawn from the
+// buffer pool and returned by Release. Callers use it to stage per-batch
+// inputs (gathered features) in the recycled arena; like every tape tensor,
+// the result is invalid after Release. It is not zeroed: it may hold a
+// released tape's values, so the caller must write every row before
+// anything reads it, as a FeatureSource's GatherInto does.
+func (tp *Tape) Alloc(rows, cols int) *Tensor { return tp.allocDirty(rows, cols) }
 
 // Release returns every buffer the tape allocated — the values, gradients,
 // and masks of its interior Vars — to the package buffer pool, and rewinds
@@ -173,8 +176,14 @@ func (tp *Tape) Release() {
 // requires a gradient if any input does; operations call record with the
 // backward closure already bound.
 func (tp *Tape) record(value *Tensor, needsGrad bool, back func()) *Var {
-	v := tp.newVar(Var{Value: value, requiresGrad: needsGrad, back: back, tape: tp})
 	tp.valueBytes += int64(value.Len()) * 4
+	return tp.recordView(value, needsGrad, back)
+}
+
+// recordView is record for a value that aliases another Var's storage: it
+// materializes nothing, so ValueBytes does not count it.
+func (tp *Tape) recordView(value *Tensor, needsGrad bool, back func()) *Var {
+	v := tp.newVar(Var{Value: value, requiresGrad: needsGrad, back: back, tape: tp})
 	if needsGrad {
 		tp.ops = append(tp.ops, v)
 	}
@@ -285,11 +294,11 @@ func (tp *Tape) MatMul(a, b *Var) *Var {
 	out = tp.record(val, anyGrad(a, b), func() {
 		if a.requiresGrad {
 			// dA += dC @ Bᵀ, accumulated in place (no temporary)
-			matMulTBInto(a.grad(), out.Grad, b.Value, true)
+			matMulTBInto(a.grad(), nil, out.Grad, b.Value, true)
 		}
 		if b.requiresGrad {
 			// dB += Aᵀ @ dC
-			matMulTAInto(b.grad(), a.Value, out.Grad, true)
+			matMulTAInto(b.grad(), a.Value, nil, out.Grad, true)
 		}
 	})
 	return out
@@ -580,16 +589,20 @@ func (tp *Tape) GatherRows(a *Var, idx []int32) *Var {
 	return out
 }
 
-// SliceRows returns rows [lo, hi) of a, sharing no storage with a.
+// SliceRows returns rows [lo, hi) of a as a view: its value aliases a's
+// rows, so it is neither drawn from the pool nor counted in ValueBytes, and
+// it is valid only while a's value is. Its backward adds its own gradient
+// into a's rows when it runs, which is after every op recorded later — a
+// SAGE layer slices before it aggregates, so a's gradient takes the
+// aggregation's scatter first and the self rows' terms after it.
 func (tp *Tape) SliceRows(a *Var, lo, hi int) *Var {
 	if lo < 0 || hi > a.Value.RowsN || lo > hi {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, a.Value.RowsN))
 	}
 	n := a.Value.ColsN
-	val := tp.allocDirty(hi-lo, n)
-	copy(val.Data, a.Value.Data[lo*n:hi*n])
+	val := tp.newTensor(Tensor{RowsN: hi - lo, ColsN: n, Data: a.Value.Data[lo*n : hi*n : hi*n]})
 	var out *Var
-	out = tp.record(val, a.requiresGrad, func() {
+	out = tp.recordView(val, a.requiresGrad, func() {
 		if a.requiresGrad {
 			g := a.grad()
 			sub := g.Data[lo*n : hi*n]

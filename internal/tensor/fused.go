@@ -15,8 +15,8 @@ import (
 // composition, so the two agree to the byte at any worker count.
 
 // CSR describes one graph block's edges in the layout FusedCSRAgg consumes:
-// parallel per-edge endpoint slices sorted by destination, plus the
-// precomputed inverse of Src that the backward scatter-add iterates. Callers
+// parallel per-edge endpoint slices sorted by destination, plus where to
+// get the inverse of Src that the backward scatter-add iterates. Callers
 // (internal/nn) build it from graph.Block's memoized views, so constructing a
 // CSR on the hot path allocates nothing.
 type CSR struct {
@@ -28,13 +28,22 @@ type CSR struct {
 	// InvDeg holds an optional per-destination post-scale (1/deg for mean
 	// aggregation, 1/√d̂ for GCN destination normalization); nil = no scale.
 	InvDeg []float32
-	// InvCnt/InvPos are the inverse of Src (see invertIndex): positions
-	// InvPos[InvCnt[r]:InvCnt[r+1]] list, ascending, the edges with
-	// Src == r. Required — the backward pass owns each source row through
-	// this inverse, and its column lanes read InvPos's edges unchecked.
-	InvCnt, InvPos []int32
+	// Inverse supplies the inverse of Src. Only the backward pass reads it,
+	// so a forward-only aggregation (serving, evaluation, a layer over the
+	// input features) never builds it. Required when h needs a gradient.
+	Inverse SrcInverter
 	// NSrc and NDst are the source and destination node counts.
 	NSrc, NDst int
+}
+
+// SrcInverter is the inverse of a CSR's Src (see invertIndex): positions
+// pos[cnt[r]:cnt[r+1]] list, ascending, the edges with Src == r. The
+// backward pass owns each source row through it, and its column lanes read
+// pos's edges unchecked, so FusedCSRAgg checks both lengths before use.
+// graph.Block implements it, building the inverse on first call and
+// keeping it.
+type SrcInverter interface {
+	SrcInverse() (cnt, pos []int32)
 }
 
 // FusedCSRAgg aggregates source rows into destination rows in one pass:
@@ -72,9 +81,6 @@ func (tp *Tape) FusedCSRAgg(h *Var, c CSR) *Var {
 	}
 	if c.InvDeg != nil && len(c.InvDeg) != c.NDst {
 		panic("tensor: FusedCSRAgg InvDeg length mismatch")
-	}
-	if len(c.InvCnt) != c.NSrc+1 || len(c.InvPos) != len(c.Src) {
-		panic("tensor: FusedCSRAgg inverse length mismatch")
 	}
 	n := h.Value.ColsN
 	val := tp.allocDirty(c.NDst, n) // every row is stored or cleared below
@@ -124,9 +130,16 @@ func (tp *Tape) FusedCSRAgg(h *Var, c CSR) *Var {
 		if !h.requiresGrad {
 			return
 		}
+		if c.Inverse == nil {
+			panic("tensor: FusedCSRAgg needs the source inverse for its backward")
+		}
+		cnt, pos := c.Inverse.SrcInverse()
+		if len(cnt) != c.NSrc+1 || len(pos) != len(c.Src) {
+			panic("tensor: FusedCSRAgg inverse length mismatch")
+		}
 		g := h.grad()
 		parallel.For(c.NSrc, elemRowGrain(n), func(lo, hi int) {
-			scatterRows(g.Data, out.Grad.Data, n, lo, hi, c.InvCnt, c.InvPos, c.Dst, c.InvDeg, c.Wt)
+			scatterRows(g.Data, out.Grad.Data, n, lo, hi, cnt, pos, c.Dst, c.InvDeg, c.Wt)
 		})
 	})
 	return out
@@ -240,13 +253,17 @@ func scatterRows(dh, g []float32, n, lo, hi int, cnt, pos, rows []int32, scale, 
 	}
 }
 
-// LinearBiasReLU computes ReLU(x @ W + b) — or x @ W + b when relu is false
-// — as one tape op. It fuses the MatMul → AddBias → ReLU chain bitwise: the
-// matmul accumulates into the zeroed output buffer (same tiled kernel, same
-// per-element accumulation order), and each gemm shard then adds the bias
-// to its own rows and clamps negatives while they are still in cache (its
-// epilogue), producing exactly the values the three separate ops would,
-// without materializing the two intermediate tensors.
+// LinearBiasReLU computes ReLU([x1 ‖ x2] @ W + b) — or [x1 ‖ x2] @ W + b
+// when relu is false — as one tape op. The multiplier comes in one column
+// block (x2 nil) or two: SAGE passes its self rows and its aggregate side
+// by side without building their concatenation, and gemm walks k over x1
+// and then over x2, the concatenation's order. It fuses the ConcatCols →
+// MatMul → AddBias → ReLU chain bitwise: the matmul accumulates into the
+// zeroed output buffer (same tiled kernel, same per-element accumulation
+// order), and each gemm shard then adds the bias to its own rows and clamps
+// negatives while they are still in cache (its epilogue), producing exactly
+// the values the separate ops would, without materializing the
+// intermediate tensors.
 //
 // Backward reproduces the chain's gradient values exactly: the ReLU mask is
 // taken from the post-activation output (out > 0 ⇔ pre-activation > 0, since
@@ -254,20 +271,30 @@ func scatterRows(dh, g []float32, n, lo, hi int, cnt, pos, rows []int32, scale, 
 // sums the bias gradient's per-shard partial columns, which fold in
 // ascending shard order with the same grain as AddBias, and the
 // weight/input gradients go through the same transposed kernels MatMul's
-// backward uses.
-func (tp *Tape) LinearBiasReLU(x, w, b *Var, relu bool) *Var {
-	if x.Value.ColsN != w.Value.RowsN {
+// backward uses: one matMulTBInto that writes both input gradients, and
+// one matMulTAInto whose first cols(x1) rows read x1 and the rest x2.
+func (tp *Tape) LinearBiasReLU(x1, x2, w, b *Var, relu bool) *Var {
+	k := x1.Value.ColsN
+	if x2 != nil {
+		k += x2.Value.ColsN // colBlocks checks the row counts
+	}
+	if k != w.Value.RowsN {
 		panic(fmt.Sprintf("tensor: LinearBiasReLU shape mismatch %dx%d @ %dx%d",
-			x.Value.RowsN, x.Value.ColsN, w.Value.RowsN, w.Value.ColsN))
+			x1.Value.RowsN, k, w.Value.RowsN, w.Value.ColsN))
 	}
 	if b.Value.RowsN != 1 || b.Value.ColsN != w.Value.ColsN {
 		panic("tensor: LinearBiasReLU requires a 1 x cols bias")
 	}
-	m, n := x.Value.RowsN, w.Value.ColsN
+	m, n := x1.Value.RowsN, w.Value.ColsN
+	var v2 *Tensor
+	needsGrad := anyGrad(x1, w, b)
+	if x2 != nil {
+		v2, needsGrad = x2.Value, needsGrad || x2.requiresGrad
+	}
 	val := tp.alloc(m, n)
-	gemm(val, x.Value.Data, x.Value.ColsN, 1, x.Value.ColsN, w.Value.Data, b.Value.Data, relu)
+	gemm(val, colBlocks(x1.Value, v2), w.Value.Data, b.Value.Data, relu)
 	var out *Var
-	out = tp.record(val, anyGrad(x, w, b), func() {
+	out = tp.record(val, needsGrad, func() {
 		// dPre is the gradient at the pre-activation (post-bias) value. With
 		// relu it is the masked output gradient in a pooled scratch tensor,
 		// which the mask pass writes in full; without, the output gradient
@@ -281,11 +308,18 @@ func (tp *Tape) LinearBiasReLU(x, w, b *Var, relu bool) *Var {
 			gb = b.grad()
 		}
 		addBiasGrad(tp, gb, out.Grad, mask, dPre)
-		if x.requiresGrad {
-			matMulTBInto(x.grad(), dPre, w.Value, true)
+		var g1, g2 *Tensor
+		if x1.requiresGrad {
+			g1 = x1.grad()
+		}
+		if x2 != nil && x2.requiresGrad {
+			g2 = x2.grad()
+		}
+		if g1 != nil || g2 != nil {
+			matMulTBInto(g1, g2, dPre, w.Value, true)
 		}
 		if w.requiresGrad {
-			matMulTAInto(w.grad(), x.Value, dPre, true)
+			matMulTAInto(w.grad(), x1.Value, v2, dPre, true)
 		}
 	})
 	return out

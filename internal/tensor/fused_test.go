@@ -45,8 +45,19 @@ func buildCSR(r *rng.RNG, nE, nDst, nSrc int, weighted, scaled bool) CSR {
 			}
 		}
 	}
-	c.InvCnt, c.InvPos = invertIndex(src, nSrc)
+	c.Inverse = invertIndexOf(src, nSrc)
 	return c
+}
+
+// inverse is a SrcInverter over a precomputed inverse.
+type inverse struct{ cnt, pos []int32 }
+
+func (v inverse) SrcInverse() (cnt, pos []int32) { return v.cnt, v.pos }
+
+// invertIndexOf is src's inverse over nSrc rows as a SrcInverter.
+func invertIndexOf(src []int32, nSrc int) inverse {
+	cnt, pos := invertIndex(src, nSrc)
+	return inverse{cnt, pos}
 }
 
 // unfusedAgg runs the primitive-op composition FusedCSRAgg replaces.
@@ -117,25 +128,32 @@ func TestFusedCSRAggBitwise(t *testing.T) {
 // post-ReLU activations do) so the matmul kernels' sparsity fast paths are
 // exercised on both sides; the second's rows are dense beside rows with a
 // single zero on either side of the kChunk boundary (k = 255 and 256), so
-// dense rows run unpacked next to packed ones, in pairs and alone.
+// dense rows run unpacked next to packed ones, in pairs and alone. The
+// two-block shapes pass the input as two column blocks, against the chain
+// with a ConcatCols in front, and check both blocks' gradients.
 func TestLinearBiasReLUBitwise(t *testing.T) {
+	sprinkle := func(r *rng.RNG, x *Tensor) {
+		for i := range x.Data { // sprinkle exact zeros
+			if r.Float64() < 0.5 {
+				x.Data[i] = 0
+			}
+		}
+	}
+	dense := func(r *rng.RNG, x *Tensor) {
+		x.Set(1, kChunk-1, 0)
+		x.Set(4, kChunk, 0)
+		x.Set(8, kChunk-1, 0)
+	}
 	shapes := []struct {
 		name    string // prefix of the subtest names
 		m, k, n int    // k,n indivisible by 4: tiled kernels hit tails
+		split   int    // cols of the first block; 0 = one block
 		zeros   func(r *rng.RNG, x *Tensor)
 	}{
-		{"", 300, 67, 43, func(r *rng.RNG, x *Tensor) {
-			for i := range x.Data { // sprinkle exact zeros
-				if r.Float64() < 0.5 {
-					x.Data[i] = 0
-				}
-			}
-		}},
-		{"dense-", 9, kChunk + 45, 43, func(r *rng.RNG, x *Tensor) {
-			x.Set(1, kChunk-1, 0)
-			x.Set(4, kChunk, 0)
-			x.Set(8, kChunk-1, 0)
-		}},
+		{"", 300, 67, 43, 0, sprinkle},
+		{"dense-", 9, kChunk + 45, 43, 0, dense},
+		{"two-block-", 300, 67, 43, 30, sprinkle},
+		{"dense-two-block-", 9, kChunk + 45, 43, 101, dense},
 	}
 	defer setLanes(useLanes)
 	for _, s := range shapes {
@@ -157,16 +175,29 @@ func TestLinearBiasReLUBitwise(t *testing.T) {
 							x := Param(xt)
 							wt := Param(randTensor(r, s.k, s.n))
 							b := Param(randTensor(r, 1, s.n))
+							if s.split == 0 {
+								var out *Var
+								if fused {
+									out = tp.LinearBiasReLU(x, nil, wt, b, relu)
+								} else {
+									out = tp.AddBias(tp.MatMul(x, wt), b)
+									if relu {
+										out = tp.ReLU(out)
+									}
+								}
+								return backprop(tp, out, randTensor(r, s.m, s.n), x, wt, b)
+							}
+							x1, x2 := Param(colRange(xt, 0, s.split)), Param(colRange(xt, s.split, s.k))
 							var out *Var
 							if fused {
-								out = tp.LinearBiasReLU(x, wt, b, relu)
+								out = tp.LinearBiasReLU(x1, x2, wt, b, relu)
 							} else {
-								out = tp.AddBias(tp.MatMul(x, wt), b)
+								out = tp.AddBias(tp.MatMul(tp.ConcatCols(x1, x2), wt), b)
 								if relu {
 									out = tp.ReLU(out)
 								}
 							}
-							return backprop(tp, out, randTensor(r, s.m, s.n), x, wt, b)
+							return backprop(tp, out, randTensor(r, s.m, s.n), x1, x2, wt, b)
 						}
 						unfused := run(false)
 						fused := run(true)
@@ -308,7 +339,7 @@ func FuzzCSRAggOracle(f *testing.F) {
 				inv[d] = 1 / float32(k)
 			}
 		}
-		cnt, pos := invertIndex(src, nSrc)
+		srcInv := invertIndexOf(src, nSrc)
 
 		type variant struct {
 			name      string
@@ -323,7 +354,7 @@ func FuzzCSRAggOracle(f *testing.F) {
 			name            string
 			weighted, scale bool
 		}{{"sum", false, false}, {"mean", false, true}, {"weighted-sum", true, false}, {"weighted-mean", true, true}} {
-			c := CSR{Src: src, Dst: dst, InvCnt: cnt, InvPos: pos, NSrc: nSrc, NDst: nDst}
+			c := CSR{Src: src, Dst: dst, Inverse: srcInv, NSrc: nSrc, NDst: nDst}
 			if v.weighted {
 				c.Wt = wt
 			}

@@ -12,14 +12,14 @@ import (
 // MatMulTA computes aᵀ @ b into a new tensor.
 func MatMulTA(a, b *Tensor) *Tensor {
 	out := New(a.ColsN, b.ColsN)
-	matMulTAInto(out, a, b, false)
+	matMulTAInto(out, a, nil, b, false)
 	return out
 }
 
 // MatMulTB computes a @ bᵀ into a new tensor.
 func MatMulTB(a, b *Tensor) *Tensor {
 	out := New(a.RowsN, b.RowsN)
-	matMulTBInto(out, a, b, false)
+	matMulTBInto(out, nil, a, b, false)
 	return out
 }
 
@@ -112,8 +112,8 @@ func FuzzMatMulOracle(f *testing.F) {
 			run  func(out *Tensor, accum bool)
 		}{
 			{"MatMul", true, func(out *Tensor, accum bool) { matMulInto(out, a, b, accum) }},
-			{"MatMulTA", true, func(out *Tensor, accum bool) { matMulTAInto(out, at, b, accum) }},
-			{"MatMulTB", false, func(out *Tensor, accum bool) { matMulTBInto(out, a, bt, accum) }},
+			{"MatMulTA", true, func(out *Tensor, accum bool) { matMulTAInto(out, at, nil, b, accum) }},
+			{"MatMulTB", false, func(out *Tensor, accum bool) { matMulTBInto(out, nil, a, bt, accum) }},
 		}
 		defer parallel.SetWorkers(parallel.SetWorkers(1))
 		defer setLanes(useLanes)
@@ -137,6 +137,155 @@ func FuzzMatMulOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzLinearTwoBlockOracle holds the three matmul kernels as
+// LinearBiasReLU runs them on a multiplier in two column blocks X = [X1 ‖
+// X2] (m×f1 and m×f2), bit for bit to the serial loops over the
+// concatenated X, with and without accum, with the column lanes on and off,
+// at one and eight workers:
+//
+//	forward      out (+)= X·W        gemm walking k over X1, then X2
+//	input grads  [G1 ‖ G2] (+)= dY·Wᵀ  one matMulTBInto writing both blocks,
+//	                                  or either alone (the other untouched)
+//	weight grad  dW (+)= Xᵀ·dY       rows [0, f1) read X1, the rest X2
+//
+// zeros and flags mean what they mean in FuzzMatMulOracle, on X (and, with
+// poison, on W's rows under each listed zero).
+func FuzzLinearTwoBlockOracle(f *testing.F) {
+	const sparse, poison, negZero = 1, 2, 4
+	f.Add(17, 5, 9, 7, uint64(1), []byte{}, uint8(0))                             // no width a multiple of 8
+	f.Add(9, 131, 133, 43, uint64(2), []byte{1, 130, 4, 131}, uint8(0))           // f1+f2 > kChunk; zeros either side of the split
+	f.Add(33, 100, 100, 47, uint64(3), []byte{}, uint8(sparse))                   // products' layer 0, ReLU-sparse
+	f.Add(6, kChunk+3, 61, 64, uint64(4), []byte{0, kChunk - 1}, uint8(poison))   // block 1 spans two chunks
+	f.Add(4, 1, 1, 8, uint64(5), []byte{129, 0}, uint8(negZero))                  // one column each, a -0 accumulator
+	f.Add(21, 64, 64, 16, uint64(6), []byte{2, 63, 3, 64, 130, 1}, uint8(poison)) // the hidden layer: lanes only
+	f.Fuzz(func(t *testing.T, m, f1, f2, n int, seed uint64, zeros []byte, flags uint8) {
+		if m < 1 || m > 40 || f1 < 1 || f2 < 1 || f1+f2 > 2*kChunk+40 || n < 1 || n > 80 || len(zeros) > 512 {
+			t.Skip("bounded problem sizes keep the fuzz fast")
+		}
+		k := f1 + f2
+		r := rng.New(seed)
+		x, w, dy := New(m, k), New(k, n), New(m, n)
+		x.Randn(r, 1)
+		w.Randn(r, 1)
+		dy.Randn(r, 1)
+		if flags&sparse != 0 {
+			relu(x)
+		}
+		specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+		for p := 0; p+1 < len(zeros); p += 2 {
+			i, kk := int(zeros[p])%m, int(zeros[p+1])%k
+			x.Set(i, kk, 0)
+			if zeros[p] >= 128 {
+				x.Set(i, kk, float32(math.Copysign(0, -1)))
+			}
+			if flags&poison != 0 {
+				w.Set(kk, i%n, specials[(p/2)%len(specials)])
+			}
+		}
+		x1, x2 := colRange(x, 0, f1), colRange(x, f1, k)
+		start := func(rows, cols int) *Tensor {
+			t := New(rows, cols)
+			t.Randn(r, 1)
+			if flags&negZero != 0 {
+				for i := range t.Data {
+					t.Data[i] = float32(math.Copysign(0, -1))
+				}
+			}
+			return t
+		}
+		initOut, initDX, initDW := start(m, n), start(m, k), start(k, n)
+		wt := Transpose(w)
+		kernels := []struct {
+			name string
+			want func(accum bool) []float32
+			run  func(accum bool) []float32
+		}{
+			{"forward", func(accum bool) []float32 { return naiveMatMul(x, w, initOut, accum, true) },
+				func(accum bool) []float32 {
+					out := initOut.Clone()
+					if !accum {
+						out.Zero()
+					}
+					gemm(out, colBlocks(x1, x2), w.Data, nil, false)
+					return out.Data
+				}},
+			{"input-grads", func(accum bool) []float32 { return naiveMatMul(dy, wt, initDX, accum, false) },
+				func(accum bool) []float32 {
+					g1, g2 := colRange(initDX, 0, f1), colRange(initDX, f1, k)
+					matMulTBInto(g1, g2, dy, w, accum)
+					return concatCols(g1, g2).Data
+				}},
+			{"input-grad-1", func(accum bool) []float32 {
+				want := naiveMatMul(dy, wt, initDX, accum, false)
+				for i := range m { // block 2 is skipped: it keeps its start
+					copy(want[i*k+f1:(i+1)*k], initDX.Row(i)[f1:])
+				}
+				return want
+			}, func(accum bool) []float32 {
+				g1 := colRange(initDX, 0, f1)
+				matMulTBInto(g1, nil, dy, w, accum)
+				return concatCols(g1, colRange(initDX, f1, k)).Data
+			}},
+			{"input-grad-2", func(accum bool) []float32 {
+				want := naiveMatMul(dy, wt, initDX, accum, false)
+				for i := range m { // block 1 is skipped: it keeps its start
+					copy(want[i*k:i*k+f1], initDX.Row(i)[:f1])
+				}
+				return want
+			}, func(accum bool) []float32 {
+				g2 := colRange(initDX, f1, k)
+				matMulTBInto(nil, g2, dy, w, accum)
+				return concatCols(colRange(initDX, 0, f1), g2).Data
+			}},
+			{"weight-grad", func(accum bool) []float32 { return naiveMatMul(Transpose(x), dy, initDW, accum, true) },
+				func(accum bool) []float32 {
+					out := initDW.Clone()
+					matMulTAInto(out, x1, x2, dy, accum)
+					return out.Data
+				}},
+		}
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		defer setLanes(useLanes)
+		for _, kn := range kernels {
+			for _, accum := range []bool{false, true} {
+				want := kn.want(accum)
+				for _, lanes := range laneSettings() {
+					setLanes(lanes)
+					for _, wk := range []int{1, 8} {
+						parallel.SetWorkers(wk)
+						got := kn.run(accum)
+						for e, g := range got {
+							if !sameFloat(g, want[e]) {
+								t.Fatalf("%s accum=%v lanes=%v workers=%d: value %d = %v (%#08x), serial loop %v (%#08x)",
+									kn.name, accum, lanes, wk, e, g, math.Float32bits(g), want[e], math.Float32bits(want[e]))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// colRange returns columns [lo, hi) of t as a new tensor.
+func colRange(t *Tensor, lo, hi int) *Tensor {
+	out := New(t.RowsN, hi-lo)
+	for i := range t.RowsN {
+		copy(out.Row(i), t.Row(i)[lo:hi])
+	}
+	return out
+}
+
+// concatCols returns [a ‖ b] as a new tensor.
+func concatCols(a, b *Tensor) *Tensor {
+	out := New(a.RowsN, a.ColsN+b.ColsN)
+	for i := range a.RowsN {
+		copy(out.Row(i), a.Row(i))
+		copy(out.Row(i)[a.ColsN:], b.Row(i))
+	}
+	return out
 }
 
 // cpuLanes is useLanes as package init set it: whether this CPU can run the
@@ -243,8 +392,8 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				run  func(out *Tensor)
 			}{
 				{"MM", New(s.m, s.n), func(out *Tensor) { matMulInto(out, x, w, false) }},
-				{"TA", New(s.k, s.n), func(out *Tensor) { matMulTAInto(out, x, dy, true) }},
-				{"TB", New(s.m, s.k), func(out *Tensor) { matMulTBInto(out, dy, w, true) }},
+				{"TA", New(s.k, s.n), func(out *Tensor) { matMulTAInto(out, x, nil, dy, true) }},
+				{"TB", New(s.m, s.k), func(out *Tensor) { matMulTBInto(out, nil, dy, w, true) }},
 			}
 			for _, kn := range kernels {
 				for _, lanes := range laneSettings() {

@@ -152,26 +152,75 @@ func matMulInto(out, a, b *Tensor, accum bool) {
 	if !accum {
 		out.Zero()
 	}
-	gemm(out, a.Data, a.ColsN, 1, a.ColsN, b.Data, nil, false)
+	gemm(out, colBlocks(a, nil), b.Data, nil, false)
 }
 
-// matMulTAInto computes out (+)= aᵀ @ b, reading a in place: output row i
-// is column i of a against all of b, so a shard's rows share every chunk of
-// b it loads. With accum the product is added to out, which is how the
-// backward pass writes weight gradients without a temporary.
-func matMulTAInto(out, a, b *Tensor, accum bool) {
-	if a.RowsN != b.RowsN {
-		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%d ᵀ@ %dx%d", a.RowsN, a.ColsN, b.RowsN, b.ColsN))
+// matMulTAInto computes out (+)= [a1 ‖ a2]ᵀ @ b, reading a1 and a2 in
+// place: output row i is column i of [a1 ‖ a2] against all of b, so a
+// shard's rows share every chunk of b it loads, and rows [0, cols(a1))
+// read a1 while the rest read a2 (nil for one block). With accum the
+// product is added to out, which is how the backward pass writes weight
+// gradients without a temporary.
+func matMulTAInto(out, a1, a2, b *Tensor, accum bool) {
+	if a1.RowsN != b.RowsN || a2 != nil && a2.RowsN != b.RowsN {
+		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%d ᵀ@ %dx%d", a1.RowsN, a1.ColsN, b.RowsN, b.ColsN))
 	}
 	if !accum {
 		out.Zero()
 	}
-	gemm(out, a.Data, 1, a.ColsN, a.RowsN, b.Data, nil, false)
+	gemm(out, rowBlocks(a1, a2), b.Data, nil, false)
 }
 
-// gemm adds A·B into out, where B is b read as a kDim×cols(out) row-major
-// matrix and A(i, k) = a[i*rs+k*ks]: rs, ks = kDim, 1 is a itself (matMulInto)
-// and rs, ks = 1, rows(out) is its transpose (matMulTAInto), read in place.
+// operand is gemm's multiplier A in one or two blocks. With byK the blocks
+// split A's k range at split: A = [X1 ‖ X2], the forward's multiplier,
+// whose second block is the aggregate beside the self rows. Without, they
+// split A's rows at split: A = [X1 ‖ X2]ᵀ, the weight gradient's, which
+// reads both blocks transposed in place. A one-block operand has split at
+// the end of its range. Each block is indexed by the whole matrix's i and k
+// (see block), and at picks the one holding an element.
+type operand struct {
+	blk   [2]block
+	kDim  int
+	split int
+	byK   bool
+}
+
+// block is one block of an operand: A(i, k) = a[off + i*rs + k*ks], where
+// off folds the block's start in the split dimension away.
+type block struct {
+	a           []float32
+	off, rs, ks int
+}
+
+// colBlocks is the operand [x1 ‖ x2] (x2 nil for x1 alone): both blocks
+// row-major with x1's row count, walked k over x1 and then over x2.
+func colBlocks(x1, x2 *Tensor) operand {
+	f1 := x1.ColsN
+	op := operand{blk: [2]block{{a: x1.Data, rs: f1, ks: 1}}, kDim: f1, split: f1, byK: true}
+	if x2 != nil {
+		if x2.RowsN != x1.RowsN {
+			panic(fmt.Sprintf("tensor: column blocks of %d and %d rows", x1.RowsN, x2.RowsN))
+		}
+		op.blk[1] = block{a: x2.Data, off: -f1, rs: x2.ColsN, ks: 1}
+		op.kDim += x2.ColsN
+	}
+	return op
+}
+
+// rowBlocks is the operand [x1 ‖ x2]ᵀ (x2 nil for x1ᵀ alone), read in
+// place: rows [0, cols(x1)) are the columns of x1, the rest those of x2,
+// and k runs over their shared rows.
+func rowBlocks(x1, x2 *Tensor) operand {
+	f1 := x1.ColsN
+	op := operand{blk: [2]block{{a: x1.Data, rs: 1, ks: f1}}, kDim: x1.RowsN, split: f1}
+	if x2 != nil {
+		op.blk[1] = block{a: x2.Data, off: -f1, rs: 1, ks: x2.ColsN}
+	}
+	return op
+}
+
+// gemm adds A·B into out, where A is the operand a and B is b read as an
+// a.kDim×cols(out) row-major matrix.
 //
 // Every output element adds its terms one at a time in ascending k, and a
 // term whose multiplier A(i, k) is ±0 is skipped rather than multiplied
@@ -180,17 +229,20 @@ func matMulTAInto(out, a, b *Tensor, accum bool) {
 //
 //	for k := range kDim { if A(i,k) != 0 { out[i][j] += A(i,k) * B[k][j] } }
 //
-// bit for bit, whatever the tiling, the shard structure or the worker count.
+// bit for bit, whatever the tiling, the shard structure, the worker count
+// or the split of A into blocks.
 //
 // Shards own tileRows-aligned blocks of output rows and walk k in chunks of
-// kChunk. Per chunk, each output row takes its multipliers (chunkTerms): a
-// row with no zero in the chunk uses them as they are, one with a zero
-// packs its nonzero ones and their b offsets. They are applied four at a
-// time in one pass over the output row, so a zero costs nothing and no pass
-// is guarded. When both rows of a pair have no zero in the chunk, the pair
-// shares the pass: each b element loaded feeds both rows (a 2-row × 4-k
-// register tile). On amd64 with AVX2 both passes run eight output columns
-// per instruction (useLanes), each lane in the scalar loop's order.
+// kChunk: over a's first k block and then its second, all in the one
+// parallel.For, so a chunk never spans the two. Per chunk, each output row
+// takes its multipliers (chunkTerms): a row with no zero in the chunk uses
+// them as they are, one with a zero packs its nonzero ones and their b
+// offsets. They are applied four at a time in one pass over the output
+// row, so a zero costs nothing and no pass is guarded. When both rows of a
+// pair have no zero in the chunk, the pair shares the pass: each b element
+// loaded feeds both rows (a 2-row × 4-k register tile). On amd64 with AVX2
+// both passes run eight output columns per instruction (useLanes), each
+// lane in the scalar loop's order.
 //
 // A non-nil bias is the epilogue: after its last chunk each shard adds bias
 // to its own rows and, with relu, clamps every sum that is not greater than
@@ -198,44 +250,60 @@ func matMulTAInto(out, a, b *Tensor, accum bool) {
 //
 // The lanes do not bounds-check b. Every offset chunkTerms hands out is k*n
 // with k < kDim, so the one length check below keeps them inside it.
-func gemm(out *Tensor, a []float32, rs, ks, kDim int, b, bias []float32, relu bool) {
-	n := out.ColsN
+func gemm(out *Tensor, a operand, b, bias []float32, relu bool) {
+	n, kDim := out.ColsN, a.kDim
 	if len(b) != kDim*n {
 		panic(fmt.Sprintf("tensor: gemm needs a %d×%d b, got %d values", kDim, n, len(b)))
 	}
 	if bias != nil && len(bias) != n {
 		panic(fmt.Sprintf("tensor: gemm needs a %d-wide bias, got %d values", n, len(bias)))
 	}
+	// segs are the k ranges walked in turn: the two k blocks, or all of k
+	// when the blocks split the rows.
+	segs := [3]int{0, a.split, kDim}
+	if !a.byK {
+		segs[1] = kDim
+	}
 	grain := (rowGrain(kDim*n) + tileRows - 1) / tileRows * tileRows
 	parallel.For(out.RowsN, grain, func(lo, hi int) {
 		var v0, v1 [kChunk]float32
 		var off0, off1, dense [kChunk]int
-		for k0 := 0; k0 < kDim; k0 += kChunk {
-			k1 := min(k0+kChunk, kDim)
-			for k := k0; k < k1; k++ {
-				dense[k-k0] = k * n
-			}
-			for i := lo; i < hi; i += 2 {
-				o0 := out.Data[i*n : i*n+n]
-				x0, f0 := chunkTerms(&v0, &off0, &dense, a, i*rs, ks, k0, k1, n)
-				if i+1 == hi {
+		for q := range 2 {
+			for k0 := segs[q]; k0 < segs[q+1]; k0 += kChunk {
+				k1 := min(k0+kChunk, segs[q+1])
+				for k := k0; k < k1; k++ {
+					dense[k-k0] = k * n
+				}
+				for i := lo; i < hi; i += 2 {
+					o0 := out.Data[i*n : i*n+n]
+					x0, f0 := chunkTerms(&v0, &off0, &dense, a.at(i, q), i, k0, k1, n)
+					if i+1 == hi {
+						addTerms(o0, b, x0, f0)
+						break
+					}
+					o1 := out.Data[(i+1)*n : (i+1)*n+n]
+					x1, f1 := chunkTerms(&v1, &off1, &dense, a.at(i+1, q), i+1, k0, k1, n)
+					if len(x0) == k1-k0 && len(x1) == k1-k0 {
+						addPair(o0, o1, b[k0*n:k1*n], x0, x1)
+						continue
+					}
 					addTerms(o0, b, x0, f0)
-					break
+					addTerms(o1, b, x1, f1)
 				}
-				o1 := out.Data[(i+1)*n : (i+1)*n+n]
-				x1, f1 := chunkTerms(&v1, &off1, &dense, a, (i+1)*rs, ks, k0, k1, n)
-				if len(x0) == k1-k0 && len(x1) == k1-k0 {
-					addPair(o0, o1, b[k0*n:k1*n], x0, x1)
-					continue
-				}
-				addTerms(o0, b, x0, f0)
-				addTerms(o1, b, x1, f1)
 			}
 		}
 		if bias != nil {
 			biasRows(out.Data[lo*n:hi*n], bias, relu)
 		}
 	})
+}
+
+// at returns the block holding row i's multipliers in k segment q.
+func (a *operand) at(i, q int) *block {
+	if a.byK && q == 1 || !a.byK && i >= a.split {
+		return &a.blk[1]
+	}
+	return &a.blk[0]
 }
 
 // nonzero is 1 when x is not ±0 and 0 when it is — the zero-skip test as an
@@ -245,14 +313,15 @@ func nonzero(x float32) int {
 }
 
 // chunkTerms returns the nonzero multipliers A(i, k), k in [k0, k1), of
-// the output row whose first multiplier is a[base], in ascending k, and the
-// offsets k*n of the b rows they scale. A row with no zero in the chunk
-// needs no packing: its multipliers are a[base+k0 : base+k1] itself when
-// ks == 1 (found by a scan, not a copy), or the gathered column when not,
-// and its offsets are dense, the chunk's k*n in order. A row with a zero
-// is packed into v and off.
-func chunkTerms(v *[kChunk]float32, off, dense *[kChunk]int, a []float32, base, ks, k0, k1, n int) ([]float32, []int) {
+// output row i, all in block p, in ascending k, and the offsets k*n of the
+// b rows they scale. A row with no zero in the chunk needs no packing: its
+// multipliers are p's values themselves when they are contiguous (ks == 1,
+// found by a scan, not a copy), or the gathered column when not, and its
+// offsets are dense, the chunk's k*n in order. A row with a zero is packed
+// into v and off.
+func chunkTerms(v *[kChunk]float32, off, dense *[kChunk]int, p *block, i, k0, k1, n int) ([]float32, []int) {
 	kc := k1 - k0
+	a, base, ks := p.a, p.off+i*p.rs, p.ks
 	if ks == 1 {
 		row := a[base+k0 : base+k1]
 		if !hasZero(row) {
@@ -434,15 +503,28 @@ func addPair4(o0, o1, b []float32, v0, v1 []float32, stride int) {
 	}
 }
 
-// matMulTBInto computes out (+)= a @ bᵀ with workers owning disjoint
-// output-row ranges. Four output columns (= rows of b) are computed per
-// pass over the a row, so each a element is loaded once per four dot
-// products; every dot product keeps its own accumulator summed in
-// ascending k order, so each output element is the identical left-to-right
-// sum at any worker count and any blocking.
-func matMulTBInto(out, a, b *Tensor, accum bool) {
+// matMulTBInto computes [o1 ‖ o2] (+)= a @ bᵀ with workers owning
+// disjoint output-row ranges: output column j is the dot product with row j
+// of b, o1 holds columns [0, n1) and o2 the rest, and a nil block's columns
+// are skipped (o1 alone, with o2 nil, is the plain product). Four output
+// columns (= rows of b) are computed per pass over the a row, so each a
+// element is loaded once per four dot products; every dot product keeps
+// its own accumulator summed in ascending k order, so each output element
+// is the identical left-to-right sum at any worker count, any blocking and
+// any split of the columns.
+func matMulTBInto(o1, o2, a, b *Tensor, accum bool) {
 	if a.ColsN != b.ColsN {
 		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch %dx%d @ᵀ %dx%d", a.RowsN, a.ColsN, b.RowsN, b.ColsN))
+	}
+	n1 := b.RowsN
+	switch {
+	case o2 != nil:
+		n1 -= o2.ColsN
+	case o1 != nil:
+		n1 = o1.ColsN
+	}
+	if o1 != nil && o1.ColsN != n1 || n1 < 0 {
+		panic(fmt.Sprintf("tensor: MatMulTB output blocks do not split %d columns", b.RowsN))
 	}
 	kDim := a.ColsN
 	// flops per output row = kDim*rows(b): one length-kDim dot product per
@@ -450,46 +532,57 @@ func matMulTBInto(out, a, b *Tensor, accum bool) {
 	parallel.For(a.RowsN, rowGrain(kDim*b.RowsN), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
-			orow := out.Row(i)
-			j := 0
-			for ; j+4 <= b.RowsN; j += 4 {
-				b0 := b.Data[j*kDim : j*kDim+kDim]
-				b1 := b.Data[(j+1)*kDim : (j+1)*kDim+kDim]
-				b2 := b.Data[(j+2)*kDim : (j+2)*kDim+kDim]
-				b3 := b.Data[(j+3)*kDim : (j+3)*kDim+kDim]
-				var s0, s1, s2, s3 float32
-				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-				}
-				if accum {
-					orow[j] += s0
-					orow[j+1] += s1
-					orow[j+2] += s2
-					orow[j+3] += s3
-				} else {
-					orow[j] = s0
-					orow[j+1] = s1
-					orow[j+2] = s2
-					orow[j+3] = s3
-				}
+			if o1 != nil {
+				dotRows(o1.Row(i), arow, b.Data[:n1*kDim], accum)
 			}
-			for ; j < b.RowsN; j++ {
-				brow := b.Row(j)
-				var s float32
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				if accum {
-					orow[j] += s
-				} else {
-					orow[j] = s
-				}
+			if o2 != nil {
+				dotRows(o2.Row(i), arow, b.Data[n1*kDim:], accum)
 			}
 		}
 	})
+}
+
+// dotRows sets (or, with accum, adds to) orow[j] the dot product of arow
+// with row j of b, rows len(arow) wide, summed from +0 in ascending k.
+func dotRows(orow, arow, b []float32, accum bool) {
+	kDim := len(arow)
+	j := 0
+	for ; j+4 <= len(orow); j += 4 {
+		b0 := b[j*kDim : j*kDim+kDim]
+		b1 := b[(j+1)*kDim : (j+1)*kDim+kDim]
+		b2 := b[(j+2)*kDim : (j+2)*kDim+kDim]
+		b3 := b[(j+3)*kDim : (j+3)*kDim+kDim]
+		var s0, s1, s2, s3 float32
+		for k, av := range arow {
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+		}
+		if accum {
+			orow[j] += s0
+			orow[j+1] += s1
+			orow[j+2] += s2
+			orow[j+3] += s3
+		} else {
+			orow[j] = s0
+			orow[j+1] = s1
+			orow[j+2] = s2
+			orow[j+3] = s3
+		}
+	}
+	for ; j < len(orow); j++ {
+		brow := b[j*kDim : j*kDim+kDim]
+		var s float32
+		for k, av := range arow {
+			s += av * brow[k]
+		}
+		if accum {
+			orow[j] += s
+		} else {
+			orow[j] = s
+		}
+	}
 }
 
 // elemGrain is the element count per shard for the parallel elementwise
