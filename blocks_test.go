@@ -166,7 +166,12 @@ func TestBlockBytesPinned(t *testing.T) {
 		// one-piece forward peak, so it splits, and forward it through
 		// recModel over features whose row v holds v; each micro-batch's
 		// input values are then its gathered node ids.
-		spec := memory.Spec{Model: (&recModel{}).Config(), ParamsGNN: 8}
+		shape, err := nn.NewGraphSAGE((&recModel{}).Config(), rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := memory.SpecOf(shape, nil) // recModel's shape, estimated
+		spec.Params = 8
 		pl := &memory.Planner{Capacity: 1 << 40, Partitioner: reg.BettyBatch{Seed: 3}, Spec: spec, Peak: memory.Breakdown.ForwardPeak}
 		whole, err := pl.Plan(nwBlocks)
 		if err != nil {

@@ -425,7 +425,7 @@ func (e *Engine) evaluate(seeds []int32) (float64, error) {
 	}
 	capacity := e.capacity()
 	if r.Dev != nil {
-		params := int64(e.Spec.ParamsGNN+e.Spec.ParamsAgg) * memory.BytesPerValue
+		params := int64(e.Spec.Params) * memory.BytesPerValue
 		capacity += device.RoundAlloc(params) - r.Dev.Used()
 	}
 	part := e.Partitioner

@@ -356,8 +356,8 @@ func TestBuildGATRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Engine.Spec.IsGAT {
-		t.Fatal("GAT spec not marked")
+	if gat, ok := s.Model.(*nn.GAT); !ok || !reflect.DeepEqual(s.Engine.Spec.Layers, gat.Tapes()) {
+		t.Fatal("GAT spec not built from the GAT's layers")
 	}
 	st, err := s.Engine.TrainEpochMicro()
 	if err != nil {
@@ -448,11 +448,19 @@ func (m constModel) Config() nn.Config {
 	return nn.Config{InDim: 1, Hidden: 1, OutDim: m.classes, Layers: 2}
 }
 
-// constEngine builds an engine around constModel over d.
+// constEngine builds an engine around constModel over d. Its planner
+// estimates with the layers of a GraphSAGE of the same shape and no
+// parameters.
 func constEngine(d *dataset.Dataset) *Engine {
 	m := constModel{classes: d.NumClasses}
 	r := train.NewRunner(m, d, nn.NewAdam(m, 0.01), nil)
-	return New(r, sample.New([]int{3, 3}, 5), memory.Spec{Model: m.Config(), OptStatePerParam: 2}, 9)
+	shape, err := nn.NewGraphSAGE(m.Config(), rngFor(1))
+	if err != nil {
+		panic(err)
+	}
+	spec := memory.SpecOf(shape, nil)
+	spec.Params, spec.OptStatePerParam = 0, 2
+	return New(r, sample.New([]int{3, 3}, 5), spec, 9)
 }
 
 // maskedAccuracy returns the class-0 rate over the labeled subset of seeds

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"betty/internal/nn"
@@ -96,8 +97,8 @@ func TestGCNTrainsWithBetty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Engine.Spec.IsGCN {
-		t.Fatal("GCN spec not marked")
+	if gcn, ok := s.Model.(*nn.GCN); !ok || !reflect.DeepEqual(s.Engine.Spec.Layers, gcn.Tapes()) {
+		t.Fatal("GCN spec not built from the GCN's layers")
 	}
 	var first, last float64
 	for e := 0; e < 8; e++ {

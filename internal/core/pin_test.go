@@ -117,11 +117,15 @@ func TestEpochStatsPinned(t *testing.T) {
 // list: for every micro-batch of every architecture and SAGE aggregator,
 // the runner's batch charges equal the last four charges of the
 // micro-batch's estimate to the byte, its resident state the first three,
-// and so its ledger peak the estimate's Peak.
+// and so its ledger peak the estimate's Peak. GAT runs at the default four
+// heads and at one, which records no head-averaging ops.
 func TestBatchChargesMatchEstimate(t *testing.T) {
-	for _, m := range [][2]string{{"sage", "mean"}, {"sage", "sum"}, {"sage", "pool"}, {"sage", "lstm"}, {"gcn", "mean"}, {"gat", "mean"}} {
-		s, err := Build(pinData(t), m[0], m[1], Options{
-			Seed: 60, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4,
+	for _, m := range []struct {
+		arch, agg string
+		heads     int
+	}{{"sage", "mean", 0}, {"sage", "sum", 0}, {"sage", "pool", 0}, {"sage", "lstm", 0}, {"gcn", "mean", 0}, {"gat", "mean", 0}, {"gat", "mean", 1}} {
+		s, err := Build(pinData(t), m.arch, m.agg, Options{
+			Seed: 60, Hidden: 16, Fanouts: []int{5, 5}, FixedK: 4, Heads: m.heads,
 			Device: device.New(device.GiB, device.DefaultCostModel()),
 		})
 		if err != nil {
@@ -140,7 +144,7 @@ func TestBatchChargesMatchEstimate(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := memory.BatchCharges(micro, s.Dataset.FeatureDim(), res.ActivationBytes); got != [4]memory.Charge(want[3:]) {
-				t.Fatalf("%s-%s micro %d: runner charged %v, estimate lists %v", m[0], m[1], i, got, want[3:])
+				t.Fatalf("%s-%s-%dh micro %d: runner charged %v, estimate lists %v", m.arch, m.agg, m.heads, i, got, want[3:])
 			}
 			resident := map[string]int64{}
 			for _, b := range dev.LiveBuffers() {
@@ -148,11 +152,11 @@ func TestBatchChargesMatchEstimate(t *testing.T) {
 			}
 			for _, c := range want[:3] {
 				if len(resident) != 3 || resident[c.Label] != device.RoundAlloc(c.Bytes) {
-					t.Fatalf("%s-%s: resident %v, estimate lists %v", m[0], m[1], resident, want[:3])
+					t.Fatalf("%s-%s-%dh: resident %v, estimate lists %v", m.arch, m.agg, m.heads, resident, want[:3])
 				}
 			}
 			if res.PeakBytes != plan.Estimates[i].Peak() {
-				t.Fatalf("%s-%s micro %d: ledger peak %d, estimate %d", m[0], m[1], i, res.PeakBytes, plan.Estimates[i].Peak())
+				t.Fatalf("%s-%s-%dh micro %d: ledger peak %d, estimate %d", m.arch, m.agg, m.heads, i, res.PeakBytes, plan.Estimates[i].Peak())
 			}
 		}
 	}

@@ -17,32 +17,19 @@ import (
 // node/edge index (int32).
 const BytesPerValue = 4
 
-// LSTMIntermediatesPerValue is the Equation 5 constant: the number of
-// intermediate values the framework materializes per LSTM input element.
-// The paper measures 18 for PyTorch and notes it is implementation-
-// dependent; for this repository's autograd tape each LSTM timestep
-// materializes the input gather (1), the two gate matmuls, their sum, and
-// the bias add (4 x 4 = 16), the four gate slices and activations (8), the
-// cell-state products and sum (3), and the output tanh and product (2),
-// for 30 values per input element.
-const LSTMIntermediatesPerValue = 30
-
 // Spec describes the trained model for estimation purposes: the
-// architecture plus the parameter counts of Table 3.
+// architecture, its parameter count, and each layer as its forward runs.
 type Spec struct {
 	// Model is the GNN architecture (dims, layers, aggregator, heads).
 	Model nn.Config
-	// ParamsGNN is NP_GNN: parameter values excluding the aggregator.
-	ParamsGNN int
-	// ParamsAgg is NP_Agg: aggregator-only parameter values.
-	ParamsAgg int
+	// Params is the model's parameter values (NP_GNN + NP_Agg of Table 3).
+	Params int
 	// OptStatePerParam is the optimizer-state values kept per parameter
 	// value (Adam: 2; 0 for a forward-only spec).
 	OptStatePerParam int
-	// IsGAT marks attention models, whose aggregator working set differs.
-	IsGAT bool
-	// IsGCN marks normalized-sum convolution models.
-	IsGCN bool
+	// Layers states each layer's tape values, the hidden and aggregator
+	// terms (components 5 and 6), one per block.
+	Layers []nn.LayerTape
 }
 
 // Model is what the estimator reads off a constructed model; GraphSAGE,
@@ -50,21 +37,17 @@ type Spec struct {
 type Model interface {
 	nn.Module
 	Config() nn.Config
-	// AggParamCount counts the aggregator-only parameter values (NP_Agg).
-	AggParamCount() int
+	Tapes() []nn.LayerTape
 }
 
 // SpecOf derives a Spec from a constructed model and its optimizer. A nil
 // optimizer means forward-only: the estimate carries no optimizer-state
 // term.
 func SpecOf(m Model, opt nn.Optimizer) Spec {
-	agg := m.AggParamCount()
-	s := Spec{Model: m.Config(), ParamsGNN: nn.ParamCount(m) - agg, ParamsAgg: agg}
+	s := Spec{Model: m.Config(), Params: nn.ParamCount(m), Layers: m.Tapes()}
 	if opt != nil {
 		s.OptStatePerParam = opt.StateSize()
 	}
-	_, s.IsGAT = m.(*nn.GAT)
-	_, s.IsGCN = m.(*nn.GCN)
 	return s
 }
 
@@ -234,103 +217,26 @@ func Estimate(blocks []*graph.Block, spec Spec) (Breakdown, error) {
 	return estimate(blocks, spec, true)
 }
 
-// estimate is Estimate; lstmBuckets = false leaves out the LSTM
-// degree-bucket term, the one component that is not linear in the block's
-// node and edge counts.
-func estimate(blocks []*graph.Block, spec Spec, lstmBuckets bool) (Breakdown, error) {
+// estimate is Estimate; buckets = false leaves out the LSTM degree-bucket
+// term, the one component that is not linear in the block's node and edge
+// counts.
+func estimate(blocks []*graph.Block, spec Spec, buckets bool) (Breakdown, error) {
 	if len(blocks) == 0 {
 		return Breakdown{}, fmt.Errorf("memory: empty batch")
 	}
-	if len(blocks) != spec.Model.Layers {
-		return Breakdown{}, fmt.Errorf("memory: %d blocks for %d model layers", len(blocks), spec.Model.Layers)
+	if len(blocks) != len(spec.Layers) {
+		return Breakdown{}, fmt.Errorf("memory: %d blocks for %d model layers", len(blocks), len(spec.Layers))
 	}
-	b := modelState(int64(spec.ParamsGNN+spec.ParamsAgg), spec.OptStatePerParam)
+	b := modelState(int64(spec.Params), spec.OptStatePerParam)
 	in := BatchCharges(blocks, spec.Model.InDim, 0)
 	b.InputFeatures, b.Labels, b.Blocks = in[0].Bytes, in[1].Bytes, in[2].Bytes
-
+	// (5) the layers' outputs — the paper's N_i x h_i — and (6) everything
+	// else their forwards record: the aggregator working set and the
+	// framework intermediates, Eq. 5 for LSTM. Each layer states its own.
 	for l, blk := range blocks {
-		layerIn, out := spec.Model.LayerDims(l)
-		last := l == spec.Model.Layers-1
-		heads := spec.Model.Heads
-		if heads <= 0 {
-			heads = 4
-		}
-		width := int64(out)
-		if spec.IsGAT && !last {
-			width = int64(out) * int64(heads)
-		}
-		// (5): the layer's destination outputs — the paper's N_i x h_i term.
-		hidden := int64(blk.NumDst) * width * BytesPerValue
-		b.Hidden += hidden
-
-		// (6): the aggregator working set plus the framework intermediates
-		// the forward pass materializes. Like the paper's constant 18, the
-		// per-operation terms are calibrated to this implementation's
-		// autograd tape (see the layer op sequences in package nn).
-		n := int64(blk.NumDst)
-		s := int64(blk.NumSrc)
-		e := int64(blk.NumEdges())
-		f := int64(layerIn)
-		o := int64(out)
-		var act int64 // all forward intermediates of this layer, in values
-		if spec.IsGCN {
-			// source scaling (S*F), fused neighbor sum with the dst
-			// normalization folded in (N*F), scale of the self rows (N*F;
-			// the self slice is a view), add (N*F), fused
-			// linear+bias+ReLU (N*O)
-			act = s*f + 3*n*f + n*o
-		} else if spec.IsGAT {
-			h := int64(heads)
-			// per head: projection (S*O), score vectors (2S), per-edge
-			// score pipeline (5E), gathered+weighted messages (2*E*O),
-			// and the per-destination sum (N*O)
-			act = h * (s*o + 2*s + 5*e + 2*e*o + n*o)
-			if last {
-				// head averaging: H-1 adds plus the final scale
-				act += n * o * int64(heads)
-			} else {
-				// pairwise concatenation of growing head outputs
-				act += n * o * (int64(heads)*(int64(heads)+1)/2 - 1)
-				// inter-layer ReLU over the concatenated width
-				act += n * o * int64(heads)
-			}
-		} else {
-			// shared SAGE pipeline: the fused linear+bias+ReLU (N*O) over
-			// the self rows, a view, and the aggregate as two column
-			// blocks, so neither a self copy nor a concatenation
-			act = n * o
-			switch spec.Model.Aggregator {
-			case nn.Mean, nn.Sum:
-				// one fused gather+sum(+weight, +degree scale) output
-				act += n * f
-			case nn.Pool:
-				// pre-transform (3S*F), gathered messages (E*F), max (N*F)
-				act += 3*s*f + e*f + n*f
-			case nn.LSTM:
-				// Equation 5 with this implementation's constant, plus the
-				// per-bucket scatter/accumulate outputs (2 per non-empty
-				// degree bucket, N*F each)
-				act += e * f * LSTMIntermediatesPerValue
-				if lstmBuckets {
-					if nb := int64(nonzeroDegreeBuckets(blk)); nb > 0 {
-						act += (2*nb - 1) * n * f
-					}
-				}
-			}
-		}
-		b.Aggregator += act*BytesPerValue - hidden
+		out, rest := spec.Layers[l].Values(blk, buckets)
+		b.Hidden += out * BytesPerValue
+		b.Aggregator += rest * BytesPerValue
 	}
 	return b, nil
-}
-
-// nonzeroDegreeBuckets counts the distinct nonzero in-degrees of a block's
-// destinations — the NodeBatch count of the in-degree bucketing scheme.
-func nonzeroDegreeBuckets(b *graph.Block) int {
-	seen := make(map[int]bool)
-	for d := 0; d < b.NumDst; d++ {
-		if deg := b.InDegree(d); deg > 0 {
-			seen[deg] = true
-		}
-	}
-	return len(seen)
 }

@@ -5,6 +5,7 @@ import (
 
 	"betty/internal/graph"
 	"betty/internal/nn"
+	"betty/internal/rng"
 )
 
 // tinyBlock is the 2-destination, 3-source, 4-edge block every
@@ -35,6 +36,29 @@ func midBlock() *graph.Block {
 	}
 }
 
+// tableSpec is the spec of a real arch ("sage", "gcn" or "gat") model of
+// cfg, so its layers state their own tape values, with the hand-picked
+// parameter count and optimizer states the tables below compute with.
+func tableSpec(t *testing.T, arch string, cfg nn.Config, params, optStatePerParam int) Spec {
+	t.Helper()
+	var m Model
+	var err error
+	switch arch {
+	case "sage":
+		m, err = nn.NewGraphSAGE(cfg, rng.New(1))
+	case "gcn":
+		m, err = nn.NewGCN(testGraph(t, 1, 8, 16), cfg, rng.New(1))
+	case "gat":
+		m, err = nn.NewGAT(cfg, rng.New(1))
+	}
+	if err != nil || m == nil {
+		t.Fatalf("building %s: %v", arch, err)
+	}
+	s := SpecOf(m, nil)
+	s.Params, s.OptStatePerParam = params, optStatePerParam
+	return s
+}
+
 // TestEstimateComponentsByModel pins every Breakdown component to a byte
 // count computed by hand from the §4.4.3 formulas, one case per supported
 // architecture. All cases share tinyBlock (N=2 outputs, S=3 inputs, E=4
@@ -55,11 +79,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			//     sum-agg NF(20) = 28 values; Aggregator = 28*4 - Hidden(32).
 			name:   "sage-sum-1layer",
 			blocks: []*graph.Block{tinyBlock()},
-			spec: Spec{
-				Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Sum},
-				ParamsGNN:        50,
-				OptStatePerParam: 1,
-			},
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Sum}, 50, 1),
 			want: Breakdown{
 				Params:        50 * 4,
 				InputFeatures: 3 * 10 * 4,
@@ -79,10 +99,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			// values.
 			name:   "sage-mean-1layer",
 			blocks: []*graph.Block{tinyBlock()},
-			spec: Spec{
-				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean},
-				ParamsGNN: 50,
-			},
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean}, 50, 0),
 			want: Breakdown{
 				Params:        50 * 4,
 				InputFeatures: 3 * 10 * 4,
@@ -101,12 +118,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			// max NF(20) on top of the shared NO(8): 158 values.
 			name:   "sage-pool-1layer",
 			blocks: []*graph.Block{tinyBlock()},
-			spec: Spec{
-				Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Pool},
-				ParamsGNN:        80,
-				ParamsAgg:        30,
-				OptStatePerParam: 2,
-			},
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Pool}, 80+30, 2),
 			want: Breakdown{
 				Params:        110 * 4,
 				InputFeatures: 3 * 10 * 4,
@@ -127,12 +139,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			// NO(8) = 98 values.
 			name:   "gcn-1layer",
 			blocks: []*graph.Block{tinyBlock()},
-			spec: Spec{
-				Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1},
-				ParamsGNN:        44,
-				OptStatePerParam: 2,
-				IsGCN:            true,
-			},
+			spec:   tableSpec(t, "gcn", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1}, 44, 2),
 			want: Breakdown{
 				Params:        44 * 4,
 				InputFeatures: 3 * 10 * 4,
@@ -152,13 +159,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			// 156, + head averaging NO*H(16) = 172 values.
 			name:   "gat-1layer-2heads",
 			blocks: []*graph.Block{tinyBlock()},
-			spec: Spec{
-				Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Heads: 2},
-				ParamsGNN:        60,
-				ParamsAgg:        12,
-				OptStatePerParam: 0,
-				IsGAT:            true,
-			},
+			spec:   tableSpec(t, "gat", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Heads: 2}, 60+12, 0),
 			want: Breakdown{
 				Params:        72 * 4,
 				InputFeatures: 3 * 10 * 4,
@@ -173,6 +174,26 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			peak: 7 * 512, forward: 5 * 512,
 		},
 		{
+			// GAT, 1 head, last layer: the one head's SO(12) + 2S(6) +
+			// 5E(20) + 2EO(32) + NO(8) = 78 values and no averaging ops,
+			// since a lone head's sum is the output.
+			name:   "gat-1layer-1head",
+			blocks: []*graph.Block{tinyBlock()},
+			spec:   tableSpec(t, "gat", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Heads: 1}, 60+12, 0),
+			want: Breakdown{
+				Params:        72 * 4,
+				InputFeatures: 3 * 10 * 4,
+				Labels:        2 * 4,
+				Blocks:        4 * 3 * 4,
+				Hidden:        2 * 4 * 4,
+				Aggregator:    78*4 - 2*4*4,
+				Gradients:     72 * 4,
+				OptStates:     0,
+			},
+			// Activations 78*4+4 = 316: every charge one block.
+			peak: 6 * 512, forward: 4 * 512,
+		},
+		{
 			// Two layers. Layer 0 on midBlock (N=3,S=5,E=6,f=10,o=8):
 			// fused linear+ReLU NO(24) + fused mean NF(30) = 54 values,
 			// minus Hidden0 = 3*8 values (96 bytes). Layer 1 on tinyBlock
@@ -180,11 +201,7 @@ func TestEstimateComponentsByModel(t *testing.T) {
 			// Hidden1 = 2*4 values (32 bytes).
 			name:   "sage-mean-2layer",
 			blocks: []*graph.Block{midBlock(), tinyBlock()},
-			spec: Spec{
-				Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 2, Aggregator: nn.Mean},
-				ParamsGNN:        200,
-				OptStatePerParam: 2,
-			},
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 2, Aggregator: nn.Mean}, 200, 2),
 			want: Breakdown{
 				Params:        200 * 4,
 				InputFeatures: 5 * 10 * 4,
@@ -241,22 +258,16 @@ func TestEstimateComponentsFused(t *testing.T) {
 			// NF(20) = 28 values; minus Hidden (8 values).
 			name:   "sage-sum-1layer",
 			blocks: []*graph.Block{weighted()},
-			spec: Spec{
-				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Sum},
-				ParamsGNN: 50,
-			},
-			want: (28 - 8) * 4,
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Sum}, 50, 0),
+			want:   (28 - 8) * 4,
 		},
 		{
 			// Mean folds the weights and the degree scale into the same
 			// kernel output: NO(8) + NF(20) = 28 values.
 			name:   "sage-mean-1layer",
 			blocks: []*graph.Block{weighted()},
-			spec: Spec{
-				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean},
-				ParamsGNN: 50,
-			},
-			want: (28 - 8) * 4,
+			spec:   tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean}, 50, 0),
+			want:   (28 - 8) * 4,
 		},
 		{
 			// GCN: source scaling SF(30) + fused normalized weighted sum
@@ -264,12 +275,8 @@ func TestEstimateComponentsFused(t *testing.T) {
 			// linear NO(8) = 98 values.
 			name:   "gcn-1layer",
 			blocks: []*graph.Block{weighted()},
-			spec: Spec{
-				Model:     nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1},
-				ParamsGNN: 44,
-				IsGCN:     true,
-			},
-			want: (98 - 8) * 4,
+			spec:   tableSpec(t, "gcn", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1}, 44, 0),
+			want:   (98 - 8) * 4,
 		},
 	}
 	for _, tc := range cases {

@@ -120,15 +120,24 @@ func propCase(t *testing.T, seed uint64, model, peak uint8, capPermille uint16, 
 	}
 
 	cfg := nn.Config{InDim: 1 + r.Intn(24), Hidden: 1 + r.Intn(24), OutDim: 1 + r.Intn(8), Layers: layers, Heads: 1 + r.Intn(4)}
-	spec := Spec{Model: cfg, ParamsGNN: r.Intn(600), ParamsAgg: r.Intn(60), OptStatePerParam: r.Intn(3)}
+	// The parameter count stays a draw of its own, so the model-state
+	// term varies apart from the layers.
+	params, optState := r.Intn(600)+r.Intn(60), r.Intn(3)
+	var arch Model
 	switch model % propModels {
 	case 4:
-		spec.IsGCN = true
+		arch, err = nn.NewGCN(g, cfg, rng.New(seed))
 	case 5:
-		spec.IsGAT = true
+		arch, err = nn.NewGAT(cfg, rng.New(seed))
 	default:
-		spec.Model.Aggregator = []nn.Aggregator{nn.Mean, nn.Sum, nn.Pool, nn.LSTM}[model%propModels]
+		cfg.Aggregator = []nn.Aggregator{nn.Mean, nn.Sum, nn.Pool, nn.LSTM}[model%propModels]
+		arch, err = nn.NewGraphSAGE(cfg, rng.New(seed))
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SpecOf(arch, nil)
+	spec.Params, spec.OptStatePerParam = params, optState
 	parts := []reg.BatchPartitioner{reg.BettyBatch{Seed: seed}, reg.MetisBatch{Seed: seed}, reg.RandomBatch{Seed: seed}, reg.RangeBatch{}}
 	pp := propPeaks[int(peak)%len(propPeaks)]
 	pl := &Planner{
@@ -244,7 +253,7 @@ func TestLowerBoundDropsLSTMBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := []*graph.Block{b}
-	spec := Spec{Model: nn.Config{InDim: 4, Hidden: 4, OutDim: 2, Layers: 1, Aggregator: nn.LSTM}, ParamsGNN: 10}
+	spec := tableSpec(t, "sage", nn.Config{InDim: 4, Hidden: 4, OutDim: 2, Layers: 1, Aggregator: nn.LSTM}, 10, 0)
 	whole, err := Estimate(full, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +290,7 @@ func TestLowerBoundUnrounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := []*graph.Block{b}
-	spec := Spec{Model: nn.Config{InDim: 80, Hidden: 5, OutDim: 5, Layers: 1, Aggregator: nn.Mean}, ParamsGNN: 10}
+	spec := tableSpec(t, "sage", nn.Config{InDim: 80, Hidden: 5, OutDim: 5, Layers: 1, Aggregator: nn.Mean}, 10, 0)
 	pl := &Planner{Partitioner: reg.RangeBatch{}, Spec: spec}
 	two, err := pl.EvaluateFixedK(full, 2)
 	if err != nil {

@@ -83,12 +83,7 @@ func TestEstimateHandComputed(t *testing.T) {
 		SrcNID:   []int32{5, 6, 7},
 		DstNID:   []int32{5, 6},
 	}
-	spec := Spec{
-		Model:            nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean},
-		ParamsGNN:        100,
-		ParamsAgg:        0,
-		OptStatePerParam: 2,
-	}
+	spec := tableSpec(t, "sage", nn.Config{InDim: 10, Hidden: 8, OutDim: 4, Layers: 1, Aggregator: nn.Mean}, 100, 2)
 	est, err := Estimate([]*graph.Block{b}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +146,7 @@ func TestEstimateLSTMEquation5(t *testing.T) {
 		SrcNID:   []int32{1, 2, 3, 4},
 		DstNID:   []int32{1, 2},
 	}
-	spec := Spec{
-		Model:     nn.Config{InDim: 6, Hidden: 6, OutDim: 3, Layers: 1, Aggregator: nn.LSTM},
-		ParamsGNN: 10,
-	}
+	spec := tableSpec(t, "sage", nn.Config{InDim: 6, Hidden: 6, OutDim: 3, Layers: 1, Aggregator: nn.LSTM}, 10, 0)
 	est, err := Estimate([]*graph.Block{b}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -496,8 +488,8 @@ func TestSpecForInference(t *testing.T) {
 	if s.OptStatePerParam != 0 {
 		t.Fatalf("inference spec carries optimizer states: %+v", s)
 	}
-	if s.ParamsGNN+s.ParamsAgg != nn.ParamCount(sage) {
-		t.Fatal("inference spec params do not sum to model params")
+	if s.Params != nn.ParamCount(sage) || len(s.Layers) != 2 {
+		t.Fatalf("inference spec does not describe the model: %+v", s)
 	}
 	gat, err := nn.NewGAT(nn.Config{InDim: 8, Hidden: 8, OutDim: 4, Layers: 2, Heads: 2}, r)
 	if err != nil {
@@ -507,8 +499,8 @@ func TestSpecForInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gs.IsGAT {
-		t.Fatalf("GAT inference spec not marked: %+v", gs)
+	if gs.Params != nn.ParamCount(gat) || len(gs.Layers) != 2 || gs.Model.Heads != 2 {
+		t.Fatalf("GAT inference spec does not describe the model: %+v", gs)
 	}
 	if _, err := SpecForInference(struct{}{}); err == nil {
 		t.Fatal("unsupported model accepted")
@@ -522,18 +514,15 @@ func TestSpecFromModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := SpecOf(sage, nn.NewAdam(sage, 0.01))
-	if s.ParamsAgg == 0 || s.ParamsGNN == 0 || s.OptStatePerParam != 2 {
+	if s.Params != nn.ParamCount(sage) || s.OptStatePerParam != 2 || len(s.Layers) != 2 {
 		t.Fatalf("bad SAGE spec: %+v", s)
-	}
-	if s.ParamsGNN+s.ParamsAgg != nn.ParamCount(sage) {
-		t.Fatal("spec params do not sum to model params")
 	}
 	gat, err := nn.NewGAT(nn.Config{InDim: 8, Hidden: 8, OutDim: 4, Layers: 2, Heads: 2}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gs := SpecOf(gat, nil)
-	if !gs.IsGAT || gs.IsGCN || gs.OptStatePerParam != 0 {
+	if gs.Params != nn.ParamCount(gat) || gs.OptStatePerParam != 0 || len(gs.Layers) != 2 {
 		t.Fatalf("bad GAT spec: %+v", gs)
 	}
 	gcn, err := nn.NewGCN(testGraph(t, 10, 50, 200), nn.Config{InDim: 8, Hidden: 8, OutDim: 4, Layers: 2}, r)
@@ -541,10 +530,7 @@ func TestSpecFromModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := SpecOf(gcn, nn.NewAdam(gcn, 0.01))
-	if !cs.IsGCN || cs.IsGAT || cs.ParamsAgg != 0 || cs.ParamsGNN != nn.ParamCount(gcn) || cs.OptStatePerParam != 2 {
+	if cs.Params != nn.ParamCount(gcn) || cs.OptStatePerParam != 2 || len(cs.Layers) != 2 {
 		t.Fatalf("bad GCN spec: %+v", cs)
-	}
-	if s.IsGAT || s.IsGCN {
-		t.Fatalf("SAGE spec marked as another architecture: %+v", s)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // TestEstimateMatchesTapeBytes pins the estimator's activation terms to the
 // op chain that actually runs: for every architecture, on unweighted and
 // edge-weighted sampled batches, Hidden + Aggregator equals, to the byte,
-// what one Model.Forward materializes on a fresh tape.
+// what one Model.Forward materializes on a fresh tape. GAT runs with one,
+// two and three heads: one head records no head-averaging ops.
 func TestEstimateMatchesTapeBytes(t *testing.T) {
 	type forwardModel interface {
 		Model
@@ -33,6 +34,13 @@ func TestEstimateMatchesTapeBytes(t *testing.T) {
 				return nn.NewGraphSAGE(c, rng.New(32))
 			}
 		}
+		gat := func(heads int) func() (forwardModel, error) {
+			return func() (forwardModel, error) {
+				c := cfg
+				c.Heads = heads
+				return nn.NewGAT(c, rng.New(34))
+			}
+		}
 		for _, c := range []struct {
 			name  string
 			build func() (forwardModel, error)
@@ -43,6 +51,8 @@ func TestEstimateMatchesTapeBytes(t *testing.T) {
 			{"sage-lstm", sage(nn.LSTM)},
 			{"gcn", func() (forwardModel, error) { return nn.NewGCN(g, cfg, rng.New(33)) }},
 			{"gat", func() (forwardModel, error) { return nn.NewGAT(cfg, rng.New(34)) }},
+			{"gat-1head", gat(1)},
+			{"gat-3heads", gat(3)},
 		} {
 			t.Run(fmt.Sprintf("%s/weighted=%v", c.name, weighted), func(t *testing.T) {
 				model, err := c.build()

@@ -93,6 +93,31 @@ func (c *GATConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu b
 	return outs
 }
 
+// TapeValues implements BlockLayer. Per head Forward records the
+// projection (S*O), the two score vectors (2S), the per-edge score
+// pipeline (5E), the gathered and weighted messages (2*E*O) and the
+// per-destination sum (N*O). Joining H heads then records the growing
+// concatenations (N*O*(H(H+1)/2-1)), or H-1 adds and the final scale
+// (N*O*H, none for one head), and relu one ReLU over the result. out is
+// the result, N x (H*O) concatenated or N x O averaged.
+func (c *GATConv) TapeValues(b *graph.Block, relu, _ bool) (out, rest int64) {
+	n, s, e := int64(b.NumDst), int64(b.NumSrc), int64(b.NumEdges())
+	o, h := int64(c.out), int64(len(c.heads))
+	all := h * (s*o + 2*s + 5*e + 2*e*o + n*o)
+	out = n * o
+	switch {
+	case c.concat:
+		out *= h
+		all += n * o * (h*(h+1)/2 - 1)
+	case h > 1:
+		all += n * o * h
+	}
+	if relu {
+		all += out
+	}
+	return out, all - out
+}
+
 // GAT is the multi-layer graph attention model: hidden layers concatenate
 // their heads and apply ELU-like ReLU; the output layer averages heads.
 type GAT struct {
@@ -121,16 +146,4 @@ func NewGAT(cfg Config, r *rng.RNG) (*GAT, error) {
 		}
 	}
 	return m, nil
-}
-
-// AggParamCount counts attention parameters (the per-head score vectors),
-// the analogue of NP_Agg for GAT.
-func (m *GAT) AggParamCount() int {
-	total := 0
-	for _, l := range m.Layers {
-		for _, h := range l.heads {
-			total += h.attL.Value.Len() + h.attR.Value.Len()
-		}
-	}
-	return total
 }

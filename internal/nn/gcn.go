@@ -59,6 +59,14 @@ func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu b
 	return tp.LinearBiasReLU(tp.Add(agg, self), nil, c.fc.W, c.fc.B, relu)
 }
 
+// TapeValues implements BlockLayer. out is the fused linear+bias+ReLU
+// (N*O); rest is the source scaling (S*F), the fused normalized sum (N*F),
+// the scale of the self view (N*F) and the add (N*F).
+func (c *GCNConv) TapeValues(b *graph.Block, _, _ bool) (out, rest int64) {
+	n, f := int64(b.NumDst), int64(c.in)
+	return n * int64(c.out), int64(b.NumSrc)*f + 3*n*f
+}
+
 // GCN is the multi-layer graph convolutional network.
 type GCN struct {
 	Stack[*GCNConv]
@@ -77,6 +85,3 @@ func NewGCN(g *graph.Graph, cfg Config, r *rng.RNG) (*GCN, error) {
 	}
 	return m, nil
 }
-
-// AggParamCount is zero: the normalized sum has no learned parameters.
-func (m *GCN) AggParamCount() int { return 0 }

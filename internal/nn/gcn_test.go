@@ -71,9 +71,7 @@ func TestGCNModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.AggParamCount() != 0 {
-		t.Fatal("GCN should have no aggregator params")
-	}
+	// W and b per layer, no aggregator parameters
 	if ParamCount(m) != 4*8+8+8*3+3 {
 		t.Fatalf("param count = %d", ParamCount(m))
 	}

@@ -91,6 +91,16 @@ func NewLSTMCell(in, hidden int, r *rng.RNG) *LSTMCell {
 // Params implements Module.
 func (c *LSTMCell) Params() []*tensor.Var { return []*tensor.Var{c.Wx, c.Wh, c.B} }
 
+// lstmStepValues is Equation 5's constant for this tape: the values the
+// LSTM aggregator records per neighbor input element, where the paper
+// measures 18 for PyTorch and calls the figure implementation-dependent.
+// Per timestep of a hidden-wide cell fed hidden-wide inputs (DGL's
+// convention, SAGEConv's lstm), SAGEConv gathers the input (1), and Step
+// records the two gate matmuls, their sum and the bias add (4 x 4 = 16),
+// the four gate slices and activations (8), the cell-state products and
+// sum (3), and the output tanh and product (2): 30.
+const lstmStepValues = 30
+
 // Step advances the cell one timestep: given input x (B x in) and previous
 // state (h, cst) it returns the next (h, cst), each B x hidden.
 func (c *LSTMCell) Step(tp *tensor.Tape, x, h, cst *tensor.Var) (*tensor.Var, *tensor.Var) {

@@ -164,8 +164,8 @@ func TestSAGEConvParamAccounting(t *testing.T) {
 	if ParamCount(lstm) != wantLSTM {
 		t.Fatalf("lstm params = %d, want %d", ParamCount(lstm), wantLSTM)
 	}
-	if len(mean.AggParams()) != 0 || len(pool.AggParams()) != 2 || len(lstm.AggParams()) != 3 {
-		t.Fatal("AggParams counts wrong")
+	if len(mean.Params()) != 2 || len(pool.Params()) != 2+2 || len(lstm.Params()) != 2+3 {
+		t.Fatal("aggregator parameter tensors wrong")
 	}
 }
 
@@ -367,9 +367,10 @@ func TestGATForwardShapesAndGrads(t *testing.T) {
 			t.Fatalf("GAT param %d got no grad", i)
 		}
 	}
-	// layer 0: 2 heads x (attL 5 + attR 5); layer 1: 2 heads x (3 + 3)
-	if model.AggParamCount() != 2*(5+5)+2*(3+3) {
-		t.Fatalf("GAT AggParamCount = %d", model.AggParamCount())
+	// layer 0: 2 heads x (W 4x5 + attL 5 + attR 5); layer 1 over the
+	// concatenated 10: 2 heads x (W 10x3 + 3 + 3)
+	if ParamCount(model) != 2*(4*5+5+5)+2*(10*3+3+3) {
+		t.Fatalf("GAT ParamCount = %d", ParamCount(model))
 	}
 }
 

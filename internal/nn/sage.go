@@ -49,19 +49,6 @@ func (c *SAGEConv) Params() []*tensor.Var {
 	return ps
 }
 
-// AggParams returns only the aggregator's parameters (NP_Agg in the
-// paper's memory-estimation notation, Table 3); nil for Mean and Sum.
-func (c *SAGEConv) AggParams() []*tensor.Var {
-	switch {
-	case c.poolFC != nil:
-		return c.poolFC.Params()
-	case c.lstm != nil:
-		return c.lstm.Params()
-	default:
-		return nil
-	}
-}
-
 // Forward computes the layer on block b. h holds source-node features
 // (b.NumSrc rows); the result has b.NumDst rows, passed through ReLU when
 // relu is set. Mean and Sum aggregation — weighted or not — run as one
@@ -127,6 +114,42 @@ func (c *SAGEConv) lstmAggregate(tp *tensor.Tape, b *graph.Block, h *tensor.Var)
 	return pieces
 }
 
+// TapeValues implements BlockLayer. out is the fused linear+bias+ReLU
+// (N*O) over the self view and the aggregate; rest is the aggregate: one
+// fused gather+sum(+weight, +degree scale) output (N*F) for Mean and Sum;
+// the pre-transform's matmul, bias and ReLU (3*S*F), the gathered messages
+// (E*F) and their max (N*F) for Pool; and for LSTM, Equation 5 with this
+// tape's constant (E*F*lstmStepValues) plus each non-empty degree bucket's
+// scatter and the adds joining them ((2*buckets-1)*N*F).
+func (c *SAGEConv) TapeValues(b *graph.Block, _, buckets bool) (out, rest int64) {
+	n, s, e := int64(b.NumDst), int64(b.NumSrc), int64(b.NumEdges())
+	f := int64(c.in)
+	switch c.Agg {
+	case Pool:
+		rest = 3*s*f + e*f + n*f
+	case LSTM:
+		rest = e * f * lstmStepValues
+		if buckets && b.NumEdges() > 0 {
+			rest += (2*int64(degreeBuckets(b)) - 1) * n * f
+		}
+	default:
+		rest = n * f
+	}
+	return n * int64(c.out), rest
+}
+
+// degreeBuckets counts the distinct nonzero in-degrees of b's destinations:
+// the buckets lstmAggregate runs, counted without building them.
+func degreeBuckets(b *graph.Block) int {
+	seen := make(map[int]bool)
+	for d := 0; d < b.NumDst; d++ {
+		if deg := b.InDegree(d); deg > 0 {
+			seen[deg] = true
+		}
+	}
+	return len(seen)
+}
+
 // GraphSAGE is the multi-layer GraphSAGE model: one SAGEConv per block,
 // with ReLU between layers and raw logits at the output.
 type GraphSAGE struct {
@@ -181,15 +204,4 @@ func NewGraphSAGE(cfg Config, r *rng.RNG) (*GraphSAGE, error) {
 		m.Layers = append(m.Layers, NewSAGEConv(in, out, cfg.Aggregator, r))
 	}
 	return m, nil
-}
-
-// AggParamCount counts aggregator-only parameters (NP_Agg, Table 3).
-func (m *GraphSAGE) AggParamCount() int {
-	total := 0
-	for _, l := range m.Layers {
-		for _, p := range l.AggParams() {
-			total += p.Value.Len()
-		}
-	}
-	return total
 }

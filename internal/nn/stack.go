@@ -11,9 +11,17 @@ import (
 // block — the unit of layer-wise forward execution. All conv layers in
 // this package satisfy it. Forward applies the inter-layer ReLU when relu
 // is set, which a model does for every layer but its last.
+//
+// TapeValues states what Forward records: the float32 values Forward(tp,
+// b, h, relu) puts on tp (tp.ValueBytes()/4), as out for the layer's result
+// and rest for everything before it — the paper's hidden (N_i x h_i) and
+// aggregator terms (§4.4.3, Table 3). buckets = false leaves out the one
+// term that is not linear in b's node and edge counts, the LSTM
+// aggregator's degree buckets.
 type BlockLayer interface {
 	Module
 	Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var, relu bool) *tensor.Var
+	TapeValues(b *graph.Block, relu, buckets bool) (out, rest int64)
 }
 
 // blockCSR assembles the tensor.CSR view of block b from its memoized
@@ -59,7 +67,33 @@ func (s *Stack[L]) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var
 	}
 	h := x
 	for l, layer := range s.Layers {
-		h = layer.Forward(tp, blocks[l], h, l < len(s.Layers)-1)
+		h = layer.Forward(tp, blocks[l], h, s.relu(l))
 	}
 	return h
+}
+
+// relu reports whether Forward applies ReLU after layer l: every layer but
+// the last.
+func (s *Stack[L]) relu(l int) bool { return l < len(s.Layers)-1 }
+
+// LayerTape is one layer of a model as the model's Forward runs it: the
+// layer and the ReLU Forward applies after it.
+type LayerTape struct {
+	layer BlockLayer
+	relu  bool
+}
+
+// Values is the layer's TapeValues on b under that ReLU.
+func (t LayerTape) Values(b *graph.Block, buckets bool) (out, rest int64) {
+	return t.layer.TapeValues(b, t.relu, buckets)
+}
+
+// Tapes returns every layer as Forward runs it, in layer order — what the
+// memory estimator sums.
+func (s *Stack[L]) Tapes() []LayerTape {
+	ts := make([]LayerTape, len(s.Layers))
+	for l, layer := range s.Layers {
+		ts[l] = LayerTape{layer, s.relu(l)}
+	}
+	return ts
 }

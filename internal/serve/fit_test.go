@@ -33,7 +33,7 @@ func TestServedForwardFitsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer memory.Free(dev, params)
-	paramBytes := device.RoundAlloc(int64(s.spec.ParamsGNN+s.spec.ParamsAgg) * memory.BytesPerValue)
+	paramBytes := device.RoundAlloc(int64(s.spec.Params) * memory.BytesPerValue)
 
 	// Each batch coalesces three 8-node requests, the first of which
 	// repeats half of the previous batch's first request, deduplicated in

@@ -134,7 +134,7 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	}
 	// The parameters are the first charge of every planned micro-batch's
 	// ForwardPeak, and the only one the ledger holds.
-	ledger := device.New(device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg)*memory.BytesPerValue), device.CostModel{})
+	ledger := device.New(device.RoundAlloc(int64(spec.Params)*memory.BytesPerValue), device.CostModel{})
 	params, err := memory.AllocResident(ledger, m, nil)
 	if err != nil {
 		return nil, err
@@ -385,6 +385,11 @@ func (s *Server) runBatch(batch []*request) {
 		return
 	}
 
+	// Count the batch before answering it: a caller that reads the stats
+	// once its response arrives must see its own batch.
+	s.obs.Add("serve.batches", 1)
+	s.obs.Add("serve.batched_requests", int64(len(batch)))
+	s.obs.Observe("serve.batch_requests", int64(len(batch)))
 	rsp := s.obs.StartSpan(obs.PhaseRespond).SetInt("batch", s.batchSeq)
 	for _, req := range batch {
 		out := make([][]float32, len(req.nodes))
@@ -395,9 +400,6 @@ func (s *Server) runBatch(batch []*request) {
 	}
 	rsp.End()
 	s.batchSeq++
-	s.obs.Add("serve.batches", 1)
-	s.obs.Add("serve.batched_requests", int64(len(batch)))
-	s.obs.Observe("serve.batch_requests", int64(len(batch)))
 }
 
 // scoreUnion samples the deduplicated seed list and scores it through

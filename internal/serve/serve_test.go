@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func TestDefaultsArePlainPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paramBytes := device.RoundAlloc(int64(spec.ParamsGNN+spec.ParamsAgg) * memory.BytesPerValue)
+	paramBytes := device.RoundAlloc(int64(spec.Params) * memory.BytesPerValue)
 	if got, ok := reg.GaugeValue("serve.cache_ledger_capacity_bytes"); !ok || got != paramBytes {
 		t.Fatalf("cache ledger capacity %d (published %v), want the parameters' %d", got, ok, paramBytes)
 	}
@@ -207,6 +208,63 @@ func TestCoalescingIsExact(t *testing.T) {
 		want := soloScores(t, d, model, testConfig(obs.NewFakeClock(0, 1), nil), nodes)
 		if !bitwiseEqual(got[i], want) {
 			t.Fatalf("request %d: coalesced response differs from solo response", i)
+		}
+	}
+}
+
+// probeClock is a FakeClock that, once armed, reads the batch counters at
+// every Now. respond reads the clock just before it delivers, so its
+// readings are what a caller sees the moment its response arrives.
+type probeClock struct {
+	*obs.FakeClock
+	reg   *obs.Registry
+	armed atomic.Bool
+	mu    sync.Mutex
+	seen  [][3]int64 // serve.batches, serve.batched_requests, batch_requests samples
+}
+
+func (c *probeClock) Now() int64 {
+	if c.armed.Load() {
+		h := c.reg.HistogramWith("serve.batch_requests", obs.BoundsFor("serve.batch_requests"))
+		c.mu.Lock()
+		c.seen = append(c.seen, [3]int64{c.reg.CounterValue("serve.batches"), c.reg.CounterValue("serve.batched_requests"), h.Count()})
+		c.mu.Unlock()
+	}
+	return c.FakeClock.Now()
+}
+
+// A batch is counted before any of its requests is answered, so a caller
+// that reads the stats after its response always finds its own batch.
+func TestBatchCountedBeforeResponses(t *testing.T) {
+	d := testData(t)
+	reg := obs.New(obs.NewFakeClock(0, 1))
+	clock := &probeClock{FakeClock: obs.NewFakeClock(0, 1), reg: reg}
+	s := newTestServer(t, d, testModel(t, d), testConfig(clock, reg))
+	var reqs []*request
+	for _, nodes := range [][]int32{{3, 8}, {120}, {8, 700}} {
+		r, err := s.enqueue(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	clock.armed.Store(true)
+	s.Start()
+	for _, r := range reqs {
+		if res := <-r.done; res.err != nil {
+			t.Fatal(res.err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The worker's last clock reads are the three responds of its one batch.
+	if len(clock.seen) < len(reqs) {
+		t.Fatalf("%d clock reads, want at least %d", len(clock.seen), len(reqs))
+	}
+	for i, got := range clock.seen[len(clock.seen)-len(reqs):] {
+		if want := [3]int64{1, int64(len(reqs)), 1}; got != want {
+			t.Fatalf("response %d delivered with (batches, batched_requests, batch_requests samples) = %v, want %v", i, got, want)
 		}
 	}
 }
