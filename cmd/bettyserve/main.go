@@ -194,8 +194,8 @@ func run(cfg serveConfig) error {
 		srv.Close()
 		return err
 	}
-	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d)\n",
-		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch)
+	fmt.Fprintf(cfg.out, "serving %s/%s on http://%s (budget %d MiB, max batch %d, %d executors)\n",
+		ds.Name, cfg.model, ln.Addr(), scfg.CapacityBytes>>20, scfg.MaxBatch, srv.Executors())
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr().String()
 	}

@@ -274,8 +274,9 @@ func TestE2ECoalescingAndExactness(t *testing.T) {
 	}
 }
 
-// Backpressure e2e: with a one-deep queue and a slow in-flight batch, the
-// overflow request gets 429 and the queued-but-expired request gets 504.
+// Backpressure e2e: with a one-deep queue and a slow batch in flight on
+// every executor, the overflow request gets 429 and the queued-but-expired
+// request gets 504.
 func TestE2EBackpressureAndDeadline(t *testing.T) {
 	cfg := baseConfig()
 	cfg.dataset = "ogbn-arxiv"
@@ -298,97 +299,78 @@ func TestE2EBackpressureAndDeadline(t *testing.T) {
 
 	heavyBody := `{"nodes":` + nodesJSON(heavy) + `}`
 
-	type result struct {
-		code int
+	// In rounds: one heavy request per executor (max batch 1 keeps them
+	// apart), each sent once the one before is admitted so none finds the
+	// one-deep queue full, then two probes with a 1ms deadline at once.
+	// While every executor is busy one probe takes the only queue slot and
+	// the other is refused with 429; the queued one's deadline passes, and
+	// the next batch boundary must reject it with 504. If a heavy batch
+	// finished before the probes arrived, a free executor serves them
+	// (200) and the round is repeated; only a 429 and a 504 end the loop,
+	// and the 30s cap turns their absence into a failure.
+	executors := metrics(t, base)["serve.executors"]
+	if executors < 1 {
+		t.Fatalf("serve.executors = %d", executors)
 	}
-	slow := make(chan result, 1)
-	go func() {
-		code, _ := postPredict(t, base, heavyBody)
-		slow <- result{code}
-	}()
-	// Wait until the heavy request is being executed (dequeued, in
-	// flight) so the queue is empty for the next arrival.
-	waitMetric(t, base, "serve.inflight_requests", func(v int64) bool { return v == 1 })
-
-	queued := make(chan result, 1)
-	go func() {
-		code, _ := postPredict(t, base, `{"nodes":[1],"timeout_ms":1}`)
-		queued <- result{code}
-	}()
-	// Wait until it occupies the queue's only slot. Its 1ms deadline
-	// expires while the heavy batch runs, so the next batch boundary
-	// must reject it with 504 — that assertion is unconditional below.
-	waitMetric(t, base, "serve.queue_depth", func(v int64) bool { return v == 1 })
-
-	// The 429 path: a single probe races with the heavy batch finishing,
-	// so saturate instead — two feeders keep heavy requests arriving
-	// while probes retry. While saturated, either the queue is full
-	// (probe → 429) or the probe takes the only slot and the next probe
-	// bounces, so a 429 must surface; only its absence would hang the
-	// loop, and the 10s cap turns that into a failure.
-	stopFeed := make(chan struct{})
-	var feeders sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		feeders.Add(1)
-		go func() {
-			defer feeders.Done()
-			for {
-				select {
-				case <-stopFeed:
-					return
-				default:
-				}
-				resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(heavyBody))
-				if err != nil {
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}()
-	}
-	got429 := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(`{"nodes":[2]}`))
-		if err != nil {
-			t.Fatal(err)
+	var got429, got504 int64
+	for deadline := time.Now().Add(30 * time.Second); got429 == 0 || got504 == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 30s: %d probes refused with 429, %d with 504; want at least one of each", got429, got504)
 		}
-		var fail struct {
-			Error string `json:"error"`
+		slow := make(chan int, executors)
+		for range executors {
+			admitted := metrics(t, base)["serve.requests"] + 1
+			go func() {
+				code, _ := postPredict(t, base, heavyBody)
+				slow <- code
+			}()
+			waitMetric(t, base, "serve.requests", func(v int64) bool { return v == admitted })
 		}
-		code := resp.StatusCode
-		if code == http.StatusTooManyRequests {
-			if err := json.NewDecoder(resp.Body).Decode(&fail); err != nil {
-				t.Fatal(err)
+		probes := make(chan int, 2)
+		for range 2 {
+			go func() { probes <- postProbe(t, base, `{"nodes":[1],"timeout_ms":1}`) }()
+		}
+		for range executors {
+			if c := <-slow; c != http.StatusOK {
+				t.Fatalf("heavy request: status %d, want 200", c)
 			}
 		}
-		resp.Body.Close()
-		if code == http.StatusTooManyRequests {
-			if !strings.Contains(fail.Error, "queue") {
-				t.Fatalf("429 body %q does not name the queue", fail.Error)
+		for range 2 {
+			switch c := <-probes; c {
+			case http.StatusTooManyRequests:
+				got429++
+			case http.StatusGatewayTimeout:
+				got504++
+			case http.StatusOK:
+			default:
+				t.Fatalf("probe: status %d, want 429, 504 or 200", c)
 			}
-			got429 = true
-			break
 		}
-	}
-	close(stopFeed)
-	feeders.Wait()
-	if !got429 {
-		t.Fatal("never observed a 429 while saturated")
-	}
-
-	if r := <-queued; r.code != http.StatusGatewayTimeout {
-		t.Fatalf("expired request: status %d, want 504", r.code)
-	}
-	if r := <-slow; r.code != http.StatusOK {
-		t.Fatalf("heavy request: status %d, want 200", r.code)
 	}
 	m := metrics(t, base)
-	if m["serve.rejected_queue_full"] < 1 || m["serve.deadline_exceeded"] != 1 {
-		t.Fatalf("rejection counters: %+v", m)
+	if m["serve.rejected_queue_full"] != got429 || m["serve.deadline_exceeded"] != got504 {
+		t.Fatalf("rejection counters %+v, want %d queue-full and %d deadline rejections", m, got429, got504)
 	}
+}
+
+// postProbe sends one predict call and returns its status; a 429 body must
+// name the queue.
+func postProbe(t *testing.T, base, body string) int {
+	resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	defer resp.Body.Close()
+	var fail struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode == http.StatusTooManyRequests {
+		if err := json.NewDecoder(resp.Body).Decode(&fail); err != nil || !strings.Contains(fail.Error, "queue") {
+			t.Errorf("429 body %q (%v) does not name the queue", fail.Error, err)
+		}
+	}
+	return resp.StatusCode
 }
 
 // Checkpoint round trip: a model trained one epoch, checkpointed, and

@@ -63,18 +63,28 @@ func PlannedForward(pl *memory.Planner, blocks []*graph.Block, model train.Model
 	if err != nil {
 		return nil, fmt.Errorf("core: planning: %w", err)
 	}
-	if src, err = stage.Load(src, plan.Micro, pl.Obs); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	return plan, ForwardPlan(plan, pl.Obs, model, src, stage, dev, batch, emit)
+}
+
+// ForwardPlan is PlannedForward's second step, for a caller that acts
+// between planning and the forward (serving reserves the plan's bytes on
+// its shared budget there): it stages, gathers, forwards and emits plan as
+// PlannedForward does, with its spans going to reg.
+func ForwardPlan(plan *memory.Plan, reg *obs.Registry, model train.Model, src dataset.FeatureSource,
+	stage *dataset.Stage, dev *device.Device, batch int64, emit func(pos int, row []float32)) error {
+	src, err := stage.Load(src, plan.Micro, reg)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	defer stage.Release()
 	tp := tensor.NewTape()
 	defer tp.Release()
 	for gi, micro := range plan.Micro {
-		if err := forwardMicro(tp, pl.Obs, batch, model, micro, src, dev, plan.Groups[gi], emit); err != nil {
-			return nil, err
+		if err := forwardMicro(tp, reg, batch, model, micro, src, dev, plan.Groups[gi], emit); err != nil {
+			return err
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 // forwardMicro gathers, charges and forwards one planned micro-batch on tp

@@ -200,6 +200,25 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
+// Add moves the gauge by d, for a level several goroutines raise and
+// lower.
+func (g *Gauge) Add(d int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(d)
+}
+
+// SetMax raises the gauge to v when v is larger, for a high-water mark
+// several goroutines feed.
+func (g *Gauge) SetMax(v int64) {
+	if g == nil {
+		return
+	}
+	for cur := g.v.Load(); v > cur && !g.v.CompareAndSwap(cur, v); cur = g.v.Load() {
+	}
+}
+
 // Value returns the current gauge value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -12,6 +12,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Add("c", 1)
 	r.Set("g", 2)
+	r.Gauge("g").Add(1)
+	r.Gauge("g").SetMax(4)
 	r.Observe("h_ns", 3)
 	r.SetTracing(true)
 	if r.Tracing() {
@@ -199,12 +201,21 @@ func TestConcurrentMetricsExact(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Add("c", 1)
 				r.Observe("h", int64(i%7))
+				r.Gauge("level").Add(2)
+				r.Gauge("level").Add(-1)
+				r.Gauge("high").SetMax(int64(g*per + i))
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.CounterValue("c"); got != goroutines*per {
 		t.Fatalf("counter = %d, want %d", got, goroutines*per)
+	}
+	if got, _ := r.GaugeValue("level"); got != goroutines*per {
+		t.Fatalf("gauge moved by Add = %d, want %d", got, goroutines*per)
+	}
+	if got, _ := r.GaugeValue("high"); got != goroutines*per-1 {
+		t.Fatalf("gauge raised by SetMax = %d, want %d", got, goroutines*per-1)
 	}
 	h := r.HistogramWith("h", nil)
 	if h.Count() != goroutines*per {

@@ -39,6 +39,7 @@ func TestServedForwardFitsPlan(t *testing.T) {
 	// repeats half of the previous batch's first request, deduplicated in
 	// first-occurrence order as runBatch does.
 	r := rng.New(11)
+	var stage dataset.Stage
 	var prev []int32
 	for batch := int64(0); batch < 6; batch++ {
 		var union []int32
@@ -63,7 +64,7 @@ func TestServedForwardFitsPlan(t *testing.T) {
 		pl := s.planner()
 		pl.Capacity = dev.Capacity() - dev.Used() + paramBytes
 		dev.ResetPeak()
-		plan, err := core.PlannedForward(pl, blocks, s.model, d.FeatureSource(), &s.stage, dev, batch, func(int, []float32) {})
+		plan, err := core.PlannedForward(pl, blocks, s.model, d.FeatureSource(), &stage, dev, batch, func(int, []float32) {})
 		if err != nil {
 			t.Fatalf("batch %d (%d seeds): %v", batch, len(union), err)
 		}

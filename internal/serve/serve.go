@@ -1,8 +1,9 @@
 // Package serve is the memory-aware online inference layer: a dynamic
 // batcher coalesces concurrent prediction requests into one sampled batch,
-// and the shared planned forward (core.PlannedForward) splits it with the
+// and the shared planned forward (core.ForwardPlan) splits it with the
 // §4.4.3 planner into micro-batches whose estimated forward footprint fits
-// the device budget and produces the scores.
+// the device budget and produces the scores. One executor per worker
+// forms and runs batches, so independent batches run at once.
 //
 // The correctness contract is exactness under coalescing: every response
 // is bitwise identical to what the same request would have received alone.
@@ -19,7 +20,7 @@
 // (ErrDeadlineExceeded → 504), and a closed server drains what it has
 // already admitted before stopping (ErrClosed → 503 for new work). A
 // panic while executing a batch fails that batch's requests and the
-// worker keeps serving.
+// executor keeps serving.
 package serve
 
 import (
@@ -35,6 +36,7 @@ import (
 	"betty/internal/device"
 	"betty/internal/memory"
 	"betty/internal/obs"
+	"betty/internal/parallel"
 	"betty/internal/reg"
 	"betty/internal/sample"
 	"betty/internal/tensor"
@@ -86,10 +88,23 @@ type Server struct {
 	// frontier measures cross-batch layer-1 frontier overlap, published as
 	// sample.frontier.*.
 	frontier *frontierMeter
-	// stage holds an out-of-core batch's input frontier (worker-only).
-	stage dataset.Stage
+
+	executors int // batches run at once: parallel.Workers() at New
+	// budget is CapacityBytes − RoundAlloc(params), shared by every
+	// in-flight batch's plan.
+	budget budget
+	// logPending holds finished batches' log lines (nil for none) by seq
+	// until every earlier batch is done; logged counts the lines written.
+	logMu           sync.Mutex
+	logNext, logged int64
+	logPending      map[int64][]byte
 
 	queue chan *request
+	// collectMu is held by the one executor forming a batch, across its
+	// wait for the first request, so compositions depend only on what is
+	// queued (closing the queue ends the wait); nextSeq is the next seq.
+	collectMu sync.Mutex
+	nextSeq   int64
 
 	mu      sync.Mutex // guards closed, started, and the send side of queue
 	closed  bool
@@ -99,12 +114,6 @@ type Server struct {
 	// and freeing; concurrent/repeat Close calls wait on it so no caller
 	// returns while the server is still being torn down.
 	closeDone chan struct{}
-
-	// batchSeq numbers executed batches for the batch log (worker-only).
-	batchSeq int64
-	// maxEstPeak tracks the largest planned micro-batch forward peak
-	// (worker-only; exported as the serve.max_est_peak_bytes gauge).
-	maxEstPeak int64
 }
 
 // New builds a server for the given dataset and model. The model must be
@@ -113,7 +122,7 @@ type Server struct {
 //
 // The model's weights must be final when New is called and must not change
 // for the server's lifetime: load the checkpoint or finish training first,
-// as bettyserve does. The batch worker reads them without a lock.
+// as bettyserve does. Every executor reads them without a lock.
 func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -151,10 +160,15 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 		cacheLedger: ledger,
 		params:      params,
 		frontier:    newFrontierMeter(cfg.Obs),
+		executors:   parallel.Workers(),
+		budget:      budget{free: cfg.CapacityBytes - ledger.Capacity()},
+		logPending:  map[int64][]byte{},
 		queue:       make(chan *request, cfg.QueueDepth),
 		closeDone:   make(chan struct{}),
 	}
+	s.budget.cond.L = &s.budget.mu
 	s.sampler.Obs = cfg.Obs
+	s.obs.Set("serve.executors", int64(s.executors))
 	s.obs.Set("serve.cache_ledger_capacity_bytes", ledger.Capacity())
 	s.publishLedger()
 	// Registered at zero only for benchmark/serve.go, which still reads
@@ -163,12 +177,12 @@ func New(ds *dataset.Dataset, model any, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the batch worker. Requests may be enqueued before Start;
-// they are served in admission order once the worker runs (tests use this
-// to fix batch compositions deterministically). Start is idempotent, and
-// Start after (or racing) Close is a no-op: launching a worker once the
-// queue is closed would race Close's own drain — both would pull from the
-// closed queue while Close is already freeing the parameters behind it.
+// Start launches the executors. Requests may be enqueued before Start;
+// they are batched in admission order once the executors run (tests use
+// this to fix batch compositions deterministically). Start is idempotent,
+// and Start after (or racing) Close is a no-op: launching an executor once
+// the queue is closed would race Close's own drain — both would pull from
+// the closed queue while Close is already freeing the parameters behind it.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,12 +193,17 @@ func (s *Server) Start() {
 	// Training, which usually precedes serving in the same process, leaves
 	// the tensor pool full of size classes serving never asks for again.
 	tensor.DrainPool()
-	s.wg.Add(1)
-	go s.worker()
+	s.wg.Add(s.executors)
+	for range s.executors {
+		go s.executor()
+	}
 }
 
+// Executors returns how many batches the server runs at once.
+func (s *Server) Executors() int { return s.executors }
+
 // Close stops admission, drains every already-admitted request, waits for
-// the worker to exit, and only then frees the parameters' charge.
+// the executors to exit, and only then frees the parameters' charge.
 // It is idempotent, and every Close call (not just the first) returns only
 // after the drain and the free have finished. Close on a never-Started server
 // fails queued requests with ErrClosed instead of leaving their callers
@@ -202,13 +221,13 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	if !started {
-		// No worker ever ran: the drain is ours. (A worker started after
+		// No executor ever ran: the drain is ours. (One started after
 		// this point is impossible — Start checks closed under mu.)
 		for req := range s.queue {
 			s.respond(req, response{err: ErrClosed})
 		}
 	}
-	// The worker has exited and the queue is drained, so no batch can
+	// The executors have exited and the queue is drained, so no batch can
 	// still be reading the parameters.
 	memory.Free(s.cacheLedger, s.params)
 	s.publishLedger()
@@ -279,20 +298,21 @@ func (s *Server) enqueue(nodes []int32, timeout time.Duration) (*request, error)
 	return req, nil
 }
 
-// worker is the batch loop: collect, filter expired, execute, repeat,
-// until the queue is closed and drained.
-func (s *Server) worker() {
+// executor is one batch loop: collect, filter expired, execute, repeat,
+// until the queue is closed and drained. Its stage holds an out-of-core
+// batch's input frontier.
+func (s *Server) executor() {
 	defer s.wg.Done()
+	var stage dataset.Stage
 	for {
-		req, ok := <-s.queue
+		batch, seq, ok := s.collect()
 		if !ok {
 			return
 		}
-		batch := s.collect(req)
 		// Publish the depth at dequeue time too, so an observer can tell
 		// "queued" from "in flight" while a batch runs.
 		s.obs.Set("serve.queue_depth", int64(len(s.queue)))
-		s.obs.Set("serve.inflight_requests", int64(len(batch)))
+		s.obs.Gauge("serve.inflight_requests").Add(int64(len(batch)))
 		now := s.clock.Now()
 		live := batch[:0]
 		for _, r := range batch {
@@ -303,35 +323,46 @@ func (s *Server) worker() {
 			}
 			live = append(live, r)
 		}
+		var line []byte
 		if len(live) > 0 {
-			s.runBatch(live)
+			line = s.runBatch(live, seq, &stage)
 		}
-		s.obs.Set("serve.inflight_requests", 0)
+		s.logBatch(seq, line)
+		s.obs.Gauge("serve.inflight_requests").Add(-int64(len(batch)))
 		s.obs.Set("serve.queue_depth", int64(len(s.queue)))
 	}
 }
 
-// collect forms one batch from first plus whatever is already queued, up
-// to MaxBatch seed nodes, and never waits: an idle worker dispatches a lone
-// request at once, and requests that arrive while a batch executes queue up
-// to form the next one, so batch size follows load, not a timer.
-func (s *Server) collect(first *request) []*request {
-	sp := s.obs.StartSpan(obs.PhaseCollect).SetInt("batch", s.batchSeq)
+// collect blocks for a request under collectMu and forms one batch from
+// it plus whatever is already queued, up to MaxBatch seed nodes, never
+// waiting for more: a free executor dispatches a lone request at once, and
+// requests that arrive while every executor is busy queue up to form the
+// next batch, so batch size follows load, not a timer. ok is false once
+// the queue is closed and drained.
+func (s *Server) collect() (batch []*request, seq int64, ok bool) {
+	s.collectMu.Lock()
+	defer s.collectMu.Unlock()
+	first, ok := <-s.queue
+	if !ok {
+		return nil, 0, false
+	}
+	seq, s.nextSeq = s.nextSeq, s.nextSeq+1
+	sp := s.obs.StartSpan(obs.PhaseCollect).SetInt("batch", seq)
 	defer sp.End()
-	batch := []*request{first}
+	batch = []*request{first}
 	for seeds := len(first.nodes); seeds < s.cfg.MaxBatch; {
 		select {
 		case r, ok := <-s.queue:
 			if !ok {
-				return batch
+				return batch, seq, true
 			}
 			batch = append(batch, r)
 			seeds += len(r.nodes)
 		default:
-			return batch
+			return batch, seq, true
 		}
 	}
-	return batch
+	return batch, seq, true
 }
 
 // respond delivers res to req exactly once and records its end-to-end
@@ -341,12 +372,13 @@ func (s *Server) respond(req *request, res response) {
 	req.done <- res
 }
 
-// runBatch executes one coalesced batch end to end. A panic anywhere in
-// the pipeline is isolated here: the batch's requests fail, the worker
-// survives.
-func (s *Server) runBatch(batch []*request) {
+// runBatch executes one coalesced batch end to end and returns its
+// batch-log line, nil if it failed. A panic anywhere in the pipeline is
+// isolated here: the batch's requests fail, the executor survives.
+func (s *Server) runBatch(batch []*request, seq int64, stage *dataset.Stage) (line []byte) {
 	defer func() {
 		if r := recover(); r != nil {
+			line = nil
 			s.obs.Add("serve.panics", 1)
 			err := fmt.Errorf("serve: batch panicked: %v", r)
 			for _, req := range batch {
@@ -356,7 +388,7 @@ func (s *Server) runBatch(batch []*request) {
 	}()
 	// The batch's spans carry its batch-log number, so its phases can be
 	// grepped from the trace.
-	sp := s.obs.StartSpan(obs.PhaseBatch).SetInt("batch", s.batchSeq).SetInt("requests", int64(len(batch)))
+	sp := s.obs.StartSpan(obs.PhaseBatch).SetInt("batch", seq).SetInt("requests", int64(len(batch)))
 	defer sp.End()
 	now := s.clock.Now()
 	for _, req := range batch {
@@ -377,12 +409,12 @@ func (s *Server) runBatch(batch []*request) {
 	}
 	sp.SetInt("union_nodes", int64(len(union)))
 
-	scores, err := s.scoreUnion(union)
+	scores, line, err := s.scoreUnion(union, seq, stage)
 	if err != nil {
 		for _, req := range batch {
 			s.respond(req, response{err: err})
 		}
-		return
+		return nil
 	}
 
 	// Count the batch before answering it: a caller that reads the stats
@@ -390,7 +422,7 @@ func (s *Server) runBatch(batch []*request) {
 	s.obs.Add("serve.batches", 1)
 	s.obs.Add("serve.batched_requests", int64(len(batch)))
 	s.obs.Observe("serve.batch_requests", int64(len(batch)))
-	rsp := s.obs.StartSpan(obs.PhaseRespond).SetInt("batch", s.batchSeq)
+	rsp := s.obs.StartSpan(obs.PhaseRespond).SetInt("batch", seq)
 	for _, req := range batch {
 		out := make([][]float32, len(req.nodes))
 		for i, v := range req.nodes {
@@ -399,38 +431,71 @@ func (s *Server) runBatch(batch []*request) {
 		s.respond(req, response{scores: out})
 	}
 	rsp.End()
-	s.batchSeq++
+	return line
 }
 
-// scoreUnion samples the deduplicated seed list and scores it through
-// core.PlannedForward, returning one score row per union node. It also
-// emits the batch-log line, which must happen after planning (it records
-// K and the estimate).
-func (s *Server) scoreUnion(union []int32) ([][]float32, error) {
+// scoreUnion samples the deduplicated seed list, plans it against the full
+// CapacityBytes, reserves the plan's bytes on the shared budget and scores
+// it through core.ForwardPlan, returning one score row per union node and
+// the batch-log line (which records K and the estimate).
+func (s *Server) scoreUnion(union []int32, seq int64, stage *dataset.Stage) ([][]float32, []byte, error) {
 	blocks, err := s.sampler.Sample(s.ds.Graph, union)
 	if err != nil {
-		return nil, fmt.Errorf("serve: sampling: %w", err)
+		return nil, nil, fmt.Errorf("serve: sampling: %w", err)
 	}
 	s.frontier.Observe(blocks[0].DstNID)
+	plan, err := s.planner().Plan(blocks)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: planning: %w", err)
+	}
 	// The forward is not charged: the cache ledger's peak is the
 	// serve_*/peak_device_bytes the benchmark reports (DESIGN.md §11).
+	// The budget is: each batch reserves its plan beside the parameters.
+	need := plan.MaxPeak - s.cacheLedger.Capacity()
+	t0 := s.clock.Now()
+	s.budget.acquire(need)
+	defer s.budget.release(need)
+	s.obs.Observe("serve.budget_wait_ns", s.clock.Now()-t0)
 	scores := make([][]float32, len(union))
-	plan, err := core.PlannedForward(s.planner(), blocks, s.model, s.ds.FeatureSource(), &s.stage, nil, s.batchSeq,
+	err = core.ForwardPlan(plan, s.obs, s.model, s.ds.FeatureSource(), stage, nil, seq,
 		func(pos int, row []float32) { scores[pos] = append([]float32(nil), row...) })
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
-	if plan.MaxPeak > s.maxEstPeak {
-		s.maxEstPeak = plan.MaxPeak
-		s.obs.Set("serve.max_est_peak_bytes", s.maxEstPeak)
-	}
+	s.obs.Gauge("serve.max_est_peak_bytes").SetMax(plan.MaxPeak)
 	// layer1_dst_rows counts the layer-1 rows the forwards computed.
 	for _, micro := range plan.Micro {
 		s.obs.Add("serve.layer1_dst_rows", int64(micro[0].NumDst))
 	}
 	s.obs.Add("serve.served_nodes", int64(len(union)))
-	s.writeBatchLog(union, plan)
-	return scores, nil
+	return scores, s.batchLogLine(union, plan), nil
+}
+
+// budget is a byte budget reserved first come, first served: a
+// reservation waits for its turn (ticket order) and for its bytes.
+type budget struct {
+	mu                 sync.Mutex
+	cond               sync.Cond
+	free, ticket, turn int64
+}
+
+func (b *budget) acquire(n int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.ticket
+	b.ticket++
+	for t != b.turn || b.free < n {
+		b.cond.Wait()
+	}
+	b.free, b.turn = b.free-n, b.turn+1
+	b.cond.Broadcast()
+}
+
+func (b *budget) release(n int64) {
+	b.mu.Lock()
+	b.free += n
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
 // planner is the §4.4.3 planner every batch is split with: forward-only
@@ -447,19 +512,16 @@ func (s *Server) planner() *memory.Planner {
 	}
 }
 
-// writeBatchLog emits one hand-assembled NDJSON line describing the batch
-// composition and plan. Every field is a pure function of the admitted
+// batchLogLine assembles a batch's NDJSON log line after its seq field,
+// nil without a BatchLog. Every field is a pure function of the admitted
 // request trace — no timestamps, no durations — so a fixed trace yields
 // byte-identical logs at any worker count.
-func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
-	w := s.cfg.BatchLog
-	if w == nil {
-		return
+func (s *Server) batchLogLine(union []int32, plan *memory.Plan) []byte {
+	if s.cfg.BatchLog == nil {
+		return nil
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, `{"type":"batch","seq":%d,"union":%d,"k":%d,"est_peak_bytes":%d,"nodes":`,
-		s.batchSeq, len(union), plan.K, plan.MaxPeak)
-	b.WriteByte('[')
+	fmt.Fprintf(&b, `"union":%d,"k":%d,"est_peak_bytes":%d,"nodes":[`, len(union), plan.K, plan.MaxPeak)
 	for i, v := range union {
 		if i > 0 {
 			b.WriteByte(',')
@@ -467,8 +529,31 @@ func (s *Server) writeBatchLog(union []int32, plan *memory.Plan) {
 		b.WriteString(strconv.FormatInt(int64(v), 10))
 	}
 	b.WriteString("]}\n")
-	if _, err := w.Write(b.Bytes()); err != nil {
-		s.obs.Add("serve.batch_log_errors", 1)
+	return b.Bytes()
+}
+
+// logBatch files batch seq's line (nil for none) and writes, in collect
+// order, every line whose earlier batches are all done, whichever executor
+// finished first. A line's seq field counts the lines before it, so a
+// batch that logs nothing (it failed, or its requests expired) leaves no
+// gap.
+func (s *Server) logBatch(seq int64, line []byte) {
+	if s.cfg.BatchLog == nil {
+		return
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.logPending[seq] = line
+	for line, ok := s.logPending[s.logNext]; ok; line, ok = s.logPending[s.logNext] {
+		delete(s.logPending, s.logNext)
+		s.logNext++
+		if line == nil {
+			continue
+		}
+		if _, err := fmt.Fprintf(s.cfg.BatchLog, `{"type":"batch","seq":%d,%s`, s.logged, line); err != nil {
+			s.obs.Add("serve.batch_log_errors", 1)
+		}
+		s.logged++
 	}
 }
 

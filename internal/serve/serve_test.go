@@ -526,19 +526,25 @@ func TestStagedFeaturesArePooled(t *testing.T) {
 	}
 }
 
-// gateSource is a FeatureSource whose first gather parks until released,
-// which holds one batch in flight without a clock.
+// gateSource is a FeatureSource whose first n gathers park until
+// released, which holds n batches in flight without a clock. Each parked
+// gather sends on entered.
 type gateSource struct {
 	dataset.FeatureSource
-	once             sync.Once
+	n                int64
+	parked           atomic.Int64
 	entered, release chan struct{}
 }
 
+func newGateSource(src dataset.FeatureSource, n int) *gateSource {
+	return &gateSource{FeatureSource: src, n: int64(n), entered: make(chan struct{}, n), release: make(chan struct{})}
+}
+
 func (g *gateSource) park() {
-	g.once.Do(func() {
-		close(g.entered)
+	if g.parked.Add(1) <= g.n {
+		g.entered <- struct{}{}
 		<-g.release
-	})
+	}
 }
 
 func (g *gateSource) GatherInto(out *tensor.Tensor, nids []int32) error {
@@ -560,13 +566,16 @@ func batchLogNodes(t *testing.T, log []byte) [][]int32 {
 	return out
 }
 
-// Batching is work-conserving: an idle worker dispatches a lone request at
-// once, and what arrives while that batch executes forms the next batch —
-// coalescing that follows load, with no clock anywhere in the path.
+// Batching is work-conserving: a free executor dispatches a lone request
+// at once, and what arrives while every executor runs a batch forms the
+// next batch — coalescing that follows load, with no clock anywhere in the
+// path. Each of the W executors takes one lone request into the gate; the
+// requests after them queue and form one batch.
 func TestWorkConservingBatching(t *testing.T) {
 	d := testData(t)
 	gated := *d
-	gate := &gateSource{FeatureSource: d.FeatureSource(), entered: make(chan struct{}), release: make(chan struct{})}
+	w := parallel.Workers()
+	gate := newGateSource(d.FeatureSource(), w)
 	gated.Source = gate
 	var log bytes.Buffer
 	clock := obs.NewFakeClock(0, 0) // never advances: nothing here may wait on time
@@ -574,13 +583,18 @@ func TestWorkConservingBatching(t *testing.T) {
 	cfg.BatchLog = &log
 	s := newTestServer(t, &gated, testModel(t, d), cfg)
 	s.Start()
-	first, err := s.enqueue([]int32{1, 2}, 0)
-	if err != nil {
-		t.Fatal(err)
+	var reqs []*request
+	var want [][]int32
+	for i := range int32(w) {
+		nodes := []int32{2*i + 1, 2*i + 2}
+		r, err := s.enqueue(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, want = append(reqs, r), append(want, nodes)
+		<-gate.entered // batch i is executing, and holds only this request
 	}
-	<-gate.entered // batch 0 is executing, and holds only the first request
 	later := [][]int32{{3, 8, 120}, {8, 700, 3}, {41, 5}, {700, 701, 702}, {9}}
-	reqs := []*request{first}
 	for _, nodes := range later {
 		r, err := s.enqueue(nodes, 0)
 		if err != nil {
@@ -595,9 +609,9 @@ func TestWorkConservingBatching(t *testing.T) {
 		}
 	}
 	s.Close()
-	want := [][]int32{{1, 2}, {3, 8, 120, 700, 41, 5, 701, 702, 9}}
+	want = append(want, []int32{3, 8, 120, 700, 41, 5, 701, 702, 9})
 	if got := batchLogNodes(t, log.Bytes()); !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
-		t.Fatalf("batches scored %v, want the first request alone and then every later one together: %v", got, want)
+		t.Fatalf("batches scored %v, want the first %d requests alone and then every later one together: %v", got, w, want)
 	}
 
 	// The rule leaves nothing to wait on: no timer in the package.
@@ -617,7 +631,8 @@ func TestWorkConservingBatching(t *testing.T) {
 }
 
 // A fixed request trace must produce byte-identical batch logs and
-// bitwise-identical responses at any worker count.
+// bitwise-identical responses at any worker count, and so at any executor
+// count: New starts one executor per worker.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	d := testData(t)
 	traces := [][]int32{
@@ -652,16 +667,18 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 		return log.String(), out
 	}
 	log1, out1 := run(1)
-	log8, out8 := run(8)
-	if log1 != log8 {
-		t.Fatalf("batch logs differ across worker counts:\n1: %s\n8: %s", log1, log8)
+	if strings.Count(log1, "\n") < 2 {
+		t.Fatalf("batch log %q: want the trace split into several batches", log1)
 	}
-	if log1 == "" {
-		t.Fatal("no batch log emitted")
-	}
-	for i := range out1 {
-		if !bitwiseEqual(out1[i], out8[i]) {
-			t.Fatalf("request %d responses differ across worker counts", i)
+	for _, w := range []int{4, 8} {
+		logW, outW := run(w)
+		if log1 != logW {
+			t.Fatalf("batch logs differ across worker counts:\n1: %s\n%d: %s", log1, w, logW)
+		}
+		for i := range out1 {
+			if !bitwiseEqual(out1[i], outW[i]) {
+				t.Fatalf("request %d responses differ between 1 and %d workers", i, w)
+			}
 		}
 	}
 }

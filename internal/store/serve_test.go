@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"betty/internal/dataset"
 	"betty/internal/obs"
+	"betty/internal/parallel"
 	"betty/internal/sample"
 	"betty/internal/serve"
 	"betty/internal/tensor"
@@ -215,5 +217,99 @@ func TestServeStageFailureLeavesNothingBehind(t *testing.T) {
 	}
 	if !sameScores(got, want) {
 		t.Fatal("scores after the repair differ from in-RAM serving")
+	}
+}
+
+// Out-of-core serving under concurrency: 4 executors and 8 clients serve a
+// packed store through one cache that holds 3 of its 32 shards, fewer than
+// two batch frontiers touch, so concurrent stages contend for pins and
+// evict each other's shards. Every response equals in-RAM solo inference
+// bitwise, and after Close no shard stays pinned, every pooled buffer is
+// back and no executor is left running.
+func TestServeExecutorsShareAShardCache(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(4))
+	f := newServeFixture(t)
+	cfg := serveConfig(256 << 20)
+	var reqs [][]int32
+	for i := range int32(32) {
+		reqs = append(reqs, []int32{(i * 127) % 4096, (i*509 + 3) % 4096, (i*1021 + 77) % 4096})
+	}
+	blocks, err := sample.NewNodeWise(cfg.Fanouts, cfg.Seed).Sample(f.ds.Graph, append(reqs[0][:3:3], reqs[1]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := map[int32]bool{}
+	for _, nid := range blocks[0].SrcNID {
+		shards[nid/int32(f.st.ShardRows())] = true
+	}
+	if len(shards) <= 3 {
+		t.Fatalf("two frontiers touch %d shards; the cache must hold fewer", len(shards))
+	}
+
+	// In-RAM solo inference, one request per batch.
+	solo, err := serve.New(f.ds, f.model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo.Start()
+	want := make([][][]float32, len(reqs))
+	for i, nodes := range reqs {
+		if want[i], err = solo.Predict(nodes, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo.Close()
+
+	reg := obs.New(obs.NewFakeClock(0, 1))
+	cache, err := NewCache(f.st, 3*f.st.MaxShardBytes(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := f.st.Dataset(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker pool starts its goroutines lazily and keeps them; grow it
+	// to its 4 workers first, so the baseline counts them.
+	parallel.For(4, 1, func(int, int) {})
+	goroutines := runtime.NumGoroutine()
+	srv, err := serve.New(disk, f.model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start() // drains the pool, zeroing its counters
+	got := make([][][]float32, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for c := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(reqs); i += 8 {
+				got[i], errs[i] = srv.Predict(reqs[i], 10*time.Second)
+			}
+		}()
+	}
+	wg.Wait()
+	srv.Close()
+	for i := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !sameScores(got[i], want[i]) {
+			t.Fatalf("request %d: out-of-core scores differ from in-RAM solo inference", i)
+		}
+	}
+	if reg.CounterValue("store.evictions") == 0 {
+		t.Fatal("no shard was evicted: the cache held every frontier")
+	}
+	if held := cache.lru.Held(); held != 0 {
+		t.Fatalf("%d shards still pinned after Close", held)
+	}
+	if acq, _, rel := tensor.PoolStats(); acq == 0 || acq != rel {
+		t.Fatalf("pool: %d acquires, %d releases after Close", acq, rel)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("%d goroutines after Close, %d before the server", n, goroutines)
 	}
 }
