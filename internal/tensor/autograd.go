@@ -131,9 +131,9 @@ func (tp *Tape) alloc(rows, cols int) *Tensor { return tp.allocTensor(rows, cols
 // allocDirty is alloc without the zeroing of a recycled buffer: the tensor
 // may hold a released tape's values. Only an op that writes every element
 // before anything reads it may take one (GatherRows, ConcatCols,
-// FusedCSRAgg, LinearBiasReLU's ReLU mask and Alloc's gathered features);
-// an output that is accumulated into, as gemm's and every gradient are,
-// must be zeroed.
+// FusedCSRAgg, the forward products of MatMul and LinearBiasReLU,
+// LinearBiasReLU's ReLU mask and Alloc's gathered features); an output
+// that is accumulated into, as every gradient is, must be zeroed.
 func (tp *Tape) allocDirty(rows, cols int) *Tensor { return tp.allocTensor(rows, cols, false) }
 
 func (tp *Tape) allocTensor(rows, cols int, zero bool) *Tensor {
@@ -288,8 +288,8 @@ func (tp *Tape) MatMul(a, b *Var) *Var {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d @ %dx%d",
 			a.Value.RowsN, a.Value.ColsN, b.Value.RowsN, b.Value.ColsN))
 	}
-	val := tp.alloc(a.Value.RowsN, b.Value.ColsN)
-	matMulInto(val, a.Value, b.Value, true) // into val's zeros: no second clear
+	val := tp.allocDirty(a.Value.RowsN, b.Value.ColsN) // matMulInto stores every element
+	matMulInto(val, a.Value, b.Value, false)
 	var out *Var
 	out = tp.record(val, anyGrad(a, b), func() {
 		if a.requiresGrad {

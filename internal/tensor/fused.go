@@ -258,8 +258,8 @@ func scatterRows(dh, g []float32, n, lo, hi int, cnt, pos, rows []int32, scale, 
 // block (x2 nil) or two: SAGE passes its self rows and its aggregate side
 // by side without building their concatenation, and gemm walks k over x1
 // and then over x2, the concatenation's order. It fuses the ConcatCols →
-// MatMul → AddBias → ReLU chain bitwise: the matmul accumulates into the
-// zeroed output buffer (same tiled kernel, same per-element accumulation
+// MatMul → AddBias → ReLU chain bitwise: the matmul stores its sums from +0
+// into the output buffer (same tiled kernel, same per-element accumulation
 // order), and each gemm shard then adds the bias to its own rows and clamps
 // negatives while they are still in cache (its epilogue), producing exactly
 // the values the separate ops would, without materializing the
@@ -291,8 +291,8 @@ func (tp *Tape) LinearBiasReLU(x1, x2, w, b *Var, relu bool) *Var {
 	if x2 != nil {
 		v2, needsGrad = x2.Value, needsGrad || x2.requiresGrad
 	}
-	val := tp.alloc(m, n)
-	gemm(val, colBlocks(x1.Value, v2), w.Value.Data, b.Value.Data, relu)
+	val := tp.allocDirty(m, n) // gemm stores every element without reading it
+	gemmInto(val, colBlocks(x1.Value, v2), w.Value.Data, b.Value.Data, relu, false)
 	var out *Var
 	out = tp.record(val, needsGrad, func() {
 		// dPre is the gradient at the pre-activation (post-bias) value. With

@@ -1,9 +1,9 @@
 package tensor
 
-// useLanes routes gemm's 4-term groups, its epilogue and zero scan, CSR
-// aggregation and its backward, and the ReLU/bias backward pass through the
-// AVX2 column lanes of lanes_amd64.s. It is decided once, from the CPU, and
-// only tests change it.
+// useLanes routes the matmul kernels' tile, row pass and panel copy, gemm's
+// epilogue and zero scan, CSR aggregation and its backward, and the
+// ReLU/bias backward pass through the AVX2 column lanes of lanes_amd64.s. It
+// is decided once, from the CPU, and only tests change it.
 var useLanes = haveAVX2()
 
 // haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -32,24 +32,26 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv returns extended control register XCR0.
 func xgetbv() (eax, edx uint32)
 
-// addPairLanes is addPair's 4-term groups on the columns of o0: for every
-// group t (len(v0)/4 of them) and column j < len(o0), a multiple of 8,
-//
-//	o0[j] = o0[j] + v0[t]·B[t][j] + v0[t+1]·B[t+1][j] + … + v0[t+3]·B[t+3][j]
-//
-// added left to right and rounded at each step, and the same for o1 with
-// v1, where B[t] starts at b[t*n] and lies inside b.
+// tileLanes is tile's pass for four rows: c[r] (mode)= a[r]·B over every
+// column of c[0], with B[t] starting at b[t*ldb]. Nothing is
+// bounds-checked: tile checks the shapes.
 //
 //go:noescape
-func addPairLanes(o0, o1, b, v0, v1 []float32, n int)
+func tileLanes(c, a *[4][]float32, b []float32, ldb, mode int)
 
-// addTermsLanes is addTerms' 4-term groups on the columns of o, a multiple
-// of 8 wide: the same sum as addPairLanes for one row, with B[t] starting at
-// b[off[t]]. Nothing is bounds-checked: off[t]+len(o) ≤ len(b) for every t
-// is the caller's to guarantee.
+// rowLanes is addRow's pass: c (mode)= Σ v[t]·b[off[t]:] over every column
+// of c, for mode sumOnto or sumSet. Nothing is bounds-checked:
+// off[t]+len(c) ≤ len(b) for every t < len(v) is the caller's to
+// guarantee.
 //
 //go:noescape
-func addTermsLanes(o, b, v []float32, off []int)
+func rowLanes(c, b, v []float32, off []int, mode int)
+
+// transposeLanes is transpose's 8 × 8 blocks: dst[r*ds+t] = src[t*ks+r]
+// for r < rows &^ 7 and t < cols &^ 7. Nothing is bounds-checked.
+//
+//go:noescape
+func transposeLanes(dst, src []float32, ks, ds, rows, cols int)
 
 // aggLanes sets o to one destination's aggregate on the columns of o, a
 // multiple of 8 wide: for every column j,
@@ -73,12 +75,12 @@ func aggLanes(o, h []float32, src []int32, wt, post []float32, n int)
 //go:noescape
 func scatterLanes(o, g []float32, pos, rows []int32, scale, wt []float32, n int)
 
-// biasLanes adds bias[j] to o[i*n+j] for every row i of o and every column
-// j < len(bias), a multiple of 8, then with relu clamps the sum to +0 unless
-// it is greater than 0.
+// biasLanes adds bias[j] to o[i*n+j] for every row i of o and every
+// column j < n = len(bias), then with relu clamps the sum to +0 unless it
+// is greater than 0.
 //
 //go:noescape
-func biasLanes(o, bias []float32, n int, relu bool)
+func biasLanes(o, bias []float32, relu bool)
 
 // maskSumLanes walks the rows of x (n wide) on columns j < n &^ 7. Each
 // value y = x[i*n+j] is masked to +0 where v[i*n+j] is not greater than 0,

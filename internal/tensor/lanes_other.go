@@ -6,11 +6,15 @@ package tensor
 // column.
 var useLanes = false
 
-func addPairLanes(o0, o1, b, v0, v1 []float32, n int) {
+func tileLanes(c, a *[4][]float32, b []float32, ldb, mode int) {
 	panic("tensor: column lanes are amd64-only")
 }
 
-func addTermsLanes(o, b, v []float32, off []int) {
+func rowLanes(c, b, v []float32, off []int, mode int) {
+	panic("tensor: column lanes are amd64-only")
+}
+
+func transposeLanes(dst, src []float32, ks, ds, rows, cols int) {
 	panic("tensor: column lanes are amd64-only")
 }
 
@@ -22,7 +26,7 @@ func scatterLanes(o, g []float32, pos, rows []int32, scale, wt []float32, n int)
 	panic("tensor: column lanes are amd64-only")
 }
 
-func biasLanes(o, bias []float32, n int, relu bool) {
+func biasLanes(o, bias []float32, relu bool) {
 	panic("tensor: column lanes are amd64-only")
 }
 

@@ -23,6 +23,11 @@ func MatMulTB(a, b *Tensor) *Tensor {
 	return out
 }
 
+// gemm adds A·B into out: gemmInto with accum.
+func gemm(out *Tensor, a operand, b, bias []float32, relu bool) {
+	gemmInto(out, a, b, bias, relu, true)
+}
+
 // Transpose returns aᵀ as a new tensor.
 func Transpose(a *Tensor) *Tensor {
 	out := New(a.ColsN, a.RowsN)
@@ -73,6 +78,15 @@ func FuzzMatMulOracle(f *testing.F) {
 		[]byte{1, 0, 1, 1, 129, 2, 1, 3, 129, 4}, uint8(negZero)) // a -0 accumulator in lane columns
 	f.Add(5, kChunk+45, 43, uint64(15), []byte{1, kChunk - 1}, uint8(poison))   // dense rows beside one zero at k = 255
 	f.Add(5, kChunk+45, 43, uint64(16), []byte{1, 0, 4, 0}, uint8(late|poison)) // and at k = 256, in a pair and the tail row
+	// The register tile's edges: 4 rows × 16 columns, repeated rows for
+	// m mod 4, blocks of 16 and 8 columns and a masked rest.
+	f.Add(5, 40, 16, uint64(17), []byte{}, uint8(negZero))                    // m ≡ 1 mod 4; n = 16, one block
+	f.Add(6, 70, 40, uint64(18), []byte{}, uint8(sparse|negZero))             // m ≡ 2 mod 4; n = 40 (arxiv's classes): 16, 16 and 8
+	f.Add(7, 33, 17, uint64(19), []byte{}, uint8(0))                          // m ≡ 3 mod 4; n = 17: 16 and one masked column
+	f.Add(8, 19, 15, uint64(20), []byte{5, 3}, uint8(poison))                 // n = 15: 8 and seven masked columns
+	f.Add(8, 29, 8, uint64(21), []byte{}, uint8(negZero))                     // n = 8: one register per row, no mask
+	f.Add(8, kChunk+20, 40, uint64(22), []byte{1, kChunk - 1}, uint8(poison)) // a zero at k = 255 inside a full tile
+	f.Add(8, kChunk+20, 40, uint64(23), []byte{130, 0}, uint8(late|poison))   // a -0 at k = 256 inside a full tile
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64, zeros []byte, flags uint8) {
 		if m < 1 || m > 40 || k < 1 || k > 2*kChunk+40 || n < 1 || n > 80 || len(zeros) > 512 {
 			t.Skip("bounded problem sizes keep the fuzz fast")
@@ -160,6 +174,10 @@ func FuzzLinearTwoBlockOracle(f *testing.F) {
 	f.Add(6, kChunk+3, 61, 64, uint64(4), []byte{0, kChunk - 1}, uint8(poison))   // block 1 spans two chunks
 	f.Add(4, 1, 1, 8, uint64(5), []byte{129, 0}, uint8(negZero))                  // one column each, a -0 accumulator
 	f.Add(21, 64, 64, 16, uint64(6), []byte{2, 63, 3, 64, 130, 1}, uint8(poison)) // the hidden layer: lanes only
+	f.Add(9, 13, 64, 40, uint64(7), []byte{}, uint8(sparse))                      // f1 = 13: G1 ends masked, G2 starts mid-register
+	f.Add(13, 64, 64, 16, uint64(8), []byte{}, uint8(negZero))                    // m ≡ 1 mod 4, a -0 accumulator
+	f.Add(10, 200, 100, 17, uint64(9), []byte{3, kChunk - 1}, uint8(poison))      // a zero at k = 255 in a full tile; n = 17
+	f.Add(11, 8, 21, 15, uint64(10), []byte{}, uint8(0))                          // m ≡ 3 mod 4, n = 15, f2 = 21
 	f.Fuzz(func(t *testing.T, m, f1, f2, n int, seed uint64, zeros []byte, flags uint8) {
 		if m < 1 || m > 40 || f1 < 1 || f2 < 1 || f1+f2 > 2*kChunk+40 || n < 1 || n > 80 || len(zeros) > 512 {
 			t.Skip("bounded problem sizes keep the fuzz fast")
@@ -269,6 +287,37 @@ func FuzzLinearTwoBlockOracle(f *testing.F) {
 	})
 }
 
+// TestMatMulEmptyInner runs the forward and input-gradient kernels with
+// k = 0. Overwritten, an output becomes +0 though no term stores to it.
+// Accumulated, the forward adds no term, so a -0 stays -0, while the input
+// gradient adds its +0 dot product, so a -0 turns +0, as the serial loops
+// do; and its second block starts past an empty bᵀ.
+func TestMatMulEmptyInner(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	defer setLanes(useLanes)
+	for _, lanes := range laneSettings() {
+		setLanes(lanes)
+		a := New(5, 0)
+		for _, accum := range []bool{false, true} {
+			out, o1, o2 := New(5, 6), New(5, 3), New(5, 4)
+			for _, x := range []*Tensor{out, o1, o2} {
+				x.Data[0], x.Data[1] = 7, negZero
+			}
+			matMulInto(out, a, New(0, 6), accum)
+			matMulTBInto(o1, o2, a, New(7, 0), accum)
+			for i, x := range []*Tensor{out, o1, o2} {
+				want0, wantNeg := float32(0), false
+				if accum {
+					want0, wantNeg = 7, i == 0
+				}
+				if math.Float32bits(x.Data[0]) != math.Float32bits(want0) || math.Signbit(float64(x.Data[1])) != wantNeg || math.Float32bits(x.Data[2]) != 0 {
+					t.Fatalf("lanes=%v accum=%v output %d: got %v; want %v then a zero with sign bit %v", lanes, accum, i, x.Data[:3], want0, wantNeg)
+				}
+			}
+		}
+	}
+}
+
 // colRange returns columns [lo, hi) of t as a new tensor.
 func colRange(t *Tensor, lo, hi int) *Tensor {
 	out := New(t.RowsN, hi-lo)
@@ -369,7 +418,8 @@ func sameFloat(x, y float32) bool {
 func BenchmarkMatMulShapes(b *testing.B) {
 	shapes := []struct{ m, k, n int }{
 		{6500, 200, 64},
-		{4400, 256, 64},
+		{9968, 256, 64},
+		{5400, 128, 40},
 		{620, 128, 47},
 		{80, 256, 64},
 	}

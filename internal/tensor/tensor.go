@@ -120,8 +120,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // adds), small enough that big matrices fan out across every core. The
 // caller passes its own per-output-row multiply-add count. It is a function
 // of the row cost only — never of the worker count — so the shard
-// structure is identical for any parallelism. The dot-product kernel
-// (matMulTBInto) uses it as is; the tiled kernels round it up to tileRows.
+// structure is identical for any parallelism. gemm rounds it up to
+// tileRows, and matMulTBInto to the tile's four rows.
 func rowGrain(flopsPerRow int) int {
 	const target = 1 << 16
 	g := target / (flopsPerRow + 1)
@@ -132,52 +132,73 @@ func rowGrain(flopsPerRow int) int {
 }
 
 const (
-	// tileRows is the output-row granule of the tiled kernels: a shard owns
-	// a multiple of it, however much a row costs. A row of aᵀ·b costs
-	// rows(a)·cols(b) multiply-adds, which at training shapes makes
-	// rowGrain one row, and a one-row shard streams all of b to fill that
-	// row: 200 such shards read a 1.7 MB b 200 times for a 50 KB output.
+	// tileRows is the output-row granule of gemm: a shard owns a multiple
+	// of it, however much a row costs. A row of aᵀ·b costs rows(a)·cols(b)
+	// multiply-adds, which at training shapes makes rowGrain one row, and a
+	// one-row shard streams all of b to fill that row: 200 such shards read
+	// a 1.7 MB b 200 times for a 50 KB output.
 	tileRows = 16
+	// wgradRows is the least a weight-gradient shard owns: two tile blocks,
+	// so each chunk of b it loads serves twice the rows, and the panel
+	// copies of a chunk read two adjacent lines of each row of X.
+	wgradRows = 2 * tileRows
 	// kChunk is how many k steps of b (kChunk rows of it) a shard walks
 	// before moving on: every row of the shard uses that chunk while it is
 	// still in cache, so b is read once per shard rather than once per
-	// output row. A multiple of four, so chunk boundaries never split a
-	// four-term group.
+	// output row.
 	kChunk = 256
+	// padStride is added to the row stride of a copied multiplier panel
+	// (the weight gradient's, and the input gradient's bᵀ): at a stride
+	// that is a multiple of 1 KiB, every row of a column walk maps to the
+	// same few L1 sets, and loads alias the stores of 4 KiB before them.
+	padStride = 16
+	// panelStride is the row stride of the weight gradient's panel.
+	panelStride = kChunk + padStride
+)
+
+// The accumulate modes of the tile and row passes. Each output element
+// sums its terms s = s + x·p, one at a time in ascending k, from a start,
+// and ends in the output:
+//
+//	sumOnto  s starts at the output, which becomes s
+//	sumSet   s starts at +0, and the output becomes s
+//	sumAdd   s starts at +0, and the output becomes output + s
+//
+// sumSet never reads the output, so its buffer may hold anything. A sum
+// that starts at +0 can never be −0 (x + y is −0 only when both are), so
+// storing it gives the same bits as adding it to a +0 output: sumSet is
+// sumOnto over a zeroed buffer, without the zeroing.
+const (
+	sumOnto = iota
+	sumSet
+	sumAdd
 )
 
 // matMulInto computes out (+)= a @ b. When accum is true the product is
-// added to out instead of overwriting it.
+// added to out; otherwise out is overwritten and its values never read.
 func matMulInto(out, a, b *Tensor, accum bool) {
-	if !accum {
-		out.Zero()
-	}
-	gemm(out, colBlocks(a, nil), b.Data, nil, false)
+	gemmInto(out, colBlocks(a, nil), b.Data, nil, false, accum)
 }
 
-// matMulTAInto computes out (+)= [a1 ‖ a2]ᵀ @ b, reading a1 and a2 in
-// place: output row i is column i of [a1 ‖ a2] against all of b, so a
-// shard's rows share every chunk of b it loads, and rows [0, cols(a1))
-// read a1 while the rest read a2 (nil for one block). With accum the
-// product is added to out, which is how the backward pass writes weight
-// gradients without a temporary.
+// matMulTAInto computes out (+)= [a1 ‖ a2]ᵀ @ b: output row i is column i
+// of [a1 ‖ a2] against all of b, so a shard's rows share every chunk of b
+// it loads, and rows [0, cols(a1)) read a1 while the rest read a2 (nil for
+// one block). With accum the product is added to out, which is how the
+// backward pass writes weight gradients without a temporary.
 func matMulTAInto(out, a1, a2, b *Tensor, accum bool) {
 	if a1.RowsN != b.RowsN || a2 != nil && a2.RowsN != b.RowsN {
 		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%d ᵀ@ %dx%d", a1.RowsN, a1.ColsN, b.RowsN, b.ColsN))
 	}
-	if !accum {
-		out.Zero()
-	}
-	gemm(out, rowBlocks(a1, a2), b.Data, nil, false)
+	gemmInto(out, rowBlocks(a1, a2), b.Data, nil, false, accum)
 }
 
 // operand is gemm's multiplier A in one or two blocks. With byK the blocks
 // split A's k range at split: A = [X1 ‖ X2], the forward's multiplier,
 // whose second block is the aggregate beside the self rows. Without, they
 // split A's rows at split: A = [X1 ‖ X2]ᵀ, the weight gradient's, which
-// reads both blocks transposed in place. A one-block operand has split at
-// the end of its range. Each block is indexed by the whole matrix's i and k
-// (see block), and at picks the one holding an element.
+// reads both blocks transposed. A one-block operand has split at the end of
+// its range. Each block is indexed by the whole matrix's i and k (see
+// block), and at picks the one holding an element.
 type operand struct {
 	blk   [2]block
 	kDim  int
@@ -207,9 +228,9 @@ func colBlocks(x1, x2 *Tensor) operand {
 	return op
 }
 
-// rowBlocks is the operand [x1 ‖ x2]ᵀ (x2 nil for x1ᵀ alone), read in
-// place: rows [0, cols(x1)) are the columns of x1, the rest those of x2,
-// and k runs over their shared rows.
+// rowBlocks is the operand [x1 ‖ x2]ᵀ (x2 nil for x1ᵀ alone): rows
+// [0, cols(x1)) are the columns of x1, the rest those of x2, and k runs
+// over their shared rows.
 func rowBlocks(x1, x2 *Tensor) operand {
 	f1 := x1.ColsN
 	op := operand{blk: [2]block{{a: x1.Data, rs: 1, ks: f1}}, kDim: x1.RowsN, split: f1}
@@ -219,38 +240,40 @@ func rowBlocks(x1, x2 *Tensor) operand {
 	return op
 }
 
-// gemm adds A·B into out, where A is the operand a and B is b read as an
-// a.kDim×cols(out) row-major matrix.
+// gemmInto computes out (+)= A·B, where A is the operand a and B is b read
+// as an a.kDim×cols(out) row-major matrix. With accum the product is added
+// to out; without, out is overwritten and never read.
 //
-// Every output element adds its terms one at a time in ascending k, and a
-// term whose multiplier A(i, k) is ±0 is skipped rather than multiplied
-// through (0·Inf is NaN, and adding +0 turns a -0 accumulator into +0). The
-// result is therefore the serial loop
+// Every output element adds its terms one at a time in ascending k onto its
+// start (out, or +0), and a term whose multiplier A(i, k) is ±0 is skipped
+// rather than multiplied through (0·Inf is NaN, and adding +0 turns a -0
+// accumulator into +0). The result is therefore the serial loop
 //
 //	for k := range kDim { if A(i,k) != 0 { out[i][j] += A(i,k) * B[k][j] } }
 //
-// bit for bit, whatever the tiling, the shard structure, the worker count
-// or the split of A into blocks.
+// over out or over zeros, bit for bit, whatever the tiling, the shard
+// structure, the worker count or the split of A into blocks.
 //
 // Shards own tileRows-aligned blocks of output rows and walk k in chunks of
 // kChunk: over a's first k block and then its second, all in the one
-// parallel.For, so a chunk never spans the two. Per chunk, each output row
-// takes its multipliers (chunkTerms): a row with no zero in the chunk uses
-// them as they are, one with a zero packs its nonzero ones and their b
-// offsets. They are applied four at a time in one pass over the output
-// row, so a zero costs nothing and no pass is guarded. When both rows of a
-// pair have no zero in the chunk, the pair shares the pass: each b element
-// loaded feeds both rows (a 2-row × 4-k register tile). On amd64 with AVX2
-// both passes run eight output columns per instruction (useLanes), each
-// lane in the scalar loop's order.
+// parallel.For, so a chunk never spans the two. Per chunk each output row
+// takes its multipliers (operand.rows): the forward's are its rows of the
+// block as they lie; the weight gradient's are columns of its blocks,
+// copied once per chunk into a row-contiguous panel. Four rows with no ±0
+// in the chunk run as one register tile (tile): every b element loaded
+// feeds four rows, and their sums stay in registers for the whole chunk.
+// A row with a zero runs alone (addRow) over its nonzero multipliers,
+// packed with the offsets of the b rows they scale (packNonzero), and so do
+// the other rows of its group. So a zero costs no work, the tile never adds
+// a zero product, and no inner loop is guarded.
 //
 // A non-nil bias is the epilogue: after its last chunk each shard adds bias
 // to its own rows and, with relu, clamps every sum that is not greater than
 // 0 to +0, while the rows are still in cache.
 //
-// The lanes do not bounds-check b. Every offset chunkTerms hands out is k*n
+// The lanes do not bounds-check b. Every offset a row pass is handed is k*n
 // with k < kDim, so the one length check below keeps them inside it.
-func gemm(out *Tensor, a operand, b, bias []float32, relu bool) {
+func gemmInto(out *Tensor, a operand, b, bias []float32, relu, accum bool) {
 	n, kDim := out.ColsN, a.kDim
 	if len(b) != kDim*n {
 		panic(fmt.Sprintf("tensor: gemm needs a %d×%d b, got %d values", kDim, n, len(b)))
@@ -265,31 +288,57 @@ func gemm(out *Tensor, a operand, b, bias []float32, relu bool) {
 		segs[1] = kDim
 	}
 	grain := (rowGrain(kDim*n) + tileRows - 1) / tileRows * tileRows
+	if !a.byK {
+		grain = max(grain, wgradRows)
+	}
 	parallel.For(out.RowsN, grain, func(lo, hi int) {
-		var v0, v1 [kChunk]float32
-		var off0, off1, dense [kChunk]int
+		var panel []float32
+		if !a.byK {
+			panel = take(tileRows*panelStride, false)
+			defer release(panel)
+		}
+		var v [kChunk]float32
+		var off, dense [kChunk]int
+		mode := sumOnto
+		if !accum {
+			mode = sumSet
+			if kDim == 0 {
+				clear(out.Data[lo*n : hi*n])
+			}
+		}
 		for q := range 2 {
 			for k0 := segs[q]; k0 < segs[q+1]; k0 += kChunk {
 				k1 := min(k0+kChunk, segs[q+1])
 				for k := k0; k < k1; k++ {
 					dense[k-k0] = k * n
 				}
-				for i := lo; i < hi; i += 2 {
-					o0 := out.Data[i*n : i*n+n]
-					x0, f0 := chunkTerms(&v0, &off0, &dense, a.at(i, q), i, k0, k1, n)
-					if i+1 == hi {
-						addTerms(o0, b, x0, f0)
-						break
+				for r0 := lo; r0 < hi; r0 += tileRows {
+					r1 := min(r0+tileRows, hi)
+					rows := a.rows(q, r0, r1, k0, k1, panel)
+					for i := r0; i < r1; i += 4 {
+						mr := min(4, r1-i)
+						var c, x [4][]float32
+						var zero [4]bool
+						for r := range mr {
+							c[r] = out.Data[(i+r)*n : (i+r+1)*n]
+							x[r] = rows[i-r0+r]
+							zero[r] = hasZero(x[r])
+						}
+						if zero == [4]bool{} {
+							tile(&c, &x, mr, b[k0*n:], n, mode)
+							continue
+						}
+						for r := range mr {
+							if !zero[r] {
+								addRow(c[r], b, x[r], dense[:k1-k0], mode)
+								continue
+							}
+							m := packNonzero(&v, &off, x[r], k0, n)
+							addRow(c[r], b, v[:m], off[:m], mode)
+						}
 					}
-					o1 := out.Data[(i+1)*n : (i+1)*n+n]
-					x1, f1 := chunkTerms(&v1, &off1, &dense, a.at(i+1, q), i+1, k0, k1, n)
-					if len(x0) == k1-k0 && len(x1) == k1-k0 {
-						addPair(o0, o1, b[k0*n:k1*n], x0, x1)
-						continue
-					}
-					addTerms(o0, b, x0, f0)
-					addTerms(o1, b, x1, f1)
 				}
+				mode = sumOnto
 			}
 		}
 		if bias != nil {
@@ -306,47 +355,71 @@ func (a *operand) at(i, q int) *block {
 	return &a.blk[0]
 }
 
+// rows returns the multipliers A(i, k), k in [k0, k1) of segment q, of
+// output rows [r0, r1), at most tileRows of them, one slice per row. The
+// forward's are the rows of its block as they lie. The weight gradient's
+// are columns of its blocks, which rows copies into panel, one row of
+// panelStride per output row: each k reads the shard's columns from one
+// contiguous run of a block's row k.
+func (a *operand) rows(q, r0, r1, k0, k1 int, panel []float32) (rs [tileRows][]float32) {
+	if a.byK {
+		p := &a.blk[q]
+		for i := r0; i < r1; i++ {
+			base := p.off + i*p.rs
+			rs[i-r0] = p.a[base+k0 : base+k1]
+		}
+		return rs
+	}
+	for i := r0; i < r1; {
+		p, e := a.at(i, q), r1
+		if i < a.split {
+			e = min(r1, a.split)
+		}
+		transpose(panel[(i-r0)*panelStride:], p.a[p.off+k0*p.ks+i:], p.ks, panelStride, e-i, k1-k0)
+		i = e
+	}
+	for r := range r1 - r0 {
+		rs[r] = panel[r*panelStride : r*panelStride+k1-k0]
+	}
+	return rs
+}
+
+// transpose sets dst[r*ds+t] = src[t*ks+r] for r < rows and t < cols: the
+// cols×rows block of src (row stride ks) as rows×cols in dst (row stride
+// ds). With useLanes, transposeLanes moves its 8 × 8 blocks and the Go
+// loop the rest.
+func transpose(dst, src []float32, ks, ds, rows, cols int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	_ = src[(cols-1)*ks+rows-1]
+	_ = dst[(rows-1)*ds+cols-1]
+	r8, c8 := 0, 0
+	if useLanes {
+		r8, c8 = rows&^7, cols&^7
+		transposeLanes(dst, src, ks, ds, rows, cols)
+	}
+	for t := range cols {
+		r := r8
+		if t >= c8 {
+			r = 0
+		}
+		for ; r < rows; r++ {
+			dst[r*ds+t] = src[t*ks+r]
+		}
+	}
+}
+
 // nonzero is 1 when x is not ±0 and 0 when it is — the zero-skip test as an
 // integer bit test. NaN counts as nonzero, exactly as under x != 0.
 func nonzero(x float32) int {
 	return int((math.Float32bits(x)&0x7fffffff + 0x7fffffff) >> 31)
 }
 
-// chunkTerms returns the nonzero multipliers A(i, k), k in [k0, k1), of
-// output row i, all in block p, in ascending k, and the offsets k*n of the
-// b rows they scale. A row with no zero in the chunk needs no packing: its
-// multipliers are p's values themselves when they are contiguous (ks == 1,
-// found by a scan, not a copy), or the gathered column when not, and its
-// offsets are dense, the chunk's k*n in order. A row with a zero is packed
-// into v and off.
-func chunkTerms(v *[kChunk]float32, off, dense *[kChunk]int, p *block, i, k0, k1, n int) ([]float32, []int) {
-	kc := k1 - k0
-	a, base, ks := p.a, p.off+i*p.rs, p.ks
-	if ks == 1 {
-		row := a[base+k0 : base+k1]
-		if !hasZero(row) {
-			return row, dense[:kc]
-		}
-		c := packNonzero(v, off, row, k0, n)
-		return v[:c], off[:c]
-	}
-	all := 1
-	for t := range kc {
-		x := a[base+(k0+t)*ks]
-		v[t] = x
-		all &= nonzero(x)
-	}
-	if all == 1 {
-		return v[:kc], dense[:kc]
-	}
-	c := packNonzero(v, off, v[:kc], k0, n)
-	return v[:c], off[:c]
-}
-
 // packNonzero writes the nonzero values of x, the multipliers of k in
 // [k0, k0+len(x)), to v in ascending k, with k*n — the offset of the b row
 // each one scales — at the same index of off, and returns how many there
-// are. x may be v itself: the write index never passes the read index.
+// are.
 func packNonzero(v *[kChunk]float32, off *[kChunk]int, x []float32, k0, n int) int {
 	c := 0
 	for t, y := range x {
@@ -377,128 +450,90 @@ func hasZero(a []float32) bool {
 
 // biasRows is gemm's epilogue on o, whole rows len(bias) wide: every value
 // becomes o + bias[j] and, with relu, +0 unless that sum is greater than 0.
-// With useLanes, biasLanes runs the first len(bias) &^ 7 columns of every
-// row and the Go loop the rest.
+// With useLanes, biasLanes runs every column, the last len(bias) % 8
+// masked.
 func biasRows(o, bias []float32, relu bool) {
-	n := len(bias)
-	j := 0
 	if useLanes {
-		j = n &^ 7
-		biasLanes(o, bias[:j], n, relu)
-	}
-	if j == n {
+		biasLanes(o, bias, relu)
 		return
 	}
-	bt := bias[j:]
+	n := len(bias)
 	for i := 0; i < len(o); i += n {
-		row := o[i+j : i+n]
-		for q, x := range bt {
-			y := row[q] + x
+		row := o[i : i+n]
+		for j, x := range bias {
+			y := row[j] + x
 			if relu && !(y > 0) {
 				y = 0
 			}
-			row[q] = y
+			row[j] = y
 		}
 	}
 }
 
-// addTerms adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
-// four terms per pass over o and the len(v) % 4 left over one at a time.
-// With useLanes, addTermsLanes runs the four-term passes over the first
-// len(o) &^ 7 columns, eight at a time, and addTerms4 the rest: each column
-// is its own sum, so splitting the columns keeps every element's order.
-func addTerms(o, b []float32, v []float32, off []int) {
-	n := len(o)
-	g := len(v) &^ 3
-	j := 0
+// tile is the register tile: for each row r < mr and every column j of
+// c[r], the terms a[r][t]·b[t*ldb+j], t < len(a[0]), are summed in
+// ascending t as mode says. Every c[r] is as wide as c[0] and every a[r]
+// as long as a[0]. With useLanes, tileLanes keeps 4 rows × 16 columns of
+// sums in registers for all the terms; rows from mr up repeat row mr-1
+// there, so they compute and store its values again.
+func tile(c, a *[4][]float32, mr int, b []float32, ldb, mode int) {
+	n, kc := len(c[0]), len(a[0])
+	for r := range mr {
+		if len(c[r]) != n || len(a[r]) != kc {
+			panic("tensor: tile rows of unequal length")
+		}
+	}
+	if kc > 0 && n > 0 {
+		_ = b[(kc-1)*ldb+n-1]
+	}
+	if !useLanes {
+		for r := range mr {
+			sumRow(c[r], b, a[r], nil, ldb, mode)
+		}
+		return
+	}
+	for r := mr; r < 4; r++ {
+		c[r], a[r] = c[mr-1], a[mr-1]
+	}
+	tileLanes(c, a, b, ldb, mode)
+}
+
+// addRow sums, for every column j of c, the terms v[t]·b[off[t]+j] in
+// order, as mode (sumOnto or sumSet) says: one row of gemm alone, holding
+// its sums in registers (rowLanes) with useLanes.
+func addRow(c, b, v []float32, off []int, mode int) {
 	if useLanes {
-		j = n &^ 7
-		addTermsLanes(o[:j], b, v[:g], off[:g])
+		rowLanes(c, b, v, off, mode)
+		return
 	}
-	if j < n {
-		addTerms4(o[j:], b[j:], v[:g], off[:g])
-	}
-	for t := g; t < len(v); t++ {
-		x := v[t]
-		bt := b[off[t]:][:n]
-		for j := range o {
-			o[j] += x * bt[j]
-		}
-	}
+	sumRow(c, b, v, off, 0, mode)
 }
 
-// addTerms4 adds v[t]·b[off[t] : off[t]+len(o)] to o for every t, in order,
-// four terms per pass over o; len(v) is a multiple of four.
-func addTerms4(o, b []float32, v []float32, off []int) {
-	n := len(o)
-	for t := 0; t+4 <= len(v); t += 4 {
-		x0, x1, x2, x3 := v[t], v[t+1], v[t+2], v[t+3]
-		b0 := b[off[t]:][:n]
-		b1 := b[off[t+1]:][:n]
-		b2 := b[off[t+2]:][:n]
-		b3 := b[off[t+3]:][:n]
-		for j := range o {
-			s := o[j]
-			s += x0 * b0[j]
-			s += x1 * b1[j]
-			s += x2 * b2[j]
-			s += x3 * b3[j]
-			o[j] = s
+// sumRow is the Go loop behind tile and addRow: for every column j of c,
+// the terms v[t]·b[o+j], o = off[t] (t*stride when off is nil), summed in
+// ascending t as mode says, eight columns of sums at a time.
+func sumRow(c, b, v []float32, off []int, stride, mode int) {
+	for j0 := 0; j0 < len(c); j0 += 8 {
+		w := min(8, len(c)-j0)
+		var s [8]float32
+		if mode == sumOnto {
+			copy(s[:w], c[j0:])
 		}
-	}
-}
-
-// addPair adds v0[t]·B[t] to o0 and v1[t]·B[t] to o1 for every t in order,
-// where B[t] is row t of the len(v0)×len(o0) matrix b: each b element is
-// loaded once for both rows. The columns split as in addTerms.
-func addPair(o0, o1, b []float32, v0, v1 []float32) {
-	n := len(o0)
-	o1 = o1[:n]
-	g := len(v0) &^ 3
-	j := 0
-	if useLanes {
-		j = n &^ 7
-		addPairLanes(o0[:j], o1[:j], b[:g*n], v0[:g], v1[:g], n)
-	}
-	if j < n {
-		addPair4(o0[j:], o1[j:], b[j:], v0[:g], v1[:g], n)
-	}
-	for t := g; t < len(v0); t++ {
-		x, y := v0[t], v1[t]
-		bt := b[t*n:][:n]
-		for j := range o0 {
-			o0[j] += x * bt[j]
-			o1[j] += y * bt[j]
+		for t, x := range v {
+			o := t * stride
+			if off != nil {
+				o = off[t]
+			}
+			for q, y := range b[o+j0 : o+j0+w] {
+				s[q] += x * y
+			}
 		}
-	}
-}
-
-// addPair4 is addPair's four-term passes on the columns of o0 and o1, where
-// B[t] starts at b[t*stride]; len(v0) is a multiple of four.
-func addPair4(o0, o1, b []float32, v0, v1 []float32, stride int) {
-	n := len(o0)
-	o1 = o1[:n]
-	for t := 0; t+4 <= len(v0); t += 4 {
-		x0, x1, x2, x3 := v0[t], v0[t+1], v0[t+2], v0[t+3]
-		y0, y1, y2, y3 := v1[t], v1[t+1], v1[t+2], v1[t+3]
-		b0 := b[t*stride:][:n]
-		b1 := b[(t+1)*stride:][:n]
-		b2 := b[(t+2)*stride:][:n]
-		b3 := b[(t+3)*stride:][:n]
-		for j := range o0 {
-			p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
-			s := o0[j]
-			s += x0 * p0
-			s += x1 * p1
-			s += x2 * p2
-			s += x3 * p3
-			o0[j] = s
-			u := o1[j]
-			u += y0 * p0
-			u += y1 * p1
-			u += y2 * p2
-			u += y3 * p3
-			o1[j] = u
+		for q := range w {
+			if mode == sumAdd {
+				c[j0+q] += s[q]
+			} else {
+				c[j0+q] = s[q]
+			}
 		}
 	}
 }
@@ -506,12 +541,11 @@ func addPair4(o0, o1, b []float32, v0, v1 []float32, stride int) {
 // matMulTBInto computes [o1 ‖ o2] (+)= a @ bᵀ with workers owning
 // disjoint output-row ranges: output column j is the dot product with row j
 // of b, o1 holds columns [0, n1) and o2 the rest, and a nil block's columns
-// are skipped (o1 alone, with o2 nil, is the plain product). Four output
-// columns (= rows of b) are computed per pass over the a row, so each a
-// element is loaded once per four dot products; every dot product keeps
-// its own accumulator summed in ascending k order, so each output element
-// is the identical left-to-right sum at any worker count, any blocking and
-// any split of the columns.
+// are skipped (o1 alone, with o2 nil, is the plain product). It copies b
+// once into bᵀ, kDim rows of a padded stride, and runs the register tile
+// over it with no zero skip: every element is its dot product summed from
+// +0 in ascending k, then added to the output (or stored, without accum),
+// at any worker count, any blocking and any split of the columns.
 func matMulTBInto(o1, o2, a, b *Tensor, accum bool) {
 	if a.ColsN != b.ColsN {
 		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch %dx%d @ᵀ %dx%d", a.RowsN, a.ColsN, b.RowsN, b.ColsN))
@@ -526,63 +560,42 @@ func matMulTBInto(o1, o2, a, b *Tensor, accum bool) {
 	if o1 != nil && o1.ColsN != n1 || n1 < 0 {
 		panic(fmt.Sprintf("tensor: MatMulTB output blocks do not split %d columns", b.RowsN))
 	}
-	kDim := a.ColsN
+	kDim, cols := a.ColsN, b.RowsN
+	ldt := cols + padStride
+	// Every value read from bt is written here first; one row at least, so
+	// that o2's columns start inside it when kDim is 0.
+	bt := take(max(kDim, 1)*ldt, false)
+	defer release(bt)
+	transpose(bt, b.Data, kDim, ldt, kDim, cols)
+	mode := sumSet
+	if accum {
+		mode = sumAdd
+	}
+	blocks := [2]struct {
+		o  *Tensor
+		j0 int
+	}{{o1, 0}, {o2, n1}}
 	// flops per output row = kDim*rows(b): one length-kDim dot product per
-	// row of b, independent of cols(b)'s role in the forward kernel.
-	parallel.For(a.RowsN, rowGrain(kDim*b.RowsN), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			if o1 != nil {
-				dotRows(o1.Row(i), arow, b.Data[:n1*kDim], accum)
+	// row of b.
+	parallel.For(a.RowsN, (rowGrain(kDim*cols)+3)&^3, func(lo, hi int) {
+		for i := lo; i < hi; i += 4 {
+			mr := min(4, hi-i)
+			var x [4][]float32
+			for r := range mr {
+				x[r] = a.Row(i + r)
 			}
-			if o2 != nil {
-				dotRows(o2.Row(i), arow, b.Data[n1*kDim:], accum)
+			for _, blk := range blocks {
+				if blk.o == nil {
+					continue
+				}
+				var c [4][]float32
+				for r := range mr {
+					c[r] = blk.o.Row(i + r)
+				}
+				tile(&c, &x, mr, bt[blk.j0:], ldt, mode)
 			}
 		}
 	})
-}
-
-// dotRows sets (or, with accum, adds to) orow[j] the dot product of arow
-// with row j of b, rows len(arow) wide, summed from +0 in ascending k.
-func dotRows(orow, arow, b []float32, accum bool) {
-	kDim := len(arow)
-	j := 0
-	for ; j+4 <= len(orow); j += 4 {
-		b0 := b[j*kDim : j*kDim+kDim]
-		b1 := b[(j+1)*kDim : (j+1)*kDim+kDim]
-		b2 := b[(j+2)*kDim : (j+2)*kDim+kDim]
-		b3 := b[(j+3)*kDim : (j+3)*kDim+kDim]
-		var s0, s1, s2, s3 float32
-		for k, av := range arow {
-			s0 += av * b0[k]
-			s1 += av * b1[k]
-			s2 += av * b2[k]
-			s3 += av * b3[k]
-		}
-		if accum {
-			orow[j] += s0
-			orow[j+1] += s1
-			orow[j+2] += s2
-			orow[j+3] += s3
-		} else {
-			orow[j] = s0
-			orow[j+1] = s1
-			orow[j+2] = s2
-			orow[j+3] = s3
-		}
-	}
-	for ; j < len(orow); j++ {
-		brow := b[j*kDim : j*kDim+kDim]
-		var s float32
-		for k, av := range arow {
-			s += av * brow[k]
-		}
-		if accum {
-			orow[j] += s
-		} else {
-			orow[j] = s
-		}
-	}
 }
 
 // elemGrain is the element count per shard for the parallel elementwise
